@@ -147,11 +147,12 @@ BENCHMARK(BM_AdmissionChurn)
     ->Args({static_cast<long>(PlacementPolicy::kBuddy), 1})
     ->Unit(benchmark::kMillisecond);
 
-/// End-to-end DES twin: the full teletraffic admission stack (session
+/// End-to-end DES rows: the full teletraffic admission stack (session
 /// manager, fabric bookkeeping, subnetwork setup) over the direct cube at
-/// N=1024, with bursty arrivals drained through open_batch. Arg0: backend.
-/// Arg1: arrivals per event (1 = classic serial path). items_per_second
-/// counts DES events.
+/// N=1024, with bursty arrivals drained through open_batch on the fast
+/// placer. Arg0 is always 0 (it selected the retired reference-placer twin;
+/// kept so row names match earlier baselines). Arg1: arrivals per event
+/// (1 = classic serial path). items_per_second counts DES events.
 void BM_TeletrafficAdmission(benchmark::State& state) {
   sim::TeletrafficConfig c;
   c.traffic.arrival_rate = 40.0;
@@ -162,7 +163,6 @@ void BM_TeletrafficAdmission(benchmark::State& state) {
   c.duration = 60.0;
   c.warmup = 10.0;
   c.seed = 7;
-  c.placer_reference = state.range(0) != 0;
   c.arrival_burst = static_cast<u32>(state.range(1));
 
   std::uint64_t events = 0;
@@ -176,12 +176,10 @@ void BM_TeletrafficAdmission(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
   state.counters["attempts"] = static_cast<double>(r.stats.attempts);
   state.counters["accepted"] = static_cast<double>(r.stats.accepted);
-  state.SetLabel(std::string(c.placer_reference ? "reference" : "fast") +
-                 "/burst=" + std::to_string(c.arrival_burst));
+  state.SetLabel("fast/burst=" + std::to_string(c.arrival_burst));
 }
 BENCHMARK(BM_TeletrafficAdmission)
     ->Args({0, 1})
-    ->Args({1, 1})
     ->Args({0, 8})
     ->Unit(benchmark::kMillisecond);
 

@@ -110,13 +110,12 @@ BENCHMARK(BM_TalkSpurtSimulation)
     ->Unit(benchmark::kMillisecond);
 
 /// Steady-state teletraffic event rate at N=64 with frequent functional
-/// verification. range(0) selects the verification path: 0 = incremental
-/// FabricState (`verify_delivery`), 1 = stateless Fabric::evaluate rebuild
-/// (`verify_delivery_reference`). items_per_second is the event rate; the
-/// ratio between the two rows is the incremental-evaluation speedup.
+/// verification through the incremental FabricState (`verify_delivery`).
+/// items_per_second is the event rate. The argument is always 0 (it
+/// selected the retired stateless-verify twin; kept so the row name matches
+/// earlier baselines).
 void BM_SteadyStateEventRate(benchmark::State& state) {
   const u32 n = 6;
-  const bool reference = state.range(0) != 0;
   std::uint64_t seed = 17;
   std::int64_t events = 0;
   for (auto _ : state) {
@@ -133,19 +132,16 @@ void BM_SteadyStateEventRate(benchmark::State& state) {
     c.membership_churn = true;
     c.verify_functional = true;
     c.verify_interval = 0.1;
-    c.verify_reference = reference;
     c.seed = seed++;
     const auto r = sim::run_teletraffic(net, c);
     if (!r.functional_ok) state.SkipWithError("functional check failed");
     events += static_cast<std::int64_t>(r.events);
   }
   state.SetItemsProcessed(events);
-  state.SetLabel(reference ? "verify=reference(full evaluate)"
-                           : "verify=incremental(FabricState)");
+  state.SetLabel("verify=incremental(FabricState)");
 }
 BENCHMARK(BM_SteadyStateEventRate)
     ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -28,10 +28,10 @@ namespace {
   rc.shard.backend = c.backend;
   rc.shard.queue_depth = c.queue_depth;
   // Loss-mode admission: a leg reservation must be a synchronous yes/no
-  // (a parked hold-queue ticket is not a reservation the two-phase setup
-  // could commit), and a link-fault victim must reach a terminal state
-  // inside the fail command (repacked in place or dropped) so the cluster
-  // can fold the impact into its own bookkeeping immediately.
+  // (a parked hold-queue ticket is not a leg the span settle could
+  // commit), and a link-fault victim must reach a terminal state inside
+  // the fail command (repacked in place or dropped) so the cluster can
+  // fold the impact into its own bookkeeping immediately.
   rc.shard.wait_capacity = 0;
   rc.shard.wait_bypass = false;
   rc.shard.recovery.max_retries = 0;
@@ -135,9 +135,9 @@ OpenReport Cluster::open_span(const std::vector<LegSpec>& legs) {
 
   // Single round — every local leg (members + the trunk relay termination
   // port) fans out in one staged burst: one queue push per shard, one
-  // wakeup per owning worker, pooled completions instead of futures. The
-  // per-shard command order stays deterministic because this coordinator
-  // is the sole span producer.
+  // wakeup per owning worker, pooled completions. The per-shard command
+  // order stays deterministic because this coordinator is the sole span
+  // producer.
   pending_.clear();
   for (const LegSpec& leg : sorted) {
     runtime::Command cmd;
@@ -186,86 +186,6 @@ OpenReport Cluster::open_span(const std::vector<LegSpec>& legs) {
   obs::trace_emit("cluster", "span_open", static_cast<double>(shards.size()));
   CONFNET_AUDIT_HOOK(audit::check_cluster(*this));
   return OpenReport{Admit::kAccepted, id, 0};
-}
-
-OpenReport Cluster::admit_span_reference(const std::vector<LegSpec>& legs) {
-  expects(legs.size() >= 2, "admit_span_reference needs a spanning request");
-  const std::vector<LegSpec> sorted = validated_span(legs);
-  ++stats_.span_opens;
-
-  // Phase 1 — reserve: open every local leg first (the PR 9 protocol).
-  std::vector<std::future<runtime::CommandResult>> futures;
-  futures.reserve(sorted.size());
-  for (const LegSpec& leg : sorted) {
-    runtime::Command cmd;
-    cmd.kind = runtime::CommandKind::kOpen;
-    cmd.size = leg.members + 1;  // + trunk relay termination
-    futures.push_back(runtime_.call(leg.shard, std::move(cmd)));
-  }
-  std::vector<Leg> granted;
-  granted.reserve(sorted.size());
-  bool reserved = true;
-  u32 blocked_shard = 0;
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    const auto r = await(std::move(futures[i]));
-    if (r.status == runtime::CommandStatus::kDone &&
-        r.open.outcome == conf::RequestOutcome::kServed) {
-      granted.push_back(Leg{sorted[i].shard, *r.open.session,
-                            sorted[i].members});
-      ++stats_.legs_reserved;
-    } else if (reserved) {
-      reserved = false;
-      blocked_shard = sorted[i].shard;
-    }
-  }
-  if (!reserved) {
-    // Mid-reserve block: roll every already-granted leg back. No trunk
-    // lane was touched yet.
-    for (const Leg& leg : granted) {
-      close_leg(leg);
-      ++stats_.legs_rolled_back;
-    }
-    ++stats_.span_blocked_local;
-    obs::trace_emit("cluster", "span_blocked_local",
-                    static_cast<double>(blocked_shard));
-    CONFNET_AUDIT_HOOK(audit::check_cluster(*this));
-    return OpenReport{Admit::kBlockedLocal, 0, blocked_shard};
-  }
-
-  // Phase 2 — commit: the trunk mesh last. An exhausted or faulty pair
-  // rolls back every shard reservation — the second coordination round
-  // the optimistic path saves.
-  std::vector<u32> shards;
-  shards.reserve(granted.size());
-  for (const Leg& leg : granted) shards.push_back(leg.shard);
-  if (!trunks_.reserve_mesh(shards)) {
-    for (const Leg& leg : granted) {
-      close_leg(leg);
-      ++stats_.legs_rolled_back;
-    }
-    ++stats_.span_blocked_trunk;
-    obs::trace_emit("cluster", "span_blocked_trunk",
-                    static_cast<double>(shards.size()));
-    CONFNET_AUDIT_HOOK(audit::check_cluster(*this));
-    return OpenReport{Admit::kBlockedTrunk, 0, 0};
-  }
-
-  const u64 id = next_id_++;
-  Conference c;
-  c.legs = std::move(granted);
-  c.spanning = true;
-  live_.emplace(id, std::move(c));
-  ++stats_.span_accepted;
-  obs::trace_emit("cluster", "span_open", static_cast<double>(shards.size()));
-  CONFNET_AUDIT_HOOK(audit::check_cluster(*this));
-  return OpenReport{Admit::kAccepted, id, 0};
-}
-
-void Cluster::close_leg(const Leg& leg) {
-  runtime::Command cmd;
-  cmd.kind = runtime::CommandKind::kClose;
-  cmd.session = leg.session;
-  (void)runtime_.call_pooled(leg.shard, std::move(cmd)).take();
 }
 
 void Cluster::close_legs(const std::vector<Leg>& legs, u32 skip_shard) {

@@ -22,11 +22,11 @@
 //              are closed and the provisional mesh released — audited zero
 //              residue.
 //
-// The PR 9 two-round reserve-then-commit protocol (legs first, mesh at
-// commit time) is retained verbatim as admit_span_reference — the oracle
-// the optimistic path is equivalence-tested against. The two differ only
-// in the *cause* reported when both a trunk pair and a leg would refuse
-// (the optimistic claim sees the trunk first) — never in accept/refuse.
+// Because the claim comes first, a request that both a trunk pair and a
+// leg would refuse is reported kBlockedTrunk. The protocol is pinned
+// against a serial model (per-shard loss-mode admission plus a TrunkBook,
+// the same claim/open/settle steps on one thread): verdicts, causes,
+// cluster ids and leg session ids match step for step.
 //
 // Delivery model: each leg's local fan-in combines its member signals; the
 // relay port exports the combined signal onto the trunk mesh and injects
@@ -84,7 +84,7 @@ struct ClusterConfig {
 enum class Admit : std::uint8_t {
   kAccepted,
   kBlockedLocal,  // a shard refused its leg (placement/capacity/fault)
-  kBlockedTrunk,  // trunk mesh exhausted or faulty at commit time
+  kBlockedTrunk,  // trunk mesh exhausted or faulty at claim time
 };
 
 /// One leg of an open request: `members` conference members on `shard`.
@@ -124,16 +124,6 @@ class Cluster {
   /// one being the trunk relay termination) via the single-round
   /// optimistic claim.
   [[nodiscard]] OpenReport open(const std::vector<LegSpec>& legs);
-
-  /// Reference spanning admission: the PR 9 two-round reserve-then-commit
-  /// protocol (sequential leg round, then the trunk mesh at commit time),
-  /// kept as the equivalence oracle and latency baseline for the
-  /// optimistic one-round path. Accept/refuse verdicts match open() on
-  /// identical cluster state; only the reported blocking *cause* may
-  /// differ when a trunk pair and a leg would both refuse. Requires
-  /// legs.size() >= 2.
-  [[nodiscard]] OpenReport admit_span_reference(
-      const std::vector<LegSpec>& legs);
 
   /// Close a live conference: close every leg, release its trunk mesh.
   /// False when `id` is not live (already closed or interrupted).
@@ -214,21 +204,12 @@ class Cluster {
  private:
   friend void audit::check_cluster(const ::confnet::cluster::Cluster&);
 
-  /// Await a future'd command, tolerating a stopped runtime.
-  static runtime::CommandResult await(
-      std::future<runtime::CommandResult>&& f) {
-    return f.get();
-  }
-
   [[nodiscard]] OpenReport open_intra(const LegSpec& leg);
   [[nodiscard]] OpenReport open_span(const std::vector<LegSpec>& legs);
 
   /// Validate a spanning request and return its legs sorted by shard.
   [[nodiscard]] std::vector<LegSpec> validated_span(
       const std::vector<LegSpec>& legs) const;
-
-  /// Close one leg session on its shard (rollback/teardown path).
-  void close_leg(const Leg& leg);
 
   /// Close several legs in one staged burst (skipping `skip_shard`'s leg,
   /// whose session is already gone; pass shard >= K to close all).

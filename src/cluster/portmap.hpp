@@ -2,10 +2,11 @@
 //
 // The cluster's global port space is the concatenation of K shard-local
 // spaces of N = 2^stages ports each: global port g lives on shard g / N at
-// local row g % N. The mapping matches runtime::Runtime::submit_by_port, so
-// a front end can route by global port without consulting the cluster, and
-// it is stable for the life of the cluster (conference placement never
-// migrates a port between shards).
+// local row g % N. PortMap is the one owner of this mapping: a front end
+// routes by global port with shard_of() and hands the shard index to the
+// runtime. It is stable for the life of the cluster (conference placement
+// never migrates a port between shards), and an out-of-range port is an
+// error, never wrapped onto a shard.
 //
 // Thread-safety: immutable after construction — safe to read from any
 // thread without synchronization.

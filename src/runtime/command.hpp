@@ -50,9 +50,10 @@ enum class CommandKind : std::uint8_t {
   return "?";
 }
 
-/// Synchronous verdict of a submit call. `kQueueFull` is backpressure: the
-/// command was NOT enqueued and its completion will not run — the caller
-/// owns it again and may retry (or use Runtime::submit_blocking).
+/// Synchronous verdict of a submit call. `kQueueFull` is backpressure from
+/// the non-blocking Shard::submit: the command was NOT enqueued and its
+/// completion will not run — the caller owns it again and may retry.
+/// Runtime's producer calls never return it: they block for space.
 enum class SubmitStatus : std::uint8_t {
   kAccepted,   // enqueued; completion will run on the owner thread
   kQueueFull,  // bounded queue at capacity; command returned to the caller

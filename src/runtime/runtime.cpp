@@ -7,8 +7,7 @@
 namespace confnet::runtime {
 
 Runtime::Runtime(const RuntimeConfig& config)
-    : workers_n_(config.workers),
-      ports_(u32{1} << config.shard.stages) {
+    : workers_n_(config.workers) {
   expects(config.shards > 0, "Runtime needs at least one shard");
   expects(config.workers > 0, "Runtime needs at least one worker");
   expects(config.workers <= config.shards,
@@ -63,57 +62,45 @@ void Runtime::drain() {
   }
 }
 
-SubmitStatus Runtime::submit_to(u32 shard, Command&& cmd) {
-  expects(shard < shards_.size(), "submit_to: shard out of range");
-  const SubmitStatus st = shards_[shard]->submit(std::move(cmd));
-  if (st == SubmitStatus::kAccepted) wake(worker_of(shard));
+SubmitStatus Runtime::enqueue(u32 shard, Command&& cmd, bool defer_wake) {
+  expects(shard < shards_.size(), "Runtime: shard out of range");
+  Shard& target = *shards_[shard];
+  const u32 owner = worker_of(shard);
+  SubmitStatus st = defer_wake ? target.submit(std::move(cmd))
+                               : target.submit_blocking(std::move(cmd));
+  if (st == SubmitStatus::kQueueFull) {
+    // The owner may be parked on this full queue with its wake still
+    // deferred — wake it before blocking for space, or the flush would
+    // deadlock against its own deferral.
+    wake(owner);
+    st = target.submit_blocking(std::move(cmd));
+  }
+  if (st == SubmitStatus::kAccepted && !defer_wake) wake(owner);
   return st;
+}
+
+ResultSlot* Runtime::attach_slot(Command& cmd) {
+  expects(!cmd.done, "a command carries one completion channel; done and "
+                     "slot are mutually exclusive");
+  cmd.slot = pool_.acquire();
+  return cmd.slot;
 }
 
 SubmitStatus Runtime::submit_to_blocking(u32 shard, Command&& cmd) {
-  expects(shard < shards_.size(),
-                "submit_to_blocking: shard out of range");
-  const SubmitStatus st = shards_[shard]->submit_blocking(std::move(cmd));
-  if (st == SubmitStatus::kAccepted) wake(worker_of(shard));
-  return st;
-}
-
-SubmitStatus Runtime::submit_by_port(u32 port, Command&& cmd) {
-  return submit_to(shard_of_port(port), std::move(cmd));
-}
-
-std::future<CommandResult> Runtime::call(u32 shard, Command&& cmd) {
-  auto promise = std::make_shared<std::promise<CommandResult>>();
-  std::future<CommandResult> fut = promise->get_future();
-  auto prev = std::move(cmd.done);
-  cmd.done = [promise, prev = std::move(prev)](CommandResult&& result) {
-    if (prev) {
-      CommandResult copy = result;
-      prev(std::move(copy));
-    }
-    promise->set_value(std::move(result));
-  };
-  submit_to_blocking(shard, std::move(cmd));
-  return fut;
+  return enqueue(shard, std::move(cmd), /*defer_wake=*/false);
 }
 
 PooledResult Runtime::call_pooled(u32 shard, Command&& cmd) {
-  expects(!cmd.done, "call_pooled: a command carries one completion "
-                     "channel; done and slot are mutually exclusive");
-  ResultSlot* slot = pool_.acquire();
-  cmd.slot = slot;
+  ResultSlot* slot = attach_slot(cmd);
   // A refused submit fulfills the slot inline (kRejectedStopped), so the
   // handle always completes.
-  submit_to_blocking(shard, std::move(cmd));
+  (void)enqueue(shard, std::move(cmd), /*defer_wake=*/false);
   return PooledResult(&pool_, slot);
 }
 
 PooledResult Runtime::stage_call(CommandStage& stage, u32 shard,
                                  Command&& cmd) {
-  expects(!cmd.done, "stage_call: a command carries one completion "
-                     "channel; done and slot are mutually exclusive");
-  ResultSlot* slot = pool_.acquire();
-  cmd.slot = slot;
+  ResultSlot* slot = attach_slot(cmd);
   stage.add(shard, std::move(cmd));
   return PooledResult(&pool_, slot);
 }
@@ -122,16 +109,8 @@ SubmitStatus Runtime::submit_stage(CommandStage& stage) {
   stage.wake_.assign(workers_n_, 0);
   SubmitStatus verdict = SubmitStatus::kAccepted;
   for (auto& [shard, cmd] : stage.staged_) {
-    expects(shard < shards_.size(), "submit_stage: shard out of range");
-    SubmitStatus st = shards_[shard]->submit(std::move(cmd));
-    if (st == SubmitStatus::kQueueFull) {
-      // The queue is full and its worker may be parked (wakes are
-      // deferred to the end of the flush) — wake it before blocking for
-      // space, or the flush would deadlock against its own deferral.
-      wake(worker_of(shard));
-      st = shards_[shard]->submit_blocking(std::move(cmd));
-    }
-    if (st == SubmitStatus::kAccepted)
+    if (enqueue(shard, std::move(cmd), /*defer_wake=*/true) ==
+        SubmitStatus::kAccepted)
       stage.wake_[worker_of(shard)] = 1;
     else
       verdict = SubmitStatus::kStopped;

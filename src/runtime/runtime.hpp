@@ -4,10 +4,11 @@
 // control plane, see shard.hpp) and W worker threads; shard i is owned by
 // worker i % W, so every shard has exactly one owner thread for its whole
 // life and varying W changes only how shards are packed onto threads —
-// never per-shard outcomes. Producers route commands to a shard directly
-// (submit_to) or by global port (submit_by_port: shard = port / N, where N
-// is the per-shard port count), and get results through completion
-// callbacks or the future-returning call() convenience.
+// never per-shard outcomes. Producers address a shard by index (the
+// global-port mapping lives in cluster::PortMap) through four calls:
+// submit_to_blocking (completion via the command's `done` callback),
+// call_pooled (a recycled PooledResult handle), and stage_call +
+// submit_stage (a staged burst with one wake per worker per flush).
 //
 // Thread-safety contract: submit/call/snapshot/drain are thread-safe after
 // start(); the lifecycle methods (start/stop) and post-stop accessors
@@ -23,7 +24,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <future>
 #include <memory>
 #include <ostream>
 #include <thread>
@@ -94,21 +94,10 @@ class Runtime {
 
   // --- submission: any thread, after start() ------------------------------
 
-  /// Route to an explicit shard. See Shard::submit for the verdicts.
-  SubmitStatus submit_to(u32 shard, Command&& cmd);
-
-  /// Same, but blocks instead of returning kQueueFull.
+  /// Enqueue on `shard`, blocking while its queue is full; the result
+  /// arrives through `cmd.done`. kStopped: the runtime refused the command
+  /// and `done` already ran inline with kRejectedStopped.
   SubmitStatus submit_to_blocking(u32 shard, Command&& cmd);
-
-  /// Route by global port: shard = port / ports_per_shard().
-  SubmitStatus submit_by_port(u32 port, Command&& cmd);
-
-  /// Future-returning convenience: installs a completion that fulfills the
-  /// returned future, then submits (blocking on a full queue). The future
-  /// always becomes ready — with kRejectedStopped when the runtime refused
-  /// the command. Allocates a shared promise per call; the hot producer
-  /// path is call_pooled below.
-  std::future<CommandResult> call(u32 shard, Command&& cmd);
 
   /// Allocation-free call: hangs a recycled ResultPool slot on the command
   /// and submits (blocking on a full queue). The returned handle always
@@ -164,13 +153,6 @@ class Runtime {
     return static_cast<u32>(shards_.size());
   }
   [[nodiscard]] u32 worker_count() const noexcept { return workers_n_; }
-  [[nodiscard]] u32 ports_per_shard() const noexcept { return ports_; }
-  [[nodiscard]] u32 total_ports() const noexcept {
-    return ports_ * shard_count();
-  }
-  [[nodiscard]] u32 shard_of_port(u32 port) const noexcept {
-    return (port / ports_) % shard_count();
-  }
   [[nodiscard]] bool started() const noexcept { return started_; }
   [[nodiscard]] bool stopped() const noexcept { return stopped_; }
 
@@ -200,12 +182,21 @@ class Runtime {
 
   void worker_loop(u32 w);
   void wake(u32 worker);
+
+  /// The one enqueue path behind every producer call: range-check the
+  /// shard, enqueue (blocking while the queue is full) and wake the owner.
+  /// With `defer_wake` the accept-wake is left to the caller (a staged
+  /// flush wakes each worker once at the end); a full queue still wakes
+  /// the owner before blocking, since its deferred wake has not happened.
+  SubmitStatus enqueue(u32 shard, Command&& cmd, bool defer_wake);
+
+  /// Hang a recycled pool slot on `cmd` (its one completion channel).
+  [[nodiscard]] ResultSlot* attach_slot(Command& cmd);
   [[nodiscard]] u32 worker_of(u32 shard) const noexcept {
     return shard % workers_n_;
   }
 
   const u32 workers_n_;  // runtime-owner: immutable
-  const u32 ports_;      // runtime-owner: immutable
   std::vector<std::unique_ptr<Shard>> shards_;    // runtime-owner: immutable
   std::vector<std::unique_ptr<Worker>> workers_;  // runtime-owner: immutable
   ResultPool pool_;       // runtime-owner: queue

@@ -49,10 +49,7 @@ TeletrafficResult run_teletraffic(conf::ConferenceNetworkBase& network,
   const bool faults_on = config.fault_rate > 0.0;
   conf::WaitQueueManager wait(network, config.policy,
                               faults_on ? config.recovery.queue_capacity : 0,
-                              /*allow_bypass=*/false,
-                              config.placer_reference
-                                  ? conf::PlacerBackend::kReference
-                                  : conf::PlacerBackend::kFast);
+                              /*allow_bypass=*/false);
   conf::SessionManager& manager = wait.sessions();
   std::optional<conf::RecoveryCoordinator> recovery;
   if (faults_on) {
@@ -270,10 +267,7 @@ TeletrafficResult run_teletraffic(conf::ConferenceNetworkBase& network,
   // --- Periodic functional verification --------------------------------
   std::function<void()> verify = [&] {
     ++result.functional_checks;
-    const bool ok = config.verify_reference
-                        ? network.verify_delivery_reference()
-                        : network.verify_delivery();
-    if (!ok) result.functional_ok = false;
+    if (!network.verify_delivery()) result.functional_ok = false;
     des.schedule_in(config.verify_interval, verify);
   };
   if (config.verify_functional) des.schedule_in(config.verify_interval, verify);

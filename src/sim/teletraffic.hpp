@@ -24,9 +24,6 @@ struct TeletrafficConfig {
   /// Periodically run ConferenceNetworkBase::verify_delivery.
   bool verify_functional = false;
   double verify_interval = 100.0;
-  /// Verify through the stateless Fabric::evaluate oracle instead of the
-  /// incremental FabricState (slow reference path, for benchmarks/tests).
-  bool verify_reference = false;
   /// Simulate per-member talk spurts (speaker concurrency stats).
   bool talk_spurts = false;
   double mean_talk = 1.0;
@@ -49,9 +46,6 @@ struct TeletrafficConfig {
   /// requests through SessionManager::open_batch (canonical descending-size
   /// order), modelling bursty signalling load on the admission path.
   u32 arrival_burst = 1;
-  /// Run the admission path on the reference PortPlacer oracle instead of
-  /// the bitmap fast path (same outcomes by contract; benchmark twin).
-  bool placer_reference = false;
 };
 
 struct TeletrafficResult {

@@ -65,12 +65,12 @@ TEST(ClusterStress, CoordinatorSpansUnderProducerTraffic) {
           close.session = mine.back().second;
           const u32 target = mine.back().first;
           mine.pop_back();
-          (void)r.call(target, std::move(close)).get();
+          (void)r.call_pooled(target, std::move(close)).take();
         } else {
           rt::Command open;
           open.kind = rt::CommandKind::kOpen;
           open.size = static_cast<u32>(rng.between(2, 4));
-          const auto res = r.call(shard, std::move(open)).get();
+          const auto res = r.call_pooled(shard, std::move(open)).take();
           if (res.open.session.has_value())
             mine.emplace_back(shard, *res.open.session);
         }
@@ -82,7 +82,7 @@ TEST(ClusterStress, CoordinatorSpansUnderProducerTraffic) {
         rt::Command close;
         close.kind = rt::CommandKind::kClose;
         close.session = session;
-        (void)r.call(shard, std::move(close)).get();
+        (void)r.call_pooled(shard, std::move(close)).take();
       }
     });
   }

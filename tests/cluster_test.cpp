@@ -4,8 +4,8 @@
 // cross-shard admission through the single-round optimistic claim (trunk
 // exhaustion refuses before any shard command; a leg refusal rolls the
 // provisional mesh back with zero residue, audit-verified), randomized
-// equivalence of the optimistic protocol against the two-round
-// admit_span_reference oracle, fault interruption over trunks and shard
+// step-by-step equivalence of the span protocol against a serial model of
+// the cluster, fault interruption over trunks and shard
 // links (fail_pair tears down every lane sharer), worker-count determinism
 // of the whole cluster, multi-seed delivery equivalence against the
 // flattened single-fabric oracle (cross_check), and the cluster
@@ -13,11 +13,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "cluster/portmap.hpp"
 #include "cluster/trunkbook.hpp"
+#include "conference/designs.hpp"
+#include "conference/waitqueue.hpp"
 #include "sim/cluster_traffic.hpp"
 #include "util/audit.hpp"
 #include "util/rng.hpp"
@@ -27,6 +32,7 @@ namespace {
 using confnet::min::u32;
 using confnet::min::u64;
 namespace cl = confnet::cluster;
+namespace conf = confnet::conf;
 namespace audit = confnet::audit;
 namespace sim = confnet::sim;
 
@@ -144,8 +150,8 @@ TEST(TrunkBook, ExhaustionAtTheConferencesPerLaneBoundary) {
 }
 
 // ---------------------------------------------------------------------------
-// Admission: intra, spanning, and the refusal/rollback paths of both the
-// optimistic single-round protocol and the two-round reference oracle.
+// Admission: intra, spanning, and the refusal/rollback paths of the
+// single-round claim/open/settle protocol.
 // ---------------------------------------------------------------------------
 
 TEST(Cluster, IntraOpenCloseRoundTrip) {
@@ -210,36 +216,6 @@ TEST(Cluster, TrunkExhaustionRefusesBeforeAnyShardCommand) {
 
   // A mesh over a free pair still commits.
   EXPECT_EQ(c.open(span({{2, 2}, {3, 2}})).result, cl::Admit::kAccepted);
-  c.stop();
-}
-
-TEST(Cluster, ReferenceProtocolRollsBackLegsAtCommitTimeExhaustion) {
-  cl::ClusterConfig cfg = small_config();
-  cfg.trunk_lanes = 1;
-  cl::Cluster c(cfg);
-  c.start();
-  ASSERT_EQ(c.admit_span_reference(span({{0, 2}, {1, 2}})).result,
-            cl::Admit::kAccepted);
-  c.drain();
-  const auto before = c.runtime_snapshot();
-
-  // The two-round oracle reserves both legs first and only then discovers
-  // the exhausted mesh — it must roll every shard reservation back.
-  const auto r = c.admit_span_reference(span({{0, 3}, {1, 3}}));
-  EXPECT_EQ(r.result, cl::Admit::kBlockedTrunk);
-  c.drain();
-  const auto after = c.runtime_snapshot();
-  EXPECT_EQ(after.total.active_sessions, before.total.active_sessions)
-      << "trunk-blocked reference span left shard sessions behind";
-  EXPECT_EQ(c.stats().legs_rolled_back, 2u);
-  EXPECT_EQ(c.stats().span_blocked_trunk, 1u);
-  EXPECT_NO_THROW(audit::check_cluster(c));
-  EXPECT_NO_THROW(c.cross_check());
-
-  // Reference-admitted spans are ordinary live conferences.
-  const auto ok = c.admit_span_reference(span({{2, 2}, {3, 2}}));
-  ASSERT_EQ(ok.result, cl::Admit::kAccepted);
-  EXPECT_TRUE(c.close(ok.id));
   c.stop();
 }
 
@@ -501,61 +477,186 @@ TEST(ClusterAudit, TrunkAccountCheckerFiresOnEveryCorruption) {
 }
 
 // ---------------------------------------------------------------------------
-// Optimistic-vs-reference protocol equivalence (randomized, multi-seed,
-// multi-worker). kFirstFit placement consumes no RNG, so two clusters fed
-// the identical command sequence stay in lockstep; the single-round claim
-// and the two-round oracle must then agree on every accept/refuse verdict
-// and converge to the same live state (only the blocking *cause* counters
-// may differ — the optimistic claim sees the trunk first).
+// Span protocol vs a serial model (randomized, multi-seed, multi-worker).
+// The model runs the same claim/open/settle steps on one thread: shard i is
+// a loss-mode WaitQueueManager on the same fabric, seeded like the live
+// shard (seed + i), so it assigns the same session ids; a span claims its
+// TrunkBook mesh first, then opens every leg (members + 1 relay port), and
+// a refused leg rolls the granted ones back. The live cluster must match it
+// at every step: verdict, blocking cause, cluster id and leg sessions.
 // ---------------------------------------------------------------------------
 
-void run_equivalence_script(cl::Cluster& fast, cl::Cluster& oracle,
-                            u64 seed) {
+class ClusterModel {
+ public:
+  explicit ClusterModel(const cl::ClusterConfig& cfg)
+      : trunks_(cfg.shards, cfg.trunk_lanes, cfg.conferences_per_lane) {
+    for (u32 s = 0; s < cfg.shards; ++s)
+      shards_.push_back(std::make_unique<ShardModel>(cfg, s));
+  }
+
+  /// Same contract as Cluster::open; `legs` ascending by shard.
+  cl::OpenReport open(const std::vector<cl::LegSpec>& legs) {
+    if (legs.size() == 1) {
+      const auto session = shard_open(legs[0].shard, legs[0].members);
+      if (!session) return {cl::Admit::kBlockedLocal, 0, legs[0].shard};
+      return accept({{legs[0].shard, *session, legs[0].members}}, false);
+    }
+    const std::vector<u32> touched = shards_of(legs);
+    if (!trunks_.reserve_mesh(touched)) return {cl::Admit::kBlockedTrunk, 0, 0};
+    std::vector<cl::Cluster::Leg> granted;
+    std::optional<u32> refused;
+    for (const cl::LegSpec& leg : legs) {
+      const auto session = shard_open(leg.shard, leg.members + 1);
+      if (session)
+        granted.push_back({leg.shard, *session, leg.members});
+      else if (!refused)
+        refused = leg.shard;
+    }
+    if (refused) {
+      for (const cl::Cluster::Leg& leg : granted) shard_close(leg);
+      trunks_.release_mesh(touched);
+      return {cl::Admit::kBlockedLocal, 0, *refused};
+    }
+    return accept(std::move(granted), true);
+  }
+
+  bool close(u64 id) {
+    const auto it = live_.find(id);
+    if (it == live_.end()) return false;
+    for (const cl::Cluster::Leg& leg : it->second.legs) shard_close(leg);
+    if (it->second.spanning) {
+      std::vector<u32> touched;
+      for (const cl::Cluster::Leg& leg : it->second.legs)
+        touched.push_back(leg.shard);
+      trunks_.release_mesh(touched);
+    }
+    live_.erase(it);
+    return true;
+  }
+
+  std::vector<u64> fail_trunk(u32 a, u32 b) {
+    std::vector<u64> torn;
+    if (!trunks_.fail_pair(a, b)) return torn;
+    for (const auto& [id, c] : live_) {
+      const auto on = [&c](u32 shard) {
+        return std::any_of(c.legs.begin(), c.legs.end(),
+                           [shard](const cl::Cluster::Leg& leg) {
+                             return leg.shard == shard;
+                           });
+      };
+      if (c.spanning && on(a) && on(b)) torn.push_back(id);
+    }
+    for (const u64 id : torn) (void)close(id);
+    return torn;
+  }
+
+  bool repair_trunk(u32 a, u32 b) { return trunks_.repair_pair(a, b); }
+
+  [[nodiscard]] const std::map<u64, cl::Cluster::Conference>& live() const {
+    return live_;
+  }
+  [[nodiscard]] const cl::TrunkBook& trunks() const { return trunks_; }
+
+ private:
+  struct ShardModel {
+    ShardModel(const cl::ClusterConfig& cfg, u32 index)
+        : net(cfg.kind, cfg.stages,
+              conf::DilationProfile::uniform(cfg.stages, cfg.dilation)),
+          wait(net, cfg.policy, /*queue_capacity=*/0, /*allow_bypass=*/false,
+               cfg.backend),
+          rng(cfg.seed + index) {}
+    conf::DirectConferenceNetwork net;
+    conf::WaitQueueManager wait;
+    confnet::util::Rng rng;
+  };
+
+  static std::vector<u32> shards_of(const std::vector<cl::LegSpec>& legs) {
+    std::vector<u32> shards;
+    for (const cl::LegSpec& leg : legs) shards.push_back(leg.shard);
+    return shards;
+  }
+
+  std::optional<u32> shard_open(u32 shard, u32 size) {
+    ShardModel& sh = *shards_[shard];
+    const auto r = sh.wait.request(size, sh.rng);
+    if (r.outcome != conf::RequestOutcome::kServed) return std::nullopt;
+    return r.session;
+  }
+
+  void shard_close(const cl::Cluster::Leg& leg) {
+    ShardModel& sh = *shards_[leg.shard];
+    (void)sh.wait.close(leg.session, sh.rng);
+  }
+
+  cl::OpenReport accept(std::vector<cl::Cluster::Leg> legs, bool spanning) {
+    const u64 id = next_id_++;
+    live_.emplace(id, cl::Cluster::Conference{std::move(legs), spanning});
+    return {cl::Admit::kAccepted, id, 0};
+  }
+
+  std::vector<std::unique_ptr<ShardModel>> shards_;
+  cl::TrunkBook trunks_;
+  std::map<u64, cl::Cluster::Conference> live_;
+  u64 next_id_ = 0;
+};
+
+/// Asserts that the cluster's conference `id` has exactly the model's legs.
+void expect_same_legs(const cl::Cluster& c, const ClusterModel& model,
+                      u64 id, int step) {
+  const auto& got = c.conferences().at(id).legs;
+  const auto& want = model.live().at(id).legs;
+  ASSERT_EQ(got.size(), want.size()) << "step " << step;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].shard, want[i].shard) << "step " << step;
+    EXPECT_EQ(got[i].session, want[i].session)
+        << "leg session diverged, step " << step;
+    EXPECT_EQ(got[i].members, want[i].members) << "step " << step;
+  }
+}
+
+void run_equivalence_script(cl::Cluster& c, ClusterModel& model, u64 seed) {
   confnet::util::Rng rng(seed);
-  const u32 shards = fast.config().shards;
-  std::vector<u64> ids;  // identical in both clusters by the verdict match
+  const u32 shards = c.config().shards;
+  std::vector<u64> ids;  // identical in both by the verdict match
   for (int step = 0; step < 150; ++step) {
     const double roll = rng.uniform();
-    if (roll < 0.35) {
-      const u32 shard = static_cast<u32>(rng.below(shards));
-      const u32 size = static_cast<u32>(rng.between(2, 6));
-      const auto rf = fast.open({{shard, size}});
-      const auto ro = oracle.open({{shard, size}});
-      ASSERT_EQ(rf.result, ro.result) << "intra verdict diverged, step "
-                                      << step;
-      if (rf.result == cl::Admit::kAccepted) {
-        ASSERT_EQ(rf.id, ro.id);
-        ids.push_back(rf.id);
+    if (roll < 0.75) {
+      std::vector<cl::LegSpec> legs;
+      if (roll < 0.35) {
+        legs = {{static_cast<u32>(rng.below(shards)),
+                 static_cast<u32>(rng.between(2, 6))}};
+      } else {
+        const u32 a = static_cast<u32>(rng.below(shards));
+        const u32 b =
+            (a + 1 + static_cast<u32>(rng.below(shards - 1))) % shards;
+        legs = span({{std::min(a, b), static_cast<u32>(rng.between(1, 3))},
+                     {std::max(a, b), static_cast<u32>(rng.between(1, 3))}});
       }
-    } else if (roll < 0.75) {
-      const u32 a = static_cast<u32>(rng.below(shards));
-      const u32 b = (a + 1 + static_cast<u32>(rng.below(shards - 1))) % shards;
-      const auto legs = span(
-          {{std::min(a, b), static_cast<u32>(rng.between(1, 3))},
-           {std::max(a, b), static_cast<u32>(rng.between(1, 3))}});
-      const auto rf = fast.open(legs);
-      const auto ro = oracle.admit_span_reference(legs);
-      ASSERT_EQ(rf.result == cl::Admit::kAccepted,
-                ro.result == cl::Admit::kAccepted)
-          << "span verdict diverged, step " << step;
-      if (rf.result == cl::Admit::kAccepted) {
-        ASSERT_EQ(rf.id, ro.id);
-        ids.push_back(rf.id);
+      const auto got = c.open(legs);
+      const auto want = model.open(legs);
+      ASSERT_EQ(got.result, want.result) << "verdict diverged, step " << step;
+      if (got.result == cl::Admit::kBlockedLocal) {
+        EXPECT_EQ(got.blocked_shard, want.blocked_shard) << "step " << step;
+      }
+      if (got.result == cl::Admit::kAccepted) {
+        ASSERT_EQ(got.id, want.id) << "step " << step;
+        expect_same_legs(c, model, got.id, step);
+        ids.push_back(got.id);
       }
     } else if (roll < 0.92 && !ids.empty()) {
       const std::size_t pick = rng.below(ids.size());
-      ASSERT_EQ(fast.close(ids[pick]), oracle.close(ids[pick]));
+      ASSERT_EQ(c.close(ids[pick]), model.close(ids[pick]));
       ids.erase(ids.begin() + static_cast<std::ptrdiff_t>(pick));
     } else {
       const u32 a = static_cast<u32>(rng.below(shards));
       const u32 b = (a + 1) % shards;
-      const auto tf = fast.fail_trunk(std::min(a, b), std::max(a, b));
-      const auto to = oracle.fail_trunk(std::min(a, b), std::max(a, b));
-      ASSERT_EQ(tf, to) << "trunk-fault teardown diverged, step " << step;
-      for (const u64 id : tf)
+      const auto torn = c.fail_trunk(std::min(a, b), std::max(a, b));
+      ASSERT_EQ(torn, model.fail_trunk(std::min(a, b), std::max(a, b)))
+          << "trunk-fault teardown diverged, step " << step;
+      for (const u64 id : torn)
         ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
-      ASSERT_EQ(fast.repair_trunk(std::min(a, b), std::max(a, b)),
-                oracle.repair_trunk(std::min(a, b), std::max(a, b)));
+      ASSERT_EQ(c.repair_trunk(std::min(a, b), std::max(a, b)),
+                model.repair_trunk(std::min(a, b), std::max(a, b)));
     }
   }
 }
@@ -567,33 +668,24 @@ TEST(Cluster, OptimisticProtocolMatchesReferenceAcrossSeedsAndWorkers) {
         cl::ClusterConfig cfg = small_config(4, workers);
         cfg.trunk_lanes = 1;  // make trunk refusals common
         cfg.conferences_per_lane = cpl;
-        cl::Cluster fast(cfg);
-        cl::Cluster oracle(cfg);
-        fast.start();
-        oracle.start();
-        run_equivalence_script(fast, oracle, seed);
+        cl::Cluster c(cfg);
+        ClusterModel model(cfg);
+        c.start();
+        run_equivalence_script(c, model, seed);
         if (::testing::Test::HasFatalFailure()) return;
-        fast.drain();
-        oracle.drain();
+        c.drain();
 
-        // Converged state must be identical; cause counters are exempt.
-        EXPECT_EQ(fast.active_conferences(), oracle.active_conferences());
-        EXPECT_EQ(fast.active_spans(), oracle.active_spans());
-        EXPECT_EQ(fast.trunks().reserved_total(),
-                  oracle.trunks().reserved_total());
-        EXPECT_EQ(fast.trunks().sharers_total(),
-                  oracle.trunks().sharers_total());
-        EXPECT_EQ(fast.stats().span_accepted, oracle.stats().span_accepted);
-        EXPECT_EQ(fast.stats().span_blocked_local +
-                      fast.stats().span_blocked_trunk,
-                  oracle.stats().span_blocked_local +
-                      oracle.stats().span_blocked_trunk)
-            << "total refusals must match even when causes differ";
-        EXPECT_NO_THROW(fast.cross_check())
+        // Converged state is identical, live conference by live conference.
+        ASSERT_EQ(c.active_conferences(), model.live().size());
+        for (const auto& entry : model.live())
+          expect_same_legs(c, model, entry.first, -1);
+        EXPECT_EQ(c.trunks().reserved_total(), model.trunks().reserved_total());
+        EXPECT_EQ(c.trunks().sharers_total(), model.trunks().sharers_total());
+        EXPECT_GT(c.stats().span_blocked_trunk, 0u)
+            << "the script must exercise trunk refusals";
+        EXPECT_NO_THROW(c.cross_check())
             << "workers=" << workers << " cpl=" << cpl << " seed=" << seed;
-        EXPECT_NO_THROW(oracle.cross_check());
-        fast.stop();
-        oracle.stop();
+        c.stop();
       }
     }
   }

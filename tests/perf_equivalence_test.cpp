@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "conference/designs.hpp"
@@ -157,42 +159,94 @@ TEST_P(EquivalenceSuite, ParallelMonteCarloByteIdentical) {
 
 // --- (d) Incremental verification inside the teletraffic driver ----------
 
+/// Decorator whose verify_delivery() runs both delivery engines — the
+/// incremental FabricState and the stateless Fabric::evaluate oracle — and
+/// records whether they agreed. Every other call forwards unchanged, so the
+/// driver's trajectory is the undecorated one (the run is fault-free, so
+/// the fault interface keeps its base-class defaults).
+class BothEnginesNetwork final : public conf::ConferenceNetworkBase {
+ public:
+  explicit BothEnginesNetwork(std::unique_ptr<conf::ConferenceNetworkBase> inner)
+      : inner_(std::move(inner)) {}
+
+  u64 checkpoints() const noexcept { return checkpoints_; }
+  u64 disagreements() const noexcept { return disagreements_; }
+
+  u32 n() const noexcept override { return inner_->n(); }
+  std::string name() const override { return inner_->name(); }
+  std::optional<u32> setup(const std::vector<u32>& members) override {
+    return inner_->setup(members);
+  }
+  conf::SetupError last_error() const noexcept override {
+    return inner_->last_error();
+  }
+  void teardown(u32 handle) override { inner_->teardown(handle); }
+  u32 active_count() const noexcept override { return inner_->active_count(); }
+  bool verify_delivery() const override {
+    const bool incremental = inner_->verify_delivery();
+    ++checkpoints_;
+    if (incremental != inner_->verify_delivery_reference()) ++disagreements_;
+    return incremental;
+  }
+  bool verify_delivery_reference() const override {
+    return inner_->verify_delivery_reference();
+  }
+  u32 stages_for(u32 handle) const override {
+    return inner_->stages_for(handle);
+  }
+  bool add_member(u32 handle, u32 port) override {
+    return inner_->add_member(handle, port);
+  }
+  bool remove_member(u32 handle, u32 port) override {
+    return inner_->remove_member(handle, port);
+  }
+  const std::vector<u32>& members_for(u32 handle) const override {
+    return inner_->members_for(handle);
+  }
+  Kind kind() const noexcept override { return inner_->kind(); }
+
+ private:
+  std::unique_ptr<conf::ConferenceNetworkBase> inner_;
+  mutable u64 checkpoints_ = 0;
+  mutable u64 disagreements_ = 0;
+};
+
 TEST_P(EquivalenceSuite, TeletrafficVerifyPathsAgree) {
-  sim::TeletrafficConfig base;
-  base.traffic.arrival_rate = 2.0;
-  base.traffic.mean_holding = 1.5;
-  base.traffic.min_size = 2;
-  base.traffic.max_size = 8;
-  base.duration = 120.0;
-  base.warmup = 20.0;
-  base.seed = GetParam();
-  base.membership_churn = true;
-  base.verify_functional = true;
-  base.verify_interval = 5.0;
+  sim::TeletrafficConfig cfg;
+  cfg.traffic.arrival_rate = 2.0;
+  cfg.traffic.mean_holding = 1.5;
+  cfg.traffic.min_size = 2;
+  cfg.traffic.max_size = 8;
+  cfg.duration = 120.0;
+  cfg.warmup = 20.0;
+  cfg.seed = GetParam();
+  cfg.membership_churn = true;
+  cfg.verify_functional = true;
+  cfg.verify_interval = 5.0;
 
   const auto run_both = [&](auto make_net) {
-    auto inc_net = make_net();
-    auto ref_net = make_net();
-    sim::TeletrafficConfig inc_cfg = base;
-    sim::TeletrafficConfig ref_cfg = base;
-    ref_cfg.verify_reference = true;
-    const auto inc = sim::run_teletraffic(*inc_net, inc_cfg);
-    const auto ref = sim::run_teletraffic(*ref_net, ref_cfg);
-    EXPECT_TRUE(inc.functional_ok);
-    EXPECT_TRUE(ref.functional_ok);
-    EXPECT_EQ(inc.functional_checks, ref.functional_checks);
+    BothEnginesNetwork both(make_net());
+    auto plain_net = make_net();
+    const auto checked = sim::run_teletraffic(both, cfg);
+    const auto plain = sim::run_teletraffic(*plain_net, cfg);
+    EXPECT_GT(both.checkpoints(), 0u);
+    EXPECT_EQ(both.checkpoints(), checked.functional_checks);
+    EXPECT_EQ(both.disagreements(), 0u)
+        << "incremental and stateless delivery engines disagreed";
+    EXPECT_TRUE(checked.functional_ok);
     // Verification is observation-only, so the trajectories are identical.
-    EXPECT_EQ(inc.events, ref.events);
-    EXPECT_EQ(inc.blocking_probability, ref.blocking_probability);
-    EXPECT_EQ(inc.joins, ref.joins);
-    EXPECT_EQ(inc.leaves, ref.leaves);
+    EXPECT_EQ(checked.functional_checks, plain.functional_checks);
+    EXPECT_EQ(checked.events, plain.events);
+    EXPECT_EQ(checked.blocking_probability, plain.blocking_probability);
+    EXPECT_EQ(checked.joins, plain.joins);
+    EXPECT_EQ(checked.leaves, plain.leaves);
   };
 
-  run_both([] {
+  run_both([]() -> std::unique_ptr<conf::ConferenceNetworkBase> {
     return std::make_unique<conf::DirectConferenceNetwork>(
         Kind::kOmega, 5, conf::DilationProfile::full(5));
   });
-  run_both([] {
+  run_both([]() -> std::unique_ptr<conf::ConferenceNetworkBase> {
     return std::make_unique<conf::EnhancedCubeNetwork>(5);
   });
 }

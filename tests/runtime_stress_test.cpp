@@ -164,38 +164,46 @@ TEST(RuntimeStress, ConcurrentFaultsAndChurn) {
 }
 
 // Producers racing stop(): every command is either applied or rejected
-// with kRejectedStopped — never dropped without an answer.
+// with kRejectedStopped — never dropped without an answer. Blocking
+// submits never bounce, so a producer parked on a full queue when stop()
+// closes it is answered inline too.
 TEST(RuntimeStress, StopRaceLosesNoCommands) {
+  constexpr int kProducers = 3;
+  constexpr int kPerProducer = 200;
   for (int round = 0; round < 8; ++round) {
     rt::Runtime r(stress_config(4, 2));
     r.start();
 
-    std::atomic<u64> answered{0};
+    std::atomic<u64> applied{0};
+    std::atomic<u64> rejected{0};
     std::atomic<u64> accounted{0};  // accepted or inline-rejected
     std::vector<std::thread> producers;
-    for (int p = 0; p < 3; ++p) {
+    for (int p = 0; p < kProducers; ++p) {
       producers.emplace_back([&, p] {
         confnet::util::Rng rng(static_cast<u64>(round * 10 + p) + 1);
-        for (int i = 0; i < 200; ++i) {
+        for (int i = 0; i < kPerProducer; ++i) {
           rt::Command c;
           c.kind = rt::CommandKind::kOpen;
           c.size = 2;
-          c.done = [&](rt::CommandResult&&) { answered.fetch_add(1); };
-          switch (r.submit_to(static_cast<u32>(rng.below(4)), std::move(c))) {
-            case rt::SubmitStatus::kAccepted:
-            case rt::SubmitStatus::kStopped:
-              accounted.fetch_add(1);
-              break;
-            case rt::SubmitStatus::kQueueFull:
-              break;  // returned to caller: intentionally abandoned
-          }
+          c.done = [&](rt::CommandResult&& res) {
+            (res.status == rt::CommandStatus::kDone ? applied : rejected)
+                .fetch_add(1);
+          };
+          const rt::SubmitStatus st = r.submit_to_blocking(
+              static_cast<u32>(rng.below(4)), std::move(c));
+          if (st == rt::SubmitStatus::kAccepted ||
+              st == rt::SubmitStatus::kStopped)
+            accounted.fetch_add(1);
         }
       });
     }
     // Stop somewhere in the middle of the storm.
     r.stop();
     for (auto& t : producers) t.join();
-    EXPECT_EQ(answered.load(), accounted.load());
+    const u64 total = static_cast<u64>(kProducers) * kPerProducer;
+    EXPECT_EQ(accounted.load(), total);
+    EXPECT_EQ(applied.load() + rejected.load(), total);
+    EXPECT_EQ(rejected.load(), r.snapshot().total.rejected_stopped);
   }
 }
 

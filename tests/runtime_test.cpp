@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -55,11 +54,11 @@ rt::Command open_cmd(u32 size) {
 // Basic lifecycle and command round-trips.
 // ---------------------------------------------------------------------------
 
-TEST(Runtime, OpenCloseRoundTripThroughFutures) {
+TEST(Runtime, OpenCloseRoundTripThroughPooledResults) {
   rt::Runtime r(small_config(2, 1));
   r.start();
 
-  auto opened = r.call(0, open_cmd(3)).get();
+  auto opened = r.call_pooled(0, open_cmd(3)).take();
   ASSERT_EQ(opened.status, rt::CommandStatus::kDone);
   ASSERT_EQ(opened.open.outcome, conf::RequestOutcome::kServed);
   ASSERT_TRUE(opened.open.session.has_value());
@@ -68,7 +67,7 @@ TEST(Runtime, OpenCloseRoundTripThroughFutures) {
   rt::Command close;
   close.kind = rt::CommandKind::kClose;
   close.session = *opened.open.session;
-  auto closed = r.call(0, std::move(close)).get();
+  auto closed = r.call_pooled(0, std::move(close)).take();
   EXPECT_EQ(closed.status, rt::CommandStatus::kDone);
   EXPECT_TRUE(closed.ok);
 
@@ -86,7 +85,7 @@ TEST(Runtime, OpenBatchReportsInputOrderOutcomes) {
   rt::Command c;
   c.kind = rt::CommandKind::kOpenBatch;
   c.batch_sizes = {2, 5, 3};
-  auto result = r.call(0, std::move(c)).get();
+  auto result = r.call_pooled(0, std::move(c)).take();
   r.stop();
   ASSERT_EQ(result.status, rt::CommandStatus::kDone);
   ASSERT_EQ(result.batch.size(), 3u);
@@ -117,31 +116,17 @@ TEST(Runtime, OpenBatchReportsInputOrderOutcomes) {
   EXPECT_EQ(snap.total.accepted, static_cast<u64>(served));
 }
 
-TEST(Runtime, PortRoutingPicksContiguousBlocks) {
-  rt::Runtime r(small_config(4, 2));
-  EXPECT_EQ(r.ports_per_shard(), 16u);
-  EXPECT_EQ(r.total_ports(), 64u);
-  EXPECT_EQ(r.shard_of_port(0), 0u);
-  EXPECT_EQ(r.shard_of_port(15), 0u);
-  EXPECT_EQ(r.shard_of_port(16), 1u);
-  EXPECT_EQ(r.shard_of_port(63), 3u);
-  r.start();
-  auto result = r.call(r.shard_of_port(40), open_cmd(2)).get();
-  EXPECT_EQ(result.shard, 2u);
-  r.stop();
-}
-
 TEST(Runtime, ReplaceSwapsSessionsAndToleratesDeadOnes) {
   rt::Runtime r(small_config(1, 1));
   r.start();
-  auto opened = r.call(0, open_cmd(4)).get();
+  auto opened = r.call_pooled(0, open_cmd(4)).take();
   ASSERT_TRUE(opened.open.session.has_value());
 
   rt::Command swap;
   swap.kind = rt::CommandKind::kReplace;
   swap.session = *opened.open.session;
   swap.size = 2;
-  auto swapped = r.call(0, std::move(swap)).get();
+  auto swapped = r.call_pooled(0, std::move(swap)).take();
   EXPECT_TRUE(swapped.ok);
   EXPECT_EQ(swapped.open.outcome, conf::RequestOutcome::kServed);
 
@@ -150,7 +135,7 @@ TEST(Runtime, ReplaceSwapsSessionsAndToleratesDeadOnes) {
   ghost.kind = rt::CommandKind::kReplace;
   ghost.session = 9999;
   ghost.size = 2;
-  auto ghosted = r.call(0, std::move(ghost)).get();
+  auto ghosted = r.call_pooled(0, std::move(ghost)).take();
   EXPECT_FALSE(ghosted.ok);
   EXPECT_EQ(ghosted.open.outcome, conf::RequestOutcome::kServed);
   r.stop();
@@ -162,8 +147,8 @@ TEST(Runtime, ReplaceSwapsSessionsAndToleratesDeadOnes) {
 
 TEST(Runtime, FullQueueBackpressureReturnsCommandToCaller) {
   // No workers running yet, so the queue can only fill: capacity accepts,
-  // the next submit bounces with kQueueFull and the command is NOT consumed
-  // (its completion must never fire).
+  // the next non-blocking Shard::submit bounces with kQueueFull and the
+  // command is NOT consumed (its completion must never fire).
   rt::RuntimeConfig cfg = small_config(1, 1);
   cfg.shard.queue_depth = 4;
   rt::Runtime r(cfg);
@@ -172,19 +157,21 @@ TEST(Runtime, FullQueueBackpressureReturnsCommandToCaller) {
   for (int i = 0; i < 4; ++i) {
     rt::Command c = open_cmd(2);
     c.done = [&](rt::CommandResult&&) { completions.fetch_add(1); };
-    EXPECT_EQ(r.submit_to(0, std::move(c)), rt::SubmitStatus::kAccepted);
+    EXPECT_EQ(r.shard(0).submit(std::move(c)), rt::SubmitStatus::kAccepted);
   }
   rt::Command extra = open_cmd(2);
   bool extra_completed = false;
   extra.done = [&](rt::CommandResult&&) { extra_completed = true; };
-  EXPECT_EQ(r.submit_to(0, std::move(extra)), rt::SubmitStatus::kQueueFull);
+  EXPECT_EQ(r.shard(0).submit(std::move(extra)),
+            rt::SubmitStatus::kQueueFull);
   EXPECT_FALSE(extra_completed);
   EXPECT_TRUE(static_cast<bool>(extra.done));  // caller still owns it
 
   // Once workers run, the backlog drains and a resubmit goes through.
   r.start();
   r.drain();
-  EXPECT_EQ(r.submit_to(0, std::move(extra)), rt::SubmitStatus::kAccepted);
+  EXPECT_EQ(r.submit_to_blocking(0, std::move(extra)),
+            rt::SubmitStatus::kAccepted);
   r.drain();
   r.stop();
   EXPECT_EQ(completions.load(), 4);
@@ -205,18 +192,21 @@ TEST(Runtime, BouncedSubmitsAreCountedOnceAcrossRetry) {
   for (int i = 0; i < 4; ++i) {
     rt::Command c = open_cmd(2);
     c.done = [&](rt::CommandResult&&) { completions.fetch_add(1); };
-    ASSERT_EQ(r.submit_to(0, std::move(c)), rt::SubmitStatus::kAccepted);
+    ASSERT_EQ(r.shard(0).submit(std::move(c)), rt::SubmitStatus::kAccepted);
   }
   rt::Command extra = open_cmd(2);
   extra.done = [&](rt::CommandResult&&) { completions.fetch_add(1); };
-  EXPECT_EQ(r.submit_to(0, std::move(extra)), rt::SubmitStatus::kQueueFull);
-  EXPECT_EQ(r.submit_to(0, std::move(extra)), rt::SubmitStatus::kQueueFull)
+  EXPECT_EQ(r.shard(0).submit(std::move(extra)),
+            rt::SubmitStatus::kQueueFull);
+  EXPECT_EQ(r.shard(0).submit(std::move(extra)),
+            rt::SubmitStatus::kQueueFull)
       << "a second attempt against the still-full queue bounces again";
   EXPECT_EQ(r.snapshot().total.submit_bounced, 2u);
 
   r.start();
   r.drain();
-  EXPECT_EQ(r.submit_to(0, std::move(extra)), rt::SubmitStatus::kAccepted);
+  EXPECT_EQ(r.submit_to_blocking(0, std::move(extra)),
+            rt::SubmitStatus::kAccepted);
   r.drain();
   r.stop();
 
@@ -234,11 +224,11 @@ TEST(Runtime, BouncedSubmitsAreCountedOnceAcrossRetry) {
 // Pooled completions and staged bursts (the lock-lean producer path).
 // ---------------------------------------------------------------------------
 
-TEST(Runtime, PooledCallsMatchFuturesAndRecycleSlots) {
+TEST(Runtime, PooledCallsRoundTripAndRecycleSlots) {
   rt::Runtime r(small_config(2, 1));
   r.start();
 
-  // Round-trip parity with the future path.
+  // Open/close round trip through pooled handles.
   auto opened = r.call_pooled(0, open_cmd(3)).take();
   ASSERT_EQ(opened.status, rt::CommandStatus::kDone);
   ASSERT_TRUE(opened.open.session.has_value());
@@ -376,12 +366,12 @@ TEST(Runtime, PostStopCommandsAreRejectedNotLost) {
     EXPECT_EQ(result.status, rt::CommandStatus::kRejectedStopped);
     EXPECT_EQ(result.kind, rt::CommandKind::kOpen);
   };
-  EXPECT_EQ(r.submit_to(0, std::move(c)), rt::SubmitStatus::kStopped);
+  EXPECT_EQ(r.submit_to_blocking(0, std::move(c)), rt::SubmitStatus::kStopped);
   EXPECT_TRUE(completed);  // inline, on this thread
 
-  // Futures become ready too — nothing hangs.
-  auto fut = r.call(1, open_cmd(2));
-  EXPECT_EQ(fut.get().status, rt::CommandStatus::kRejectedStopped);
+  // Pooled handles complete too — nothing hangs.
+  EXPECT_EQ(r.call_pooled(1, open_cmd(2)).take().status,
+            rt::CommandStatus::kRejectedStopped);
 
   const rt::RuntimeSnapshot snap = r.snapshot();
   EXPECT_EQ(snap.total.rejected_stopped, 2u);
@@ -391,7 +381,7 @@ TEST(Runtime, PostStopCommandsAreRejectedNotLost) {
 TEST(Runtime, NeverStartedRuntimeRejectsAfterStop) {
   rt::Runtime r(small_config(1, 1));
   r.stop();
-  EXPECT_EQ(r.submit_to(0, open_cmd(2)), rt::SubmitStatus::kStopped);
+  EXPECT_EQ(r.submit_to_blocking(0, open_cmd(2)), rt::SubmitStatus::kStopped);
 }
 
 // ---------------------------------------------------------------------------
@@ -409,7 +399,7 @@ TEST(Runtime, SnapshotsAreConsistentWhileChurning) {
     while (go.load()) {
       for (u32 s = 0; s < 4; ++s) {
         rt::Command c = open_cmd(2 + static_cast<u32>(rng.below(4)));
-        (void)r.submit_to(s, std::move(c));
+        (void)r.submit_to_blocking(s, std::move(c));
       }
     }
   });
@@ -447,7 +437,7 @@ TEST(Runtime, FailAndRepairLinkRunRecovery) {
   // Load the shard so some sessions cross interstage links.
   int accepted = 0;
   for (int i = 0; i < 12; ++i) {
-    auto result = r.call(0, open_cmd(2)).get();
+    auto result = r.call_pooled(0, open_cmd(2)).take();
     if (result.open.outcome == conf::RequestOutcome::kServed) ++accepted;
   }
   ASSERT_GT(accepted, 0);
@@ -456,7 +446,7 @@ TEST(Runtime, FailAndRepairLinkRunRecovery) {
   fail.kind = rt::CommandKind::kFailLink;
   fail.level = 1;
   fail.row = 0;
-  auto failed = r.call(0, std::move(fail)).get();
+  auto failed = r.call_pooled(0, std::move(fail)).take();
   EXPECT_TRUE(failed.ok);
 
   // Failing the same link again is an idempotent no-op.
@@ -464,13 +454,13 @@ TEST(Runtime, FailAndRepairLinkRunRecovery) {
   again.kind = rt::CommandKind::kFailLink;
   again.level = 1;
   again.row = 0;
-  EXPECT_FALSE(r.call(0, std::move(again)).get().ok);
+  EXPECT_FALSE(r.call_pooled(0, std::move(again)).take().ok);
 
   rt::Command repair;
   repair.kind = rt::CommandKind::kRepairLink;
   repair.level = 1;
   repair.row = 0;
-  EXPECT_TRUE(r.call(0, std::move(repair)).get().ok);
+  EXPECT_TRUE(r.call_pooled(0, std::move(repair)).take().ok);
 
   r.stop();
   const rt::ShardStats s = r.shard(0).snapshot();
@@ -508,11 +498,11 @@ std::vector<Outcome> run_scripted(rt::Runtime& r, u32 shard, u64 seed,
       c.kind = rt::CommandKind::kClose;
       c.session = live.front();
       live.erase(live.begin());
-      (void)r.call(shard, std::move(c)).get();
+      (void)r.call_pooled(shard, std::move(c)).take();
       continue;
     }
     const u32 size = 2 + static_cast<u32>(script.below(5));
-    auto result = r.call(shard, open_cmd(size)).get();
+    auto result = r.call_pooled(shard, open_cmd(size)).take();
     Outcome o{result.open.outcome, result.open.session.value_or(0)};
     if (result.open.session) live.push_back(*result.open.session);
     outcomes.push_back(o);
@@ -589,7 +579,7 @@ TEST(Runtime, TraceRingDumpsTaggedJsonl) {
   rt::Runtime r(cfg);
   r.start();
   for (u32 s = 0; s < 2; ++s)
-    for (int i = 0; i < 5; ++i) (void)r.call(s, open_cmd(2)).get();
+    for (int i = 0; i < 5; ++i) (void)r.call_pooled(s, open_cmd(2)).take();
   r.stop();
 
   std::ostringstream os;

@@ -2,7 +2,7 @@
 """Run the hot-path benchmark sections and merge them into one artifact.
 
 Usage:
-    python3 tools/perf_smoke.py [--build-dir DIR] [--out BENCH_pr10.json]
+    python3 tools/perf_smoke.py [--build-dir DIR] [--out BENCH_pr12.json]
         [--min-time SECONDS]
 
 Runs the BM_* timing sections of the benchmark binaries that cover the
@@ -12,24 +12,23 @@ optimized hot paths:
     kernel) vs BM_MeasureMultiplicityReference (row-vector oracle);
   * bench_e4_load_multiplicity — BM_MonteCarloTrial (parallel fan-out) vs
     BM_MonteCarloTrialSerialReference;
-  * bench_e8_latency — BM_SteadyStateEventRate/0 (incremental FabricState
-    verification) vs /1 (stateless Fabric::evaluate rebuild);
+  * bench_e8_latency — BM_SteadyStateEventRate/0 (DES event rate with
+    frequent incremental FabricState verification);
   * bench_e14_admission — BM_AdmissionChurn (bitmap port index vs the
     reference placer oracle, N=1024 high churn) and
-    BM_TeletrafficAdmission (end-to-end DES admission, serial vs batched);
+    BM_TeletrafficAdmission/0/1 and /0/8 (end-to-end DES admission on the
+    fast placer, serial vs batched arrivals);
   * bench_e15_runtime — BM_RuntimeChurn at --workers 1,2,4 (thread-per-
-    shard concurrent runtime over 4 shards; the admitted/blocked counters
-    are worker-count invariant and gated, wall time is the scaling curve);
+    shard concurrent runtime over 4 shards; one item is one admission
+    decision; the admitted/blocked/decisions counters are worker-count
+    invariant and gated, wall time is the scaling curve);
   * bench_e6_blocking — BM_PropagateSimd (bitset-row signal plane, label =
     resolved backend) vs BM_PropagateReference (retained set-based oracle)
     over one deterministically populated fabric; the fan-op counters are
     seed-determined and identical across backends;
-  * bench_e16_cluster — BM_ClusterIntraChurn vs BM_ClusterSpanChurn vs
-    BM_ClusterSpanChurnReference at --workers 1,2 (trunked multi-fabric
-    cluster; spanning conferences go through the single-round optimistic
-    claim, and the Reference twin replays the identical churn through the
-    retained two-round reserve-then-commit oracle — the gap is the PR 10
-    protocol win at gate-identical admission counters).
+  * bench_e16_cluster — BM_ClusterIntraChurn vs BM_ClusterSpanChurn at
+    --workers 1,2 (trunked multi-fabric cluster; spanning conferences go
+    through the single-round claim/open/settle protocol).
 
 Each binary writes a native google-benchmark JSON file; the tool merges
 them into one document whose top-level "benchmarks" array carries
@@ -37,7 +36,7 @@ binary-prefixed names ("bench_e2_multiplicity/BM_MeasureMultiplicity/6"),
 ready for tools/compare_bench.py's timing section:
 
     python3 tools/perf_smoke.py --out BENCH_new.json
-    python3 tools/compare_bench.py BENCH_pr10.json BENCH_new.json --warn-only
+    python3 tools/compare_bench.py BENCH_pr12.json BENCH_new.json --warn-only
 
 Worker-count invariance is checked here, not in compare_bench.py: rows of
 the same benchmark differing only in their /workers:N suffix must report
@@ -157,7 +156,7 @@ def main() -> int:
     parser.add_argument("--build-dir", type=Path, default=None,
                         help="build tree holding bench/ (default: search "
                              f"{', '.join(SEARCH_DIRS)})")
-    parser.add_argument("--out", type=Path, default=Path("BENCH_pr10.json"))
+    parser.add_argument("--out", type=Path, default=Path("BENCH_pr12.json"))
     parser.add_argument("--min-time", type=float, default=0.0,
                         help="--benchmark_min_time per benchmark (seconds); "
                              "0 keeps the google-benchmark default")
