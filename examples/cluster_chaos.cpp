@@ -117,8 +117,8 @@ int main(int argc, char** argv) {
       cfg.seed = seed;
       const sim::ClusterTrafficResult r = sim::run_cluster_traffic(c, cfg);
       ++runs;
-      total_trunk_faults += r.trunk_faults;
-      total_link_faults += r.link_faults;
+      total_trunk_faults += r.stats.trunk_failures;
+      total_link_faults += r.stats.link_failures;
       total_interrupted += r.interrupted;
       total_reopened += r.reopened;
       total_lost += r.lost;
@@ -133,14 +133,15 @@ int main(int argc, char** argv) {
       } catch (const audit::AuditError& e) {
         failed += std::string(" final-cross-check[") + e.what() + "]";
       }
-      if (cfg.trunk_fault_rate > 0.0 && r.trunk_faults == 0)
+      if (cfg.trunk_fault_rate > 0.0 && r.stats.trunk_failures == 0)
         failed += " no-trunk-faults-injected";
-      if (cfg.link_fault_rate > 0.0 && r.link_faults == 0)
+      if (cfg.link_fault_rate > 0.0 && r.stats.link_failures == 0)
         failed += " no-link-faults-injected";
-      std::cout << "seed " << seed << ": " << r.trunk_faults
-                << " trunk faults, " << r.link_faults << " link faults, "
-                << r.interrupted << " interrupted (" << r.reopened
-                << " reopened, " << r.lost << " lost), span blocking "
+      std::cout << "seed " << seed << ": " << r.stats.trunk_failures
+                << " trunk faults, " << r.stats.link_failures
+                << " link faults, " << r.interrupted << " interrupted ("
+                << r.reopened << " reopened, " << r.lost
+                << " lost), span blocking "
                 << r.span_blocking << " (trunk " << r.span_trunk_blocking
                 << "), trunk util " << r.trunk_utilization
                 << (failed.empty() ? " [ok]" : " [FAIL:" + failed + "]")

@@ -36,6 +36,18 @@ struct RecoveryMetrics {
 
 }  // namespace
 
+void RecoveryStats::merge(const RecoveryStats& other) noexcept {
+  link_failures += other.link_failures;
+  link_repairs += other.link_repairs;
+  sessions_interrupted += other.sessions_interrupted;
+  recovered_inplace += other.recovered_inplace;
+  recovered_after_wait += other.recovered_after_wait;
+  recovered_after_retry += other.recovered_after_retry;
+  retries += other.retries;
+  dropped += other.dropped;
+  expired += other.expired;
+}
+
 RecoveryCoordinator::RecoveryCoordinator(WaitQueueManager& wait,
                                          RecoveryPolicy policy)
     : wait_(wait), policy_(policy) {
@@ -144,7 +156,6 @@ RecoveryCoordinator::RetryOutcome RecoveryCoordinator::retry(
   if (it == pending_.end() || it->second.queued) {
     // The origin departed (expired, already counted) or was served through
     // the queue between scheduling and firing; nothing to do.
-    outcome.expired = true;
     return outcome;
   }
   RecoveryMetrics& m = RecoveryMetrics::get();

@@ -57,6 +57,11 @@ struct RecoveryStats {
   [[nodiscard]] u64 recovered() const noexcept {
     return recovered_inplace + recovered_after_wait + recovered_after_retry;
   }
+
+  /// Fold another coordinator's counters in (for cross-shard totals).
+  void merge(const RecoveryStats& other) noexcept;
+
+  bool operator==(const RecoveryStats&) const = default;
 };
 
 /// Drives fault handling for one WaitQueueManager. All methods are event
@@ -105,12 +110,12 @@ class RecoveryCoordinator {
   /// Repair link (level,row) at time `now` and drain the wait queue.
   RepairImpact repair_link(u32 level, u32 row, double now, util::Rng& rng);
 
-  /// Outcome of one scheduled retry.
+  /// Outcome of one scheduled retry. All fields empty: the origin departed
+  /// (already counted as expired) or was served through the queue first.
   struct RetryOutcome {
     std::optional<Recovered> recovered;
     std::optional<PendingRetry> again;  // schedule after backoff_delay
     bool dropped = false;               // retry budget exhausted
-    bool expired = false;               // origin departed meanwhile
   };
   RetryOutcome retry(const PendingRetry& pending, double now, util::Rng& rng);
 

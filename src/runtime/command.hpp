@@ -73,7 +73,9 @@ struct OpenOutcome {
   std::optional<conf::WaitQueueManager::Ticket> ticket;  // set on kQueued
 };
 
-/// What the owner thread reports back through the completion callback.
+/// What the owner thread reports back through the completion callback:
+/// the ids this command touched, never running counts (those live in the
+/// shard's ShardStats and RecoveryStats).
 struct CommandResult {
   CommandKind kind = CommandKind::kOpen;
   CommandStatus status = CommandStatus::kRejectedStopped;
@@ -89,9 +91,6 @@ struct CommandResult {
   /// Waiters admitted as a side effect of this command (a close/replace
   /// freeing capacity, a repair restoring it).
   std::vector<conf::WaitQueueManager::ServedTicket> served;
-  u32 torn_down = 0;        // kFailLink: sessions interrupted
-  u32 recovered = 0;        // kFailLink/kRepairLink: sessions restored
-  u32 pending_retries = 0;  // kFailLink: victims on the backoff path
   /// kFailLink: victim session ids (already closed by the shard). A front
   /// end tracking sessions by id (e.g. the cluster layer, whose spanning
   /// legs are shard sessions) folds these into its own bookkeeping.

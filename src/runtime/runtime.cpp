@@ -126,7 +126,6 @@ RuntimeSnapshot Runtime::snapshot() const {
   snap.shards.reserve(shards_.size());
   for (const auto& s : shards_) snap.shards.push_back(s->snapshot());
   for (const ShardStats& s : snap.shards) snap.total.merge(s);
-  publish_to_registry(snap);
   return snap;
 }
 

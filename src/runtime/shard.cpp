@@ -1,6 +1,7 @@
 #include "runtime/shard.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "runtime/result_pool.hpp"
@@ -108,11 +109,7 @@ void Shard::absorb_served(
     CommandResult& result,
     std::vector<conf::WaitQueueManager::ServedTicket> served) {
   if (served.empty()) return;
-  stats_.served_after_wait += served.size();
-  const auto recovered =
-      recovery_.absorb(served, static_cast<double>(now_));
-  stats_.recovered += recovered.size();
-  result.recovered += static_cast<u32>(recovered.size());
+  recovery_.absorb(served, static_cast<double>(now_));
   result.served.insert(result.served.end(), served.begin(), served.end());
 }
 
@@ -125,54 +122,29 @@ void Shard::schedule_retries(
   }
 }
 
-void Shard::run_due_retries(CommandResult& result) {
+void Shard::run_retries(double horizon) {
   // Logical time only advances with commands, so due retries are run right
-  // after the command that made them due; ordering within a batch of due
-  // retries is FIFO on schedule order (stable partition keeps it).
+  // after the command that made them due, FIFO on schedule order. A retry
+  // that goes around again is appended and visited later in the same pass
+  // (and run there when its new due time is within the horizon).
+  const double now = static_cast<double>(now_);
   std::size_t i = 0;
   while (i < retries_.size()) {
-    if (retries_[i].due > static_cast<double>(now_)) {
+    if (retries_[i].due > horizon) {
       ++i;
       continue;
     }
     const DueRetry due = retries_[i];
-    retries_.erase(retries_.begin() +
-                   static_cast<std::ptrdiff_t>(i));
-    ++stats_.retries_run;
-    const auto outcome =
-        recovery_.retry(due.pending, static_cast<double>(now_), rng_);
-    if (outcome.recovered) {
-      ++stats_.recovered;
-      ++result.recovered;
-    } else if (outcome.dropped) {
-      ++stats_.dropped;
-    } else if (outcome.again) {
-      schedule_retries({*outcome.again});
-    } else if (outcome.expired) {
-      ++stats_.expired;  // origin departed between retries
-    }
+    retries_.erase(retries_.begin() + static_cast<std::ptrdiff_t>(i));
+    const auto outcome = recovery_.retry(due.pending, now, rng_);
+    if (outcome.again) schedule_retries({*outcome.again});
   }
 }
 
 void Shard::flush_retries() {
-  // Shutdown: run every pending retry to a terminal state regardless of its
-  // backoff due time. The retry budget bounds the loop.
-  while (!retries_.empty()) {
-    const DueRetry due = retries_.front();
-    retries_.erase(retries_.begin());
-    ++stats_.retries_run;
-    const auto outcome =
-        recovery_.retry(due.pending, static_cast<double>(now_), rng_);
-    if (outcome.recovered) {
-      ++stats_.recovered;
-    } else if (outcome.dropped) {
-      ++stats_.dropped;
-    } else if (outcome.again) {
-      retries_.push_back(DueRetry{static_cast<double>(now_), *outcome.again});
-    } else if (outcome.expired) {
-      ++stats_.expired;
-    }
-  }
+  // Shutdown: no horizon, so every pending retry runs to a terminal state.
+  // The retry budget bounds the loop.
+  run_retries(std::numeric_limits<double>::infinity());
   publish();
 }
 
@@ -203,9 +175,7 @@ void Shard::apply(Command& cmd) {
       } else {
         // The session may be an interrupted one still on the recovery
         // path; a close then cancels the pending recovery.
-        if (recovery_.on_origin_departed(cmd.session,
-                                         static_cast<double>(now_)))
-          ++stats_.expired;
+        recovery_.on_origin_departed(cmd.session, static_cast<double>(now_));
       }
       break;
     }
@@ -216,9 +186,8 @@ void Shard::apply(Command& cmd) {
       if (wait_.sessions().contains(cmd.session)) {
         result.ok = true;
         absorb_served(result, wait_.close(cmd.session, rng_));
-      } else if (recovery_.on_origin_departed(cmd.session,
-                                               static_cast<double>(now_))) {
-        ++stats_.expired;
+      } else {
+        recovery_.on_origin_departed(cmd.session, static_cast<double>(now_));
       }
       ++stats_.replaces;
       serve_open(result.open, wait_.request(cmd.size, rng_));
@@ -229,12 +198,6 @@ void Shard::apply(Command& cmd) {
       auto impact = recovery_.fail_link(cmd.level, cmd.row,
                                         static_cast<double>(now_), rng_);
       result.ok = !was_faulty;
-      if (result.ok) ++stats_.link_failures;
-      stats_.torn_down += impact.torn_down.size();
-      stats_.recovered += impact.recovered.size();
-      result.torn_down = static_cast<u32>(impact.torn_down.size());
-      result.recovered = static_cast<u32>(impact.recovered.size());
-      result.pending_retries = static_cast<u32>(impact.retries.size());
       result.torn_sessions = std::move(impact.torn_down);
       result.relocated.reserve(impact.recovered.size());
       for (const auto& r : impact.recovered)
@@ -249,10 +212,6 @@ void Shard::apply(Command& cmd) {
       auto impact = recovery_.repair_link(cmd.level, cmd.row,
                                           static_cast<double>(now_), rng_);
       result.ok = was_faulty;
-      if (result.ok) ++stats_.link_repairs;
-      stats_.served_after_wait += impact.served.size();
-      stats_.recovered += impact.recovered.size();
-      result.recovered = static_cast<u32>(impact.recovered.size());
       result.relocated.reserve(impact.recovered.size());
       for (const auto& r : impact.recovered)
         result.relocated.emplace_back(r.origin, r.session);
@@ -262,10 +221,8 @@ void Shard::apply(Command& cmd) {
   }
 
   ++now_;
-  ++stats_.commands;
-  stats_.logical_time = now_;
-  run_due_retries(result);
-  ++stats_.completed;
+  stats_.completed = now_;
+  run_retries(static_cast<double>(now_));
   stats_.active_sessions = wait_.sessions().active_sessions();
   if (trace_.enabled()) {
     trace_.record(command_name(cmd.kind), now_,
@@ -282,12 +239,10 @@ void Shard::apply(Command& cmd) {
 }
 
 void Shard::publish() {
-  ShardStats copy = stats_;
-  copy.rejected_stopped = rejected_stopped_.load(std::memory_order_relaxed);
-  copy.submit_bounced = queue_.bounced();
+  stats_.recovery = recovery_.stats();
   {
     util::MutexLock lock(pub_mu_);
-    published_ = copy;
+    published_ = stats_;
   }
   pub_cv_.notify_all();
 }

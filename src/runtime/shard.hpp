@@ -87,8 +87,9 @@ class Shard {
   std::size_t process_available();
 
   /// Run every still-pending recovery retry to its terminal state
-  /// (recovered or dropped), ignoring backoff due times. Called by the
-  /// owner once the queue is closed and empty. Owner thread only.
+  /// (recovered or dropped), ignoring backoff due times, then publish.
+  /// Called by the owner once the queue is closed and empty. Owner thread
+  /// only.
   void flush_retries();
 
   // --- snapshot side: any thread ------------------------------------------
@@ -122,7 +123,8 @@ class Shard {
   /// Answer a refused command inline with kRejectedStopped through
   /// whichever completion channel it carries (slot or done).
   void reject_inline(Command& cmd);
-  void run_due_retries(CommandResult& result);
+  /// Run every scheduled retry due at or before `horizon`.
+  void run_retries(double horizon);
   void publish() CONFNET_EXCLUDES(pub_mu_);
   void serve_open(OpenOutcome& out, const conf::WaitQueueManager::RequestResult& r);
   void absorb_served(CommandResult& result,

@@ -4,26 +4,17 @@
 #include <ostream>
 
 #include "util/json.hpp"
-#include "util/metrics.hpp"
 
 namespace confnet::runtime {
 
 void ShardStats::merge(const ShardStats& other) noexcept {
-  commands += other.commands;
   opens += other.opens;
   accepted += other.accepted;
   queued += other.queued;
   rejected += other.rejected;
   closes += other.closes;
   replaces += other.replaces;
-  served_after_wait += other.served_after_wait;
-  link_failures += other.link_failures;
-  link_repairs += other.link_repairs;
-  torn_down += other.torn_down;
-  recovered += other.recovered;
-  retries_run += other.retries_run;
-  dropped += other.dropped;
-  expired += other.expired;
+  recovery.merge(other.recovery);
   rejected_stopped += other.rejected_stopped;
   submit_bounced += other.submit_bounced;
   bursts += other.bursts;
@@ -31,7 +22,6 @@ void ShardStats::merge(const ShardStats& other) noexcept {
   max_queue_depth = std::max(max_queue_depth, other.max_queue_depth);
   completed += other.completed;
   active_sessions += other.active_sessions;
-  logical_time += other.logical_time;
 }
 
 void ShardTrace::dump_jsonl(std::ostream& os, u32 shard) const {
@@ -55,31 +45,6 @@ void ShardTrace::dump_jsonl(std::ostream& os, u32 shard) const {
     w.end_object();
     os << '\n';
   }
-}
-
-void publish_to_registry(const RuntimeSnapshot& snap) {
-  obs::Registry& reg = obs::Registry::global();
-  reg.gauge("runtime", "shards").set(static_cast<double>(snap.shards.size()));
-  reg.gauge("runtime", "commands")
-      .set(static_cast<double>(snap.total.commands));
-  reg.gauge("runtime", "opens").set(static_cast<double>(snap.total.opens));
-  reg.gauge("runtime", "accepted")
-      .set(static_cast<double>(snap.total.accepted));
-  reg.gauge("runtime", "queued").set(static_cast<double>(snap.total.queued));
-  reg.gauge("runtime", "rejected")
-      .set(static_cast<double>(snap.total.rejected));
-  reg.gauge("runtime", "closes").set(static_cast<double>(snap.total.closes));
-  reg.gauge("runtime", "active_sessions")
-      .set(static_cast<double>(snap.total.active_sessions));
-  reg.gauge("runtime", "torn_down")
-      .set(static_cast<double>(snap.total.torn_down));
-  reg.gauge("runtime", "recovered")
-      .set(static_cast<double>(snap.total.recovered));
-  reg.gauge("runtime", "dropped").set(static_cast<double>(snap.total.dropped));
-  reg.gauge("runtime", "max_queue_depth")
-      .set(static_cast<double>(snap.total.max_queue_depth));
-  reg.gauge("runtime", "submit_bounced")
-      .set(static_cast<double>(snap.total.submit_bounced));
 }
 
 }  // namespace confnet::runtime

@@ -10,15 +10,14 @@
 //     copies them into a published snapshot under a per-shard mutex that
 //     only snapshot readers ever contend on, so steady-state accounting is
 //     contention-free and every published snapshot is internally consistent
-//     (the burst-boundary identities of `check()` hold).
+//     (the burst-boundary identities of `consistent()` hold). Recovery
+//     counters are not re-counted here: the owner copies the shard's
+//     `conf::RecoveryStats` from its RecoveryCoordinator at each publish.
 //   * `ShardTrace` — a fixed ring of trace records written lock-free by the
 //     owner thread (thread-confined to owner); reading it is legal only
 //     after the owner thread has been joined (Runtime::stop), which is when
 //     dump_jsonl serializes it. Mirrors the obs::Tracer JSONL shape so the
 //     same tooling reads both.
-//
-// Aggregation into the process-wide obs::Registry happens once per
-// snapshot() call (gauges, set idempotently), never per command.
 #pragma once
 
 #include <cstddef>
@@ -26,6 +25,7 @@
 #include <iosfwd>
 #include <vector>
 
+#include "conference/recovery.hpp"
 #include "min/types.hpp"
 #include "runtime/command.hpp"
 
@@ -34,21 +34,15 @@ namespace confnet::runtime {
 /// Cumulative per-shard accounting, maintained by the owner thread and
 /// published at burst boundaries. All fields count since start().
 struct ShardStats {
-  u64 commands = 0;        // commands applied (sum of the per-kind counts)
   u64 opens = 0;           // kOpen commands + open_batch elements + replaces
   u64 accepted = 0;        // opens admitted immediately
   u64 queued = 0;          // opens parked in the hold queue
   u64 rejected = 0;        // opens bounced (hold queue full / loss system)
   u64 closes = 0;          // kClose commands that closed a live session
   u64 replaces = 0;        // kReplace commands applied
-  u64 served_after_wait = 0;  // hold-queue waiters admitted by any command
-  u64 link_failures = 0;
-  u64 link_repairs = 0;
-  u64 torn_down = 0;       // sessions interrupted by fail_link
-  u64 recovered = 0;       // interrupted sessions restored (any path)
-  u64 retries_run = 0;     // backoff retries executed
-  u64 dropped = 0;         // interrupted sessions dropped (budget exhausted)
-  u64 expired = 0;         // pending recoveries cancelled (origin departed)
+  /// Fault and recovery counts, copied from the shard's RecoveryCoordinator
+  /// at each publish (that coordinator is their only owner).
+  conf::RecoveryStats recovery;
   u64 rejected_stopped = 0;  // commands refused because the shard stopped
   u64 submit_bounced = 0;  // try_push kQueueFull bounces (backpressure);
                            // a retried command adds one accept to
@@ -56,17 +50,16 @@ struct ShardStats {
   u64 bursts = 0;          // pop_batch drains that yielded work
   u64 max_burst = 0;       // largest burst drained
   u64 max_queue_depth = 0;  // deepest the command queue got at drain time
-  u64 completed = 0;       // commands fully applied (drain watermark)
+  u64 completed = 0;       // commands applied (the owner's logical clock
+                           // and the drain watermark)
   u32 active_sessions = 0;
-  u64 logical_time = 0;    // owner clock: commands applied so far
 
   /// Burst-boundary identities every published snapshot satisfies.
   /// Returns false (never throws) so tests can assert on live snapshots.
   [[nodiscard]] bool consistent() const noexcept {
-    return opens == accepted + queued + rejected &&
-           completed == commands && logical_time == commands &&
-           max_burst <= completed &&
-           recovered + dropped + expired <= torn_down;
+    return opens == accepted + queued + rejected && max_burst <= completed &&
+           recovery.recovered() + recovery.dropped + recovery.expired <=
+               recovery.sessions_interrupted;
   }
 
   /// Fold another shard's counters in (for cross-shard totals).
@@ -126,10 +119,5 @@ struct RuntimeSnapshot {
   std::vector<ShardStats> shards;
   ShardStats total;
 };
-
-/// Mirror a snapshot into the process-wide obs::Registry as gauges under
-/// the `runtime` subsystem (idempotent sets — safe to call repeatedly; the
-/// per-command path never touches the registry).
-void publish_to_registry(const RuntimeSnapshot& snap);
 
 }  // namespace confnet::runtime

@@ -198,10 +198,7 @@ ClusterTrafficResult run_cluster_traffic(cluster::Cluster& cluster,
   const u32 pairs = cluster.trunks().pair_count();
   std::function<void(u32, u32)> trunk_repair = [&](u32 a, u32 b) {
     advance(des.now());
-    if (cluster.repair_trunk(a, b)) {
-      ++result.trunk_repairs;
-      release_parked(FaultKey{0, a, b, 0});
-    }
+    if (cluster.repair_trunk(a, b)) release_parked(FaultKey{0, a, b, 0});
   };
   std::function<void()> trunk_fault = [&] {
     advance(des.now());
@@ -211,7 +208,6 @@ ClusterTrafficResult run_cluster_traffic(cluster::Cluster& cluster,
           pair_of_index(shards, static_cast<u32>(rng.below(pairs)));
       if (cluster.trunks().faulty(a, b)) continue;
       absorb_interrupts(cluster.fail_trunk(a, b), FaultKey{0, a, b, 0});
-      ++result.trunk_faults;
       des.schedule_in(rng.exponential(config.trunk_repair_rate),
                       [&, a = a, b = b] { trunk_repair(a, b); });
       break;
@@ -226,10 +222,8 @@ ClusterTrafficResult run_cluster_traffic(cluster::Cluster& cluster,
   std::function<void(u32, u32, u32)> link_repair = [&](u32 s, u32 level,
                                                        u32 row) {
     advance(des.now());
-    if (cluster.repair_link(s, level, row)) {
-      ++result.link_repairs;
+    if (cluster.repair_link(s, level, row))
       release_parked(FaultKey{1, s, level, row});
-    }
   };
   std::function<void()> link_fault = [&] {
     advance(des.now());
@@ -242,7 +236,6 @@ ClusterTrafficResult run_cluster_traffic(cluster::Cluster& cluster,
     absorb_interrupts(cluster.fail_link(s, level, row),
                       FaultKey{1, s, level, row});
     if (cluster.stats().link_failures > before) {
-      ++result.link_faults;
       des.schedule_in(rng.exponential(config.link_repair_rate),
                       [&, s, level, row] { link_repair(s, level, row); });
     }

@@ -75,14 +75,11 @@ struct ClusterTrafficResult {
   /// Time-weighted reserved trunk lanes / total lane capacity.
   double trunk_utilization = 0.0;
   u32 trunk_peak = 0;  // high-water lanes on any single pair
-  /// Fault accounting (whole run).
+  /// Fault accounting (whole run). Fault and repair counts live in
+  /// `stats` (trunk_failures, trunk_repairs, link_failures, link_repairs).
   std::uint64_t interrupted = 0;  // conferences torn down by faults
   std::uint64_t reopened = 0;     // interrupted, re-offered, re-admitted
   std::uint64_t lost = 0;         // interrupted and not re-admitted
-  std::uint64_t trunk_faults = 0;
-  std::uint64_t trunk_repairs = 0;
-  std::uint64_t link_faults = 0;
-  std::uint64_t link_repairs = 0;
   std::uint64_t functional_checks = 0;
   bool functional_ok = true;
   std::uint64_t events = 0;

@@ -154,11 +154,14 @@ TEST(RuntimeStress, ConcurrentFaultsAndChurn) {
   for (u32 s = 0; s < kShards; ++s) {
     const rt::ShardStats& st = snap.shards[s];
     EXPECT_TRUE(st.consistent());
+    // The published counters are the coordinator's own, copied at the
+    // final publish — never a second tally.
+    EXPECT_EQ(st.recovery, r.shard(s).recovery().stats()) << "shard " << s;
     // Conservation: every interrupted session was recovered, dropped by
     // the shutdown retry flush, or is still queued awaiting capacity.
-    EXPECT_EQ(st.recovered + st.dropped + st.expired +
-                  r.shard(s).recovery().pending(),
-              st.torn_down);
+    EXPECT_EQ(st.recovery.recovered() + st.recovery.dropped +
+                  st.recovery.expired + r.shard(s).recovery().pending(),
+              st.recovery.sessions_interrupted);
   }
   EXPECT_EQ(snap.total.completed, r.submitted());
 }

@@ -412,7 +412,8 @@ TEST(Runtime, SnapshotsAreConsistentWhileChurning) {
       EXPECT_TRUE(s.consistent())
           << "opens=" << s.opens << " accepted=" << s.accepted
           << " queued=" << s.queued << " rejected=" << s.rejected
-          << " commands=" << s.commands << " completed=" << s.completed;
+          << " completed=" << s.completed << " max_burst=" << s.max_burst
+          << " interrupted=" << s.recovery.sessions_interrupted;
     }
   }
   go.store(false);
@@ -464,15 +465,132 @@ TEST(Runtime, FailAndRepairLinkRunRecovery) {
 
   r.stop();
   const rt::ShardStats s = r.shard(0).snapshot();
-  EXPECT_EQ(s.link_failures, 1u);
-  EXPECT_EQ(s.link_repairs, 1u);
+  EXPECT_EQ(s.recovery.link_failures, 1u);
+  EXPECT_EQ(s.recovery.link_repairs, 1u);
   EXPECT_TRUE(s.consistent());
   // Conservation: every interrupted session was recovered, dropped by the
   // shutdown retry flush, or is still queued waiting for capacity (the
   // fabric stayed full, so a victim can legitimately wait forever).
-  EXPECT_EQ(s.recovered + s.dropped + s.expired +
+  EXPECT_EQ(s.recovery.recovered() + s.recovery.dropped + s.recovery.expired +
                 r.shard(0).recovery().pending(),
-            s.torn_down);
+            s.recovery.sessions_interrupted);
+}
+
+// The published recovery counters are a copy of the shard's
+// RecoveryCoordinator, never a second tally. Both tests drive a Shard
+// serially on the test thread: a loss system (no hold queue) packed with
+// pairs, then a link failure whose victims cannot be repacked, so at least
+// one victim is left on the backoff-retry path.
+
+rt::ShardConfig serial_recovery_config() {
+  rt::ShardConfig cfg;
+  cfg.stages = 3;  // 8 ports
+  cfg.wait_capacity = 0;
+  cfg.seed = 42;
+  return cfg;
+}
+
+/// Apply `cmd` on the calling thread and return its result.
+rt::CommandResult apply_serially(rt::Shard& shard, rt::Command cmd) {
+  rt::CommandResult out;
+  cmd.done = [&out](rt::CommandResult&& r) { out = std::move(r); };
+  EXPECT_EQ(shard.submit(std::move(cmd)), rt::SubmitStatus::kAccepted);
+  EXPECT_EQ(shard.process_available(), 1u);
+  return out;
+}
+
+/// Open eight pairs, then fail interstage links in (level,row) order until
+/// one leaves a victim pending a backoff retry. Returns that victim's id.
+u32 fail_until_retry_pending(rt::Shard& shard) {
+  for (int i = 0; i < 8; ++i) (void)apply_serially(shard, open_cmd(2));
+  for (u32 level = 0; level < 3; ++level) {
+    for (u32 row = 0; row < shard.ports(); ++row) {
+      rt::Command fail;
+      fail.kind = rt::CommandKind::kFailLink;
+      fail.level = level;
+      fail.row = row;
+      const rt::CommandResult r = apply_serially(shard, std::move(fail));
+      for (u32 victim : r.torn_sessions) {
+        bool relocated = false;
+        for (const auto& [origin, replacement] : r.relocated)
+          relocated = relocated || origin == victim;
+        if (!relocated && shard.recovery().pending() > 0) return victim;
+      }
+    }
+  }
+  ADD_FAILURE() << "no link failure left a victim pending a retry";
+  return 0;
+}
+
+void expect_recovery_equal(const conf::RecoveryStats& published,
+                           const conf::RecoveryStats& owner) {
+  EXPECT_EQ(published.link_failures, owner.link_failures);
+  EXPECT_EQ(published.link_repairs, owner.link_repairs);
+  EXPECT_EQ(published.sessions_interrupted, owner.sessions_interrupted);
+  EXPECT_EQ(published.recovered_inplace, owner.recovered_inplace);
+  EXPECT_EQ(published.recovered_after_wait, owner.recovered_after_wait);
+  EXPECT_EQ(published.recovered_after_retry, owner.recovered_after_retry);
+  EXPECT_EQ(published.retries, owner.retries);
+  EXPECT_EQ(published.dropped, owner.dropped);
+  EXPECT_EQ(published.expired, owner.expired);
+}
+
+TEST(Runtime, ClosingAPendingVictimCountsOneExpiry) {
+  rt::Shard shard(0, serial_recovery_config());
+  const u32 victim = fail_until_retry_pending(shard);
+  ASSERT_GT(shard.recovery().pending(), 0u);
+  const u64 pending_before = shard.recovery().pending();
+
+  // Closing the victim cancels its pending recovery; the retry still on the
+  // shard's schedule then fires against a departed origin and must not be
+  // counted a second time. No-op commands advance logical time past the
+  // longest backoff so that retry is sure to have fired.
+  rt::Command close;
+  close.kind = rt::CommandKind::kClose;
+  close.session = victim;
+  EXPECT_FALSE(apply_serially(shard, std::move(close)).ok);
+  for (int i = 0; i < 8; ++i) {
+    rt::Command noop;
+    noop.kind = rt::CommandKind::kClose;
+    noop.session = 1u << 30;  // no such session
+    (void)apply_serially(shard, std::move(noop));
+  }
+
+  const rt::ShardStats s = shard.snapshot();
+  const conf::RecoveryStats& owner = shard.recovery().stats();
+  expect_recovery_equal(s.recovery, owner);
+  EXPECT_EQ(s.recovery.expired, 1u);
+  EXPECT_EQ(shard.recovery().pending(), pending_before - 1);
+  EXPECT_TRUE(s.consistent());
+  EXPECT_EQ(s.recovery.recovered() + s.recovery.dropped + s.recovery.expired +
+                shard.recovery().pending(),
+            s.recovery.sessions_interrupted);
+}
+
+TEST(Runtime, VictimDroppedWithoutRetryBudgetIsCounted) {
+  rt::ShardConfig cfg = serial_recovery_config();
+  cfg.recovery.max_retries = 0;
+  rt::Shard shard(0, cfg);
+  for (int i = 0; i < 8; ++i) (void)apply_serially(shard, open_cmd(2));
+
+  // With no retry budget a victim that cannot be repacked at once is
+  // dropped inside the fail_link command itself.
+  for (u32 row = 0; row < shard.ports(); ++row) {
+    rt::Command fail;
+    fail.kind = rt::CommandKind::kFailLink;
+    fail.level = 0;
+    fail.row = row;
+    (void)apply_serially(shard, std::move(fail));
+    if (shard.recovery().stats().dropped > 0) break;
+  }
+  const conf::RecoveryStats& owner = shard.recovery().stats();
+  ASSERT_GT(owner.dropped, 0u);
+
+  const rt::ShardStats s = shard.snapshot();
+  expect_recovery_equal(s.recovery, owner);
+  EXPECT_EQ(shard.recovery().pending(), 0u);
+  EXPECT_EQ(s.recovery.recovered() + s.recovery.dropped + s.recovery.expired,
+            s.recovery.sessions_interrupted);
 }
 
 // ---------------------------------------------------------------------------
