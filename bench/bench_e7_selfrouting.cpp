@@ -5,6 +5,7 @@
 // controller would do), destination-tag simulation over the explicit
 // network, and window-greedy graph search (the topology-agnostic oracle).
 #include "bench_common.hpp"
+#include "conference/designs.hpp"
 #include "conference/subnetwork.hpp"
 #include "min/network.hpp"
 #include "min/selfroute.hpp"
@@ -67,8 +68,8 @@ void emit_tables() {
   bench::show(t);
   std::cout << "Shape: the closed-form rule costs tens of ns per full path "
                "and needs ZERO\nnetwork state; destination-tag simulation "
-               "matches its speed but requires the\nO(N log N) wiring "
-               "tables, and the topology-agnostic window-greedy oracle is\n"
+               "matches its speed over the network's\nO(n) closed-form stage "
+               "wiring, and the topology-agnostic window-greedy oracle is\n"
                "5-8x slower on top of an O(N^2)-bit window table — the "
                "'simpler self-routing'\nof the question is a few bit "
                "operations per stage, uniformly across the class.\n";
@@ -101,6 +102,29 @@ void BM_DestinationTagPath(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
 }
 BENCHMARK(BM_DestinationTagPath)->DenseRange(6, 14, 4);
+
+void BM_NetworkConstruction(benchmark::State& state) {
+  // Building the explicit network: O(n) stage descriptors, no wiring
+  // tables, so the cost should barely grow with N.
+  const u32 n = static_cast<u32>(state.range(0));
+  for (auto _ : state) {
+    const min::Network net = min::make_network(Kind::kIndirectCube, n);
+    benchmark::DoNotOptimize(net.topology().stages().data());
+  }
+}
+BENCHMARK(BM_NetworkConstruction)->DenseRange(6, 14, 2);
+
+void BM_DirectFabricConstruction(benchmark::State& state) {
+  // A whole direct conference fabric (network + FabricState + port map):
+  // the set-up cost a simulator or runtime shard pays per fabric.
+  const u32 n = static_cast<u32>(state.range(0));
+  for (auto _ : state) {
+    const conf::DirectConferenceNetwork fabric(
+        Kind::kIndirectCube, n, conf::DilationProfile::uniform(n, 2));
+    benchmark::DoNotOptimize(fabric.active_count());
+  }
+}
+BENCHMARK(BM_DirectFabricConstruction)->DenseRange(6, 14, 2);
 
 void BM_ConferenceSubnetwork(benchmark::State& state) {
   // Cost of computing a whole conference subnetwork (the setup path).

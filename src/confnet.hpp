@@ -30,7 +30,7 @@
 #include "min/topology.hpp"     // omega/baseline/cube/butterfly/flip/...
 #include "min/types.hpp"        // Kind, LinkRef
 #include "min/windows.hpp"      // In/Out window closed forms
-#include "min/wiring.hpp"       // permutation wiring patterns
+#include "min/wiring.hpp"       // closed-form stage wiring, permutations
 
 // switching substrate
 #include "switchmod/channels.hpp"  // dilated-link channel assignment

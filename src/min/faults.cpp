@@ -57,11 +57,10 @@ void FaultSet::fail_switch_outputs(Kind kind, u32 stage, u32 switch_index) {
   expects(stage >= 1 && stage <= n_, "stage out of range");
   expects(switch_index < size() / 2, "switch index out of range");
   // The switch's output links are the level-`stage` rows its two output
-  // ports map to; recover them through the topology's out wiring.
-  const Topology topo = make_topology(kind, n_);
-  const auto& out_perm = topo.stages()[stage - 1].out_perm;
-  fail_link(stage, out_perm(2 * switch_index));
-  fail_link(stage, out_perm(2 * switch_index + 1));
+  // ports map to through the stage's out wiring.
+  const FieldRotation out = make_stage(kind, n_, stage - 1).out_perm;
+  fail_link(stage, out(2 * switch_index));
+  fail_link(stage, out(2 * switch_index + 1));
 }
 
 bool path_survives(Kind kind, u32 n, u32 src, u32 dst,

@@ -18,56 +18,35 @@ const util::DynBitset& WindowTable::out_set(u32 level, u32 row) const {
 }
 
 Network::Network(Topology topo) : topo_(std::move(topo)) {
-  const u32 N = size();
-  const u32 n = this->n();
-  in_map_.resize(n);
-  in_inv_.resize(n);
-  out_map_.resize(n);
-  out_inv_.resize(n);
-  for (u32 k = 0; k < n; ++k) {
-    const auto& st = topo_.stages()[k];
-    in_map_[k].resize(N);
-    in_inv_[k].resize(N);
-    out_map_[k].resize(N);
-    out_inv_[k].resize(N);
-    for (u32 p = 0; p < N; ++p) {
-      in_map_[k][p] = st.in_perm(p);
-      out_map_[k][p] = st.out_perm(p);
-    }
-    for (u32 p = 0; p < N; ++p) {
-      in_inv_[k][in_map_[k][p]] = p;
-      out_inv_[k][out_map_[k][p]] = p;
-    }
-  }
   CONFNET_AUDIT_HOOK(audit::check_network(*this));
 }
 
 std::array<u32, 2> Network::successors(u32 level, u32 row) const {
   expects(level < n() && row < size(), "successors out of range");
-  const u32 q = in_map_[level][row];
-  const u32 w = q >> 1;
-  return {out_map_[level][2 * w], out_map_[level][2 * w + 1]};
+  const StageSpec& st = topo_.stages()[level];
+  const u32 q = st.in_perm(row) & ~u32{1};
+  return {st.out_perm(q), st.out_perm(q | 1)};
 }
 
 std::array<u32, 2> Network::predecessors(u32 level, u32 row) const {
   expects(level >= 1 && level <= n() && row < size(),
           "predecessors out of range");
-  const u32 k = level - 1;
-  const u32 q = out_inv_[k][row];
-  const u32 w = q >> 1;
-  return {in_inv_[k][2 * w], in_inv_[k][2 * w + 1]};
+  const StageSpec& st = topo_.stages()[level - 1];
+  const FieldRotation in_inv = st.in_perm.inverse();
+  const u32 q = st.out_perm.inverse()(row) & ~u32{1};
+  return {in_inv(q), in_inv(q | 1)};
 }
 
 u32 Network::switch_of_input(u32 stage, u32 row) const {
   expects(stage >= 1 && stage <= n() && row < size(),
           "switch_of_input out of range");
-  return in_map_[stage - 1][row] >> 1;
+  return topo_.stages()[stage - 1].in_perm(row) >> 1;
 }
 
 u32 Network::switch_of_output(u32 stage, u32 row) const {
   expects(stage >= 1 && stage <= n() && row < size(),
           "switch_of_output out of range");
-  return out_inv_[stage - 1][row] >> 1;
+  return topo_.stages()[stage - 1].out_perm.inverse()(row) >> 1;
 }
 
 std::vector<u32> Network::route_rows(u32 src, u32 dst) const {
@@ -76,9 +55,9 @@ std::vector<u32> Network::route_rows(u32 src, u32 dst) const {
   rows[0] = src;
   u32 r = src;
   for (u32 k = 0; k < n(); ++k) {
-    const u32 q = in_map_[k][r];
-    const u32 b = bit(dst, topo_.stages()[k].routing_bit);
-    r = out_map_[k][(q & ~u32{1}) | b];
+    const StageSpec& st = topo_.stages()[k];
+    const u32 q = st.in_perm(r);
+    r = st.out_perm((q & ~u32{1}) | bit(dst, st.routing_bit));
     rows[k + 1] = r;
   }
   ensures(r == dst, "destination-tag routing did not reach dst");
@@ -155,17 +134,17 @@ void check_network(const min::Network& net) {
             "destination bit routed by two stages");
     consumed[stage.routing_bit] = true;
   }
-  // Wiring tables are permutations and agree with their inverses.
-  for (u32 k = 0; k < n; ++k) {
-    check_permutation(net.in_map_[k], kSub);
-    check_permutation(net.out_map_[k], kSub);
-    require(net.in_inv_[k].size() == N && net.out_inv_[k].size() == N, kSub,
-            "inverse wiring table has wrong size");
-    for (u32 p = 0; p < N; ++p) {
-      require(net.in_inv_[k][net.in_map_[k][p]] == p, kSub,
-              "input wiring inverse disagrees with the forward table");
-      require(net.out_inv_[k][net.out_map_[k][p]] == p, kSub,
-              "output wiring inverse disagrees with the forward table");
+  // Each stage's wiring, materialized here only, is a permutation that
+  // agrees with its inverse.
+  std::vector<u32> map(N);
+  for (const auto& stage : net.topology().stages()) {
+    for (const min::FieldRotation& wiring : {stage.in_perm, stage.out_perm}) {
+      const min::FieldRotation inv = wiring.inverse();
+      for (u32 p = 0; p < N; ++p) map[p] = wiring(p);
+      check_permutation(map, kSub);
+      bool agrees = true;
+      for (u32 p = 0; p < N; ++p) agrees &= inv(map[p]) == p;
+      require(agrees, kSub, "stage wiring disagrees with its inverse");
     }
   }
   // Successor/predecessor hops are mutually consistent (sampled on big

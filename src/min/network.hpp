@@ -1,6 +1,7 @@
 // Explicit link-graph view of a multistage topology.
 //
-// The `Network` owns flattened per-stage wiring tables and answers the
+// The `Network` evaluates its topology's closed-form stage wiring (no
+// per-row tables, so it costs O(n) words for any N) and answers the
 // structural questions everything upstream needs: link successors and
 // predecessors, the unique input->output path (two independent
 // implementations: destination-tag and window-greedy), and per-link
@@ -76,11 +77,7 @@ class Network {
   [[nodiscard]] const WindowTable& windows() const;
 
  private:
-  friend void audit::check_network(const ::confnet::min::Network&);
-
   Topology topo_;
-  // Flattened wiring for O(1) hops: [stage][row].
-  std::vector<std::vector<u32>> in_map_, in_inv_, out_map_, out_inv_;
   mutable std::once_flag windows_once_;
   mutable std::unique_ptr<WindowTable> windows_;
 };

@@ -14,50 +14,47 @@ Topology::Topology(Kind kind, u32 n, std::vector<StageSpec> stages)
     : kind_(kind), n_(n), stages_(std::move(stages)) {
   expects(n_ >= 1 && n_ <= 20, "Topology needs 1 <= n <= 20");
   expects(stages_.size() == n_, "Topology needs exactly n stages");
-  const u32 N = size();
   for (const auto& s : stages_) {
-    expects(s.in_perm.size() == N && s.out_perm.size() == N,
-            "stage wiring size mismatch");
+    expects(s.in_perm.bits() <= n_ && s.out_perm.bits() <= n_,
+            "stage wiring wider than the row address");
     expects(s.routing_bit < n_, "routing bit out of range");
   }
+}
+
+StageSpec make_stage(Kind kind, u32 n, u32 k) {
+  expects(k < n, "make_stage needs k < n");
+  constexpr bool kLeft = true, kRight = false;
+  switch (kind) {
+    case Kind::kOmega:
+      // Perfect shuffle in front of every stage; destination bits MSB->LSB.
+      return {FieldRotation(n, kLeft), {}, n - 1 - k};
+    case Kind::kBaseline:
+      // Adjacent pairing, then inverse shuffle inside halving blocks.
+      return {{}, FieldRotation(n - k, kRight), n - 1 - k};
+    case Kind::kIndirectCube:
+      // Stage k pairs rows differing in bit k (bit k moved to the LSB and
+      // back); destination bits LSB -> MSB.
+      return {FieldRotation(k + 1, kLeft), FieldRotation(k + 1, kRight), k};
+    case Kind::kButterfly:
+      // Stage k pairs rows differing in bit n-1-k; MSB -> LSB.
+      return {FieldRotation(n - k, kLeft), FieldRotation(n - k, kRight),
+              n - 1 - k};
+    case Kind::kFlip:
+      // Reverse baseline: shuffle inside growing blocks, identity out.
+      return {FieldRotation(k + 1, kLeft), {}, n - 1 - k};
+    case Kind::kReverseOmega:
+      // Mirrored omega: adjacent pairing, inverse shuffle after every
+      // stage; destination bits LSB -> MSB.
+      return {{}, FieldRotation(n, kRight), k};
+  }
+  throw Error("unknown topology kind");
 }
 
 Topology make_topology(Kind kind, u32 n) {
   expects(n >= 1 && n <= 20, "make_topology needs 1 <= n <= 20");
   std::vector<StageSpec> stages;
   stages.reserve(n);
-  const Permutation id = Permutation::identity(u32{1} << n);
-  for (u32 k = 0; k < n; ++k) {
-    switch (kind) {
-      case Kind::kOmega:
-        // Shuffle in front of every stage; destination bits MSB -> LSB.
-        stages.push_back(StageSpec{shuffle(n), id, n - 1 - k});
-        break;
-      case Kind::kBaseline:
-        // Adjacent pairing, then inverse shuffle inside halving blocks.
-        stages.push_back(StageSpec{id, block_unshuffle(n, n - k), n - 1 - k});
-        break;
-      case Kind::kIndirectCube:
-        // Stage k pairs rows differing in bit k; destination bits LSB->MSB.
-        stages.push_back(
-            StageSpec{bit_to_lsb(n, k), lsb_to_bit(n, k), k});
-        break;
-      case Kind::kButterfly:
-        // Stage k pairs rows differing in bit n-1-k; MSB -> LSB.
-        stages.push_back(StageSpec{bit_to_lsb(n, n - 1 - k),
-                                   lsb_to_bit(n, n - 1 - k), n - 1 - k});
-        break;
-      case Kind::kFlip:
-        // Reverse baseline: shuffle inside growing blocks, identity out.
-        stages.push_back(StageSpec{block_shuffle(n, k + 1), id, n - 1 - k});
-        break;
-      case Kind::kReverseOmega:
-        // Mirrored omega: adjacent pairing, inverse shuffle after every
-        // stage; destination bits LSB -> MSB.
-        stages.push_back(StageSpec{id, unshuffle(n), k});
-        break;
-    }
-  }
+  for (u32 k = 0; k < n; ++k) stages.push_back(make_stage(kind, n, k));
   return Topology(kind, n, std::move(stages));
 }
 

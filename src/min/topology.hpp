@@ -1,10 +1,11 @@
 // Assembly of the studied network class from stages and wiring.
 //
-// A stage is: input wiring permutation -> a column of N/2 two-by-two switch
-// modules (switch w owns post-wiring ports {2w, 2w+1}) -> output wiring
-// permutation. A topology is n such stages over N = 2^n rows. Destination-
-// tag self-routing holds for every member of the class: at stage k the
-// switch emits the signal on sub-port `bit(dest, routing_bit[k])`.
+// A stage is: input wiring -> a column of N/2 two-by-two switch modules
+// (switch w owns post-wiring ports {2w, 2w+1}) -> output wiring. Each wiring
+// is a closed-form `FieldRotation`. A topology is n such stages over N = 2^n
+// rows, so it is O(n) words whatever N. Destination-tag self-routing holds
+// for every member of the class: at stage k the switch emits the signal on
+// sub-port `bit(dest, routing_bit[k])`.
 #pragma once
 
 #include <vector>
@@ -15,9 +16,9 @@
 namespace confnet::min {
 
 struct StageSpec {
-  Permutation in_perm;   // level k rows -> switch ports
-  Permutation out_perm;  // switch ports -> level k+1 rows
-  u32 routing_bit;       // destination bit consumed by this stage
+  FieldRotation in_perm;   // level k rows -> switch ports
+  FieldRotation out_perm;  // switch ports -> level k+1 rows
+  u32 routing_bit;         // destination bit consumed by this stage
 };
 
 class Topology {
@@ -38,6 +39,9 @@ class Topology {
   u32 n_;
   std::vector<StageSpec> stages_;
 };
+
+/// Stage `k` (0-based) of the named topology with N = 2^n ports.
+[[nodiscard]] StageSpec make_stage(Kind kind, u32 n, u32 k);
 
 /// Build one of the named topologies with N = 2^n ports (1 <= n <= 20).
 [[nodiscard]] Topology make_topology(Kind kind, u32 n);

@@ -7,11 +7,7 @@
 
 namespace confnet::min {
 
-using util::bit;
-using util::low_bits;
 using util::reverse_bits_n;
-using util::rotl_n;
-using util::rotr_n;
 
 Permutation::Permutation(std::vector<u32> map) : map_(std::move(map)) {
   std::vector<bool> seen(map_.size(), false);
@@ -52,71 +48,12 @@ bool Permutation::is_identity() const noexcept {
   return true;
 }
 
-namespace {
-Permutation from_fn(u32 n_bits, u32 (*fn)(u32, u32), u32 arg) {
-  expects(n_bits >= 1 && n_bits < 31, "wiring needs 1 <= n_bits < 31");
-  const u32 N = u32{1} << n_bits;
-  std::vector<u32> m(N);
-  for (u32 p = 0; p < N; ++p) m[p] = fn(p, arg);
-  return Permutation(std::move(m));
-}
-}  // namespace
-
-Permutation shuffle(u32 n_bits) {
-  return from_fn(
-      n_bits, +[](u32 p, u32 n) { return static_cast<u32>(rotl_n(p, n)); },
-      n_bits);
-}
-
-Permutation unshuffle(u32 n_bits) {
-  return from_fn(
-      n_bits, +[](u32 p, u32 n) { return static_cast<u32>(rotr_n(p, n)); },
-      n_bits);
-}
-
-Permutation block_shuffle(u32 n_bits, u32 block_bits) {
-  expects(block_bits >= 1 && block_bits <= n_bits,
-          "block_shuffle needs 1 <= block_bits <= n_bits");
-  const u32 N = u32{1} << n_bits;
-  const u32 mask = (u32{1} << block_bits) - 1;
-  std::vector<u32> m(N);
-  for (u32 p = 0; p < N; ++p)
-    m[p] = (p & ~mask) | static_cast<u32>(rotl_n(p & mask, block_bits));
-  return Permutation(std::move(m));
-}
-
-Permutation block_unshuffle(u32 n_bits, u32 block_bits) {
-  expects(block_bits >= 1 && block_bits <= n_bits,
-          "block_unshuffle needs 1 <= block_bits <= n_bits");
-  const u32 N = u32{1} << n_bits;
-  const u32 mask = (u32{1} << block_bits) - 1;
-  std::vector<u32> m(N);
-  for (u32 p = 0; p < N; ++p)
-    m[p] = (p & ~mask) | static_cast<u32>(rotr_n(p & mask, block_bits));
-  return Permutation(std::move(m));
-}
-
-Permutation bit_to_lsb(u32 n_bits, u32 k) {
-  expects(k < n_bits, "bit_to_lsb needs k < n_bits");
-  const u32 N = u32{1} << n_bits;
-  const u32 low_mask = (u32{1} << k) - 1;
-  std::vector<u32> m(N);
-  for (u32 p = 0; p < N; ++p) {
-    const u32 w = ((p >> (k + 1)) << k) | (p & low_mask);
-    m[p] = (w << 1) | bit(p, k);
-  }
-  return Permutation(std::move(m));
-}
-
-Permutation lsb_to_bit(u32 n_bits, u32 k) {
-  return bit_to_lsb(n_bits, k).inverse();
-}
-
 Permutation bit_reversal(u32 n_bits) {
-  return from_fn(
-      n_bits,
-      +[](u32 p, u32 n) { return static_cast<u32>(reverse_bits_n(p, n)); },
-      n_bits);
+  expects(n_bits >= 1 && n_bits < 31, "bit_reversal needs 1 <= n_bits < 31");
+  std::vector<u32> m(u32{1} << n_bits);
+  for (u32 p = 0; p < m.size(); ++p)
+    m[p] = static_cast<u32>(reverse_bits_n(p, n_bits));
+  return Permutation(std::move(m));
 }
 
 }  // namespace confnet::min

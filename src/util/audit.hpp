@@ -2,7 +2,7 @@
 //
 // The `expects`/`ensures` contracts in util/error.hpp guard single call
 // sites; the audits here verify whole-object invariants that no call site
-// can see — stage wiring tables really are permutations, session/wait-queue
+// can see — stage wiring really is a permutation, session/wait-queue
 // state machines only reach legal states, fabric realizations are
 // well-formed flow graphs, buddy free lists tile the port space, and the
 // enhanced design's conferences stay mutually link-disjoint (the paper's
@@ -146,9 +146,10 @@ void check_buddy_state(const std::vector<std::vector<u32>>& free_lists,
 
 // --- Per-subsystem wrappers (implemented beside each subsystem). ---
 
-/// Stage wiring tables are mutually-inverse permutations, every routing bit
-/// is consumed exactly once, and successor/predecessor hops agree. Large
-/// networks (N > 4096) are audited on a row sample to stay O(N).
+/// Every stage's wiring, materialized inside the audit, is a permutation that
+/// agrees with its inverse; every routing bit is consumed exactly once; and
+/// successor/predecessor hops agree (on a row sample when N > 4096, so each
+/// check stays O(N) per level).
 void check_network(const min::Network& net);
 
 /// A group realization is a well-formed flow graph on `net`: links sorted,

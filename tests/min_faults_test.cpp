@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "conference/subnetwork.hpp"
+#include "min/network.hpp"
 #include "min/windows.hpp"
 #include "util/error.hpp"
 
@@ -142,6 +143,23 @@ TEST(Faults, SwitchFaultKillsBothOutputs) {
     for (u32 row = 0; row < 8; ++row)
       if (faults.is_faulty(2, row)) ++at_level2;
     EXPECT_EQ(at_level2, 2u);
+  }
+}
+
+TEST(Faults, SwitchFaultHitsExactlyThatSwitchsOutputs) {
+  const u32 n = 4;
+  for (Kind kind : kAllKinds) {
+    const Network net = make_network(kind, n);
+    for (u32 stage = 1; stage <= n; ++stage) {
+      for (u32 w = 0; w < net.size() / 2; ++w) {
+        FaultSet faults(n);
+        faults.fail_switch_outputs(kind, stage, w);
+        for (u32 row = 0; row < net.size(); ++row)
+          EXPECT_EQ(faults.is_faulty(stage, row),
+                    net.switch_of_output(stage, row) == w)
+              << kind_name(kind) << " stage " << stage << " switch " << w;
+      }
+    }
   }
 }
 

@@ -143,6 +143,23 @@ TEST(RouteLargeSpotChecks, N1024) {
   }
 }
 
+TEST(RouteLargeSpotChecks, TableFreeAtOneMillionPorts) {
+  // N = 2^20: the network is its closed-form stage wiring only, so building
+  // one is cheap at any size; destination-tag routing over it still agrees
+  // with the closed-form path.
+  for (Kind kind : kAllKinds) {
+    const u32 n = 20;
+    const Network net = make_network(kind, n);
+    util::Rng rng(20);
+    for (int trial = 0; trial < 300; ++trial) {
+      const u32 s = static_cast<u32>(rng.below(net.size()));
+      const u32 d = static_cast<u32>(rng.below(net.size()));
+      ASSERT_EQ(net.route_rows(s, d), path_rows(kind, n, s, d))
+          << kind_name(kind) << " " << s << " -> " << d;
+    }
+  }
+}
+
 TEST(RouteErrors, OutOfRangeThrows) {
   const Network net = make_network(Kind::kOmega, 3);
   EXPECT_THROW((void)net.route_rows(8, 0), Error);
