@@ -289,6 +289,16 @@ void emit_tables() {
   }
 }
 
+void BM_RuntimeConstruction(::benchmark::State& state) {
+  // Set-up cost of the serving geometry (4 shards x N=256, dilation 4, two
+  // workers): fabrics, queues and pools, without start()'s thread spawn.
+  for (auto _ : state) {
+    const rt::Runtime r(runtime_config(2));
+    ::benchmark::DoNotOptimize(&r);
+  }
+}
+BENCHMARK(BM_RuntimeConstruction)->Unit(::benchmark::kMicrosecond);
+
 }  // namespace
 }  // namespace confnet
 

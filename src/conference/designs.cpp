@@ -114,8 +114,7 @@ DirectConferenceNetwork::DirectConferenceNetwork(min::Kind kind, u32 n,
                                                  DilationProfile dilation)
     : net_(min::make_network(kind, n)),
       dilation_(std::move(dilation)),
-      state_(net_, dilation_capacity(dilation_)),
-      port_busy_(u32{1} << n, false) {
+      state_(net_, dilation_capacity(dilation_)) {
   expects(dilation_.n() == n, "dilation profile size mismatch");
 }
 
@@ -129,7 +128,7 @@ std::optional<u32> DirectConferenceNetwork::setup(
   expects(members.size() >= 2, "conferences need at least two members");
   for (u32 m : members) {
     expects(m < size(), "member out of range");
-    if (port_busy_[m]) {
+    if (!state_.port_free(m)) {
       last_error_ = SetupError::kPortBusy;
       return std::nullopt;
     }
@@ -149,14 +148,12 @@ std::optional<u32> DirectConferenceNetwork::setup(
     return std::nullopt;
   }
   const u32 handle = next_handle_++;
-  for (u32 m : state_.group(handle).members) port_busy_[m] = true;
   CONFNET_AUDIT_HOOK(audit::check_direct_network(*this));
   return handle;
 }
 
 void DirectConferenceNetwork::teardown(u32 handle) {
   expects(state_.contains(handle), "teardown of unknown conference handle");
-  for (u32 m : state_.group(handle).members) port_busy_[m] = false;
   state_.remove(handle);
   CONFNET_AUDIT_HOOK(audit::check_direct_network(*this));
 }
@@ -172,7 +169,7 @@ bool DirectConferenceNetwork::verify_delivery_reference() const {
 bool DirectConferenceNetwork::add_member(u32 handle, u32 port) {
   expects(state_.contains(handle), "add_member on unknown handle");
   expects(port < size(), "member out of range");
-  if (port_busy_[port]) {
+  if (!state_.port_free(port)) {
     last_error_ = SetupError::kPortBusy;
     return false;
   }
@@ -188,7 +185,6 @@ bool DirectConferenceNetwork::add_member(u32 handle, u32 port) {
     last_error_ = SetupError::kLinkCapacity;
     return false;
   }
-  port_busy_[port] = true;
   CONFNET_AUDIT_HOOK(audit::check_direct_network(*this));
   return true;
 }
@@ -205,7 +201,6 @@ bool DirectConferenceNetwork::remove_member(u32 handle, u32 port) {
   // An ALL_PAIRS subnetwork of fewer members only releases links, so the
   // swap cannot oversubscribe anything.
   state_.replace(handle, std::move(shrunk));
-  port_busy_[port] = false;
   CONFNET_AUDIT_HOOK(audit::check_direct_network(*this));
   return true;
 }
@@ -239,8 +234,7 @@ std::vector<u32> DirectConferenceNetwork::repair_link(u32 level, u32 row) {
 
 EnhancedCubeNetwork::EnhancedCubeNetwork(u32 n)
     : net_(min::make_network(min::Kind::kIndirectCube, n)),
-      state_(net_, sw::FabricConfig{1, true, true}),
-      port_busy_(u32{1} << n, false) {}
+      state_(net_, sw::FabricConfig{1, true, true}) {}
 
 std::string EnhancedCubeNetwork::name() const { return "enhanced-cube"; }
 
@@ -261,7 +255,7 @@ std::optional<u32> EnhancedCubeNetwork::setup(
   expects(members.size() >= 2, "conferences need at least two members");
   for (u32 m : members) {
     expects(m < size(), "member out of range");
-    if (port_busy_[m]) {
+    if (!state_.port_free(m)) {
       last_error_ = SetupError::kPortBusy;
       return std::nullopt;
     }
@@ -281,14 +275,12 @@ std::optional<u32> EnhancedCubeNetwork::setup(
     return std::nullopt;
   }
   const u32 handle = next_handle_++;
-  for (u32 m : state_.group(handle).members) port_busy_[m] = true;
   CONFNET_AUDIT_HOOK(audit::check_enhanced_network(*this));
   return handle;
 }
 
 void EnhancedCubeNetwork::teardown(u32 handle) {
   expects(state_.contains(handle), "teardown of unknown conference handle");
-  for (u32 m : state_.group(handle).members) port_busy_[m] = false;
   state_.remove(handle);
   CONFNET_AUDIT_HOOK(audit::check_enhanced_network(*this));
 }
@@ -304,7 +296,7 @@ bool EnhancedCubeNetwork::verify_delivery_reference() const {
 bool EnhancedCubeNetwork::add_member(u32 handle, u32 port) {
   expects(state_.contains(handle), "add_member on unknown handle");
   expects(port < size(), "member out of range");
-  if (port_busy_[port]) {
+  if (!state_.port_free(port)) {
     last_error_ = SetupError::kPortBusy;
     return false;
   }
@@ -322,7 +314,6 @@ bool EnhancedCubeNetwork::add_member(u32 handle, u32 port) {
     last_error_ = SetupError::kLinkCapacity;
     return false;
   }
-  port_busy_[port] = true;
   CONFNET_AUDIT_HOOK(audit::check_enhanced_network(*this));
   return true;
 }
@@ -338,7 +329,6 @@ bool EnhancedCubeNetwork::remove_member(u32 handle, u32 port) {
   // only appear when the tap level drops, freeing more than it takes within
   // the conference's own rows — so the unconditional swap is safe.
   state_.replace(handle, realize(handle, std::move(shrunk), std::move(real)));
-  port_busy_[port] = false;
   CONFNET_AUDIT_HOOK(audit::check_enhanced_network(*this));
   return true;
 }
@@ -373,31 +363,25 @@ namespace confnet::audit {
 
 namespace {
 
-/// Shared portion of the two design audits: member sets disjoint, busy-port
-/// bitmap == union of members, handles in range, and — via
-/// check_fabric_state — load/ownership accounting consistent with the
-/// stateless Fabric oracle.
-void check_design_state(const sw::FabricState& state,
-                        const std::vector<bool>& port_busy, conf::u32 n,
+/// Shared portion of the two design audits: member sets disjoint, handles
+/// in range, and — via check_fabric_state — load and port-ownership
+/// accounting consistent with group membership and the stateless Fabric
+/// oracle.
+void check_design_state(const sw::FabricState& state, conf::u32 n,
                         conf::u32 next_handle, std::string_view sub) {
   using conf::u32;
   const u32 N = u32{1} << n;
   std::vector<std::vector<u32>> member_sets;
-  std::vector<bool> busy(N, false);
   state.for_each_group([&](const sw::GroupRealization& g) {
     require(g.id < next_handle, sub, "conference handle from the future");
     require(g.members.size() >= 2, sub, "active conference below two members");
     member_sets.push_back(g.members);
-    for (u32 m : g.members) {
+    for (u32 m : g.members)
       require(m < N, sub, "active member row out of range");
-      busy[m] = true;
-    }
     require(g.links.size() == static_cast<std::size_t>(n) + 1, sub,
             "active link set has wrong level count");
   });
   check_disjoint_memberships(member_sets, N, sub);
-  require(busy == port_busy, sub,
-          "busy-port bitmap is not the union of active members");
   // Both designs admit only within capacity, so the incremental overflow
   // counter must read zero on live state.
   require(state.overflowing_links() == 0, sub,
@@ -410,8 +394,7 @@ void check_design_state(const sw::FabricState& state,
 void check_direct_network(const conf::DirectConferenceNetwork& net) {
   constexpr std::string_view kSub = "designs";
   using conf::u32;
-  check_design_state(net.state_, net.port_busy_, net.n(), net.next_handle_,
-                     kSub);
+  check_design_state(net.state_, net.n(), net.next_handle_, kSub);
   for (u32 level = 0; level <= net.n(); ++level)
     require(net.state_.capacity()[level] == net.dilation_.channels(level),
             kSub, "fabric capacity diverges from the dilation profile");
@@ -427,8 +410,7 @@ void check_direct_network(const conf::DirectConferenceNetwork& net) {
 void check_enhanced_network(const conf::EnhancedCubeNetwork& net) {
   constexpr std::string_view kSub = "designs";
   using conf::u32;
-  check_design_state(net.state_, net.port_busy_, net.n(), net.next_handle_,
-                     kSub);
+  check_design_state(net.state_, net.n(), net.next_handle_, kSub);
   std::vector<std::vector<std::vector<u32>>> group_links;
   net.state_.for_each_group([&](const sw::GroupRealization& g) {
     // The stored realization is exactly the recomputed one (taps included).

@@ -202,7 +202,6 @@ class DirectConferenceNetwork final : public ConferenceNetworkBase {
   min::Network net_;
   DilationProfile dilation_;
   sw::FabricState state_;  // owns the active realizations + link loads
-  std::vector<bool> port_busy_;
   u32 next_handle_ = 0;
   SetupError last_error_ = SetupError::kPortBusy;
 };
@@ -260,7 +259,6 @@ class EnhancedCubeNetwork final : public ConferenceNetworkBase {
 
   min::Network net_;
   sw::FabricState state_;  // owns the active realizations + link loads
-  std::vector<bool> port_busy_;
   u32 next_handle_ = 0;
   SetupError last_error_ = SetupError::kPortBusy;
 };

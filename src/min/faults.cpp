@@ -11,39 +11,37 @@ namespace confnet::min {
 
 FaultSet::FaultSet(u32 n) : n_(n) {
   expects(n >= 1 && n <= 20, "FaultSet: 1 <= n <= 20");
-  faulty_.assign(n + 1, util::DynBitset(u32{1} << n));
+  faulty_ = util::DynBitset(std::size_t{n + 1} << n);
 }
 
 void FaultSet::fail_link(u32 level, u32 row) {
   expects(level <= n_ && row < size(), "fail_link out of range");
-  if (!faulty_[level].test(row)) {
-    faulty_[level].set(row);
+  if (!faulty_.test(bit(level, row))) {
+    faulty_.set(bit(level, row));
     ++count_;
   }
 }
 
 void FaultSet::repair_link(u32 level, u32 row) {
   expects(level <= n_ && row < size(), "repair_link out of range");
-  if (faulty_[level].test(row)) {
-    faulty_[level].reset(row);
+  if (faulty_.test(bit(level, row))) {
+    faulty_.reset(bit(level, row));
     --count_;
   }
 }
 
 bool FaultSet::is_faulty(u32 level, u32 row) const {
   expects(level <= n_ && row < size(), "is_faulty out of range");
-  return faulty_[level].test(row);
+  return faulty_.test(bit(level, row));
 }
 
 void FaultSet::clear() {
-  for (auto& level : faulty_) level.clear();
+  faulty_.clear();
   count_ = 0;
 }
 
 bool FaultSet::count_consistent() const noexcept {
-  u64 recount = 0;
-  for (const auto& level : faulty_) recount += level.count();
-  return recount == count_;
+  return faulty_.count() == count_;
 }
 
 void FaultSet::inject_random(double p, util::Rng& rng) {

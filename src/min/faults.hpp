@@ -37,7 +37,7 @@ class FaultSet {
   /// Repair every link (fault_count() back to 0).
   void clear();
 
-  /// `fault_count()` equals a full recount of the per-level bitsets. Used
+  /// `fault_count()` equals a full recount of the fault bitset. Used
   /// by the fabric-state audit to catch any future counter drift.
   [[nodiscard]] bool count_consistent() const noexcept;
 
@@ -49,9 +49,14 @@ class FaultSet {
   void fail_switch_outputs(Kind kind, u32 stage, u32 switch_index);
 
  private:
+  /// Bit of link (level, row) in `faulty_`: level-major, 2^n rows a level.
+  [[nodiscard]] std::size_t bit(u32 level, u32 row) const noexcept {
+    return (std::size_t{level} << n_) | row;
+  }
+
   u32 n_;
   u64 count_ = 0;
-  std::vector<util::DynBitset> faulty_;  // per level
+  util::DynBitset faulty_;  // (n+1)·2^n bits, indexed by bit(level, row)
 };
 
 /// True iff the unique (src,dst) path avoids every faulty link.

@@ -10,7 +10,10 @@
 // Allocation discipline: storage is one ring of `capacity` slots allocated
 // at construction and recycled forever — the steady-state push/pop path
 // moves values in and out of preexisting slots and never allocates (the
-// `hot-alloc` static check covers it).
+// `hot-alloc` static check covers it). A slot is an empty std::optional
+// until a push fills it and is emptied again by the pop that takes its
+// value, so construction runs no element constructor and a queued value
+// (with whatever it owns) lives exactly as long as it is queued.
 //
 // Fast-fail: try_push first consults `approx_size_`, an atomic mirror of
 // the ring occupancy maintained under the lock. A producer that reads it
@@ -30,6 +33,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -99,7 +103,8 @@ class BoundedMpscQueue {
       while (taken < max && size_ > 0) {
         // static_check: allow(hot-alloc) `out` is the consumer's reused
         // burst buffer, reserved to the burst bound once at startup
-        out.push_back(std::move(ring_[head_]));
+        out.push_back(std::move(*ring_[head_]));
+        ring_[head_].reset();
         head_ = (head_ + 1) % capacity_;
         --size_;
         ++taken;
@@ -159,7 +164,7 @@ class BoundedMpscQueue {
   const std::size_t capacity_;  // runtime-owner: immutable
   mutable util::Mutex mu_;      // runtime-owner: lock
   util::CondVar space_cv_;      // runtime-owner: lock
-  std::vector<T> ring_ CONFNET_GUARDED_BY(mu_);
+  std::vector<std::optional<T>> ring_ CONFNET_GUARDED_BY(mu_);
   std::size_t head_ CONFNET_GUARDED_BY(mu_) = 0;
   std::size_t tail_ CONFNET_GUARDED_BY(mu_) = 0;
   std::size_t size_ CONFNET_GUARDED_BY(mu_) = 0;

@@ -45,7 +45,7 @@ FabricState::FabricState(const min::Network& net, std::vector<u32> capacity,
       fan_in_(fan_in),
       fan_out_(fan_out),
       faults_(net.n()),
-      load_(net.n() + 1, std::vector<u32>(net.size(), 0)),
+      load_(std::size_t{net.n() + 1} * net.size(), 0),
       owner_(net.size(), -1) {
   expects(capacity_.size() == static_cast<std::size_t>(net_.n()) + 1,
           "FabricState capacity needs n+1 levels");
@@ -74,7 +74,7 @@ void FabricState::apply_load(const GroupRealization& group, bool add) {
   for (u32 level = 0; level < group.links.size(); ++level) {
     const u32 cap = capacity_[level];
     for (u32 row : group.links[level]) {
-      u32& load = load_[level][row];
+      u32& load = load_[link_index(level, row)];
       if (add) {
         if (++load == cap + 1) ++overflowing_;
       } else {
@@ -118,7 +118,7 @@ CONFNET_HOT bool FabricState::try_add(GroupRealization group) {
   if (!links_clear(group.links)) return false;
   for (u32 level = 0; level < group.links.size(); ++level)
     for (u32 row : group.links[level])
-      if (load_[level][row] + 1 > capacity_[level]) return false;
+      if (load_[link_index(level, row)] + 1 > capacity_[level]) return false;
 
   for (u32 m : group.members) owner_[m] = static_cast<int>(group.id);
   apply_load(group, true);
@@ -147,7 +147,7 @@ CONFNET_HOT bool FabricState::try_replace(u32 id,
   // Capacity check on the links gained by the swap, before any change.
   bool feasible = true;
   for_each_delta(group.links, old.links, [&](u32 level, u32 row) {
-    if (load_[level][row] + 1 > capacity_[level]) feasible = false;
+    if (load_[link_index(level, row)] + 1 > capacity_[level]) feasible = false;
   });
   if (!feasible) return false;
 
@@ -167,11 +167,11 @@ CONFNET_HOT void FabricState::replace(u32 id, GroupRealization group) {
     owner_[m] = static_cast<int>(id);
   }
   for_each_delta(group.links, entry.group.links, [&](u32 level, u32 row) {
-    u32& load = load_[level][row];
+    u32& load = load_[link_index(level, row)];
     if (++load == capacity_[level] + 1) ++overflowing_;
   });
   for_each_delta(entry.group.links, group.links, [&](u32 level, u32 row) {
-    u32& load = load_[level][row];
+    u32& load = load_[link_index(level, row)];
     expects(load > 0, "link load underflow");
     if (load-- == capacity_[level] + 1) --overflowing_;
   });
@@ -199,7 +199,8 @@ CONFNET_HOT void FabricState::remove(u32 id) {
 CONFNET_HOT const std::vector<u32>& FabricState::mark_link_users_dirty(
     u32 level, u32 row) {
   dirty_scratch_.clear();
-  const u32 users = load_[level][row];  // one channel per group per link
+  // One channel per group per link: the link's load is its user count.
+  const u32 users = load_[link_index(level, row)];
   if (users == 0) return dirty_scratch_;
   for (u32 id : live_ids_) {
     Entry& entry = slots_[slot_of_[id]];
@@ -280,16 +281,15 @@ void FabricState::invalidate_signal_caches() {
 }
 
 u32 FabricState::load_at(u32 level, u32 row) const {
-  expects(level < load_.size(), "level out of range");
+  expects(level <= net_.n(), "level out of range");
   expects(row < net_.size(), "row out of range");
-  return load_[level][row];
+  return load_[link_index(level, row)];
 }
 
 u32 FabricState::level_peak_load(u32 level) const {
-  expects(level < load_.size(), "level out of range");
-  u32 peak = 0;
-  for (u32 v : load_[level]) peak = std::max(peak, v);
-  return peak;
+  expects(level <= net_.n(), "level out of range");
+  const auto first = load_.begin() + std::ptrdiff_t{level} * net_.size();
+  return *std::max_element(first, first + net_.size());
 }
 
 void FabricState::build_plan(const Entry& entry) const {
@@ -558,10 +558,10 @@ EvalReport FabricState::report() const {
   report.max_link_load.assign(n + 1, 0);
   for (u32 level = 0; level <= n; ++level) {
     for (u32 r = 0; r < N; ++r) {
-      report.max_link_load[level] =
-          std::max(report.max_link_load[level], load_[level][r]);
-      if (load_[level][r] > capacity_[level])
-        report.overflows.push_back(Overflow{level, r, load_[level][r]});
+      const u32 load = load_[link_index(level, r)];
+      report.max_link_load[level] = std::max(report.max_link_load[level], load);
+      if (load > capacity_[level])
+        report.overflows.push_back(Overflow{level, r, load});
     }
   }
   report.delivered.reserve(live_ids_.size());
@@ -582,7 +582,7 @@ void FabricState::cross_check() const {
   const u32 n = net_.n();
 
   // Recount the load matrix and overflow counter from the admitted groups.
-  std::vector<std::vector<u32>> expected_load(n + 1, std::vector<u32>(N, 0));
+  std::vector<u32> expected_load(load_.size(), 0);  // same level-major layout
   std::vector<int> expected_owner(N, -1);
   u32 expected_overflowing = 0;
   std::vector<GroupRealization> groups;
@@ -591,7 +591,8 @@ void FabricState::cross_check() const {
     const Entry& entry = slots_[slot_of_[id]];
     groups.push_back(entry.group);
     for (u32 level = 0; level <= n; ++level)
-      for (u32 row : entry.group.links[level]) ++expected_load[level][row];
+      for (u32 row : entry.group.links[level])
+        ++expected_load[link_index(level, row)];
     for (u32 m : entry.group.members) {
       audit::require(expected_owner[m] < 0, kSub,
                      "admitted groups share a member port");
@@ -632,7 +633,8 @@ void FabricState::cross_check() const {
                  "stale id->slot mappings outlive their groups");
   for (u32 level = 0; level <= n; ++level)
     for (u32 row = 0; row < N; ++row)
-      if (expected_load[level][row] > capacity_[level]) ++expected_overflowing;
+      if (expected_load[link_index(level, row)] > capacity_[level])
+        ++expected_overflowing;
   audit::require(load_ == expected_load, kSub,
                  "incremental load matrix diverges from group recount");
   audit::require(owner_ == expected_owner, kSub,

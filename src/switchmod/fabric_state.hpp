@@ -136,6 +136,12 @@ class FabricState {
   }
   [[nodiscard]] const GroupRealization& group(u32 id) const;
 
+  /// True iff no admitted group has `port` among its members.
+  [[nodiscard]] bool port_free(u32 port) const {
+    expects(port < owner_.size(), "port out of range");
+    return owner_[port] < 0;
+  }
+
   /// Delivered member sets at group `id`'s outputs (order of its members).
   /// Lazily re-propagated after a mutation of that group.
   [[nodiscard]] const std::vector<MemberSet>& delivered(u32 id) const;
@@ -244,7 +250,7 @@ class FabricState {
   void maybe_periodic_audit();
   /// Dirty every group whose realization uses link (level,row); returns
   /// their ids in ascending order. O(groups on the link): the scan stops
-  /// once load_[level][row] users have been found. Writes into
+  /// once load_[link_index(level, row)] users have been found. Writes into
   /// dirty_scratch_ (capacity reused across mutations, CONFNET_HOT).
   const std::vector<u32>& mark_link_users_dirty(u32 level, u32 row);
 
@@ -254,6 +260,10 @@ class FabricState {
   [[nodiscard]] const Entry& entry_of(u32 id) const {
     expects(contains(id), "unknown group id");
     return slots_[slot_of_[id]];
+  }
+  /// Position of link (level, row) in the level-major `load_`.
+  [[nodiscard]] std::size_t link_index(u32 level, u32 row) const {
+    return std::size_t{level} * net_.size() + row;
   }
 
   const min::Network& net_;
@@ -271,8 +281,8 @@ class FabricState {
   std::vector<u32> slot_of_;     // group id -> slot, kNoSlot when absent
   std::vector<u32> live_ids_;    // admitted ids, ascending
   std::vector<std::uint64_t> slot_gen_;  // occupation generation per slot
-  std::vector<std::vector<u32>> load_;  // [level][row]
-  std::vector<int> owner_;              // port -> group id, -1 when free
+  std::vector<u32> load_;   // (n+1)·N link loads, indexed by link_index()
+  std::vector<int> owner_;  // port -> group id, -1 when free
   u32 overflowing_ = 0;
   u32 mutations_ = 0;  // drives the periodic CONFNET_AUDIT cross-check
   // Bitset-row scratch arena for propagate(); holds one group at a time

@@ -77,6 +77,34 @@ TEST(FaultSet, RepairReinjectRoundTripKeepsCountConsistent) {
     EXPECT_FALSE(faults.is_faulty(level, row));
 }
 
+TEST(FaultSet, CornerLinksSetExactlyTheirOwnBit) {
+  // The fault mask is one level-major bitset; the first and last rows of a
+  // level sit next to the neighbouring levels' rows in it. Failing either
+  // corner must touch that link alone.
+  for (u32 n = 1; n <= 10; ++n) {
+    const u32 N = u32{1} << n;
+    for (const auto& [lv, rw] :
+         {std::pair<u32, u32>{0, N - 1}, std::pair<u32, u32>{n, 0}}) {
+      FaultSet faults(n);
+      faults.fail_link(lv, rw);
+      EXPECT_EQ(faults.fault_count(), 1u);
+      EXPECT_TRUE(faults.count_consistent());
+      EXPECT_TRUE(faults.is_faulty(lv, rw));
+      for (u32 level = 0; level <= n; ++level)
+        for (u32 row = 0; row < N; ++row) {
+          if (level == lv && row == rw) continue;
+          ASSERT_FALSE(faults.is_faulty(level, row))
+              << "n=" << n << " failed (" << lv << "," << rw
+              << ") also reads (" << level << "," << row << ")";
+        }
+      faults.repair_link(lv, rw);
+      EXPECT_EQ(faults.fault_count(), 0u);
+      EXPECT_TRUE(faults.count_consistent());
+      EXPECT_FALSE(faults.is_faulty(lv, rw));
+    }
+  }
+}
+
 TEST(Faults, HealthyNetworkFullyConnected) {
   for (Kind kind : kAllKinds) {
     const FaultSet faults(4);

@@ -1,7 +1,8 @@
 // Functional tests of the concurrent admission runtime: command routing,
 // the bounded-queue edge cases (backpressure, bounce-once accounting
 // across retries, drain-on-stop with in-flight batches, post-stop
-// rejection), the lock-lean producer path (pooled completions that
+// rejection), queue-slot lifetimes (a slot holds a value only while it is
+// queued), the lock-lean producer path (pooled completions that
 // recycle their slots, staged bursts with one wake per flush, tiny-queue
 // flushes that must not self-deadlock), cross-shard snapshot consistency,
 // fault commands, and the worker-count determinism contract (per-shard
@@ -11,6 +12,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -177,6 +179,110 @@ TEST(Runtime, FullQueueBackpressureReturnsCommandToCaller) {
   EXPECT_EQ(completions.load(), 4);
   EXPECT_TRUE(extra_completed);
   EXPECT_EQ(r.snapshot().total.completed, 5u);
+}
+
+/// Queue element that counts its constructions and destructions (copies
+/// and moves included) and pins a shared token while it is alive. Copy-only
+/// on purpose: a moved-from slot keeps its token, so only a slot that is
+/// actually emptied releases it.
+struct Counted {
+  static inline int constructed = 0;
+  static inline int destroyed = 0;
+  static void reset_counts() { constructed = destroyed = 0; }
+  static int alive() { return constructed - destroyed; }
+
+  // Default-constructible, so a ring that pre-built its slots would
+  // compile and show up in the counts.
+  Counted() : Counted(0) {}
+  explicit Counted(int v, std::shared_ptr<int> t = nullptr)
+      : value(v), token(std::move(t)) {
+    ++constructed;
+  }
+  Counted(const Counted& o) : value(o.value), token(o.token) { ++constructed; }
+  Counted& operator=(const Counted&) = default;
+  ~Counted() { ++destroyed; }
+
+  int value;
+  std::shared_ptr<int> token;
+};
+
+TEST(QueueSlots, ConstructionBuildsNoElements) {
+  Counted::reset_counts();
+  const rt::BoundedMpscQueue<Counted> q(256);
+  EXPECT_EQ(Counted::constructed, 0);
+  EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(QueueSlots, PopReleasesWhatTheItemOwns) {
+  // A Command's `done` capture must die when the command is popped and
+  // consumed, not `capacity` pushes later when its slot is reused.
+  rt::BoundedMpscQueue<rt::Command> commands(4);
+  auto captured = std::make_shared<int>(7);
+  rt::Command c = open_cmd(2);
+  c.done = [captured](rt::CommandResult&&) {};
+  ASSERT_EQ(commands.try_push(std::move(c)), rt::QueuePush::kOk);
+  EXPECT_EQ(captured.use_count(), 2);
+  std::vector<rt::Command> burst;
+  ASSERT_EQ(commands.pop_batch(burst, 8), 1u);
+  burst.clear();
+  EXPECT_EQ(captured.use_count(), 1);
+
+  // The same for an element whose move leaves its source intact.
+  Counted::reset_counts();
+  rt::BoundedMpscQueue<Counted> q(4);
+  auto token = std::make_shared<int>(0);
+  ASSERT_EQ(q.try_push(Counted(1, token)), rt::QueuePush::kOk);
+  EXPECT_EQ(token.use_count(), 2);
+  std::vector<Counted> out;
+  ASSERT_EQ(q.pop_batch(out, 8), 1u);
+  out.clear();
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(Counted::alive(), 0);
+}
+
+TEST(QueueSlots, DestroyingAQueueDestroysExactlyItsItems) {
+  for (int k = 0; k <= 5; ++k) {
+    Counted::reset_counts();
+    int destroyed_before = 0;
+    {
+      rt::BoundedMpscQueue<Counted> q(8);
+      for (int i = 0; i < k; ++i)
+        ASSERT_EQ(q.try_push(Counted(i)), rt::QueuePush::kOk);
+      ASSERT_EQ(Counted::alive(), k);
+      destroyed_before = Counted::destroyed;
+    }
+    EXPECT_EQ(Counted::destroyed - destroyed_before, k) << "k=" << k;
+    EXPECT_EQ(Counted::alive(), 0) << "k=" << k;
+  }
+}
+
+TEST(QueueSlots, FifoAcrossWrapAround) {
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{3}}) {
+    Counted::reset_counts();
+    rt::BoundedMpscQueue<Counted> q(capacity);
+    confnet::util::Rng rng(capacity);
+    int next_in = 0;
+    int next_out = 0;
+    std::vector<Counted> out;
+    for (int round = 0; round < 400; ++round) {
+      const std::size_t room = capacity - q.size();
+      for (u64 i = rng.below(room + 1); i > 0; --i)
+        ASSERT_EQ(q.try_push(Counted(next_in++)), rt::QueuePush::kOk);
+      if (q.size() == capacity) {
+        EXPECT_EQ(q.try_push(Counted(-1)), rt::QueuePush::kFull);
+      }
+      q.pop_batch(out, 1 + rng.below(capacity));
+      for (const Counted& c : out) EXPECT_EQ(c.value, next_out++);
+      out.clear();
+      ASSERT_EQ(Counted::alive(), static_cast<int>(q.size()))
+          << "capacity " << capacity << " round " << round;
+    }
+    q.pop_batch(out, capacity);
+    for (const Counted& c : out) EXPECT_EQ(c.value, next_out++);
+    EXPECT_EQ(next_out, next_in);
+    EXPECT_GT(next_out, static_cast<int>(10 * capacity))
+        << "the ring must wrap many times";
+  }
 }
 
 TEST(Runtime, BouncedSubmitsAreCountedOnceAcrossRetry) {

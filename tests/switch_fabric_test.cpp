@@ -1,11 +1,17 @@
 // Functional fabric tests: signal propagation with fan-in/fan-out, channel
-// overflow detection, mux relay taps.
+// overflow detection, mux relay taps, and FabricState's incremental load
+// matrix against a recount of its admitted groups.
 #include "switchmod/fabric.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "conference/subnetwork.hpp"
+#include "switchmod/fabric_state.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace confnet::sw {
 namespace {
@@ -177,6 +183,93 @@ TEST(Fabric, RejectsMalformedGroups) {
 TEST(Fabric, ConfigValidation) {
   const min::Network net = min::make_network(Kind::kOmega, 2);
   EXPECT_THROW(Fabric(net, FabricConfig{0, true, true}), Error);
+}
+
+/// Every link's load and every level's peak, recounted from the admitted
+/// groups, must match what FabricState keeps incrementally.
+void expect_loads_match_recount(const FabricState& state, u32 n) {
+  const u32 N = u32{1} << n;
+  std::vector<std::vector<u32>> load(n + 1, std::vector<u32>(N, 0));
+  state.for_each_group([&](const GroupRealization& g) {
+    for (u32 level = 0; level <= n; ++level)
+      for (u32 row : g.links[level]) ++load[level][row];
+  });
+  u32 overflowing = 0;
+  for (u32 level = 0; level <= n; ++level) {
+    for (u32 row = 0; row < N; ++row) {
+      ASSERT_EQ(state.load_at(level, row), load[level][row])
+          << "n=" << n << " link (" << level << "," << row << ")";
+      if (load[level][row] > state.capacity()[level]) ++overflowing;
+    }
+    ASSERT_EQ(state.level_peak_load(level),
+              *std::max_element(load[level].begin(), load[level].end()))
+        << "n=" << n << " level " << level;
+  }
+  ASSERT_EQ(state.overflowing_links(), overflowing) << "n=" << n;
+}
+
+TEST(FabricState, LoadMatrixMatchesGroupRecountUnderChurn) {
+  // Seeded install / grow / shrink / remove churn at every size from N = 2
+  // up; the unconditional replace may overflow a link, which the overflow
+  // counter must see too.
+  u32 steps_overflowing = 0;
+  for (u32 n = 1; n <= 10; ++n) {
+    const u32 N = u32{1} << n;
+    const Kind kind = min::kAllKinds[n % min::kAllKinds.size()];
+    const min::Network net = min::make_network(kind, n);
+    util::Rng rng(1000 + n);
+    std::vector<u32> capacity(n + 1);
+    for (u32& c : capacity) c = 1 + static_cast<u32>(rng.below(3));
+    FabricState state(net, capacity);
+
+    const auto free_ports = [&] {
+      std::vector<u32> ports;
+      for (u32 p = 0; p < N; ++p)
+        if (state.port_free(p)) ports.push_back(p);
+      return ports;
+    };
+    std::vector<u32> live;
+    std::size_t most_live = 0;
+    u32 next_id = 0;
+    for (int step = 0; step < 300; ++step) {
+      const std::vector<u32> ports = free_ports();
+      const min::u64 op = live.empty() ? 0 : rng.below(4);
+      if (op == 0 && ports.size() >= 2) {
+        const u32 k = 2 + static_cast<u32>(rng.below(
+                              std::min<std::size_t>(ports.size(), 5) - 1));
+        std::vector<u32> members;
+        for (u32 i : rng.sample_distinct(static_cast<u32>(ports.size()), k))
+          members.push_back(ports[i]);
+        if (state.try_add(make_group(next_id, kind, n, members)))
+          live.push_back(next_id);
+        ++next_id;
+      } else if (op == 1 && !live.empty()) {
+        const std::size_t at = rng.below(live.size());
+        state.remove(live[at]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
+      } else if (op == 2 && !live.empty() && !ports.empty()) {
+        const u32 id = live[rng.below(live.size())];
+        std::vector<u32> members = state.group(id).members;
+        members.push_back(ports[rng.below(ports.size())]);
+        (void)state.try_replace(id, make_group(id, kind, n, members));
+      } else if (op == 3 && !live.empty()) {
+        const u32 id = live[rng.below(live.size())];
+        std::vector<u32> members = state.group(id).members;
+        if (members.size() > 2)
+          members.erase(members.begin() +
+                        static_cast<std::ptrdiff_t>(rng.below(members.size())));
+        else if (!ports.empty())
+          members[rng.below(2)] = ports[rng.below(ports.size())];
+        state.replace(id, make_group(id, kind, n, members));
+      }
+      expect_loads_match_recount(state, n);
+      if (HasFatalFailure()) return;
+      if (state.overflowing_links() > 0) ++steps_overflowing;
+      most_live = std::max(most_live, live.size());
+    }
+    EXPECT_GT(most_live, n > 2 ? 1u : 0u) << "n=" << n;
+  }
+  EXPECT_GT(steps_overflowing, 0u) << "the churn never overflowed a link";
 }
 
 }  // namespace
