@@ -235,6 +235,28 @@ void BM_PropagateReference(benchmark::State& state) {
 }
 BENCHMARK(BM_PropagateReference)->DenseRange(6, 10, 2);
 
+// The teletraffic simulation's pattern: one group changes (here: replaced by a
+// copy of its own realization, which dirties its cached verdict), then the
+// periodic delivery check runs over the whole fabric. Each iteration
+// re-propagates one group and reads every other group's cached verdict.
+void BM_DeliveryCheckChurn(benchmark::State& state) {
+  const u32 n = static_cast<u32>(state.range(0));
+  const min::Network net = min::make_network(Kind::kIndirectCube, n);
+  sw::FabricState fabric(net, sw::FabricConfig{u32{1} << n, true, true});
+  const std::vector<u32> ids = populate_propagation_state(fabric, n);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const u32 id = ids[next];
+    next = next + 1 == ids.size() ? 0 : next + 1;
+    fabric.replace(id, fabric.group(id));
+    bool ok = fabric.delivery_ok();
+    benchmark::DoNotOptimize(ok);
+  }
+  state.SetLabel(util::simd::active_backend_name());
+  state.counters["groups"] = static_cast<double>(ids.size());
+}
+BENCHMARK(BM_DeliveryCheckChurn)->DenseRange(6, 10, 2);
+
 }  // namespace
 }  // namespace confnet
 

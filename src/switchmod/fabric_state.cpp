@@ -22,6 +22,27 @@ std::size_t index_of(const std::vector<u32>& sorted_rows, u32 row) {
   return static_cast<std::size_t>(it - sorted_rows.begin());
 }
 
+/// Invoke fn(member index, level, link index) for the link each of `g`'s
+/// outputs listens to: its relay tap when present, else its level-n row.
+template <typename Fn>
+void for_each_output(const GroupRealization& g, Fn&& fn) {
+  constexpr std::size_t npos = static_cast<std::size_t>(-1);
+  const auto n = static_cast<u32>(g.links.size() - 1);
+  const bool tapped = !g.taps.empty();
+  expects(!tapped || g.taps.size() == g.members.size(),
+          "relay taps must cover every member");
+  for (std::size_t i = 0; i < g.members.size(); ++i) {
+    const u32 output = tapped ? g.taps[i].output : g.members[i];
+    const u32 level = tapped ? g.taps[i].tap_level : n;
+    const std::size_t mi = tapped ? index_of(g.members, output) : i;
+    expects(mi != npos, "tap output is not a member");
+    expects(level <= n, "tap level out of range");
+    const std::size_t li = index_of(g.links[level], output);
+    expects(li != npos, "output link is not part of the group's subnetwork");
+    fn(mi, level, li);
+  }
+}
+
 /// Invoke fn(level, row) for every link present in `a` but not in `b`.
 template <typename Fn>
 void for_each_delta(const std::vector<std::vector<u32>>& a,
@@ -125,7 +146,6 @@ CONFNET_HOT bool FabricState::try_add(GroupRealization group) {
   const u32 id = group.id;
   Entry& entry = slots_[occupy_slot(id)];
   entry.group = std::move(group);
-  entry.plan.built = false;
   entry.dirty = true;
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
   return true;
@@ -176,7 +196,6 @@ CONFNET_HOT void FabricState::replace(u32 id, GroupRealization group) {
     if (load-- == capacity_[level] + 1) --overflowing_;
   });
   entry.group = std::move(group);
-  entry.plan.built = false;
   entry.dirty = true;
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
 }
@@ -257,21 +276,24 @@ const GroupRealization& FabricState::group(u32 id) const {
   return entry_of(id).group;
 }
 
-const std::vector<MemberSet>& FabricState::delivered(u32 id) const {
-  const Entry& entry = entry_of(id);
-  if (entry.dirty) propagate(entry);
-  return entry.delivered;
+std::vector<MemberSet> FabricState::delivered(u32 id) const {
+  const GroupRealization& g = entry_of(id).group;
+  (void)propagate(g);
+  return read_delivered(g);
+}
+
+const FabricState::Verdict& FabricState::verdict_of(const Entry& entry) const {
+  if (entry.dirty) {
+    entry.verdict = propagate(entry.group);
+    entry.dirty = false;
+  }
+  return entry.verdict;
 }
 
 bool FabricState::delivery_ok() const {
   for (u32 id : live_ids_) {
-    const Entry& entry = slots_[slot_of_[id]];
-    if (entry.dirty) propagate(entry);
-    // delivered_exact is the plane engine's mask-row equality probe: true
-    // iff every output heard exactly the full member set. No per-member
-    // vector comparison on this path.
-    if (entry.capability_violations != 0 || !entry.delivered_exact)
-      return false;
+    const Verdict& v = verdict_of(slots_[slot_of_[id]]);
+    if (v.capability_violations != 0 || !v.delivered_exact) return false;
   }
   return true;
 }
@@ -292,73 +314,8 @@ u32 FabricState::level_peak_load(u32 level) const {
   return *std::max_element(first, first + net_.size());
 }
 
-void FabricState::build_plan(const Entry& entry) const {
-  const GroupRealization& g = entry.group;
-  const u32 n = net_.n();
-  constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  constexpr u32 absent = PropagationPlan::kAbsent;
-  PropagationPlan& plan = entry.plan;
-
-  plan.inject.assign(g.links[0].size(), absent);
-  for (std::size_t i = 0; i < g.links[0].size(); ++i) {
-    const std::size_t mi = index_of(g.members, g.links[0][i]);
-    if (mi != npos) plan.inject[i] = static_cast<u32>(mi);
-  }
-
-  plan.preds.clear();
-  plan.pred_off.assign(n + 1, 0);
-  for (u32 level = 1; level <= n; ++level) {
-    plan.pred_off[level] = static_cast<u32>(plan.preds.size());
-    for (u32 row : g.links[level]) {
-      std::array<u32, 2> pi{absent, absent};
-      const auto qs = net_.predecessors(level, row);
-      for (std::size_t s = 0; s < qs.size(); ++s) {
-        const std::size_t idx = index_of(g.links[level - 1], qs[s]);
-        if (idx != npos) pi[s] = static_cast<u32>(idx);
-      }
-      plan.preds.push_back(pi);
-    }
-  }
-
-  plan.succs.clear();
-  plan.succ_off.assign(n, 0);
-  for (u32 level = 0; level < n; ++level) {
-    plan.succ_off[level] = static_cast<u32>(plan.succs.size());
-    for (u32 row : g.links[level]) {
-      std::array<u32, 2> si{absent, absent};
-      const auto qs = net_.successors(level, row);
-      for (std::size_t s = 0; s < qs.size(); ++s) {
-        const std::size_t idx = index_of(g.links[level + 1], qs[s]);
-        if (idx != npos) si[s] = static_cast<u32>(idx);
-      }
-      plan.succs.push_back(si);
-    }
-  }
-
-  plan.read_at.assign(g.members.size(), {0, 0});
-  if (!g.taps.empty()) {
-    expects(g.taps.size() == g.members.size(),
-            "relay taps must cover every member");
-    for (const auto& tap : g.taps) {
-      const std::size_t mi = index_of(g.members, tap.output);
-      expects(mi != npos, "tap output is not a member");
-      expects(tap.tap_level <= n, "tap level out of range");
-      const std::size_t li = index_of(g.links[tap.tap_level], tap.output);
-      expects(li != npos, "tap link is not part of the group's subnetwork");
-      plan.read_at[mi] = {tap.tap_level, static_cast<u32>(li)};
-    }
-  } else {
-    for (std::size_t mi = 0; mi < g.members.size(); ++mi) {
-      const std::size_t li = index_of(g.links[n], g.members[mi]);
-      expects(li != npos, "member output missing from level-n links");
-      plan.read_at[mi] = {n, static_cast<u32>(li)};
-    }
-  }
-  plan.built = true;
-}
-
-void FabricState::propagate(const Entry& entry) const {
-  const GroupRealization& g = entry.group;
+CONFNET_HOT FabricState::Verdict FabricState::propagate(
+    const GroupRealization& g) const {
   const u32 n = net_.n();
   // Mirror of Fabric::evaluate's degraded semantics: a faulty link is
   // signal-dead. One branch up front keeps the healthy path probe-free.
@@ -366,99 +323,97 @@ void FabricState::propagate(const Entry& entry) const {
   const auto dead = [&](u32 level, u32 row) {
     return degraded && faults_.is_faulty(level, row);
   };
-  if (!entry.plan.built) build_plan(entry);
-  const PropagationPlan& plan = entry.plan;
-  constexpr u32 absent = PropagationPlan::kAbsent;
+  constexpr u32 absent = SignalPlane::kAbsent;
 
   // Bitset-row layout: bit mi of a link's row = "member g.members[mi] has
   // been heard here". Fan-in is a SIMD OR of rows, the liveness flag
   // replaces the MemberSet::empty probe, and delivery reduces to an
-  // equality check against the full-member mask row. All neighbour
-  // positions come pre-resolved from the plan, so the sweep is straight
-  // streaming over the arena.
+  // equality check against the full-member mask row. Neighbours are found
+  // through each stage's closed-form wiring and the plane's dense position
+  // scratch, which holds the two levels a stage joins.
   SignalPlane& plane = plane_;
-  plane.begin_group(g.links, g.members.size());
+  plane.begin_group(g.links, g.members.size(), net_.size());
   const auto& k = util::simd::kernels();
   const std::size_t words = plane.words();
-
-  entry.fan_in_ops = 0;
-  entry.fan_out_ops = 0;
-  entry.capability_violations = 0;
+  Verdict v;
 
   // Injection: a level-0 link carries its member's own signal.
-  for (std::size_t i = 0; i < g.links[0].size(); ++i) {
-    const u32 mi = plan.inject[i];
-    if (mi == absent) continue;
-    if (dead(0, g.links[0][i])) continue;
-    plane.row(0, static_cast<u32>(i))[mi >> 6] |= std::uint64_t{1}
-                                                  << (mi & 63);
-    plane.mark_live(0, static_cast<u32>(i));
+  plane.index_level(0, g.links[0]);
+  for (std::size_t mi = 0; mi < g.members.size(); ++mi) {
+    const u32 i = plane.position(0, g.members[mi]);
+    if (i == absent || dead(0, g.members[mi])) continue;
+    plane.row(0, i)[mi >> 6] |= std::uint64_t{1} << (mi & 63);
+    plane.mark_live(0, i);
   }
 
-  // Sweep forward: each used link ORs in its used, live predecessors.
+  const std::vector<min::StageSpec>& stages = net_.topology().stages();
   for (u32 level = 1; level <= n; ++level) {
-    const std::array<u32, 2>* preds = plan.preds.data() + plan.pred_off[level];
-    for (std::size_t i = 0; i < g.links[level].size(); ++i) {
-      if (dead(level, g.links[level][i])) continue;  // carries nothing
+    const std::vector<u32>& rows = g.links[level];
+    plane.index_level(level, rows);
+    // Stage `level` joins level-1 rows to level rows: a switch's outputs are
+    // out_perm of one port pair, its inputs in_perm⁻¹ of the same pair.
+    const min::FieldRotation out_fwd = stages[level - 1].out_perm;
+    const min::FieldRotation in_inv = stages[level - 1].in_perm.inverse();
+    const min::FieldRotation out_inv = out_fwd.inverse();
+
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      if (dead(level, rows[i])) continue;  // carries nothing
+      const u32 port = out_inv(rows[i]);
+      // Fan-in: the link ORs in its switch's used, live inputs.
       u32 feeding = 0;
       std::uint64_t* out = plane.row(level, static_cast<u32>(i));
-      for (u32 pi : preds[i]) {
-        if (pi == absent) continue;
-        if (!plane.live(level - 1, pi)) continue;
+      for (const u32 pred : {in_inv(port & ~u32{1}), in_inv(port | 1)}) {
+        const u32 pi = plane.position(level - 1, pred);
+        if (pi == absent || !plane.live(level - 1, pi)) continue;
         k.or_into(out, plane.row(level - 1, pi), words);
         ++feeding;
       }
       if (feeding > 0) plane.mark_live(level, static_cast<u32>(i));
       if (feeding == 2) {
-        ++entry.fan_in_ops;
-        if (!fan_in_) ++entry.capability_violations;
+        ++v.fan_in_ops;
+        if (!fan_in_) ++v.capability_violations;
       }
+      // Fan-out: when both outputs of the switch are used and alive, each
+      // live input drives both. Counted once per switch, at its even port.
+      if ((port & 1) != 0) continue;
+      const u32 sibling = out_fwd(port | 1);
+      if (plane.position(level, sibling) == absent || dead(level, sibling))
+        continue;
+      v.fan_out_ops += feeding;
+      if (!fan_out_) v.capability_violations += feeding;
     }
+    plane.unindex_level(level - 1, g.links[level - 1]);
   }
+  plane.unindex_level(n, g.links[n]);
 
-  // Fan-out accounting: a used link feeding both its successors.
-  for (u32 level = 0; level < n; ++level) {
-    const std::array<u32, 2>* succs = plan.succs.data() + plan.succ_off[level];
-    const std::vector<u32>& next_rows = g.links[level + 1];
-    for (std::size_t i = 0; i < g.links[level].size(); ++i) {
-      if (!plane.live(level, static_cast<u32>(i))) continue;
-      u32 fed = 0;
-      for (u32 si : succs[i]) {
-        if (si == absent) continue;
-        if (dead(level + 1, next_rows[si])) continue;  // cannot drive it
-        ++fed;
-      }
-      if (fed == 2) {
-        ++entry.fan_out_ops;
-        if (!fan_out_) ++entry.capability_violations;
-      }
-    }
-  }
-
-  // Delivery: relay taps when present, otherwise level-n member rows —
-  // both pre-resolved into plan.read_at. The mask-row equality probe feeds
-  // delivery_ok's fast path; the MemberSets are still materialized (bit
-  // mi -> g.members[mi], already sorted) for delivered()/report()
-  // consumers.
-  entry.delivered.assign(g.members.size(), MemberSet{});
-  entry.delivered_exact = true;
+  // Delivery: every output's row must equal the full-member mask row.
+  v.delivered_exact = true;
   const std::uint64_t* mask = plane.mask_row();
-  for (std::size_t mi = 0; mi < g.members.size(); ++mi) {
-    const auto [level, li] = plan.read_at[mi];
-    const std::uint64_t* src = plane.row(level, li);
-    if (!k.rows_equal(src, mask, words)) entry.delivered_exact = false;
+  for_each_output(g, [&](std::size_t, u32 level, std::size_t li) {
+    if (!k.rows_equal(plane.row(level, static_cast<u32>(li)), mask, words))
+      v.delivered_exact = false;
+  });
+  return v;
+}
+
+std::vector<MemberSet> FabricState::read_delivered(
+    const GroupRealization& g) const {
+  // Bit mi -> g.members[mi]; members are sorted, so each set comes out
+  // sorted too.
+  std::vector<MemberSet> delivered(g.members.size());
+  const std::size_t words = plane_.words();
+  for_each_output(g, [&](std::size_t mi, u32 level, std::size_t li) {
+    const std::uint64_t* src = plane_.row(level, static_cast<u32>(li));
     std::vector<u32> heard;
     for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t bits = src[w];
-      while (bits != 0) {
+      for (std::uint64_t bits = src[w]; bits != 0; bits &= bits - 1) {
         const auto bit = static_cast<std::size_t>(std::countr_zero(bits));
         heard.push_back(g.members[w * 64 + bit]);
-        bits &= bits - 1;
       }
     }
-    entry.delivered[mi] = MemberSet(std::move(heard));
-  }
-  entry.dirty = false;
+    delivered[mi] = MemberSet(std::move(heard));
+  });
+  return delivered;
 }
 
 PropagationResult FabricState::propagate_reference(u32 id) const {
@@ -528,26 +483,9 @@ PropagationResult FabricState::propagate_reference(u32 id) const {
 
   // Delivery: relay taps when present, otherwise level-n member rows.
   result.delivered.assign(g.members.size(), MemberSet{});
-  if (!g.taps.empty()) {
-    expects(g.taps.size() == g.members.size(),
-            "relay taps must cover every member");
-    for (const auto& tap : g.taps) {
-      const std::size_t mi = index_of(g.members, tap.output);
-      expects(mi != static_cast<std::size_t>(-1), "tap output is not a member");
-      expects(tap.tap_level <= n, "tap level out of range");
-      const std::size_t li = index_of(g.links[tap.tap_level], tap.output);
-      expects(li != static_cast<std::size_t>(-1),
-              "tap link is not part of the group's subnetwork");
-      result.delivered[mi] = sig[tap.tap_level][li];
-    }
-  } else {
-    for (std::size_t mi = 0; mi < g.members.size(); ++mi) {
-      const std::size_t li = index_of(g.links[n], g.members[mi]);
-      expects(li != static_cast<std::size_t>(-1),
-              "member output missing from level-n links");
-      result.delivered[mi] = sig[n][li];
-    }
-  }
+  for_each_output(g, [&](std::size_t mi, u32 level, std::size_t li) {
+    result.delivered[mi] = sig[level][li];
+  });
   return result;
 }
 
@@ -566,12 +504,12 @@ EvalReport FabricState::report() const {
   }
   report.delivered.reserve(live_ids_.size());
   for (u32 id : live_ids_) {
-    const Entry& entry = slots_[slot_of_[id]];
-    if (entry.dirty) propagate(entry);
-    report.delivered.push_back(entry.delivered);
-    report.fan_in_ops += entry.fan_in_ops;
-    report.fan_out_ops += entry.fan_out_ops;
-    report.capability_violations += entry.capability_violations;
+    const GroupRealization& g = slots_[slot_of_[id]].group;
+    const Verdict v = propagate(g);
+    report.delivered.push_back(read_delivered(g));
+    report.fan_in_ops += v.fan_in_ops;
+    report.fan_out_ops += v.fan_out_ops;
+    report.capability_violations += v.capability_violations;
   }
   return report;
 }
@@ -647,32 +585,35 @@ void FabricState::cross_check() const {
   audit::require(faults_.count_consistent(), kSub,
                  "fault count diverges from the fault bitsets");
 
-  // Pin the cached SIMD-plane results (whatever backend is active) against
-  // the retained set-based path, per group: delivered sets, fan-op
-  // accounting, and the mask-row delivery probe.
+  // Pin the SIMD plane (whatever backend is active) against the retained
+  // set-based path, per group. The cached verdict is read first (a dirty
+  // entry propagates here); a fresh propagation follows. Both verdicts and
+  // the fresh delivered sets must match the reference, so a cache that a
+  // mutation or fault event forgot to invalidate fails here.
   for (u32 id : live_ids_) {
     const Entry& entry = slots_[slot_of_[id]];
-    if (entry.dirty) propagate(entry);
+    const Verdict cached = verdict_of(entry);
+    const Verdict fresh = propagate(entry.group);
+    const std::vector<MemberSet> delivered = read_delivered(entry.group);
     const PropagationResult ref = propagate_reference(id);
-    audit::require(entry.delivered.size() == ref.delivered.size(), kSub,
+    audit::require(delivered.size() == ref.delivered.size(), kSub,
                    "SIMD plane output count diverges from the set-based "
                    "reference");
-    bool ref_exact = true;
+    Verdict expected{true, ref.fan_in_ops, ref.fan_out_ops,
+                     ref.capability_violations};
     for (std::size_t mi = 0; mi < ref.delivered.size(); ++mi) {
       audit::require(
-          entry.delivered[mi].values() == ref.delivered[mi].values(), kSub,
+          delivered[mi].values() == ref.delivered[mi].values(), kSub,
           "SIMD plane delivered signals diverge from the set-based "
           "reference");
-      if (ref.delivered[mi].values() != entry.group.members) ref_exact = false;
+      if (ref.delivered[mi].values() != entry.group.members)
+        expected.delivered_exact = false;
     }
-    audit::require(entry.fan_in_ops == ref.fan_in_ops &&
-                       entry.fan_out_ops == ref.fan_out_ops &&
-                       entry.capability_violations == ref.capability_violations,
-                   kSub,
-                   "SIMD plane fan-op accounting diverges from the set-based "
-                   "reference");
-    audit::require(entry.delivered_exact == ref_exact, kSub,
-                   "mask-row delivery probe diverges from the set-based "
+    audit::require(fresh == expected, kSub,
+                   "SIMD plane verdict (fan ops or mask-row delivery probe) "
+                   "diverges from the set-based reference");
+    audit::require(cached == expected, kSub,
+                   "cached verdict is stale: it diverges from the set-based "
                    "reference");
   }
 

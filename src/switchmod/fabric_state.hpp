@@ -7,10 +7,12 @@
 // deltas instead:
 //   * mutations (try_add / try_replace / replace / remove) cost O(links of
 //     the touched group);
-//   * signal propagation is per group and lazy — a group's delivered
-//     member sets are recomputed only after that group changed, which is
-//     sound because signals mix only within a group's own links (the load
-//     matrix is the sole cross-group coupling);
+//   * signal propagation is per group and lazy — a group keeps only its
+//     delivery verdict (exact delivery plus fan-op counts), recomputed
+//     only after that group or one of its links changed, which is sound
+//     because signals mix only within a group's own links (the load
+//     matrix is the sole cross-group coupling). Delivered member sets are
+//     never stored: `delivered(id)` re-propagates and reads them out;
 //   * capacity is per level (a dilation profile), enforced by the try_
 //     mutations before any state changes.
 //   * group bookkeeping is flat: entries live in a dense slot vector with
@@ -142,9 +144,9 @@ class FabricState {
     return owner_[port] < 0;
   }
 
-  /// Delivered member sets at group `id`'s outputs (order of its members).
-  /// Lazily re-propagated after a mutation of that group.
-  [[nodiscard]] const std::vector<MemberSet>& delivered(u32 id) const;
+  /// Delivered member sets at group `id`'s outputs (order of its members),
+  /// propagated and read out on demand; nothing is cached. Not a hot path.
+  [[nodiscard]] std::vector<MemberSet> delivered(u32 id) const;
 
   /// True iff every member of every group hears exactly its group's member
   /// set and no fan capability was violated. Capacity-independent, like the
@@ -170,26 +172,28 @@ class FabricState {
   }
 
   /// Assemble the same report `Fabric::evaluate` would produce for the
-  /// admitted groups in ascending id order (delivered sets from the lazy
-  /// caches; overflow list and per-level maxima scanned from the live load
+  /// admitted groups in ascending id order (delivered sets propagated on
+  /// demand; overflow list and per-level maxima scanned from the live load
   /// matrix). Not a hot path.
   [[nodiscard]] EvalReport report() const;
 
   /// Re-propagate group `id` through the retained set-based path — the
-  /// pre-SIMD `MemberSet`/set_union sweep, kept verbatim as the equivalence
-  /// oracle for the plane engine. Stateless with respect to the lazy
-  /// caches: never reads or writes Entry::delivered. Not a hot path.
+  /// pre-SIMD `MemberSet`/set_union sweep, kept as the equivalence oracle
+  /// for the plane engine (the two share only the lookup of the link each
+  /// output listens to). Never reads or writes the cached verdicts. Not a
+  /// hot path.
   [[nodiscard]] PropagationResult propagate_reference(u32 id) const;
 
-  /// Drop every group's cached propagation results (marks all entries
-  /// dirty). For benchmarks and backend-switch tests that need to force a
-  /// full re-propagation without mutating the fabric.
+  /// Drop every group's cached verdict (marks all entries dirty). For
+  /// benchmarks and backend-switch tests that need to force a full
+  /// re-propagation without mutating the fabric.
   void invalidate_signal_caches();
 
   /// Full stateless re-evaluation through `Fabric::evaluate`; throws
   /// audit::AuditError on any divergence from the incremental state. Also
-  /// pins every group's cached SIMD-plane results (delivered sets, fan
-  /// ops, delivered_exact) against `propagate_reference`.
+  /// pins, per group, both the cached verdict and a fresh re-propagation
+  /// (verdict and delivered sets) against `propagate_reference`, so a
+  /// missed cache invalidation is caught.
   void cross_check() const;
 
  private:
@@ -198,55 +202,35 @@ class FabricState {
   /// slot_of_ sentinel: group id not admitted.
   static constexpr u32 kNoSlot = 0xffffffffu;
 
-  /// Index-resolved traversal plan for one realization. The sweep needs,
-  /// per link row, the positions of its predecessors/successors inside the
-  /// neighbouring levels' row lists plus the injection and delivery
-  /// positions — all pure functions of the fixed topology and the group's
-  /// links, yet the set-based engine re-derived them by binary search on
-  /// every re-propagation. Resolving them once per realization turns
-  /// propagate() into straight streaming over the bitset rows. Rebuilt
-  /// lazily on first propagate after the realization is (re)assigned.
-  struct PropagationPlan {
-    static constexpr u32 kAbsent = 0xffffffffu;
-    bool built = false;
-    /// Level-0 rows: member index whose signal enters there (kAbsent for
-    /// rows that only relay).
-    std::vector<u32> inject;
-    /// Levels 1..n, level-major (offsets in pred_off): indices into the
-    /// previous level's row list, kAbsent when the predecessor link is not
-    /// part of the subnetwork.
-    std::vector<std::array<u32, 2>> preds;
-    std::vector<u32> pred_off;
-    /// Levels 0..n-1, level-major (offsets in succ_off): indices into the
-    /// next level's row list, for fan-out accounting.
-    std::vector<std::array<u32, 2>> succs;
-    std::vector<u32> succ_off;
-    /// Per member, in realization order: (level, row index) of the link
-    /// its output listens to — the relay tap when present, else level n.
-    std::vector<std::pair<u32, u32>> read_at;
+  /// What one propagation decides about a group: exact delivery at every
+  /// output (the mask-row probe) plus the fan-op accounting.
+  struct Verdict {
+    bool delivered_exact = false;
+    std::uint64_t fan_in_ops = 0;
+    std::uint64_t fan_out_ops = 0;
+    std::uint64_t capability_violations = 0;
+    friend bool operator==(const Verdict&, const Verdict&) = default;
   };
 
   struct Entry {
     u32 id = 0;  // owning group id while the slot is live
     GroupRealization group;
-    /// Traversal plan for `group`; built == false forces a rebuild.
-    mutable PropagationPlan plan;
-    // Lazy per-group evaluation results, valid when !dirty.
+    // Lazy verdict for `group`, valid when !dirty.
     mutable bool dirty = true;
-    mutable std::vector<MemberSet> delivered;
-    /// True iff every output heard exactly the full member set — computed
-    /// by the plane engine as an equality probe against the mask row, so
-    /// delivery_ok() never re-walks the materialized MemberSets.
-    mutable bool delivered_exact = false;
-    mutable std::uint64_t fan_in_ops = 0;
-    mutable std::uint64_t fan_out_ops = 0;
-    mutable std::uint64_t capability_violations = 0;
+    mutable Verdict verdict;
   };
 
   void validate_new_group(const GroupRealization& group) const;
   void apply_load(const GroupRealization& group, bool add);
-  void build_plan(const Entry& entry) const;
-  void propagate(const Entry& entry) const;
+  /// Sweep `g`'s signals through the plane and return its verdict; the
+  /// plane keeps the group's rows until the next propagation.
+  Verdict propagate(const GroupRealization& g) const;
+  /// The cached verdict, re-propagated first if the entry is dirty.
+  const Verdict& verdict_of(const Entry& entry) const;
+  /// Delivered member sets read out of the plane rows of the group
+  /// propagated last (which must be `g`).
+  [[nodiscard]] std::vector<MemberSet> read_delivered(
+      const GroupRealization& g) const;
   void maybe_periodic_audit();
   /// Dirty every group whose realization uses link (level,row); returns
   /// their ids in ascending order. O(groups on the link): the scan stops
@@ -285,8 +269,9 @@ class FabricState {
   std::vector<int> owner_;  // port -> group id, -1 when free
   u32 overflowing_ = 0;
   u32 mutations_ = 0;  // drives the periodic CONFNET_AUDIT cross-check
-  // Bitset-row scratch arena for propagate(); holds one group at a time
-  // and grows monotonically, so steady-state propagation allocates nothing.
+  // Bitset-row arena and position scratch for propagate(); holds one group
+  // at a time and grows monotonically, so steady-state propagation
+  // allocates nothing.
   mutable SignalPlane plane_;
   // Reused id buffer for mark_link_users_dirty (fail/repair hot path).
   std::vector<u32> dirty_scratch_;

@@ -7,7 +7,7 @@
 namespace confnet::sw {
 
 void SignalPlane::begin_group(const std::vector<std::vector<u32>>& links,
-                              std::size_t member_bits) {
+                              std::size_t member_bits, u32 row_count) {
   // Degenerate groups still get a non-empty mask row so equality probes
   // against an all-zero delivered row behave.
   words_ = util::simd::padded_words(member_bits == 0 ? 1 : member_bits);
@@ -23,6 +23,12 @@ void SignalPlane::begin_group(const std::vector<std::vector<u32>>& links,
   const std::size_t total_words = (rows + 1) * words_;
   if (arena_.size() < total_words) arena_.resize(total_words);
   if (live_.size() < rows) live_.resize(rows);
+  // Between sweeps every scratch entry is kAbsent, so growing it (which
+  // changes the half stride) loses no position.
+  if (pos_stride_ < row_count) {
+    pos_stride_ = row_count;
+    pos_.assign(2 * pos_stride_, kAbsent);
+  }
 
   // One bulk clear over the whole used region (rows are contiguous and the
   // total is block-aligned), then carve the mask out of the tail row.

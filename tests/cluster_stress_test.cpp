@@ -136,6 +136,9 @@ TEST(ClusterStress, SnapshotReadersRaceCoordinatorChurn) {
       snapshots.fetch_add(1, std::memory_order_relaxed);
     }
   });
+  // Churn only once the reader is running, so every step races a reader.
+  while (snapshots.load(std::memory_order_relaxed) == 0)
+    std::this_thread::yield();
 
   confnet::util::Rng rng(7);
   std::vector<u64> ids;

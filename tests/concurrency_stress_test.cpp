@@ -151,8 +151,11 @@ TEST(ConcurrencyStress, MetricsRegistrationUpdatesAndSnapshotsRace) {
       const auto snap = registry.snapshot();
       // Monotone sanity under concurrency: a snapshot never sees more
       // shared-counter increments than could have happened.
-      for (const auto& c : snap.counters)
-        if (c.name == "stress/shared") EXPECT_LE(c.value, kThreads * kRounds);
+      for (const auto& c : snap.counters) {
+        if (c.name == "stress/shared") {
+          EXPECT_LE(c.value, kThreads * kRounds);
+        }
+      }
     }
   });
   for (auto& th : writers) th.join();

@@ -159,7 +159,9 @@ TEST(Membership, ChurnInvariantUnderLongRun) {
       EXPECT_NE(r, OpenResult::kBlockedCapacity);
       if (sid) live.push_back(*sid);
     }
-    if (step % 500 == 0) EXPECT_TRUE(net.verify_delivery()) << step;
+    if (step % 500 == 0) {
+      EXPECT_TRUE(net.verify_delivery()) << step;
+    }
   }
   for (u32 sid : live) mgr.close(sid);
   EXPECT_EQ(net.active_count(), 0u);

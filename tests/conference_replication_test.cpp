@@ -51,9 +51,11 @@ TEST(ConflictGraph, ColoringIsProper) {
     const ConflictGraph g(kind, n, member_sets);
     const auto coloring = g.color();
     for (std::size_t a = 0; a < g.size(); ++a)
-      for (std::size_t b = a + 1; b < g.size(); ++b)
-        if (g.conflicts(a, b))
+      for (std::size_t b = a + 1; b < g.size(); ++b) {
+        if (g.conflicts(a, b)) {
           EXPECT_NE(coloring.colors[a], coloring.colors[b]);
+        }
+      }
     EXPECT_GE(coloring.color_count, g.clique_lower_bound());
   }
 }

@@ -40,9 +40,10 @@ TEST(Integration, ChurnEveryTopologyWithFullDilation) {
         EXPECT_NE(r, conf::OpenResult::kBlockedCapacity)
             << min::kind_name(kind) << " step " << step;
       }
-      if (step % 50 == 0)
+      if (step % 50 == 0) {
         EXPECT_TRUE(net.verify_delivery())
             << min::kind_name(kind) << " step " << step;
+      }
     }
     EXPECT_TRUE(net.verify_delivery());
   }

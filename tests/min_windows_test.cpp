@@ -149,9 +149,9 @@ TEST(WindowDescContains, StrideArithmetic) {
 }
 
 TEST(WindowErrors, BadArgsThrow) {
-  EXPECT_THROW(in_window(Kind::kOmega, 3, 4, 0), Error);
-  EXPECT_THROW(in_window(Kind::kOmega, 3, 0, 8), Error);
-  EXPECT_THROW(out_window(Kind::kOmega, 0, 0, 0), Error);
+  EXPECT_THROW((void)in_window(Kind::kOmega, 3, 4, 0), Error);
+  EXPECT_THROW((void)in_window(Kind::kOmega, 3, 0, 8), Error);
+  EXPECT_THROW((void)out_window(Kind::kOmega, 0, 0, 0), Error);
 }
 
 }  // namespace

@@ -193,7 +193,9 @@ void session_churn_twin(Design design, PlacementPolicy policy, u64 seed) {
       const auto [jr, pr] = ref.join(live[idx], rng_ref);
       ASSERT_EQ(jf, jr);
       ASSERT_EQ(pf.has_value(), pr.has_value());
-      if (pf) ASSERT_EQ(*pf, *pr);
+      if (pf) {
+        ASSERT_EQ(*pf, *pr);
+      }
     } else if (action == 8) {
       const auto idx = static_cast<std::size_t>(script.below(live.size()));
       const auto& members = fast.members_of(live[idx]);

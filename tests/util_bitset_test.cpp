@@ -33,7 +33,7 @@ TEST(DynBitset, SetTestReset) {
 TEST(DynBitset, OutOfRangeThrows) {
   DynBitset b(10);
   EXPECT_THROW(b.set(10), Error);
-  EXPECT_THROW(b.test(11), Error);
+  EXPECT_THROW((void)b.test(11), Error);
   EXPECT_THROW(b.reset(100), Error);
 }
 

@@ -15,11 +15,12 @@ installed). Enforces the repo-specific rules that the compiler cannot:
 
   hot-alloc        Functions marked CONFNET_HOT (the allocation-free
                    kernels: measure_multiplicity, FabricState mutation
-                   deltas, the HierBitset placers, the util::simd
-                   backends, the SignalPlane row accessors, and the
-                   runtime's lock-lean command path — the bounded MPSC
-                   ring queue, the slot-recycled result pool, and the
-                   staging-buffer push) must not heap-allocate or grow
+                   deltas and signal propagation, the HierBitset placers,
+                   the util::simd backends, the SignalPlane row and
+                   position accessors, and the runtime's lock-lean
+                   command path — the bounded MPSC ring queue, the
+                   slot-recycled result pool, and the staging-buffer
+                   push) must not heap-allocate or grow
                    containers in their bodies.
                    HOT_CONTRACT below additionally pins the functions
                    that MUST carry the marker — dropping CONFNET_HOT from
@@ -167,13 +168,17 @@ HOT_CONTRACT: dict[str, list[str]] = {
         "neon_clear_row", "neon_copy_row", "neon_or_into",
         "neon_row_any", "neon_rows_equal",
     ],
-    # SignalPlane per-link row accessors (the propagate inner loop).
+    # SignalPlane per-link row and position accessors (the propagate
+    # inner loop).
     "src/switchmod/signal_plane.hpp": [
         "row", "live", "mark_live", "words", "mask_row",
+        "index_level", "unindex_level", "position",
     ],
     # Fail/repair fast path: dirties link users via the reused scratch.
+    # Propagation sweeps the plane; all sizing is in begin_group, so no
+    # per-propagation allocation can come back.
     "src/switchmod/fabric_state.cpp": [
-        "mark_link_users_dirty",
+        "mark_link_users_dirty", "propagate",
     ],
     # Lock-lean command path (PR 10): the bounded MPSC ring buffer's
     # producer/consumer primitives must stay on the preallocated ring.
