@@ -33,7 +33,7 @@ void emit_tables() {
          "Benes admissible", "crosspoint ratio benes/banyan"});
     util::Rng rng(20020818);
     for (u32 n : {3u, 4u, 5u, 6u}) {
-      const min::Network omega = min::make_network(Kind::kOmega, n);
+      const min::Network omega(Kind::kOmega, n);
       const BenesNetwork benes(n);
       std::vector<u32> perm(omega.size());
       std::iota(perm.begin(), perm.end(), 0u);

@@ -49,8 +49,8 @@ void emit_tables() {
                   {"network", "n", "links checked", "mismatches"});
     for (Kind kind : min::kAllKinds) {
       for (u32 n : {4u, 6u, 8u}) {
-        const min::Network net = min::make_network(kind, n);
-        const auto& wt = net.windows();
+        const min::Network net(kind, n);
+        const min::WindowTable wt(net);
         u32 mismatches = 0;
         u32 checked = 0;
         for (u32 level = 0; level <= n; ++level) {
@@ -103,8 +103,8 @@ void emit_tables() {
 void BM_WindowTableConstruction(benchmark::State& state) {
   const u32 n = static_cast<u32>(state.range(0));
   for (auto _ : state) {
-    min::Network net = min::make_network(Kind::kOmega, n);
-    benchmark::DoNotOptimize(net.windows().in_set(n / 2, 0).count());
+    const min::WindowTable wt(min::Network(Kind::kOmega, n));
+    benchmark::DoNotOptimize(wt.in_set(n / 2, 0).count());
   }
   state.SetLabel("N=" + std::to_string(1u << n));
 }

@@ -205,7 +205,7 @@ void report_propagation_counters(benchmark::State& state,
 
 void BM_PropagateSimd(benchmark::State& state) {
   const u32 n = static_cast<u32>(state.range(0));
-  const min::Network net = min::make_network(Kind::kIndirectCube, n);
+  const min::Network net(Kind::kIndirectCube, n);
   sw::FabricState fabric(net, sw::FabricConfig{u32{1} << n, true, true});
   const std::vector<u32> ids = populate_propagation_state(fabric, n);
   for (auto _ : state) {
@@ -219,7 +219,7 @@ BENCHMARK(BM_PropagateSimd)->DenseRange(6, 10, 2);
 
 void BM_PropagateReference(benchmark::State& state) {
   const u32 n = static_cast<u32>(state.range(0));
-  const min::Network net = min::make_network(Kind::kIndirectCube, n);
+  const min::Network net(Kind::kIndirectCube, n);
   sw::FabricState fabric(net, sw::FabricConfig{u32{1} << n, true, true});
   const std::vector<u32> ids = populate_propagation_state(fabric, n);
   for (auto _ : state) {
@@ -241,7 +241,7 @@ BENCHMARK(BM_PropagateReference)->DenseRange(6, 10, 2);
 // re-propagates one group and reads every other group's cached verdict.
 void BM_DeliveryCheckChurn(benchmark::State& state) {
   const u32 n = static_cast<u32>(state.range(0));
-  const min::Network net = min::make_network(Kind::kIndirectCube, n);
+  const min::Network net(Kind::kIndirectCube, n);
   sw::FabricState fabric(net, sw::FabricConfig{u32{1} << n, true, true});
   const std::vector<u32> ids = populate_propagation_state(fabric, n);
   std::size_t next = 0;

@@ -9,6 +9,7 @@
 #include "conference/subnetwork.hpp"
 #include "min/network.hpp"
 #include "min/selfroute.hpp"
+#include "min/windows.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -31,8 +32,8 @@ void emit_tables() {
                  "window-greedy oracle"});
   for (Kind kind : {Kind::kOmega, Kind::kBaseline, Kind::kIndirectCube}) {
     for (u32 n : {6u, 8u, 10u}) {
-      const min::Network net = min::make_network(kind, n);
-      (void)net.windows();  // pre-build for the oracle timing
+      const min::Network net(kind, n);
+      const min::WindowTable wt(net);  // built up front for the oracle timing
       util::Rng rng(1);
       constexpr int kPairs = 100000;
       std::vector<std::pair<u32, u32>> pairs(kPairs);
@@ -52,7 +53,8 @@ void emit_tables() {
 
       sw.reset();
       for (int i = 0; i < kPairs / 10; ++i)
-        sink ^= net.route_rows_generic(pairs[i].first, pairs[i].second).back();
+        sink ^= min::route_rows_generic(wt, pairs[i].first, pairs[i].second)
+                    .back();
       const double greedy =
           static_cast<double>(sw.elapsed_ns()) / (kPairs / 10);
 
@@ -91,7 +93,7 @@ BENCHMARK(BM_ClosedFormPath)->DenseRange(6, 18, 4);
 
 void BM_DestinationTagPath(benchmark::State& state) {
   const u32 n = static_cast<u32>(state.range(0));
-  const min::Network net = min::make_network(Kind::kOmega, n);
+  const min::Network net(Kind::kOmega, n);
   const u32 N = net.size();
   u32 s = 1, d = N - 2, sink = 0;
   for (auto _ : state) {
@@ -108,8 +110,8 @@ void BM_NetworkConstruction(benchmark::State& state) {
   // tables, so the cost should barely grow with N.
   const u32 n = static_cast<u32>(state.range(0));
   for (auto _ : state) {
-    const min::Network net = min::make_network(Kind::kIndirectCube, n);
-    benchmark::DoNotOptimize(net.topology().stages().data());
+    const min::Network net(Kind::kIndirectCube, n);
+    benchmark::DoNotOptimize(net.stages().data());
   }
 }
 BENCHMARK(BM_NetworkConstruction)->DenseRange(6, 14, 2);

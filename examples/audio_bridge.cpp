@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
     const int frames = static_cast<int>(cli.get_int("frames"));
     util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed")));
 
-    const min::Network net = min::make_network(min::Kind::kIndirectCube, n);
+    const min::Network net(min::Kind::kIndirectCube, n);
     const sw::Fabric fabric(net, sw::FabricConfig{1, true, true});
 
     // Two conferences on aligned blocks (enhanced-cube style realization).

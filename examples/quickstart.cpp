@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
               << conf::theoretical_peak(n) << ")\n";
 
     if (const std::string path = cli.get_string("dot"); !path.empty()) {
-      const min::Network view = min::make_network(kind, n);
+      const min::Network view(kind, n);
       min::DotOptions options;
       options.highlight = conf::all_pairs_links(kind, n, groups[0]);
       options.label = "conference {0,1,2,3} on " +

@@ -346,7 +346,7 @@ void Cluster::cross_check() const {
   u32 k_bits = 0;
   while ((u32{1} << k_bits) < config_.shards) ++k_bits;
   const u32 n_flat = config_.stages + k_bits;
-  const min::Network flat = min::make_network(config_.kind, n_flat);
+  const min::Network flat(config_.kind, n_flat);
   sw::FabricConfig oracle_config;
   oracle_config.channels_per_link = u32{1} << n_flat;  // never the bottleneck
   const sw::Fabric oracle(flat, oracle_config);

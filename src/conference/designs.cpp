@@ -91,7 +91,8 @@ std::vector<u32> without_member(const std::vector<u32>& members, u32 port) {
 /// correctness). Evaluated against the design's live fault set, so a
 /// degraded group fails the check exactly when a member stops hearing the
 /// full conference.
-bool verify_via_fabric(const min::Network& net, const sw::FabricState& state) {
+bool verify_via_fabric(const sw::FabricState& state) {
+  const min::Network& net = state.network();
   std::vector<sw::GroupRealization> groups;
   groups.reserve(state.group_count());
   state.for_each_group(
@@ -112,14 +113,13 @@ bool verify_via_fabric(const min::Network& net, const sw::FabricState& state) {
 
 DirectConferenceNetwork::DirectConferenceNetwork(min::Kind kind, u32 n,
                                                  DilationProfile dilation)
-    : net_(min::make_network(kind, n)),
-      dilation_(std::move(dilation)),
-      state_(net_, dilation_capacity(dilation_)) {
+    : dilation_(std::move(dilation)),
+      state_(min::Network(kind, n), dilation_capacity(dilation_)) {
   expects(dilation_.n() == n, "dilation profile size mismatch");
 }
 
 std::string DirectConferenceNetwork::name() const {
-  return "direct-" + std::string(min::kind_name(net_.kind())) + "(" +
+  return "direct-" + std::string(min::kind_name(kind())) + "(" +
          dilation_.label() + ")";
 }
 
@@ -137,7 +137,7 @@ std::optional<u32> DirectConferenceNetwork::setup(
   std::sort(sorted.begin(), sorted.end());
   sw::GroupRealization g;
   g.id = next_handle_;
-  g.links = all_pairs_links(net_.kind(), n(), sorted);
+  g.links = all_pairs_links(kind(), n(), sorted);
   g.members = std::move(sorted);
   if (!state_.links_clear(g.links)) {
     last_error_ = SetupError::kLinkFaulty;
@@ -163,7 +163,7 @@ bool DirectConferenceNetwork::verify_delivery() const {
 }
 
 bool DirectConferenceNetwork::verify_delivery_reference() const {
-  return verify_via_fabric(net_, state_);
+  return verify_via_fabric(state_);
 }
 
 bool DirectConferenceNetwork::add_member(u32 handle, u32 port) {
@@ -176,7 +176,7 @@ bool DirectConferenceNetwork::add_member(u32 handle, u32 port) {
   sw::GroupRealization grown;
   grown.id = handle;
   grown.members = with_member(state_.group(handle).members, port);
-  grown.links = all_pairs_links(net_.kind(), n(), grown.members);
+  grown.links = all_pairs_links(kind(), n(), grown.members);
   if (!state_.links_clear(grown.links)) {
     last_error_ = SetupError::kLinkFaulty;
     return false;
@@ -197,7 +197,7 @@ bool DirectConferenceNetwork::remove_member(u32 handle, u32 port) {
   sw::GroupRealization shrunk;
   shrunk.id = handle;
   shrunk.members = without_member(members, port);
-  shrunk.links = all_pairs_links(net_.kind(), n(), shrunk.members);
+  shrunk.links = all_pairs_links(kind(), n(), shrunk.members);
   // An ALL_PAIRS subnetwork of fewer members only releases links, so the
   // swap cannot oversubscribe anything.
   state_.replace(handle, std::move(shrunk));
@@ -233,8 +233,8 @@ std::vector<u32> DirectConferenceNetwork::repair_link(u32 level, u32 row) {
 // ---------------------------------------------------------------------------
 
 EnhancedCubeNetwork::EnhancedCubeNetwork(u32 n)
-    : net_(min::make_network(min::Kind::kIndirectCube, n)),
-      state_(net_, sw::FabricConfig{1, true, true}) {}
+    : state_(min::Network(min::Kind::kIndirectCube, n),
+             sw::FabricConfig{1, true, true}) {}
 
 std::string EnhancedCubeNetwork::name() const { return "enhanced-cube"; }
 
@@ -290,7 +290,7 @@ bool EnhancedCubeNetwork::verify_delivery() const {
 }
 
 bool EnhancedCubeNetwork::verify_delivery_reference() const {
-  return verify_via_fabric(net_, state_);
+  return verify_via_fabric(state_);
 }
 
 bool EnhancedCubeNetwork::add_member(u32 handle, u32 port) {

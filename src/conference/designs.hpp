@@ -18,6 +18,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "conference/conference.hpp"
@@ -157,7 +158,9 @@ class DirectConferenceNetwork final : public ConferenceNetworkBase {
  public:
   DirectConferenceNetwork(min::Kind kind, u32 n, DilationProfile dilation);
 
-  [[nodiscard]] u32 n() const noexcept override { return net_.n(); }
+  [[nodiscard]] u32 n() const noexcept override {
+    return state_.network().n();
+  }
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::optional<u32> setup(
       const std::vector<u32>& members) override;
@@ -178,7 +181,7 @@ class DirectConferenceNetwork final : public ConferenceNetworkBase {
     return dilation_;
   }
   [[nodiscard]] min::Kind kind() const noexcept override {
-    return net_.kind();
+    return state_.network().kind();
   }
   /// Highest channel load currently on any link of the level.
   [[nodiscard]] u32 current_level_load(u32 level) const;
@@ -199,7 +202,6 @@ class DirectConferenceNetwork final : public ConferenceNetworkBase {
  private:
   friend void audit::check_direct_network(const ::confnet::conf::DirectConferenceNetwork&);
 
-  min::Network net_;
   DilationProfile dilation_;
   sw::FabricState state_;  // owns the active realizations + link loads
   u32 next_handle_ = 0;
@@ -210,7 +212,9 @@ class EnhancedCubeNetwork final : public ConferenceNetworkBase {
  public:
   explicit EnhancedCubeNetwork(u32 n);
 
-  [[nodiscard]] u32 n() const noexcept override { return net_.n(); }
+  [[nodiscard]] u32 n() const noexcept override {
+    return state_.network().n();
+  }
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::optional<u32> setup(
       const std::vector<u32>& members) override;
@@ -236,7 +240,7 @@ class EnhancedCubeNetwork final : public ConferenceNetworkBase {
   }
 
   [[nodiscard]] min::Kind kind() const noexcept override {
-    return net_.kind();
+    return state_.network().kind();
   }
   [[nodiscard]] bool supports_faults() const noexcept override { return true; }
   [[nodiscard]] std::vector<u32> fail_link(u32 level, u32 row) override;
@@ -257,10 +261,14 @@ class EnhancedCubeNetwork final : public ConferenceNetworkBase {
   [[nodiscard]] static sw::GroupRealization realize(
       u32 handle, std::vector<u32> members, EnhancedRealization real);
 
-  min::Network net_;
   sw::FabricState state_;  // owns the active realizations + link loads
   u32 next_handle_ = 0;
   SetupError last_error_ = SetupError::kPortBusy;
 };
+
+// Each design owns its fabric and the fabric owns its network, so a design
+// is a movable value.
+static_assert(std::is_move_constructible_v<DirectConferenceNetwork>);
+static_assert(std::is_move_constructible_v<EnhancedCubeNetwork>);
 
 }  // namespace confnet::conf

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
-
-#include <memory>
+#include <optional>
 
 #include "conference/subnetwork.hpp"
 #include "min/selfroute.hpp"
@@ -364,13 +363,6 @@ MonteCarloResult monte_carlo_multiplicity(Kind kind, u32 n,
   const u32 N = u32{1} << n;
   expects(max_size <= N, "conference size beyond network");
 
-  // One shared topology for every worker's verification fabric: the lazy
-  // window tables inside min::Network are thread safe. Only built when
-  // verification is on — the plain measurement path never touches it.
-  std::unique_ptr<min::Network> net;
-  if (verify_delivery)
-    net = std::make_unique<min::Network>(min::make_topology(kind, n));
-
   // Fork every trial stream from the root RNG in serial order up front, so
   // the schedule cannot change the random sequence any trial consumes.
   std::vector<util::Rng> trial_rngs;
@@ -390,12 +382,11 @@ MonteCarloResult monte_carlo_multiplicity(Kind kind, u32 n,
     // Per-worker incremental fabric with unconstrained channels: each
     // verified trial admits its groups, checks functional delivery through
     // the SIMD signal plane, and removes them again, so the load matrix
-    // and the plane arena are reused across the whole chunk.
-    std::unique_ptr<sw::FabricState> fabric;
-    if (net != nullptr) {
-      fabric = std::make_unique<sw::FabricState>(
-          *net, sw::FabricConfig{net->size(), true, true});
-    }
+    // and the plane arena are reused across the whole chunk. Only built
+    // when verification is on.
+    std::optional<sw::FabricState> fabric;
+    if (verify_delivery)
+      fabric.emplace(min::Network(kind, n), sw::FabricConfig{N, true, true});
     std::vector<u32> admitted;
     for (std::size_t t = begin; t < end; ++t) {
       util::Rng trial_rng = trial_rngs[t];
@@ -416,7 +407,7 @@ MonteCarloResult monte_carlo_multiplicity(Kind kind, u32 n,
       if (set.empty()) continue;
       out.peak = measure_multiplicity(kind, n, set, scratch).peak;
       out.counted = true;
-      if (fabric != nullptr) {
+      if (fabric) {
         admitted.clear();
         bool ok = true;
         for (const Conference& c : set.conferences()) {
@@ -459,9 +450,7 @@ MonteCarloResult monte_carlo_multiplicity_reference(
           "conference sizes must satisfy 2 <= min <= max");
   const u32 N = u32{1} << n;
   expects(max_size <= N, "conference size beyond network");
-  std::unique_ptr<min::Network> net;
-  if (verify_delivery)
-    net = std::make_unique<min::Network>(min::make_topology(kind, n));
+  const min::Network net(kind, n);
   MonteCarloResult result;
   util::Rng rng(seed);
   for (u32 t = 0; t < trials; ++t) {
@@ -486,14 +475,14 @@ MonteCarloResult monte_carlo_multiplicity_reference(
     if (result.peak_histogram.size() <= p.peak)
       result.peak_histogram.resize(p.peak + 1, 0);
     ++result.peak_histogram[p.peak];
-    if (net != nullptr) {
+    if (verify_delivery) {
       // Set-based oracle verification: one stateless Fabric::evaluate over
       // the trial's realizations, no signal plane involved.
       std::vector<sw::GroupRealization> groups;
       groups.reserve(set.conferences().size());
       for (const Conference& c : set.conferences())
         groups.push_back(realize_all_pairs(kind, n, c));
-      const sw::Fabric oracle(*net, sw::FabricConfig{net->size(), true, true});
+      const sw::Fabric oracle(net, sw::FabricConfig{N, true, true});
       const sw::EvalReport report = oracle.evaluate(groups);
       bool ok = report.ok();
       for (std::size_t gi = 0; ok && gi < groups.size(); ++gi)

@@ -104,8 +104,7 @@ ReplicatedConferenceNetwork::ReplicatedConferenceNetwork(min::Kind kind,
   expects(planes >= 1 && planes <= 64, "1 <= planes <= 64");
   planes_.reserve(planes);
   for (u32 p = 0; p < planes; ++p)
-    planes_.push_back(std::make_unique<DirectConferenceNetwork>(
-        kind, n, DilationProfile::uniform(n, 1)));
+    planes_.emplace_back(kind, n, DilationProfile::uniform(n, 1));
 }
 
 std::string ReplicatedConferenceNetwork::name() const {
@@ -125,7 +124,7 @@ std::optional<u32> ReplicatedConferenceNetwork::setup(
   }
   // Online first-fit coloring: first plane that takes the conference.
   for (u32 p = 0; p < planes(); ++p) {
-    if (const auto inner = planes_[p]->setup(members)) {
+    if (const auto inner = planes_[p].setup(members)) {
       for (u32 m : members) port_busy_[m] = true;
       const u32 handle = next_handle_++;
       active_.emplace(handle, Active{p, *inner});
@@ -139,9 +138,9 @@ std::optional<u32> ReplicatedConferenceNetwork::setup(
 void ReplicatedConferenceNetwork::teardown(u32 handle) {
   const auto it = active_.find(handle);
   expects(it != active_.end(), "teardown of unknown handle");
-  for (u32 m : planes_[it->second.plane]->members_for(it->second.inner_handle))
+  for (u32 m : planes_[it->second.plane].members_for(it->second.inner_handle))
     port_busy_[m] = false;
-  planes_[it->second.plane]->teardown(it->second.inner_handle);
+  planes_[it->second.plane].teardown(it->second.inner_handle);
   active_.erase(it);
 }
 
@@ -151,13 +150,13 @@ u32 ReplicatedConferenceNetwork::active_count() const noexcept {
 
 bool ReplicatedConferenceNetwork::verify_delivery() const {
   for (const auto& plane : planes_)
-    if (!plane->verify_delivery()) return false;
+    if (!plane.verify_delivery()) return false;
   return true;
 }
 
 bool ReplicatedConferenceNetwork::verify_delivery_reference() const {
   for (const auto& plane : planes_)
-    if (!plane->verify_delivery_reference()) return false;
+    if (!plane.verify_delivery_reference()) return false;
   return true;
 }
 
@@ -169,8 +168,8 @@ bool ReplicatedConferenceNetwork::add_member(u32 handle, u32 port) {
     last_error_ = SetupError::kPortBusy;
     return false;
   }
-  if (!planes_[it->second.plane]->add_member(it->second.inner_handle, port)) {
-    last_error_ = planes_[it->second.plane]->last_error();
+  if (!planes_[it->second.plane].add_member(it->second.inner_handle, port)) {
+    last_error_ = planes_[it->second.plane].last_error();
     return false;  // no cross-plane migration
   }
   port_busy_[port] = true;
@@ -180,8 +179,8 @@ bool ReplicatedConferenceNetwork::add_member(u32 handle, u32 port) {
 bool ReplicatedConferenceNetwork::remove_member(u32 handle, u32 port) {
   const auto it = active_.find(handle);
   expects(it != active_.end(), "remove_member on unknown handle");
-  if (!planes_[it->second.plane]->remove_member(it->second.inner_handle,
-                                                port))
+  if (!planes_[it->second.plane].remove_member(it->second.inner_handle,
+                                               port))
     return false;
   port_busy_[port] = false;
   return true;
@@ -191,7 +190,7 @@ const std::vector<u32>& ReplicatedConferenceNetwork::members_for(
     u32 handle) const {
   const auto it = active_.find(handle);
   expects(it != active_.end(), "unknown handle");
-  return planes_[it->second.plane]->members_for(it->second.inner_handle);
+  return planes_[it->second.plane].members_for(it->second.inner_handle);
 }
 
 u32 ReplicatedConferenceNetwork::plane_of(u32 handle) const {

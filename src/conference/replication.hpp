@@ -82,7 +82,7 @@ class ReplicatedConferenceNetwork final : public ConferenceNetworkBase {
   min::Kind kind_;
   // Each plane is a unit-dilation direct network; the port-busy invariant
   // spans planes (a member port talks into exactly one plane).
-  std::vector<std::unique_ptr<DirectConferenceNetwork>> planes_;
+  std::vector<DirectConferenceNetwork> planes_;
   std::vector<bool> port_busy_;
   struct Active {
     u32 plane;

@@ -31,13 +31,14 @@ std::vector<u32> all_pairs_rows_at(min::Kind kind, u32 n,
   check_members(n, members);
   expects(level <= n, "all_pairs_rows_at: level <= n");
   // Every topology's row is src_part(i) | dst_part(j) over disjoint bit
-  // fields; path_row against port 0 isolates each part.
+  // fields (min::row_parts).
+  const min::RowParts parts = min::row_parts(kind, n, level);
   std::vector<u32> src_parts, dst_parts;
   src_parts.reserve(members.size());
   dst_parts.reserve(members.size());
   for (u32 m : members) {
-    src_parts.push_back(min::path_row(kind, n, m, 0, level));
-    dst_parts.push_back(min::path_row(kind, n, 0, m, level));
+    src_parts.push_back(parts.src.apply(m));
+    dst_parts.push_back(parts.dst.apply(m));
   }
   src_parts = sorted_unique(std::move(src_parts));
   dst_parts = sorted_unique(std::move(dst_parts));
@@ -57,14 +58,13 @@ LevelLinks all_pairs_links(min::Kind kind, u32 n,
   return links;
 }
 
-LevelLinks all_pairs_links_generic(const min::Network& net,
+LevelLinks all_pairs_links_generic(const min::WindowTable& wt,
                                    const std::vector<u32>& members) {
-  check_members(net.n(), members);
-  const u32 N = net.size();
-  const u32 n = net.n();
+  const u32 N = wt.network().size();
+  const u32 n = wt.network().n();
+  check_members(n, members);
   util::DynBitset group(N);
   for (u32 m : members) group.set(m);
-  const min::WindowTable& wt = net.windows();
   LevelLinks links(n + 1);
   for (u32 level = 0; level <= n; ++level) {
     for (u32 row = 0; row < N; ++row) {

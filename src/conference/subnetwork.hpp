@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "conference/conference.hpp"
-#include "min/network.hpp"
 #include "min/types.hpp"
+#include "min/windows.hpp"
 
 namespace confnet::conf {
 
@@ -33,9 +33,10 @@ using LevelLinks = std::vector<std::vector<u32>>;
 [[nodiscard]] std::vector<u32> all_pairs_rows_at(
     min::Kind kind, u32 n, const std::vector<u32>& members, u32 level);
 
-/// ALL_PAIRS subnetwork via explicit reachability windows (oracle).
+/// ALL_PAIRS subnetwork via explicit reachability windows (oracle), on
+/// the table's network.
 [[nodiscard]] LevelLinks all_pairs_links_generic(
-    const min::Network& net, const std::vector<u32>& members);
+    const min::WindowTable& wt, const std::vector<u32>& members);
 
 /// True iff the conference occupies link (level,row) under ALL_PAIRS.
 /// O(|members|) bit tests — this is the self-routing predicate a switch

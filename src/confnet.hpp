@@ -24,12 +24,11 @@
 #include "min/dot.hpp"          // Graphviz export
 #include "min/equivalence.hpp"  // constructive class isomorphisms
 #include "min/faults.hpp"       // link faults and survival analysis
-#include "min/network.hpp"      // explicit link graph + routing
+#include "min/network.hpp"      // omega/baseline/cube/...: stages + routing
 #include "min/permroute.hpp"    // unicast permutation loads
 #include "min/selfroute.hpp"    // closed-form self-routing
-#include "min/topology.hpp"     // omega/baseline/cube/butterfly/flip/...
 #include "min/types.hpp"        // Kind, LinkRef
-#include "min/windows.hpp"      // In/Out window closed forms
+#include "min/windows.hpp"      // In/Out windows: closed forms + BFS table
 #include "min/wiring.hpp"       // closed-form stage wiring, permutations
 
 // switching substrate

@@ -41,10 +41,9 @@ bool has_full_access(const Network& net) {
   return count_paths(net).min_paths >= 1;
 }
 
-bool has_uniform_windows(const Network& net) {
-  const u32 N = net.size();
-  const u32 n = net.n();
-  const WindowTable& wt = net.windows();
+bool has_uniform_windows(const WindowTable& wt) {
+  const u32 N = wt.network().size();
+  const u32 n = wt.network().n();
   for (u32 level = 0; level <= n; ++level) {
     const std::size_t want_in = std::size_t{1} << level;
     const std::size_t want_out = std::size_t{1} << (n - level);

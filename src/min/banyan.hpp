@@ -9,6 +9,7 @@
 #include <cstdint>
 
 #include "min/network.hpp"
+#include "min/windows.hpp"
 
 namespace confnet::min {
 
@@ -28,7 +29,8 @@ struct PathCensus {
 /// True iff every input can reach every output (full access).
 [[nodiscard]] bool has_full_access(const Network& net);
 
-/// Verify |In(l,p)| == 2^l and |Out(l,p)| == 2^(n-l) for all links.
-[[nodiscard]] bool has_uniform_windows(const Network& net);
+/// Verify |In(l,p)| == 2^l and |Out(l,p)| == 2^(n-l) for all links of the
+/// table's network.
+[[nodiscard]] bool has_uniform_windows(const WindowTable& wt);
 
 }  // namespace confnet::min

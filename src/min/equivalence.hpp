@@ -13,8 +13,8 @@
 
 #include <vector>
 
-#include "min/topology.hpp"
 #include "min/types.hpp"
+#include "min/wiring.hpp"
 
 namespace confnet::min {
 

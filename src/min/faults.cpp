@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
+#include "min/network.hpp"
 #include "min/selfroute.hpp"
-#include "min/topology.hpp"
 #include "min/windows.hpp"
 #include "util/error.hpp"
 
@@ -88,13 +88,15 @@ bool conference_survives(Kind kind, u32 n, const std::vector<u32>& members,
   // The conference's level-l links factor as {src_part(i) | dst_part(j)}
   // (see conf::all_pairs_links); checking the distinct parts beats walking
   // all |G|^2 member pairs.
+  for (u32 m : members) expects(m < faults.size(), "member out of range");
   std::vector<u32> src_parts, dst_parts;
   for (u32 level = 0; level <= n; ++level) {
+    const RowParts parts = row_parts(kind, n, level);
     src_parts.clear();
     dst_parts.clear();
     for (u32 m : members) {
-      src_parts.push_back(path_row(kind, n, m, 0, level));
-      dst_parts.push_back(path_row(kind, n, 0, m, level));
+      src_parts.push_back(parts.src.apply(m));
+      dst_parts.push_back(parts.dst.apply(m));
     }
     std::sort(src_parts.begin(), src_parts.end());
     src_parts.erase(std::unique(src_parts.begin(), src_parts.end()),

@@ -1,50 +1,50 @@
-// Explicit link-graph view of a multistage topology.
+// A multistage topology of the studied class, as an O(n) value.
 //
-// The `Network` evaluates its topology's closed-form stage wiring (no
-// per-row tables, so it costs O(n) words for any N) and answers the
-// structural questions everything upstream needs: link successors and
-// predecessors, the unique input->output path (two independent
-// implementations: destination-tag and window-greedy), and per-link
-// reachability windows.
+// A stage is: input wiring -> a column of N/2 two-by-two switch modules
+// (switch w owns post-wiring ports {2w, 2w+1}) -> output wiring. Each wiring
+// is a closed-form `FieldRotation`. A `Network` is its kind plus n such
+// stages over N = 2^n rows, so it costs O(n) words whatever N and is freely
+// copied and moved. Destination-tag self-routing holds for every member of
+// the class: at stage k the switch emits the signal on sub-port
+// `bit(dest, routing_bit[k])`.
+//
+// The network answers the structural questions everything upstream needs:
+// link successors and predecessors, switch indexing, and the unique
+// input->output path by destination tag. Reachability windows live in
+// `windows.hpp` (closed form, plus the BFS `WindowTable` reference).
 #pragma once
 
 #include <array>
-#include <memory>
-// static_check: allow(raw-mutex) std::once_flag one-time init; no lock held
-#include <mutex>
+#include <type_traits>
 #include <vector>
 
-#include "min/topology.hpp"
 #include "min/types.hpp"
-#include "util/audit.hpp"
-#include "util/bitset.hpp"
+#include "min/wiring.hpp"
 
 namespace confnet::min {
 
-/// Per-link input/output reachability sets, computed once per network.
-class WindowTable {
- public:
-  /// In(level,row): inputs that can reach the link. |In| == 2^level.
-  [[nodiscard]] const util::DynBitset& in_set(u32 level, u32 row) const;
-  /// Out(level,row): outputs reachable from the link. |Out| == 2^(n-level).
-  [[nodiscard]] const util::DynBitset& out_set(u32 level, u32 row) const;
-
- private:
-  friend class Network;
-  WindowTable(u32 n, u32 N) : n_(n), N_(N) {}
-  u32 n_, N_;
-  std::vector<util::DynBitset> in_;   // (n+1)*N entries, level-major
-  std::vector<util::DynBitset> out_;
+struct StageSpec {
+  FieldRotation in_perm;   // level k rows -> switch ports
+  FieldRotation out_perm;  // switch ports -> level k+1 rows
+  u32 routing_bit;         // destination bit consumed by this stage
 };
+
+/// Stage `k` (0-based) of the named topology with N = 2^n ports.
+[[nodiscard]] StageSpec make_stage(Kind kind, u32 n, u32 k);
 
 class Network {
  public:
-  explicit Network(Topology topo);
+  /// The named topology with N = 2^n ports (1 <= n <= 20).
+  Network(Kind kind, u32 n);
 
-  [[nodiscard]] Kind kind() const noexcept { return topo_.kind(); }
-  [[nodiscard]] u32 n() const noexcept { return topo_.n(); }
-  [[nodiscard]] u32 size() const noexcept { return topo_.size(); }
-  [[nodiscard]] const Topology& topology() const noexcept { return topo_; }
+  [[nodiscard]] Kind kind() const noexcept { return kind_; }
+  /// Number of stages (= log2 of the port count).
+  [[nodiscard]] u32 n() const noexcept { return n_; }
+  /// Number of member ports N = 2^n.
+  [[nodiscard]] u32 size() const noexcept { return u32{1} << n_; }
+  [[nodiscard]] const std::vector<StageSpec>& stages() const noexcept {
+    return stages_;
+  }
 
   /// Total number of links: (n+1) levels of N rows.
   [[nodiscard]] u64 link_count() const noexcept {
@@ -69,22 +69,13 @@ class Network {
   /// at every level 0..n, via destination-tag self-routing.
   [[nodiscard]] std::vector<u32> route_rows(u32 src, u32 dst) const;
 
-  /// Same path computed topology-agnostically by greedy descent over the
-  /// output windows; used as the oracle for destination-tag correctness.
-  [[nodiscard]] std::vector<u32> route_rows_generic(u32 src, u32 dst) const;
-
-  /// Lazily computed reachability windows (thread safe).
-  [[nodiscard]] const WindowTable& windows() const;
-
  private:
-  Topology topo_;
-  mutable std::once_flag windows_once_;
-  mutable std::unique_ptr<WindowTable> windows_;
+  Kind kind_;
+  u32 n_;
+  std::vector<StageSpec> stages_;
 };
 
-/// Convenience: build topology + network in one call.
-[[nodiscard]] inline Network make_network(Kind kind, u32 n) {
-  return Network(make_topology(kind, n));
-}
+static_assert(std::is_copy_constructible_v<Network> &&
+              std::is_nothrow_move_constructible_v<Network>);
 
 }  // namespace confnet::min

@@ -3,7 +3,7 @@
 // state. This is the "simpler self-routing algorithm" the paper's question
 // asks about: a switch can derive its action locally from the address bits.
 //
-// `min_selfroute_test` asserts these formulas equal Network::route_rows for
+// `min_route_test` asserts these formulas equal Network::route_rows for
 // every (src,dst,level) of every topology.
 #pragma once
 
@@ -36,8 +36,8 @@ struct PartField {
 ///   path_row(kind, n, s, d, level) == src.apply(s) | dst.apply(d)
 /// with the two fields occupying disjoint bit positions. This is the
 /// hoisted-out-of-the-loop form of path_row used by the allocation-free
-/// multiplicity kernel; `min_selfroute_test` asserts the identity for every
-/// (kind, n, level, src, dst).
+/// multiplicity kernel; `min_route_test` asserts the identity for every
+/// (kind, level, src, dst) at n <= 6.
 struct RowParts {
   PartField src;
   PartField dst;

@@ -5,11 +5,16 @@
 // resulting In/Out windows are either aligned contiguous blocks or stride
 // residue classes. The window *shapes* per topology are the structural fact
 // behind the conference-conflict results (DESIGN.md R1/R2) and are the
-// content of experiment E1. `min_test` asserts these formulas against the
-// BFS-computed `WindowTable` for every link of every topology.
+// content of experiment E1. `min_windows_test` asserts these formulas
+// against the BFS-computed `WindowTable` (below) for every link of every
+// topology.
 #pragma once
 
+#include <vector>
+
+#include "min/network.hpp"
 #include "min/types.hpp"
+#include "util/bitset.hpp"
 
 namespace confnet::min {
 
@@ -52,5 +57,32 @@ struct WindowDesc {
 /// (baseline and flip). Such networks keep conference conflicts even under
 /// aligned-block placement (result R2).
 [[nodiscard]] bool has_block_block_windows(Kind kind) noexcept;
+
+/// Explicit per-link reachability sets of one network, computed eagerly by
+/// a forward and a backward sweep over its successor/predecessor hops: the
+/// reference the closed-form windows above are checked against. It holds
+/// 2(n+1)N bitsets of N bits (~2.9 MB at N=1024), so only its readers
+/// (tests, the E1/E7 oracle rows, the `*_generic` twins) build one.
+class WindowTable {
+ public:
+  explicit WindowTable(const Network& net);
+
+  [[nodiscard]] const Network& network() const noexcept { return net_; }
+  /// In(level,row): inputs that can reach the link. |In| == 2^level.
+  [[nodiscard]] const util::DynBitset& in_set(u32 level, u32 row) const;
+  /// Out(level,row): outputs reachable from the link. |Out| == 2^(n-level).
+  [[nodiscard]] const util::DynBitset& out_set(u32 level, u32 row) const;
+
+ private:
+  Network net_;
+  std::vector<util::DynBitset> in_;   // (n+1)*N entries, level-major
+  std::vector<util::DynBitset> out_;
+};
+
+/// The path `Network::route_rows` computes, found topology-agnostically by
+/// greedy descent over the table's output windows; the oracle for
+/// destination-tag correctness.
+[[nodiscard]] std::vector<u32> route_rows_generic(const WindowTable& wt,
+                                                  u32 src, u32 dst);
 
 }  // namespace confnet::min

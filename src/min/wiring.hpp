@@ -3,7 +3,7 @@
 // Every network in the studied class is "switches + bit-permutation wiring",
 // and every wiring the class uses (perfect shuffle, block inverse shuffle,
 // cube bit-extraction) rotates a low field of the row address by one bit.
-// `FieldRotation` is that closed form: `topology.cpp` assembles the networks
+// `FieldRotation` is that closed form: `network.cpp` assembles the networks
 // from it, and a hop through a stage costs a few ALU operations with no
 // table. `Permutation` is the explicit form used by the isomorphism
 // machinery (`equivalence.cpp`) and by the wiring tests, which pin every

@@ -54,20 +54,20 @@ void for_each_delta(const std::vector<std::vector<u32>>& a,
 }
 }  // namespace
 
-FabricState::FabricState(const min::Network& net, FabricConfig config)
+FabricState::FabricState(min::Network net, FabricConfig config)
     : FabricState(net,
                   std::vector<u32>(net.n() + 1, config.channels_per_link),
                   config.fan_in, config.fan_out) {}
 
-FabricState::FabricState(const min::Network& net, std::vector<u32> capacity,
+FabricState::FabricState(min::Network net, std::vector<u32> capacity,
                          bool fan_in, bool fan_out)
-    : net_(net),
+    : net_(std::move(net)),
       capacity_(std::move(capacity)),
       fan_in_(fan_in),
       fan_out_(fan_out),
-      faults_(net.n()),
-      load_(std::size_t{net.n() + 1} * net.size(), 0),
-      owner_(net.size(), -1) {
+      faults_(net_.n()),
+      load_(std::size_t{net_.n() + 1} * net_.size(), 0),
+      owner_(net_.size(), -1) {
   expects(capacity_.size() == static_cast<std::size_t>(net_.n()) + 1,
           "FabricState capacity needs n+1 levels");
   for (u32 c : capacity_)
@@ -346,7 +346,7 @@ CONFNET_HOT FabricState::Verdict FabricState::propagate(
     plane.mark_live(0, i);
   }
 
-  const std::vector<min::StageSpec>& stages = net_.topology().stages();
+  const std::vector<min::StageSpec>& stages = net_.stages();
   for (u32 level = 1; level <= n; ++level) {
     const std::vector<u32>& rows = g.links[level];
     plane.index_level(level, rows);

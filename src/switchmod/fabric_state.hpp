@@ -67,10 +67,11 @@ struct PropagationResult {
 
 class FabricState {
  public:
-  /// Uniform capacity: `config.channels_per_link` on every level.
-  FabricState(const min::Network& net, FabricConfig config);
+  /// Uniform capacity: `config.channels_per_link` on every level. The
+  /// fabric owns its network.
+  FabricState(min::Network net, FabricConfig config);
   /// Per-level capacity (levels 0..n, every entry >= 1).
-  FabricState(const min::Network& net, std::vector<u32> capacity,
+  FabricState(min::Network net, std::vector<u32> capacity,
               bool fan_in = true, bool fan_out = true);
 
   FabricState(const FabricState&) = delete;
@@ -250,7 +251,7 @@ class FabricState {
     return std::size_t{level} * net_.size() + row;
   }
 
-  const min::Network& net_;
+  min::Network net_;
   std::vector<u32> capacity_;  // levels 0..n
   bool fan_in_;
   bool fan_out_;

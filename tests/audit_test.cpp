@@ -52,7 +52,7 @@ std::string audit_failure(Fn&& fn, const std::string& expect_subsystem) {
 TEST(AuditNetwork, HealthyNetworksPass) {
   for (auto kind : {min::Kind::kOmega, min::Kind::kBaseline,
                     min::Kind::kIndirectCube, min::Kind::kButterfly}) {
-    auto net = min::make_network(kind, 4);
+    const min::Network net(kind, 4);
     EXPECT_NO_THROW(audit::check_network(net));
   }
 }
@@ -68,7 +68,7 @@ TEST(AuditNetwork, CorruptedWiringFires) {
 
 TEST(AuditFabric, HealthyRealizationPasses) {
   const u32 n = 3;
-  auto net = min::make_network(min::Kind::kIndirectCube, n);
+  const min::Network net(min::Kind::kIndirectCube, n);
   sw::GroupRealization group;
   group.id = 0;
   group.members = {0, 1, 2, 3};
@@ -78,7 +78,7 @@ TEST(AuditFabric, HealthyRealizationPasses) {
 
 TEST(AuditFabric, CorruptedRealizationFires) {
   const u32 n = 3;
-  auto net = min::make_network(min::Kind::kIndirectCube, n);
+  const min::Network net(min::Kind::kIndirectCube, n);
   sw::GroupRealization group;
   group.id = 0;
   group.members = {0, 1, 2, 3};
@@ -248,7 +248,7 @@ TEST(AuditDesigns, SharedInterstageLinkFires) {
 
 TEST(AuditHook, HookCompilesInEveryBuildMode) {
   // In CONFNET_AUDIT builds this runs the audit; otherwise it is (void)0.
-  auto net = min::make_network(min::Kind::kOmega, 3);
+  const min::Network net(min::Kind::kOmega, 3);
   CONFNET_AUDIT_HOOK(audit::check_network(net));
   SUCCEED() << "audit hooks " << (audit::kEnabled ? "enabled" : "disabled");
 }

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "conference/multiplicity.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -185,6 +187,66 @@ TEST(Designs, NamesAreDescriptive) {
   EnhancedCubeNetwork e(3);
   EXPECT_EQ(e.name(), "enhanced-cube");
   EXPECT_EQ(d.size(), 8u);
+}
+
+// A design owns its fabric and the fabric owns its network, so a design
+// moved out of a freed source keeps serving every query and mutation.
+// Under ASan, any reference left into the source is a use-after-free.
+TEST(Designs, DirectDesignWorksAfterMove) {
+  auto source = std::make_unique<DirectConferenceNetwork>(
+      Kind::kOmega, 4, DilationProfile::full(4));
+  const auto a = source->setup({0, 1, 2});
+  const auto b = source->setup({4, 5, 9});
+  ASSERT_TRUE(a.has_value() && b.has_value());
+  const u32 row = all_pairs_links(Kind::kOmega, 4, {0, 1, 2})[2].front();
+  EXPECT_EQ(source->fail_link(2, row), std::vector<u32>{*a});
+
+  DirectConferenceNetwork net = std::move(*source);
+  source.reset();
+  EXPECT_EQ(net.active_count(), 2u);
+  EXPECT_TRUE(net.link_faulty(2, row));
+  EXPECT_FALSE(net.conference_survives(*a));
+  EXPECT_TRUE(net.conference_survives(*b));
+  EXPECT_FALSE(net.verify_delivery());
+  EXPECT_FALSE(net.verify_delivery_reference());
+
+  net.teardown(*a);
+  EXPECT_TRUE(net.verify_delivery());
+  EXPECT_TRUE(net.verify_delivery_reference());
+  const auto c = net.setup({12, 13});
+  ASSERT_TRUE(c.has_value());
+  EXPECT_TRUE(net.add_member(*c, 15));
+  EXPECT_TRUE(net.remove_member(*b, 9));
+  EXPECT_EQ(net.members_for(*c), (std::vector<u32>{12, 13, 15}));
+  EXPECT_TRUE(net.conference_survives(*c));
+  EXPECT_TRUE(net.verify_delivery());
+  EXPECT_TRUE(net.verify_delivery_reference());
+  EXPECT_EQ(net.repair_link(2, row), std::vector<u32>{});
+  EXPECT_EQ(net.name(), "direct-omega(full)");
+}
+
+TEST(Designs, EnhancedDesignWorksAfterMove) {
+  auto source = std::make_unique<EnhancedCubeNetwork>(4);
+  const auto a = source->setup({0, 1, 2, 3});
+  const auto b = source->setup({4, 5});
+  ASSERT_TRUE(a.has_value() && b.has_value());
+
+  EnhancedCubeNetwork net = std::move(*source);
+  source.reset();
+  EXPECT_EQ(net.active_count(), 2u);
+  EXPECT_TRUE(net.conference_survives(*a));
+  EXPECT_TRUE(net.verify_delivery());
+  EXPECT_TRUE(net.verify_delivery_reference());
+
+  EXPECT_TRUE(net.add_member(*b, 6));
+  EXPECT_EQ(net.tap_level(*b), 2u);
+  net.teardown(*a);
+  const auto c = net.setup({8, 9, 10, 11, 12, 13, 14, 15});
+  ASSERT_TRUE(c.has_value());
+  EXPECT_EQ(net.tap_level(*c), 3u);
+  EXPECT_TRUE(net.conference_survives(*c));
+  EXPECT_TRUE(net.verify_delivery());
+  EXPECT_TRUE(net.verify_delivery_reference());
 }
 
 }  // namespace

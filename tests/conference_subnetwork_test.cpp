@@ -34,13 +34,14 @@ std::vector<u32> random_members(util::Rng& rng, u32 N, u32 size) {
 
 TEST_P(SubnetworkSuite, ClosedFormEqualsGeneric) {
   const auto [kind, n] = GetParam();
-  const min::Network net = min::make_network(kind, n);
+  const min::WindowTable wt(min::Network(kind, n));
+  const u32 N = wt.network().size();
   util::Rng rng(42);
   for (int trial = 0; trial < 30; ++trial) {
-    const u32 size = 2 + static_cast<u32>(rng.below(net.size() - 1));
-    const auto members = random_members(rng, net.size(), size);
+    const u32 size = 2 + static_cast<u32>(rng.below(N - 1));
+    const auto members = random_members(rng, N, size);
     EXPECT_EQ(all_pairs_links(kind, n, members),
-              all_pairs_links_generic(net, members))
+              all_pairs_links_generic(wt, members))
         << min::kind_name(kind) << " trial " << trial;
   }
 }

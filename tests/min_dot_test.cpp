@@ -12,7 +12,7 @@ namespace confnet::min {
 namespace {
 
 TEST(Dot, BasicStructure) {
-  const Network net = make_network(Kind::kOmega, 2);
+  const Network net(Kind::kOmega, 2);
   std::ostringstream os;
   write_dot(os, net);
   const std::string dot = os.str();
@@ -31,7 +31,7 @@ TEST(Dot, BasicStructure) {
 }
 
 TEST(Dot, Deterministic) {
-  const Network net = make_network(Kind::kBaseline, 3);
+  const Network net(Kind::kBaseline, 3);
   std::ostringstream a, b;
   write_dot(a, net);
   write_dot(b, net);
@@ -39,7 +39,7 @@ TEST(Dot, Deterministic) {
 }
 
 TEST(Dot, HighlightsConferenceSubnetwork) {
-  const Network net = make_network(Kind::kIndirectCube, 3);
+  const Network net(Kind::kIndirectCube, 3);
   const auto links = conf::all_pairs_links(Kind::kIndirectCube, 3, {0, 1});
   DotOptions options;
   options.highlight = links;
@@ -53,7 +53,7 @@ TEST(Dot, HighlightsConferenceSubnetwork) {
 }
 
 TEST(Dot, MarksFaults) {
-  const Network net = make_network(Kind::kOmega, 3);
+  const Network net(Kind::kOmega, 3);
   FaultSet faults(3);
   faults.fail_link(1, 4);
   DotOptions options;
@@ -66,7 +66,7 @@ TEST(Dot, MarksFaults) {
 }
 
 TEST(Dot, ValidatesShapes) {
-  const Network net = make_network(Kind::kOmega, 3);
+  const Network net(Kind::kOmega, 3);
   DotOptions options;
   options.highlight = std::vector<std::vector<u32>>(2);  // wrong level count
   std::ostringstream os;

@@ -177,7 +177,7 @@ TEST(Faults, SwitchFaultKillsBothOutputs) {
 TEST(Faults, SwitchFaultHitsExactlyThatSwitchsOutputs) {
   const u32 n = 4;
   for (Kind kind : kAllKinds) {
-    const Network net = make_network(kind, n);
+    const Network net(kind, n);
     for (u32 stage = 1; stage <= n; ++stage) {
       for (u32 w = 0; w < net.size() / 2; ++w) {
         FaultSet faults(n);

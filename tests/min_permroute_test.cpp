@@ -29,12 +29,12 @@ TEST(PermRoute, IdentityAdmissibilitySplitsTheClass) {
   for (u32 n : {2u, 3u, 4u, 5u, 6u}) {
     for (Kind kind : {Kind::kOmega, Kind::kIndirectCube, Kind::kButterfly,
                       Kind::kReverseOmega}) {
-      const Network net = make_network(kind, n);
+      const Network net(kind, n);
       EXPECT_TRUE(is_admissible(net, identity_perm(net.size())))
           << kind_name(kind) << " n=" << n;
     }
     for (Kind kind : {Kind::kBaseline, Kind::kFlip}) {
-      const Network net = make_network(kind, n);
+      const Network net(kind, n);
       const LoadProfile lp = permutation_load(net, identity_perm(net.size()));
       EXPECT_EQ(lp.peak, u32{1} << (n / 2)) << kind_name(kind) << " n=" << n;
     }
@@ -44,7 +44,7 @@ TEST(PermRoute, IdentityAdmissibilitySplitsTheClass) {
 TEST(PermRoute, ExternalLevelsAlwaysLoadOne) {
   util::Rng rng(4);
   for (Kind kind : kAllKinds) {
-    const Network net = make_network(kind, 5);
+    const Network net(kind, 5);
     auto perm = identity_perm(net.size());
     rng.shuffle(std::span<u32>(perm));
     const LoadProfile lp = permutation_load(net, perm);
@@ -57,7 +57,7 @@ TEST(PermRoute, BitReversalCongestsOmega) {
   // Classic result: routing the bit-reversal permutation through an omega
   // network creates 2^floor(n/2) conflicts on some middle link.
   for (u32 n : {4u, 6u, 8u}) {
-    const Network net = make_network(Kind::kOmega, n);
+    const Network net(Kind::kOmega, n);
     std::vector<u32> perm(net.size());
     for (u32 s = 0; s < net.size(); ++s)
       perm[s] = static_cast<u32>(util::reverse_bits_n(s, n));
@@ -71,7 +71,7 @@ TEST(PermRoute, ComplementAdmissibleInOmega) {
   // low n-k bits and the complement of s's top k bits, so the source is
   // recoverable from the row — no two sources can share a link.
   const u32 n = 5;
-  const Network net = make_network(Kind::kOmega, n);
+  const Network net(Kind::kOmega, n);
   std::vector<u32> perm(net.size());
   for (u32 s = 0; s < net.size(); ++s) perm[s] = (net.size() - 1) ^ s;
   EXPECT_TRUE(is_admissible(net, perm));
@@ -82,7 +82,7 @@ TEST(PermRoute, LoadIsBoundedByTheoreticalWindowLimit) {
   util::Rng rng(9);
   for (Kind kind : kAllKinds) {
     const u32 n = 6;
-    const Network net = make_network(kind, n);
+    const Network net(kind, n);
     for (int trial = 0; trial < 20; ++trial) {
       auto perm = identity_perm(net.size());
       rng.shuffle(std::span<u32>(perm));
@@ -98,7 +98,7 @@ TEST(PermRoute, TotalSignalsConserved) {
   // Sanity: every level carries exactly N signals in total; the max load of
   // any level is at least 1.
   util::Rng rng(10);
-  const Network net = make_network(Kind::kBaseline, 5);
+  const Network net(Kind::kBaseline, 5);
   auto perm = identity_perm(net.size());
   rng.shuffle(std::span<u32>(perm));
   const LoadProfile lp = permutation_load(net, perm);
@@ -106,7 +106,7 @@ TEST(PermRoute, TotalSignalsConserved) {
 }
 
 TEST(PermRoute, RejectsNonPermutations) {
-  const Network net = make_network(Kind::kOmega, 3);
+  const Network net(Kind::kOmega, 3);
   std::vector<u32> dup(net.size(), 0);
   EXPECT_THROW((void)permutation_load(net, dup), Error);
   std::vector<u32> wrong_size{0, 1};

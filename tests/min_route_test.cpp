@@ -8,6 +8,7 @@
 
 #include "min/network.hpp"
 #include "min/selfroute.hpp"
+#include "min/windows.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -23,7 +24,7 @@ class RouteSuite : public ::testing::TestWithParam<Case> {};
 
 TEST_P(RouteSuite, PathEndpointsCorrect) {
   const auto [kind, n] = GetParam();
-  const Network net = make_network(kind, n);
+  const Network net(kind, n);
   for (u32 s = 0; s < net.size(); ++s) {
     for (u32 d = 0; d < net.size(); ++d) {
       const auto rows = net.route_rows(s, d);
@@ -36,16 +37,17 @@ TEST_P(RouteSuite, PathEndpointsCorrect) {
 
 TEST_P(RouteSuite, DestinationTagMatchesGenericGreedy) {
   const auto [kind, n] = GetParam();
-  const Network net = make_network(kind, n);
+  const Network net(kind, n);
+  const WindowTable wt(net);
   for (u32 s = 0; s < net.size(); ++s)
     for (u32 d = 0; d < net.size(); ++d)
-      EXPECT_EQ(net.route_rows(s, d), net.route_rows_generic(s, d))
+      EXPECT_EQ(net.route_rows(s, d), route_rows_generic(wt, s, d))
           << kind_name(kind) << " s=" << s << " d=" << d;
 }
 
 TEST_P(RouteSuite, ClosedFormMatchesDestinationTag) {
   const auto [kind, n] = GetParam();
-  const Network net = make_network(kind, n);
+  const Network net(kind, n);
   for (u32 s = 0; s < net.size(); ++s)
     for (u32 d = 0; d < net.size(); ++d)
       EXPECT_EQ(path_rows(kind, n, s, d), net.route_rows(s, d))
@@ -54,7 +56,7 @@ TEST_P(RouteSuite, ClosedFormMatchesDestinationTag) {
 
 TEST_P(RouteSuite, PathHopsAreGraphEdges) {
   const auto [kind, n] = GetParam();
-  const Network net = make_network(kind, n);
+  const Network net(kind, n);
   util::Rng rng(123);
   for (int trial = 0; trial < 200; ++trial) {
     const u32 s = static_cast<u32>(rng.below(net.size()));
@@ -72,7 +74,7 @@ TEST_P(RouteSuite, PathsToSameDestinationMerge) {
   // they are identical from there on (the combining property fan-in relies
   // on).
   const auto [kind, n] = GetParam();
-  const Network net = make_network(kind, n);
+  const Network net(kind, n);
   util::Rng rng(77);
   for (int trial = 0; trial < 100; ++trial) {
     const u32 d = static_cast<u32>(rng.below(net.size()));
@@ -96,7 +98,7 @@ TEST_P(RouteSuite, PathsFromSameSourceDiverge) {
   // Banyan fan-out: once two paths from one source split, they never
   // re-join (no multipath).
   const auto [kind, n] = GetParam();
-  const Network net = make_network(kind, n);
+  const Network net(kind, n);
   util::Rng rng(78);
   for (int trial = 0; trial < 100; ++trial) {
     const u32 s = static_cast<u32>(rng.below(net.size()));
@@ -133,7 +135,7 @@ TEST(RouteLargeSpotChecks, N1024) {
   // Closed form vs destination-tag on a large instance, sampled.
   for (Kind kind : kAllKinds) {
     const u32 n = 10;
-    const Network net = make_network(kind, n);
+    const Network net(kind, n);
     util::Rng rng(5);
     for (int trial = 0; trial < 500; ++trial) {
       const u32 s = static_cast<u32>(rng.below(net.size()));
@@ -149,7 +151,7 @@ TEST(RouteLargeSpotChecks, TableFreeAtOneMillionPorts) {
   // with the closed-form path.
   for (Kind kind : kAllKinds) {
     const u32 n = 20;
-    const Network net = make_network(kind, n);
+    const Network net(kind, n);
     util::Rng rng(20);
     for (int trial = 0; trial < 300; ++trial) {
       const u32 s = static_cast<u32>(rng.below(net.size()));
@@ -160,8 +162,32 @@ TEST(RouteLargeSpotChecks, TableFreeAtOneMillionPorts) {
   }
 }
 
+TEST(RowParts, ComposePathRowForEveryPair) {
+  // The hoisted decomposition the multiplicity kernel and the ALL_PAIRS
+  // factorization use: two disjoint bit fields whose OR is the path row.
+  for (Kind kind : kAllKinds) {
+    for (u32 n = 1; n <= 6; ++n) {
+      const u32 N = u32{1} << n;
+      for (u32 level = 0; level <= n; ++level) {
+        const RowParts parts = row_parts(kind, n, level);
+        EXPECT_EQ((parts.src.mask << parts.src.shift_out) &
+                      (parts.dst.mask << parts.dst.shift_out),
+                  0u)
+            << kind_name(kind) << " n=" << n << " level=" << level;
+        u64 mismatches = 0;
+        for (u32 s = 0; s < N; ++s)
+          for (u32 d = 0; d < N; ++d)
+            mismatches += (parts.src.apply(s) | parts.dst.apply(d)) !=
+                          path_row(kind, n, s, d, level);
+        EXPECT_EQ(mismatches, 0u)
+            << kind_name(kind) << " n=" << n << " level=" << level;
+      }
+    }
+  }
+}
+
 TEST(RouteErrors, OutOfRangeThrows) {
-  const Network net = make_network(Kind::kOmega, 3);
+  const Network net(Kind::kOmega, 3);
   EXPECT_THROW((void)net.route_rows(8, 0), Error);
   EXPECT_THROW((void)net.route_rows(0, 9), Error);
   EXPECT_THROW((void)path_row(Kind::kOmega, 3, 0, 0, 4), Error);

@@ -1,14 +1,14 @@
 // Structural property suite over the whole class: every named topology must
 // be banyan (unique paths), have full access and uniform window sizes —
 // the preconditions of all conference-conflict results.
-#include "min/topology.hpp"
+#include "min/network.hpp"
 
 #include <gtest/gtest.h>
 
 #include "test_util.hpp"
 
 #include "min/banyan.hpp"
-#include "min/network.hpp"
+#include "min/windows.hpp"
 #include "util/error.hpp"
 
 namespace confnet::min {
@@ -23,18 +23,18 @@ class TopologySuite : public ::testing::TestWithParam<Case> {};
 
 TEST_P(TopologySuite, HasNStagesAndCorrectSize) {
   const auto [kind, n] = GetParam();
-  const Topology topo = make_topology(kind, n);
-  EXPECT_EQ(topo.n(), n);
-  EXPECT_EQ(topo.size(), u32{1} << n);
-  EXPECT_EQ(topo.stages().size(), n);
-  EXPECT_EQ(topo.kind(), kind);
+  const Network net(kind, n);
+  EXPECT_EQ(net.n(), n);
+  EXPECT_EQ(net.size(), u32{1} << n);
+  EXPECT_EQ(net.stages().size(), n);
+  EXPECT_EQ(net.kind(), kind);
 }
 
 TEST_P(TopologySuite, EveryStageConsumesEveryDestinationBitOnce) {
   const auto [kind, n] = GetParam();
-  const Topology topo = make_topology(kind, n);
+  const Network net(kind, n);
   std::vector<bool> used(n, false);
-  for (const auto& stage : topo.stages()) {
+  for (const auto& stage : net.stages()) {
     ASSERT_LT(stage.routing_bit, n);
     EXPECT_FALSE(used[stage.routing_bit]);
     used[stage.routing_bit] = true;
@@ -43,7 +43,7 @@ TEST_P(TopologySuite, EveryStageConsumesEveryDestinationBitOnce) {
 
 TEST_P(TopologySuite, IsBanyan) {
   const auto [kind, n] = GetParam();
-  const Network net = make_network(kind, n);
+  const Network net(kind, n);
   const PathCensus census = count_paths(net);
   EXPECT_EQ(census.min_paths, 1u);
   EXPECT_EQ(census.max_paths, 1u);
@@ -55,13 +55,13 @@ TEST_P(TopologySuite, IsBanyan) {
 
 TEST_P(TopologySuite, UniformWindowCardinalities) {
   const auto [kind, n] = GetParam();
-  const Network net = make_network(kind, n);
-  EXPECT_TRUE(has_uniform_windows(net));
+  const Network net(kind, n);
+  EXPECT_TRUE(has_uniform_windows(WindowTable(net)));
 }
 
 TEST_P(TopologySuite, SuccessorsAndPredecessorsAreInverse) {
   const auto [kind, n] = GetParam();
-  const Network net = make_network(kind, n);
+  const Network net(kind, n);
   for (u32 level = 0; level < n; ++level) {
     for (u32 row = 0; row < net.size(); ++row) {
       for (u32 next : net.successors(level, row)) {
@@ -75,7 +75,7 @@ TEST_P(TopologySuite, SuccessorsAndPredecessorsAreInverse) {
 
 TEST_P(TopologySuite, SwitchIndexingConsistent) {
   const auto [kind, n] = GetParam();
-  const Network net = make_network(kind, n);
+  const Network net(kind, n);
   for (u32 stage = 1; stage <= n; ++stage) {
     // Every switch has exactly two input rows and two output rows.
     std::vector<u32> in_count(net.size() / 2, 0), out_count(net.size() / 2, 0);
@@ -103,9 +103,22 @@ INSTANTIATE_TEST_SUITE_P(
       return testutil::param_name(info.param.kind, info.param.n);
     });
 
-TEST(TopologyFactory, RejectsBadN) {
-  EXPECT_THROW(make_topology(Kind::kOmega, 0), Error);
-  EXPECT_THROW(make_topology(Kind::kOmega, 21), Error);
+TEST(NetworkConstructor, RejectsBadN) {
+  EXPECT_THROW(Network(Kind::kOmega, 0), Error);
+  EXPECT_THROW(Network(Kind::kOmega, 21), Error);
+}
+
+TEST(NetworkConstructor, CopiesAndMovesAreEqualValues) {
+  const Network net(Kind::kButterfly, 5);
+  Network copy = net;
+  const Network moved = std::move(copy);
+  for (const Network* other : {&net, &moved}) {
+    EXPECT_EQ(other->kind(), Kind::kButterfly);
+    ASSERT_EQ(other->n(), 5u);
+  }
+  for (u32 level = 0; level < 5; ++level)
+    for (u32 row = 0; row < net.size(); ++row)
+      EXPECT_EQ(moved.successors(level, row), net.successors(level, row));
 }
 
 TEST(KindNames, RoundTrip) {

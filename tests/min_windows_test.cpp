@@ -22,8 +22,8 @@ class WindowSuite : public ::testing::TestWithParam<Case> {};
 
 TEST_P(WindowSuite, ClosedFormEqualsBfsReachability) {
   const auto [kind, n] = GetParam();
-  const Network net = make_network(kind, n);
-  const WindowTable& wt = net.windows();
+  const Network net(kind, n);
+  const WindowTable wt(net);
   for (u32 level = 0; level <= n; ++level) {
     for (u32 row = 0; row < net.size(); ++row) {
       const WindowDesc in_w = in_window(kind, n, level, row);

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "min/network.hpp"
-#include "min/topology.hpp"
 #include "util/bits.hpp"
 #include "util/error.hpp"
 
@@ -206,9 +205,9 @@ TEST(FieldRotation, RotatesTheLowFieldByOne) {
 TEST(StageWiring, MatchesExplicitPermutationsForEveryKind) {
   for (Kind kind : kAllKinds) {
     for (u32 n = 1; n <= 12; ++n) {
-      const Topology topo = make_topology(kind, n);
+      const Network net(kind, n);
       for (u32 k = 0; k < n; ++k) {
-        const StageSpec& st = topo.stages()[k];
+        const StageSpec& st = net.stages()[k];
         const auto [in, out] = oracle_stage(kind, n, k);
         const u32 N = u32{1} << n;
         EXPECT_EQ(first_mismatch(st.in_perm, in), N)
@@ -227,7 +226,7 @@ TEST(StageWiring, MatchesExplicitPermutationsForEveryKind) {
 TEST(StageWiring, SuccessorsAndPredecessorsAgreeAtEveryLink) {
   for (Kind kind : kAllKinds) {
     for (u32 n = 1; n <= 10; ++n) {
-      const Network net = make_network(kind, n);
+      const Network net(kind, n);
       u64 mismatches = 0;
       for (u32 level = 0; level < n; ++level) {
         for (u32 row = 0; row < net.size(); ++row) {
@@ -246,11 +245,18 @@ TEST(StageWiring, SuccessorsAndPredecessorsAgreeAtEveryLink) {
   }
 }
 
-TEST(StageWiring, TopologyRejectsWiringWiderThanTheAddress) {
-  std::vector<StageSpec> stages{{FieldRotation(3, true), {}, 1}, {{}, {}, 0}};
-  EXPECT_THROW(Topology(Kind::kOmega, 2, stages), Error);
-  stages[0].in_perm = FieldRotation(2, true);
-  EXPECT_NO_THROW(Topology(Kind::kOmega, 2, stages));
+TEST(StageWiring, EveryStageFitsTheAddress) {
+  for (Kind kind : kAllKinds) {
+    for (u32 n = 1; n <= 20; ++n) {
+      for (u32 k = 0; k < n; ++k) {
+        const StageSpec st = make_stage(kind, n, k);
+        EXPECT_LE(st.in_perm.bits(), n) << kind_name(kind) << " n=" << n;
+        EXPECT_LE(st.out_perm.bits(), n) << kind_name(kind) << " n=" << n;
+        EXPECT_LT(st.routing_bit, n) << kind_name(kind) << " n=" << n;
+      }
+    }
+  }
+  EXPECT_THROW((void)make_stage(Kind::kOmega, 2, 2), Error);
 }
 
 }  // namespace

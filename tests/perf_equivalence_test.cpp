@@ -78,7 +78,7 @@ TEST_P(EquivalenceSuite, FabricStateMatchesStatelessOracle) {
   const Kind kind = min::kAllKinds[rng_.below(min::kAllKinds.size())];
   const u32 n = 3 + static_cast<u32>(rng_.below(3));
   const u32 N = u32{1} << n;
-  const min::Network net = min::make_network(kind, n);
+  const min::Network net(kind, n);
   sw::FabricState state(net, sw::FabricConfig{N, true, true});
 
   conf::PortPlacer placer(n, conf::PlacementPolicy::kRandom);

@@ -35,12 +35,13 @@ class FuzzSuite : public ::testing::TestWithParam<std::uint64_t> {
 TEST_P(FuzzSuite, RoutingTrinityAgrees) {
   const Kind kind = random_kind();
   const u32 n = random_n();
-  const min::Network net = min::make_network(kind, n);
+  const min::Network net(kind, n);
+  const min::WindowTable wt(net);
   for (int i = 0; i < 50; ++i) {
     const u32 s = static_cast<u32>(rng_.below(net.size()));
     const u32 d = static_cast<u32>(rng_.below(net.size()));
     const auto tag = net.route_rows(s, d);
-    EXPECT_EQ(tag, net.route_rows_generic(s, d));
+    EXPECT_EQ(tag, min::route_rows_generic(wt, s, d));
     EXPECT_EQ(tag, min::path_rows(kind, n, s, d));
   }
 }
@@ -65,7 +66,7 @@ TEST_P(FuzzSuite, FabricDeliversExactlyTheGroup) {
   const Kind kind = random_kind();
   const u32 n = random_n(3, 6);
   const u32 N = u32{1} << n;
-  const min::Network net = min::make_network(kind, n);
+  const min::Network net(kind, n);
   const sw::Fabric fabric(net, sw::FabricConfig{N, true, true});
   // 2-3 random disjoint groups.
   conf::PortPlacer placer(n, conf::PlacementPolicy::kRandom);

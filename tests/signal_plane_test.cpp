@@ -85,7 +85,7 @@ TEST_P(SignalPlaneSuite, PropagateMatchesReferenceAcrossBackends) {
   for (Kind kind : min::kAllKinds) {
     const u32 n = 4 + static_cast<u32>(rng_.below(2));
     const u32 N = u32{1} << n;
-    const min::Network net = min::make_network(kind, n);
+    const min::Network net(kind, n);
     sw::FabricState state(net, sw::FabricConfig{N, true, true});
     conf::PortPlacer placer(n, conf::PlacementPolicy::kRandom);
 
@@ -122,7 +122,7 @@ TEST_P(SignalPlaneSuite, LaneBoundaryMemberCounts) {
   } cases[] = {{7, 63}, {7, 64}, {7, 65}, {9, 255}, {9, 256}, {9, 257}};
   for (const auto& c : cases) {
     const u32 N = u32{1} << c.n;
-    const min::Network net = min::make_network(kind, c.n);
+    const min::Network net(kind, c.n);
     sw::FabricState state(net, sw::FabricConfig{N, true, true});
     // A random member subset of the requested size (sorted by placer-free
     // construction: pick distinct ports via a shuffled identity prefix).
@@ -151,7 +151,7 @@ TEST_P(SignalPlaneSuite, TappedRealizationsMatchReference) {
   BackendGuard guard;
   const u32 n = 5;
   const u32 N = u32{1} << n;
-  const min::Network net = min::make_network(Kind::kIndirectCube, n);
+  const min::Network net(Kind::kIndirectCube, n);
   sw::FabricState state(net, sw::FabricConfig{N, true, true});
   conf::PortPlacer placer(n, conf::PlacementPolicy::kBuddy);
 
@@ -187,7 +187,7 @@ TEST_P(SignalPlaneSuite, FaultedLinksMatchReference) {
   const Kind kind = Kind::kBaseline;
   const u32 n = 5;
   const u32 N = u32{1} << n;
-  const min::Network net = min::make_network(kind, n);
+  const min::Network net(kind, n);
   sw::FabricState state(net, sw::FabricConfig{N, true, true});
   conf::PortPlacer placer(n, conf::PlacementPolicy::kRandom);
 
@@ -249,7 +249,7 @@ TEST_P(SignalPlaneSuite, FailedLinkInvalidatesCachedVerdict) {
   for (simd::Backend b : available_backends()) {
     ASSERT_TRUE(simd::force_backend(b));
     const Kind kind = min::kAllKinds[rng_.below(min::kAllKinds.size())];
-    const min::Network net = min::make_network(kind, n);
+    const min::Network net(kind, n);
     sw::FabricState state(net, sw::FabricConfig{N, true, true});
     conf::PortPlacer placer(n, conf::PlacementPolicy::kRandom);
 
@@ -291,7 +291,7 @@ TEST_P(SignalPlaneSuite, CrossCheckHoldsUnderChurnWithFaults) {
   const Kind kind = min::kAllKinds[rng_.below(min::kAllKinds.size())];
   const u32 n = 4;
   const u32 N = u32{1} << n;
-  const min::Network net = min::make_network(kind, n);
+  const min::Network net(kind, n);
   // Some seeds switch a fan capability off, so the capability-violation
   // counts are pinned against the reference too.
   const bool fan_in = GetParam() % 2 == 0;

@@ -32,7 +32,7 @@ GroupRealization make_group(u32 id, Kind kind, u32 n,
 TEST(Fabric, SingleConferenceDeliversFullMix) {
   for (Kind kind : min::kAllKinds) {
     const u32 n = 4;
-    const min::Network net = min::make_network(kind, n);
+    const min::Network net(kind, n);
     const Fabric fabric(net, FabricConfig{1, true, true});
     const auto g = make_group(0, kind, n, {1, 5, 9, 14});
     const EvalReport report = fabric.evaluate({g});
@@ -45,7 +45,7 @@ TEST(Fabric, SingleConferenceDeliversFullMix) {
 
 TEST(Fabric, WholeNetworkConference) {
   const u32 n = 3;
-  const min::Network net = min::make_network(Kind::kOmega, n);
+  const min::Network net(Kind::kOmega, n);
   const Fabric fabric(net, FabricConfig{1, true, true});
   std::vector<u32> everyone(8);
   for (u32 i = 0; i < 8; ++i) everyone[i] = i;
@@ -61,7 +61,7 @@ TEST(Fabric, WholeNetworkConference) {
 
 TEST(Fabric, TwoMemberConferenceUsesNoFanInBeforeMerge) {
   const u32 n = 3;
-  const min::Network net = min::make_network(Kind::kIndirectCube, n);
+  const min::Network net(Kind::kIndirectCube, n);
   const Fabric fabric(net, FabricConfig{1, true, true});
   // Adjacent members in the cube merge at stage 1 and share all later rows.
   const auto g = make_group(0, Kind::kIndirectCube, n, {0, 1});
@@ -74,7 +74,7 @@ TEST(Fabric, TwoMemberConferenceUsesNoFanInBeforeMerge) {
 TEST(Fabric, DetectsChannelOverflow) {
   // Two conferences built to collide on a middle link with one channel.
   const u32 n = 4;
-  const min::Network net = min::make_network(Kind::kOmega, n);
+  const min::Network net(Kind::kOmega, n);
   const Fabric fabric(net, FabricConfig{1, true, true});
   // Members chosen so both conferences cross level 2 link windows: pairs
   // (a, b) with equal low-2 bits of a and equal high-2 bits of b.
@@ -90,7 +90,7 @@ TEST(Fabric, DetectsChannelOverflow) {
 
 TEST(Fabric, OverflowReportedButSignalsStillPropagate) {
   const u32 n = 2;
-  const min::Network net = min::make_network(Kind::kBaseline, n);
+  const min::Network net(Kind::kBaseline, n);
   const Fabric fabric(net, FabricConfig{1, true, true});
   // In a 4-port baseline, {0,1} and {2,3} collide at level 1 (block x
   // block windows): verified by the aligned-adversary theory.
@@ -107,7 +107,7 @@ TEST(Fabric, OverflowReportedButSignalsStillPropagate) {
 
 TEST(Fabric, DisjointnessEnforced) {
   const u32 n = 3;
-  const min::Network net = min::make_network(Kind::kOmega, n);
+  const min::Network net(Kind::kOmega, n);
   const Fabric fabric(net, FabricConfig{1, true, true});
   const auto g1 = make_group(0, Kind::kOmega, n, {0, 1});
   const auto g2 = make_group(1, Kind::kOmega, n, {1, 2});
@@ -116,7 +116,7 @@ TEST(Fabric, DisjointnessEnforced) {
 
 TEST(Fabric, CapabilityViolationsCounted) {
   const u32 n = 3;
-  const min::Network net = min::make_network(Kind::kOmega, n);
+  const min::Network net(Kind::kOmega, n);
   // A conference needs fan-in and fan-out; a fabric without them must
   // report violations.
   const Fabric crippled(net, FabricConfig{1, false, false});
@@ -128,7 +128,7 @@ TEST(Fabric, CapabilityViolationsCounted) {
 
 TEST(Fabric, MuxRelayTapsDeliverAtInternalLevel) {
   const u32 n = 4;
-  const min::Network net = min::make_network(Kind::kIndirectCube, n);
+  const min::Network net(Kind::kIndirectCube, n);
   const Fabric fabric(net, FabricConfig{1, true, true});
   // Aligned block {4,5,6,7}: completes combining at level 2.
   const std::vector<u32> members{4, 5, 6, 7};
@@ -147,7 +147,7 @@ TEST(Fabric, MuxRelayTapsDeliverAtInternalLevel) {
 
 TEST(Fabric, ManyDisjointEnhancedConferencesAreConflictFree) {
   const u32 n = 4;
-  const min::Network net = min::make_network(Kind::kIndirectCube, n);
+  const min::Network net(Kind::kIndirectCube, n);
   const Fabric fabric(net, FabricConfig{1, true, true});
   std::vector<GroupRealization> groups;
   // Four aligned 4-port blocks fill the network.
@@ -171,7 +171,7 @@ TEST(Fabric, ManyDisjointEnhancedConferencesAreConflictFree) {
 
 TEST(Fabric, RejectsMalformedGroups) {
   const u32 n = 2;
-  const min::Network net = min::make_network(Kind::kOmega, n);
+  const min::Network net(Kind::kOmega, n);
   const Fabric fabric(net, FabricConfig{1, true, true});
   GroupRealization g;
   g.id = 0;
@@ -181,7 +181,7 @@ TEST(Fabric, RejectsMalformedGroups) {
 }
 
 TEST(Fabric, ConfigValidation) {
-  const min::Network net = min::make_network(Kind::kOmega, 2);
+  const min::Network net(Kind::kOmega, 2);
   EXPECT_THROW(Fabric(net, FabricConfig{0, true, true}), Error);
 }
 
@@ -216,7 +216,7 @@ TEST(FabricState, LoadMatrixMatchesGroupRecountUnderChurn) {
   for (u32 n = 1; n <= 10; ++n) {
     const u32 N = u32{1} << n;
     const Kind kind = min::kAllKinds[n % min::kAllKinds.size()];
-    const min::Network net = min::make_network(kind, n);
+    const min::Network net(kind, n);
     util::Rng rng(1000 + n);
     std::vector<u32> capacity(n + 1);
     for (u32& c : capacity) c = 1 + static_cast<u32>(rng.below(3));
