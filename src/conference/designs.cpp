@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "conference/multiplicity.hpp"
 #include "util/bits.hpp"
 #include "util/error.hpp"
 
@@ -216,6 +217,10 @@ u32 DirectConferenceNetwork::current_level_load(u32 level) const {
   return state_.level_peak_load(level);
 }
 
+u32 DirectConferenceNetwork::current_link_load(u32 level, u32 row) const {
+  return state_.load_at(level, row);
+}
+
 std::vector<u32> DirectConferenceNetwork::fail_link(u32 level, u32 row) {
   auto touched = state_.fail_link(level, row);
   CONFNET_AUDIT_HOOK(audit::check_direct_network(*this));
@@ -364,9 +369,8 @@ namespace confnet::audit {
 namespace {
 
 /// Shared portion of the two design audits: member sets disjoint, handles
-/// in range, and — via check_fabric_state — load and port-ownership
-/// accounting consistent with group membership and the stateless Fabric
-/// oracle.
+/// in range, and — via check_fabric_state — link loads and the busy-port
+/// set consistent with group membership and the stateless Fabric oracle.
 void check_design_state(const sw::FabricState& state, conf::u32 n,
                         conf::u32 next_handle, std::string_view sub) {
   using conf::u32;
@@ -395,9 +399,15 @@ void check_direct_network(const conf::DirectConferenceNetwork& net) {
   constexpr std::string_view kSub = "designs";
   using conf::u32;
   check_design_state(net.state_, net.n(), net.next_handle_, kSub);
-  for (u32 level = 0; level <= net.n(); ++level)
+  for (u32 level = 0; level <= net.n(); ++level) {
     require(net.state_.capacity()[level] == net.dilation_.channels(level),
             kSub, "fabric capacity diverges from the dilation profile");
+    // R1 on live state: at most min(2^l, 2^(n-l)) disjoint ALL_PAIRS
+    // conferences share a level-l link, whatever the dilation allows.
+    require(net.state_.level_peak_load(level) <=
+                conf::theoretical_max(net.n(), level),
+            kSub, "a link carries more conferences than R1 allows");
+  }
   // Deep shape check: the stored links are exactly the ALL_PAIRS
   // subnetwork of the stored members, with no relay taps.
   net.state_.for_each_group([&](const sw::GroupRealization& g) {

@@ -185,6 +185,8 @@ class DirectConferenceNetwork final : public ConferenceNetworkBase {
   }
   /// Highest channel load currently on any link of the level.
   [[nodiscard]] u32 current_level_load(u32 level) const;
+  /// Channel load currently on link (level, row).
+  [[nodiscard]] u32 current_link_load(u32 level, u32 row) const;
 
   [[nodiscard]] bool supports_faults() const noexcept override { return true; }
   [[nodiscard]] std::vector<u32> fail_link(u32 level, u32 row) override;

@@ -43,6 +43,12 @@ void for_each_output(const GroupRealization& g, Fn&& fn) {
   }
 }
 
+/// The 16-bit guard every increment path runs before changing anything.
+void expect_headroom(u32 load) {
+  expects(load < FabricState::kMaxLoad,
+          "link load would pass the 16-bit ceiling");
+}
+
 /// Invoke fn(level, row) for every link present in `a` but not in `b`.
 template <typename Fn>
 void for_each_delta(const std::vector<std::vector<u32>>& a,
@@ -67,7 +73,7 @@ FabricState::FabricState(min::Network net, std::vector<u32> capacity,
       fan_out_(fan_out),
       faults_(net_.n()),
       load_(std::size_t{net_.n() + 1} * net_.size(), 0),
-      owner_(net_.size(), -1) {
+      busy_(net_.size()) {
   expects(capacity_.size() == static_cast<std::size_t>(net_.n()) + 1,
           "FabricState capacity needs n+1 levels");
   for (u32 c : capacity_)
@@ -95,8 +101,9 @@ void FabricState::apply_load(const GroupRealization& group, bool add) {
   for (u32 level = 0; level < group.links.size(); ++level) {
     const u32 cap = capacity_[level];
     for (u32 row : group.links[level]) {
-      u32& load = load_[link_index(level, row)];
+      std::uint16_t& load = load_[link_index(level, row)];
       if (add) {
+        // try_add ran expect_headroom on this link before calling here.
         if (++load == cap + 1) ++overflowing_;
       } else {
         expects(load > 0, "link load underflow");
@@ -135,13 +142,17 @@ CONFNET_HOT bool FabricState::try_add(GroupRealization group) {
   validate_new_group(group);
   expects(!contains(group.id), "group id already admitted");
   for (u32 m : group.members)
-    expects(owner_[m] < 0, "groups must be pairwise disjoint");
+    expects(!busy_.test(m), "groups must be pairwise disjoint");
   if (!links_clear(group.links)) return false;
-  for (u32 level = 0; level < group.links.size(); ++level)
-    for (u32 row : group.links[level])
-      if (load_[link_index(level, row)] + 1 > capacity_[level]) return false;
+  for (u32 level = 0; level < group.links.size(); ++level) {
+    for (u32 row : group.links[level]) {
+      const u32 load = load_[link_index(level, row)];
+      if (load + 1 > capacity_[level]) return false;
+      expect_headroom(load);
+    }
+  }
 
-  for (u32 m : group.members) owner_[m] = static_cast<int>(group.id);
+  for (u32 m : group.members) busy_.set(m);
   apply_load(group, true);
   const u32 id = group.id;
   Entry& entry = slots_[occupy_slot(id)];
@@ -151,27 +162,34 @@ CONFNET_HOT bool FabricState::try_add(GroupRealization group) {
   return true;
 }
 
-// static_check: allow(audit-hook) delegates to replace(), which audits
 CONFNET_HOT bool FabricState::try_replace(u32 id,
                                           GroupRealization group) {
   expects(contains(id), "replace of unknown group id");
   expects(group.id == id, "replacement must keep the group id");
   validate_new_group(group);
-  const GroupRealization& old = slots_[slot_of_[id]].group;
+  Entry& entry = slots_[slot_of_[id]];
+  const GroupRealization& old = entry.group;
 
   // The whole replacement realization must avoid the fault mask (not just
   // the gained links): a successful try_ mutation never yields a degraded
   // group. Shrink paths that must tolerate degradation use replace().
   if (!links_clear(group.links)) return false;
 
-  // Capacity check on the links gained by the swap, before any change.
+  // Capacity and 16-bit checks on the links gained by the swap, before
+  // any change.
   bool feasible = true;
   for_each_delta(group.links, old.links, [&](u32 level, u32 row) {
-    if (load_[link_index(level, row)] + 1 > capacity_[level]) feasible = false;
+    const u32 load = load_[link_index(level, row)];
+    if (load + 1 > capacity_[level])
+      feasible = false;
+    else
+      expect_headroom(load);
   });
   if (!feasible) return false;
 
-  replace(id, std::move(group));
+  expect_members_free(old, group);
+  swap_group(entry, std::move(group));
+  CONFNET_AUDIT_HOOK(maybe_periodic_audit());
   return true;
 }
 
@@ -180,24 +198,37 @@ CONFNET_HOT void FabricState::replace(u32 id, GroupRealization group) {
   expects(group.id == id, "replacement must keep the group id");
   validate_new_group(group);
   Entry& entry = slots_[slot_of_[id]];
-
-  for (u32 m : entry.group.members) owner_[m] = -1;
-  for (u32 m : group.members) {
-    expects(owner_[m] < 0, "groups must be pairwise disjoint");
-    owner_[m] = static_cast<int>(id);
-  }
+  expect_members_free(entry.group, group);
   for_each_delta(group.links, entry.group.links, [&](u32 level, u32 row) {
-    u32& load = load_[link_index(level, row)];
+    expect_headroom(load_[link_index(level, row)]);
+  });
+  swap_group(entry, std::move(group));
+  CONFNET_AUDIT_HOOK(maybe_periodic_audit());
+}
+
+void FabricState::expect_members_free(const GroupRealization& old,
+                                      const GroupRealization& group) const {
+  for (u32 m : group.members)
+    expects(!busy_.test(m) || std::binary_search(old.members.begin(),
+                                                 old.members.end(), m),
+            "groups must be pairwise disjoint");
+}
+
+CONFNET_HOT void FabricState::swap_group(Entry& entry,
+                                         GroupRealization group) {
+  for (u32 m : entry.group.members) busy_.reset(m);
+  for (u32 m : group.members) busy_.set(m);
+  for_each_delta(group.links, entry.group.links, [&](u32 level, u32 row) {
+    std::uint16_t& load = load_[link_index(level, row)];
     if (++load == capacity_[level] + 1) ++overflowing_;
   });
   for_each_delta(entry.group.links, group.links, [&](u32 level, u32 row) {
-    u32& load = load_[link_index(level, row)];
+    std::uint16_t& load = load_[link_index(level, row)];
     expects(load > 0, "link load underflow");
     if (load-- == capacity_[level] + 1) --overflowing_;
   });
   entry.group = std::move(group);
   entry.dirty = true;
-  CONFNET_AUDIT_HOOK(maybe_periodic_audit());
 }
 
 CONFNET_HOT void FabricState::remove(u32 id) {
@@ -205,7 +236,7 @@ CONFNET_HOT void FabricState::remove(u32 id) {
   const u32 slot = slot_of_[id];
   Entry& entry = slots_[slot];
   apply_load(entry.group, false);
-  for (u32 m : entry.group.members) owner_[m] = -1;
+  for (u32 m : entry.group.members) busy_.reset(m);
   slot_of_[id] = kNoSlot;
   // static_check: allow(hot-alloc) slot free-list, bounded by peak groups
   free_slots_.push_back(slot);
@@ -520,8 +551,9 @@ void FabricState::cross_check() const {
   const u32 n = net_.n();
 
   // Recount the load matrix and overflow counter from the admitted groups.
+  // Counted in u32, so a load that wrapped its 16 bits shows as divergence.
   std::vector<u32> expected_load(load_.size(), 0);  // same level-major layout
-  std::vector<int> expected_owner(N, -1);
+  util::DynBitset expected_busy(N);
   u32 expected_overflowing = 0;
   std::vector<GroupRealization> groups;
   groups.reserve(live_ids_.size());
@@ -532,9 +564,9 @@ void FabricState::cross_check() const {
       for (u32 row : entry.group.links[level])
         ++expected_load[link_index(level, row)];
     for (u32 m : entry.group.members) {
-      audit::require(expected_owner[m] < 0, kSub,
+      audit::require(!expected_busy.test(m), kSub,
                      "admitted groups share a member port");
-      expected_owner[m] = static_cast<int>(id);
+      expected_busy.set(m);
     }
   }
 
@@ -573,10 +605,11 @@ void FabricState::cross_check() const {
     for (u32 row = 0; row < N; ++row)
       if (expected_load[link_index(level, row)] > capacity_[level])
         ++expected_overflowing;
-  audit::require(load_ == expected_load, kSub,
-                 "incremental load matrix diverges from group recount");
-  audit::require(owner_ == expected_owner, kSub,
-                 "port ownership diverges from group membership");
+  audit::require(std::equal(load_.begin(), load_.end(),
+                            expected_load.begin(), expected_load.end()),
+                 kSub, "incremental load matrix diverges from group recount");
+  audit::require(busy_ == expected_busy, kSub,
+                 "busy-port set diverges from group membership");
   audit::require(overflowing_ == expected_overflowing, kSub,
                  "overflow counter diverges from load recount");
 

@@ -15,6 +15,8 @@
 //     never stored: `delivered(id)` re-propagates and reads them out;
 //   * capacity is per level (a dilation profile), enforced by the try_
 //     mutations before any state changes.
+//   * per-link and per-port tables are narrow: a link load is 16 bits and
+//     port occupancy is one bit (see `load_` / `busy_` below).
 //   * group bookkeeping is flat: entries live in a dense slot vector with
 //     generation-stamped free-slot recycling, an id->slot table replaces
 //     the old std::map, and a sorted id vector drives ascending-order
@@ -43,6 +45,7 @@
 #include "min/network.hpp"
 #include "switchmod/fabric.hpp"
 #include "switchmod/signal_plane.hpp"
+#include "util/bitset.hpp"
 #include "util/error.hpp"
 
 namespace confnet::sw {
@@ -67,6 +70,12 @@ struct PropagationResult {
 
 class FabricState {
  public:
+  /// Ceiling of one link's load (16-bit counters). Result R1 bounds the
+  /// disjoint conferences sharing a level-l link by min(2^l, 2^(n-l)), at
+  /// most 2^10 for n <= 20, so only a synthetic realization can get here;
+  /// every increment path refuses it with `expects` before changing state.
+  static constexpr u32 kMaxLoad = 0xffffu;
+
   /// Uniform capacity: `config.channels_per_link` on every level. The
   /// fabric owns its network.
   FabricState(min::Network net, FabricConfig config);
@@ -82,16 +91,20 @@ class FabricState {
 
   /// Admit a group if every link it uses has a free channel. Returns false
   /// (and changes nothing) on a capacity conflict. Members must be disjoint
-  /// from every admitted group's.
+  /// from every admitted group's. Throws Error, changing nothing, when a
+  /// link load would pass kMaxLoad.
   [[nodiscard]] bool try_add(GroupRealization group);
 
   /// Atomically swap group `id` for a new realization if every link used by
   /// the new one but not the old one has a free channel. Returns false (and
-  /// changes nothing) on a capacity conflict.
+  /// changes nothing) on a capacity conflict. Throws Error, changing
+  /// nothing, when a gained link's load would pass kMaxLoad.
   [[nodiscard]] bool try_replace(u32 id, GroupRealization group);
 
   /// Unconditional swap (shrink paths, where the new link set cannot
-  /// oversubscribe anything the old one did not).
+  /// oversubscribe anything the old one did not). Capacity is not checked,
+  /// but every contract (disjointness, kMaxLoad) is, before anything
+  /// changes.
   void replace(u32 id, GroupRealization group);
 
   void remove(u32 id);
@@ -99,7 +112,7 @@ class FabricState {
   // --- Runtime fault events ----------------------------------------------
   // The fabric carries a live min::FaultSet. Failing a link invalidates
   // only the signal caches of the groups whose realization uses it (found
-  // in O(groups on the link) thanks to the load matrix); load/ownership
+  // in O(groups on the link) thanks to the load matrix); load/busy-port
   // accounting is untouched — a dead link still holds its channel
   // assignments until the control plane re-places the affected groups.
   // try_add / try_replace refuse realizations that touch a faulty link, so
@@ -141,8 +154,8 @@ class FabricState {
 
   /// True iff no admitted group has `port` among its members.
   [[nodiscard]] bool port_free(u32 port) const {
-    expects(port < owner_.size(), "port out of range");
-    return owner_[port] < 0;
+    expects(port < busy_.size(), "port out of range");
+    return !busy_.test(port);
   }
 
   /// Delivered member sets at group `id`'s outputs (order of its members),
@@ -222,7 +235,13 @@ class FabricState {
   };
 
   void validate_new_group(const GroupRealization& group) const;
+  /// Throws unless each of `group`'s members is free or one of `old`'s.
+  void expect_members_free(const GroupRealization& old,
+                           const GroupRealization& group) const;
   void apply_load(const GroupRealization& group, bool add);
+  /// Swap `entry`'s realization for `group`: busy ports, link loads and the
+  /// overflow counter. Checks nothing; both replace paths check first.
+  void swap_group(Entry& entry, GroupRealization group);
   /// Sweep `g`'s signals through the plane and return its verdict; the
   /// plane keeps the group's rows until the next propagation.
   Verdict propagate(const GroupRealization& g) const;
@@ -266,8 +285,13 @@ class FabricState {
   std::vector<u32> slot_of_;     // group id -> slot, kNoSlot when absent
   std::vector<u32> live_ids_;    // admitted ids, ascending
   std::vector<std::uint64_t> slot_gen_;  // occupation generation per slot
-  std::vector<u32> load_;   // (n+1)·N link loads, indexed by link_index()
-  std::vector<int> owner_;  // port -> group id, -1 when free
+  // (n+1)·N link loads, indexed by link_index(). 16 bits suffice because
+  // of R1 (see kMaxLoad): 2·(n+1)·N bytes, 22 KiB at N = 1024.
+  std::vector<std::uint16_t> load_;
+  // Port occupancy, one bit per port: set while an admitted group has the
+  // port as a member. Only "is this port free" is ever asked, so no group
+  // id is stored.
+  util::DynBitset busy_;
   u32 overflowing_ = 0;
   u32 mutations_ = 0;  // drives the periodic CONFNET_AUDIT cross-check
   // Bitset-row arena and position scratch for propagate(); holds one group

@@ -113,6 +113,31 @@ TEST(Direct, UnitDilationBlocksTheAdversary) {
   }
 }
 
+TEST(Direct, AdversaryMeetsR1ExactlyUnderTheLiveAudit) {
+  // Full dilation admits the R1 adversary of any interstage link, which
+  // then carries exactly min(2^l, 2^(n-l)) conferences. The design audit
+  // (armed on every setup in CONFNET_AUDIT builds, called here in all
+  // builds) checks that no link of any level carries more.
+  const u32 n = 6;
+  for (Kind kind : min::kAllKinds) {
+    for (u32 level = 1; level < n; ++level) {
+      for (u32 row : {u32{0}, u32{5}, u32{42}}) {
+        const ConferenceSet adversary =
+            adversarial_conference_set(kind, n, level, row);
+        DirectConferenceNetwork net(kind, n, DilationProfile::full(n));
+        for (const Conference& c : adversary.conferences())
+          ASSERT_TRUE(net.setup(c.members()).has_value())
+              << min::kind_name(kind) << " level " << level << " row " << row;
+        EXPECT_EQ(net.current_link_load(level, row),
+                  theoretical_max(n, level))
+            << min::kind_name(kind) << " level " << level << " row " << row;
+        EXPECT_EQ(net.current_level_load(level), theoretical_max(n, level));
+        EXPECT_NO_THROW(audit::check_direct_network(net));
+      }
+    }
+  }
+}
+
 TEST(Direct, DeliveryCorrectUnderLoad) {
   util::Rng rng(9);
   for (Kind kind : min::kAllKinds) {

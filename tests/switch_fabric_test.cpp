@@ -1,11 +1,15 @@
 // Functional fabric tests: signal propagation with fan-in/fan-out, channel
-// overflow detection, mux relay taps, and FabricState's incremental load
-// matrix against a recount of its admitted groups.
+// overflow detection, mux relay taps, FabricState's incremental load
+// matrix against a recount of its admitted groups, its 16-bit load guard,
+// and its busy-port set against group membership.
 #include "switchmod/fabric.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "conference/subnetwork.hpp"
@@ -270,6 +274,176 @@ TEST(FabricState, LoadMatrixMatchesGroupRecountUnderChurn) {
     EXPECT_GT(most_live, n > 2 ? 1u : 0u) << "n=" << n;
   }
   EXPECT_GT(steps_overflowing, 0u) << "the churn never overflowed a link";
+}
+
+/// A synthetic one-member group: the member's own level-0 and level-n rows,
+/// plus link (level, row) when `shared`.
+GroupRealization single_member_group(u32 id, u32 n, u32 member, u32 level,
+                                     u32 row, bool shared) {
+  GroupRealization g;
+  g.id = id;
+  g.members = {member};
+  g.links.assign(n + 1, {});
+  g.links[0] = {member};
+  g.links[n] = {member};
+  if (shared) g.links[level] = {row};
+  return g;
+}
+
+/// Runs `mutation`, which must be refused by the 16-bit load guard.
+template <typename Fn>
+void expect_guard_refusal(Fn&& mutation) {
+  try {
+    mutation();
+    ADD_FAILURE() << "mutation took a link load past the 16-bit ceiling";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string_view(e.what()).find("16-bit"),
+              std::string_view::npos)
+        << e.what();
+  }
+}
+
+TEST(FabricState, SixteenBitLoadGuardRefusesBeforeAnyChange) {
+#if defined(CONFNET_AUDIT)
+  // The armed periodic cross-check is O(groups) every 32 mutations, so the
+  // 65535 admissions below would cost ~10^8 group re-checks.
+  GTEST_SKIP() << "too slow with the periodic CONFNET_AUDIT cross-check";
+#endif
+  // Capacity does not stop the shared link (2^16 channels), so only the
+  // guard stands between its load and a wrap to zero.
+  constexpr u32 n = 16;
+  constexpr u32 level = 8;
+  constexpr u32 row = 0;
+  constexpr u32 ceiling = FabricState::kMaxLoad;
+  std::vector<u32> capacity(n + 1, 1);
+  capacity[level] = ceiling + 1;
+  FabricState state(min::Network(Kind::kOmega, n), capacity);
+  // Ports 1..65535 each hold a group on the shared link; port 0 is free.
+  for (u32 port = 1; port <= ceiling; ++port)
+    ASSERT_TRUE(state.try_add(
+        single_member_group(port, n, port, level, row, true)));
+  ASSERT_EQ(state.load_at(level, row), ceiling);
+  ASSERT_TRUE(state.port_free(0));
+
+  expect_guard_refusal([&] {
+    (void)state.try_add(single_member_group(0, n, 0, level, row, true));
+  });
+  EXPECT_EQ(state.load_at(level, row), ceiling);
+  EXPECT_EQ(state.load_at(0, 0), 0u);
+  EXPECT_EQ(state.group_count(), ceiling);
+  EXPECT_TRUE(state.port_free(0));
+  EXPECT_FALSE(state.contains(0));
+
+  // A group off the shared link may not swap onto it either.
+  ASSERT_TRUE(state.try_add(single_member_group(0, n, 0, level, row, false)));
+  expect_guard_refusal([&] {
+    state.replace(0, single_member_group(0, n, 0, level, row, true));
+  });
+  expect_guard_refusal([&] {
+    (void)state.try_replace(0,
+                            single_member_group(0, n, 0, level, row, true));
+  });
+  EXPECT_EQ(state.load_at(level, row), ceiling);
+  EXPECT_EQ(state.group_count(), ceiling + 1);
+  EXPECT_FALSE(state.port_free(0));
+  EXPECT_TRUE(state.group(0).links[level].empty());
+  EXPECT_EQ(state.overflowing_links(), 0u);
+}
+
+/// True iff `a` and `b` occupy a common link.
+bool share_a_link(const GroupRealization& a, const GroupRealization& b) {
+  for (std::size_t level = 0; level < a.links.size(); ++level) {
+    std::vector<u32> common;
+    std::set_intersection(a.links[level].begin(), a.links[level].end(),
+                          b.links[level].begin(), b.links[level].end(),
+                          std::back_inserter(common));
+    if (!common.empty()) return true;
+  }
+  return false;
+}
+
+void expect_busy_matches_membership(const FabricState& state,
+                                    std::string_view step) {
+  std::vector<bool> member(state.network().size(), false);
+  state.for_each_group([&](const GroupRealization& g) {
+    for (u32 m : g.members) member[m] = true;
+  });
+  for (u32 p = 0; p < member.size(); ++p)
+    EXPECT_EQ(state.port_free(p), !member[p]) << step << ": port " << p;
+}
+
+TEST(FabricState, BusyPortsTrackMembership) {
+  // Unit capacity, so refusals are easy to provoke.
+  constexpr u32 n = 4;
+  constexpr u32 N = u32{1} << n;
+  const Kind kind = Kind::kOmega;
+  FabricState state(min::Network(kind, n), std::vector<u32>(n + 1, 1));
+  const auto free_ports = [&] {
+    std::vector<u32> ports;
+    for (u32 p = 0; p < N; ++p)
+      if (state.port_free(p)) ports.push_back(p);
+    return ports;
+  };
+  const auto with = [](std::vector<u32> members, u32 port) {
+    members.push_back(port);
+    return members;
+  };
+
+  const GroupRealization a = make_group(0, kind, n, {0, 5});
+  ASSERT_TRUE(state.try_add(a));
+  expect_busy_matches_membership(state, "try_add");
+
+  // A free pair whose subnetwork crosses a's is refused for capacity.
+  std::optional<GroupRealization> clash;
+  for (u32 p : free_ports())
+    for (u32 q : free_ports())
+      if (p < q && !clash && share_a_link(make_group(1, kind, n, {p, q}), a))
+        clash = make_group(1, kind, n, {p, q});
+  ASSERT_TRUE(clash.has_value());
+  EXPECT_FALSE(state.try_add(*clash));
+  expect_busy_matches_membership(state, "refused try_add");
+
+  // Growing the only group always fits.
+  const GroupRealization a3 =
+      make_group(0, kind, n, with(a.members, free_ports().front()));
+  ASSERT_TRUE(state.try_replace(0, a3));
+  expect_busy_matches_membership(state, "try_replace");
+
+  // A second group that fits, then a growth of it that crosses a3.
+  std::optional<GroupRealization> c;
+  for (u32 p : free_ports())
+    for (u32 q : free_ports())
+      if (p < q && !c && !share_a_link(make_group(1, kind, n, {p, q}), a3))
+        c = make_group(1, kind, n, {p, q});
+  ASSERT_TRUE(c.has_value());
+  ASSERT_TRUE(state.try_add(*c));
+  std::optional<GroupRealization> c_grown;
+  for (u32 r : free_ports()) {
+    const GroupRealization g = make_group(1, kind, n, with(c->members, r));
+    if (!c_grown && share_a_link(g, a3)) c_grown = g;
+  }
+  ASSERT_TRUE(c_grown.has_value());
+  EXPECT_FALSE(state.try_replace(1, *c_grown));
+  expect_busy_matches_membership(state, "refused try_replace");
+
+  // A replace onto another group's port throws and leaves both intact.
+  EXPECT_THROW(
+      state.replace(1, make_group(1, kind, n, with(c->members, a.members[0]))),
+      Error);
+  expect_busy_matches_membership(state, "refused replace");
+  EXPECT_EQ(state.group(1).members, c->members);
+
+  // Unconditional swaps: shrink a3, move one of c's members.
+  state.replace(0, make_group(0, kind, n, a.members));
+  std::vector<u32> moved = c->members;
+  moved[0] = free_ports().back();
+  state.replace(1, make_group(1, kind, n, moved));
+  expect_busy_matches_membership(state, "replace");
+
+  state.remove(0);
+  expect_busy_matches_membership(state, "remove");
+  state.remove(1);
+  EXPECT_EQ(free_ports().size(), N);
 }
 
 }  // namespace
