@@ -158,7 +158,7 @@ BENCHMARK(BM_TeletrafficRun)->DenseRange(4, 8, 2)->Unit(benchmark::kMillisecond)
 //
 // Same deterministically populated fabric, two engines: the bitset-row
 // plane (BM_PropagateSimd, whichever backend CONFNET_SIMD / autodetect
-// resolved — see the label) against the retained set-based oracle
+// resolved — see the label) against the set-based oracle Fabric::propagate
 // (BM_PropagateReference). The fan-op counters are seed-determined and
 // must be byte-identical across backends; only the wall time may differ.
 
@@ -188,10 +188,12 @@ std::vector<u32> populate_propagation_state(sw::FabricState& fabric, u32 n) {
 void report_propagation_counters(benchmark::State& state,
                                  const sw::FabricState& fabric,
                                  const std::vector<u32>& ids) {
+  const sw::Fabric oracle(fabric.network(), sw::FabricConfig{});
   std::uint64_t fan_in = 0;
   std::uint64_t fan_out = 0;
   for (u32 id : ids) {
-    const sw::PropagationResult ref = fabric.propagate_reference(id);
+    const sw::PropagationResult ref =
+        oracle.propagate(fabric.group(id), &fabric.faults());
     fan_in += ref.fan_in_ops;
     fan_out += ref.fan_out_ops;
   }
@@ -222,10 +224,12 @@ void BM_PropagateReference(benchmark::State& state) {
   const min::Network net(Kind::kIndirectCube, n);
   sw::FabricState fabric(net, sw::FabricConfig{u32{1} << n, true, true});
   const std::vector<u32> ids = populate_propagation_state(fabric, n);
+  const sw::Fabric oracle(fabric.network(), sw::FabricConfig{});
   for (auto _ : state) {
     std::uint64_t violations = 0;
     for (u32 id : ids) {
-      const sw::PropagationResult ref = fabric.propagate_reference(id);
+      const sw::PropagationResult ref =
+          oracle.propagate(fabric.group(id), &fabric.faults());
       violations += ref.capability_violations;
       benchmark::DoNotOptimize(ref.delivered.data());
     }

@@ -14,11 +14,14 @@
 //   * exhaustive:  brute force over every disjoint conference set (small N)
 //                  and every aligned buddy configuration (N <= 16).
 //
-// A fifth, dynamic check comes from the observability layer: the fabric
-// records per-level link-load histograms ("fabric/link_load{level=k}" in
-// the obs::Registry) during live evaluation, so any teletraffic run can be
-// compared against the closed forms here (see ARCHITECTURE.md §3 and the
-// metrics-snapshot notes in EXPERIMENTS.md).
+// A fifth, dynamic check comes from the observability layer: every
+// stateless Fabric::evaluate records per-level link-load histograms
+// ("fabric/link_load{level=k}" in the obs::Registry). Only oracle checks
+// evaluate — verify_delivery_reference, Cluster::cross_check and the
+// Monte-Carlo reference — so a run's histograms can be compared against
+// the closed forms here only for the states those oracles re-checked;
+// live FabricState traffic feeds no fabric metric (see ARCHITECTURE.md §3
+// and the metrics-snapshot notes in EXPERIMENTS.md).
 #pragma once
 
 #include <vector>

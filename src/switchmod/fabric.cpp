@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <functional>
 #include <string>
 
 #include "min/faults.hpp"
@@ -14,19 +15,17 @@
 namespace confnet::sw {
 
 namespace {
-/// Index of `row` in a sorted vector, or npos.
-std::size_t index_of(const std::vector<u32>& sorted_rows, u32 row) {
-  const auto it =
-      std::lower_bound(sorted_rows.begin(), sorted_rows.end(), row);
-  if (it == sorted_rows.end() || *it != row)
-    return static_cast<std::size_t>(-1);
-  return static_cast<std::size_t>(it - sorted_rows.begin());
+/// True iff `rows` is strictly increasing (sorted, duplicate-free).
+bool strictly_increasing(const std::vector<u32>& rows) {
+  return std::adjacent_find(rows.begin(), rows.end(),
+                            std::greater_equal<>()) == rows.end();
 }
 
-/// Shared observability handles for every Fabric instance. The live
+/// Shared observability handles for every Fabric instance. The
 /// `peak_link_load` histogram is the dynamic face of the paper's conflict
 /// multiplicity: its max must stay within conference/multiplicity's
-/// analytic bound min(2^l, 2^(n-l)) for the workloads evaluated.
+/// analytic bound min(2^l, 2^(n-l)) for the group sets evaluated (oracle
+/// checks only; live FabricState traffic never reaches it).
 struct FabricMetrics {
   obs::Counter& evaluations =
       obs::Registry::global().counter("fabric", "evaluations");
@@ -95,38 +94,19 @@ EvalReport Fabric::evaluate(const std::vector<GroupRealization>& groups,
                             const min::FaultSet* faults) const {
   const u32 N = net_.size();
   const u32 n = net_.n();
-  if (faults != nullptr)
-    expects(faults->n() == n, "fault set size mismatch");
-  // One branch up front keeps the healthy hot path free of per-link fault
-  // probes.
-  const bool degraded = faults != nullptr && faults->fault_count() != 0;
-  const auto dead = [&](u32 level, u32 row) {
-    return degraded && faults->is_faulty(level, row);
-  };
 
 #if defined(CONFNET_AUDIT)
   for (const auto& g : groups) audit::check_group_realization(net_, g);
 #endif
 
-  // --- Validation: disjoint members, well-formed link sets. ---
+  // --- Validation: well-formed groups with disjoint members. ---
   {
     std::vector<int> owner(N, -1);
     for (std::size_t g = 0; g < groups.size(); ++g) {
-      expects(groups[g].links.size() == n + 1,
-              "GroupRealization must carry n+1 link levels");
-      expects(std::is_sorted(groups[g].members.begin(),
-                             groups[g].members.end()),
-              "GroupRealization members must be sorted");
+      validate_realization(net_, groups[g]);
       for (u32 m : groups[g].members) {
-        expects(m < N, "member row out of range");
         expects(owner[m] < 0, "conferences must be pairwise disjoint");
         owner[m] = static_cast<int>(g);
-      }
-      for (u32 level = 0; level <= n; ++level) {
-        const auto& rows = groups[g].links[level];
-        expects(std::is_sorted(rows.begin(), rows.end()),
-                "GroupRealization link rows must be sorted");
-        for (u32 r : rows) expects(r < N, "link row out of range");
       }
     }
   }
@@ -149,89 +129,117 @@ EvalReport Fabric::evaluate(const std::vector<GroupRealization>& groups,
   }
 
   // --- Signal propagation, group by group. ---
-  report.delivered.resize(groups.size());
-  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-    const auto& g = groups[gi];
-    std::vector<std::vector<MemberSet>> sig(n + 1);
-    for (u32 level = 0; level <= n; ++level)
-      sig[level].resize(g.links[level].size());
-
-    // Injection: a level-0 link carries its member's own signal.
-    for (std::size_t i = 0; i < g.links[0].size(); ++i) {
-      const u32 row = g.links[0][i];
-      if (dead(0, row)) continue;
-      if (std::binary_search(g.members.begin(), g.members.end(), row))
-        sig[0][i] = MemberSet::single(row);
-    }
-
-    // Sweep forward: each used link mixes its used predecessors.
-    for (u32 level = 1; level <= n; ++level) {
-      for (std::size_t i = 0; i < g.links[level].size(); ++i) {
-        const u32 row = g.links[level][i];
-        if (dead(level, row)) continue;  // carries nothing downstream
-        const auto preds = net_.predecessors(level, row);
-        u32 feeding = 0;
-        for (u32 q : preds) {
-          const std::size_t pi = index_of(g.links[level - 1], q);
-          if (pi == static_cast<std::size_t>(-1)) continue;
-          if (sig[level - 1][pi].empty()) continue;
-          sig[level][i].combine(sig[level - 1][pi]);
-          ++feeding;
-        }
-        if (feeding == 2) {
-          ++report.fan_in_ops;
-          if (!config_.fan_in) ++report.capability_violations;
-        }
-      }
-    }
-
-    // Fan-out accounting: a used link feeding both its successors.
-    for (u32 level = 0; level < n; ++level) {
-      for (std::size_t i = 0; i < g.links[level].size(); ++i) {
-        if (sig[level][i].empty()) continue;
-        const u32 row = g.links[level][i];
-        const auto succs = net_.successors(level, row);
-        u32 fed = 0;
-        for (u32 q : succs) {
-          if (dead(level + 1, q)) continue;  // the switch cannot drive it
-          if (index_of(g.links[level + 1], q) != static_cast<std::size_t>(-1))
-            ++fed;
-        }
-        if (fed == 2) {
-          ++report.fan_out_ops;
-          if (!config_.fan_out) ++report.capability_violations;
-        }
-      }
-    }
-
-    // Delivery: relay taps when present, otherwise level-n member rows.
-    auto& delivered = report.delivered[gi];
-    delivered.resize(g.members.size());
-    if (!g.taps.empty()) {
-      expects(g.taps.size() == g.members.size(),
-              "relay taps must cover every member");
-      for (const auto& tap : g.taps) {
-        const std::size_t mi = index_of(g.members, tap.output);
-        expects(mi != static_cast<std::size_t>(-1),
-                "tap output is not a member");
-        expects(tap.tap_level <= n, "tap level out of range");
-        const std::size_t li = index_of(g.links[tap.tap_level], tap.output);
-        expects(li != static_cast<std::size_t>(-1),
-                "tap link is not part of the group's subnetwork");
-        delivered[mi] = sig[tap.tap_level][li];
-      }
-    } else {
-      for (std::size_t mi = 0; mi < g.members.size(); ++mi) {
-        const std::size_t li = index_of(g.links[n], g.members[mi]);
-        expects(li != static_cast<std::size_t>(-1),
-                "member output missing from level-n links");
-        delivered[mi] = sig[n][li];
-      }
-    }
+  report.delivered.reserve(groups.size());
+  for (const auto& g : groups) {
+    PropagationResult result = propagate(g, faults);
+    report.delivered.push_back(std::move(result.delivered));
+    report.fan_in_ops += result.fan_in_ops;
+    report.fan_out_ops += result.fan_out_ops;
+    report.capability_violations += result.capability_violations;
   }
 
   publish_fabric_observations(report, n);
   return report;
+}
+
+PropagationResult Fabric::propagate(const GroupRealization& g,
+                                    const min::FaultSet* faults) const {
+  const u32 n = net_.n();
+  if (faults != nullptr)
+    expects(faults->n() == n, "fault set size mismatch");
+  // One branch up front keeps the healthy sweep free of per-link fault
+  // probes.
+  const bool degraded = faults != nullptr && faults->fault_count() != 0;
+  const auto dead = [&](u32 level, u32 row) {
+    return degraded && faults->is_faulty(level, row);
+  };
+  constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+  std::vector<std::vector<MemberSet>> sig(n + 1);
+  for (u32 level = 0; level <= n; ++level)
+    sig[level].resize(g.links[level].size());
+  PropagationResult result;
+
+  // Injection: a level-0 link carries its member's own signal.
+  for (std::size_t i = 0; i < g.links[0].size(); ++i) {
+    const u32 row = g.links[0][i];
+    if (dead(0, row)) continue;
+    if (std::binary_search(g.members.begin(), g.members.end(), row))
+      sig[0][i] = MemberSet::single(row);
+  }
+
+  // Sweep forward: each used link mixes its used predecessors.
+  for (u32 level = 1; level <= n; ++level) {
+    for (std::size_t i = 0; i < g.links[level].size(); ++i) {
+      const u32 row = g.links[level][i];
+      if (dead(level, row)) continue;  // carries nothing downstream
+      u32 feeding = 0;
+      for (u32 q : net_.predecessors(level, row)) {
+        const std::size_t pi = index_of(g.links[level - 1], q);
+        if (pi == npos || sig[level - 1][pi].empty()) continue;
+        sig[level][i].combine(sig[level - 1][pi]);
+        ++feeding;
+      }
+      if (feeding == 2) {
+        ++result.fan_in_ops;
+        if (!config_.fan_in) ++result.capability_violations;
+      }
+    }
+  }
+
+  // Fan-out accounting: a used link feeding both its successors.
+  for (u32 level = 0; level < n; ++level) {
+    for (std::size_t i = 0; i < g.links[level].size(); ++i) {
+      if (sig[level][i].empty()) continue;
+      u32 fed = 0;
+      for (u32 q : net_.successors(level, g.links[level][i])) {
+        if (dead(level + 1, q)) continue;  // the switch cannot drive it
+        if (index_of(g.links[level + 1], q) != npos) ++fed;
+      }
+      if (fed == 2) {
+        ++result.fan_out_ops;
+        if (!config_.fan_out) ++result.capability_violations;
+      }
+    }
+  }
+
+  // Delivery: relay taps when present, otherwise level-n member rows.
+  result.delivered.resize(g.members.size());
+  for_each_output(g, [&](std::size_t mi, u32 level, std::size_t li) {
+    result.delivered[mi] = sig[level][li];
+  });
+  return result;
+}
+
+void validate_realization(const min::Network& net,
+                          const GroupRealization& group) {
+  const u32 N = net.size();
+  const u32 n = net.n();
+  expects(!group.members.empty(), "group has no members");
+  expects(strictly_increasing(group.members),
+          "GroupRealization members must be sorted and distinct");
+  expects(group.members.back() < N, "member row out of range");
+  expects(group.links.size() == static_cast<std::size_t>(n) + 1,
+          "GroupRealization must carry n+1 link levels");
+  for (const auto& rows : group.links) {
+    expects(strictly_increasing(rows),
+            "GroupRealization link rows must be sorted and distinct");
+    expects(rows.empty() || rows.back() < N, "link row out of range");
+  }
+  if (group.taps.empty()) return;
+  expects(group.taps.size() == group.members.size(),
+          "relay taps must cover every member");
+  std::vector<bool> tapped(group.members.size(), false);
+  for (const auto& tap : group.taps) {
+    const std::size_t mi = index_of(group.members, tap.output);
+    expects(mi != static_cast<std::size_t>(-1), "tap output is not a member");
+    expects(!tapped[mi], "member tapped twice");
+    tapped[mi] = true;
+    expects(tap.tap_level <= n, "tap level out of range");
+    expects(index_of(group.links[tap.tap_level], tap.output) !=
+                static_cast<std::size_t>(-1),
+            "tap link is not part of the group's subnetwork");
+  }
 }
 
 }  // namespace confnet::sw

@@ -6,26 +6,36 @@
 //   * checks channel capacity on every link (conflict detection — the
 //     "multiplicity of routing conflicts" made operational),
 //   * propagates combining signals level by level through fan-in/fan-out
-//     switch semantics,
+//     switch semantics (`propagate`: one group's set-based sweep, where a
+//     signal is a MemberSet and fan-in is set union),
 //   * reports the delivered member set at every group output, plus fan-in /
 //     fan-out operation counts for the cost discussion.
 //
 // The engine is deliberately independent of the conference layer: it works
 // on plain `GroupRealization`s so the conference designs above it and the
 // unit tests below it share one notion of "what the hardware would do".
+// It is the oracle, not the live path: live admission and delivery run on
+// the incremental `FabricState` (fabric_state.hpp), which is checked
+// against `propagate` group by group.
 //
 // Observability: every evaluate() publishes per-stage link-load and
 // peak-sharing observations to the `fabric` subsystem of the obs::Registry
-// (histograms `fabric/link_load{level=l}` and `fabric/peak_link_load`),
-// which makes the analytic conflict-multiplicity bounds of
-// conference/multiplicity.hpp cross-checkable against live traffic.
+// (histograms `fabric/link_load{level=l}` and `fabric/peak_link_load`).
+// Only oracle evaluations feed them — the designs'
+// `verify_delivery_reference`, `Cluster::cross_check` and the Monte-Carlo
+// reference — so they cross-check the analytic conflict-multiplicity
+// bounds of conference/multiplicity.hpp on the workloads those oracles
+// evaluate, not on live FabricState traffic.
 #pragma once
 
-#include <optional>
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "min/network.hpp"
 #include "switchmod/signal.hpp"
+#include "util/error.hpp"
 
 namespace confnet::min {
 class FaultSet;
@@ -56,6 +66,52 @@ struct Overflow {
   u32 level;
   u32 row;
   u32 demand;  // number of groups on the link
+};
+
+/// Throws Error unless `group` is a well-formed realization on `net`:
+/// non-empty, strictly increasing member rows below N; n+1 link levels of
+/// strictly increasing rows below N; and, when taps are present, one tap
+/// per member, each naming a distinct member at a level <= n on a link the
+/// group owns. Untapped groups pay nothing for the tap rules.
+void validate_realization(const min::Network& net,
+                          const GroupRealization& group);
+
+/// Position of `row` in a sorted vector, or npos.
+inline std::size_t index_of(const std::vector<u32>& sorted_rows, u32 row) {
+  const auto it =
+      std::lower_bound(sorted_rows.begin(), sorted_rows.end(), row);
+  if (it == sorted_rows.end() || *it != row)
+    return static_cast<std::size_t>(-1);
+  return static_cast<std::size_t>(it - sorted_rows.begin());
+}
+
+/// Invoke fn(member index, level, link index) for the link each of `g`'s
+/// outputs listens to: its relay tap when present, else its level-n row.
+/// `g` must pass validate_realization; an untapped member whose level-n
+/// link is missing throws Error.
+template <typename Fn>
+void for_each_output(const GroupRealization& g, Fn&& fn) {
+  constexpr std::size_t npos = static_cast<std::size_t>(-1);
+  const auto n = static_cast<u32>(g.links.size() - 1);
+  const bool tapped = !g.taps.empty();
+  for (std::size_t i = 0; i < g.members.size(); ++i) {
+    const u32 output = tapped ? g.taps[i].output : g.members[i];
+    const u32 level = tapped ? g.taps[i].tap_level : n;
+    const std::size_t mi = tapped ? index_of(g.members, output) : i;
+    const std::size_t li = index_of(g.links[level], output);
+    expects(li != npos, "output link is not part of the group's subnetwork");
+    fn(mi, level, li);
+  }
+}
+
+/// What one group's propagation produces: the delivered member set at each
+/// of its outputs (order of GroupRealization::members) plus the fan-op
+/// accounting.
+struct PropagationResult {
+  std::vector<MemberSet> delivered;
+  std::uint64_t fan_in_ops = 0;
+  std::uint64_t fan_out_ops = 0;
+  std::uint64_t capability_violations = 0;
 };
 
 struct EvalReport {
@@ -101,6 +157,15 @@ class Fabric {
   /// fabric.
   [[nodiscard]] EvalReport evaluate(const std::vector<GroupRealization>& groups,
                                     const min::FaultSet* faults) const;
+
+  /// One group's set-based sweep: a level-0 link carries its member's own
+  /// signal, each used link merges its used, live predecessors, and every
+  /// output reads the link it listens to. Faults as in evaluate(); channel
+  /// capacity plays no part. `group` must pass validate_realization.
+  /// Publishes no metrics, so oracle checks that call it directly leave
+  /// the `fabric/*` registry alone.
+  [[nodiscard]] PropagationResult propagate(const GroupRealization& group,
+                                            const min::FaultSet* faults) const;
 
   [[nodiscard]] const min::Network& network() const noexcept { return net_; }
   [[nodiscard]] const FabricConfig& config() const noexcept { return config_; }

@@ -13,36 +13,6 @@
 namespace confnet::sw {
 
 namespace {
-/// Index of `row` in a sorted vector, or npos.
-std::size_t index_of(const std::vector<u32>& sorted_rows, u32 row) {
-  const auto it =
-      std::lower_bound(sorted_rows.begin(), sorted_rows.end(), row);
-  if (it == sorted_rows.end() || *it != row)
-    return static_cast<std::size_t>(-1);
-  return static_cast<std::size_t>(it - sorted_rows.begin());
-}
-
-/// Invoke fn(member index, level, link index) for the link each of `g`'s
-/// outputs listens to: its relay tap when present, else its level-n row.
-template <typename Fn>
-void for_each_output(const GroupRealization& g, Fn&& fn) {
-  constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  const auto n = static_cast<u32>(g.links.size() - 1);
-  const bool tapped = !g.taps.empty();
-  expects(!tapped || g.taps.size() == g.members.size(),
-          "relay taps must cover every member");
-  for (std::size_t i = 0; i < g.members.size(); ++i) {
-    const u32 output = tapped ? g.taps[i].output : g.members[i];
-    const u32 level = tapped ? g.taps[i].tap_level : n;
-    const std::size_t mi = tapped ? index_of(g.members, output) : i;
-    expects(mi != npos, "tap output is not a member");
-    expects(level <= n, "tap level out of range");
-    const std::size_t li = index_of(g.links[level], output);
-    expects(li != npos, "output link is not part of the group's subnetwork");
-    fn(mi, level, li);
-  }
-}
-
 /// The 16-bit guard every increment path runs before changing anything.
 void expect_headroom(u32 load) {
   expects(load < FabricState::kMaxLoad,
@@ -80,23 +50,6 @@ FabricState::FabricState(min::Network net, std::vector<u32> capacity,
     expects(c >= 1, "FabricState needs at least one channel per link");
 }
 
-void FabricState::validate_new_group(const GroupRealization& group) const {
-  const u32 N = net_.size();
-  const u32 n = net_.n();
-  expects(!group.members.empty(), "group has no members");
-  expects(group.links.size() == static_cast<std::size_t>(n) + 1,
-          "GroupRealization must carry n+1 link levels");
-  expects(std::is_sorted(group.members.begin(), group.members.end()),
-          "GroupRealization members must be sorted");
-  expects(group.members.back() < N, "member row out of range");
-  for (u32 level = 0; level <= n; ++level) {
-    const auto& rows = group.links[level];
-    expects(std::is_sorted(rows.begin(), rows.end()),
-            "GroupRealization link rows must be sorted");
-    for (u32 r : rows) expects(r < N, "link row out of range");
-  }
-}
-
 void FabricState::apply_load(const GroupRealization& group, bool add) {
   for (u32 level = 0; level < group.links.size(); ++level) {
     const u32 cap = capacity_[level];
@@ -121,9 +74,7 @@ u32 FabricState::occupy_slot(u32 id) {
   } else {
     slot = static_cast<u32>(slots_.size());
     slots_.emplace_back();
-    slot_gen_.push_back(0);
   }
-  ++slot_gen_[slot];
   if (id >= slot_of_.size()) slot_of_.resize(id + 1, kNoSlot);
   slot_of_[id] = slot;
   // Keep live_ids_ sorted; control-plane ids are monotone, so the common
@@ -139,7 +90,7 @@ u32 FabricState::occupy_slot(u32 id) {
 }
 
 CONFNET_HOT bool FabricState::try_add(GroupRealization group) {
-  validate_new_group(group);
+  validate_realization(net_, group);
   expects(!contains(group.id), "group id already admitted");
   for (u32 m : group.members)
     expects(!busy_.test(m), "groups must be pairwise disjoint");
@@ -166,7 +117,7 @@ CONFNET_HOT bool FabricState::try_replace(u32 id,
                                           GroupRealization group) {
   expects(contains(id), "replace of unknown group id");
   expects(group.id == id, "replacement must keep the group id");
-  validate_new_group(group);
+  validate_realization(net_, group);
   Entry& entry = slots_[slot_of_[id]];
   const GroupRealization& old = entry.group;
 
@@ -196,7 +147,7 @@ CONFNET_HOT bool FabricState::try_replace(u32 id,
 CONFNET_HOT void FabricState::replace(u32 id, GroupRealization group) {
   expects(contains(id), "replace of unknown group id");
   expects(group.id == id, "replacement must keep the group id");
-  validate_new_group(group);
+  validate_realization(net_, group);
   Entry& entry = slots_[slot_of_[id]];
   expect_members_free(entry.group, group);
   for_each_delta(group.links, entry.group.links, [&](u32 level, u32 row) {
@@ -348,7 +299,7 @@ u32 FabricState::level_peak_load(u32 level) const {
 CONFNET_HOT FabricState::Verdict FabricState::propagate(
     const GroupRealization& g) const {
   const u32 n = net_.n();
-  // Mirror of Fabric::evaluate's degraded semantics: a faulty link is
+  // Mirror of Fabric::propagate's degraded semantics: a faulty link is
   // signal-dead. One branch up front keeps the healthy path probe-free.
   const bool degraded = faults_.fault_count() != 0;
   const auto dead = [&](u32 level, u32 row) {
@@ -447,104 +398,6 @@ std::vector<MemberSet> FabricState::read_delivered(
   return delivered;
 }
 
-PropagationResult FabricState::propagate_reference(u32 id) const {
-  const Entry& entry = entry_of(id);
-  const GroupRealization& g = entry.group;
-  const u32 n = net_.n();
-  const bool degraded = faults_.fault_count() != 0;
-  const auto dead = [&](u32 level, u32 row) {
-    return degraded && faults_.is_faulty(level, row);
-  };
-
-  // The pre-plane engine, verbatim: one MemberSet per occupied link,
-  // fan-in via set_union. Retained as the equivalence oracle.
-  std::vector<std::vector<MemberSet>> sig(n + 1);
-  for (u32 level = 0; level <= n; ++level)
-    sig[level].resize(g.links[level].size());
-
-  PropagationResult result;
-
-  // Injection: a level-0 link carries its member's own signal.
-  for (std::size_t i = 0; i < g.links[0].size(); ++i) {
-    const u32 row = g.links[0][i];
-    if (dead(0, row)) continue;
-    if (std::binary_search(g.members.begin(), g.members.end(), row))
-      sig[0][i] = MemberSet::single(row);
-  }
-
-  // Sweep forward: each used link mixes its used predecessors.
-  for (u32 level = 1; level <= n; ++level) {
-    for (std::size_t i = 0; i < g.links[level].size(); ++i) {
-      const u32 row = g.links[level][i];
-      if (dead(level, row)) continue;  // carries nothing downstream
-      const auto preds = net_.predecessors(level, row);
-      u32 feeding = 0;
-      for (u32 q : preds) {
-        const std::size_t pi = index_of(g.links[level - 1], q);
-        if (pi == static_cast<std::size_t>(-1)) continue;
-        if (sig[level - 1][pi].empty()) continue;
-        sig[level][i].combine(sig[level - 1][pi]);
-        ++feeding;
-      }
-      if (feeding == 2) {
-        ++result.fan_in_ops;
-        if (!fan_in_) ++result.capability_violations;
-      }
-    }
-  }
-
-  // Fan-out accounting: a used link feeding both its successors.
-  for (u32 level = 0; level < n; ++level) {
-    for (std::size_t i = 0; i < g.links[level].size(); ++i) {
-      if (sig[level][i].empty()) continue;
-      const u32 row = g.links[level][i];
-      const auto succs = net_.successors(level, row);
-      u32 fed = 0;
-      for (u32 q : succs) {
-        if (dead(level + 1, q)) continue;  // the switch cannot drive it
-        if (index_of(g.links[level + 1], q) != static_cast<std::size_t>(-1))
-          ++fed;
-      }
-      if (fed == 2) {
-        ++result.fan_out_ops;
-        if (!fan_out_) ++result.capability_violations;
-      }
-    }
-  }
-
-  // Delivery: relay taps when present, otherwise level-n member rows.
-  result.delivered.assign(g.members.size(), MemberSet{});
-  for_each_output(g, [&](std::size_t mi, u32 level, std::size_t li) {
-    result.delivered[mi] = sig[level][li];
-  });
-  return result;
-}
-
-EvalReport FabricState::report() const {
-  const u32 N = net_.size();
-  const u32 n = net_.n();
-  EvalReport report;
-  report.max_link_load.assign(n + 1, 0);
-  for (u32 level = 0; level <= n; ++level) {
-    for (u32 r = 0; r < N; ++r) {
-      const u32 load = load_[link_index(level, r)];
-      report.max_link_load[level] = std::max(report.max_link_load[level], load);
-      if (load > capacity_[level])
-        report.overflows.push_back(Overflow{level, r, load});
-    }
-  }
-  report.delivered.reserve(live_ids_.size());
-  for (u32 id : live_ids_) {
-    const GroupRealization& g = slots_[slot_of_[id]].group;
-    const Verdict v = propagate(g);
-    report.delivered.push_back(read_delivered(g));
-    report.fan_in_ops += v.fan_in_ops;
-    report.fan_out_ops += v.fan_out_ops;
-    report.capability_violations += v.capability_violations;
-  }
-  return report;
-}
-
 void FabricState::cross_check() const {
   constexpr std::string_view kSub = "fabric_state";
   const u32 N = net_.size();
@@ -555,15 +408,11 @@ void FabricState::cross_check() const {
   std::vector<u32> expected_load(load_.size(), 0);  // same level-major layout
   util::DynBitset expected_busy(N);
   u32 expected_overflowing = 0;
-  std::vector<GroupRealization> groups;
-  groups.reserve(live_ids_.size());
   for (u32 id : live_ids_) {
-    const Entry& entry = slots_[slot_of_[id]];
-    groups.push_back(entry.group);
+    const GroupRealization& g = slots_[slot_of_[id]].group;
     for (u32 level = 0; level <= n; ++level)
-      for (u32 row : entry.group.links[level])
-        ++expected_load[link_index(level, row)];
-    for (u32 m : entry.group.members) {
+      for (u32 row : g.links[level]) ++expected_load[link_index(level, row)];
+    for (u32 m : g.members) {
       audit::require(!expected_busy.test(m), kSub,
                      "admitted groups share a member port");
       expected_busy.set(m);
@@ -590,8 +439,6 @@ void FabricState::cross_check() const {
     slot_live[slot] = true;
     audit::require(slots_[slot].id == id && slots_[slot].group.id == id, kSub,
                    "slot entry does not name its owning id");
-    audit::require(slot_gen_.size() == slots_.size() && slot_gen_[slot] > 0,
-                   kSub, "live slot was never generation-stamped");
   }
   for (u32 slot : free_slots_)
     audit::require(slot < slots_.size() && !slot_live[slot], kSub,
@@ -618,64 +465,39 @@ void FabricState::cross_check() const {
   audit::require(faults_.count_consistent(), kSub,
                  "fault count diverges from the fault bitsets");
 
-  // Pin the SIMD plane (whatever backend is active) against the retained
-  // set-based path, per group. The cached verdict is read first (a dirty
-  // entry propagates here); a fresh propagation follows. Both verdicts and
-  // the fresh delivered sets must match the reference, so a cache that a
-  // mutation or fault event forgot to invalidate fails here.
+  // Pin the SIMD plane (whatever backend is active) against the set-based
+  // sweep of Fabric::propagate, per group, on the same (possibly degraded)
+  // fabric. The cached verdict is read first (a dirty entry propagates
+  // here); a fresh propagation follows. Both verdicts and the fresh
+  // delivered sets must match the oracle, so a cache that a mutation or
+  // fault event forgot to invalidate fails here.
+  const Fabric oracle(
+      net_, FabricConfig{std::numeric_limits<u32>::max(), fan_in_, fan_out_});
   for (u32 id : live_ids_) {
     const Entry& entry = slots_[slot_of_[id]];
+#if defined(CONFNET_AUDIT)
+    audit::check_group_realization(net_, entry.group);
+#endif
     const Verdict cached = verdict_of(entry);
     const Verdict fresh = propagate(entry.group);
     const std::vector<MemberSet> delivered = read_delivered(entry.group);
-    const PropagationResult ref = propagate_reference(id);
-    audit::require(delivered.size() == ref.delivered.size(), kSub,
-                   "SIMD plane output count diverges from the set-based "
-                   "reference");
+    const PropagationResult ref = oracle.propagate(entry.group, &faults_);
     Verdict expected{true, ref.fan_in_ops, ref.fan_out_ops,
                      ref.capability_violations};
     for (std::size_t mi = 0; mi < ref.delivered.size(); ++mi) {
-      audit::require(
-          delivered[mi].values() == ref.delivered[mi].values(), kSub,
-          "SIMD plane delivered signals diverge from the set-based "
-          "reference");
+      audit::require(delivered[mi] == ref.delivered[mi], kSub,
+                     "SIMD plane delivered signals diverge from the "
+                     "set-based oracle");
       if (ref.delivered[mi].values() != entry.group.members)
         expected.delivered_exact = false;
     }
     audit::require(fresh == expected, kSub,
                    "SIMD plane verdict (fan ops or mask-row delivery probe) "
-                   "diverges from the set-based reference");
+                   "diverges from the set-based oracle");
     audit::require(cached == expected, kSub,
                    "cached verdict is stale: it diverges from the set-based "
-                   "reference");
+                   "oracle");
   }
-
-  // Full stateless evaluation with unconstrained channels: compares the
-  // capacity-independent quantities (delivered signals, fan ops) on the
-  // same (possibly degraded) fabric.
-  const Fabric oracle(
-      net_, FabricConfig{std::numeric_limits<u32>::max(), fan_in_, fan_out_});
-  const EvalReport expected = oracle.evaluate(groups, &faults_);
-  const EvalReport actual = report();
-  audit::require(actual.delivered.size() == expected.delivered.size(), kSub,
-                 "group count diverges from the stateless oracle");
-  for (std::size_t gi = 0; gi < groups.size(); ++gi)
-    for (std::size_t mi = 0; mi < groups[gi].members.size(); ++mi)
-      audit::require(actual.delivered[gi][mi].values() ==
-                         expected.delivered[gi][mi].values(),
-                     kSub,
-                     "incremental delivered signals diverge from the "
-                     "stateless oracle");
-  audit::require(actual.fan_in_ops == expected.fan_in_ops, kSub,
-                 "fan-in op count diverges from the stateless oracle");
-  audit::require(actual.fan_out_ops == expected.fan_out_ops, kSub,
-                 "fan-out op count diverges from the stateless oracle");
-  audit::require(
-      actual.capability_violations == expected.capability_violations, kSub,
-      "capability violation count diverges from the stateless oracle");
-  audit::require(actual.max_link_load == expected.max_link_load, kSub,
-                 "per-level link-load maxima diverge from the stateless "
-                 "oracle");
 }
 
 void FabricState::maybe_periodic_audit() {

@@ -17,10 +17,10 @@
 //     mutations before any state changes.
 //   * per-link and per-port tables are narrow: a link load is 16 bits and
 //     port occupancy is one bit (see `load_` / `busy_` below).
-//   * group bookkeeping is flat: entries live in a dense slot vector with
-//     generation-stamped free-slot recycling, an id->slot table replaces
-//     the old std::map, and a sorted id vector drives ascending-order
-//     iteration — try_add/remove allocate no tree nodes on the hot path.
+//   * group bookkeeping is flat: entries live in a dense slot vector whose
+//     freed slots are recycled LIFO, an id->slot table replaces the old
+//     std::map, and a sorted id vector drives ascending-order iteration —
+//     try_add/remove allocate no tree nodes on the hot path.
 //   * a live fault mask (min::FaultSet) turns link failures and repairs
 //     into runtime events: fail_link/repair_link dirty only the groups on
 //     the touched link, admission refuses realizations over dead windows,
@@ -31,11 +31,12 @@
 //     full-member mask — backend selected at runtime via util/simd.hpp
 //     (CONFNET_SIMD=scalar|avx2|neon overrides).
 //
-// The stateless engine stays the oracle: `cross_check()` re-evaluates
-// everything through `Fabric::evaluate` and throws on any divergence, and
-// additionally pins the SIMD plane results against the retained set-based
-// path (`propagate_reference`). CONFNET_AUDIT builds run it periodically
-// from the mutation hooks (see audit::check_fabric_state).
+// The stateless engine stays the oracle: `cross_check()` recounts loads,
+// busy ports and overflows from the admitted groups and pins every group's
+// cached and fresh plane verdicts and delivered sets against the set-based
+// sweep `Fabric::propagate`, throwing on any divergence. CONFNET_AUDIT
+// builds run it periodically from the mutation hooks (see
+// audit::check_fabric_state).
 #pragma once
 
 #include <cstdint>
@@ -56,17 +57,6 @@ void check_fabric_state(const sw::FabricState& state);
 }
 
 namespace confnet::sw {
-
-/// What one group's propagation produces: the delivered member set at each
-/// of its outputs plus the fan-op accounting. Returned by the retained
-/// set-based oracle (`FabricState::propagate_reference`) so tests and
-/// benchmarks can pin the SIMD plane engine against it.
-struct PropagationResult {
-  std::vector<MemberSet> delivered;
-  std::uint64_t fan_in_ops = 0;
-  std::uint64_t fan_out_ops = 0;
-  std::uint64_t capability_violations = 0;
-};
 
 class FabricState {
  public:
@@ -91,20 +81,21 @@ class FabricState {
 
   /// Admit a group if every link it uses has a free channel. Returns false
   /// (and changes nothing) on a capacity conflict. Members must be disjoint
-  /// from every admitted group's. Throws Error, changing nothing, when a
-  /// link load would pass kMaxLoad.
+  /// from every admitted group's. Throws Error, changing nothing, when the
+  /// group fails validate_realization or a link load would pass kMaxLoad.
   [[nodiscard]] bool try_add(GroupRealization group);
 
   /// Atomically swap group `id` for a new realization if every link used by
   /// the new one but not the old one has a free channel. Returns false (and
   /// changes nothing) on a capacity conflict. Throws Error, changing
-  /// nothing, when a gained link's load would pass kMaxLoad.
+  /// nothing, when the group fails validate_realization or a gained link's
+  /// load would pass kMaxLoad.
   [[nodiscard]] bool try_replace(u32 id, GroupRealization group);
 
   /// Unconditional swap (shrink paths, where the new link set cannot
   /// oversubscribe anything the old one did not). Capacity is not checked,
-  /// but every contract (disjointness, kMaxLoad) is, before anything
-  /// changes.
+  /// but every contract (validate_realization, disjointness, kMaxLoad) is,
+  /// before anything changes.
   void replace(u32 id, GroupRealization group);
 
   void remove(u32 id);
@@ -185,29 +176,17 @@ class FabricState {
     for (u32 id : live_ids_) fn(slots_[slot_of_[id]].group);
   }
 
-  /// Assemble the same report `Fabric::evaluate` would produce for the
-  /// admitted groups in ascending id order (delivered sets propagated on
-  /// demand; overflow list and per-level maxima scanned from the live load
-  /// matrix). Not a hot path.
-  [[nodiscard]] EvalReport report() const;
-
-  /// Re-propagate group `id` through the retained set-based path — the
-  /// pre-SIMD `MemberSet`/set_union sweep, kept as the equivalence oracle
-  /// for the plane engine (the two share only the lookup of the link each
-  /// output listens to). Never reads or writes the cached verdicts. Not a
-  /// hot path.
-  [[nodiscard]] PropagationResult propagate_reference(u32 id) const;
-
   /// Drop every group's cached verdict (marks all entries dirty). For
   /// benchmarks and backend-switch tests that need to force a full
   /// re-propagation without mutating the fabric.
   void invalidate_signal_caches();
 
-  /// Full stateless re-evaluation through `Fabric::evaluate`; throws
-  /// audit::AuditError on any divergence from the incremental state. Also
-  /// pins, per group, both the cached verdict and a fresh re-propagation
-  /// (verdict and delivered sets) against `propagate_reference`, so a
-  /// missed cache invalidation is caught.
+  /// Recount loads, busy ports and overflows from the admitted groups and
+  /// check the slot tables; then pin, per group, both the cached verdict
+  /// and a fresh re-propagation (verdict and delivered sets) against
+  /// `Fabric::propagate`, so a missed cache invalidation is caught. Under
+  /// CONFNET_AUDIT every group also runs audit::check_group_realization.
+  /// Throws audit::AuditError on any divergence.
   void cross_check() const;
 
  private:
@@ -234,7 +213,6 @@ class FabricState {
     mutable Verdict verdict;
   };
 
-  void validate_new_group(const GroupRealization& group) const;
   /// Throws unless each of `group`'s members is free or one of `old`'s.
   void expect_members_free(const GroupRealization& old,
                            const GroupRealization& group) const;
@@ -259,7 +237,7 @@ class FabricState {
   const std::vector<u32>& mark_link_users_dirty(u32 level, u32 row);
 
   /// Take a slot for a new group: recycle the most recently freed one or
-  /// grow the vectors, bump its generation, and wire up slot_of_.
+  /// grow the vector, and wire up slot_of_.
   [[nodiscard]] u32 occupy_slot(u32 id);
   [[nodiscard]] const Entry& entry_of(u32 id) const {
     expects(contains(id), "unknown group id");
@@ -284,7 +262,6 @@ class FabricState {
   std::vector<u32> free_slots_;  // recyclable slot indices (LIFO)
   std::vector<u32> slot_of_;     // group id -> slot, kNoSlot when absent
   std::vector<u32> live_ids_;    // admitted ids, ascending
-  std::vector<std::uint64_t> slot_gen_;  // occupation generation per slot
   // (n+1)·N link loads, indexed by link_index(). 16 bits suffice because
   // of R1 (see kMaxLoad): 2·(n+1)·N bytes, 22 KiB at N = 1024.
   std::vector<std::uint16_t> load_;

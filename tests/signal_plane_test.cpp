@@ -1,4 +1,4 @@
-// Signal-plane propagation engine vs the retained set-based reference:
+// Signal-plane propagation engine vs the set-based Fabric::propagate:
 // randomized equivalence across every available SIMD backend, member
 // counts straddling the 64-bit word and 256-bit block boundaries, relay
 // taps, faulted links, cached verdicts across a fault event, and a
@@ -53,12 +53,15 @@ sw::GroupRealization all_pairs_group(Kind kind, u32 n, u32 id,
 
 /// Every live group's cached plane results must equal the set-based
 /// reference: delivered sets, and delivery_ok must agree with the
-/// reference-derived expectation.
+/// reference-derived expectation. `state` must have both fan capabilities
+/// (every caller here does).
 void expect_plane_matches_reference(const sw::FabricState& state,
                                     const std::vector<u32>& ids) {
+  const sw::Fabric oracle(state.network(), sw::FabricConfig{});
   bool ref_ok = true;
   for (u32 id : ids) {
-    const sw::PropagationResult ref = state.propagate_reference(id);
+    const sw::PropagationResult ref =
+        oracle.propagate(state.group(id), &state.faults());
     const std::vector<sw::MemberSet> fast = state.delivered(id);
     ASSERT_EQ(fast.size(), ref.delivered.size()) << "group " << id;
     for (std::size_t mi = 0; mi < fast.size(); ++mi)
@@ -326,8 +329,8 @@ TEST_P(SignalPlaneSuite, CrossCheckHoldsUnderChurnWithFaults) {
       (void)state.repair_link(static_cast<u32>(rng_.below(n + 1)),
                               static_cast<u32>(rng_.below(N)));
     }
-    // cross_check recounts everything through the stateless oracle AND
-    // pins the plane engine against propagate_reference per group.
+    // cross_check recounts loads and busy ports AND pins the plane engine
+    // against Fabric::propagate per group.
     ASSERT_NO_THROW(state.cross_check());
   }
 }

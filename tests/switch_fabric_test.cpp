@@ -1,7 +1,9 @@
 // Functional fabric tests: signal propagation with fan-in/fan-out, channel
-// overflow detection, mux relay taps, FabricState's incremental load
-// matrix against a recount of its admitted groups, its 16-bit load guard,
-// and its busy-port set against group membership.
+// overflow detection, mux relay taps, one table of malformed realizations
+// that Fabric::evaluate and every FabricState mutation must refuse,
+// FabricState's incremental load matrix against a recount of its admitted
+// groups, its 16-bit load guard, and its busy-port set against group
+// membership.
 #include "switchmod/fabric.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +12,7 @@
 #include <iterator>
 #include <optional>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "conference/subnetwork.hpp"
@@ -173,15 +176,115 @@ TEST(Fabric, ManyDisjointEnhancedConferencesAreConflictFree) {
       EXPECT_EQ(d.values(), groups[gi].members);
 }
 
+/// One malformed realization: `make` turns a well-formed group with the
+/// given id on members {4, 5} of an n = 3 network into the broken one.
+struct MalformedCase {
+  std::string_view what;
+  void (*make)(GroupRealization& g, u32 n);
+};
+
+/// Every well-formedness contract validate_realization enforces, one entry
+/// per way to break it.
+constexpr MalformedCase kMalformed[] = {
+    {"wrong level count", [](GroupRealization& g, u32) { g.links.pop_back(); }},
+    {"empty members", [](GroupRealization& g, u32) { g.members.clear(); }},
+    {"unsorted members", [](GroupRealization& g, u32) { g.members = {5, 4}; }},
+    {"repeated member", [](GroupRealization& g, u32) { g.members = {4, 4}; }},
+    {"member out of range",
+     [](GroupRealization& g, u32 n) { g.members = {4, u32{1} << n}; }},
+    {"unsorted link rows",
+     [](GroupRealization& g, u32) { std::swap(g.links[0][0], g.links[0][1]); }},
+    {"repeated link row",
+     [](GroupRealization& g, u32) { g.links[0].push_back(g.links[0].back()); }},
+    {"link row out of range",
+     [](GroupRealization& g, u32 n) { g.links[n].push_back(u32{1} << n); }},
+    {"taps miss a member",
+     [](GroupRealization& g, u32 n) { g.taps = {{4, n}}; }},
+    {"member tapped twice",
+     [](GroupRealization& g, u32 n) { g.taps = {{4, n}, {4, n}}; }},
+    {"tap output not a member",
+     [](GroupRealization& g, u32 n) { g.taps = {{4, n}, {6, n}}; }},
+    {"tap level above n",
+     [](GroupRealization& g, u32 n) { g.taps = {{4, n}, {5, n + 5}}; }},
+    {"tap link not owned",
+     [](GroupRealization& g, u32 n) {
+       g.links[n].erase(std::find(g.links[n].begin(), g.links[n].end(), 5));
+       g.taps = {{4, n}, {5, n}};
+     }},
+};
+
 TEST(Fabric, RejectsMalformedGroups) {
-  const u32 n = 2;
-  const min::Network net(Kind::kOmega, n);
-  const Fabric fabric(net, FabricConfig{1, true, true});
-  GroupRealization g;
-  g.id = 0;
-  g.members = {0, 1};
-  g.links.resize(1);  // wrong number of levels
-  EXPECT_THROW((void)fabric.evaluate({g}), Error);
+  constexpr u32 n = 3;
+  constexpr u32 N = u32{1} << n;
+  const Kind kind = Kind::kOmega;
+  const min::Network net(kind, n);
+  const Fabric fabric(net, FabricConfig{N, true, true});
+  FabricState state(net, FabricConfig{N, true, true});
+  ASSERT_TRUE(state.try_add(make_group(0, kind, n, {0, 1})));
+
+  std::vector<u32> loads;
+  std::vector<bool> free_ports;
+  const auto snapshot = [&] {
+    loads.clear();
+    free_ports.clear();
+    for (u32 level = 0; level <= n; ++level)
+      for (u32 row = 0; row < N; ++row)
+        loads.push_back(state.load_at(level, row));
+    for (u32 p = 0; p < N; ++p) free_ports.push_back(state.port_free(p));
+  };
+  snapshot();
+  const std::vector<u32> loads_before = loads;
+  const std::vector<bool> free_before = free_ports;
+
+  for (const MalformedCase& bad : kMalformed) {
+    SCOPED_TRACE(bad.what);
+    GroupRealization fresh = make_group(1, kind, n, {4, 5});
+    bad.make(fresh, n);
+    GroupRealization swap = make_group(0, kind, n, {4, 5});
+    bad.make(swap, n);
+
+    // A refusal that slips through leaves `state` holding a malformed
+    // group, so stop at the first one.
+    ASSERT_THROW((void)state.try_add(fresh), Error);
+    ASSERT_THROW((void)state.try_replace(0, swap), Error);
+    ASSERT_THROW(state.replace(0, swap), Error);
+    EXPECT_THROW((void)fabric.evaluate({fresh}), Error);
+
+    snapshot();
+    EXPECT_EQ(loads, loads_before);
+    EXPECT_EQ(free_ports, free_before);
+    EXPECT_EQ(state.group_count(), 1u);
+    EXPECT_FALSE(state.contains(1));
+    EXPECT_EQ(state.group(0).members, (std::vector<u32>{0, 1}));
+  }
+}
+
+TEST(FabricState, AdmissionChecksRelayTaps) {
+  constexpr u32 n = 2;
+  const Kind kind = Kind::kOmega;
+  FabricState state(min::Network(kind, n), FabricConfig{4, true, true});
+
+  // Both taps name member 0, so member 1 has no output at all.
+  GroupRealization twice = make_group(0, kind, n, {0, 1});
+  twice.taps = {{0, n}, {0, n}};
+  EXPECT_THROW((void)state.try_add(twice), Error);
+
+  // A tap past level n does not exist.
+  GroupRealization deep = make_group(0, kind, n, {0, 1});
+  deep.taps = {{0, n}, {1, n + 5}};
+  EXPECT_THROW((void)state.try_add(deep), Error);
+
+  EXPECT_EQ(state.group_count(), 0u);
+  EXPECT_TRUE(state.port_free(0));
+  EXPECT_TRUE(state.port_free(1));
+
+  // Taps at level n on the members' own rows are the untapped delivery.
+  GroupRealization good = make_group(0, kind, n, {0, 1});
+  good.taps = {{1, n}, {0, n}};
+  ASSERT_TRUE(state.try_add(good));
+  EXPECT_TRUE(state.delivery_ok());
+  for (const MemberSet& heard : state.delivered(0))
+    EXPECT_EQ(heard.values(), (std::vector<u32>{0, 1}));
 }
 
 TEST(Fabric, ConfigValidation) {
