@@ -51,12 +51,6 @@ class Report {
 
   void add_note(std::string note) { notes_.push_back(std::move(note)); }
 
-  /// SIMD backend the process resolved for the signal-plane kernels
-  /// (util::simd::active_backend_name()). Optional: binaries whose hot
-  /// paths run through FabricState::propagate record it so artifacts from
-  /// different hosts / CONFNET_SIMD settings are distinguishable.
-  void set_backend(std::string backend) { backend_ = std::move(backend); }
-
   /// The full artifact: metadata, tables, notes, metrics snapshot, trace
   /// accounting. Schema: tools/bench_schema.json.
   void write_json(std::ostream& os, const std::string& binary) const {
@@ -64,10 +58,6 @@ class Report {
     w.begin_object();
     w.key("confnet_bench");
     w.value(std::uint64_t{2});
-    if (!backend_.empty()) {
-      w.key("backend");
-      w.value(backend_);
-    }
     w.key("experiment");
     w.value(experiment_);
     w.key("artifact");
@@ -127,7 +117,6 @@ class Report {
   std::string experiment_;
   std::string artifact_;
   std::string question_;
-  std::string backend_;
   std::vector<util::Table> tables_;
   std::vector<std::string> notes_;
 };

@@ -10,7 +10,6 @@
 #include "bench_common.hpp"
 #include "conference/multiplicity.hpp"
 #include "conference/subnetwork.hpp"
-#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace confnet {
@@ -20,8 +19,6 @@ using conf::u32;
 using min::Kind;
 
 void emit_tables() {
-  bench::Report::instance().set_backend(
-      std::string(util::simd::active_backend_name()));
   bench::print_header(
       "E2", "Table 2 (multiplicity of routing conflicts, arbitrary placement)",
       "How many disjoint conferences can compete for one interstage link "

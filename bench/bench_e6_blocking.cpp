@@ -13,7 +13,6 @@
 #include "sim/replication.hpp"
 #include "switchmod/fabric_state.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace confnet {
 namespace {
@@ -64,8 +63,6 @@ std::vector<Config> configs(u32 n) {
 }
 
 void emit_tables() {
-  bench::Report::instance().set_backend(
-      std::string(util::simd::active_backend_name()));
   bench::print_header(
       "E6", "Figure 5 (blocking probability vs offered load, N=64)",
       "How often are conference requests refused, and is the refusal due to "
@@ -154,13 +151,13 @@ void BM_TeletrafficRun(benchmark::State& state) {
 }
 BENCHMARK(BM_TeletrafficRun)->DenseRange(4, 8, 2)->Unit(benchmark::kMillisecond);
 
-// --- Signal-plane propagation twins --------------------------------------
+// --- Signal propagation -------------------------------------------------
 //
-// Same deterministically populated fabric, two engines: the bitset-row
-// plane (BM_PropagateSimd, whichever backend CONFNET_SIMD / autodetect
-// resolved — see the label) against the set-based oracle Fabric::propagate
-// (BM_PropagateReference). The fan-op counters are seed-determined and
-// must be byte-identical across backends; only the wall time may differ.
+// The set-based sweep Fabric::propagate (BM_PropagateReference), the one
+// propagation engine, over a deterministically populated fabric. The live
+// path never propagates (FabricState decides delivery by its dead-link
+// counters); this times what the cross_check() oracle pays per group. The
+// fan-op counters are seed-determined.
 
 std::vector<u32> populate_propagation_state(sw::FabricState& fabric, u32 n) {
   util::Rng rng(20260808);
@@ -168,9 +165,8 @@ std::vector<u32> populate_propagation_state(sw::FabricState& fabric, u32 n) {
   const u32 N = u32{1} << n;
   std::vector<u32> ids;
   for (u32 id = 0; id < N / 2; ++id) {
-    // Mixed conference sizes up to 64 members: large groups are where the
-    // two engines diverge (set merges scale with membership, row ORs with
-    // padded words), small ones keep the sweep scaffolding honest.
+    // Mixed conference sizes up to 64 members: set merges scale with
+    // membership, small groups keep the sweep scaffolding honest.
     const u32 size =
         2 + static_cast<u32>(rng.below(std::min(N / 4, u32{63})));
     auto ports = placer.place(size, rng);
@@ -184,40 +180,6 @@ std::vector<u32> populate_propagation_state(sw::FabricState& fabric, u32 n) {
   }
   return ids;
 }
-
-void report_propagation_counters(benchmark::State& state,
-                                 const sw::FabricState& fabric,
-                                 const std::vector<u32>& ids) {
-  const sw::Fabric oracle(fabric.network(), sw::FabricConfig{});
-  std::uint64_t fan_in = 0;
-  std::uint64_t fan_out = 0;
-  for (u32 id : ids) {
-    const sw::PropagationResult ref =
-        oracle.propagate(fabric.group(id), &fabric.faults());
-    fan_in += ref.fan_in_ops;
-    fan_out += ref.fan_out_ops;
-  }
-  state.SetLabel(util::simd::active_backend_name());
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(ids.size()));
-  state.counters["groups"] = static_cast<double>(ids.size());
-  state.counters["fan_in_ops"] = static_cast<double>(fan_in);
-  state.counters["fan_out_ops"] = static_cast<double>(fan_out);
-}
-
-void BM_PropagateSimd(benchmark::State& state) {
-  const u32 n = static_cast<u32>(state.range(0));
-  const min::Network net(Kind::kIndirectCube, n);
-  sw::FabricState fabric(net, sw::FabricConfig{u32{1} << n, true, true});
-  const std::vector<u32> ids = populate_propagation_state(fabric, n);
-  for (auto _ : state) {
-    fabric.invalidate_signal_caches();
-    bool ok = fabric.delivery_ok();
-    benchmark::DoNotOptimize(ok);
-  }
-  report_propagation_counters(state, fabric, ids);
-}
-BENCHMARK(BM_PropagateSimd)->DenseRange(6, 10, 2);
 
 void BM_PropagateReference(benchmark::State& state) {
   const u32 n = static_cast<u32>(state.range(0));
@@ -235,14 +197,26 @@ void BM_PropagateReference(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(violations);
   }
-  report_propagation_counters(state, fabric, ids);
+  std::uint64_t fan_in = 0;
+  std::uint64_t fan_out = 0;
+  for (u32 id : ids) {
+    const sw::PropagationResult ref =
+        oracle.propagate(fabric.group(id), &fabric.faults());
+    fan_in += ref.fan_in_ops;
+    fan_out += ref.fan_out_ops;
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(ids.size()));
+  state.counters["groups"] = static_cast<double>(ids.size());
+  state.counters["fan_in_ops"] = static_cast<double>(fan_in);
+  state.counters["fan_out_ops"] = static_cast<double>(fan_out);
 }
 BENCHMARK(BM_PropagateReference)->DenseRange(6, 10, 2);
 
 // The teletraffic simulation's pattern: one group changes (here: replaced by a
-// copy of its own realization, which dirties its cached verdict), then the
-// periodic delivery check runs over the whole fabric. Each iteration
-// re-propagates one group and reads every other group's cached verdict.
+// copy of its own realization, which recounts its dead links and fan flag),
+// then the periodic delivery check runs over the whole fabric, reading
+// every group's counters.
 void BM_DeliveryCheckChurn(benchmark::State& state) {
   const u32 n = static_cast<u32>(state.range(0));
   const min::Network net(Kind::kIndirectCube, n);
@@ -256,7 +230,6 @@ void BM_DeliveryCheckChurn(benchmark::State& state) {
     bool ok = fabric.delivery_ok();
     benchmark::DoNotOptimize(ok);
   }
-  state.SetLabel(util::simd::active_backend_name());
   state.counters["groups"] = static_cast<double>(ids.size());
 }
 BENCHMARK(BM_DeliveryCheckChurn)->DenseRange(6, 10, 2);

@@ -327,8 +327,8 @@ u64 Cluster::active_spans() const noexcept {
 void Cluster::cross_check() const {
   constexpr std::string_view kSub = "cluster";
 
-  // (1) Every shard fabric delivers on both engines: the incremental
-  // SignalPlane state and the stateless Fabric::evaluate oracle. This
+  // (1) Every shard fabric passes both delivery checks: the incremental
+  // FabricState closed form and the stateless Fabric::evaluate oracle. This
   // pins each leg's local fan-in to exactly its local member set (trunk
   // relay port included).
   for (u32 s = 0; s < config_.shards; ++s) {

@@ -30,7 +30,7 @@
 //
 // Delivery model: each leg's local fan-in combines its member signals; the
 // relay port exports the combined signal onto the trunk mesh and injects
-// the union of the remote legs' exports into the local SignalPlane, so
+// the union of the remote legs' exports into the local fabric, so
 // every member hears exactly the global member set. cross_check() proves
 // that against a flattened single-fabric oracle: the same conferences
 // realized on one 2^(stages + log2 K) network must deliver identical

@@ -137,7 +137,7 @@ std::optional<u32> DirectConferenceNetwork::setup(
   std::vector<u32> sorted = members;
   std::sort(sorted.begin(), sorted.end());
   sw::GroupRealization g;
-  g.id = next_handle_;
+  g.id = handles_.peek();
   g.links = all_pairs_links(kind(), n(), sorted);
   g.members = std::move(sorted);
   if (!state_.links_clear(g.links)) {
@@ -148,7 +148,7 @@ std::optional<u32> DirectConferenceNetwork::setup(
     last_error_ = SetupError::kLinkCapacity;
     return std::nullopt;
   }
-  const u32 handle = next_handle_++;
+  const u32 handle = handles_.take();
   CONFNET_AUDIT_HOOK(audit::check_direct_network(*this));
   return handle;
 }
@@ -156,6 +156,7 @@ std::optional<u32> DirectConferenceNetwork::setup(
 void DirectConferenceNetwork::teardown(u32 handle) {
   expects(state_.contains(handle), "teardown of unknown conference handle");
   state_.remove(handle);
+  handles_.release(handle);
   CONFNET_AUDIT_HOOK(audit::check_direct_network(*this));
 }
 
@@ -274,12 +275,12 @@ std::optional<u32> EnhancedCubeNetwork::setup(
   }
   // The enhanced design keeps single-channel links; a conflict means the
   // placement was not aligned (or the fabric is genuinely oversubscribed).
-  if (!state_.try_add(realize(next_handle_, std::move(sorted),
+  if (!state_.try_add(realize(handles_.peek(), std::move(sorted),
                               std::move(real)))) {
     last_error_ = SetupError::kLinkCapacity;
     return std::nullopt;
   }
-  const u32 handle = next_handle_++;
+  const u32 handle = handles_.take();
   CONFNET_AUDIT_HOOK(audit::check_enhanced_network(*this));
   return handle;
 }
@@ -287,6 +288,7 @@ std::optional<u32> EnhancedCubeNetwork::setup(
 void EnhancedCubeNetwork::teardown(u32 handle) {
   expects(state_.contains(handle), "teardown of unknown conference handle");
   state_.remove(handle);
+  handles_.release(handle);
   CONFNET_AUDIT_HOOK(audit::check_enhanced_network(*this));
 }
 
@@ -398,7 +400,7 @@ void check_design_state(const sw::FabricState& state, conf::u32 n,
 void check_direct_network(const conf::DirectConferenceNetwork& net) {
   constexpr std::string_view kSub = "designs";
   using conf::u32;
-  check_design_state(net.state_, net.n(), net.next_handle_, kSub);
+  check_design_state(net.state_, net.n(), net.handles_.minted(), kSub);
   for (u32 level = 0; level <= net.n(); ++level) {
     require(net.state_.capacity()[level] == net.dilation_.channels(level),
             kSub, "fabric capacity diverges from the dilation profile");
@@ -420,7 +422,7 @@ void check_direct_network(const conf::DirectConferenceNetwork& net) {
 void check_enhanced_network(const conf::EnhancedCubeNetwork& net) {
   constexpr std::string_view kSub = "designs";
   using conf::u32;
-  check_design_state(net.state_, net.n(), net.next_handle_, kSub);
+  check_design_state(net.state_, net.n(), net.handles_.minted(), kSub);
   std::vector<std::vector<std::vector<u32>>> group_links;
   net.state_.for_each_group([&](const sw::GroupRealization& g) {
     // The stored realization is exactly the recomputed one (taps included).

@@ -80,9 +80,9 @@ class ConferenceNetworkBase {
   [[nodiscard]] virtual u32 active_count() const noexcept = 0;
 
   /// Evaluate the fabric functionally: every active conference's members
-  /// must receive exactly the conference's member set. Served from the
-  /// incremental sw::FabricState — cheap when nothing changed since the
-  /// last check.
+  /// must receive exactly the conference's member set. Decided from the
+  /// incremental sw::FabricState's per-conference dead-link counters (each
+  /// design realizes conferences canonically), without propagating signals.
   [[nodiscard]] virtual bool verify_delivery() const = 0;
 
   /// Same verdict via the stateless `sw::Fabric::evaluate` oracle (full
@@ -154,6 +154,32 @@ class ConferenceNetworkBase {
   }
 };
 
+/// A design's conference handles. A freed handle is reused (the most
+/// recently freed first) before a new one is minted, so every handle stays
+/// below the peak number of live conferences and so does the fabric's
+/// id->slot table, however many setups a long-lived design serves.
+class HandlePool {
+ public:
+  /// The handle the next take() hands out.
+  [[nodiscard]] u32 peek() const noexcept {
+    return free_.empty() ? minted_ : free_.back();
+  }
+  /// Hand out peek(); call once its conference is admitted.
+  [[nodiscard]] u32 take() {
+    if (free_.empty()) return minted_++;
+    const u32 handle = free_.back();
+    free_.pop_back();
+    return handle;
+  }
+  void release(u32 handle) { free_.push_back(handle); }
+  /// One past the largest handle ever handed out.
+  [[nodiscard]] u32 minted() const noexcept { return minted_; }
+
+ private:
+  u32 minted_ = 0;
+  std::vector<u32> free_;
+};
+
 class DirectConferenceNetwork final : public ConferenceNetworkBase {
  public:
   DirectConferenceNetwork(min::Kind kind, u32 n, DilationProfile dilation);
@@ -206,7 +232,7 @@ class DirectConferenceNetwork final : public ConferenceNetworkBase {
 
   DilationProfile dilation_;
   sw::FabricState state_;  // owns the active realizations + link loads
-  u32 next_handle_ = 0;
+  HandlePool handles_;
   SetupError last_error_ = SetupError::kPortBusy;
 };
 
@@ -264,7 +290,7 @@ class EnhancedCubeNetwork final : public ConferenceNetworkBase {
       u32 handle, std::vector<u32> members, EnhancedRealization real);
 
   sw::FabricState state_;  // owns the active realizations + link loads
-  u32 next_handle_ = 0;
+  HandlePool handles_;
   SetupError last_error_ = SetupError::kPortBusy;
 };
 

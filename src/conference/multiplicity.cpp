@@ -380,10 +380,10 @@ MonteCarloResult monte_carlo_multiplicity(Kind kind, u32 n,
   const auto run_range = [&](std::size_t begin, std::size_t end) {
     MultiplicityScratch scratch;
     // Per-worker incremental fabric with unconstrained channels: each
-    // verified trial admits its groups, checks functional delivery through
-    // the SIMD signal plane, and removes them again, so the load matrix
-    // and the plane arena are reused across the whole chunk. Only built
-    // when verification is on.
+    // verified trial admits its groups, checks functional delivery by the
+    // closed form (delivery_ok), and removes them again, so the load
+    // matrix is reused across the whole chunk. Only built when
+    // verification is on.
     std::optional<sw::FabricState> fabric;
     if (verify_delivery)
       fabric.emplace(min::Network(kind, n), sw::FabricConfig{N, true, true});
@@ -477,7 +477,7 @@ MonteCarloResult monte_carlo_multiplicity_reference(
     ++result.peak_histogram[p.peak];
     if (verify_delivery) {
       // Set-based oracle verification: one stateless Fabric::evaluate over
-      // the trial's realizations, no signal plane involved.
+      // the trial's realizations, propagating every signal.
       std::vector<sw::GroupRealization> groups;
       groups.reserve(set.conferences().size());
       for (const Conference& c : set.conferences())

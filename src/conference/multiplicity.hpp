@@ -140,17 +140,17 @@ struct MonteCarloResult {
 /// scheduled and results merge in trial order, so the outcome is
 /// byte-identical to the serial reference for any worker count.
 /// With `verify_delivery`, every trial's conference set is additionally
-/// realized (ALL_PAIRS) in a per-worker FabricState and checked through
-/// the SIMD signal-plane engine (delivery_ok); verification consumes no
-/// randomness, so the multiplicity statistics are unchanged.
+/// realized (ALL_PAIRS) in a per-worker FabricState and checked by its
+/// closed-form delivery_ok (exact iff no dead link); verification consumes
+/// no randomness, so the multiplicity statistics are unchanged.
 [[nodiscard]] MonteCarloResult monte_carlo_multiplicity(
     min::Kind kind, u32 n, u32 conference_count, u32 min_size, u32 max_size,
     PlacementPolicy policy, u32 trials, u64 seed,
     util::ThreadPool* pool = nullptr, bool verify_delivery = false);
 
 /// Reference oracle: the original single-threaded loop on top of
-/// measure_multiplicity_reference. Its `verify_delivery` goes through the
-/// stateless set-based `Fabric::evaluate` instead of the signal plane.
+/// measure_multiplicity_reference. Its `verify_delivery` propagates signals
+/// through the stateless set-based `Fabric::evaluate` instead.
 [[nodiscard]] MonteCarloResult monte_carlo_multiplicity_reference(
     min::Kind kind, u32 n, u32 conference_count, u32 min_size, u32 max_size,
     PlacementPolicy policy, u32 trials, u64 seed,

@@ -1,13 +1,11 @@
 #include "switchmod/fabric_state.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 #include <utility>
 
 #include "util/audit.hpp"
 #include "util/error.hpp"
-#include "util/simd.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace confnet::sw {
@@ -77,8 +75,7 @@ u32 FabricState::occupy_slot(u32 id) {
   }
   if (id >= slot_of_.size()) slot_of_.resize(id + 1, kNoSlot);
   slot_of_[id] = slot;
-  // Keep live_ids_ sorted; control-plane ids are monotone, so the common
-  // case is a cheap append.
+  // Keep live_ids_ sorted; a fresh id is the largest yet, so it appends.
   if (live_ids_.empty() || live_ids_.back() < id) {
     live_ids_.push_back(id);
   } else {
@@ -107,8 +104,9 @@ CONFNET_HOT bool FabricState::try_add(GroupRealization group) {
   apply_load(group, true);
   const u32 id = group.id;
   Entry& entry = slots_[occupy_slot(id)];
+  entry.dead_links = 0;  // links_clear above
+  entry.lacks_fan = lacks_fan_for(group);
   entry.group = std::move(group);
-  entry.dirty = true;
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
   return true;
 }
@@ -139,7 +137,7 @@ CONFNET_HOT bool FabricState::try_replace(u32 id,
   if (!feasible) return false;
 
   expect_members_free(old, group);
-  swap_group(entry, std::move(group));
+  swap_group(entry, std::move(group), 0);  // links_clear above
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
   return true;
 }
@@ -153,7 +151,8 @@ CONFNET_HOT void FabricState::replace(u32 id, GroupRealization group) {
   for_each_delta(group.links, entry.group.links, [&](u32 level, u32 row) {
     expect_headroom(load_[link_index(level, row)]);
   });
-  swap_group(entry, std::move(group));
+  const u32 dead = dead_links_in(group.links);
+  swap_group(entry, std::move(group), dead);
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
 }
 
@@ -166,7 +165,8 @@ void FabricState::expect_members_free(const GroupRealization& old,
 }
 
 CONFNET_HOT void FabricState::swap_group(Entry& entry,
-                                         GroupRealization group) {
+                                         GroupRealization group,
+                                         u32 dead_links) {
   for (u32 m : entry.group.members) busy_.reset(m);
   for (u32 m : group.members) busy_.set(m);
   for_each_delta(group.links, entry.group.links, [&](u32 level, u32 row) {
@@ -178,8 +178,9 @@ CONFNET_HOT void FabricState::swap_group(Entry& entry,
     expects(load > 0, "link load underflow");
     if (load-- == capacity_[level] + 1) --overflowing_;
   });
+  entry.dead_links = dead_links;
+  entry.lacks_fan = lacks_fan_for(group);
   entry.group = std::move(group);
-  entry.dirty = true;
 }
 
 CONFNET_HOT void FabricState::remove(u32 id) {
@@ -197,34 +198,37 @@ CONFNET_HOT void FabricState::remove(u32 id) {
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
 }
 
-CONFNET_HOT const std::vector<u32>& FabricState::mark_link_users_dirty(
-    u32 level, u32 row) {
-  dirty_scratch_.clear();
+CONFNET_HOT const std::vector<u32>& FabricState::count_link_users(
+    u32 level, u32 row, bool failed) {
+  users_scratch_.clear();
   // One channel per group per link: the link's load is its user count.
   const u32 users = load_[link_index(level, row)];
-  if (users == 0) return dirty_scratch_;
+  if (users == 0) return users_scratch_;
   for (u32 id : live_ids_) {
     Entry& entry = slots_[slot_of_[id]];
     const auto& rows = entry.group.links[level];
     if (std::binary_search(rows.begin(), rows.end(), row)) {
-      entry.dirty = true;
+      if (failed)
+        ++entry.dead_links;
+      else
+        --entry.dead_links;
       // static_check: allow(hot-alloc) capacity reused across mutations,
       // bounded by peak groups on one link
-      dirty_scratch_.push_back(id);
-      if (dirty_scratch_.size() == users) break;
+      users_scratch_.push_back(id);
+      if (users_scratch_.size() == users) break;
     }
   }
-  return dirty_scratch_;
+  return users_scratch_;
 }
 
 const std::vector<u32>& FabricState::fail_link(u32 level, u32 row) {
   expects(level <= net_.n() && row < net_.size(), "fail_link out of range");
   if (faults_.is_faulty(level, row)) {
-    dirty_scratch_.clear();
-    return dirty_scratch_;
+    users_scratch_.clear();
+    return users_scratch_;
   }
   faults_.fail_link(level, row);
-  const auto& touched = mark_link_users_dirty(level, row);
+  const auto& touched = count_link_users(level, row, true);
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
   return touched;
 }
@@ -232,56 +236,68 @@ const std::vector<u32>& FabricState::fail_link(u32 level, u32 row) {
 const std::vector<u32>& FabricState::repair_link(u32 level, u32 row) {
   expects(level <= net_.n() && row < net_.size(), "repair_link out of range");
   if (!faults_.is_faulty(level, row)) {
-    dirty_scratch_.clear();
-    return dirty_scratch_;
+    users_scratch_.clear();
+    return users_scratch_;
   }
   faults_.repair_link(level, row);
-  const auto& touched = mark_link_users_dirty(level, row);
+  const auto& touched = count_link_users(level, row, false);
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
   return touched;
 }
 
 bool FabricState::group_survives(u32 id) const {
-  return links_clear(entry_of(id).group.links);
+  return entry_of(id).dead_links == 0;
 }
 
 bool FabricState::links_clear(
     const std::vector<std::vector<u32>>& links) const {
-  if (faults_.fault_count() == 0) return true;
-  for (u32 level = 0; level < links.size(); ++level)
-    for (u32 row : links[level])
-      if (faults_.is_faulty(level, row)) return false;
-  return true;
+  return dead_links_in(links) == 0;
 }
 
 const GroupRealization& FabricState::group(u32 id) const {
   return entry_of(id).group;
 }
 
-std::vector<MemberSet> FabricState::delivered(u32 id) const {
-  const GroupRealization& g = entry_of(id).group;
-  (void)propagate(g);
-  return read_delivered(g);
+u32 FabricState::dead_links_in(
+    const std::vector<std::vector<u32>>& links) const {
+  if (faults_.fault_count() == 0) return 0;
+  u32 dead = 0;
+  for (u32 level = 0; level < links.size(); ++level)
+    for (u32 row : links[level])
+      if (faults_.is_faulty(level, row)) ++dead;
+  return dead;
 }
 
-const FabricState::Verdict& FabricState::verdict_of(const Entry& entry) const {
-  if (entry.dirty) {
-    entry.verdict = propagate(entry.group);
-    entry.dirty = false;
+bool FabricState::lacks_fan_for(const GroupRealization& g) const {
+  if (fan_in_ && fan_out_) return false;
+  const u32 n = net_.n();
+  const auto owned = [&](u32 level, u32 row) {
+    return std::binary_search(g.links[level].begin(), g.links[level].end(),
+                              row);
+  };
+  for (u32 level = 0; level <= n; ++level) {
+    for (u32 row : g.links[level]) {
+      if (!fan_in_ && level > 0) {
+        const auto preds = net_.predecessors(level, row);
+        if (owned(level - 1, preds[0]) && owned(level - 1, preds[1]))
+          return true;
+      }
+      if (!fan_out_ && level < n) {
+        const auto succs = net_.successors(level, row);
+        if (owned(level + 1, succs[0]) && owned(level + 1, succs[1]))
+          return true;
+      }
+    }
   }
-  return entry.verdict;
+  return false;
 }
 
 bool FabricState::delivery_ok() const {
   for (u32 id : live_ids_) {
-    const Verdict& v = verdict_of(slots_[slot_of_[id]]);
-    if (v.capability_violations != 0 || !v.delivered_exact) return false;
+    const Entry& entry = slots_[slot_of_[id]];
+    if (entry.dead_links != 0 || entry.lacks_fan) return false;
   }
   return true;
-}
-
-void FabricState::invalidate_signal_caches() {
-  for (u32 id : live_ids_) slots_[slot_of_[id]].dirty = true;
 }
 
 u32 FabricState::load_at(u32 level, u32 row) const {
@@ -294,108 +310,6 @@ u32 FabricState::level_peak_load(u32 level) const {
   expects(level <= net_.n(), "level out of range");
   const auto first = load_.begin() + std::ptrdiff_t{level} * net_.size();
   return *std::max_element(first, first + net_.size());
-}
-
-CONFNET_HOT FabricState::Verdict FabricState::propagate(
-    const GroupRealization& g) const {
-  const u32 n = net_.n();
-  // Mirror of Fabric::propagate's degraded semantics: a faulty link is
-  // signal-dead. One branch up front keeps the healthy path probe-free.
-  const bool degraded = faults_.fault_count() != 0;
-  const auto dead = [&](u32 level, u32 row) {
-    return degraded && faults_.is_faulty(level, row);
-  };
-  constexpr u32 absent = SignalPlane::kAbsent;
-
-  // Bitset-row layout: bit mi of a link's row = "member g.members[mi] has
-  // been heard here". Fan-in is a SIMD OR of rows, the liveness flag
-  // replaces the MemberSet::empty probe, and delivery reduces to an
-  // equality check against the full-member mask row. Neighbours are found
-  // through each stage's closed-form wiring and the plane's dense position
-  // scratch, which holds the two levels a stage joins.
-  SignalPlane& plane = plane_;
-  plane.begin_group(g.links, g.members.size(), net_.size());
-  const auto& k = util::simd::kernels();
-  const std::size_t words = plane.words();
-  Verdict v;
-
-  // Injection: a level-0 link carries its member's own signal.
-  plane.index_level(0, g.links[0]);
-  for (std::size_t mi = 0; mi < g.members.size(); ++mi) {
-    const u32 i = plane.position(0, g.members[mi]);
-    if (i == absent || dead(0, g.members[mi])) continue;
-    plane.row(0, i)[mi >> 6] |= std::uint64_t{1} << (mi & 63);
-    plane.mark_live(0, i);
-  }
-
-  const std::vector<min::StageSpec>& stages = net_.stages();
-  for (u32 level = 1; level <= n; ++level) {
-    const std::vector<u32>& rows = g.links[level];
-    plane.index_level(level, rows);
-    // Stage `level` joins level-1 rows to level rows: a switch's outputs are
-    // out_perm of one port pair, its inputs in_perm⁻¹ of the same pair.
-    const min::FieldRotation out_fwd = stages[level - 1].out_perm;
-    const min::FieldRotation in_inv = stages[level - 1].in_perm.inverse();
-    const min::FieldRotation out_inv = out_fwd.inverse();
-
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      if (dead(level, rows[i])) continue;  // carries nothing
-      const u32 port = out_inv(rows[i]);
-      // Fan-in: the link ORs in its switch's used, live inputs.
-      u32 feeding = 0;
-      std::uint64_t* out = plane.row(level, static_cast<u32>(i));
-      for (const u32 pred : {in_inv(port & ~u32{1}), in_inv(port | 1)}) {
-        const u32 pi = plane.position(level - 1, pred);
-        if (pi == absent || !plane.live(level - 1, pi)) continue;
-        k.or_into(out, plane.row(level - 1, pi), words);
-        ++feeding;
-      }
-      if (feeding > 0) plane.mark_live(level, static_cast<u32>(i));
-      if (feeding == 2) {
-        ++v.fan_in_ops;
-        if (!fan_in_) ++v.capability_violations;
-      }
-      // Fan-out: when both outputs of the switch are used and alive, each
-      // live input drives both. Counted once per switch, at its even port.
-      if ((port & 1) != 0) continue;
-      const u32 sibling = out_fwd(port | 1);
-      if (plane.position(level, sibling) == absent || dead(level, sibling))
-        continue;
-      v.fan_out_ops += feeding;
-      if (!fan_out_) v.capability_violations += feeding;
-    }
-    plane.unindex_level(level - 1, g.links[level - 1]);
-  }
-  plane.unindex_level(n, g.links[n]);
-
-  // Delivery: every output's row must equal the full-member mask row.
-  v.delivered_exact = true;
-  const std::uint64_t* mask = plane.mask_row();
-  for_each_output(g, [&](std::size_t, u32 level, std::size_t li) {
-    if (!k.rows_equal(plane.row(level, static_cast<u32>(li)), mask, words))
-      v.delivered_exact = false;
-  });
-  return v;
-}
-
-std::vector<MemberSet> FabricState::read_delivered(
-    const GroupRealization& g) const {
-  // Bit mi -> g.members[mi]; members are sorted, so each set comes out
-  // sorted too.
-  std::vector<MemberSet> delivered(g.members.size());
-  const std::size_t words = plane_.words();
-  for_each_output(g, [&](std::size_t mi, u32 level, std::size_t li) {
-    const std::uint64_t* src = plane_.row(level, static_cast<u32>(li));
-    std::vector<u32> heard;
-    for (std::size_t w = 0; w < words; ++w) {
-      for (std::uint64_t bits = src[w]; bits != 0; bits &= bits - 1) {
-        const auto bit = static_cast<std::size_t>(std::countr_zero(bits));
-        heard.push_back(g.members[w * 64 + bit]);
-      }
-    }
-    delivered[mi] = MemberSet(std::move(heard));
-  });
-  return delivered;
 }
 
 void FabricState::cross_check() const {
@@ -465,12 +379,11 @@ void FabricState::cross_check() const {
   audit::require(faults_.count_consistent(), kSub,
                  "fault count diverges from the fault bitsets");
 
-  // Pin the SIMD plane (whatever backend is active) against the set-based
-  // sweep of Fabric::propagate, per group, on the same (possibly degraded)
-  // fabric. The cached verdict is read first (a dirty entry propagates
-  // here); a fresh propagation follows. Both verdicts and the fresh
-  // delivered sets must match the oracle, so a cache that a mutation or
-  // fault event forgot to invalidate fails here.
+  // Pin each group's counters: its dead-link count against a recount over
+  // the fault mask, then its closed-form verdict against the set-based
+  // sweep of Fabric::propagate on the same (possibly degraded) fabric. The
+  // theorem needs a canonical realization, so a hand-built group whose
+  // links are not exactly its member->output paths fails here.
   const Fabric oracle(
       net_, FabricConfig{std::numeric_limits<u32>::max(), fan_in_, fan_out_});
   for (u32 id : live_ids_) {
@@ -478,25 +391,24 @@ void FabricState::cross_check() const {
 #if defined(CONFNET_AUDIT)
     audit::check_group_realization(net_, entry.group);
 #endif
-    const Verdict cached = verdict_of(entry);
-    const Verdict fresh = propagate(entry.group);
-    const std::vector<MemberSet> delivered = read_delivered(entry.group);
+    audit::require(entry.dead_links == dead_links_in(entry.group.links), kSub,
+                   "dead-link count diverges from the fault-mask recount");
+    audit::require(entry.lacks_fan == lacks_fan_for(entry.group), kSub,
+                   "fan flag diverges from the group's link rows");
     const PropagationResult ref = oracle.propagate(entry.group, &faults_);
-    Verdict expected{true, ref.fan_in_ops, ref.fan_out_ops,
-                     ref.capability_violations};
-    for (std::size_t mi = 0; mi < ref.delivered.size(); ++mi) {
-      audit::require(delivered[mi] == ref.delivered[mi], kSub,
-                     "SIMD plane delivered signals diverge from the "
-                     "set-based oracle");
-      if (ref.delivered[mi].values() != entry.group.members)
-        expected.delivered_exact = false;
-    }
-    audit::require(fresh == expected, kSub,
-                   "SIMD plane verdict (fan ops or mask-row delivery probe) "
-                   "diverges from the set-based oracle");
-    audit::require(cached == expected, kSub,
-                   "cached verdict is stale: it diverges from the set-based "
-                   "oracle");
+    bool exact = true;
+    for (const MemberSet& heard : ref.delivered)
+      if (heard.values() != entry.group.members) exact = false;
+    audit::require(exact == (entry.dead_links == 0), kSub,
+                   "closed-form delivery (exact iff no dead link) diverges "
+                   "from Fabric::propagate: is the realization canonical?");
+    // A dead link leaves the downstream switches idle, so fan ops are
+    // comparable only on a healthy group.
+    if (entry.dead_links == 0)
+      audit::require(entry.lacks_fan == (ref.capability_violations != 0),
+                     kSub,
+                     "closed-form fan-capability flag diverges from "
+                     "Fabric::propagate: is the realization canonical?");
   }
 }
 

@@ -7,12 +7,12 @@
 // deltas instead:
 //   * mutations (try_add / try_replace / replace / remove) cost O(links of
 //     the touched group);
-//   * signal propagation is per group and lazy — a group keeps only its
-//     delivery verdict (exact delivery plus fan-op counts), recomputed
-//     only after that group or one of its links changed, which is sound
-//     because signals mix only within a group's own links (the load
-//     matrix is the sole cross-group coupling). Delivered member sets are
-//     never stored: `delivered(id)` re-propagates and reads them out;
+//   * delivery is decided by theorem, not by propagating signals (DESIGN.md
+//     §3, "canonical realization"): every (input, output) pair has exactly
+//     one path, so a canonically realized group delivers exactly iff none
+//     of its links is dead, and the fan operations it demands depend only
+//     on its link rows. Each group therefore keeps a dead-link count and a
+//     flag for a fan operation the fabric lacks; `delivery_ok()` reads them;
 //   * capacity is per level (a dilation profile), enforced by the try_
 //     mutations before any state changes.
 //   * per-link and per-port tables are narrow: a link load is 16 bits and
@@ -22,21 +22,24 @@
 //     std::map, and a sorted id vector drives ascending-order iteration —
 //     try_add/remove allocate no tree nodes on the hot path.
 //   * a live fault mask (min::FaultSet) turns link failures and repairs
-//     into runtime events: fail_link/repair_link dirty only the groups on
-//     the touched link, admission refuses realizations over dead windows,
-//     and propagation treats faulty links as signal-dead.
-//   * propagation itself runs on the SignalPlane (signal_plane.hpp): each
-//     occupied link's signal is a bitset row, fan-in is a SIMD OR of two
-//     rows, and the delivery check is an equality probe against the
-//     full-member mask — backend selected at runtime via util/simd.hpp
-//     (CONFNET_SIMD=scalar|avx2|neon overrides).
+//     into runtime events: fail_link/repair_link update the dead-link
+//     counts of only the groups on the touched link, and admission refuses
+//     realizations over dead windows.
+//
+// Precondition of the shortcut: every admitted group is canonical — its
+// links are exactly the union of its member->output paths (an ALL_PAIRS
+// subnetwork, or the enhanced-cube realization truncated at its tap
+// level, taps included). Both conference designs admit only such groups.
+// A hand-built realization may be admitted (validate_realization checks
+// shape, not canonicity), but its `delivery_ok()` verdict means nothing;
+// ask `Fabric::propagate` instead.
 //
 // The stateless engine stays the oracle: `cross_check()` recounts loads,
-// busy ports and overflows from the admitted groups and pins every group's
-// cached and fresh plane verdicts and delivered sets against the set-based
-// sweep `Fabric::propagate`, throwing on any divergence. CONFNET_AUDIT
-// builds run it periodically from the mutation hooks (see
-// audit::check_fabric_state).
+// busy ports, overflows and dead links from the admitted groups and pins
+// every group's closed-form verdict against the set-based sweep
+// `Fabric::propagate`, throwing on any divergence — a non-canonical group
+// fails it. CONFNET_AUDIT builds run it periodically from the mutation
+// hooks (see audit::check_fabric_state).
 #pragma once
 
 #include <cstdint>
@@ -45,7 +48,6 @@
 #include "min/faults.hpp"
 #include "min/network.hpp"
 #include "switchmod/fabric.hpp"
-#include "switchmod/signal_plane.hpp"
 #include "util/bitset.hpp"
 #include "util/error.hpp"
 
@@ -101,13 +103,14 @@ class FabricState {
   void remove(u32 id);
 
   // --- Runtime fault events ----------------------------------------------
-  // The fabric carries a live min::FaultSet. Failing a link invalidates
-  // only the signal caches of the groups whose realization uses it (found
-  // in O(groups on the link) thanks to the load matrix); load/busy-port
-  // accounting is untouched — a dead link still holds its channel
-  // assignments until the control plane re-places the affected groups.
-  // try_add / try_replace refuse realizations that touch a faulty link, so
-  // a successful mutation never yields a degraded group.
+  // The fabric carries a live min::FaultSet. Failing or repairing a link
+  // updates the dead-link counts of only the groups whose realization uses
+  // it (found in O(groups on the link) thanks to the load matrix);
+  // load/busy-port accounting is untouched — a dead link still holds its
+  // channel assignments until the control plane re-places the affected
+  // groups. try_add / try_replace refuse realizations that touch a faulty
+  // link, so a successful try_ mutation never yields a degraded group;
+  // replace() may (a shrink on a degraded fabric) and counts its dead links.
 
   /// Mark link (level,row) faulty. Returns the ids of admitted groups whose
   /// realization uses the link, in ascending order. Idempotent: an already-
@@ -116,8 +119,8 @@ class FabricState {
   const std::vector<u32>& fail_link(u32 level, u32 row);
 
   /// Repair link (level,row). Returns the ids of admitted groups whose
-  /// realization uses the link (their signal caches are refreshed lazily).
-  /// Idempotent like fail_link; same scratch-buffer lifetime.
+  /// realization uses the link. Idempotent like fail_link; same
+  /// scratch-buffer lifetime.
   const std::vector<u32>& repair_link(u32 level, u32 row);
 
   [[nodiscard]] bool link_faulty(u32 level, u32 row) const {
@@ -125,7 +128,8 @@ class FabricState {
   }
   [[nodiscard]] const min::FaultSet& faults() const noexcept { return faults_; }
 
-  /// True iff every link of group `id`'s realization avoids the fault mask.
+  /// True iff every link of group `id`'s realization avoids the fault mask
+  /// (its dead-link count is zero). O(1).
   [[nodiscard]] bool group_survives(u32 id) const;
 
   /// True iff every row of `links` (levels 0..n) avoids the fault mask.
@@ -149,13 +153,11 @@ class FabricState {
     return !busy_.test(port);
   }
 
-  /// Delivered member sets at group `id`'s outputs (order of its members),
-  /// propagated and read out on demand; nothing is cached. Not a hot path.
-  [[nodiscard]] std::vector<MemberSet> delivered(u32 id) const;
-
   /// True iff every member of every group hears exactly its group's member
-  /// set and no fan capability was violated. Capacity-independent, like the
-  /// unlimited-channel functional check it replaces.
+  /// set and no fan capability was violated, decided from the per-group
+  /// counters (canonical groups only; see the header comment).
+  /// Capacity-independent, like the unlimited-channel functional check it
+  /// replaces. O(groups).
   [[nodiscard]] bool delivery_ok() const;
 
   [[nodiscard]] u32 load_at(u32 level, u32 row) const;
@@ -176,15 +178,11 @@ class FabricState {
     for (u32 id : live_ids_) fn(slots_[slot_of_[id]].group);
   }
 
-  /// Drop every group's cached verdict (marks all entries dirty). For
-  /// benchmarks and backend-switch tests that need to force a full
-  /// re-propagation without mutating the fabric.
-  void invalidate_signal_caches();
-
-  /// Recount loads, busy ports and overflows from the admitted groups and
-  /// check the slot tables; then pin, per group, both the cached verdict
-  /// and a fresh re-propagation (verdict and delivered sets) against
-  /// `Fabric::propagate`, so a missed cache invalidation is caught. Under
+  /// Recount loads, busy ports, overflows and per-group dead links from the
+  /// admitted groups and check the slot tables; then pin every group's
+  /// closed-form verdict against `Fabric::propagate`: exact delivery iff no
+  /// dead link, and, on a healthy group, a capability violation iff the
+  /// fan flag is set. A non-canonical group fails here. Under
   /// CONFNET_AUDIT every group also runs audit::check_group_realization.
   /// Throws audit::AuditError on any divergence.
   void cross_check() const;
@@ -195,46 +193,36 @@ class FabricState {
   /// slot_of_ sentinel: group id not admitted.
   static constexpr u32 kNoSlot = 0xffffffffu;
 
-  /// What one propagation decides about a group: exact delivery at every
-  /// output (the mask-row probe) plus the fan-op accounting.
-  struct Verdict {
-    bool delivered_exact = false;
-    std::uint64_t fan_in_ops = 0;
-    std::uint64_t fan_out_ops = 0;
-    std::uint64_t capability_violations = 0;
-    friend bool operator==(const Verdict&, const Verdict&) = default;
-  };
-
   struct Entry {
     u32 id = 0;  // owning group id while the slot is live
     GroupRealization group;
-    // Lazy verdict for `group`, valid when !dirty.
-    mutable bool dirty = true;
-    mutable Verdict verdict;
+    u32 dead_links = 0;  // links of `group` on the fault mask
+    bool lacks_fan = false;  // `group` demands a fan op the fabric lacks
   };
 
   /// Throws unless each of `group`'s members is free or one of `old`'s.
   void expect_members_free(const GroupRealization& old,
                            const GroupRealization& group) const;
   void apply_load(const GroupRealization& group, bool add);
-  /// Swap `entry`'s realization for `group`: busy ports, link loads and the
-  /// overflow counter. Checks nothing; both replace paths check first.
-  void swap_group(Entry& entry, GroupRealization group);
-  /// Sweep `g`'s signals through the plane and return its verdict; the
-  /// plane keeps the group's rows until the next propagation.
-  Verdict propagate(const GroupRealization& g) const;
-  /// The cached verdict, re-propagated first if the entry is dirty.
-  const Verdict& verdict_of(const Entry& entry) const;
-  /// Delivered member sets read out of the plane rows of the group
-  /// propagated last (which must be `g`).
-  [[nodiscard]] std::vector<MemberSet> read_delivered(
-      const GroupRealization& g) const;
+  /// Swap `entry`'s realization for `group`, which has `dead_links` links
+  /// on the fault mask: busy ports, link loads, the overflow counter and
+  /// the entry's counters. Checks nothing; both replace paths check first.
+  void swap_group(Entry& entry, GroupRealization group, u32 dead_links);
+  /// Links of `links` (levels 0..n) on the fault mask; 0 without a look
+  /// when the fabric is healthy.
+  [[nodiscard]] u32 dead_links_in(
+      const std::vector<std::vector<u32>>& links) const;
+  /// True iff `g`'s link rows demand fan-in (a switch with both inputs
+  /// owned) or fan-out (both outputs owned) from a fabric without it.
+  /// False without a look when the fabric has both.
+  [[nodiscard]] bool lacks_fan_for(const GroupRealization& g) const;
   void maybe_periodic_audit();
-  /// Dirty every group whose realization uses link (level,row); returns
-  /// their ids in ascending order. O(groups on the link): the scan stops
-  /// once load_[link_index(level, row)] users have been found. Writes into
-  /// dirty_scratch_ (capacity reused across mutations, CONFNET_HOT).
-  const std::vector<u32>& mark_link_users_dirty(u32 level, u32 row);
+  /// Count link (level,row) in (`failed`) or out of the dead-link count of
+  /// every group whose realization uses it; returns their
+  /// ids in ascending order. O(groups on the link): the scan stops once
+  /// load_[link_index(level, row)] users have been found. Writes into
+  /// users_scratch_ (capacity reused across mutations, CONFNET_HOT).
+  const std::vector<u32>& count_link_users(u32 level, u32 row, bool failed);
 
   /// Take a slot for a new group: recycle the most recently freed one or
   /// grow the vector, and wire up slot_of_.
@@ -256,8 +244,8 @@ class FabricState {
   // Flat group tables (see header comment): dense recycled entry slots, an
   // id->slot map, and the sorted live-id list for ordered iteration.
   // slot_of_ grows with the largest id ever admitted (4 bytes per id) —
-  // ids come from monotone control-plane counters, so the table is a
-  // straight array rather than a hash.
+  // the designs recycle their handles, so ids stay below the peak live
+  // count and the table is a straight array rather than a hash.
   std::vector<Entry> slots_;
   std::vector<u32> free_slots_;  // recyclable slot indices (LIFO)
   std::vector<u32> slot_of_;     // group id -> slot, kNoSlot when absent
@@ -271,12 +259,8 @@ class FabricState {
   util::DynBitset busy_;
   u32 overflowing_ = 0;
   u32 mutations_ = 0;  // drives the periodic CONFNET_AUDIT cross-check
-  // Bitset-row arena and position scratch for propagate(); holds one group
-  // at a time and grows monotonically, so steady-state propagation
-  // allocates nothing.
-  mutable SignalPlane plane_;
-  // Reused id buffer for mark_link_users_dirty (fail/repair hot path).
-  std::vector<u32> dirty_scratch_;
+  // Reused id buffer for count_link_users (fail/repair hot path).
+  std::vector<u32> users_scratch_;
 };
 
 }  // namespace confnet::sw

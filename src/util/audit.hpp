@@ -160,9 +160,10 @@ void check_group_realization(const min::Network& net,
                              const sw::GroupRealization& group);
 
 /// Incremental fabric state coherence: the live load matrix, port
-/// ownership and overflow counter equal a recount over the admitted
-/// groups, and the cached per-group delivered signals / fan-op counts
-/// match a full stateless `Fabric::evaluate` of the same groups.
+/// ownership, overflow counter and per-group dead-link counts equal a
+/// recount over the admitted groups, and every group's closed-form
+/// delivery verdict matches the stateless `Fabric::propagate` sweep
+/// (FabricState::cross_check).
 void check_fabric_state(const sw::FabricState& state);
 
 /// Placer bookkeeping: occupancy count matches the taken bitmap, and under

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "conference/multiplicity.hpp"
 #include "util/error.hpp"
@@ -272,6 +274,46 @@ TEST(Designs, EnhancedDesignWorksAfterMove) {
   EXPECT_TRUE(net.conference_survives(*c));
   EXPECT_TRUE(net.verify_delivery());
   EXPECT_TRUE(net.verify_delivery_reference());
+}
+
+// A long-lived design reuses freed handles: 10^5 setup/teardown cycles with
+// at most three live conferences never hand out a handle of 3 or more, so
+// the fabric's id table stays three entries long.
+void expect_handles_recycled(ConferenceNetworkBase& net) {
+  // Aligned port pairs: link-disjoint on the enhanced cube, and within
+  // full dilation on the direct design.
+  const std::vector<std::vector<u32>> pairs{{0, 1}, {2, 3}, {4, 5}, {6, 7}};
+  std::vector<u32> live;  // handles, oldest first
+  std::vector<std::size_t> pair_of;  // the pair each live handle holds
+  u32 largest = 0;
+  for (u32 cycle = 0; cycle < 100000; ++cycle) {
+    if (live.size() == 3) {
+      net.teardown(live.front());
+      live.erase(live.begin());
+      pair_of.erase(pair_of.begin());
+    }
+    std::size_t free_pair = 0;
+    while (std::find(pair_of.begin(), pair_of.end(), free_pair) !=
+           pair_of.end())
+      ++free_pair;
+    const auto handle = net.setup(pairs[free_pair]);
+    ASSERT_TRUE(handle.has_value()) << "cycle " << cycle;
+    largest = std::max(largest, *handle);
+    live.push_back(*handle);
+    pair_of.push_back(free_pair);
+  }
+  EXPECT_LT(largest, 3u) << net.name();
+  EXPECT_TRUE(net.verify_delivery());
+}
+
+TEST(Designs, DirectDesignRecyclesHandles) {
+  DirectConferenceNetwork net(Kind::kOmega, 3, DilationProfile::full(3));
+  expect_handles_recycled(net);
+}
+
+TEST(Designs, EnhancedDesignRecyclesHandles) {
+  EnhancedCubeNetwork net(3);
+  expect_handles_recycled(net);
 }
 
 }  // namespace

@@ -1,0 +1,461 @@
+// Delivery by theorem: FabricState decides delivery from per-group
+// counters (a dead-link count and a missing-fan flag) instead of
+// propagating signals. These suites pin that closed form against the
+// set-based sweep Fabric::propagate: exhaustively on small networks (every
+// kind, every member set, healthy and single-link faults, fan capabilities
+// on and off, direct and tapped enhanced realizations), by a seeded churn
+// property test at n = 8..10, through the dead-link counter's edge cases,
+// and on the Monte-Carlo verification path. A hand-built non-canonical
+// group shows where the theorem stops and that cross_check() catches it.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <vector>
+
+#include "conference/multiplicity.hpp"
+#include "conference/placement.hpp"
+#include "conference/subnetwork.hpp"
+#include "min/network.hpp"
+#include "switchmod/fabric_state.hpp"
+#include "util/audit.hpp"
+#include "util/rng.hpp"
+
+namespace confnet {
+namespace {
+
+using conf::u32;
+using min::Kind;
+
+/// The two canonical realizations the designs admit.
+enum class Realization : std::uint8_t { kDirect, kEnhanced };
+
+sw::GroupRealization canonical_group(Realization r, Kind kind, u32 n, u32 id,
+                                     std::vector<u32> members) {
+  sw::GroupRealization g;
+  g.id = id;
+  if (r == Realization::kDirect) {
+    g.links = conf::all_pairs_links(kind, n, members);
+  } else {
+    conf::EnhancedRealization er = conf::enhanced_cube_realization(n, members);
+    g.links = std::move(er.links);
+    for (u32 m : members)
+      g.taps.push_back(sw::GroupRealization::Tap{m, er.tap_level});
+  }
+  g.members = std::move(members);
+  return g;
+}
+
+/// What Fabric::propagate says about one group.
+struct OracleVerdict {
+  bool exact = true;  // every output hears exactly the member set
+  std::uint64_t fan_in_ops = 0;
+  std::uint64_t fan_out_ops = 0;
+  std::uint64_t capability_violations = 0;
+
+  /// Delivery verdict on a fabric with the given capabilities: exact, and
+  /// no fan op of a kind the modules lack (the oracle's definition of a
+  /// capability violation).
+  [[nodiscard]] bool delivers(bool fan_in, bool fan_out) const {
+    return exact && (fan_in || fan_in_ops == 0) &&
+           (fan_out || fan_out_ops == 0);
+  }
+};
+
+OracleVerdict oracle_verdict(const sw::Fabric& oracle,
+                             const sw::GroupRealization& g,
+                             const min::FaultSet& faults) {
+  const sw::PropagationResult ref = oracle.propagate(g, &faults);
+  OracleVerdict v;
+  for (const sw::MemberSet& heard : ref.delivered)
+    if (heard.values() != g.members) v.exact = false;
+  v.fan_in_ops = ref.fan_in_ops;
+  v.fan_out_ops = ref.fan_out_ops;
+  v.capability_violations = ref.capability_violations;
+  return v;
+}
+
+/// Every live group's group_survives() must equal the oracle's exact
+/// delivery, delivery_ok() the conjunction of every group's oracle verdict
+/// (taken on `oracle`, built with the state's fan capabilities), and
+/// cross_check() must pass.
+void expect_closed_form_matches(const sw::FabricState& state,
+                                const sw::Fabric& oracle,
+                                const std::vector<u32>& ids) {
+  bool all_ok = true;
+  for (u32 id : ids) {
+    const OracleVerdict v =
+        oracle_verdict(oracle, state.group(id), state.faults());
+    EXPECT_EQ(state.group_survives(id), v.exact) << "group " << id;
+    all_ok = all_ok && v.exact && v.capability_violations == 0;
+  }
+  EXPECT_EQ(state.delivery_ok(), all_ok);
+  EXPECT_NO_THROW(state.cross_check());
+}
+
+constexpr std::array<std::array<bool, 2>, 4> kFanConfigs{
+    {{true, true}, {false, true}, {true, false}, {false, false}}};
+
+// --- Exhaustive: small networks ------------------------------------------
+
+/// Admit each member set alone, on one fabric per fan configuration, and
+/// compare the closed form with the oracle on the healthy fabric and, when
+/// `faults` is set, under every single-link fault of the network. One
+/// oracle sweep serves all four configurations: it runs on modules with
+/// neither capability, so it reports every fan op it demands.
+void sweep_member_sets(Realization r, Kind kind, u32 n,
+                       const std::vector<u32>& masks, bool faults) {
+  const u32 N = u32{1} << n;
+  const min::Network net(kind, n);
+  const sw::Fabric oracle(net, sw::FabricConfig{N, false, false});
+  std::vector<sw::FabricState> states;
+  for (const auto& [fan_in, fan_out] : kFanConfigs)
+    states.emplace_back(net, sw::FabricConfig{N, fan_in, fan_out});
+
+  for (u32 mask : masks) {
+    std::vector<u32> members;
+    for (u32 p = 0; p < N; ++p)
+      if ((mask >> p & 1) != 0) members.push_back(p);
+    const sw::GroupRealization g = canonical_group(r, kind, n, 0, members);
+    for (sw::FabricState& s : states) ASSERT_TRUE(s.try_add(g));
+
+    const auto check = [&](u32 level, u32 row) {
+      const OracleVerdict v = oracle_verdict(oracle, g, states[0].faults());
+      for (std::size_t c = 0; c < states.size(); ++c) {
+        const auto [fan_in, fan_out] = kFanConfigs[c];
+        ASSERT_EQ(states[c].group_survives(0), v.exact)
+            << min::kind_name(kind) << " n=" << n << " mask=" << mask
+            << " fault (" << level << "," << row << ")";
+        ASSERT_EQ(states[c].delivery_ok(), v.delivers(fan_in, fan_out))
+            << min::kind_name(kind) << " n=" << n << " mask=" << mask
+            << " fault (" << level << "," << row << ") fan_in=" << fan_in
+            << " fan_out=" << fan_out;
+      }
+    };
+    check(n + 1, 0);  // healthy: no such level
+    if (faults) {
+      for (u32 level = 0; level <= n; ++level) {
+        for (u32 row = 0; row < N; ++row) {
+          for (sw::FabricState& s : states) (void)s.fail_link(level, row);
+          check(level, row);
+          for (sw::FabricState& s : states) (void)s.repair_link(level, row);
+        }
+      }
+    }
+    for (sw::FabricState& s : states) s.remove(0);
+  }
+}
+
+std::vector<u32> every_member_set(u32 n) {
+  std::vector<u32> masks;
+  for (u32 mask = 1; mask < (u32{1} << (u32{1} << n)); ++mask)
+    masks.push_back(mask);
+  return masks;
+}
+
+template <typename Fn>
+void for_each_realization(Fn&& fn) {
+  for (Kind kind : min::kAllKinds) fn(Realization::kDirect, kind);
+  fn(Realization::kEnhanced, Kind::kIndirectCube);
+}
+
+TEST(DeliveryTheorem, ExhaustiveSingleFaultsUpToN3) {
+  for (u32 n = 1; n <= 3; ++n) {
+    const std::vector<u32> masks = every_member_set(n);
+    for_each_realization([&](Realization r, Kind kind) {
+      sweep_member_sets(r, kind, n, masks, true);
+    });
+  }
+}
+
+// n = 4: every one of the 2^16 - 1 member sets on the healthy fabric.
+TEST(DeliveryTheorem, ExhaustiveHealthyAtN4) {
+  const std::vector<u32> masks = every_member_set(4);
+  for_each_realization([&](Realization r, Kind kind) {
+    sweep_member_sets(r, kind, 4, masks, false);
+  });
+}
+
+// n = 4 single-link faults: one oracle sweep costs ~10 us here, so every
+// one of the 80 faults runs on every pair, every set missing one port,
+// the whole network, and a seeded sample of other member sets.
+TEST(DeliveryTheorem, SingleFaultsAtN4) {
+  constexpr u32 N = 16;
+  std::vector<u32> masks;
+  for (u32 a = 0; a < N; ++a)
+    for (u32 b = a + 1; b < N; ++b)
+      masks.push_back((u32{1} << a) | (u32{1} << b));
+  const u32 all = (u32{1} << N) - 1;
+  for (u32 p = 0; p < N; ++p) masks.push_back(all & ~(u32{1} << p));
+  masks.push_back(all);
+  util::Rng rng(2021);
+  for (int i = 0; i < 128; ++i)
+    masks.push_back(1 + static_cast<u32>(rng.below(all)));
+  for_each_realization([&](Realization r, Kind kind) {
+    sweep_member_sets(r, kind, 4, masks, true);
+  });
+}
+
+// --- Seeded property test: n = 8..10 under churn -------------------------
+
+class DeliveryTheoremChurn : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  util::Rng rng_{GetParam()};
+};
+
+TEST_P(DeliveryTheoremChurn, ClosedFormMatchesOracleUnderChurnAndFaults) {
+  for (u32 n = 8; n <= 10; ++n) {
+    const u32 N = u32{1} << n;
+    const Realization r =
+        rng_.below(3) == 0 ? Realization::kEnhanced : Realization::kDirect;
+    const Kind kind = r == Realization::kEnhanced
+                          ? Kind::kIndirectCube
+                          : min::kAllKinds[rng_.below(min::kAllKinds.size())];
+    const auto [fan_in, fan_out] = kFanConfigs[rng_.below(kFanConfigs.size())];
+    const min::Network net(kind, n);
+    sw::FabricState state(net, sw::FabricConfig{N, fan_in, fan_out});
+    const sw::Fabric oracle(net, sw::FabricConfig{N, fan_in, fan_out});
+    // Buddy placement keeps enhanced groups link-disjoint; the direct
+    // fabric has channels to spare either way.
+    conf::PortPlacer placer(n, r == Realization::kEnhanced
+                                   ? conf::PlacementPolicy::kBuddy
+                                   : conf::PlacementPolicy::kRandom);
+    SCOPED_TRACE(::testing::Message()
+                 << min::kind_name(kind) << " n=" << n
+                 << (r == Realization::kEnhanced ? " enhanced" : " direct")
+                 << " fan_in=" << fan_in << " fan_out=" << fan_out);
+
+    std::vector<u32> alive;
+    u32 next_id = 0;
+    std::size_t most_alive = 0;
+    int degraded_steps = 0;
+    for (int step = 0; step < 60; ++step) {
+      // Admissions weigh triple so the fabric fills between the removals.
+      const u32 action = static_cast<u32>(rng_.below(7));
+      if (action <= 2 || alive.empty()) {
+        const u32 size = 2 + static_cast<u32>(rng_.below(12));
+        if (auto ports = placer.place(size, rng_)) {
+          sw::GroupRealization g =
+              canonical_group(r, kind, n, next_id, std::move(*ports));
+          if (state.try_add(g)) {
+            alive.push_back(next_id++);
+          } else {
+            placer.release(g.members);  // over a dead link or out of room
+          }
+        }
+      } else if (action == 3) {
+        const std::size_t at = rng_.below(alive.size());
+        placer.release(state.group(alive[at]).members);
+        state.remove(alive[at]);
+        alive.erase(alive.begin() + static_cast<std::ptrdiff_t>(at));
+      } else if (action == 4) {
+        // Shrink by one member through the unconditional replace, degraded
+        // or not, as remove_member does.
+        const u32 id = alive[rng_.below(alive.size())];
+        std::vector<u32> members = state.group(id).members;
+        if (members.size() > 2) {
+          const std::size_t at = rng_.below(members.size());
+          placer.release_one(members[at]);
+          members.erase(members.begin() + static_cast<std::ptrdiff_t>(at));
+          state.replace(id, canonical_group(r, kind, n, id, members));
+        }
+      } else if (action == 5) {
+        // Fail a link some group uses, or any link.
+        if (rng_.below(3) != 0) {
+          const auto& links =
+              state.group(alive[rng_.below(alive.size())]).links;
+          std::vector<std::array<u32, 2>> used;
+          for (u32 level = 0; level <= n; ++level)
+            for (u32 row : links[level]) used.push_back({level, row});
+          const auto [level, row] = used[rng_.below(used.size())];
+          (void)state.fail_link(level, row);
+        } else {
+          (void)state.fail_link(static_cast<u32>(rng_.below(n + 1)),
+                                static_cast<u32>(rng_.below(N)));
+        }
+      } else {
+        // Probe one random row per level and repair the first faulty one;
+        // now and then repair every link.
+        for (u32 level = 0; level <= n; ++level) {
+          const u32 row = static_cast<u32>(rng_.below(N));
+          if (state.link_faulty(level, row)) {
+            (void)state.repair_link(level, row);
+            break;
+          }
+        }
+        if (rng_.below(4) == 0)
+          for (u32 level = 0; level <= n; ++level)
+            for (u32 row = 0; row < N; ++row)
+              if (state.link_faulty(level, row))
+                (void)state.repair_link(level, row);
+      }
+      expect_closed_form_matches(state, oracle, alive);
+      if (HasFailure()) return;
+      most_alive = std::max(most_alive, alive.size());
+      for (u32 id : alive)
+        if (!state.group_survives(id)) {
+          ++degraded_steps;
+          break;
+        }
+    }
+    // The churn must have exercised both verdicts on several groups.
+    EXPECT_GE(most_alive, 3u);
+    EXPECT_GT(degraded_steps, 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DeliveryTheoremChurn,
+                         ::testing::Values(1u, 2u, 3u, 17u, 1234u));
+
+// --- Dead-link counter edge cases ----------------------------------------
+
+class DeadLinkCounter : public ::testing::TestWithParam<Realization> {};
+
+TEST_P(DeadLinkCounter, FailRepairReplaceAndRemoveKeepTheCount) {
+  const Realization r = GetParam();
+  const Kind kind = Kind::kIndirectCube;
+  constexpr u32 n = 4;
+  constexpr u32 N = u32{1} << n;
+  const min::Network net(kind, n);
+  sw::FabricState state(net, sw::FabricConfig{N, true, true});
+  const sw::Fabric oracle(net, sw::FabricConfig{N, true, true});
+  // Two aligned blocks, so the enhanced realizations are link-disjoint.
+  ASSERT_TRUE(state.try_add(canonical_group(r, kind, n, 0, {0, 1, 2, 3})));
+  ASSERT_TRUE(state.try_add(canonical_group(r, kind, n, 1, {8, 9, 10})));
+  std::vector<u32> ids{0, 1};
+  expect_closed_form_matches(state, oracle, ids);
+
+  // Member 3's level-0 link: only group 0 uses it.
+  EXPECT_EQ(state.fail_link(0, 3), (std::vector<u32>{0}));
+  EXPECT_FALSE(state.group_survives(0));
+  EXPECT_TRUE(state.group_survives(1));
+  expect_closed_form_matches(state, oracle, ids);
+
+  // Failing the same link again changes nothing: no second count.
+  EXPECT_TRUE(state.fail_link(0, 3).empty());
+  expect_closed_form_matches(state, oracle, ids);
+
+  // Repairing a healthy link changes nothing either, not even for its
+  // users: no underflow.
+  EXPECT_TRUE(state.repair_link(0, 8).empty());
+  EXPECT_TRUE(state.repair_link(1, 0).empty());
+  expect_closed_form_matches(state, oracle, ids);
+
+  // A second dead link on group 0: member 0's injection.
+  EXPECT_EQ(state.fail_link(0, 0), (std::vector<u32>{0}));
+  expect_closed_form_matches(state, oracle, ids);
+
+  // remove_member on a degraded group (replace): shedding member 3 drops
+  // one dead link, the other stays counted.
+  state.replace(0, canonical_group(r, kind, n, 0, {0, 1, 2}));
+  EXPECT_FALSE(state.group_survives(0));
+  expect_closed_form_matches(state, oracle, ids);
+  // Shedding member 0 too releases the last dead link.
+  state.replace(0, canonical_group(r, kind, n, 0, {1, 2}));
+  EXPECT_TRUE(state.group_survives(0));
+  EXPECT_TRUE(state.delivery_ok());
+  expect_closed_form_matches(state, oracle, ids);
+
+  // Repairing a link the group no longer uses touches nobody.
+  EXPECT_TRUE(state.repair_link(0, 3).empty());
+  expect_closed_form_matches(state, oracle, ids);
+
+  // Teardown of a degraded group: group 1 loses a link, is removed, and
+  // the repair afterwards finds no user to count down.
+  const u32 row = state.group(1).links[0].front();
+  EXPECT_EQ(state.fail_link(0, row), (std::vector<u32>{1}));
+  EXPECT_FALSE(state.delivery_ok());
+  expect_closed_form_matches(state, oracle, ids);
+  state.remove(1);
+  ids = {0};
+  EXPECT_TRUE(state.delivery_ok());
+  expect_closed_form_matches(state, oracle, ids);
+  EXPECT_TRUE(state.repair_link(0, row).empty());
+  EXPECT_TRUE(state.repair_link(0, 0).empty());  // still no user
+  expect_closed_form_matches(state, oracle, ids);
+
+  // Readmitting over the repaired links starts from a clean count.
+  ASSERT_TRUE(state.try_add(canonical_group(r, kind, n, 1, {8, 9, 10})));
+  ids = {0, 1};
+  EXPECT_TRUE(state.delivery_ok());
+  expect_closed_form_matches(state, oracle, ids);
+}
+
+INSTANTIATE_TEST_SUITE_P(Designs, DeadLinkCounter,
+                         ::testing::Values(Realization::kDirect,
+                                           Realization::kEnhanced),
+                         [](const auto& info) {
+                           return info.param == Realization::kDirect
+                                      ? "direct"
+                                      : "enhanced";
+                         });
+
+// --- Where the theorem stops ---------------------------------------------
+
+// A hand-built group with a dead-end branch: an extra level-1 link fed by
+// member 0 that leads to no output. The unique-path argument needs every
+// link on a member->output path, so this group is not canonical: once the
+// branch dies, the closed form reports lost delivery while the oracle
+// still delivers exactly, and cross_check() refuses the state.
+TEST(DeliveryTheorem, NonCanonicalGroupFailsCrossCheck) {
+  constexpr u32 n = 3;
+  constexpr u32 N = u32{1} << n;
+  const Kind kind = Kind::kOmega;
+  const min::Network net(kind, n);
+  sw::FabricState state(net, sw::FabricConfig{N, true, true});
+  const sw::Fabric oracle(net, sw::FabricConfig{N, true, true});
+
+  sw::GroupRealization g = canonical_group(Realization::kDirect, kind, n, 0,
+                                           {0, 1});
+  u32 branch = N;
+  for (u32 q : net.successors(0, 0))
+    if (!std::binary_search(g.links[1].begin(), g.links[1].end(), q))
+      branch = q;
+  ASSERT_LT(branch, N) << "member 0 already drives both successors";
+  g.links[1].insert(
+      std::lower_bound(g.links[1].begin(), g.links[1].end(), branch), branch);
+  ASSERT_TRUE(state.try_add(g));
+
+  // Healthy, the two verdicts still agree.
+  EXPECT_TRUE(state.delivery_ok());
+  EXPECT_TRUE(oracle_verdict(oracle, g, state.faults()).exact);
+  EXPECT_NO_THROW(state.cross_check());
+
+  EXPECT_EQ(state.fail_link(1, branch), (std::vector<u32>{0}));
+  EXPECT_FALSE(state.delivery_ok());
+  EXPECT_FALSE(state.group_survives(0));
+  EXPECT_TRUE(oracle_verdict(oracle, g, state.faults()).exact);
+  EXPECT_THROW(state.cross_check(), audit::AuditError);
+}
+
+// --- Monte-Carlo delivery verification -----------------------------------
+
+// The MC trial loop verifies delivery by the closed form; the serial
+// reference propagates through the stateless set-based Fabric::evaluate.
+// Both must see zero failures on a healthy fabric, and turning
+// verification on must not perturb the multiplicity statistics (it
+// consumes no RNG).
+TEST(DeliveryTheoremMonteCarlo, VerifyDeliveryMatchesReferenceAndKeepsStats) {
+  const u32 n = 4;
+  const u32 trials = 40;
+  for (Kind kind : {Kind::kOmega, Kind::kIndirectCube}) {
+    const auto plain = conf::monte_carlo_multiplicity(
+        kind, n, 3, 2, 6, conf::PlacementPolicy::kRandom, trials, 99);
+    const auto fast = conf::monte_carlo_multiplicity(
+        kind, n, 3, 2, 6, conf::PlacementPolicy::kRandom, trials, 99, nullptr,
+        true);
+    const auto ref = conf::monte_carlo_multiplicity_reference(
+        kind, n, 3, 2, 6, conf::PlacementPolicy::kRandom, trials, 99, true);
+    EXPECT_EQ(fast.delivery_failures, 0u);
+    EXPECT_EQ(ref.delivery_failures, 0u);
+    EXPECT_EQ(fast.peak_histogram, plain.peak_histogram);
+    EXPECT_EQ(fast.peak_histogram, ref.peak_histogram);
+    EXPECT_EQ(fast.max_peak, ref.max_peak);
+    EXPECT_EQ(fast.placement_failures, ref.placement_failures);
+    EXPECT_EQ(fast.peak.count(), ref.peak.count());
+  }
+}
+
+}  // namespace
+}  // namespace confnet

@@ -283,7 +283,9 @@ TEST(FabricState, AdmissionChecksRelayTaps) {
   good.taps = {{1, n}, {0, n}};
   ASSERT_TRUE(state.try_add(good));
   EXPECT_TRUE(state.delivery_ok());
-  for (const MemberSet& heard : state.delivered(0))
+  const Fabric oracle(state.network(), FabricConfig{4, true, true});
+  for (const MemberSet& heard :
+       oracle.propagate(state.group(0), &state.faults()).delivered)
     EXPECT_EQ(heard.values(), (std::vector<u32>{0, 1}));
 }
 

@@ -2,7 +2,7 @@
 """Run the hot-path benchmark sections and merge them into one artifact.
 
 Usage:
-    python3 tools/perf_smoke.py [--build-dir DIR] [--out BENCH_pr12.json]
+    python3 tools/perf_smoke.py [--build-dir DIR] [--out BENCH_pr21.json]
         [--min-time SECONDS]
 
 Runs the BM_* timing sections of the benchmark binaries that cover the
@@ -22,10 +22,10 @@ optimized hot paths:
     shard concurrent runtime over 4 shards; one item is one admission
     decision; the admitted/blocked/decisions counters are worker-count
     invariant and gated, wall time is the scaling curve);
-  * bench_e6_blocking — BM_PropagateSimd (bitset-row signal plane, label =
-    resolved backend) vs BM_PropagateReference (retained set-based oracle)
-    over one deterministically populated fabric; the fan-op counters are
-    seed-determined and identical across backends;
+  * bench_e6_blocking — BM_PropagateReference (Fabric::propagate, the one
+    set-based signal engine, which backs the cross_check() oracle) over one
+    deterministically populated fabric; the fan-op counters are
+    seed-determined;
   * bench_e16_cluster — BM_ClusterIntraChurn vs BM_ClusterSpanChurn at
     --workers 1,2 (trunked multi-fabric cluster; spanning conferences go
     through the single-round claim/open/settle protocol).
@@ -36,7 +36,7 @@ binary-prefixed names ("bench_e2_multiplicity/BM_MeasureMultiplicity/6"),
 ready for tools/compare_bench.py's timing section:
 
     python3 tools/perf_smoke.py --out BENCH_new.json
-    python3 tools/compare_bench.py BENCH_pr12.json BENCH_new.json --warn-only
+    python3 tools/compare_bench.py BENCH_pr21.json BENCH_new.json --warn-only
 
 Worker-count invariance is checked here, not in compare_bench.py: rows of
 the same benchmark differing only in their /workers:N suffix must report
@@ -156,7 +156,7 @@ def main() -> int:
     parser.add_argument("--build-dir", type=Path, default=None,
                         help="build tree holding bench/ (default: search "
                              f"{', '.join(SEARCH_DIRS)})")
-    parser.add_argument("--out", type=Path, default=Path("BENCH_pr12.json"))
+    parser.add_argument("--out", type=Path, default=Path("BENCH_pr21.json"))
     parser.add_argument("--min-time", type=float, default=0.0,
                         help="--benchmark_min_time per benchmark (seconds); "
                              "0 keeps the google-benchmark default")

@@ -15,9 +15,8 @@ installed). Enforces the repo-specific rules that the compiler cannot:
 
   hot-alloc        Functions marked CONFNET_HOT (the allocation-free
                    kernels: measure_multiplicity, FabricState mutation
-                   deltas and signal propagation, the HierBitset placers,
-                   the util::simd backends, the SignalPlane row and
-                   position accessors, and the runtime's lock-lean
+                   deltas and the fail/repair link-user scan, the
+                   HierBitset placers, and the runtime's lock-lean
                    command path — the bounded MPSC ring queue, the
                    slot-recycled result pool, and the staging-buffer
                    push) must not heap-allocate or grow
@@ -159,26 +158,10 @@ AUDIT_CONTRACT: dict[str, list[str]] = {
 # Listing a function that no longer exists is an error, mirroring
 # AUDIT_CONTRACT's staleness rule.
 HOT_CONTRACT: dict[str, list[str]] = {
-    # SIMD kernel backends: every per-row primitive of every backend.
-    "src/util/simd.cpp": [
-        "scalar_clear_row", "scalar_copy_row", "scalar_or_into",
-        "scalar_row_any", "scalar_rows_equal",
-        "avx2_clear_row", "avx2_copy_row", "avx2_or_into",
-        "avx2_row_any", "avx2_rows_equal",
-        "neon_clear_row", "neon_copy_row", "neon_or_into",
-        "neon_row_any", "neon_rows_equal",
-    ],
-    # SignalPlane per-link row and position accessors (the propagate
-    # inner loop).
-    "src/switchmod/signal_plane.hpp": [
-        "row", "live", "mark_live", "words", "mask_row",
-        "index_level", "unindex_level", "position",
-    ],
-    # Fail/repair fast path: dirties link users via the reused scratch.
-    # Propagation sweeps the plane; all sizing is in begin_group, so no
-    # per-propagation allocation can come back.
+    # Fail/repair fast path: counts link users' dead links via the reused
+    # scratch.
     "src/switchmod/fabric_state.cpp": [
-        "mark_link_users_dirty", "propagate",
+        "count_link_users",
     ],
     # Lock-lean command path (PR 10): the bounded MPSC ring buffer's
     # producer/consumer primitives must stay on the preallocated ring.
