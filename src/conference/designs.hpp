@@ -128,7 +128,7 @@ class ConferenceNetworkBase {
   /// Fail link (level,row); returns the handles of active conferences whose
   /// realization uses it (idempotent: empty when already faulty). Affected
   /// conferences stay active but degraded until the control plane tears
-  /// them down — see conf::RecoveryCoordinator.
+  /// them down — see conf::ControlPlane.
   [[nodiscard]] virtual std::vector<u32> fail_link(u32 level, u32 row);
 
   /// Repair link (level,row); returns the handles of conferences touching

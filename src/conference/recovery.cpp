@@ -48,44 +48,41 @@ void RecoveryStats::merge(const RecoveryStats& other) noexcept {
   expired += other.expired;
 }
 
-RecoveryCoordinator::RecoveryCoordinator(WaitQueueManager& wait,
-                                         RecoveryPolicy policy)
-    : wait_(wait), policy_(policy) {
-  expects(wait_.sessions().network().supports_faults(),
-          "recovery needs a fault-capable network design");
+ControlPlane::ControlPlane(ConferenceNetworkBase& network,
+                           RecoveryPolicy recovery, PlacementPolicy placement,
+                           std::size_t wait_capacity, bool allow_bypass,
+                           PlacerBackend backend)
+    : wait_(network, placement, wait_capacity, allow_bypass, backend),
+      policy_(recovery) {
   expects(policy_.base_backoff > 0.0 && policy_.backoff_multiplier >= 1.0 &&
               policy_.max_backoff >= policy_.base_backoff,
           "malformed recovery backoff policy");
 }
 
-void RecoveryCoordinator::note_recovered(double now, double failed_at) {
+void ControlPlane::note_recovered(const Recovered& r, double now,
+                                  Effects& fx) {
+  pending_.erase(r.origin);
+  fx.recovered.push_back(r);
   RecoveryMetrics& m = RecoveryMetrics::get();
   m.recovered.add();
-  m.latency.observe(now - failed_at);
+  m.latency.observe(now - r.failed_at);
+  obs::trace_emit("fault", "session_recovered", r.size);
 }
 
-void RecoveryCoordinator::admit(u32 origin, u32 size, double failed_at,
-                                u32 attempt, double now,
-                                std::vector<Recovered>& recovered,
-                                std::vector<PendingRetry>& retries,
-                                util::Rng& rng) {
-  RecoveryMetrics& m = RecoveryMetrics::get();
+void ControlPlane::admit(u32 origin, u32 size, double failed_at, u32 attempt,
+                         double now, Effects& fx, util::Rng& rng) {
   const auto result = wait_.request(size, rng);
   switch (result.outcome) {
     case RequestOutcome::kServed:
-      if (attempt == 0)
-        ++stats_.recovered_inplace;
-      else
-        ++stats_.recovered_after_retry;
-      pending_.erase(origin);
-      recovered.push_back(Recovered{origin, *result.session, size, failed_at,
-                                    attempt});
-      note_recovered(now, failed_at);
-      obs::trace_emit("fault", "session_recovered", size);
+      ++(attempt == 0 ? stats_.recovered_inplace
+                      : stats_.recovered_after_retry);
+      note_recovered(
+          Recovered{origin, *result.session, size, failed_at, attempt}, now,
+          fx);
       return;
     case RequestOutcome::kQueued:
       pending_[origin] =
-          Pending{result.ticket->id, true, size, failed_at, attempt};
+          Pending{size, failed_at, attempt, true, result.ticket->id, {}};
       ticket_origin_[result.ticket->id] = origin;
       obs::trace_emit("fault", "session_waiting", size);
       return;
@@ -93,154 +90,174 @@ void RecoveryCoordinator::admit(u32 origin, u32 size, double failed_at,
       if (attempt >= policy_.max_retries) {
         pending_.erase(origin);
         ++stats_.dropped;
-        m.dropped.add();
+        RecoveryMetrics::get().dropped.add();
         obs::trace_emit("fault", "session_dropped", size);
         return;
       }
-      pending_[origin] = Pending{0, false, size, failed_at, attempt + 1};
-      retries.push_back(PendingRetry{origin, size, failed_at, attempt + 1});
+      const Slot slot{now + policy_.backoff_delay(attempt + 1), next_slot_++};
+      pending_[origin] = Pending{size, failed_at, attempt + 1, false, 0, slot};
+      agenda_.emplace(slot, origin);
+      fx.scheduled.push_back(slot.first);
       obs::trace_emit("fault", "session_retry_scheduled", size);
       return;
   }
 }
 
-RecoveryCoordinator::FailureImpact RecoveryCoordinator::fail_link(
-    u32 level, u32 row, double now, util::Rng& rng) {
-  FailureImpact impact;
+void ControlPlane::absorb(
+    const std::vector<WaitQueueManager::ServedTicket>& served, double now,
+    Effects& fx) {
+  for (const auto& ticket : served) {
+    const auto to = ticket_origin_.find(ticket.ticket.id);
+    if (to == ticket_origin_.end()) {  // the caller's own waiter
+      fx.served.push_back(ticket);
+      continue;
+    }
+    const u32 origin = to->second;
+    const auto pe = pending_.find(origin);
+    expects(pe != pending_.end() && pe->second.queued,
+            "recovery ticket served without a queued pending record");
+    const Pending& p = pe->second;
+    ticket_origin_.erase(to);
+    ++stats_.recovered_after_wait;
+    note_recovered(Recovered{origin, ticket.session, p.size, p.failed_at,
+                             p.attempt},
+                   now, fx);
+  }
+}
+
+ControlPlane::Effects ControlPlane::close(u32 session, double now,
+                                          util::Rng& rng) {
+  Effects fx;
+  if (wait_.sessions().contains(session)) {
+    absorb(wait_.close(session, rng), now, fx);
+  } else if (const auto it = pending_.find(session); it != pending_.end()) {
+    // The caller gave up on an interrupted session still on the recovery
+    // path: withdraw its ticket or its agenda entry.
+    if (it->second.queued) {
+      const bool removed = wait_.abandon(
+          WaitQueueManager::Ticket{it->second.ticket, it->second.size});
+      expects(removed, "pending recovery ticket missing from the wait queue");
+      ticket_origin_.erase(it->second.ticket);
+    } else {
+      agenda_.erase(it->second.slot);
+    }
+    pending_.erase(it);
+    ++stats_.expired;
+    RecoveryMetrics::get().expired.add();
+    obs::trace_emit("fault", "session_expired", session);
+  } else {
+    return fx;
+  }
+  CONFNET_AUDIT_HOOK(audit::check_recovery(*this));
+  return fx;
+}
+
+ControlPlane::Effects ControlPlane::fail_link(u32 level, u32 row, double now,
+                                              util::Rng& rng) {
+  Effects fx;
   ConferenceNetworkBase& net = wait_.sessions().network();
-  if (net.link_faulty(level, row)) return impact;  // idempotent
+  expects(net.supports_faults(),
+          "recovery needs a fault-capable network design");
+  if (net.link_faulty(level, row)) return fx;  // idempotent
   RecoveryMetrics& m = RecoveryMetrics::get();
   const std::vector<u32> handles = net.fail_link(level, row);
   ++stats_.link_failures;
   m.link_failures.add();
   obs::trace_emit("fault", "link_failed", row);
-  impact.torn_down = wait_.sessions().sessions_using(handles);
+  fx.torn_down = wait_.sessions().sessions_using(handles);
 
   // Tear every victim down first so the repacks below see all the freed
   // ports and links at once.
-  impact.torn_sizes.reserve(impact.torn_down.size());
-  for (u32 sid : impact.torn_down) {
-    impact.torn_sizes.push_back(
+  fx.torn_sizes.reserve(fx.torn_down.size());
+  for (u32 sid : fx.torn_down) {
+    fx.torn_sizes.push_back(
         static_cast<u32>(wait_.sessions().members_of(sid).size()));
     wait_.sessions().interrupt(sid);
     ++stats_.sessions_interrupted;
     m.interrupted.add();
   }
-  for (std::size_t i = 0; i < impact.torn_down.size(); ++i)
-    admit(impact.torn_down[i], impact.torn_sizes[i], now, 0, now,
-          impact.recovered, impact.retries, rng);
+  // A victim that finds waiters ahead of it queues behind them without
+  // trying, so the room the teardown freed must still reach the queue head.
+  // With no earlier waiters the head is a victim that just tried it.
+  const bool behind_waiters = wait_.queue_length() > 0;
+  for (std::size_t i = 0; i < fx.torn_down.size(); ++i)
+    admit(fx.torn_down[i], fx.torn_sizes[i], now, 0, now, fx, rng);
+  if (behind_waiters) absorb(wait_.drain(rng), now, fx);
   CONFNET_AUDIT_HOOK(audit::check_recovery(*this));
-  return impact;
+  return fx;
 }
 
-RecoveryCoordinator::RepairImpact RecoveryCoordinator::repair_link(
-    u32 level, u32 row, double now, util::Rng& rng) {
-  RepairImpact impact;
+ControlPlane::Effects ControlPlane::repair_link(u32 level, u32 row,
+                                                double now, util::Rng& rng) {
+  Effects fx;
   ConferenceNetworkBase& net = wait_.sessions().network();
-  if (!net.link_faulty(level, row)) return impact;  // idempotent
-  RecoveryMetrics& m = RecoveryMetrics::get();
+  if (!net.link_faulty(level, row)) return fx;  // idempotent
   net.repair_link(level, row);
   ++stats_.link_repairs;
-  m.link_repairs.add();
+  RecoveryMetrics::get().link_repairs.add();
   obs::trace_emit("fault", "link_repaired", row);
-  impact.served = wait_.drain(rng);
-  impact.recovered = absorb(impact.served, now);
+  absorb(wait_.drain(rng), now, fx);
   CONFNET_AUDIT_HOOK(audit::check_recovery(*this));
-  return impact;
+  return fx;
 }
 
-RecoveryCoordinator::RetryOutcome RecoveryCoordinator::retry(
-    const PendingRetry& pending, double now, util::Rng& rng) {
-  RetryOutcome outcome;
-  const auto it = pending_.find(pending.origin);
-  if (it == pending_.end() || it->second.queued) {
-    // The origin departed (expired, already counted) or was served through
-    // the queue between scheduling and firing; nothing to do.
-    return outcome;
+ControlPlane::Effects ControlPlane::run_due(double horizon, util::Rng& rng) {
+  Effects fx;
+  while (!agenda_.empty() && agenda_.begin()->first.first <= horizon) {
+    const auto [slot, origin] = *agenda_.begin();
+    agenda_.erase(agenda_.begin());
+    const Pending p = pending_.at(origin);
+    ++stats_.retries;
+    RecoveryMetrics::get().retries.add();
+    admit(origin, p.size, p.failed_at, p.attempt, slot.first, fx, rng);
   }
-  RecoveryMetrics& m = RecoveryMetrics::get();
-  ++stats_.retries;
-  m.retries.add();
-  std::vector<Recovered> recovered;
-  std::vector<PendingRetry> retries;
-  admit(pending.origin, pending.size, pending.failed_at, pending.attempt, now,
-        recovered, retries, rng);
-  if (!recovered.empty()) outcome.recovered = recovered.front();
-  if (!retries.empty()) outcome.again = retries.front();
-  if (!outcome.recovered && !outcome.again &&
-      pending_.find(pending.origin) == pending_.end())
-    outcome.dropped = true;
   CONFNET_AUDIT_HOOK(audit::check_recovery(*this));
-  return outcome;
+  return fx;
 }
 
-std::vector<RecoveryCoordinator::Recovered> RecoveryCoordinator::absorb(
-    const std::vector<WaitQueueManager::ServedTicket>& served, double now) {
-  std::vector<Recovered> recovered;
-  for (const auto& ticket : served) {
-    const auto to = ticket_origin_.find(ticket.ticket.id);
-    if (to == ticket_origin_.end()) continue;  // not a recovery waiter
-    const u32 origin = to->second;
-    const auto pe = pending_.find(origin);
-    expects(pe != pending_.end() && pe->second.queued,
-            "recovery ticket served without a queued pending record");
-    const Pending p = pe->second;
-    ticket_origin_.erase(to);
-    pending_.erase(pe);
-    ++stats_.recovered_after_wait;
-    recovered.push_back(
-        Recovered{origin, ticket.session, p.size, p.failed_at, p.attempt});
-    note_recovered(now, p.failed_at);
-    obs::trace_emit("fault", "session_recovered", p.size);
-  }
-  if (!recovered.empty()) CONFNET_AUDIT_HOOK(audit::check_recovery(*this));
-  return recovered;
-}
-
-bool RecoveryCoordinator::on_origin_departed(u32 origin, double now) {
-  (void)now;
-  const auto it = pending_.find(origin);
-  if (it == pending_.end()) return false;
-  RecoveryMetrics& m = RecoveryMetrics::get();
-  if (it->second.queued) {
-    const bool removed = wait_.abandon(
-        WaitQueueManager::Ticket{it->second.ticket, it->second.size});
-    expects(removed, "pending recovery ticket missing from the wait queue");
-    ticket_origin_.erase(it->second.ticket);
-  }
-  pending_.erase(it);
-  ++stats_.expired;
-  m.expired.add();
-  obs::trace_emit("fault", "session_expired", origin);
-  CONFNET_AUDIT_HOOK(audit::check_recovery(*this));
-  return true;
+std::optional<double> ControlPlane::next_due() const {
+  if (agenda_.empty()) return std::nullopt;
+  return agenda_.begin()->first.first;
 }
 
 }  // namespace confnet::conf
 
 namespace confnet::audit {
 
-void check_recovery(const conf::RecoveryCoordinator& recovery) {
+void check_recovery(const conf::ControlPlane& plane) {
   constexpr std::string_view kSub = "recovery";
-  const conf::RecoveryStats& s = recovery.stats_;
+  const conf::RecoveryStats& s = plane.stats_;
   // Conservation: at event boundaries every interrupted session is in
   // exactly one terminal bucket or still pending.
-  require(s.sessions_interrupted == s.recovered() + s.dropped + s.expired +
-                                        recovery.pending_.size(),
+  require(s.sessions_interrupted ==
+              s.recovered() + s.dropped + s.expired + plane.pending_.size(),
           kSub, "interrupted sessions leak from the recovery accounting");
-  require(s.recovered_after_retry + s.dropped <= s.retries + s.dropped, kSub,
-          "retry outcomes exceed retry attempts");
-  // Queued pending records and the ticket index are a bijection.
+  require(s.recovered_after_retry <= s.retries, kSub,
+          "more recoveries on retry than retry attempts");
+  // A pending record either waits on a ticket or sits on the agenda: the
+  // queued records and the ticket index are a bijection, and so are the
+  // between-retries records and the agenda.
   u64 queued = 0;
-  for (const auto& [origin, p] : recovery.pending_) {
-    if (!p.queued) continue;
-    ++queued;
-    const auto it = recovery.ticket_origin_.find(p.ticket);
-    require(it != recovery.ticket_origin_.end() && it->second == origin, kSub,
-            "queued pending record missing from the ticket index");
+  for (const auto& [origin, p] : plane.pending_) {
+    if (p.queued) {
+      ++queued;
+      const auto it = plane.ticket_origin_.find(p.ticket);
+      require(it != plane.ticket_origin_.end() && it->second == origin, kSub,
+              "queued pending record missing from the ticket index");
+    } else {
+      const auto it = plane.agenda_.find(p.slot);
+      require(it != plane.agenda_.end() && it->second == origin, kSub,
+              "between-retries pending record missing from the agenda");
+    }
   }
-  require(queued == recovery.ticket_origin_.size(), kSub,
+  require(queued == plane.ticket_origin_.size(), kSub,
           "ticket index holds entries without a queued pending record");
+  for (const auto& [slot, origin] : plane.agenda_) {
+    const auto it = plane.pending_.find(origin);
+    require(it != plane.pending_.end() && !it->second.queued &&
+                it->second.slot == slot,
+            kSub, "agenda entry names an origin that departed or recovered");
+  }
 }
 
 }  // namespace confnet::audit

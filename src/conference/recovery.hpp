@@ -1,20 +1,24 @@
-// Session recovery after live link faults. A link failure tears down every
-// conference whose realization crosses the dead link (the fabric holds a
-// unique path per pair, so there is no in-place reroute); the coordinator
-// then re-places each victim through the wait-queue front end:
+// The conference control plane: one wait queue, session recovery after live
+// link faults, and the backoff-retry agenda, driven by a clock the caller
+// supplies. A link failure tears down every conference whose realization
+// crosses the dead link (the fabric holds a unique path per pair, so there
+// is no in-place reroute); the control plane then re-places each victim
+// through the wait-queue front end:
 //   * immediate repack — SessionManager::open probes fresh placements and
 //     the victim comes back at once on a healthy window;
 //   * wait — no room right now; the victim holds a FIFO ticket and returns
-//     when a departure or a repair frees resources (see absorb());
-//   * retry — the queue was full; the caller re-admits after a bounded
-//     exponential backoff, up to a retry budget, after which the session
-//     counts as dropped.
-// The coordinator never owns the clock: the DES (sim::Teletraffic) feeds it
-// fail/repair/retry events and schedules the backoff delays it computes.
+//     when a departure, a teardown or a repair frees resources;
+//   * retry — the queue was full; the victim goes on the agenda and is
+//     re-admitted after a bounded exponential backoff, up to a retry
+//     budget, after which the session counts as dropped.
+// The caller owns the clock and the RNG: every call takes `now` (the DES
+// passes simulated time, a runtime shard its count of applied commands),
+// and run_due(horizon) runs the agenda entries that time has reached.
 #pragma once
 
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "conference/waitqueue.hpp"
@@ -58,107 +62,105 @@ struct RecoveryStats {
     return recovered_inplace + recovered_after_wait + recovered_after_retry;
   }
 
-  /// Fold another coordinator's counters in (for cross-shard totals).
+  /// Fold another control plane's counters in (for cross-shard totals).
   void merge(const RecoveryStats& other) noexcept;
 
   bool operator==(const RecoveryStats&) const = default;
 };
 
-/// Drives fault handling for one WaitQueueManager. All methods are event
-/// handlers: the caller supplies the current simulated time and schedules
-/// the PendingRetry records this class hands back.
-class RecoveryCoordinator {
+/// Admission, wait queue, fault recovery and retry agenda over one borrowed
+/// design. Opens go straight to wait(); everything that can bring an
+/// interrupted session back goes through the named calls below, and each
+/// reports every session it brought back, whichever path fired.
+class ControlPlane {
  public:
-  RecoveryCoordinator(WaitQueueManager& wait, RecoveryPolicy policy);
+  /// `wait_capacity` sizes the hold queue (0 = loss system); `placement`,
+  /// `allow_bypass` and `backend` are forwarded to the WaitQueueManager.
+  ControlPlane(ConferenceNetworkBase& network, RecoveryPolicy recovery,
+               PlacementPolicy placement, std::size_t wait_capacity,
+               bool allow_bypass = false,
+               PlacerBackend backend = PlacerBackend::kFast);
 
-  /// A victim session that came back, possibly under a new session id.
+  /// A victim session that came back under a new session id.
   struct Recovered {
-    u32 origin;     // session id torn down by the failure
-    u32 session;    // replacement session id
+    u32 origin;   // session id torn down by the failure
+    u32 session;  // replacement session id
     u32 size;
     double failed_at;
-    u32 attempt;    // retries consumed before recovery
+    u32 attempt;  // retries consumed before recovery
   };
 
-  /// A re-admission the caller must schedule after backoff_delay(attempt).
-  struct PendingRetry {
-    u32 origin;
-    u32 size;
-    double failed_at;
-    u32 attempt;  // 1-based retry number
-  };
-
-  /// What one fail_link event did.
-  struct FailureImpact {
-    std::vector<u32> torn_down;        // victim session ids (already closed)
-    std::vector<u32> torn_sizes;       // their sizes (parallel to torn_down)
-    std::vector<Recovered> recovered;  // victims repacked immediately
-    std::vector<PendingRetry> retries;  // victims needing a scheduled retry
-  };
-  /// Fail link (level,row) at time `now`: tear down every session crossing
-  /// it, then re-admit each victim. Idempotent (already-faulty: no-op).
-  FailureImpact fail_link(u32 level, u32 row, double now, util::Rng& rng);
-
-  /// What one repair_link event did.
-  struct RepairImpact {
-    /// Every waiter the post-repair drain served, recovery or not — callers
-    /// that track regular queued tickets (e.g. the concurrent runtime) need
-    /// the full list, not just the recovery subset.
+  /// What one call did. Every session the call opened appears exactly once:
+  /// in `served` when it answers a caller's own wait ticket, in `recovered`
+  /// when it replaces an interrupted session.
+  struct Effects {
+    std::vector<u32> torn_down;   // fail_link: victim ids (already closed)
+    std::vector<u32> torn_sizes;  // their sizes (parallel to torn_down)
     std::vector<WaitQueueManager::ServedTicket> served;
-    std::vector<Recovered> recovered;  // waiters served by the freed links
+    std::vector<Recovered> recovered;
+    /// Due times this call put on the agenda, in schedule order. A caller
+    /// with an event clock wakes run_due once at each.
+    std::vector<double> scheduled;
   };
-  /// Repair link (level,row) at time `now` and drain the wait queue.
-  RepairImpact repair_link(u32 level, u32 row, double now, util::Rng& rng);
 
-  /// Outcome of one scheduled retry. All fields empty: the origin departed
-  /// (already counted as expired) or was served through the queue first.
-  struct RetryOutcome {
-    std::optional<Recovered> recovered;
-    std::optional<PendingRetry> again;  // schedule after backoff_delay
-    bool dropped = false;               // retry budget exhausted
-  };
-  RetryOutcome retry(const PendingRetry& pending, double now, util::Rng& rng);
+  /// Close `session` through the wait queue (the freed room goes to the
+  /// waiters) or, when it is an interrupted session still on the recovery
+  /// path, cancel that recovery (counted expired). Unknown ids: no effect.
+  Effects close(u32 session, double now, util::Rng& rng);
 
-  /// Fold externally-served wait tickets (e.g. from WaitQueueManager::close
-  /// on a departure) into the recovery accounting. Tickets that are not
-  /// recovery waiters are ignored. Returns the recoveries recognized.
-  std::vector<Recovered> absorb(
-      const std::vector<WaitQueueManager::ServedTicket>& served, double now);
+  /// Fail link (level,row): tear down every session crossing it, re-admit
+  /// each victim, then drain the wait queue so the capacity the victims
+  /// freed reaches the queue head. Idempotent (already faulty: no effect).
+  Effects fail_link(u32 level, u32 row, double now, util::Rng& rng);
 
-  /// The original caller gave up (e.g. its holding time elapsed) while its
-  /// session was waiting or between retries. Cancels the pending recovery;
-  /// true when there was one.
-  bool on_origin_departed(u32 origin, double now);
+  /// Repair link (level,row) and drain the wait queue. Idempotent.
+  Effects repair_link(u32 level, u32 row, double now, util::Rng& rng);
+
+  /// Run every agenda entry due at or before `horizon`, in due order (FIFO
+  /// among equal due times); each runs at its own due time, so a retry that
+  /// goes around again and falls due within the horizon runs in the same
+  /// call. run_due(+inf) ends every entry within the retry budget.
+  Effects run_due(double horizon, util::Rng& rng);
+
+  /// Earliest agenda due time, if any entry is scheduled.
+  [[nodiscard]] std::optional<double> next_due() const;
 
   [[nodiscard]] const RecoveryStats& stats() const noexcept { return stats_; }
   /// Interrupted sessions still waiting or between retries.
   [[nodiscard]] u64 pending() const noexcept { return pending_.size(); }
-  [[nodiscard]] const RecoveryPolicy& policy() const noexcept {
-    return policy_;
-  }
   [[nodiscard]] WaitQueueManager& wait() noexcept { return wait_; }
+  [[nodiscard]] const WaitQueueManager& wait() const noexcept { return wait_; }
 
  private:
-  friend void audit::check_recovery(const ::confnet::conf::RecoveryCoordinator&);
+  friend void audit::check_recovery(const ::confnet::conf::ControlPlane&);
+
+  /// Agenda key: (due time, schedule order).
+  using Slot = std::pair<double, u64>;
 
   struct Pending {
-    u64 ticket;   // wait-queue ticket id (when queued)
-    bool queued;  // false: between retries, no ticket held
     u32 size;
     double failed_at;
-    u32 attempt;
+    u32 attempt;  // queued: retries consumed; on the agenda: next retry's
+    bool queued;  // true: holds wait ticket `ticket`; false: on the agenda
+    u64 ticket;
+    Slot slot;
   };
 
-  /// Re-admit one victim; appends to the impact vectors.
+  /// Re-admit one victim at time `now`: recover it, queue it, put it on the
+  /// agenda or drop it.
   void admit(u32 origin, u32 size, double failed_at, u32 attempt, double now,
-             std::vector<Recovered>& recovered,
-             std::vector<PendingRetry>& retries, util::Rng& rng);
-  void note_recovered(double now, double failed_at);
+             Effects& fx, util::Rng& rng);
+  /// Split served tickets into the caller's own and recovered victims.
+  void absorb(const std::vector<WaitQueueManager::ServedTicket>& served,
+              double now, Effects& fx);
+  void note_recovered(const Recovered& r, double now, Effects& fx);
 
-  WaitQueueManager& wait_;
+  WaitQueueManager wait_;
   RecoveryPolicy policy_;
-  std::map<u32, Pending> pending_;      // by origin session id
-  std::map<u64, u32> ticket_origin_;    // wait ticket id -> origin
+  std::map<u32, Pending> pending_;    // by origin session id
+  std::map<u64, u32> ticket_origin_;  // wait ticket id -> origin
+  std::map<Slot, u32> agenda_;        // due retries -> origin
+  u64 next_slot_ = 0;
   RecoveryStats stats_;
 };
 

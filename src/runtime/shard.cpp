@@ -14,16 +14,22 @@ namespace {
 // many commands; small enough that stats publish (and thus drain progress)
 // stays responsive.
 constexpr std::size_t kMaxBurst = 64;
+
+/// Hand the waiters served and the victims recovered to the caller.
+void report(CommandResult& result, const conf::ControlPlane::Effects& fx) {
+  result.served.insert(result.served.end(), fx.served.begin(),
+                       fx.served.end());
+  for (const auto& r : fx.recovered)
+    result.relocated.emplace_back(r.origin, r.session);
+}
 }  // namespace
 
 Shard::Shard(u32 index, const ShardConfig& config)
     : index_(index),
-      config_(config),
       network_(config.kind, config.stages,
                conf::DilationProfile::uniform(config.stages, config.dilation)),
-      wait_(network_, config.policy, config.wait_capacity, config.wait_bypass,
-            config.backend),
-      recovery_(wait_, config.recovery),
+      control_(network_, config.recovery, config.policy, config.wait_capacity,
+               config.wait_bypass, config.backend),
       rng_(config.seed + index),
       trace_(config.trace_capacity),
       queue_(config.queue_depth) {
@@ -105,46 +111,8 @@ void Shard::serve_open(OpenOutcome& out,
   }
 }
 
-void Shard::absorb_served(
-    CommandResult& result,
-    std::vector<conf::WaitQueueManager::ServedTicket> served) {
-  if (served.empty()) return;
-  recovery_.absorb(served, static_cast<double>(now_));
-  result.served.insert(result.served.end(), served.begin(), served.end());
-}
-
-void Shard::schedule_retries(
-    std::vector<conf::RecoveryCoordinator::PendingRetry> retries) {
-  for (auto& p : retries) {
-    const double due = static_cast<double>(now_) +
-                       config_.recovery.backoff_delay(p.attempt);
-    retries_.push_back(DueRetry{due, p});
-  }
-}
-
-void Shard::run_retries(double horizon) {
-  // Logical time only advances with commands, so due retries are run right
-  // after the command that made them due, FIFO on schedule order. A retry
-  // that goes around again is appended and visited later in the same pass
-  // (and run there when its new due time is within the horizon).
-  const double now = static_cast<double>(now_);
-  std::size_t i = 0;
-  while (i < retries_.size()) {
-    if (retries_[i].due > horizon) {
-      ++i;
-      continue;
-    }
-    const DueRetry due = retries_[i];
-    retries_.erase(retries_.begin() + static_cast<std::ptrdiff_t>(i));
-    const auto outcome = recovery_.retry(due.pending, now, rng_);
-    if (outcome.again) schedule_retries({*outcome.again});
-  }
-}
-
 void Shard::flush_retries() {
-  // Shutdown: no horizon, so every pending retry runs to a terminal state.
-  // The retry budget bounds the loop.
-  run_retries(std::numeric_limits<double>::infinity());
+  control_.run_due(std::numeric_limits<double>::infinity(), rng_);
   publish();
 }
 
@@ -155,75 +123,58 @@ void Shard::apply(Command& cmd) {
   result.shard = index_;
   result.applied_at = now_;
 
+  const double now = static_cast<double>(now_);
+  conf::WaitQueueManager& wait = control_.wait();
   switch (cmd.kind) {
     case CommandKind::kOpen: {
-      serve_open(result.open, wait_.request(cmd.size, rng_));
+      serve_open(result.open, wait.request(cmd.size, rng_));
       break;
     }
     case CommandKind::kOpenBatch: {
-      const auto results = wait_.request_batch(cmd.batch_sizes, rng_);
+      const auto results = wait.request_batch(cmd.batch_sizes, rng_);
       result.batch.resize(results.size());
       for (std::size_t i = 0; i < results.size(); ++i)
         serve_open(result.batch[i], results[i]);
       break;
     }
     case CommandKind::kClose: {
-      if (wait_.sessions().contains(cmd.session)) {
-        result.ok = true;
-        ++stats_.closes;
-        absorb_served(result, wait_.close(cmd.session, rng_));
-      } else {
-        // The session may be an interrupted one still on the recovery
-        // path; a close then cancels the pending recovery.
-        recovery_.on_origin_departed(cmd.session, static_cast<double>(now_));
-      }
+      // A close of an interrupted session still on the recovery path
+      // cancels its pending recovery; `ok` only for a live session.
+      result.ok = wait.sessions().contains(cmd.session);
+      if (result.ok) ++stats_.closes;
+      report(result, control_.close(cmd.session, now, rng_));
       break;
     }
     case CommandKind::kReplace: {
       // Close-then-open composite. `ok` reports whether the close half
       // found a live session; the open half always runs so churn keeps
       // flowing even when a fault tore the old session down first.
-      if (wait_.sessions().contains(cmd.session)) {
-        result.ok = true;
-        absorb_served(result, wait_.close(cmd.session, rng_));
-      } else {
-        recovery_.on_origin_departed(cmd.session, static_cast<double>(now_));
-      }
+      result.ok = wait.sessions().contains(cmd.session);
+      report(result, control_.close(cmd.session, now, rng_));
       ++stats_.replaces;
-      serve_open(result.open, wait_.request(cmd.size, rng_));
+      serve_open(result.open, wait.request(cmd.size, rng_));
       break;
     }
     case CommandKind::kFailLink: {
-      const bool was_faulty = network_.link_faulty(cmd.level, cmd.row);
-      auto impact = recovery_.fail_link(cmd.level, cmd.row,
-                                        static_cast<double>(now_), rng_);
-      result.ok = !was_faulty;
-      result.torn_sessions = std::move(impact.torn_down);
-      result.relocated.reserve(impact.recovered.size());
-      for (const auto& r : impact.recovered)
-        result.relocated.emplace_back(r.origin, r.session);
-      schedule_retries(std::move(impact.retries));
-      // Teardown may have freed room for regular waiters too.
-      absorb_served(result, wait_.drain(rng_));
+      result.ok = !network_.link_faulty(cmd.level, cmd.row);
+      auto fx = control_.fail_link(cmd.level, cmd.row, now, rng_);
+      result.torn_sessions = std::move(fx.torn_down);
+      report(result, fx);
       break;
     }
     case CommandKind::kRepairLink: {
-      const bool was_faulty = network_.link_faulty(cmd.level, cmd.row);
-      auto impact = recovery_.repair_link(cmd.level, cmd.row,
-                                          static_cast<double>(now_), rng_);
-      result.ok = was_faulty;
-      result.relocated.reserve(impact.recovered.size());
-      for (const auto& r : impact.recovered)
-        result.relocated.emplace_back(r.origin, r.session);
-      result.served = std::move(impact.served);
+      result.ok = network_.link_faulty(cmd.level, cmd.row);
+      report(result, control_.repair_link(cmd.level, cmd.row, now, rng_));
       break;
     }
   }
 
   ++now_;
   stats_.completed = now_;
-  run_retries(static_cast<double>(now_));
-  stats_.active_sessions = wait_.sessions().active_sessions();
+  // Logical time only advances with commands, so the retries this command
+  // made due run now and report through its result.
+  report(result, control_.run_due(static_cast<double>(now_), rng_));
+  stats_.active_sessions = wait.sessions().active_sessions();
   if (trace_.enabled()) {
     trace_.record(command_name(cmd.kind), now_,
                   static_cast<double>(stats_.active_sessions));
@@ -239,7 +190,7 @@ void Shard::apply(Command& cmd) {
 }
 
 void Shard::publish() {
-  stats_.recovery = recovery_.stats();
+  stats_.recovery = control_.stats();
   {
     util::MutexLock lock(pub_mu_);
     published_ = stats_;

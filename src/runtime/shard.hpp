@@ -1,6 +1,7 @@
-// One shard of the concurrent admission runtime: a complete control plane
-// (fabric + SessionManager + placer + WaitQueueManager + RecoveryCoordinator)
-// plus the bounded MPSC command queue that feeds it.
+// One shard of the concurrent admission runtime: a fabric and the
+// conf::ControlPlane over it (admission, wait queue, recovery and retry
+// agenda), driven on logical time — the count of commands applied — and fed
+// by a bounded MPSC command queue.
 //
 // Thread-safety contract: thread-confined to owner. Every mutable control
 // plane member is touched by exactly one worker thread (the shard's owner);
@@ -23,7 +24,6 @@
 #include "conference/designs.hpp"
 #include "conference/placement.hpp"
 #include "conference/recovery.hpp"
-#include "conference/waitqueue.hpp"
 #include "min/types.hpp"
 #include "runtime/command.hpp"
 #include "runtime/queue.hpp"
@@ -86,10 +86,10 @@ class Shard {
   /// applied. Publishes stats at each burst boundary. Owner thread only.
   std::size_t process_available();
 
-  /// Run every still-pending recovery retry to its terminal state
-  /// (recovered or dropped), ignoring backoff due times, then publish.
-  /// Called by the owner once the queue is closed and empty. Owner thread
-  /// only.
+  /// Run the whole retry agenda (run_due(+inf)): every victim between
+  /// retries ends recovered, dropped or queued within its retry budget.
+  /// Then publish. Called by the owner once the queue is closed and empty.
+  /// Owner thread only.
   void flush_retries();
 
   // --- snapshot side: any thread ------------------------------------------
@@ -109,11 +109,13 @@ class Shard {
   /// been joined (Runtime::stop), or from the owner thread itself.
   [[nodiscard]] const ShardTrace& trace() const { return trace_; }
 
-  /// Control plane peek for tests/verification. Owner thread or post-join.
-  [[nodiscard]] const conf::WaitQueueManager& wait() const { return wait_; }
-  [[nodiscard]] const conf::RecoveryCoordinator& recovery() const {
-    return recovery_;
+  /// Control plane peek for tests/verification: the wait queue, and the
+  /// control plane itself for its recovery books. Owner thread or
+  /// post-join.
+  [[nodiscard]] const conf::WaitQueueManager& wait() const {
+    return control_.wait();
   }
+  [[nodiscard]] const conf::ControlPlane& recovery() const { return control_; }
 
   [[nodiscard]] u32 index() const noexcept { return index_; }
   [[nodiscard]] u32 ports() const noexcept { return network_.size(); }
@@ -123,31 +125,15 @@ class Shard {
   /// Answer a refused command inline with kRejectedStopped through
   /// whichever completion channel it carries (slot or done).
   void reject_inline(Command& cmd);
-  /// Run every scheduled retry due at or before `horizon`.
-  void run_retries(double horizon);
   void publish() CONFNET_EXCLUDES(pub_mu_);
   void serve_open(OpenOutcome& out, const conf::WaitQueueManager::RequestResult& r);
-  void absorb_served(CommandResult& result,
-                     std::vector<conf::WaitQueueManager::ServedTicket> served);
-  void schedule_retries(
-      std::vector<conf::RecoveryCoordinator::PendingRetry> retries);
-
-  /// One scheduled backoff retry, due at logical time `due`.
-  struct DueRetry {
-    double due;
-    conf::RecoveryCoordinator::PendingRetry pending;
-  };
 
   const u32 index_;           // runtime-owner: immutable
-  const ShardConfig config_;  // runtime-owner: immutable
 
-  // Control plane: one fabric and its admission/recovery stack.
   conf::DirectConferenceNetwork network_;  // runtime-owner: worker
-  conf::WaitQueueManager wait_;            // runtime-owner: worker
-  conf::RecoveryCoordinator recovery_;     // runtime-owner: worker
+  conf::ControlPlane control_;             // runtime-owner: worker
   util::Rng rng_;                          // runtime-owner: worker
   u64 now_ = 0;                            // runtime-owner: worker
-  std::vector<DueRetry> retries_;          // runtime-owner: worker
   ShardStats stats_;                       // runtime-owner: worker
   ShardTrace trace_;                       // runtime-owner: worker
   std::vector<Command> burst_;             // runtime-owner: worker

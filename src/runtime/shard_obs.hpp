@@ -12,7 +12,7 @@
 //     contention-free and every published snapshot is internally consistent
 //     (the burst-boundary identities of `consistent()` hold). Recovery
 //     counters are not re-counted here: the owner copies the shard's
-//     `conf::RecoveryStats` from its RecoveryCoordinator at each publish.
+//     `conf::RecoveryStats` from its ControlPlane at each publish.
 //   * `ShardTrace` — a fixed ring of trace records written lock-free by the
 //     owner thread (thread-confined to owner); reading it is legal only
 //     after the owner thread has been joined (Runtime::stop), which is when
@@ -40,8 +40,8 @@ struct ShardStats {
   u64 rejected = 0;        // opens bounced (hold queue full / loss system)
   u64 closes = 0;          // kClose commands that closed a live session
   u64 replaces = 0;        // kReplace commands applied
-  /// Fault and recovery counts, copied from the shard's RecoveryCoordinator
-  /// at each publish (that coordinator is their only owner).
+  /// Fault and recovery counts, copied from the shard's ControlPlane
+  /// at each publish (the control plane is their only owner).
   conf::RecoveryStats recovery;
   u64 rejected_stopped = 0;  // commands refused because the shard stopped
   u64 submit_bounced = 0;  // try_push kQueueFull bounces (backpressure);

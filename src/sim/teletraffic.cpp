@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <memory>
-#include <optional>
 
 #include "min/faults.hpp"
 #include "sim/des.hpp"
@@ -42,22 +41,16 @@ TeletrafficResult run_teletraffic(conf::ConferenceNetworkBase& network,
 
   Simulator des;
   util::Rng rng(config.seed);
-  // The wait queue fronts the session manager only for fault recovery;
-  // regular arrivals keep calling manager.open directly, and with
-  // fault_rate == 0 the queue stays empty forever, so the zero-fault event
-  // stream (and its RNG consumption) is identical to a manager-only run.
+  // The control plane's wait queue holds only displaced sessions; regular
+  // arrivals keep calling manager.open directly, and with fault_rate == 0
+  // the queue stays empty forever, so the zero-fault event stream (and its
+  // RNG consumption) is identical to a manager-only run.
   const bool faults_on = config.fault_rate > 0.0;
-  conf::WaitQueueManager wait(network, config.policy,
-                              faults_on ? config.recovery.queue_capacity : 0,
-                              /*allow_bypass=*/false);
-  conf::SessionManager& manager = wait.sessions();
-  std::optional<conf::RecoveryCoordinator> recovery;
-  if (faults_on) {
-    expects(network.supports_faults(),
-            "fault_rate > 0 needs a fault-capable design");
-    expects(network.n() >= 2, "fault process needs interstage links");
-    recovery.emplace(wait, config.recovery);
-  }
+  expects(!faults_on || (network.supports_faults() && network.n() >= 2),
+          "fault_rate > 0 needs a fault-capable design with interstage links");
+  conf::ControlPlane control(network, config.recovery, config.policy,
+                             faults_on ? config.recovery.queue_capacity : 0);
+  conf::SessionManager& manager = control.wait().sessions();
   TalkSpurtProcess spurts(config.mean_talk, config.mean_silence);
 
   TeletrafficResult result;
@@ -102,15 +95,23 @@ TeletrafficResult run_teletraffic(conf::ConferenceNetworkBase& network,
     return sid;
   };
   util::RunningStats latency_stats;
-  const auto note_recovered =
-      [&](const std::vector<conf::RecoveryCoordinator::Recovered>& recs) {
-        for (const auto& r : recs) {
-          redirect[r.origin] = r.session;
-          busy_ports +=
-              static_cast<u32>(manager.members_of(r.session).size());
-          latency_stats.add(des.now() - r.failed_at);
-        }
-      };
+  // Every control-plane call reports its recoveries and the retry due
+  // times it scheduled; each due time gets one wake event that runs the
+  // agenda up to it.
+  std::function<void()> wake;
+  const auto note = [&](const conf::ControlPlane::Effects& fx) {
+    for (const auto& r : fx.recovered) {
+      redirect[r.origin] = r.session;
+      busy_ports += static_cast<u32>(manager.members_of(r.session).size());
+      latency_stats.add(des.now() - r.failed_at);
+    }
+    for (const double due : fx.scheduled) des.schedule(due, wake);
+  };
+  wake = [&] {
+    maybe_snapshot();
+    advance_area(des.now());
+    note(control.run_due(des.now(), rng));
+  };
 
   // Time-weighted disconnected-pair fraction while links are down
   // (post-warmup, like the occupancy areas).
@@ -213,20 +214,13 @@ TeletrafficResult run_teletraffic(conf::ConferenceNetworkBase& network,
       advance_area(des.now());
       if (alive) *alive = false;
       const u32 live = resolve(sid);
-      if (manager.contains(live)) {
-        const u32 final_size =
-            static_cast<u32>(manager.members_of(live).size());
-        // Route the close through the wait queue so a departure can admit
-        // a displaced session; with an empty queue this is exactly
-        // manager.close (no RNG consumed).
-        const auto served = wait.close(live, rng);
-        busy_ports -= final_size;
-        if (recovery) note_recovered(recovery->absorb(served, des.now()));
-      } else if (recovery) {
-        // Interrupted and still unrecovered (waiting or between retries):
-        // the caller's holding time ran out, so the recovery expires.
-        recovery->on_origin_departed(live, des.now());
-      }
+      if (manager.contains(live))
+        busy_ports -= static_cast<u32>(manager.members_of(live).size());
+      // The close goes through the wait queue so a departure can admit a
+      // displaced session (with an empty queue this is exactly
+      // manager.close, no RNG consumed). A session interrupted and still
+      // unrecovered instead has its recovery expire.
+      note(control.close(live, des.now(), rng));
       if (st) {
         st->alive = false;
         const double now = des.now();
@@ -277,25 +271,10 @@ TeletrafficResult run_teletraffic(conf::ConferenceNetworkBase& network,
   // each failed link is repaired independently after an exponential MTTR.
   // Everything here (including the RNG draws) is gated on faults_on, so a
   // fault_rate == 0 run replays the exact zero-fault event stream.
-  std::function<void(conf::RecoveryCoordinator::PendingRetry)> schedule_retry =
-      [&](conf::RecoveryCoordinator::PendingRetry pending) {
-        des.schedule_in(config.recovery.backoff_delay(pending.attempt),
-                        [&, pending] {
-                          maybe_snapshot();
-                          advance_area(des.now());
-                          const auto outcome =
-                              recovery->retry(pending, des.now(), rng);
-                          if (outcome.recovered)
-                            note_recovered({*outcome.recovered});
-                          if (outcome.again) schedule_retry(*outcome.again);
-                        });
-      };
-
   std::function<void(u32, u32)> repair_event = [&](u32 level, u32 row) {
     maybe_snapshot();
     advance_area(des.now());
-    const auto impact = recovery->repair_link(level, row, des.now(), rng);
-    note_recovered(impact.recovered);
+    note(control.repair_link(level, row, des.now(), rng));
     refresh_degraded();
   };
 
@@ -315,10 +294,9 @@ TeletrafficResult run_teletraffic(conf::ConferenceNetworkBase& network,
       found = !network.link_faulty(level, row);
     }
     if (found) {
-      const auto impact = recovery->fail_link(level, row, des.now(), rng);
-      for (u32 size : impact.torn_sizes) busy_ports -= size;
-      note_recovered(impact.recovered);
-      for (const auto& pending : impact.retries) schedule_retry(pending);
+      const auto fx = control.fail_link(level, row, des.now(), rng);
+      for (u32 size : fx.torn_sizes) busy_ports -= size;
+      note(fx);
       refresh_degraded();
       des.schedule_in(rng.exponential(config.repair_rate),
                       [&, level, row] { repair_event(level, row); });
@@ -356,15 +334,15 @@ TeletrafficResult run_teletraffic(conf::ConferenceNetworkBase& network,
   result.joins = total.joins;
   result.joins_blocked = total.joins_blocked;
   result.leaves = total.leaves;
-  if (recovery) {
-    const conf::RecoveryStats& rs = recovery->stats();
+  if (faults_on) {
+    const conf::RecoveryStats& rs = control.stats();
     result.link_failures = rs.link_failures;
     result.link_repairs = rs.link_repairs;
     result.sessions_interrupted = rs.sessions_interrupted;
     result.sessions_recovered = rs.recovered();
     result.sessions_dropped = rs.dropped;
     result.sessions_expired = rs.expired;
-    result.recovery_pending = recovery->pending();
+    result.recovery_pending = control.pending();
     result.dropped_session_rate =
         rs.sessions_interrupted == 0
             ? 0.0

@@ -46,7 +46,7 @@ struct ClusterStats;
 namespace confnet::conf {
 class SessionManager;
 class WaitQueueManager;
-class RecoveryCoordinator;
+class ControlPlane;
 class PlacerBase;
 class PortPlacer;
 class FastPortPlacer;
@@ -188,8 +188,9 @@ void check_session_manager(const conf::SessionManager& manager);
 void check_waitqueue(const conf::WaitQueueManager& manager);
 
 /// Recovery conservation: every interrupted session is recovered, dropped,
-/// expired or still pending, and the pending/ticket maps stay a bijection.
-void check_recovery(const conf::RecoveryCoordinator& recovery);
+/// expired or still pending; each pending record holds exactly one wait
+/// ticket or one agenda entry, and no ticket or entry outlives its record.
+void check_recovery(const conf::ControlPlane& plane);
 
 /// Every active conference's stored links equal the recomputed ALL_PAIRS
 /// subnetwork, per-link load equals the sum over active conferences and

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "min/faults.hpp"
 #include "sim/teletraffic.hpp"
@@ -176,25 +177,28 @@ TEST(FaultAwareAdmission, NeverAcceptsDoomedSession) {
   }
 }
 
-// --- Recovery coordinator ------------------------------------------------
+// --- Control plane: recovery paths ---------------------------------------
 
 TEST(Recovery, ImmediateRepackMovesVictimToHealthyWindow) {
   DirectConferenceNetwork net(Kind::kOmega, 3, DilationProfile::full(3));
-  WaitQueueManager wait(net, PlacementPolicy::kBuddy, 4);
-  RecoveryCoordinator rec(wait, RecoveryPolicy{});
+  ControlPlane plane(net, RecoveryPolicy{}, PlacementPolicy::kBuddy, 4);
+  WaitQueueManager& wait = plane.wait();
   util::Rng rng(5);
 
   const auto a = wait.request(2, rng);  // buddy: ports {0,1}
   ASSERT_EQ(a.outcome, RequestOutcome::kServed);
   ASSERT_EQ(wait.sessions().members_of(*a.session), (std::vector<u32>{0, 1}));
 
-  const auto impact = rec.fail_link(0, 0, 1.0, rng);
-  ASSERT_EQ(impact.torn_down, std::vector<u32>{*a.session});
-  ASSERT_EQ(impact.torn_sizes, std::vector<u32>{2u});
-  ASSERT_EQ(impact.recovered.size(), 1u);
-  EXPECT_TRUE(impact.retries.empty());
-  const auto& r = impact.recovered.front();
+  const auto fx = plane.fail_link(0, 0, 1.0, rng);
+  ASSERT_EQ(fx.torn_down, std::vector<u32>{*a.session});
+  ASSERT_EQ(fx.torn_sizes, std::vector<u32>{2u});
+  ASSERT_EQ(fx.recovered.size(), 1u);
+  EXPECT_TRUE(fx.served.empty());
+  EXPECT_TRUE(fx.scheduled.empty());
+  EXPECT_FALSE(plane.next_due().has_value());
+  const auto& r = fx.recovered.front();
   EXPECT_EQ(r.origin, *a.session);
+  EXPECT_EQ(r.size, 2u);
   EXPECT_EQ(r.attempt, 0u);
   EXPECT_DOUBLE_EQ(r.failed_at, 1.0);
   // The replacement lives on a healthy window away from the dead port.
@@ -202,15 +206,14 @@ TEST(Recovery, ImmediateRepackMovesVictimToHealthyWindow) {
   EXPECT_TRUE(net.conference_survives(wait.sessions().handle_of(r.session)));
   for (u32 port : wait.sessions().members_of(r.session)) EXPECT_NE(port, 0u);
 
-  const RecoveryStats& s = rec.stats();
+  const RecoveryStats& s = plane.stats();
   EXPECT_EQ(s.link_failures, 1u);
   EXPECT_EQ(s.sessions_interrupted, 1u);
   EXPECT_EQ(s.recovered_inplace, 1u);
   EXPECT_EQ(s.recovered(), 1u);
-  EXPECT_EQ(rec.pending(), 0u);
+  EXPECT_EQ(plane.pending(), 0u);
   EXPECT_EQ(wait.sessions().stats().interrupted, 1u);
-  // The failed repack probes count as one fault-blocked attempt? No: the
-  // repack succeeded, so no blocking was recorded at all.
+  // The repack succeeded, so no blocking was recorded at all.
   EXPECT_EQ(wait.sessions().stats().blocked_fault, 0u);
 }
 
@@ -218,10 +221,10 @@ TEST(Recovery, VictimWaitsInQueueAndReturnsOnDeparture) {
   // n=3 (8 ports), buddy: A={0,1}, B={2,3}, C={4,5,6,7}. Killing port 0's
   // injection link interrupts A; the only free window is the dead {0,1}
   // block, so A queues. C's departure frees a healthy block and A returns
-  // through the wait queue.
+  // through the wait queue, reported as a recovery of the close.
   DirectConferenceNetwork net(Kind::kOmega, 3, DilationProfile::full(3));
-  WaitQueueManager wait(net, PlacementPolicy::kBuddy, 4);
-  RecoveryCoordinator rec(wait, RecoveryPolicy{});
+  ControlPlane plane(net, RecoveryPolicy{}, PlacementPolicy::kBuddy, 4);
+  WaitQueueManager& wait = plane.wait();
   util::Rng rng(6);
 
   const auto a = wait.request(2, rng);
@@ -231,29 +234,30 @@ TEST(Recovery, VictimWaitsInQueueAndReturnsOnDeparture) {
   ASSERT_EQ(b.outcome, RequestOutcome::kServed);
   ASSERT_EQ(c.outcome, RequestOutcome::kServed);
 
-  const auto impact = rec.fail_link(0, 0, 2.0, rng);
-  ASSERT_EQ(impact.torn_down, std::vector<u32>{*a.session});
-  EXPECT_TRUE(impact.recovered.empty());
-  EXPECT_TRUE(impact.retries.empty());  // queued, not retrying
-  EXPECT_EQ(rec.pending(), 1u);
+  const auto fx = plane.fail_link(0, 0, 2.0, rng);
+  ASSERT_EQ(fx.torn_down, std::vector<u32>{*a.session});
+  EXPECT_TRUE(fx.recovered.empty());
+  EXPECT_TRUE(fx.scheduled.empty());  // queued, not retrying
+  EXPECT_EQ(plane.pending(), 1u);
   EXPECT_EQ(wait.queue_length(), 1u);
   EXPECT_EQ(wait.sessions().stats().blocked_fault, 1u);
 
-  const auto served = wait.close(*c.session, rng);
-  ASSERT_EQ(served.size(), 1u);
-  const auto recovered = rec.absorb(served, 5.0);
-  ASSERT_EQ(recovered.size(), 1u);
-  EXPECT_EQ(recovered.front().origin, *a.session);
-  EXPECT_EQ(recovered.front().session, served.front().session);
-  EXPECT_DOUBLE_EQ(recovered.front().failed_at, 2.0);
-  EXPECT_TRUE(
-      net.conference_survives(wait.sessions().handle_of(served.front().session)));
+  const auto closed = plane.close(*c.session, 5.0, rng);
+  // The victim's ticket is the control plane's, not the caller's: it comes
+  // back as a recovery, never as a served ticket.
+  EXPECT_TRUE(closed.served.empty());
+  ASSERT_EQ(closed.recovered.size(), 1u);
+  const auto& r = closed.recovered.front();
+  EXPECT_EQ(r.origin, *a.session);
+  EXPECT_DOUBLE_EQ(r.failed_at, 2.0);
+  EXPECT_TRUE(net.conference_survives(wait.sessions().handle_of(r.session)));
 
-  const RecoveryStats& s = rec.stats();
+  const RecoveryStats& s = plane.stats();
   EXPECT_EQ(s.sessions_interrupted, 1u);
   EXPECT_EQ(s.recovered_after_wait, 1u);
   EXPECT_EQ(s.recovered(), 1u);
-  EXPECT_EQ(rec.pending(), 0u);
+  EXPECT_EQ(plane.pending(), 0u);
+  EXPECT_EQ(wait.queue_length(), 0u);
 }
 
 TEST(Recovery, RepairDrainsTheWaitQueue) {
@@ -261,27 +265,69 @@ TEST(Recovery, RepairDrainsTheWaitQueue) {
   // itself: repair_link drains the queue and the victim repacks onto its
   // original (now healthy) window.
   DirectConferenceNetwork net(Kind::kOmega, 3, DilationProfile::full(3));
-  WaitQueueManager wait(net, PlacementPolicy::kBuddy, 4);
-  RecoveryCoordinator rec(wait, RecoveryPolicy{});
+  ControlPlane plane(net, RecoveryPolicy{}, PlacementPolicy::kBuddy, 4);
+  WaitQueueManager& wait = plane.wait();
   util::Rng rng(7);
 
   const auto a = wait.request(2, rng);
   const auto b = wait.request(2, rng);
   const auto c = wait.request(4, rng);
   ASSERT_EQ(c.outcome, RequestOutcome::kServed);
-  (void)rec.fail_link(0, 0, 2.0, rng);
-  ASSERT_EQ(rec.pending(), 1u);
+  (void)plane.fail_link(0, 0, 2.0, rng);
+  ASSERT_EQ(plane.pending(), 1u);
 
-  const auto impact = rec.repair_link(0, 0, 3.5, rng);
-  ASSERT_EQ(impact.recovered.size(), 1u);
-  EXPECT_EQ(impact.recovered.front().origin, *a.session);
-  EXPECT_DOUBLE_EQ(impact.recovered.front().failed_at, 2.0);
-  EXPECT_EQ(rec.stats().link_repairs, 1u);
-  EXPECT_EQ(rec.stats().recovered_after_wait, 1u);
-  EXPECT_EQ(rec.pending(), 0u);
+  const auto fx = plane.repair_link(0, 0, 3.5, rng);
+  ASSERT_EQ(fx.recovered.size(), 1u);
+  EXPECT_TRUE(fx.served.empty());
+  EXPECT_EQ(fx.recovered.front().origin, *a.session);
+  EXPECT_DOUBLE_EQ(fx.recovered.front().failed_at, 2.0);
+  EXPECT_EQ(plane.stats().link_repairs, 1u);
+  EXPECT_EQ(plane.stats().recovered_after_wait, 1u);
+  EXPECT_EQ(plane.pending(), 0u);
   EXPECT_EQ(wait.queue_length(), 0u);
   EXPECT_TRUE(net.verify_delivery());
   (void)b;
+}
+
+TEST(Recovery, FailureDrainHandsFreedRoomToTheQueueHead) {
+  // A victim that finds waiters ahead of it queues behind them without
+  // trying, so the room its teardown frees must still reach the queue head
+  // through the post-fail drain. n=3, buddy: A={0,1}, B={2,3},
+  // C={4,5,6,7}. Failing (0,0) queues A. Then, for every interstage link
+  // whose failure tears down C alone, C queues behind A and the drain
+  // serves A on a healthy part of C's old block.
+  u32 scenarios = 0;
+  for (u32 level = 1; level < 3; ++level) {
+    for (u32 row = 0; row < 8; ++row) {
+      DirectConferenceNetwork net(Kind::kIndirectCube, 3,
+                                  DilationProfile::full(3));
+      ControlPlane plane(net, RecoveryPolicy{}, PlacementPolicy::kBuddy, 4);
+      WaitQueueManager& wait = plane.wait();
+      util::Rng rng(8);
+      const auto a = wait.request(2, rng);
+      const auto b = wait.request(2, rng);
+      const auto c = wait.request(4, rng);
+      ASSERT_EQ(c.outcome, RequestOutcome::kServed);
+      ASSERT_TRUE(plane.fail_link(0, 0, 1.0, rng).recovered.empty());
+      ASSERT_EQ(wait.queue_length(), 1u);
+
+      const auto fx = plane.fail_link(level, row, 2.0, rng);
+      if (fx.torn_down != std::vector<u32>{*c.session}) continue;
+      ++scenarios;
+      ASSERT_EQ(fx.recovered.size(), 1u) << level << "," << row;
+      EXPECT_EQ(fx.recovered.front().origin, *a.session);
+      EXPECT_DOUBLE_EQ(fx.recovered.front().failed_at, 1.0);
+      EXPECT_TRUE(fx.served.empty());
+      for (u32 port : wait.sessions().members_of(fx.recovered.front().session))
+        EXPECT_GE(port, 4u);
+      EXPECT_EQ(plane.stats().recovered_after_wait, 1u);
+      EXPECT_EQ(plane.pending(), 1u);  // C waits in turn
+      EXPECT_EQ(wait.queue_length(), 1u);
+      EXPECT_TRUE(net.verify_delivery());
+      (void)b;
+    }
+  }
+  EXPECT_GT(scenarios, 0u);
 }
 
 TEST(Recovery, RetryBackoffBudgetExhaustionDrops) {
@@ -292,8 +338,8 @@ TEST(Recovery, RetryBackoffBudgetExhaustionDrops) {
   RecoveryPolicy policy;
   policy.queue_capacity = 0;
   policy.max_retries = 3;
-  WaitQueueManager wait(net, PlacementPolicy::kBuddy, 0);
-  RecoveryCoordinator rec(wait, policy);
+  ControlPlane plane(net, policy, PlacementPolicy::kBuddy, 0);
+  WaitQueueManager& wait = plane.wait();
   util::Rng rng(8);
 
   const auto a = wait.request(2, rng);  // {0,1}
@@ -301,83 +347,172 @@ TEST(Recovery, RetryBackoffBudgetExhaustionDrops) {
   ASSERT_EQ(a.outcome, RequestOutcome::kServed);
   ASSERT_EQ(b.outcome, RequestOutcome::kServed);
 
-  const auto impact = rec.fail_link(0, 0, 1.0, rng);
-  ASSERT_EQ(impact.torn_down, std::vector<u32>{*a.session});
-  ASSERT_EQ(impact.retries.size(), 1u);
-  EXPECT_EQ(impact.retries.front().attempt, 1u);
-  EXPECT_EQ(rec.pending(), 1u);
+  const auto fx = plane.fail_link(0, 0, 1.0, rng);
+  ASSERT_EQ(fx.torn_down, std::vector<u32>{*a.session});
+  // Retry 1 waits base_backoff = 0.5.
+  EXPECT_EQ(fx.scheduled, std::vector<double>{1.5});
+  EXPECT_EQ(plane.pending(), 1u);
 
-  // Retries 1 and 2 are refused and rescheduled; retry 3 exhausts the
-  // budget and the session drops.
-  auto pending = impact.retries.front();
-  for (u32 attempt = 1; attempt <= 2; ++attempt) {
-    const auto outcome = rec.retry(pending, 1.0 + attempt, rng);
-    EXPECT_FALSE(outcome.recovered.has_value());
-    EXPECT_FALSE(outcome.dropped);
-    ASSERT_TRUE(outcome.again.has_value());
-    EXPECT_EQ(outcome.again->attempt, attempt + 1);
-    pending = *outcome.again;
+  // Retries 1 and 2 are refused and rescheduled after the doubled backoff;
+  // retry 3 exhausts the budget and the session drops.
+  const double next[] = {2.5, 4.5};
+  double due = 1.5;
+  for (double expected : next) {
+    const auto run = plane.run_due(due, rng);
+    EXPECT_TRUE(run.recovered.empty());
+    EXPECT_EQ(run.scheduled, std::vector<double>{expected});
+    EXPECT_EQ(plane.stats().dropped, 0u);
+    due = expected;
   }
-  const auto last = rec.retry(pending, 9.0, rng);
-  EXPECT_TRUE(last.dropped);
-  EXPECT_FALSE(last.again.has_value());
+  const auto last = plane.run_due(due, rng);
+  EXPECT_TRUE(last.recovered.empty());
+  EXPECT_TRUE(last.scheduled.empty());
+  EXPECT_FALSE(plane.next_due().has_value());
 
-  const RecoveryStats& s = rec.stats();
+  const RecoveryStats& s = plane.stats();
   EXPECT_EQ(s.retries, 3u);
   EXPECT_EQ(s.dropped, 1u);
   EXPECT_EQ(s.recovered(), 0u);
   EXPECT_EQ(s.sessions_interrupted, s.recovered() + s.dropped + s.expired);
-  EXPECT_EQ(rec.pending(), 0u);
+  EXPECT_EQ(plane.pending(), 0u);
 }
 
 TEST(Recovery, RetrySucceedsOnceCapacityReturns) {
   DirectConferenceNetwork net(Kind::kOmega, 2, DilationProfile::full(2));
   RecoveryPolicy policy;
   policy.queue_capacity = 0;
-  WaitQueueManager wait(net, PlacementPolicy::kBuddy, 0);
-  RecoveryCoordinator rec(wait, policy);
+  ControlPlane plane(net, policy, PlacementPolicy::kBuddy, 0);
+  WaitQueueManager& wait = plane.wait();
   util::Rng rng(9);
 
   const auto a = wait.request(2, rng);
   const auto b = wait.request(2, rng);
-  const auto impact = rec.fail_link(0, 0, 1.0, rng);
-  ASSERT_EQ(impact.retries.size(), 1u);
+  const auto fx = plane.fail_link(0, 0, 1.0, rng);
+  ASSERT_EQ(fx.scheduled.size(), 1u);
 
   // B departs before the retry fires: the retry now finds {2,3} free.
-  (void)wait.close(*b.session, rng);
-  const auto outcome = rec.retry(impact.retries.front(), 1.5, rng);
-  ASSERT_TRUE(outcome.recovered.has_value());
-  EXPECT_EQ(outcome.recovered->origin, *a.session);
-  EXPECT_EQ(outcome.recovered->attempt, 1u);
-  EXPECT_EQ(rec.stats().recovered_after_retry, 1u);
-  EXPECT_EQ(rec.pending(), 0u);
+  EXPECT_TRUE(plane.close(*b.session, 1.2, rng).recovered.empty());
+  const auto run = plane.run_due(1.5, rng);
+  ASSERT_EQ(run.recovered.size(), 1u);
+  EXPECT_EQ(run.recovered.front().origin, *a.session);
+  EXPECT_EQ(run.recovered.front().attempt, 1u);
+  EXPECT_EQ(plane.stats().recovered_after_retry, 1u);
+  EXPECT_EQ(plane.pending(), 0u);
   EXPECT_TRUE(net.verify_delivery());
 }
 
 TEST(Recovery, OriginDepartureCancelsPendingRecovery) {
   DirectConferenceNetwork net(Kind::kOmega, 3, DilationProfile::full(3));
-  WaitQueueManager wait(net, PlacementPolicy::kBuddy, 4);
-  RecoveryCoordinator rec(wait, RecoveryPolicy{});
+  ControlPlane plane(net, RecoveryPolicy{}, PlacementPolicy::kBuddy, 4);
+  WaitQueueManager& wait = plane.wait();
   util::Rng rng(10);
 
   const auto a = wait.request(2, rng);
   const auto b = wait.request(2, rng);
   const auto c = wait.request(4, rng);
-  (void)rec.fail_link(0, 0, 2.0, rng);
-  ASSERT_EQ(rec.pending(), 1u);
+  (void)plane.fail_link(0, 0, 2.0, rng);
+  ASSERT_EQ(plane.pending(), 1u);
   ASSERT_EQ(wait.queue_length(), 1u);
 
-  // The original caller's holding time runs out while waiting.
-  EXPECT_TRUE(rec.on_origin_departed(*a.session, 3.0));
-  EXPECT_FALSE(rec.on_origin_departed(*a.session, 3.0));  // already gone
-  EXPECT_EQ(rec.pending(), 0u);
+  // The original caller's holding time runs out while waiting; a second
+  // close of the same origin finds nothing left to cancel.
+  (void)plane.close(*a.session, 3.0, rng);
+  EXPECT_EQ(plane.stats().expired, 1u);
+  (void)plane.close(*a.session, 3.0, rng);
+  EXPECT_EQ(plane.stats().expired, 1u);
+  EXPECT_EQ(plane.pending(), 0u);
   EXPECT_EQ(wait.queue_length(), 0u);  // ticket abandoned
-  EXPECT_EQ(rec.stats().expired, 1u);
 
   // Departures now recover nobody.
-  const auto served = wait.close(*c.session, rng);
-  EXPECT_TRUE(rec.absorb(served, 4.0).empty());
+  EXPECT_TRUE(plane.close(*c.session, 4.0, rng).recovered.empty());
   (void)b;
+}
+
+// --- Control plane: the retry agenda --------------------------------------
+
+/// Two pairs on a 4-port loss system, each torn down by its own failure at
+/// the same instant: both victims go on the agenda due at t = 1.5.
+struct TwoVictims {
+  DirectConferenceNetwork net{Kind::kOmega, 2, DilationProfile::full(2)};
+  ControlPlane plane{net, loss_policy(), PlacementPolicy::kBuddy, 0};
+  util::Rng rng{11};
+  u32 a = 0;  // {0,1}, torn first
+  u32 b = 0;  // {2,3}, torn second
+
+  static RecoveryPolicy loss_policy() {
+    RecoveryPolicy policy;
+    policy.queue_capacity = 0;
+    return policy;
+  }
+
+  TwoVictims() {
+    a = *plane.wait().request(2, rng).session;
+    b = *plane.wait().request(2, rng).session;
+    EXPECT_EQ(plane.fail_link(0, 0, 1.0, rng).scheduled,
+              std::vector<double>{1.5});
+    EXPECT_EQ(plane.fail_link(0, 2, 1.0, rng).scheduled,
+              std::vector<double>{1.5});
+  }
+};
+
+TEST(RecoveryAgenda, EqualDueTimesRunInScheduleOrder) {
+  TwoVictims t;
+  (void)t.plane.repair_link(0, 0, 1.2, t.rng);
+  (void)t.plane.repair_link(0, 2, 1.2, t.rng);
+  // Both retries fall due together; A was scheduled first, so it runs
+  // first and the buddy placer hands it the lowest block.
+  const auto run = t.plane.run_due(1.5, t.rng);
+  ASSERT_EQ(run.recovered.size(), 2u);
+  EXPECT_EQ(run.recovered[0].origin, t.a);
+  EXPECT_EQ(run.recovered[1].origin, t.b);
+  const SessionManager& sessions = t.plane.wait().sessions();
+  EXPECT_EQ(sessions.members_of(run.recovered[0].session),
+            (std::vector<u32>{0, 1}));
+  EXPECT_EQ(sessions.members_of(run.recovered[1].session),
+            (std::vector<u32>{2, 3}));
+}
+
+TEST(RecoveryAgenda, RunDueLeavesLaterEntriesInPlace) {
+  TwoVictims t;
+  const auto early = t.plane.run_due(1.4, t.rng);
+  EXPECT_TRUE(early.recovered.empty());
+  EXPECT_EQ(t.plane.stats().retries, 0u);
+  ASSERT_TRUE(t.plane.next_due().has_value());
+  EXPECT_DOUBLE_EQ(*t.plane.next_due(), 1.5);
+
+  // Both retries are refused (dead links) and go around again, due after
+  // the second backoff step: 1.5 + 1.0.
+  const auto run = t.plane.run_due(1.5, t.rng);
+  EXPECT_EQ(run.scheduled, (std::vector<double>{2.5, 2.5}));
+  EXPECT_EQ(t.plane.stats().retries, 2u);
+  ASSERT_TRUE(t.plane.next_due().has_value());
+  EXPECT_DOUBLE_EQ(*t.plane.next_due(), 2.5);
+  EXPECT_EQ(t.plane.pending(), 2u);
+}
+
+TEST(RecoveryAgenda, UnboundedHorizonEndsEveryEntryWithinBudget) {
+  TwoVictims t;
+  const u32 budget = t.plane.stats().sessions_interrupted *
+                     TwoVictims::loss_policy().max_retries;
+  (void)t.plane.run_due(std::numeric_limits<double>::infinity(), t.rng);
+  const RecoveryStats& s = t.plane.stats();
+  EXPECT_FALSE(t.plane.next_due().has_value());
+  EXPECT_EQ(t.plane.pending(), 0u);
+  EXPECT_EQ(s.dropped, 2u);  // both windows stay dead
+  EXPECT_EQ(s.retries, budget);
+  EXPECT_EQ(s.sessions_interrupted, s.recovered() + s.dropped + s.expired);
+}
+
+TEST(RecoveryAgenda, ClosedOriginLeavesNoStaleEntry) {
+  TwoVictims t;
+  (void)t.plane.close(t.a, 1.2, t.rng);
+  ASSERT_TRUE(t.plane.next_due().has_value());  // B's entry stays
+  (void)t.plane.close(t.b, 1.3, t.rng);
+  EXPECT_FALSE(t.plane.next_due().has_value());
+  EXPECT_EQ(t.plane.stats().expired, 2u);
+  (void)t.plane.run_due(std::numeric_limits<double>::infinity(), t.rng);
+  EXPECT_EQ(t.plane.stats().retries, 0u);
+  EXPECT_EQ(t.plane.pending(), 0u);
 }
 
 TEST(RecoveryPolicy, BackoffSequenceIsBoundedExponential) {

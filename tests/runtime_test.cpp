@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstddef>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -583,7 +584,7 @@ TEST(Runtime, FailAndRepairLinkRunRecovery) {
 }
 
 // The published recovery counters are a copy of the shard's
-// RecoveryCoordinator, never a second tally. Both tests drive a Shard
+// ControlPlane, never a second tally. Both tests drive a Shard
 // serially on the test thread: a loss system (no hold queue) packed with
 // pairs, then a link failure whose victims cannot be repacked, so at least
 // one victim is left on the backoff-retry path.
@@ -697,6 +698,156 @@ TEST(Runtime, VictimDroppedWithoutRetryBudgetIsCounted) {
   EXPECT_EQ(shard.recovery().pending(), 0u);
   EXPECT_EQ(s.recovery.recovered() + s.recovery.dropped + s.recovery.expired,
             s.recovery.sessions_interrupted);
+}
+
+// Every session the shard brings back — in place, after a wait, on a
+// backoff retry or through the drain after a failure — reaches the caller
+// as a `relocated` pair on the result of the command that caused it. A
+// caller that closes every id it was told about therefore leaves nothing
+// open.
+
+/// The session ids a caller holds, as the shard's results told it: served
+/// opens and served tickets, plus replacements for relocated victims,
+/// minus torn-down ids.
+struct CallerLedger {
+  std::set<u32> live;
+  u64 relocated = 0;
+
+  rt::CommandResult apply(rt::Shard& shard, rt::Command cmd) {
+    const bool closing = cmd.kind == rt::CommandKind::kClose;
+    const u32 session = cmd.session;
+    rt::CommandResult r = apply_serially(shard, std::move(cmd));
+    if (closing) live.erase(session);
+    if (r.open.outcome == conf::RequestOutcome::kServed)
+      live.insert(*r.open.session);
+    for (u32 torn : r.torn_sessions) live.erase(torn);
+    for (const auto& ticket : r.served) live.insert(ticket.session);
+    for (const auto& [origin, replacement] : r.relocated) {
+      live.erase(origin);
+      live.insert(replacement);
+      ++relocated;
+    }
+    return r;
+  }
+
+  rt::CommandResult link(rt::Shard& shard, rt::CommandKind kind, u32 level,
+                         u32 row) {
+    rt::Command cmd;
+    cmd.kind = kind;
+    cmd.level = level;
+    cmd.row = row;
+    return apply(shard, std::move(cmd));
+  }
+
+  /// Close every held id, including any a close itself brings back.
+  void close_all(rt::Shard& shard) {
+    while (!live.empty()) {
+      rt::Command close;
+      close.kind = rt::CommandKind::kClose;
+      close.session = *live.begin();
+      EXPECT_TRUE(apply(shard, std::move(close)).ok);
+    }
+  }
+
+  void expect_nothing_orphaned(const rt::Shard& shard) const {
+    EXPECT_EQ(shard.wait().sessions().active_sessions(), 0u);
+    EXPECT_EQ(relocated, shard.recovery().stats().recovered());
+  }
+};
+
+/// Eight ports under the buddy placer, with a hold queue:
+/// A={0,1}, B={2,3}, C={4,5,6,7}. Failing (0,0) interrupts A, whose only
+/// free block is dead, so A waits in the queue.
+struct QueuedVictim {
+  rt::Shard shard{0, config()};
+  CallerLedger caller;
+  u32 a = 0;
+  u32 c = 0;
+
+  static rt::ShardConfig config() {
+    rt::ShardConfig cfg = serial_recovery_config();
+    cfg.wait_capacity = 4;
+    cfg.policy = conf::PlacementPolicy::kBuddy;
+    return cfg;
+  }
+
+  QueuedVictim() {
+    for (u32 size : {2u, 2u, 4u})
+      c = *caller.apply(shard, open_cmd(size)).open.session;
+    a = *caller.live.begin();
+    const auto failed = caller.link(shard, rt::CommandKind::kFailLink, 0, 0);
+    EXPECT_EQ(failed.torn_sessions, std::vector<u32>{a});
+    EXPECT_EQ(shard.recovery().pending(), 1u);
+    EXPECT_EQ(shard.wait().queue_length(), 1u);
+  }
+};
+
+void retry_recovery_reaches_caller() {
+  rt::Shard shard(0, serial_recovery_config());
+  CallerLedger caller;
+  for (int i = 0; i < 8; ++i) (void)caller.apply(shard, open_cmd(2));
+  // Fail injection links until a victim is left on the retry agenda, then
+  // repair them all so its retry finds its old block free.
+  u32 failed = 0;
+  while (shard.recovery().pending() == 0 && failed < shard.ports())
+    (void)caller.link(shard, rt::CommandKind::kFailLink, 0, failed++);
+  ASSERT_GT(shard.recovery().pending(), 0u);
+  for (u32 row = 0; row < failed; ++row)
+    (void)caller.link(shard, rt::CommandKind::kRepairLink, 0, row);
+  for (int i = 0; i < 16 && shard.recovery().pending() > 0; ++i)
+    (void)caller.link(shard, rt::CommandKind::kRepairLink, 0, 0);  // no-op
+  ASSERT_GT(shard.recovery().stats().recovered_after_retry, 0u);
+  caller.close_all(shard);
+  caller.expect_nothing_orphaned(shard);
+}
+
+void close_recovery_reaches_caller() {
+  QueuedVictim t;
+  rt::Command close;
+  close.kind = rt::CommandKind::kClose;
+  close.session = t.c;
+  const rt::CommandResult r = t.caller.apply(t.shard, std::move(close));
+  EXPECT_EQ(t.shard.recovery().stats().recovered_after_wait, 1u);
+  ASSERT_EQ(r.relocated.size(), 1u);
+  EXPECT_EQ(r.relocated.front().first, t.a);
+  t.caller.close_all(t.shard);
+  t.caller.expect_nothing_orphaned(t.shard);
+}
+
+void drain_recovery_reaches_caller() {
+  // A link only C's four-member tree crosses: C's teardown frees room, C
+  // queues behind A, and the drain after the failure serves A there.
+  u32 scenarios = 0;
+  for (u32 level = 1; level < 3; ++level) {
+    for (u32 row = 0; row < 8; ++row) {
+      QueuedVictim t;
+      const auto r =
+          t.caller.link(t.shard, rt::CommandKind::kFailLink, level, row);
+      if (r.torn_sessions != std::vector<u32>{t.c}) continue;
+      ++scenarios;
+      EXPECT_EQ(t.shard.recovery().stats().recovered_after_wait, 1u);
+      ASSERT_EQ(r.relocated.size(), 1u);
+      EXPECT_EQ(r.relocated.front().first, t.a);
+      t.caller.close_all(t.shard);
+      t.caller.expect_nothing_orphaned(t.shard);
+    }
+  }
+  EXPECT_GT(scenarios, 0u);
+}
+
+TEST(Runtime, EveryRecoveryReachesTheCaller) {
+  {
+    SCOPED_TRACE("backoff retry");
+    retry_recovery_reaches_caller();
+  }
+  {
+    SCOPED_TRACE("close serves a queued victim");
+    close_recovery_reaches_caller();
+  }
+  {
+    SCOPED_TRACE("post-fail drain");
+    drain_recovery_reaches_caller();
+  }
 }
 
 // ---------------------------------------------------------------------------

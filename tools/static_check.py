@@ -139,8 +139,8 @@ AUDIT_CONTRACT: dict[str, list[str]] = {
         "request", "request_batch", "close", "process_queue", "drain",
         "abandon",
     ],
-    "RecoveryCoordinator": [
-        "fail_link", "repair_link", "retry", "absorb", "on_origin_departed",
+    "ControlPlane": [
+        "close", "fail_link", "repair_link", "run_due",
     ],
     "DirectConferenceNetwork": [
         "setup", "teardown", "add_member", "remove_member",
