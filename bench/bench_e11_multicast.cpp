@@ -96,7 +96,7 @@ void BM_MulticastTree(benchmark::State& state) {
   for (auto _ : state) {
     const auto tree =
         conf::multicast_tree_links(Kind::kOmega, n, 0, receivers);
-    benchmark::DoNotOptimize(tree.back().size());
+    benchmark::DoNotOptimize(tree[n].size());
   }
 }
 BENCHMARK(BM_MulticastTree)->DenseRange(6, 14, 4);

@@ -4,9 +4,11 @@
 #include <set>
 #include <utility>
 
+#include "conference/multiplicity.hpp"
 #include "conference/subnetwork.hpp"
 #include "min/network.hpp"
 #include "switchmod/fabric.hpp"
+#include "util/bitset.hpp"
 #include "util/trace.hpp"
 
 namespace confnet::cluster {
@@ -339,25 +341,26 @@ void Cluster::cross_check() const {
                    "shard fabric failed stateless-oracle delivery check");
   }
 
-  // (2) Flattened single-fabric oracle: realize every live conference on
-  // one 2^(stages + log2 K) network and compare delivered member sets
-  // against the cluster model (local fan-in with the relay port expanded
-  // to the union of the remote legs' exports).
+  // (2) Flattened single-fabric oracle, streamed one conference at a time:
+  // realize each live conference on one 2^(stages + log2 K) network, check
+  // the realization and its member ports, count its rows into one
+  // level-major load table, and compare its delivered member sets against
+  // the cluster model (local fan-in with the relay port expanded to the
+  // union of the remote legs' exports). Only one conference's realization
+  // and signals are alive at a time.
   u32 k_bits = 0;
   while ((u32{1} << k_bits) < config_.shards) ++k_bits;
   const u32 n_flat = config_.stages + k_bits;
   const min::Network flat(config_.kind, n_flat);
-  sw::FabricConfig oracle_config;
-  oracle_config.channels_per_link = u32{1} << n_flat;  // never the bottleneck
-  const sw::Fabric oracle(flat, oracle_config);
+  const u32 N_flat = flat.size();
+  const sw::Fabric oracle(flat, sw::FabricConfig{});
+  util::DynBitset owned(N_flat);  // member ports of the conferences so far
+  std::vector<u32> load(std::size_t{n_flat + 1} * N_flat, 0);
 
-  std::vector<sw::GroupRealization> groups;
-  std::vector<std::vector<std::vector<u32>>> leg_locals_by_group;
-  std::vector<const Conference*> group_conf;
   for (const auto& entry : live_) {
     const Conference& c = entry.second;
     std::vector<std::vector<u32>> leg_locals(c.legs.size());
-    std::vector<u32> global_members;
+    sw::GroupRealization group;
     for (std::size_t i = 0; i < c.legs.size(); ++i) {
       const Leg& leg = c.legs[i];
       const auto& mgr = runtime_.shard(leg.shard).wait().sessions();
@@ -372,30 +375,31 @@ void Cluster::cross_check() const {
       for (std::size_t j = 0; j < real; ++j)
         leg_locals[i].push_back(
             static_cast<u32>(map_.global_of(leg.shard, ports[j])));
-      global_members.insert(global_members.end(), leg_locals[i].begin(),
-                            leg_locals[i].end());
+      group.members.insert(group.members.end(), leg_locals[i].begin(),
+                           leg_locals[i].end());
     }
-    std::sort(global_members.begin(), global_members.end());
-    sw::GroupRealization group;
-    group.id = static_cast<u32>(groups.size());
-    group.links =
-        conf::all_pairs_links(config_.kind, n_flat, global_members);
-    group.members = std::move(global_members);
-    groups.push_back(std::move(group));
-    leg_locals_by_group.push_back(std::move(leg_locals));
-    group_conf.push_back(&c);
-  }
+    std::sort(group.members.begin(), group.members.end());
+    group.links = conf::all_pairs_links(config_.kind, n_flat, group.members);
+#if defined(CONFNET_AUDIT)
+    audit::check_group_realization(flat, group);
+#endif
+    sw::validate_realization(flat, group);
+    for (u32 m : group.members) {
+      audit::require(!owned.test(m), kSub,
+                     "flattened conferences share a member port");
+      owned.set(m);
+    }
+    for (u32 level = 0; level <= n_flat; ++level)
+      for (u32 row : group.links[level])
+        ++load[std::size_t{level} * N_flat + row];
+    const sw::PropagationResult heard = oracle.propagate(group, nullptr);
+    audit::require(heard.capability_violations == 0, kSub,
+                   "flattened oracle hit capability violations");
 
-  const sw::EvalReport report = oracle.evaluate(groups);
-  audit::require(report.ok(), kSub,
-                 "flattened oracle hit overflow/capability violations");
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    const auto& leg_locals = leg_locals_by_group[g];
-    const Conference& c = *group_conf[g];
     // Cluster-model delivery per leg: local fan-in of the leg's members,
     // with the relay injection expanded to the union of the other legs'
-    // exports. (For an intra conference the relay term is empty.)
-    std::vector<std::vector<u32>> expect_by_leg(c.legs.size());
+    // exports. (For an intra conference the relay term is empty.) The
+    // oracle's delivered sets follow the sorted global member list.
     for (std::size_t i = 0; i < c.legs.size(); ++i) {
       std::vector<u32> expect = leg_locals[i];
       for (std::size_t j = 0; j < c.legs.size(); ++j)
@@ -403,25 +407,27 @@ void Cluster::cross_check() const {
           expect.insert(expect.end(), leg_locals[j].begin(),
                         leg_locals[j].end());
       std::sort(expect.begin(), expect.end());
-      expect_by_leg[i] = std::move(expect);
+      for (u32 member : leg_locals[i])
+        audit::require(
+            heard.delivered[sw::index_of(group.members, member)].values() ==
+                expect,
+            kSub, "cluster delivery disagrees with the flattened oracle");
     }
-    // The oracle's delivered sets are ordered by the sorted global member
-    // list; map each member back to its leg to pick the right expectation.
-    for (std::size_t i = 0; i < groups[g].members.size(); ++i) {
-      const u32 member = groups[g].members[i];
-      std::size_t leg = c.legs.size();
-      for (std::size_t l = 0; l < c.legs.size(); ++l) {
-        if (std::find(leg_locals[l].begin(), leg_locals[l].end(), member) !=
-            leg_locals[l].end()) {
-          leg = l;
-          break;
-        }
-      }
-      audit::require(leg < c.legs.size(), kSub,
-                     "oracle member missing from every leg");
-      audit::require(
-          report.delivered[g][i].values() == expect_by_leg[leg], kSub,
-          "cluster delivery disagrees with the flattened oracle");
+  }
+
+  // The load table against the paper's bound R1: at most min(2^l, 2^(n-l))
+  // disjoint ALL_PAIRS conferences share a level-l link. An external link
+  // carries exactly the conference that owns its port, or nothing.
+  for (u32 level = 0; level <= n_flat; ++level) {
+    const u32 bound = conf::theoretical_max(n_flat, level);
+    const bool external = level == 0 || level == n_flat;
+    for (u32 row = 0; row < N_flat; ++row) {
+      const u32 users = load[std::size_t{level} * N_flat + row];
+      audit::require(users <= bound, kSub,
+                     "flattened link carries more conferences than R1 allows");
+      if (external)
+        audit::require(users == (owned.test(row) ? 1u : 0u), kSub,
+                       "flattened port link load disagrees with the members");
     }
   }
 

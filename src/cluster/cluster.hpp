@@ -196,9 +196,12 @@ class Cluster {
   /// Deep delivery check against the flattened single-fabric oracle:
   /// every live conference, realized on one 2^(stages + log2 K) network,
   /// must deliver exactly the member sets the cluster's per-shard legs +
-  /// trunk relays deliver. Also re-verifies each shard fabric (incremental
-  /// and stateless oracle paths) and runs the cluster conservation audit.
-  /// Throws audit::AuditError on any mismatch.
+  /// trunk relays deliver. Streams one conference at a time (only its
+  /// realization and signals are alive); the accumulated load table is
+  /// held to R1 and to the member ports. Also re-verifies each shard
+  /// fabric (incremental and stateless oracle paths) and runs the cluster
+  /// conservation audit. Throws audit::AuditError on any mismatch
+  /// (Error for a malformed flattened realization).
   void cross_check() const;
 
  private:

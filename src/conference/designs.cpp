@@ -75,8 +75,12 @@ std::vector<u32> dilation_capacity(const DilationProfile& dilation) {
 }
 
 std::vector<u32> with_member(const std::vector<u32>& members, u32 port) {
-  std::vector<u32> grown = members;
-  grown.insert(std::lower_bound(grown.begin(), grown.end(), port), port);
+  const auto at = std::lower_bound(members.begin(), members.end(), port);
+  std::vector<u32> grown;
+  grown.reserve(members.size() + 1);  // one allocation, not copy + regrow
+  grown.insert(grown.end(), members.begin(), at);
+  grown.push_back(port);
+  grown.insert(grown.end(), at, members.end());
   return grown;
 }
 
@@ -384,7 +388,7 @@ void check_design_state(const sw::FabricState& state, conf::u32 n,
     member_sets.push_back(g.members);
     for (u32 m : g.members)
       require(m < N, sub, "active member row out of range");
-    require(g.links.size() == static_cast<std::size_t>(n) + 1, sub,
+    require(g.links.levels() == n + 1, sub,
             "active link set has wrong level count");
   });
   check_disjoint_memberships(member_sets, N, sub);
@@ -435,7 +439,7 @@ void check_enhanced_network(const conf::EnhancedCubeNetwork& net) {
               "stored tap level diverges from the recomputed completion level");
     require(g.links == fresh.links, kSub,
             "stored links diverge from the enhanced-cube recomputation");
-    group_links.push_back(g.links);
+    group_links.push_back(g.links.nested());
   });
   // The paper's claim, machine-checked on live state: enhanced-design
   // conferences never share an interstage link.

@@ -1,8 +1,9 @@
 #include "conference/multicast.hpp"
 
 #include <algorithm>
+#include <span>
 
-#include "min/selfroute.hpp"
+#include "conference/subnetwork.hpp"
 #include "min/windows.hpp"
 #include "util/error.hpp"
 
@@ -38,21 +39,9 @@ void MulticastSet::add(Multicast multicast) {
   multicasts_.push_back(std::move(multicast));
 }
 
-std::vector<std::vector<u32>> multicast_tree_links(
-    Kind kind, u32 n, u32 source, const std::vector<u32>& receivers) {
-  expects(n >= 1 && n <= 20, "multicast tree: 1 <= n <= 20");
-  expects(source < (u32{1} << n), "source out of range");
-  expects(!receivers.empty(), "multicast tree needs receivers");
-  std::vector<std::vector<u32>> links(n + 1);
-  for (u32 level = 0; level <= n; ++level) {
-    auto& rows = links[level];
-    rows.reserve(receivers.size());
-    for (u32 r : receivers)
-      rows.push_back(min::path_row(kind, n, source, r, level));
-    std::sort(rows.begin(), rows.end());
-    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-  }
-  return links;
+min::LevelLinks multicast_tree_links(Kind kind, u32 n, u32 source,
+                                     const std::vector<u32>& receivers) {
+  return path_union_links(kind, n, std::span(&source, 1), receivers);
 }
 
 bool multicast_uses_link(Kind kind, u32 n, u32 source,

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "conference/conference.hpp"
+#include "min/level_links.hpp"
 #include "min/types.hpp"
 #include "util/rng.hpp"
 
@@ -51,8 +52,9 @@ class MulticastSet {
   std::vector<Multicast> multicasts_;
 };
 
-/// The multicast's fan-out tree: rows per level (sorted, unique).
-[[nodiscard]] std::vector<std::vector<u32>> multicast_tree_links(
+/// The multicast's fan-out tree: rows per level (sorted, unique), the path
+/// union from the source to every receiver.
+[[nodiscard]] min::LevelLinks multicast_tree_links(
     min::Kind kind, u32 n, u32 source, const std::vector<u32>& receivers);
 
 /// True iff the multicast occupies link (level,row): source in In-window

@@ -106,18 +106,16 @@ MultiplicityProfile measure_multiplicity_reference(Kind kind, u32 n,
   const u32 N = u32{1} << n;
   MultiplicityProfile profile;
   profile.per_level.assign(n + 1, 0);
-  std::vector<u32> counts(N);
-  for (u32 level = 0; level <= n; ++level) {
-    std::fill(counts.begin(), counts.end(), 0u);
-    u32 level_max = 0;
-    for (const Conference& c : set.conferences()) {
-      for (u32 row : all_pairs_rows_at(kind, n, c.members(), level))
-        level_max = std::max(level_max, ++counts[row]);
-    }
-    profile.per_level[level] = set.empty() ? 0 : level_max;
-    if (level >= 1 && level < n)
-      profile.peak = std::max(profile.peak, profile.per_level[level]);
+  std::vector<u32> counts(std::size_t{n + 1} * N, 0);  // level-major
+  for (const Conference& c : set.conferences()) {
+    const LevelLinks links = all_pairs_links(kind, n, c.members());
+    for (u32 level = 0; level <= n; ++level)
+      for (u32 row : links[level])
+        profile.per_level[level] = std::max(
+            profile.per_level[level], ++counts[std::size_t{level} * N + row]);
   }
+  for (u32 level = 1; level < n; ++level)
+    profile.peak = std::max(profile.peak, profile.per_level[level]);
   return profile;
 }
 

@@ -17,8 +17,9 @@
 // A fifth, dynamic check comes from the observability layer: every
 // stateless Fabric::evaluate records per-level link-load histograms
 // ("fabric/link_load{level=k}" in the obs::Registry). Only oracle checks
-// evaluate — verify_delivery_reference, Cluster::cross_check and the
-// Monte-Carlo reference — so a run's histograms can be compared against
+// evaluate — verify_delivery_reference and the Monte-Carlo reference
+// (Cluster::cross_check's flattened oracle holds its own load table to R1
+// and publishes nothing) — so a run's histograms can be compared against
 // the closed forms here only for the states those oracles re-checked;
 // live FabricState traffic feeds no fabric metric (see ARCHITECTURE.md §3
 // and the metrics-snapshot notes in EXPERIMENTS.md).
@@ -73,9 +74,9 @@ struct MultiplicityScratch {
     min::Kind kind, u32 n, const ConferenceSet& set,
     MultiplicityScratch& scratch);
 
-/// Reference oracle: the original per-conference `all_pairs_rows_at`
-/// implementation. Kept verbatim so property tests can assert the fast
-/// kernel is bit-identical.
+/// Reference oracle: counts every conference's `all_pairs_links` rows into
+/// one level-major table, independent of the fast kernel's stamped
+/// scratch, so property tests can assert the kernel is bit-identical.
 [[nodiscard]] MultiplicityProfile measure_multiplicity_reference(
     min::Kind kind, u32 n, const ConferenceSet& set);
 

@@ -1,6 +1,7 @@
 #include "conference/replication.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "conference/multiplicity.hpp"
 #include "conference/subnetwork.hpp"
@@ -14,10 +15,12 @@ namespace confnet::conf {
 
 namespace {
 bool links_intersect(const LevelLinks& a, const LevelLinks& b) {
-  for (std::size_t level = 0; level < a.size(); ++level) {
-    auto ia = a[level].begin();
-    auto ib = b[level].begin();
-    while (ia != a[level].end() && ib != b[level].end()) {
+  for (u32 level = 0; level < a.levels(); ++level) {
+    const std::span<const u32> ra = a[level];
+    const std::span<const u32> rb = b[level];
+    auto ia = ra.begin();
+    auto ib = rb.begin();
+    while (ia != ra.end() && ib != rb.end()) {
       if (*ia == *ib) return true;
       if (*ia < *ib) {
         ++ia;

@@ -1,6 +1,8 @@
 #include "conference/subnetwork.hpp"
 
 #include <algorithm>
+#include <array>
+#include <span>
 
 #include "min/selfroute.hpp"
 #include "min/windows.hpp"
@@ -18,44 +20,54 @@ void check_members(u32 n, const std::vector<u32>& members) {
   expects(members.back() < (u32{1} << n), "subnetwork: member out of range");
 }
 
-std::vector<u32> sorted_unique(std::vector<u32> v) {
+std::span<u32> sort_unique(std::span<u32> v) {
   std::sort(v.begin(), v.end());
-  v.erase(std::unique(v.begin(), v.end()), v.end());
-  return v;
+  return v.first(static_cast<std::size_t>(
+      std::unique(v.begin(), v.end()) - v.begin()));
 }
 }  // namespace
 
-std::vector<u32> all_pairs_rows_at(min::Kind kind, u32 n,
-                                   const std::vector<u32>& members,
-                                   u32 level) {
-  check_members(n, members);
-  expects(level <= n, "all_pairs_rows_at: level <= n");
+LevelLinks path_union_links(min::Kind kind, u32 n,
+                            std::span<const u32> sources,
+                            std::span<const u32> sinks) {
+  expects(n >= 1 && n <= 20, "subnetwork: 1 <= n <= 20");
+  expects(!sources.empty() && !sinks.empty(), "path union: empty endpoints");
+  for (u32 v : sources) expects(v < (u32{1} << n), "source out of range");
+  for (u32 v : sinks) expects(v < (u32{1} << n), "sink out of range");
   // Every topology's row is src_part(i) | dst_part(j) over disjoint bit
-  // fields (min::row_parts).
-  const min::RowParts parts = min::row_parts(kind, n, level);
-  std::vector<u32> src_parts, dst_parts;
-  src_parts.reserve(members.size());
-  dst_parts.reserve(members.size());
-  for (u32 m : members) {
-    src_parts.push_back(parts.src.apply(m));
-    dst_parts.push_back(parts.dst.apply(m));
+  // fields (min::row_parts), so each pair of distinct parts names a
+  // distinct row: count every level's rows from its distinct parts, then
+  // allocate the result once and sort each level in place.
+  const std::size_t s = sources.size();
+  const std::size_t d = sinks.size();
+  std::vector<u32> scratch((s + d) * (n + 1));
+  std::array<std::span<u32>, 21> src, dst;  // n <= 20
+  std::array<u32, 21> counts{};
+  for (u32 level = 0; level <= n; ++level) {
+    const min::RowParts parts = min::row_parts(kind, n, level);
+    const auto a = std::span(scratch).subspan((s + d) * level, s);
+    const auto b = std::span(scratch).subspan((s + d) * level + s, d);
+    for (std::size_t i = 0; i < s; ++i) a[i] = parts.src.apply(sources[i]);
+    for (std::size_t j = 0; j < d; ++j) b[j] = parts.dst.apply(sinks[j]);
+    src[level] = sort_unique(a);
+    dst[level] = sort_unique(b);
+    counts[level] = static_cast<u32>(src[level].size() * dst[level].size());
   }
-  src_parts = sorted_unique(std::move(src_parts));
-  dst_parts = sorted_unique(std::move(dst_parts));
-  std::vector<u32> rows;
-  rows.reserve(src_parts.size() * dst_parts.size());
-  for (u32 a : src_parts)
-    for (u32 b : dst_parts) rows.push_back(a | b);
-  return sorted_unique(std::move(rows));
+  LevelLinks links(std::span<const u32>(counts.data(), n + 1));
+  for (u32 level = 0; level <= n; ++level) {
+    const std::span<u32> rows = links.rows(level);
+    std::size_t k = 0;
+    for (u32 a : src[level])
+      for (u32 b : dst[level]) rows[k++] = a | b;
+    std::sort(rows.begin(), rows.end());
+  }
+  return links;
 }
 
 LevelLinks all_pairs_links(min::Kind kind, u32 n,
                            const std::vector<u32>& members) {
   check_members(n, members);
-  LevelLinks links(n + 1);
-  for (u32 level = 0; level <= n; ++level)
-    links[level] = all_pairs_rows_at(kind, n, members, level);
-  return links;
+  return path_union_links(kind, n, members, members);
 }
 
 LevelLinks all_pairs_links_generic(const min::WindowTable& wt,
@@ -65,7 +77,7 @@ LevelLinks all_pairs_links_generic(const min::WindowTable& wt,
   check_members(n, members);
   util::DynBitset group(N);
   for (u32 m : members) group.set(m);
-  LevelLinks links(n + 1);
+  std::vector<std::vector<u32>> links(n + 1);
   for (u32 level = 0; level <= n; ++level) {
     for (u32 row = 0; row < N; ++row) {
       if (wt.in_set(level, row).intersects(group) &&
@@ -73,7 +85,7 @@ LevelLinks all_pairs_links_generic(const min::WindowTable& wt,
         links[level].push_back(row);
     }
   }
-  return links;
+  return LevelLinks(links);
 }
 
 bool uses_link(min::Kind kind, u32 n, const std::vector<u32>& members,
@@ -94,15 +106,7 @@ bool uses_link(min::Kind kind, u32 n, const std::vector<u32>& members,
 LevelLinks fanin_tree_links(min::Kind kind, u32 n,
                             const std::vector<u32>& members, u32 root) {
   check_members(n, members);
-  expects(root < (u32{1} << n), "fanin_tree: root out of range");
-  LevelLinks links(n + 1);
-  for (u32 level = 0; level <= n; ++level) {
-    auto& rows = links[level];
-    for (u32 m : members)
-      rows.push_back(min::path_row(kind, n, m, root, level));
-    rows = sorted_unique(std::move(rows));
-  }
-  return links;
+  return path_union_links(kind, n, members, std::span(&root, 1));
 }
 
 u32 cube_completion_level(u32 n, const std::vector<u32>& members) {
@@ -117,15 +121,12 @@ EnhancedRealization enhanced_cube_realization(
   EnhancedRealization real;
   real.tap_level = cube_completion_level(n, members);
   real.links = all_pairs_links(min::Kind::kIndirectCube, n, members);
-  for (u32 level = real.tap_level + 1; level <= n; ++level)
-    real.links[level].clear();
+  real.links.truncate_above(real.tap_level);
   return real;
 }
 
 u64 total_links(const LevelLinks& links) {
-  u64 total = 0;
-  for (const auto& rows : links) total += rows.size();
-  return total;
+  return links.levels() == 0 ? 0 : links.base(links.levels());
 }
 
 }  // namespace confnet::conf

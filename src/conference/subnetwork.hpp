@@ -9,29 +9,37 @@
 // which is how `all_pairs_links` computes them in O(|A||B|) per level.
 //
 // FANIN_TREE: the union of paths from every member to one root output —
-// the combining tree of the mux-relay (Yang 2001) design.
+// the combining tree of the mux-relay (Yang 2001) design. Both, and the
+// multicast trees of multicast.hpp, are one `path_union_links`.
 //
 // Both have generic (WindowTable-based) twins used as test oracles.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "conference/conference.hpp"
+#include "min/level_links.hpp"
 #include "min/types.hpp"
 #include "min/windows.hpp"
 
 namespace confnet::conf {
 
-/// Link rows per level (levels 0..n), each sorted and duplicate-free.
-using LevelLinks = std::vector<std::vector<u32>>;
+/// Link rows per level (levels 0..n), each sorted and duplicate-free, in
+/// one flat allocation (min/level_links.hpp).
+using LevelLinks = min::LevelLinks;
 
-/// ALL_PAIRS subnetwork via the closed-form path algebra.
+/// Union of the unique paths from every source to every sink: level l
+/// holds { src_part(i) | dst_part(j) } (min::row_parts). Two heap
+/// allocations (a parts scratch and the result) whatever n is.
+[[nodiscard]] LevelLinks path_union_links(min::Kind kind, u32 n,
+                                          std::span<const u32> sources,
+                                          std::span<const u32> sinks);
+
+/// ALL_PAIRS subnetwork via the closed-form path algebra: the path union
+/// with the members as both sources and sinks.
 [[nodiscard]] LevelLinks all_pairs_links(min::Kind kind, u32 n,
                                          const std::vector<u32>& members);
-
-/// Rows occupied at a single level under ALL_PAIRS (sorted, unique).
-[[nodiscard]] std::vector<u32> all_pairs_rows_at(
-    min::Kind kind, u32 n, const std::vector<u32>& members, u32 level);
 
 /// ALL_PAIRS subnetwork via explicit reachability windows (oracle), on
 /// the table's network.
@@ -45,7 +53,7 @@ using LevelLinks = std::vector<std::vector<u32>>;
                              const std::vector<u32>& members, u32 level,
                              u32 row);
 
-/// FANIN_TREE subnetwork: union of member->root paths.
+/// FANIN_TREE subnetwork: union of member->root paths (a path union).
 [[nodiscard]] LevelLinks fanin_tree_links(min::Kind kind, u32 n,
                                           const std::vector<u32>& members,
                                           u32 root);

@@ -10,8 +10,8 @@ namespace confnet::min {
 namespace {
 bool is_highlighted(const DotOptions& options, u32 level, u32 row) {
   if (!options.highlight) return false;
-  if (level >= options.highlight->size()) return false;
-  const auto& rows = (*options.highlight)[level];
+  if (level >= options.highlight->levels()) return false;
+  const std::span<const u32> rows = (*options.highlight)[level];
   return std::binary_search(rows.begin(), rows.end(), row);
 }
 }  // namespace
@@ -21,7 +21,7 @@ void write_dot(std::ostream& os, const Network& net,
   const u32 N = net.size();
   const u32 n = net.n();
   if (options.highlight)
-    expects(options.highlight->size() == n + 1,
+    expects(options.highlight->levels() == n + 1,
             "highlight must carry n+1 levels");
   if (options.faults)
     expects(options.faults->n() == n, "fault set size mismatch");

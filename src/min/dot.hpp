@@ -10,13 +10,14 @@
 #include <vector>
 
 #include "min/faults.hpp"
+#include "min/level_links.hpp"
 #include "min/network.hpp"
 
 namespace confnet::min {
 
 struct DotOptions {
   /// Highlight these link rows per level (e.g. a conference subnetwork).
-  std::optional<std::vector<std::vector<u32>>> highlight;
+  std::optional<LevelLinks> highlight;
   /// Mark these links as faulty (drawn dashed red).
   const FaultSet* faults = nullptr;
   /// Graph title.

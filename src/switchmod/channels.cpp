@@ -23,8 +23,8 @@ u32 ChannelTable::capacity(u32 level) const {
 }
 
 std::optional<std::vector<ChannelSlot>> ChannelTable::assign(
-    u32 group_id, const std::vector<std::vector<u32>>& links) {
-  expects(links.size() == n_ + 1, "links must cover n+1 levels");
+    u32 group_id, const min::LevelLinks& links) {
+  expects(links.levels() == n_ + 1, "links must cover n+1 levels");
   expects(!held_.count(group_id), "group already holds channels");
   std::vector<ChannelSlot> slots;
   // Feasibility pass first (all-or-nothing without rollback bookkeeping).

@@ -13,6 +13,7 @@
 #include <optional>
 #include <vector>
 
+#include "min/level_links.hpp"
 #include "min/types.hpp"
 
 namespace confnet::sw {
@@ -36,7 +37,7 @@ class ChannelTable {
   /// All-or-nothing: on any full link nothing is allocated and nullopt is
   /// returned. Channel indices are first-fit per link.
   [[nodiscard]] std::optional<std::vector<ChannelSlot>> assign(
-      min::u32 group_id, const std::vector<std::vector<min::u32>>& links);
+      min::u32 group_id, const min::LevelLinks& links);
 
   /// Release everything held by the group.
   void release(min::u32 group_id);

@@ -16,7 +16,7 @@ namespace confnet::sw {
 
 namespace {
 /// True iff `rows` is strictly increasing (sorted, duplicate-free).
-bool strictly_increasing(const std::vector<u32>& rows) {
+bool strictly_increasing(std::span<const u32> rows) {
   return std::adjacent_find(rows.begin(), rows.end(),
                             std::greater_equal<>()) == rows.end();
 }
@@ -114,17 +114,17 @@ EvalReport Fabric::evaluate(const std::vector<GroupRealization>& groups,
   EvalReport report;
   report.max_link_load.assign(n + 1, 0);
 
-  // --- Channel accounting. ---
-  std::vector<std::vector<u32>> load(n + 1, std::vector<u32>(N, 0));
+  // --- Channel accounting: one level-major (n+1)·N load table. ---
+  std::vector<u32> load(std::size_t{n + 1} * N, 0);
   for (const auto& g : groups)
     for (u32 level = 0; level <= n; ++level)
-      for (u32 r : g.links[level]) ++load[level][r];
+      for (u32 r : g.links[level]) ++load[std::size_t{level} * N + r];
   for (u32 level = 0; level <= n; ++level) {
     for (u32 r = 0; r < N; ++r) {
-      report.max_link_load[level] =
-          std::max(report.max_link_load[level], load[level][r]);
-      if (load[level][r] > config_.channels_per_link)
-        report.overflows.push_back(Overflow{level, r, load[level][r]});
+      const u32 l = load[std::size_t{level} * N + r];
+      report.max_link_load[level] = std::max(report.max_link_load[level], l);
+      if (l > config_.channels_per_link)
+        report.overflows.push_back(Overflow{level, r, l});
     }
   }
 
@@ -155,9 +155,11 @@ PropagationResult Fabric::propagate(const GroupRealization& g,
   };
   constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-  std::vector<std::vector<MemberSet>> sig(n + 1);
-  for (u32 level = 0; level <= n; ++level)
-    sig[level].resize(g.links[level].size());
+  // One signal per used link, laid out like the link rows themselves.
+  std::vector<MemberSet> sig(g.links.base(n + 1));
+  const auto at = [&](u32 level, std::size_t i) -> MemberSet& {
+    return sig[g.links.base(level) + i];
+  };
   PropagationResult result;
 
   // Injection: a level-0 link carries its member's own signal.
@@ -165,7 +167,7 @@ PropagationResult Fabric::propagate(const GroupRealization& g,
     const u32 row = g.links[0][i];
     if (dead(0, row)) continue;
     if (std::binary_search(g.members.begin(), g.members.end(), row))
-      sig[0][i] = MemberSet::single(row);
+      at(0, i) = MemberSet::single(row);
   }
 
   // Sweep forward: each used link mixes its used predecessors.
@@ -176,8 +178,8 @@ PropagationResult Fabric::propagate(const GroupRealization& g,
       u32 feeding = 0;
       for (u32 q : net_.predecessors(level, row)) {
         const std::size_t pi = index_of(g.links[level - 1], q);
-        if (pi == npos || sig[level - 1][pi].empty()) continue;
-        sig[level][i].combine(sig[level - 1][pi]);
+        if (pi == npos || at(level - 1, pi).empty()) continue;
+        at(level, i).combine(at(level - 1, pi));
         ++feeding;
       }
       if (feeding == 2) {
@@ -190,7 +192,7 @@ PropagationResult Fabric::propagate(const GroupRealization& g,
   // Fan-out accounting: a used link feeding both its successors.
   for (u32 level = 0; level < n; ++level) {
     for (std::size_t i = 0; i < g.links[level].size(); ++i) {
-      if (sig[level][i].empty()) continue;
+      if (at(level, i).empty()) continue;
       u32 fed = 0;
       for (u32 q : net_.successors(level, g.links[level][i])) {
         if (dead(level + 1, q)) continue;  // the switch cannot drive it
@@ -206,7 +208,7 @@ PropagationResult Fabric::propagate(const GroupRealization& g,
   // Delivery: relay taps when present, otherwise level-n member rows.
   result.delivered.resize(g.members.size());
   for_each_output(g, [&](std::size_t mi, u32 level, std::size_t li) {
-    result.delivered[mi] = sig[level][li];
+    result.delivered[mi] = at(level, li);
   });
   return result;
 }
@@ -219,9 +221,12 @@ void validate_realization(const min::Network& net,
   expects(strictly_increasing(group.members),
           "GroupRealization members must be sorted and distinct");
   expects(group.members.back() < N, "member row out of range");
-  expects(group.links.size() == static_cast<std::size_t>(n) + 1,
+  expects(group.links.well_formed(),
+          "GroupRealization link offsets are malformed");
+  expects(group.links.levels() == n + 1,
           "GroupRealization must carry n+1 link levels");
-  for (const auto& rows : group.links) {
+  for (u32 level = 0; level <= n; ++level) {
+    const std::span<const u32> rows = group.links[level];
     expects(strictly_increasing(rows),
             "GroupRealization link rows must be sorted and distinct");
     expects(rows.empty() || rows.back() < N, "link row out of range");
@@ -254,9 +259,10 @@ void check_group_realization(const min::Network& net,
   const u32 n = net.n();
   require(!group.members.empty(), kSub, "group has no members");
   check_rows(group.members, N, kSub);
-  require(group.links.size() == static_cast<std::size_t>(n) + 1, kSub,
+  require(group.links.well_formed() && group.links.levels() == n + 1, kSub,
           "group link set has wrong level count");
-  for (const auto& rows : group.links) check_rows(rows, N, kSub);
+  for (u32 level = 0; level <= n; ++level)
+    check_rows(group.links[level], N, kSub);
   // Members inject at level 0 on their own rows.
   for (u32 m : group.members)
     require(std::binary_search(group.links[0].begin(), group.links[0].end(), m),

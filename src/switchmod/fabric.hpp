@@ -22,17 +22,21 @@
 // peak-sharing observations to the `fabric` subsystem of the obs::Registry
 // (histograms `fabric/link_load{level=l}` and `fabric/peak_link_load`).
 // Only oracle evaluations feed them — the designs'
-// `verify_delivery_reference`, `Cluster::cross_check` and the Monte-Carlo
-// reference — so they cross-check the analytic conflict-multiplicity
-// bounds of conference/multiplicity.hpp on the workloads those oracles
-// evaluate, not on live FabricState traffic.
+// `verify_delivery_reference` and the Monte-Carlo reference — so they
+// cross-check the analytic conflict-multiplicity bounds of
+// conference/multiplicity.hpp on the workloads those oracles evaluate, not
+// on live FabricState traffic. The flattened oracle of
+// `Cluster::cross_check` streams one group at a time through `propagate`
+// and publishes nothing.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "min/level_links.hpp"
 #include "min/network.hpp"
 #include "switchmod/signal.hpp"
 #include "util/error.hpp"
@@ -43,14 +47,15 @@ class FaultSet;
 
 namespace confnet::sw {
 
-/// One group (conference) mapped onto fabric links.
+/// One group (conference) mapped onto fabric links: two heap blocks
+/// (members and flat link rows) for an untapped group, whatever n is.
 struct GroupRealization {
   u32 id = 0;
   /// Sorted member rows; members inject at level 0 and listen at level n
   /// (or at their relay tap).
   std::vector<u32> members;
   /// links[level] = sorted rows occupied at that level (levels 0..n).
-  std::vector<std::vector<u32>> links;
+  min::LevelLinks links;
   /// Optional mux relay: member `output` listens to link
   /// (tap_level, its own row) instead of level n. One entry per member when
   /// used; empty means "listen at level n".
@@ -69,15 +74,16 @@ struct Overflow {
 };
 
 /// Throws Error unless `group` is a well-formed realization on `net`:
-/// non-empty, strictly increasing member rows below N; n+1 link levels of
-/// strictly increasing rows below N; and, when taps are present, one tap
-/// per member, each naming a distinct member at a level <= n on a link the
-/// group owns. Untapped groups pay nothing for the tap rules.
+/// non-empty, strictly increasing member rows below N; well-formed link
+/// offsets and n+1 link levels of strictly increasing rows below N; and,
+/// when taps are present, one tap per member, each naming a distinct
+/// member at a level <= n on a link the group owns. Untapped groups pay
+/// nothing for the tap rules.
 void validate_realization(const min::Network& net,
                           const GroupRealization& group);
 
-/// Position of `row` in a sorted vector, or npos.
-inline std::size_t index_of(const std::vector<u32>& sorted_rows, u32 row) {
+/// Position of `row` in sorted rows, or npos.
+inline std::size_t index_of(std::span<const u32> sorted_rows, u32 row) {
   const auto it =
       std::lower_bound(sorted_rows.begin(), sorted_rows.end(), row);
   if (it == sorted_rows.end() || *it != row)
@@ -92,7 +98,7 @@ inline std::size_t index_of(const std::vector<u32>& sorted_rows, u32 row) {
 template <typename Fn>
 void for_each_output(const GroupRealization& g, Fn&& fn) {
   constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  const auto n = static_cast<u32>(g.links.size() - 1);
+  const u32 n = g.links.levels() - 1;
   const bool tapped = !g.taps.empty();
   for (std::size_t i = 0; i < g.members.size(); ++i) {
     const u32 output = tapped ? g.taps[i].output : g.members[i];

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "util/audit.hpp"
@@ -19,12 +20,14 @@ void expect_headroom(u32 load) {
 
 /// Invoke fn(level, row) for every link present in `a` but not in `b`.
 template <typename Fn>
-void for_each_delta(const std::vector<std::vector<u32>>& a,
-                    const std::vector<std::vector<u32>>& b, Fn&& fn) {
-  for (u32 level = 0; level < a.size(); ++level)
+void for_each_delta(const min::LevelLinks& a, const min::LevelLinks& b,
+                    Fn&& fn) {
+  for (u32 level = 0; level < a.levels(); ++level) {
+    const std::span<const u32> other = b[level];
     for (u32 row : a[level])
-      if (!std::binary_search(b[level].begin(), b[level].end(), row))
+      if (!std::binary_search(other.begin(), other.end(), row))
         fn(level, row);
+  }
 }
 }  // namespace
 
@@ -48,8 +51,9 @@ FabricState::FabricState(min::Network net, std::vector<u32> capacity,
     expects(c >= 1, "FabricState needs at least one channel per link");
 }
 
-void FabricState::apply_load(const GroupRealization& group, bool add) {
-  for (u32 level = 0; level < group.links.size(); ++level) {
+CONFNET_HOT void FabricState::apply_load(const GroupRealization& group,
+                                         bool add) {
+  for (u32 level = 0; level < group.links.levels(); ++level) {
     const u32 cap = capacity_[level];
     for (u32 row : group.links[level]) {
       std::uint16_t& load = load_[link_index(level, row)];
@@ -92,7 +96,7 @@ CONFNET_HOT bool FabricState::try_add(GroupRealization group) {
   for (u32 m : group.members)
     expects(!busy_.test(m), "groups must be pairwise disjoint");
   if (!links_clear(group.links)) return false;
-  for (u32 level = 0; level < group.links.size(); ++level) {
+  for (u32 level = 0; level < group.links.levels(); ++level) {
     for (u32 row : group.links[level]) {
       const u32 load = load_[link_index(level, row)];
       if (load + 1 > capacity_[level]) return false;
@@ -206,7 +210,7 @@ CONFNET_HOT const std::vector<u32>& FabricState::count_link_users(
   if (users == 0) return users_scratch_;
   for (u32 id : live_ids_) {
     Entry& entry = slots_[slot_of_[id]];
-    const auto& rows = entry.group.links[level];
+    const std::span<const u32> rows = entry.group.links[level];
     if (std::binary_search(rows.begin(), rows.end(), row)) {
       if (failed)
         ++entry.dead_links;
@@ -249,8 +253,7 @@ bool FabricState::group_survives(u32 id) const {
   return entry_of(id).dead_links == 0;
 }
 
-bool FabricState::links_clear(
-    const std::vector<std::vector<u32>>& links) const {
+bool FabricState::links_clear(const min::LevelLinks& links) const {
   return dead_links_in(links) == 0;
 }
 
@@ -258,22 +261,23 @@ const GroupRealization& FabricState::group(u32 id) const {
   return entry_of(id).group;
 }
 
-u32 FabricState::dead_links_in(
-    const std::vector<std::vector<u32>>& links) const {
+CONFNET_HOT u32 FabricState::dead_links_in(
+    const min::LevelLinks& links) const {
   if (faults_.fault_count() == 0) return 0;
   u32 dead = 0;
-  for (u32 level = 0; level < links.size(); ++level)
+  for (u32 level = 0; level < links.levels(); ++level)
     for (u32 row : links[level])
       if (faults_.is_faulty(level, row)) ++dead;
   return dead;
 }
 
-bool FabricState::lacks_fan_for(const GroupRealization& g) const {
+CONFNET_HOT bool FabricState::lacks_fan_for(
+    const GroupRealization& g) const {
   if (fan_in_ && fan_out_) return false;
   const u32 n = net_.n();
   const auto owned = [&](u32 level, u32 row) {
-    return std::binary_search(g.links[level].begin(), g.links[level].end(),
-                              row);
+    const std::span<const u32> rows = g.links[level];
+    return std::binary_search(rows.begin(), rows.end(), row);
   };
   for (u32 level = 0; level <= n; ++level) {
     for (u32 row : g.links[level]) {

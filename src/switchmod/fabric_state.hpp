@@ -20,7 +20,10 @@
 //   * group bookkeeping is flat: entries live in a dense slot vector whose
 //     freed slots are recycled LIFO, an id->slot table replaces the old
 //     std::map, and a sorted id vector drives ascending-order iteration —
-//     try_add/remove allocate no tree nodes on the hot path.
+//     try_add/remove allocate no tree nodes on the hot path. Each stored
+//     realization's link rows are one min::LevelLinks block, and the walks
+//     over them (apply_load, dead_links_in, lacks_fan_for,
+//     count_link_users) read spans and allocate nothing (CONFNET_HOT).
 //   * a live fault mask (min::FaultSet) turns link failures and repairs
 //     into runtime events: fail_link/repair_link update the dead-link
 //     counts of only the groups on the touched link, and admission refuses
@@ -134,8 +137,7 @@ class FabricState {
 
   /// True iff every row of `links` (levels 0..n) avoids the fault mask.
   /// Constant-time when the fabric is healthy — the admission fast path.
-  [[nodiscard]] bool links_clear(
-      const std::vector<std::vector<u32>>& links) const;
+  [[nodiscard]] bool links_clear(const min::LevelLinks& links) const;
 
   // --- Queries -----------------------------------------------------------
 
@@ -210,8 +212,7 @@ class FabricState {
   void swap_group(Entry& entry, GroupRealization group, u32 dead_links);
   /// Links of `links` (levels 0..n) on the fault mask; 0 without a look
   /// when the fabric is healthy.
-  [[nodiscard]] u32 dead_links_in(
-      const std::vector<std::vector<u32>>& links) const;
+  [[nodiscard]] u32 dead_links_in(const min::LevelLinks& links) const;
   /// True iff `g`'s link rows demand fan-in (a switch with both inputs
   /// owned) or fan-out (both outputs owned) from a fabric without it.
   /// False without a look when the fabric has both.

@@ -23,7 +23,7 @@ void check_permutation(const std::vector<u32>& map,
   }
 }
 
-void check_rows(const std::vector<u32>& rows, u32 bound,
+void check_rows(std::span<const u32> rows, u32 bound,
                 std::string_view subsystem) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     require(rows[i] < bound, subsystem, "row out of range");

@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -91,7 +92,7 @@ void require(bool cond, std::string_view subsystem, std::string_view what);
 void check_permutation(const std::vector<u32>& map, std::string_view subsystem);
 
 /// `rows` is sorted, duplicate-free and every entry is < `bound`.
-void check_rows(const std::vector<u32>& rows, u32 bound,
+void check_rows(std::span<const u32> rows, u32 bound,
                 std::string_view subsystem);
 
 /// Member sets are individually sorted/unique/in-range and pairwise

@@ -86,13 +86,14 @@ TEST(AuditFabric, CorruptedRealizationFires) {
 
   // Orphan link: a level-2 row whose predecessors carry no group traffic.
   auto orphaned = group;
-  orphaned.links[2].clear();
-  orphaned.links[2].push_back(7);
+  auto rows = group.links.nested();
+  rows[2] = {7};
+  orphaned.links = min::LevelLinks(rows);
   audit_failure(
       [&] { audit::check_group_realization(net, orphaned); }, "switchmod");
 
   // Unsorted rows break the canonical link-set representation.
-  audit_failure([] { audit::check_rows({3, 1}, 8, "switchmod"); },
+  audit_failure([] { audit::check_rows(std::vector<u32>{3, 1}, 8, "switchmod"); },
                 "switchmod");
 }
 

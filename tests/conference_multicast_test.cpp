@@ -36,8 +36,8 @@ TEST(MulticastTree, SpansSourceAndReceivers) {
     const u32 n = 4;
     const std::vector<u32> receivers{2, 9, 14};
     const auto tree = multicast_tree_links(kind, n, 5, receivers);
-    EXPECT_EQ(tree[0], (std::vector<u32>{5}));
-    EXPECT_EQ(tree[n], receivers);
+    EXPECT_EQ(tree.nested()[0], (std::vector<u32>{5}));
+    EXPECT_EQ(tree.nested()[n], receivers);
     // The tree is exactly the union of source->receiver paths, so per
     // level the row count is between 1 and |receivers|.
     for (u32 level = 0; level <= n; ++level) {

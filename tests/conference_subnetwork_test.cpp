@@ -60,7 +60,7 @@ TEST_P(SubnetworkSuite, EqualsUnionOfExplicitPaths) {
         for (u32 level = 0; level <= n; ++level)
           union_rows[level].insert(rows[level]);
       }
-    const LevelLinks links = all_pairs_links(kind, n, members);
+    const auto links = all_pairs_links(kind, n, members).nested();
     for (u32 level = 0; level <= n; ++level) {
       const std::vector<u32> want(union_rows[level].begin(),
                                   union_rows[level].end());
@@ -92,8 +92,8 @@ TEST_P(SubnetworkSuite, ExternalLevelsAreExactlyTheMembers) {
   const u32 N = u32{1} << n;
   const auto members = random_members(rng, N, std::min(N, 4u));
   const LevelLinks links = all_pairs_links(kind, n, members);
-  EXPECT_EQ(links.front(), members);
-  EXPECT_EQ(links.back(), members);
+  EXPECT_EQ(links.nested().front(), members);
+  EXPECT_EQ(links.nested().back(), members);
 }
 
 TEST_P(SubnetworkSuite, MonotoneInMembers) {
@@ -128,7 +128,7 @@ TEST_P(SubnetworkSuite, FanInTreeIsSubsetOfAllPairs) {
     EXPECT_EQ(tree[n].size(), 1u);
     EXPECT_EQ(tree[n][0], root);
     // And spans exactly the members at the leaf side.
-    EXPECT_EQ(tree[0], members);
+    EXPECT_EQ(tree.nested()[0], members);
   }
 }
 
@@ -144,6 +144,24 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Case>& info) {
       return testutil::param_name(info.param.kind, info.param.n);
     });
+
+// The closed form against the window oracle at N = 1024, the size the
+// benchmark fabrics run, on seeded member sets of 2..64 ports.
+TEST(Subnetwork, ClosedFormEqualsGenericAtTen) {
+  constexpr u32 n = 10;
+  constexpr u32 N = u32{1} << n;
+  util::Rng rng(1010);
+  for (Kind kind : min::kAllKinds) {
+    const min::WindowTable wt(min::Network(kind, n));
+    for (int trial = 0; trial < 6; ++trial) {
+      const u32 size = 2 + static_cast<u32>(rng.below(63));
+      const auto members = random_members(rng, N, size);
+      EXPECT_EQ(all_pairs_links(kind, n, members),
+                all_pairs_links_generic(wt, members))
+          << min::kind_name(kind) << " trial " << trial;
+    }
+  }
+}
 
 TEST(CubeCompletion, AlignedBlocks) {
   // A full aligned block of 2^j ports completes at level j.
@@ -180,11 +198,9 @@ TEST(EnhancedRealization, EveryMemberRowPresentAtTapLevel) {
 }
 
 TEST(Subnetwork, TotalLinksCounts) {
-  LevelLinks links(3);
-  links[0] = {1, 2};
-  links[1] = {0};
-  links[2] = {};
+  const LevelLinks links{{1, 2}, {0}, {}};
   EXPECT_EQ(total_links(links), 3u);
+  EXPECT_EQ(total_links(LevelLinks{}), 0u);
 }
 
 TEST(Subnetwork, InputValidation) {

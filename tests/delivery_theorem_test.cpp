@@ -413,8 +413,10 @@ TEST(DeliveryTheorem, NonCanonicalGroupFailsCrossCheck) {
     if (!std::binary_search(g.links[1].begin(), g.links[1].end(), q))
       branch = q;
   ASSERT_LT(branch, N) << "member 0 already drives both successors";
-  g.links[1].insert(
-      std::lower_bound(g.links[1].begin(), g.links[1].end(), branch), branch);
+  auto rows = g.links.nested();
+  rows[1].insert(std::lower_bound(rows[1].begin(), rows[1].end(), branch),
+                 branch);
+  g.links = min::LevelLinks(rows);
   ASSERT_TRUE(state.try_add(g));
 
   // Healthy, the two verdicts still agree.

@@ -68,7 +68,7 @@ TEST(Dot, MarksFaults) {
 TEST(Dot, ValidatesShapes) {
   const Network net(Kind::kOmega, 3);
   DotOptions options;
-  options.highlight = std::vector<std::vector<u32>>(2);  // wrong level count
+  options.highlight = LevelLinks{{}, {}};  // wrong level count
   std::ostringstream os;
   EXPECT_THROW(write_dot(os, net, options), Error);
   FaultSet wrong(4);

@@ -24,8 +24,7 @@ std::vector<u32> uniform_caps(u32 n, u32 d) {
 
 TEST(Channels, FirstFitIndices) {
   ChannelTable table(3, uniform_caps(3, 4));
-  std::vector<std::vector<u32>> links(4);
-  links[1] = {5};
+  const min::LevelLinks links{{}, {5}, {}, {}};
   const auto a = table.assign(0, links);
   const auto b = table.assign(1, links);
   const auto c = table.assign(2, links);
@@ -44,15 +43,11 @@ TEST(Channels, FirstFitIndices) {
 
 TEST(Channels, AllOrNothingOnFullLink) {
   ChannelTable table(3, uniform_caps(3, 1));
-  std::vector<std::vector<u32>> wide(4);
-  wide[1] = {0, 1};
-  wide[2] = {3};
+  const min::LevelLinks wide{{}, {0, 1}, {3}, {}};
   ASSERT_TRUE(table.assign(0, wide).has_value());
   // Overlaps on level-2 row 3 only; level-1 rows are free, but nothing may
   // be partially taken.
-  std::vector<std::vector<u32>> overlap(4);
-  overlap[1] = {4};
-  overlap[2] = {3};
+  const min::LevelLinks overlap{{}, {4}, {3}, {}};
   EXPECT_FALSE(table.assign(1, overlap).has_value());
   EXPECT_EQ(table.occupancy(1, 4), 0u);
   EXPECT_TRUE(table.consistent());
@@ -61,8 +56,7 @@ TEST(Channels, AllOrNothingOnFullLink) {
 TEST(Channels, CapacityRespectedPerLevel) {
   std::vector<u32> caps{1, 2, 4, 2, 1};
   ChannelTable table(4, caps);
-  std::vector<std::vector<u32>> links(5);
-  links[2] = {7};
+  const min::LevelLinks links{{}, {}, {7}, {}, {}};
   for (u32 g = 0; g < 4; ++g) EXPECT_TRUE(table.assign(g, links).has_value());
   EXPECT_FALSE(table.assign(9, links).has_value());
   EXPECT_EQ(table.occupancy(2, 7), 4u);
@@ -71,8 +65,7 @@ TEST(Channels, CapacityRespectedPerLevel) {
 TEST(Channels, ReleaseValidation) {
   ChannelTable table(3, uniform_caps(3, 2));
   EXPECT_THROW(table.release(42), Error);
-  std::vector<std::vector<u32>> links(4);
-  links[1] = {0};
+  const min::LevelLinks links{{}, {0}, {}, {}};
   ASSERT_TRUE(table.assign(1, links).has_value());
   EXPECT_THROW((void)table.assign(1, links), Error);  // double hold
   table.release(1);

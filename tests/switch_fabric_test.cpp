@@ -176,6 +176,24 @@ TEST(Fabric, ManyDisjointEnhancedConferencesAreConflictFree) {
       EXPECT_EQ(d.values(), groups[gi].members);
 }
 
+using Rows = std::vector<std::vector<u32>>;
+
+/// Rewrite `g`'s link rows through their nested form.
+template <typename Fn>
+void edit_rows(GroupRealization& g, Fn&& fn) {
+  auto rows = g.links.nested();
+  fn(rows);
+  g.links = min::LevelLinks(rows);
+}
+
+/// Rewrite `g`'s raw flat words (offsets, then rows), unchecked.
+template <typename Fn>
+void edit_words(GroupRealization& g, Fn&& fn) {
+  std::vector<u32> words = g.links.words();
+  fn(words);
+  g.links = min::LevelLinks::from_words(std::move(words));
+}
+
 /// One malformed realization: `make` turns a well-formed group with the
 /// given id on members {4, 5} of an n = 3 network into the broken one.
 struct MalformedCase {
@@ -186,18 +204,56 @@ struct MalformedCase {
 /// Every well-formedness contract validate_realization enforces, one entry
 /// per way to break it.
 constexpr MalformedCase kMalformed[] = {
-    {"wrong level count", [](GroupRealization& g, u32) { g.links.pop_back(); }},
+    {"wrong level count",
+     [](GroupRealization& g, u32) {
+       edit_rows(g, [](Rows& r) { r.pop_back(); });
+     }},
+    {"n levels in well-formed offsets",
+     [](GroupRealization& g, u32 n) {
+       edit_words(g, [n](std::vector<u32>& w) {
+         // Drop level n's rows and the end offset; the rows now start
+         // one word earlier.
+         w.resize(w[n]);
+         w.erase(w.begin() + n + 1);
+         for (u32 l = 0; l <= n; ++l) --w[l];
+       });
+     }},
+    {"non-monotone offsets",
+     [](GroupRealization& g, u32) {
+       edit_words(g, [](std::vector<u32>& w) { w[1] = w[2] + 1; });
+     }},
+    {"offsets miss the last row",
+     [](GroupRealization& g, u32) {
+       edit_words(g, [](std::vector<u32>& w) { w.push_back(w.back()); });
+     }},
+    {"first offset zero",
+     [](GroupRealization& g, u32) {
+       edit_words(g, [](std::vector<u32>& w) { w[0] = 0; });
+     }},
     {"empty members", [](GroupRealization& g, u32) { g.members.clear(); }},
     {"unsorted members", [](GroupRealization& g, u32) { g.members = {5, 4}; }},
     {"repeated member", [](GroupRealization& g, u32) { g.members = {4, 4}; }},
     {"member out of range",
      [](GroupRealization& g, u32 n) { g.members = {4, u32{1} << n}; }},
     {"unsorted link rows",
-     [](GroupRealization& g, u32) { std::swap(g.links[0][0], g.links[0][1]); }},
+     [](GroupRealization& g, u32) {
+       edit_rows(g, [](Rows& r) { std::swap(r[0][0], r[0][1]); });
+     }},
+    {"unsorted rows inside one interstage level",
+     [](GroupRealization& g, u32 n) {
+       edit_rows(g, [n](Rows& r) {
+         for (u32 l = 1; l < n; ++l)
+           if (r[l].size() >= 2) std::swap(r[l].front(), r[l].back());
+       });
+     }},
     {"repeated link row",
-     [](GroupRealization& g, u32) { g.links[0].push_back(g.links[0].back()); }},
+     [](GroupRealization& g, u32) {
+       edit_rows(g, [](Rows& r) { r[0].push_back(r[0].back()); });
+     }},
     {"link row out of range",
-     [](GroupRealization& g, u32 n) { g.links[n].push_back(u32{1} << n); }},
+     [](GroupRealization& g, u32 n) {
+       edit_rows(g, [n](Rows& r) { r[n].push_back(u32{1} << n); });
+     }},
     {"taps miss a member",
      [](GroupRealization& g, u32 n) { g.taps = {{4, n}}; }},
     {"member tapped twice",
@@ -208,7 +264,9 @@ constexpr MalformedCase kMalformed[] = {
      [](GroupRealization& g, u32 n) { g.taps = {{4, n}, {5, n + 5}}; }},
     {"tap link not owned",
      [](GroupRealization& g, u32 n) {
-       g.links[n].erase(std::find(g.links[n].begin(), g.links[n].end(), 5));
+       edit_rows(g, [n](Rows& r) {
+         r[n].erase(std::find(r[n].begin(), r[n].end(), 5));
+       });
        g.taps = {{4, n}, {5, n}};
      }},
 };
@@ -388,10 +446,11 @@ GroupRealization single_member_group(u32 id, u32 n, u32 member, u32 level,
   GroupRealization g;
   g.id = id;
   g.members = {member};
-  g.links.assign(n + 1, {});
-  g.links[0] = {member};
-  g.links[n] = {member};
-  if (shared) g.links[level] = {row};
+  Rows rows(n + 1);
+  rows[0] = {member};
+  rows[n] = {member};
+  if (shared) rows[level] = {row};
+  g.links = min::LevelLinks(rows);
   return g;
 }
 
@@ -457,7 +516,7 @@ TEST(FabricState, SixteenBitLoadGuardRefusesBeforeAnyChange) {
 
 /// True iff `a` and `b` occupy a common link.
 bool share_a_link(const GroupRealization& a, const GroupRealization& b) {
-  for (std::size_t level = 0; level < a.links.size(); ++level) {
+  for (u32 level = 0; level < a.links.levels(); ++level) {
     std::vector<u32> common;
     std::set_intersection(a.links[level].begin(), a.links[level].end(),
                           b.links[level].begin(), b.links[level].end(),

@@ -159,9 +159,11 @@ AUDIT_CONTRACT: dict[str, list[str]] = {
 # AUDIT_CONTRACT's staleness rule.
 HOT_CONTRACT: dict[str, list[str]] = {
     # Fail/repair fast path: counts link users' dead links via the reused
-    # scratch.
+    # scratch. The admission walks over a group's flat link rows (load
+    # updates, the dead-link recount, the fan-capability probe) read spans
+    # of one block and must not regrow per-level temporaries.
     "src/switchmod/fabric_state.cpp": [
-        "count_link_users",
+        "count_link_users", "apply_load", "dead_links_in", "lacks_fan_for",
     ],
     # Lock-lean command path (PR 10): the bounded MPSC ring buffer's
     # producer/consumer primitives must stay on the preallocated ring.
