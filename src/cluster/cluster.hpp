@@ -175,7 +175,6 @@ class Cluster {
   [[nodiscard]] const ClusterConfig& config() const noexcept {
     return config_;
   }
-  [[nodiscard]] const PortMap& port_map() const noexcept { return map_; }
   [[nodiscard]] const TrunkBook& trunks() const noexcept { return trunks_; }
   [[nodiscard]] const ClusterStats& stats() const noexcept { return stats_; }
 

@@ -8,37 +8,37 @@
 
 namespace confnet::conf {
 
-DilationProfile::DilationProfile(u32 n, std::vector<u32> channels,
-                                 std::string label)
-    : n_(n), channels_(std::move(channels)), label_(std::move(label)) {
-  expects(channels_.size() == n + 1, "dilation profile needs n+1 levels");
-  channels_.front() = 1;  // external ports are exclusive by disjointness
-  channels_.back() = 1;
+DilationProfile::DilationProfile(u32 n, std::string label)
+    : n_(n), label_(std::move(label)) {
+  expects(n >= 1 && n <= min::Network::kMaxStages,
+          "dilation profile needs 1 <= n <= Network::kMaxStages");
+  channels_.fill(1);
 }
 
 DilationProfile DilationProfile::uniform(u32 n, u32 d) {
   expects(d >= 1, "dilation must be at least 1");
-  return DilationProfile(n, std::vector<u32>(n + 1, d),
-                         "d=" + std::to_string(d));
+  DilationProfile p(n, "d=" + std::to_string(d));
+  for (u32 l = 1; l < n; ++l) p.channels_[l] = d;
+  return p;
 }
 
 DilationProfile DilationProfile::full(u32 n) {
-  std::vector<u32> ch(n + 1);
-  for (u32 l = 0; l <= n; ++l)
-    ch[l] = std::min(u32{1} << l, u32{1} << (n - l));
-  return DilationProfile(n, std::move(ch), "full");
+  DilationProfile p(n, "full");
+  for (u32 l = 1; l < n; ++l)
+    p.channels_[l] = std::min(u32{1} << l, u32{1} << (n - l));
+  return p;
 }
 
 DilationProfile DilationProfile::bounded(u32 n, u32 g) {
   expects(g >= 1, "bounded dilation needs g >= 1");
-  std::vector<u32> ch(n + 1);
-  for (u32 l = 0; l <= n; ++l)
-    ch[l] = std::min({u32{1} << l, u32{1} << (n - l), g});
-  return DilationProfile(n, std::move(ch), "g=" + std::to_string(g));
+  DilationProfile p(n, "g=" + std::to_string(g));
+  for (u32 l = 1; l < n; ++l)
+    p.channels_[l] = std::min({u32{1} << l, u32{1} << (n - l), g});
+  return p;
 }
 
 u32 DilationProfile::channels(u32 level) const {
-  expects(level < channels_.size(), "dilation level out of range");
+  expects(level <= n_, "dilation level out of range");
   return channels_[level];
 }
 
@@ -68,12 +68,6 @@ std::vector<u32> ConferenceNetworkBase::repair_link(u32 level, u32 row) {
 // ---------------------------------------------------------------------------
 
 namespace {
-std::vector<u32> dilation_capacity(const DilationProfile& dilation) {
-  std::vector<u32> caps(dilation.n() + 1);
-  for (u32 l = 0; l <= dilation.n(); ++l) caps[l] = dilation.channels(l);
-  return caps;
-}
-
 std::vector<u32> with_member(const std::vector<u32>& members, u32 port) {
   const auto at = std::lower_bound(members.begin(), members.end(), port);
   std::vector<u32> grown;
@@ -119,7 +113,7 @@ bool verify_via_fabric(const sw::FabricState& state) {
 DirectConferenceNetwork::DirectConferenceNetwork(min::Kind kind, u32 n,
                                                  DilationProfile dilation)
     : dilation_(std::move(dilation)),
-      state_(min::Network(kind, n), dilation_capacity(dilation_)) {
+      state_(min::Network(kind, n), dilation_.channels()) {
   expects(dilation_.n() == n, "dilation profile size mismatch");
 }
 

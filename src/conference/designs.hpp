@@ -15,8 +15,10 @@
 // and taps there, leaving no shared interstage links.
 #pragma once
 
+#include <array>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -48,15 +50,21 @@ class DilationProfile {
   [[nodiscard]] static DilationProfile bounded(u32 n, u32 g);
 
   [[nodiscard]] u32 channels(u32 level) const;
+  /// Channels of levels 0..n, the table a FabricState enforces.
+  [[nodiscard]] std::span<const u32> channels() const noexcept {
+    return {channels_.data(), n_ + 1};
+  }
   [[nodiscard]] u32 n() const noexcept { return n_; }
   /// Total interstage channel count (hardware figure for E5).
   [[nodiscard]] u64 total_channels() const;
   [[nodiscard]] const std::string& label() const noexcept { return label_; }
 
  private:
-  DilationProfile(u32 n, std::vector<u32> channels, std::string label);
+  /// One channel on every level; the factories widen levels 1..n-1 (0 and
+  /// n stay 1: external ports are exclusive by disjointness).
+  DilationProfile(u32 n, std::string label);
   u32 n_;
-  std::vector<u32> channels_;  // levels 0..n; 0 and n forced to 1
+  std::array<u32, min::Network::kMaxStages + 1> channels_;  // levels 0..n
   std::string label_;
 };
 

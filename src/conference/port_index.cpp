@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "min/network.hpp"
 #include "util/bits.hpp"
 #include "util/error.hpp"
 #include "util/thread_annotations.hpp"
@@ -72,11 +73,14 @@ bool BitmapBuddyAllocator::can_allocate(u32 order) const {
 }
 
 FastPortPlacer::FastPortPlacer(u32 n, PlacementPolicy policy)
-    : n_(n),
-      policy_(policy),
-      buddy_(n),
-      free_(u32{1} << n, true),
-      block_order_(u32{1} << n, 0) {}
+    : n_(n), policy_(policy) {
+  expects(n >= 1 && n <= min::Network::kMaxStages,
+          "FastPortPlacer needs 1 <= n <= Network::kMaxStages");
+  free_ = util::HierBitset(u32{1} << n, true);
+  if (policy_ != PlacementPolicy::kBuddy) return;
+  buddy_ = BitmapBuddyAllocator(n);
+  block_order_.assign(u32{1} << n, 0);
+}
 
 std::optional<std::vector<u32>> FastPortPlacer::place(u32 size,
                                                       util::Rng& rng) {

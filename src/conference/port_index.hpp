@@ -34,6 +34,8 @@ namespace confnet::conf {
 /// -vector choice), release coalesces eagerly with one bit test per level.
 class BitmapBuddyAllocator {
  public:
+  /// An empty allocator over no ports; it allocates nothing.
+  BitmapBuddyAllocator() = default;
   explicit BitmapBuddyAllocator(u32 n);
 
   [[nodiscard]] u32 n() const noexcept { return n_; }
@@ -55,8 +57,8 @@ class BitmapBuddyAllocator {
  private:
   friend void audit::check_placer(const ::confnet::conf::FastPortPlacer&);
 
-  u32 n_;
-  u32 free_ports_;
+  u32 n_ = 0;
+  u32 free_ports_ = 0;
   std::vector<util::HierBitset> free_;  // [order] -> free-block bitmap
   // Live allocations, maintained only when audit::kEnabled.
   std::set<std::pair<u32, u32>> allocated_;
@@ -65,7 +67,8 @@ class BitmapBuddyAllocator {
 /// Hierarchical-bitmap implementation of PlacerBase. One free-port bitset
 /// (set bit = free) serves first-fit and random placement; buddy policy
 /// adds the per-order allocator above plus a flat base->order table that
-/// replaces PortPlacer's std::map block lookup.
+/// replaces PortPlacer's std::map block lookup. Only a buddy placer builds
+/// those two.
 class FastPortPlacer final : public PlacerBase {
  public:
   FastPortPlacer(u32 n, PlacementPolicy policy);
@@ -103,9 +106,9 @@ class FastPortPlacer final : public PlacerBase {
 
   u32 n_;
   PlacementPolicy policy_;
-  BitmapBuddyAllocator buddy_;
+  BitmapBuddyAllocator buddy_;  // empty unless kBuddy
   util::HierBitset free_;  // set bit = port free
-  // Buddy block table: order+1 at a live block's base, 0 elsewhere.
+  // Buddy block table (kBuddy only): order+1 at a live base, 0 elsewhere.
   std::vector<std::uint8_t> block_order_;
 };
 

@@ -10,7 +10,8 @@
 namespace confnet::min {
 
 FaultSet::FaultSet(u32 n) : n_(n) {
-  expects(n >= 1 && n <= 20, "FaultSet: 1 <= n <= 20");
+  expects(n >= 1 && n <= Network::kMaxStages,
+          "FaultSet: 1 <= n <= Network::kMaxStages");
   faulty_ = util::DynBitset(std::size_t{n + 1} << n);
 }
 

@@ -46,10 +46,9 @@ StageSpec make_stage(Kind kind, u32 n, u32 k) {
 }
 
 Network::Network(Kind kind, u32 n) : kind_(kind), n_(n) {
-  expects(n_ >= 1 && n_ <= 20, "Network needs 1 <= n <= 20");
-  stages_.reserve(n_);
+  expects(n_ >= 1 && n_ <= kMaxStages, "Network needs 1 <= n <= 20");
   for (u32 k = 0; k < n_; ++k) {
-    const StageSpec& s = stages_.emplace_back(make_stage(kind_, n_, k));
+    const StageSpec& s = stages_[k] = make_stage(kind_, n_, k);
     expects(s.in_perm.bits() <= n_ && s.out_perm.bits() <= n_,
             "stage wiring wider than the row address");
     expects(s.routing_bit < n_, "routing bit out of range");

@@ -3,10 +3,10 @@
 // A stage is: input wiring -> a column of N/2 two-by-two switch modules
 // (switch w owns post-wiring ports {2w, 2w+1}) -> output wiring. Each wiring
 // is a closed-form `FieldRotation`. A `Network` is its kind plus n such
-// stages over N = 2^n rows, so it costs O(n) words whatever N and is freely
-// copied and moved. Destination-tag self-routing holds for every member of
-// the class: at stage k the switch emits the signal on sub-port
-// `bit(dest, routing_bit[k])`.
+// stages over N = 2^n rows, held inline, so it allocates nothing and is
+// freely copied and moved whatever N. Destination-tag self-routing holds
+// for every member of the class: at stage k the switch emits the signal on
+// sub-port `bit(dest, routing_bit[k])`.
 //
 // The network answers the structural questions everything upstream needs:
 // link successors and predecessors, switch indexing, and the unique
@@ -15,6 +15,7 @@
 #pragma once
 
 #include <array>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -34,7 +35,9 @@ struct StageSpec {
 
 class Network {
  public:
-  /// The named topology with N = 2^n ports (1 <= n <= 20).
+  static constexpr u32 kMaxStages = 20;
+
+  /// The named topology with N = 2^n ports (1 <= n <= kMaxStages).
   Network(Kind kind, u32 n);
 
   [[nodiscard]] Kind kind() const noexcept { return kind_; }
@@ -42,13 +45,8 @@ class Network {
   [[nodiscard]] u32 n() const noexcept { return n_; }
   /// Number of member ports N = 2^n.
   [[nodiscard]] u32 size() const noexcept { return u32{1} << n_; }
-  [[nodiscard]] const std::vector<StageSpec>& stages() const noexcept {
-    return stages_;
-  }
-
-  /// Total number of links: (n+1) levels of N rows.
-  [[nodiscard]] u64 link_count() const noexcept {
-    return static_cast<u64>(n() + 1) * size();
+  [[nodiscard]] std::span<const StageSpec> stages() const noexcept {
+    return {stages_.data(), n_};
   }
 
   /// Level-(level+1) rows fed by link (level,row); requires level < n.
@@ -72,7 +70,7 @@ class Network {
  private:
   Kind kind_;
   u32 n_;
-  std::vector<StageSpec> stages_;
+  std::array<StageSpec, kMaxStages> stages_{};  // the first n_ are used
 };
 
 static_assert(std::is_copy_constructible_v<Network> &&

@@ -126,11 +126,6 @@ class BoundedMpscQueue {
     space_cv_.notify_all();
   }
 
-  [[nodiscard]] bool closed() const {
-    util::MutexLock lock(mu_);
-    return closed_;
-  }
-
   [[nodiscard]] std::size_t size() const {
     util::MutexLock lock(mu_);
     return size_;
@@ -148,8 +143,6 @@ class BoundedMpscQueue {
   [[nodiscard]] std::uint64_t bounced() const {
     return bounced_.load(std::memory_order_relaxed);
   }
-
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
  private:
   /// Move `item` into the tail slot. Caller holds mu_ and checked space.

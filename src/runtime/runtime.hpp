@@ -149,10 +149,6 @@ class Runtime {
     return *shards_[index];
   }
 
-  [[nodiscard]] u32 shard_count() const noexcept {
-    return static_cast<u32>(shards_.size());
-  }
-  [[nodiscard]] u32 worker_count() const noexcept { return workers_n_; }
   [[nodiscard]] bool started() const noexcept { return started_; }
   [[nodiscard]] bool stopped() const noexcept { return stopped_; }
 

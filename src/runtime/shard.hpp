@@ -74,12 +74,6 @@ class Shard {
   /// Commands accepted so far (the drain watermark). Thread-safe.
   [[nodiscard]] u64 submitted() const { return queue_.pushed(); }
 
-  /// Current command queue depth. Thread-safe (advisory: racy by nature).
-  [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
-
-  /// try_push bounces so far (kQueueFull verdicts). Thread-safe.
-  [[nodiscard]] u64 submit_bounced() const { return queue_.bounced(); }
-
   // --- owner side: exactly one worker thread -----------------------------
 
   /// Drain and apply every queued command in bursts; returns how many were

@@ -32,23 +32,25 @@ void for_each_delta(const min::LevelLinks& a, const min::LevelLinks& b,
 }  // namespace
 
 FabricState::FabricState(min::Network net, FabricConfig config)
-    : FabricState(net,
-                  std::vector<u32>(net.n() + 1, config.channels_per_link),
-                  config.fan_in, config.fan_out) {}
-
-FabricState::FabricState(min::Network net, std::vector<u32> capacity,
-                         bool fan_in, bool fan_out)
     : net_(std::move(net)),
-      capacity_(std::move(capacity)),
-      fan_in_(fan_in),
-      fan_out_(fan_out),
+      fan_in_(config.fan_in),
+      fan_out_(config.fan_out),
       faults_(net_.n()),
       load_(std::size_t{net_.n() + 1} * net_.size(), 0),
       busy_(net_.size()) {
-  expects(capacity_.size() == static_cast<std::size_t>(net_.n()) + 1,
+  expects(config.channels_per_link >= 1,
+          "FabricState needs at least one channel per link");
+  capacity_.fill(config.channels_per_link);
+}
+
+FabricState::FabricState(min::Network net, std::span<const u32> capacity,
+                         bool fan_in, bool fan_out)
+    : FabricState(std::move(net), FabricConfig{1, fan_in, fan_out}) {
+  expects(capacity.size() == static_cast<std::size_t>(net_.n()) + 1,
           "FabricState capacity needs n+1 levels");
-  for (u32 c : capacity_)
+  for (u32 c : capacity)
     expects(c >= 1, "FabricState needs at least one channel per link");
+  std::copy(capacity.begin(), capacity.end(), capacity_.begin());
 }
 
 CONFNET_HOT void FabricState::apply_load(const GroupRealization& group,
@@ -427,7 +429,7 @@ void FabricState::maybe_periodic_audit() {
 namespace confnet::audit {
 
 void check_fabric_state(const sw::FabricState& state) {
-  for (u32 c : state.capacity_)
+  for (u32 c : state.capacity())
     require(c >= 1, "fabric_state", "capacity below one channel");
   state.cross_check();
 }

@@ -45,7 +45,9 @@
 // hooks (see audit::check_fabric_state).
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "min/faults.hpp"
@@ -75,7 +77,7 @@ class FabricState {
   /// fabric owns its network.
   FabricState(min::Network net, FabricConfig config);
   /// Per-level capacity (levels 0..n, every entry >= 1).
-  FabricState(min::Network net, std::vector<u32> capacity,
+  FabricState(min::Network net, std::span<const u32> capacity,
               bool fan_in = true, bool fan_out = true);
 
   FabricState(const FabricState&) = delete;
@@ -169,8 +171,9 @@ class FabricState {
   /// mutations were used).
   [[nodiscard]] u32 overflowing_links() const noexcept { return overflowing_; }
 
-  [[nodiscard]] const std::vector<u32>& capacity() const noexcept {
-    return capacity_;
+  /// Channels per link of levels 0..n.
+  [[nodiscard]] std::span<const u32> capacity() const noexcept {
+    return {capacity_.data(), net_.n() + 1};
   }
   [[nodiscard]] const min::Network& network() const noexcept { return net_; }
 
@@ -238,7 +241,7 @@ class FabricState {
   }
 
   min::Network net_;
-  std::vector<u32> capacity_;  // levels 0..n
+  std::array<u32, min::Network::kMaxStages + 1> capacity_{};  // levels 0..n
   bool fan_in_;
   bool fan_out_;
   min::FaultSet faults_;

@@ -10,7 +10,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string_view>
 
 #include "switchmod/signal.hpp"
 
@@ -22,17 +21,6 @@ enum class PortSelect : std::uint8_t {
   kLower,    // output <- input 1
   kCombine,  // output <- mix(input 0, input 1)   (fan-in)
 };
-
-[[nodiscard]] constexpr std::string_view port_select_name(
-    PortSelect s) noexcept {
-  switch (s) {
-    case PortSelect::kIdle: return "idle";
-    case PortSelect::kUpper: return "upper";
-    case PortSelect::kLower: return "lower";
-    case PortSelect::kCombine: return "combine";
-  }
-  return "?";
-}
 
 /// A full module setting: one selector per output.
 struct SwitchSetting {

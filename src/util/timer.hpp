@@ -24,9 +24,6 @@ class Stopwatch {
   [[nodiscard]] double elapsed_ms() const noexcept {
     return static_cast<double>(elapsed_ns()) / 1e6;
   }
-  [[nodiscard]] double elapsed_s() const noexcept {
-    return static_cast<double>(elapsed_ns()) / 1e9;
-  }
 
  private:
   std::int64_t start_;

@@ -6,6 +6,11 @@
 // whatever n is, and a design setup adds only the sorted member copy. The
 // budgets are steady-state figures: each design is warmed first, so its
 // slot, id and handle tables already hold the capacity they need.
+//
+// Construction budgets pin what building an object costs: a network and
+// its channel tables are inline, so a fabric allocates only its link
+// loads, busy-port bitset and fault mask, and a first-fit placer builds no
+// buddy allocator.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +20,9 @@
 #include <vector>
 
 #include "conference/designs.hpp"
+#include "conference/port_index.hpp"
 #include "conference/subnetwork.hpp"
+#include "runtime/runtime.hpp"
 #include "util/audit.hpp"
 
 namespace {
@@ -101,6 +108,41 @@ TEST_P(AllocBudget, DirectDesignSteadyState) {
   EXPECT_TRUE(ok);
   EXPECT_EQ(allocations_in([&] { net.teardown(*handle); }), 0u);
   EXPECT_EQ(net.active_count(), 0u);
+}
+
+TEST(ConstructionBudget, FirstFitPlacerBuildsNoBuddyTables) {
+  if (audit::kEnabled)
+    GTEST_SKIP() << "CONFNET_AUDIT hooks allocate on every mutation";
+  std::optional<FastPortPlacer> placer;
+  EXPECT_LE(allocations_in(
+                [&] { placer.emplace(8, PlacementPolicy::kFirstFit); }),
+            2u);
+  EXPECT_EQ(placer->free_ports(), 256u);
+}
+
+TEST(ConstructionBudget, DirectFabricKeepsThreeTables) {
+  if (audit::kEnabled)
+    GTEST_SKIP() << "CONFNET_AUDIT hooks allocate on every mutation";
+  std::optional<DirectConferenceNetwork> net;
+  EXPECT_LE(allocations_in([&] {
+              net.emplace(Kind::kIndirectCube, 10,
+                          DilationProfile::uniform(10, 4));
+            }),
+            3u);
+  EXPECT_EQ(net->size(), 1024u);
+}
+
+TEST(ConstructionBudget, FourShardRuntime) {
+  if (audit::kEnabled)
+    GTEST_SKIP() << "CONFNET_AUDIT hooks allocate on every mutation";
+  runtime::RuntimeConfig config;
+  config.shards = 4;
+  config.shard.stages = 8;
+  config.shard.policy = PlacementPolicy::kFirstFit;
+  config.shard.queue_depth = 256;
+  std::optional<runtime::Runtime> rt;
+  EXPECT_LE(allocations_in([&] { rt.emplace(config); }), 50u);
+  EXPECT_EQ(rt->shard(3).ports(), 256u);
 }
 
 INSTANTIATE_TEST_SUITE_P(N, AllocBudget, ::testing::Values(8u, 10u),

@@ -26,6 +26,23 @@ TEST(FaultSet, Bookkeeping) {
   EXPECT_THROW(faults.fail_link(0, 16), Error);
 }
 
+TEST(FaultSet, NeverFailedSetAnswersEveryQuery) {
+  // A fault-free set answers every query, and the range checks still
+  // fire.
+  FaultSet faults(4);
+  for (u32 level = 0; level <= 4; ++level)
+    for (u32 row = 0; row < 16; ++row)
+      EXPECT_FALSE(faults.is_faulty(level, row));
+  EXPECT_TRUE(faults.count_consistent());
+  faults.repair_link(1, 3);  // repairing a healthy link changes nothing
+  faults.clear();            // and so does clearing an empty set
+  EXPECT_EQ(faults.fault_count(), 0u);
+  EXPECT_TRUE(faults.count_consistent());
+  EXPECT_FALSE(faults.is_faulty(1, 3));
+  EXPECT_THROW((void)faults.is_faulty(5, 0), Error);
+  EXPECT_THROW(faults.repair_link(0, 16), Error);
+}
+
 TEST(FaultSet, RandomInjectionRate) {
   util::Rng rng(1);
   FaultSet faults(8);

@@ -286,6 +286,87 @@ TEST(QueueSlots, FifoAcrossWrapAround) {
   }
 }
 
+/// Push `count` items numbered from `next_in`, each pinning `token`.
+void push_counted(rt::BoundedMpscQueue<Counted>& q, int count, int& next_in,
+                  const std::shared_ptr<int>& token) {
+  for (int i = 0; i < count; ++i)
+    ASSERT_EQ(q.try_push(Counted(next_in++, token)), rt::QueuePush::kOk);
+}
+
+/// Pop up to `max` items and check they continue the FIFO sequence at
+/// `next_out`; the popped copies die before this returns.
+void pop_counted(rt::BoundedMpscQueue<Counted>& q, std::size_t max,
+                 int& next_out) {
+  std::vector<Counted> out;
+  q.pop_batch(out, max);
+  for (const Counted& c : out) EXPECT_EQ(c.value, next_out++);
+}
+
+/// Exactly the queued items are alive: every push built one slot value and
+/// every pop destroyed one, and each item still holds its token reference.
+void expect_only_queued_alive(const rt::BoundedMpscQueue<Counted>& q,
+                              const std::shared_ptr<int>& token) {
+  EXPECT_EQ(Counted::alive(), static_cast<int>(q.size()));
+  EXPECT_EQ(token.use_count(), static_cast<long>(q.size()) + 1);
+}
+
+TEST(QueueSlots, RefillAfterDrainRunsPastTheOldTail) {
+  Counted::reset_counts();
+  auto token = std::make_shared<int>(0);
+  rt::BoundedMpscQueue<Counted> q(4);
+  int next_in = 0;
+  int next_out = 0;
+  push_counted(q, 3, next_in, token);
+  pop_counted(q, 8, next_out);  // drained, with head and tail at slot 3
+  ASSERT_EQ(q.size(), 0u);
+  expect_only_queued_alive(q, token);
+  push_counted(q, 4, next_in, token);  // wraps past slot 0, to the bound
+  EXPECT_EQ(q.try_push(Counted(-1)), rt::QueuePush::kFull);
+  expect_only_queued_alive(q, token);
+  pop_counted(q, 8, next_out);
+  EXPECT_EQ(next_out, 7);
+  expect_only_queued_alive(q, token);
+}
+
+TEST(QueueSlots, WrapsAroundAfterAPartialDrain) {
+  Counted::reset_counts();
+  auto token = std::make_shared<int>(0);
+  rt::BoundedMpscQueue<Counted> q(4);
+  int next_in = 0;
+  int next_out = 0;
+  push_counted(q, 3, next_in, token);
+  pop_counted(q, 2, next_out);  // one item left, in slot 2
+  push_counted(q, 3, next_in, token);  // slots 3, 0 and 1
+  EXPECT_EQ(q.size(), 4u);
+  expect_only_queued_alive(q, token);
+  pop_counted(q, 3, next_out);
+  expect_only_queued_alive(q, token);
+  push_counted(q, 2, next_in, token);
+  pop_counted(q, 8, next_out);
+  EXPECT_EQ(next_out, next_in);
+  expect_only_queued_alive(q, token);
+}
+
+TEST(QueueSlots, DestroyingAWrappedQueueDestroysEachItemOnce) {
+  // One token per item: an item destroyed twice, or never, leaves its
+  // token's count off by one.
+  Counted::reset_counts();
+  std::vector<std::shared_ptr<int>> tokens;
+  for (int i = 0; i < 5; ++i) tokens.push_back(std::make_shared<int>(i));
+  {
+    rt::BoundedMpscQueue<Counted> q(4);
+    for (int i = 0; i < 3; ++i)
+      ASSERT_EQ(q.try_push(Counted(i, tokens[i])), rt::QueuePush::kOk);
+    int next_out = 0;
+    pop_counted(q, 2, next_out);
+    for (int i = 3; i < 5; ++i)  // into slots 3 and 0, past the wrap point
+      ASSERT_EQ(q.try_push(Counted(i, tokens[i])), rt::QueuePush::kOk);
+    ASSERT_EQ(Counted::alive(), 3);
+  }
+  for (const auto& token : tokens) EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(Counted::alive(), 0);
+}
+
 TEST(Runtime, BouncedSubmitsAreCountedOnceAcrossRetry) {
   // Regression: a command that bounces off a full queue and is later
   // resubmitted must contribute exactly once to the pushed()-derived stats
