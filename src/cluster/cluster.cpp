@@ -37,7 +37,6 @@ namespace {
   rc.shard.wait_capacity = 0;
   rc.shard.wait_bypass = false;
   rc.shard.recovery.max_retries = 0;
-  rc.shard.trace_capacity = c.trace_capacity;
   rc.shard.seed = c.seed;
   return rc;
 }

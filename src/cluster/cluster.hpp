@@ -76,7 +76,6 @@ struct ClusterConfig {
   u32 trunk_lanes = 4;             // trunk lanes per shard pair
   u32 conferences_per_lane = 1;    // spanning conferences multiplexed onto
                                    // one lane (1 = mixer-per-lane)
-  std::size_t trace_capacity = 0;  // per-shard trace ring (0 = disabled)
   u64 seed = 1;                    // base seed; shard i uses seed + i
 };
 

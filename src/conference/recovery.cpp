@@ -8,31 +8,19 @@ namespace confnet::conf {
 
 namespace {
 
-/// Shared observability handles, resolved lazily so fault-free runs never
-/// touch the registry from this translation unit.
-struct RecoveryMetrics {
-  obs::Counter& link_failures =
-      obs::Registry::global().counter("fault", "link_failures");
-  obs::Counter& link_repairs =
-      obs::Registry::global().counter("fault", "link_repairs");
-  obs::Counter& interrupted =
-      obs::Registry::global().counter("conf", "recovery_interrupted");
-  obs::Counter& recovered =
-      obs::Registry::global().counter("conf", "recovery_recovered");
-  obs::Counter& retries =
-      obs::Registry::global().counter("conf", "recovery_retries");
-  obs::Counter& dropped =
-      obs::Registry::global().counter("conf", "recovery_dropped");
-  obs::Counter& expired =
-      obs::Registry::global().counter("conf", "recovery_expired");
-  obs::Histogram& latency = obs::Registry::global().histogram(
-      "conf", "recovery_latency", obs::linear_buckets(0.25, 0.25, 40));
-
-  static RecoveryMetrics& get() {
-    static RecoveryMetrics m;
-    return m;
-  }
-};
+/// Fold one control plane's lifetime counts into the process-wide
+/// registry. A control plane that never saw a fault leaves it untouched.
+void fold_into_registry(const RecoveryStats& s) {
+  if (s == RecoveryStats{}) return;
+  obs::Registry& reg = obs::Registry::global();
+  reg.counter("fault", "link_failures").add(s.link_failures);
+  reg.counter("fault", "link_repairs").add(s.link_repairs);
+  reg.counter("conf", "recovery_interrupted").add(s.sessions_interrupted);
+  reg.counter("conf", "recovery_recovered").add(s.recovered());
+  reg.counter("conf", "recovery_retries").add(s.retries);
+  reg.counter("conf", "recovery_dropped").add(s.dropped);
+  reg.counter("conf", "recovery_expired").add(s.expired);
+}
 
 }  // namespace
 
@@ -59,13 +47,11 @@ ControlPlane::ControlPlane(ConferenceNetworkBase& network,
           "malformed recovery backoff policy");
 }
 
-void ControlPlane::note_recovered(const Recovered& r, double now,
-                                  Effects& fx) {
+ControlPlane::~ControlPlane() { fold_into_registry(stats_); }
+
+void ControlPlane::note_recovered(const Recovered& r, Effects& fx) {
   pending_.erase(r.origin);
   fx.recovered.push_back(r);
-  RecoveryMetrics& m = RecoveryMetrics::get();
-  m.recovered.add();
-  m.latency.observe(now - r.failed_at);
   obs::trace_emit("fault", "session_recovered", r.size);
 }
 
@@ -77,8 +63,7 @@ void ControlPlane::admit(u32 origin, u32 size, double failed_at, u32 attempt,
       ++(attempt == 0 ? stats_.recovered_inplace
                       : stats_.recovered_after_retry);
       note_recovered(
-          Recovered{origin, *result.session, size, failed_at, attempt}, now,
-          fx);
+          Recovered{origin, *result.session, size, failed_at, attempt}, fx);
       return;
     case RequestOutcome::kQueued:
       pending_[origin] =
@@ -90,7 +75,6 @@ void ControlPlane::admit(u32 origin, u32 size, double failed_at, u32 attempt,
       if (attempt >= policy_.max_retries) {
         pending_.erase(origin);
         ++stats_.dropped;
-        RecoveryMetrics::get().dropped.add();
         obs::trace_emit("fault", "session_dropped", size);
         return;
       }
@@ -104,8 +88,7 @@ void ControlPlane::admit(u32 origin, u32 size, double failed_at, u32 attempt,
 }
 
 void ControlPlane::absorb(
-    const std::vector<WaitQueueManager::ServedTicket>& served, double now,
-    Effects& fx) {
+    const std::vector<WaitQueueManager::ServedTicket>& served, Effects& fx) {
   for (const auto& ticket : served) {
     const auto to = ticket_origin_.find(ticket.ticket.id);
     if (to == ticket_origin_.end()) {  // the caller's own waiter
@@ -121,15 +104,14 @@ void ControlPlane::absorb(
     ++stats_.recovered_after_wait;
     note_recovered(Recovered{origin, ticket.session, p.size, p.failed_at,
                              p.attempt},
-                   now, fx);
+                   fx);
   }
 }
 
-ControlPlane::Effects ControlPlane::close(u32 session, double now,
-                                          util::Rng& rng) {
+ControlPlane::Effects ControlPlane::close(u32 session, util::Rng& rng) {
   Effects fx;
   if (wait_.sessions().contains(session)) {
-    absorb(wait_.close(session, rng), now, fx);
+    absorb(wait_.close(session, rng), fx);
   } else if (const auto it = pending_.find(session); it != pending_.end()) {
     // The caller gave up on an interrupted session still on the recovery
     // path: withdraw its ticket or its agenda entry.
@@ -143,7 +125,6 @@ ControlPlane::Effects ControlPlane::close(u32 session, double now,
     }
     pending_.erase(it);
     ++stats_.expired;
-    RecoveryMetrics::get().expired.add();
     obs::trace_emit("fault", "session_expired", session);
   } else {
     return fx;
@@ -159,10 +140,8 @@ ControlPlane::Effects ControlPlane::fail_link(u32 level, u32 row, double now,
   expects(net.supports_faults(),
           "recovery needs a fault-capable network design");
   if (net.link_faulty(level, row)) return fx;  // idempotent
-  RecoveryMetrics& m = RecoveryMetrics::get();
   const std::vector<u32> handles = net.fail_link(level, row);
   ++stats_.link_failures;
-  m.link_failures.add();
   obs::trace_emit("fault", "link_failed", row);
   fx.torn_down = wait_.sessions().sessions_using(handles);
 
@@ -174,7 +153,6 @@ ControlPlane::Effects ControlPlane::fail_link(u32 level, u32 row, double now,
         static_cast<u32>(wait_.sessions().members_of(sid).size()));
     wait_.sessions().interrupt(sid);
     ++stats_.sessions_interrupted;
-    m.interrupted.add();
   }
   // A victim that finds waiters ahead of it queues behind them without
   // trying, so the room the teardown freed must still reach the queue head.
@@ -182,21 +160,20 @@ ControlPlane::Effects ControlPlane::fail_link(u32 level, u32 row, double now,
   const bool behind_waiters = wait_.queue_length() > 0;
   for (std::size_t i = 0; i < fx.torn_down.size(); ++i)
     admit(fx.torn_down[i], fx.torn_sizes[i], now, 0, now, fx, rng);
-  if (behind_waiters) absorb(wait_.drain(rng), now, fx);
+  if (behind_waiters) absorb(wait_.drain(rng), fx);
   CONFNET_AUDIT_HOOK(audit::check_recovery(*this));
   return fx;
 }
 
 ControlPlane::Effects ControlPlane::repair_link(u32 level, u32 row,
-                                                double now, util::Rng& rng) {
+                                                util::Rng& rng) {
   Effects fx;
   ConferenceNetworkBase& net = wait_.sessions().network();
   if (!net.link_faulty(level, row)) return fx;  // idempotent
   net.repair_link(level, row);
   ++stats_.link_repairs;
-  RecoveryMetrics::get().link_repairs.add();
   obs::trace_emit("fault", "link_repaired", row);
-  absorb(wait_.drain(rng), now, fx);
+  absorb(wait_.drain(rng), fx);
   CONFNET_AUDIT_HOOK(audit::check_recovery(*this));
   return fx;
 }
@@ -208,7 +185,6 @@ ControlPlane::Effects ControlPlane::run_due(double horizon, util::Rng& rng) {
     agenda_.erase(agenda_.begin());
     const Pending p = pending_.at(origin);
     ++stats_.retries;
-    RecoveryMetrics::get().retries.add();
     admit(origin, p.size, p.failed_at, p.attempt, slot.first, fx, rng);
   }
   CONFNET_AUDIT_HOOK(audit::check_recovery(*this));

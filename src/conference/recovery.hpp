@@ -11,9 +11,10 @@
 //   * retry — the queue was full; the victim goes on the agenda and is
 //     re-admitted after a bounded exponential backoff, up to a retry
 //     budget, after which the session counts as dropped.
-// The caller owns the clock and the RNG: every call takes `now` (the DES
-// passes simulated time, a runtime shard its count of applied commands),
-// and run_due(horizon) runs the agenda entries that time has reached.
+// The caller owns the clock and the RNG: fail_link takes `now` (the DES
+// passes simulated time, a runtime shard its count of applied commands) to
+// stamp victims and schedule their retries, and run_due(horizon) runs the
+// agenda entries that time has reached.
 #pragma once
 
 #include <map>
@@ -44,9 +45,11 @@ struct RecoveryPolicy {
   }
 };
 
-/// Cumulative recovery accounting. Conservation (audited): every
-/// interrupted session ends in exactly one of recovered / dropped /
-/// expired, or is still pending.
+/// Cumulative recovery accounting: the only tally of these events, folded
+/// once on destruction into the obs::Registry (`fault/link_*`,
+/// `conf/recovery_*`). Conservation (audited): every interrupted session
+/// ends in exactly one of recovered / dropped / expired, or is still
+/// pending.
 struct RecoveryStats {
   u64 link_failures = 0;
   u64 link_repairs = 0;
@@ -80,6 +83,10 @@ class ControlPlane {
                PlacementPolicy placement, std::size_t wait_capacity,
                bool allow_bypass = false,
                PlacerBackend backend = PlacerBackend::kFast);
+  /// Folds stats() into the obs::Registry, once: not copyable or movable.
+  ~ControlPlane();
+  ControlPlane(const ControlPlane&) = delete;
+  ControlPlane& operator=(const ControlPlane&) = delete;
 
   /// A victim session that came back under a new session id.
   struct Recovered {
@@ -106,7 +113,7 @@ class ControlPlane {
   /// Close `session` through the wait queue (the freed room goes to the
   /// waiters) or, when it is an interrupted session still on the recovery
   /// path, cancel that recovery (counted expired). Unknown ids: no effect.
-  Effects close(u32 session, double now, util::Rng& rng);
+  Effects close(u32 session, util::Rng& rng);
 
   /// Fail link (level,row): tear down every session crossing it, re-admit
   /// each victim, then drain the wait queue so the capacity the victims
@@ -114,7 +121,7 @@ class ControlPlane {
   Effects fail_link(u32 level, u32 row, double now, util::Rng& rng);
 
   /// Repair link (level,row) and drain the wait queue. Idempotent.
-  Effects repair_link(u32 level, u32 row, double now, util::Rng& rng);
+  Effects repair_link(u32 level, u32 row, util::Rng& rng);
 
   /// Run every agenda entry due at or before `horizon`, in due order (FIFO
   /// among equal due times); each runs at its own due time, so a retry that
@@ -152,8 +159,8 @@ class ControlPlane {
              Effects& fx, util::Rng& rng);
   /// Split served tickets into the caller's own and recovered victims.
   void absorb(const std::vector<WaitQueueManager::ServedTicket>& served,
-              double now, Effects& fx);
-  void note_recovered(const Recovered& r, double now, Effects& fx);
+              Effects& fx);
+  void note_recovered(const Recovered& r, Effects& fx);
 
   WaitQueueManager wait_;
   RecoveryPolicy policy_;

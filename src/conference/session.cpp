@@ -14,43 +14,30 @@ namespace {
 /// placements to try before declaring the attempt fault-blocked.
 constexpr int kFaultRepackAttempts = 32;
 
-/// Shared observability handles for every SessionManager instance: the
-/// registry aggregates across managers (and replications), matching the
-/// process-wide snapshot the bench `--json` artifacts record.
-struct SessionMetrics {
-  obs::Counter& attempts =
-      obs::Registry::global().counter("conf", "open_attempts");
-  obs::Counter& accepted =
-      obs::Registry::global().counter("conf", "open_accepted");
-  obs::Counter& blocked_placement =
-      obs::Registry::global().counter("conf", "blocked_placement");
-  obs::Counter& blocked_capacity =
-      obs::Registry::global().counter("conf", "blocked_capacity");
-  obs::Counter& blocked_fault =
-      obs::Registry::global().counter("conf", "blocked_fault");
-  obs::Counter& interrupted =
-      obs::Registry::global().counter("conf", "interrupted");
-  obs::Counter& closes = obs::Registry::global().counter("conf", "closes");
-  obs::Counter& joins = obs::Registry::global().counter("conf", "joins");
-  obs::Counter& joins_blocked =
-      obs::Registry::global().counter("conf", "joins_blocked");
-  obs::Counter& leaves = obs::Registry::global().counter("conf", "leaves");
-  obs::Gauge& active =
-      obs::Registry::global().gauge("conf", "active_sessions");
-  obs::Histogram& session_size = obs::Registry::global().histogram(
-      "conf", "session_size", obs::linear_buckets(2.0, 2.0, 16));
-
-  static SessionMetrics& get() {
-    static SessionMetrics m;
-    return m;
-  }
-};
+/// Fold one manager's lifetime counts into the process-wide registry. A
+/// manager that saw no event leaves the registry untouched.
+void fold_into_registry(const SessionStats& s) {
+  if (s == SessionStats{}) return;
+  obs::Registry& reg = obs::Registry::global();
+  reg.counter("conf", "open_attempts").add(s.attempts);
+  reg.counter("conf", "open_accepted").add(s.accepted);
+  reg.counter("conf", "blocked_placement").add(s.blocked_placement);
+  reg.counter("conf", "blocked_capacity").add(s.blocked_capacity);
+  reg.counter("conf", "blocked_fault").add(s.blocked_fault);
+  reg.counter("conf", "interrupted").add(s.interrupted);
+  reg.counter("conf", "closes").add(s.closes);
+  reg.counter("conf", "joins").add(s.joins);
+  reg.counter("conf", "joins_blocked").add(s.joins_blocked);
+  reg.counter("conf", "leaves").add(s.leaves);
+}
 
 }  // namespace
 
 SessionManager::SessionManager(ConferenceNetworkBase& network,
                                PlacementPolicy policy, PlacerBackend backend)
     : network_(network), placer_(make_placer(network.n(), policy, backend)) {}
+
+SessionManager::~SessionManager() { fold_into_registry(stats_); }
 
 std::pair<OpenResult, std::optional<u32>> SessionManager::open(
     u32 size, util::Rng& rng) {
@@ -59,13 +46,10 @@ std::pair<OpenResult, std::optional<u32>> SessionManager::open(
 
 std::pair<OpenResult, std::optional<u32>> SessionManager::open_impl(
     u32 size, util::Rng& rng, bool audit_each) {
-  SessionMetrics& m = SessionMetrics::get();
   ++stats_.attempts;
-  m.attempts.add();
   auto ports = placer_->place(size, rng);
   if (!ports) {
     ++stats_.blocked_placement;
-    m.blocked_placement.add();
     obs::trace_emit("conf", "open_blocked_placement", size);
     if (audit_each) CONFNET_AUDIT_HOOK(audit::check_session_manager(*this));
     return {OpenResult::kBlockedPlacement, std::nullopt};
@@ -92,7 +76,6 @@ std::pair<OpenResult, std::optional<u32>> SessionManager::open_impl(
     for (const auto& window : held) placer_->release(window);
     if (!handle) {
       ++stats_.blocked_fault;
-      m.blocked_fault.add();
       obs::trace_emit("conf", "open_blocked_fault", size);
       if (audit_each) CONFNET_AUDIT_HOOK(audit::check_session_manager(*this));
       return {OpenResult::kBlockedFault, std::nullopt};
@@ -101,17 +84,13 @@ std::pair<OpenResult, std::optional<u32>> SessionManager::open_impl(
   if (!handle) {
     placer_->release(*ports);
     ++stats_.blocked_capacity;
-    m.blocked_capacity.add();
     obs::trace_emit("conf", "open_blocked_capacity", size);
     if (audit_each) CONFNET_AUDIT_HOOK(audit::check_session_manager(*this));
     return {OpenResult::kBlockedCapacity, std::nullopt};
   }
   ++stats_.accepted;
-  m.accepted.add();
-  m.session_size.observe(size);
   const u32 id = next_session_++;
   sessions_.emplace(id, Session{std::move(*ports), *handle});
-  m.active.set(static_cast<double>(sessions_.size()));
   obs::trace_emit("conf", "open_accepted", size);
   if (audit_each) CONFNET_AUDIT_HOOK(audit::check_session_manager(*this));
   return {OpenResult::kAccepted, id};
@@ -137,15 +116,12 @@ SessionManager::open_batch(const std::vector<u32>& sizes, util::Rng& rng) {
 }
 
 void SessionManager::close(u32 session_id) {
-  SessionMetrics& m = SessionMetrics::get();
   const auto it = sessions_.find(session_id);
   expects(it != sessions_.end(), "close of unknown session");
   network_.teardown(it->second.handle);
   placer_->release(it->second.ports);
   sessions_.erase(it);
   ++stats_.closes;
-  m.closes.add();
-  m.active.set(static_cast<double>(sessions_.size()));
   obs::trace_emit("conf", "close", session_id);
   CONFNET_AUDIT_HOOK(audit::check_session_manager(*this));
 }
@@ -158,20 +134,17 @@ const std::vector<u32>& SessionManager::members_of(u32 session_id) const {
 
 std::pair<OpenResult, std::optional<u32>> SessionManager::join(
     u32 session_id, util::Rng& rng) {
-  SessionMetrics& m = SessionMetrics::get();
   const auto it = sessions_.find(session_id);
   expects(it != sessions_.end(), "join on unknown session");
   const auto port = placer_->expand(it->second.ports, rng);
   if (!port) {
     ++stats_.joins_blocked;
-    m.joins_blocked.add();
     obs::trace_emit("conf", "join_blocked", session_id);
     return {OpenResult::kBlockedPlacement, std::nullopt};
   }
   if (!network_.add_member(it->second.handle, *port)) {
     placer_->release_one(*port);
     ++stats_.joins_blocked;
-    m.joins_blocked.add();
     obs::trace_emit("conf", "join_blocked", session_id);
     return {OpenResult::kBlockedCapacity, std::nullopt};
   }
@@ -180,14 +153,12 @@ std::pair<OpenResult, std::optional<u32>> SessionManager::join(
                        *port),
       *port);
   ++stats_.joins;
-  m.joins.add();
   obs::trace_emit("conf", "join", session_id);
   CONFNET_AUDIT_HOOK(audit::check_session_manager(*this));
   return {OpenResult::kAccepted, port};
 }
 
 bool SessionManager::leave(u32 session_id, u32 port) {
-  SessionMetrics& m = SessionMetrics::get();
   const auto it = sessions_.find(session_id);
   expects(it != sessions_.end(), "leave on unknown session");
   if (!network_.remove_member(it->second.handle, port)) return false;
@@ -198,7 +169,6 @@ bool SessionManager::leave(u32 session_id, u32 port) {
   it->second.ports.erase(pos);
   placer_->release_one(port);
   ++stats_.leaves;
-  m.leaves.add();
   obs::trace_emit("conf", "leave", session_id);
   CONFNET_AUDIT_HOOK(audit::check_session_manager(*this));
   return true;
@@ -223,9 +193,7 @@ std::vector<u32> SessionManager::sessions_using(
 
 // static_check: allow(audit-hook) delegates to close(), which audits
 void SessionManager::interrupt(u32 session_id) {
-  SessionMetrics& m = SessionMetrics::get();
   ++stats_.interrupted;
-  m.interrupted.add();
   obs::trace_emit("conf", "interrupt", session_id);
   close(session_id);
 }

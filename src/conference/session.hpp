@@ -22,10 +22,10 @@ enum class OpenResult : std::uint8_t {
   kBlockedFault,      // every viable placement crosses a live faulty link
 };
 
-/// Cumulative control-plane accounting. Every field is also published to
-/// the `conf` subsystem of the obs::Registry (per-cause blocking counters,
-/// an active-session gauge and a session-size histogram), so long-running
-/// services can snapshot the same quantities without polling managers.
+/// Cumulative control-plane accounting: the only tally of these events.
+/// Folded once on destruction into the `conf` subsystem of the
+/// obs::Registry (`conf/open_attempts` ... `conf/leaves`); a live manager is
+/// asked through stats().
 struct SessionStats {
   u64 attempts = 0;
   u64 accepted = 0;
@@ -38,6 +38,8 @@ struct SessionStats {
   u64 leaves = 0;
   /// Closes forced by a link failure (subset of `closes`); see interrupt().
   u64 interrupted = 0;
+
+  bool operator==(const SessionStats&) const = default;
 
   [[nodiscard]] double blocking_probability() const noexcept {
     return attempts == 0
@@ -57,6 +59,10 @@ class SessionManager {
   /// session outcomes — only admission cost.
   SessionManager(ConferenceNetworkBase& network, PlacementPolicy policy,
                  PlacerBackend backend = PlacerBackend::kFast);
+  /// Folds stats() into the obs::Registry, once: not copyable or movable.
+  ~SessionManager();
+  SessionManager(const SessionManager&) = delete;
+  SessionManager& operator=(const SessionManager&) = delete;
 
   /// Try to open a conference for `size` members. On success returns a
   /// session id.

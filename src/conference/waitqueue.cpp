@@ -10,27 +10,16 @@ namespace confnet::conf {
 
 namespace {
 
-/// Shared observability handles for every WaitQueueManager instance.
-struct WaitMetrics {
-  obs::Counter& served_immediately =
-      obs::Registry::global().counter("conf", "wait_served_immediately");
-  obs::Counter& served_after_wait =
-      obs::Registry::global().counter("conf", "wait_served_after_wait");
-  obs::Counter& rejected =
-      obs::Registry::global().counter("conf", "wait_rejected");
-  obs::Counter& abandoned =
-      obs::Registry::global().counter("conf", "wait_abandoned");
-  obs::Gauge& queue_length =
-      obs::Registry::global().gauge("conf", "wait_queue_length");
-  obs::Histogram& queue_length_at_enqueue = obs::Registry::global().histogram(
-      "conf", "wait_queue_length_at_enqueue",
-      obs::linear_buckets(1.0, 1.0, 32));
-
-  static WaitMetrics& get() {
-    static WaitMetrics m;
-    return m;
-  }
-};
+/// Fold one manager's lifetime counts into the process-wide registry. A
+/// manager that saw no request leaves the registry untouched.
+void fold_into_registry(const WaitStats& s) {
+  if (s == WaitStats{}) return;
+  obs::Registry& reg = obs::Registry::global();
+  reg.counter("conf", "wait_served_immediately").add(s.served_immediately);
+  reg.counter("conf", "wait_served_after_wait").add(s.served_after_wait);
+  reg.counter("conf", "wait_rejected").add(s.rejected);
+  reg.counter("conf", "wait_abandoned").add(s.abandoned);
+}
 
 }  // namespace
 
@@ -42,9 +31,10 @@ WaitQueueManager::WaitQueueManager(ConferenceNetworkBase& network,
       capacity_(queue_capacity),
       allow_bypass_(allow_bypass) {}
 
+WaitQueueManager::~WaitQueueManager() { fold_into_registry(stats_); }
+
 WaitQueueManager::RequestResult WaitQueueManager::request(u32 size,
                                                           util::Rng& rng) {
-  WaitMetrics& m = WaitMetrics::get();
   // FIFO fairness: while anyone waits, new arrivals go behind them unless
   // bypass is enabled (then they may still try immediately).
   const bool must_queue = !queue_.empty() && !allow_bypass_;
@@ -52,14 +42,12 @@ WaitQueueManager::RequestResult WaitQueueManager::request(u32 size,
     const auto [outcome, session] = manager_.open(size, rng);
     if (outcome == OpenResult::kAccepted) {
       ++stats_.served_immediately;
-      m.served_immediately.add();
       obs::trace_emit("wait", "served_immediately", size);
       return {RequestOutcome::kServed, session, std::nullopt};
     }
   }
   if (queue_.size() >= capacity_) {
     ++stats_.rejected;
-    m.rejected.add();
     obs::trace_emit("wait", "rejected", size);
     return {RequestOutcome::kRejected, std::nullopt, std::nullopt};
   }
@@ -67,8 +55,6 @@ WaitQueueManager::RequestResult WaitQueueManager::request(u32 size,
   queue_.push_back(ticket);
   stats_.max_queue_length = std::max(stats_.max_queue_length,
                                      static_cast<u64>(queue_.size()));
-  m.queue_length.set(static_cast<double>(queue_.size()));
-  m.queue_length_at_enqueue.observe(static_cast<double>(queue_.size()));
   obs::trace_emit("wait", "enqueued", size);
   CONFNET_AUDIT_HOOK(audit::check_waitqueue(*this));
   return {RequestOutcome::kQueued, std::nullopt, ticket};
@@ -122,11 +108,8 @@ std::vector<WaitQueueManager::ServedTicket> WaitQueueManager::process_queue(
     if (outcome == OpenResult::kAccepted) {
       served.push_back(ServedTicket{*it, *session});
       ++stats_.served_after_wait;
-      WaitMetrics& m = WaitMetrics::get();
-      m.served_after_wait.add();
       obs::trace_emit("wait", "served_after_wait", it->size);
       it = queue_.erase(it);
-      m.queue_length.set(static_cast<double>(queue_.size()));
       continue;
     }
     // Placeable but blocked by fabric capacity or faults.
@@ -148,9 +131,6 @@ bool WaitQueueManager::abandon(Ticket ticket) {
     if (it->id == ticket.id) {
       queue_.erase(it);
       ++stats_.abandoned;
-      WaitMetrics& m = WaitMetrics::get();
-      m.abandoned.add();
-      m.queue_length.set(static_cast<double>(queue_.size()));
       obs::trace_emit("wait", "abandoned", ticket.size);
       CONFNET_AUDIT_HOOK(audit::check_waitqueue(*this));
       return true;

@@ -19,9 +19,9 @@ enum class RequestOutcome : std::uint8_t {
   kRejected,  // queue full
 };
 
-/// Admission accounting. Mirrored into the obs::Registry (`conf` subsystem:
-/// wait_* counters, a queue-length gauge and an at-enqueue queue-depth
-/// histogram) so hold-queue behaviour shows up in metrics snapshots.
+/// Admission accounting: the only tally of these events. Folded once on
+/// destruction into the `conf` subsystem of the obs::Registry
+/// (`conf/wait_*` counters); a live manager is asked through wait_stats().
 struct WaitStats {
   u64 served_immediately = 0;
   u64 served_after_wait = 0;
@@ -33,6 +33,8 @@ struct WaitStats {
   [[nodiscard]] u64 total_served() const noexcept {
     return served_immediately + served_after_wait;
   }
+
+  bool operator==(const WaitStats&) const = default;
 };
 
 class WaitQueueManager {
@@ -42,6 +44,10 @@ class WaitQueueManager {
   WaitQueueManager(ConferenceNetworkBase& network, PlacementPolicy policy,
                    std::size_t queue_capacity, bool allow_bypass = false,
                    PlacerBackend backend = PlacerBackend::kFast);
+  /// Folds wait_stats() into the obs::Registry, once: not copyable or movable.
+  ~WaitQueueManager();
+  WaitQueueManager(const WaitQueueManager&) = delete;
+  WaitQueueManager& operator=(const WaitQueueManager&) = delete;
 
   struct Ticket {
     u64 id;

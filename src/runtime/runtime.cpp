@@ -135,11 +135,6 @@ u64 Runtime::submitted() const {
   return total;
 }
 
-void Runtime::dump_trace_jsonl(std::ostream& os) const {
-  expects(stopped_, "dump_trace_jsonl requires a stopped runtime");
-  for (const auto& s : shards_) s->trace().dump_jsonl(os, s->index());
-}
-
 void Runtime::wake(u32 worker) {
   Worker& w = *workers_[worker];
   // Publish the signal, then check whether the worker is (or is about to

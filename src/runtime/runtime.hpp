@@ -11,8 +11,8 @@
 // submit_stage (a staged burst with one wake per worker per flush).
 //
 // Thread-safety contract: submit/call/snapshot/drain are thread-safe after
-// start(); the lifecycle methods (start/stop) and post-stop accessors
-// (dump_trace_jsonl, shard peeks) are externally synchronized — they must
+// start(); the lifecycle methods (start/stop) and post-stop shard peeks
+// are externally synchronized — they must
 // be called by one controlling thread, with stop() strictly after start().
 //
 // Shutdown ordering (stop): (1) close every command queue — new submits are
@@ -25,7 +25,6 @@
 #include <atomic>
 #include <cstddef>
 #include <memory>
-#include <ostream>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -124,8 +123,9 @@ class Runtime {
   // --- observability: any thread ------------------------------------------
 
   /// Per-shard published stats (each internally consistent at a burst
-  /// boundary) plus their merge; also mirrored into the global
-  /// obs::Registry as `runtime/*` gauges.
+  /// boundary) plus their merge. The runtime writes nothing to the global
+  /// obs::Registry; each shard's conference control plane folds its own
+  /// counts there once, when the shard is destroyed.
   [[nodiscard]] RuntimeSnapshot snapshot() const;
 
   /// Commands accepted across all shards (the drain watermark).
@@ -137,10 +137,6 @@ class Runtime {
   [[nodiscard]] std::size_t pooled_slots() const { return pool_.slots(); }
 
   // --- post-stop: externally synchronized ---------------------------------
-
-  /// Serialize every shard's trace ring as JSONL (one object per line,
-  /// tagged with its shard). Requires stop() to have completed.
-  void dump_trace_jsonl(std::ostream& os) const;
 
   /// Direct shard peek for tests. Producer-side methods are always safe;
   /// owner-side state only after stop().

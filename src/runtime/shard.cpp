@@ -31,7 +31,6 @@ Shard::Shard(u32 index, const ShardConfig& config)
       control_(network_, config.recovery, config.policy, config.wait_capacity,
                config.wait_bypass, config.backend),
       rng_(config.seed + index),
-      trace_(config.trace_capacity),
       queue_(config.queue_depth) {
   burst_.reserve(kMaxBurst);
   publish();  // expose a consistent (all-zero) snapshot before any command
@@ -123,7 +122,6 @@ void Shard::apply(Command& cmd) {
   result.shard = index_;
   result.applied_at = now_;
 
-  const double now = static_cast<double>(now_);
   conf::WaitQueueManager& wait = control_.wait();
   switch (cmd.kind) {
     case CommandKind::kOpen: {
@@ -142,7 +140,7 @@ void Shard::apply(Command& cmd) {
       // cancels its pending recovery; `ok` only for a live session.
       result.ok = wait.sessions().contains(cmd.session);
       if (result.ok) ++stats_.closes;
-      report(result, control_.close(cmd.session, now, rng_));
+      report(result, control_.close(cmd.session, rng_));
       break;
     }
     case CommandKind::kReplace: {
@@ -150,21 +148,22 @@ void Shard::apply(Command& cmd) {
       // found a live session; the open half always runs so churn keeps
       // flowing even when a fault tore the old session down first.
       result.ok = wait.sessions().contains(cmd.session);
-      report(result, control_.close(cmd.session, now, rng_));
+      report(result, control_.close(cmd.session, rng_));
       ++stats_.replaces;
       serve_open(result.open, wait.request(cmd.size, rng_));
       break;
     }
     case CommandKind::kFailLink: {
       result.ok = !network_.link_faulty(cmd.level, cmd.row);
-      auto fx = control_.fail_link(cmd.level, cmd.row, now, rng_);
+      auto fx = control_.fail_link(cmd.level, cmd.row,
+                                   static_cast<double>(now_), rng_);
       result.torn_sessions = std::move(fx.torn_down);
       report(result, fx);
       break;
     }
     case CommandKind::kRepairLink: {
       result.ok = network_.link_faulty(cmd.level, cmd.row);
-      report(result, control_.repair_link(cmd.level, cmd.row, now, rng_));
+      report(result, control_.repair_link(cmd.level, cmd.row, rng_));
       break;
     }
   }
@@ -175,12 +174,8 @@ void Shard::apply(Command& cmd) {
   // made due run now and report through its result.
   report(result, control_.run_due(static_cast<double>(now_), rng_));
   stats_.active_sessions = wait.sessions().active_sessions();
-  if (trace_.enabled()) {
-    trace_.record(command_name(cmd.kind), now_,
-                  static_cast<double>(stats_.active_sessions));
-  }
-  // Mirror into the process-wide tracer (no-op unless --trace armed it;
-  // Tracer::record is thread-safe, so concurrent shards may interleave).
+  // The process-wide tracer (no-op unless --trace armed it; Tracer::record
+  // is thread-safe, so concurrent shards may interleave).
   obs::trace_emit("runtime", command_name(cmd.kind),
                   static_cast<double>(stats_.active_sessions));
   if (cmd.slot != nullptr)

@@ -45,7 +45,6 @@ struct ShardConfig {
   std::size_t wait_capacity = 16;   // hold queue slots (0 = loss system)
   bool wait_bypass = false;         // smaller waiters may bypass the head
   conf::RecoveryPolicy recovery{};  // retry/backoff knobs
-  std::size_t trace_capacity = 0;   // per-shard trace ring (0 = disabled)
   u64 seed = 1;                     // base seed; shard i uses seed + i
 };
 
@@ -99,10 +98,6 @@ class Shard {
 
   // --- post-join: owner thread finished -----------------------------------
 
-  /// The trace ring. Reading it is legal only after the owner thread has
-  /// been joined (Runtime::stop), or from the owner thread itself.
-  [[nodiscard]] const ShardTrace& trace() const { return trace_; }
-
   /// Control plane peek for tests/verification: the wait queue, and the
   /// control plane itself for its recovery books. Owner thread or
   /// post-join.
@@ -129,7 +124,6 @@ class Shard {
   util::Rng rng_;                          // runtime-owner: worker
   u64 now_ = 0;                            // runtime-owner: worker
   ShardStats stats_;                       // runtime-owner: worker
-  ShardTrace trace_;                       // runtime-owner: worker
   std::vector<Command> burst_;             // runtime-owner: worker
 
   // Hand-off points (internally synchronized).

@@ -1,28 +1,19 @@
-// Striped (per-shard) metrics and trace sinks for the concurrent runtime.
+// Per-shard accounting for the concurrent runtime.
 //
-// The global obs::Registry is safe to hammer from many threads, but its
-// counters would still be cross-core cache-line traffic if every shard
-// updated shared atomics per command. The runtime therefore stripes its
-// observability by shard:
-//
-//   * `ShardStats` — plain (non-atomic) counters accumulated by the owner
-//     thread only (thread-confined to owner). At burst boundaries the owner
-//     copies them into a published snapshot under a per-shard mutex that
-//     only snapshot readers ever contend on, so steady-state accounting is
-//     contention-free and every published snapshot is internally consistent
-//     (the burst-boundary identities of `consistent()` hold). Recovery
-//     counters are not re-counted here: the owner copies the shard's
-//     `conf::RecoveryStats` from its ControlPlane at each publish.
-//   * `ShardTrace` — a fixed ring of trace records written lock-free by the
-//     owner thread (thread-confined to owner); reading it is legal only
-//     after the owner thread has been joined (Runtime::stop), which is when
-//     dump_jsonl serializes it. Mirrors the obs::Tracer JSONL shape so the
-//     same tooling reads both.
+// Shards never update a shared atomic per command: every admission would
+// otherwise cost cross-core cache-line traffic. `ShardStats` holds plain
+// (non-atomic) counters that only the owner thread accumulates: the live
+// copy is thread-confined to owner. At burst boundaries the owner copies
+// them into a published snapshot under a per-shard mutex that only
+// snapshot readers ever contend on, so steady-state accounting is
+// contention-free and every published snapshot is internally consistent
+// (the burst-boundary identities of `consistent()` hold). Recovery counters are not re-counted
+// here: the owner copies the shard's `conf::RecoveryStats` from its
+// ControlPlane at each publish. The process-wide obs::Registry sees a
+// shard's conference counts once, when its control plane is destroyed.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "conference/recovery.hpp"
@@ -64,53 +55,6 @@ struct ShardStats {
 
   /// Fold another shard's counters in (for cross-shard totals).
   void merge(const ShardStats& other) noexcept;
-};
-
-/// One runtime trace record; `name` points at a string literal.
-struct ShardTraceRecord {
-  u64 seq = 0;        // per-shard append order
-  u64 time = 0;       // owner logical clock (commands applied)
-  const char* name = "";
-  double value = 0.0;
-};
-
-/// Fixed-capacity trace ring, thread-confined to the shard's owner thread.
-/// capacity 0 disables recording (the record path is then one branch).
-/// dump_jsonl may only be called after the owner thread is joined.
-class ShardTrace {
- public:
-  explicit ShardTrace(std::size_t capacity) : capacity_(capacity) {
-    ring_.reserve(capacity);
-  }
-
-  /// Owner thread only. Overwrites the oldest record once full.
-  void record(const char* name, u64 time, double value) noexcept {
-    if (capacity_ == 0) return;
-    if (ring_.size() < capacity_) {
-      // static_check: allow(hot-alloc) ring grows once up to its reserved
-      // capacity, then recycles slots
-      ring_.push_back({next_seq_++, time, name, value});
-      return;
-    }
-    ring_[head_] = {next_seq_++, time, name, value};
-    head_ = (head_ + 1) % capacity_;
-    ++dropped_;
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return ring_.size(); }
-  [[nodiscard]] u64 dropped() const noexcept { return dropped_; }
-  [[nodiscard]] bool enabled() const noexcept { return capacity_ > 0; }
-
-  /// One JSON object per line, oldest surviving record first, each tagged
-  /// with `shard`. Caller must have joined the owner thread.
-  void dump_jsonl(std::ostream& os, u32 shard) const;
-
- private:
-  const std::size_t capacity_;          // runtime-owner: immutable
-  std::vector<ShardTraceRecord> ring_;  // runtime-owner: worker
-  std::size_t head_ = 0;                // runtime-owner: worker
-  u64 next_seq_ = 0;                    // runtime-owner: worker
-  u64 dropped_ = 0;                     // runtime-owner: worker
 };
 
 /// Point-in-time view of the whole runtime: per-shard published snapshots

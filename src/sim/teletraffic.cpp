@@ -220,7 +220,7 @@ TeletrafficResult run_teletraffic(conf::ConferenceNetworkBase& network,
       // displaced session (with an empty queue this is exactly
       // manager.close, no RNG consumed). A session interrupted and still
       // unrecovered instead has its recovery expire.
-      note(control.close(live, des.now(), rng));
+      note(control.close(live, rng));
       if (st) {
         st->alive = false;
         const double now = des.now();
@@ -274,7 +274,7 @@ TeletrafficResult run_teletraffic(conf::ConferenceNetworkBase& network,
   std::function<void(u32, u32)> repair_event = [&](u32 level, u32 row) {
     maybe_snapshot();
     advance_area(des.now());
-    note(control.repair_link(level, row, des.now(), rng));
+    note(control.repair_link(level, row, rng));
     refresh_degraded();
   };
 

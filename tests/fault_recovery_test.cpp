@@ -242,7 +242,7 @@ TEST(Recovery, VictimWaitsInQueueAndReturnsOnDeparture) {
   EXPECT_EQ(wait.queue_length(), 1u);
   EXPECT_EQ(wait.sessions().stats().blocked_fault, 1u);
 
-  const auto closed = plane.close(*c.session, 5.0, rng);
+  const auto closed = plane.close(*c.session, rng);
   // The victim's ticket is the control plane's, not the caller's: it comes
   // back as a recovery, never as a served ticket.
   EXPECT_TRUE(closed.served.empty());
@@ -276,7 +276,7 @@ TEST(Recovery, RepairDrainsTheWaitQueue) {
   (void)plane.fail_link(0, 0, 2.0, rng);
   ASSERT_EQ(plane.pending(), 1u);
 
-  const auto fx = plane.repair_link(0, 0, 3.5, rng);
+  const auto fx = plane.repair_link(0, 0, rng);
   ASSERT_EQ(fx.recovered.size(), 1u);
   EXPECT_TRUE(fx.served.empty());
   EXPECT_EQ(fx.recovered.front().origin, *a.session);
@@ -391,7 +391,7 @@ TEST(Recovery, RetrySucceedsOnceCapacityReturns) {
   ASSERT_EQ(fx.scheduled.size(), 1u);
 
   // B departs before the retry fires: the retry now finds {2,3} free.
-  EXPECT_TRUE(plane.close(*b.session, 1.2, rng).recovered.empty());
+  EXPECT_TRUE(plane.close(*b.session, rng).recovered.empty());
   const auto run = plane.run_due(1.5, rng);
   ASSERT_EQ(run.recovered.size(), 1u);
   EXPECT_EQ(run.recovered.front().origin, *a.session);
@@ -416,15 +416,15 @@ TEST(Recovery, OriginDepartureCancelsPendingRecovery) {
 
   // The original caller's holding time runs out while waiting; a second
   // close of the same origin finds nothing left to cancel.
-  (void)plane.close(*a.session, 3.0, rng);
+  (void)plane.close(*a.session, rng);
   EXPECT_EQ(plane.stats().expired, 1u);
-  (void)plane.close(*a.session, 3.0, rng);
+  (void)plane.close(*a.session, rng);
   EXPECT_EQ(plane.stats().expired, 1u);
   EXPECT_EQ(plane.pending(), 0u);
   EXPECT_EQ(wait.queue_length(), 0u);  // ticket abandoned
 
   // Departures now recover nobody.
-  EXPECT_TRUE(plane.close(*c.session, 4.0, rng).recovered.empty());
+  EXPECT_TRUE(plane.close(*c.session, rng).recovered.empty());
   (void)b;
 }
 
@@ -457,8 +457,8 @@ struct TwoVictims {
 
 TEST(RecoveryAgenda, EqualDueTimesRunInScheduleOrder) {
   TwoVictims t;
-  (void)t.plane.repair_link(0, 0, 1.2, t.rng);
-  (void)t.plane.repair_link(0, 2, 1.2, t.rng);
+  (void)t.plane.repair_link(0, 0, t.rng);
+  (void)t.plane.repair_link(0, 2, t.rng);
   // Both retries fall due together; A was scheduled first, so it runs
   // first and the buddy placer hands it the lowest block.
   const auto run = t.plane.run_due(1.5, t.rng);
@@ -505,9 +505,9 @@ TEST(RecoveryAgenda, UnboundedHorizonEndsEveryEntryWithinBudget) {
 
 TEST(RecoveryAgenda, ClosedOriginLeavesNoStaleEntry) {
   TwoVictims t;
-  (void)t.plane.close(t.a, 1.2, t.rng);
+  (void)t.plane.close(t.a, t.rng);
   ASSERT_TRUE(t.plane.next_due().has_value());  // B's entry stays
-  (void)t.plane.close(t.b, 1.3, t.rng);
+  (void)t.plane.close(t.b, t.rng);
   EXPECT_FALSE(t.plane.next_due().has_value());
   EXPECT_EQ(t.plane.stats().expired, 2u);
   (void)t.plane.run_due(std::numeric_limits<double>::infinity(), t.rng);

@@ -34,7 +34,6 @@ rt::RuntimeConfig stress_config(u32 shards, u32 workers) {
   cfg.shard.queue_depth = 128;
   cfg.shard.wait_capacity = 8;
   cfg.shard.seed = 99;
-  cfg.shard.trace_capacity = 64;
   return cfg;
 }
 

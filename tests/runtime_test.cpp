@@ -5,17 +5,21 @@
 // queued), the lock-lean producer path (pooled completions that
 // recycle their slots, staged bursts with one wake per flush, tiny-queue
 // flushes that must not self-deadlock), cross-shard snapshot consistency,
-// fault commands, and the worker-count determinism contract (per-shard
+// fault commands, the worker-count determinism contract (per-shard
 // outcomes depend only on the per-shard command sequence and seed, never
-// on how shards are packed onto worker threads).
+// on how shards are packed onto worker threads), and the single tally:
+// conference counts reach the obs::Registry once, when their owner is
+// destroyed, and each command leaves one record in the global tracer.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -26,13 +30,16 @@
 #include "runtime/command.hpp"
 #include "runtime/queue.hpp"
 #include "runtime/runtime.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
+#include "util/trace.hpp"
 
 namespace {
 
 using confnet::min::u32;
 using confnet::min::u64;
 namespace conf = confnet::conf;
+namespace obs = confnet::obs;
 namespace rt = confnet::runtime;
 
 rt::RuntimeConfig small_config(u32 shards, u32 workers) {
@@ -1026,28 +1033,162 @@ TEST(Runtime, ShardMatchesSerialWaitQueueOracle) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace ring.
+// One tally per event: the registry sees each stats struct once, when its
+// owner is destroyed, and the shard's only trace path is the global tracer.
 // ---------------------------------------------------------------------------
 
-TEST(Runtime, TraceRingDumpsTaggedJsonl) {
-  rt::RuntimeConfig cfg = small_config(2, 1);
-  cfg.shard.trace_capacity = 32;
-  rt::Runtime r(cfg);
-  r.start();
-  for (u32 s = 0; s < 2; ++s)
-    for (int i = 0; i < 5; ++i) (void)r.call_pooled(s, open_cmd(2)).take();
-  r.stop();
+TEST(Runtime, RegistryMovesOnlyWhenTheShardsAreDestroyed) {
+  obs::Counter& attempts =
+      obs::Registry::global().counter("conf", "open_attempts");
+  const u64 before = attempts.value();
 
+  rt::RuntimeConfig cfg = small_config(2, 2);
+  cfg.shard.wait_capacity = 0;  // loss mode: one open attempt per open
+  auto r = std::make_unique<rt::Runtime>(cfg);
+  r->start();
+  for (u32 s = 0; s < 2; ++s)
+    for (int i = 0; i < 12; ++i) (void)r->call_pooled(s, open_cmd(3)).take();
+  r->drain();
+  // The per-command path never touches a global.
+  EXPECT_EQ(attempts.value(), before);
+
+  const u64 opens = r->snapshot().total.opens;
+  EXPECT_EQ(opens, 24u);
+  r.reset();
+  EXPECT_EQ(attempts.value(), before + opens);
+}
+
+/// One registry counter the conference layer folds, and the value the
+/// control plane's stats structs hold for it.
+struct Folded {
+  const char* subsystem;
+  const char* name;
+  u64 value;
+};
+
+std::vector<Folded> folded_counts(const conf::ControlPlane& plane) {
+  const conf::SessionStats& s = plane.wait().sessions().stats();
+  const conf::WaitStats& w = plane.wait().wait_stats();
+  const conf::RecoveryStats& r = plane.stats();
+  return {
+      {"conf", "open_attempts", s.attempts},
+      {"conf", "open_accepted", s.accepted},
+      {"conf", "blocked_placement", s.blocked_placement},
+      {"conf", "blocked_capacity", s.blocked_capacity},
+      {"conf", "blocked_fault", s.blocked_fault},
+      {"conf", "interrupted", s.interrupted},
+      {"conf", "closes", s.closes},
+      {"conf", "joins", s.joins},
+      {"conf", "joins_blocked", s.joins_blocked},
+      {"conf", "leaves", s.leaves},
+      {"conf", "wait_served_immediately", w.served_immediately},
+      {"conf", "wait_served_after_wait", w.served_after_wait},
+      {"conf", "wait_rejected", w.rejected},
+      {"conf", "wait_abandoned", w.abandoned},
+      {"fault", "link_failures", r.link_failures},
+      {"fault", "link_repairs", r.link_repairs},
+      {"conf", "recovery_interrupted", r.sessions_interrupted},
+      {"conf", "recovery_recovered", r.recovered()},
+      {"conf", "recovery_retries", r.retries},
+      {"conf", "recovery_dropped", r.dropped},
+      {"conf", "recovery_expired", r.expired},
+  };
+}
+
+u64 registry_value(const Folded& f) {
+  return obs::Registry::global().counter(f.subsystem, f.name).value();
+}
+
+TEST(RegistryFold, ControlPlanesFoldEveryCounterOnceOnDestruction) {
+  using confnet::min::Kind;
+  std::vector<u64> before;
+  std::vector<u64> expected;
+  std::vector<Folded> totals;
+  {
+    // A: a victim waits in the queue and returns when a departure frees a
+    // healthy block; the link is then repaired.
+    conf::DirectConferenceNetwork net_a(Kind::kOmega, 3,
+                                        conf::DilationProfile::full(3));
+    conf::ControlPlane a(net_a, conf::RecoveryPolicy{},
+                         conf::PlacementPolicy::kBuddy, 4);
+    // B: a loss system with two victims on the retry agenda; one departs
+    // while pending, the other exhausts its retry budget.
+    conf::DirectConferenceNetwork net_b(Kind::kOmega, 2,
+                                        conf::DilationProfile::full(2));
+    conf::RecoveryPolicy loss;
+    loss.queue_capacity = 0;
+    conf::ControlPlane b(net_b, loss, conf::PlacementPolicy::kBuddy, 0);
+
+    for (const Folded& f : folded_counts(a))
+      before.push_back(registry_value(f));
+
+    confnet::util::Rng rng(6);
+    (void)a.wait().request(2, rng);
+    const auto kept = a.wait().request(2, rng);
+    const auto departs = a.wait().request(4, rng);
+    ASSERT_TRUE(kept.session && departs.session);
+    (void)a.fail_link(0, 0, 2.0, rng);
+    (void)a.close(*departs.session, rng);
+    (void)a.repair_link(0, 0, rng);
+    (void)a.wait().sessions().join(*kept.session, rng);
+
+    const u32 first = *b.wait().request(2, rng).session;
+    const u32 second = *b.wait().request(2, rng).session;
+    (void)b.fail_link(0, 0, 1.0, rng);
+    (void)b.fail_link(0, 2, 1.0, rng);
+    (void)b.close(second, rng);  // cancels its pending recovery
+    (void)b.run_due(std::numeric_limits<double>::infinity(), rng);
+    (void)first;
+
+    const std::vector<Folded> fa = folded_counts(a);
+    const std::vector<Folded> fb = folded_counts(b);
+    for (std::size_t i = 0; i < fa.size(); ++i) {
+      // Nothing reaches the registry while the control planes live.
+      EXPECT_EQ(registry_value(fa[i]), before[i]) << fa[i].name;
+      totals.push_back(
+          {fa[i].subsystem, fa[i].name, fa[i].value + fb[i].value});
+      expected.push_back(before[i] + totals.back().value);
+    }
+  }
+  for (std::size_t i = 0; i < totals.size(); ++i)
+    EXPECT_EQ(registry_value(totals[i]), expected[i]) << totals[i].name;
+
+  // The scenario reaches every recovery outcome the fold carries.
+  const auto total_of = [&totals](std::string_view name) {
+    for (const Folded& f : totals)
+      if (name == f.name) return f.value;
+    return u64{0};
+  };
+  EXPECT_EQ(total_of("link_failures"), 3u);
+  EXPECT_EQ(total_of("link_repairs"), 1u);
+  EXPECT_EQ(total_of("recovery_recovered"), 1u);
+  EXPECT_EQ(total_of("recovery_expired"), 1u);
+  EXPECT_EQ(total_of("recovery_dropped"), 1u);
+  EXPECT_GT(total_of("recovery_retries"), 0u);
+  EXPECT_GT(total_of("wait_rejected"), 0u);
+}
+
+TEST(Runtime, EveryCommandLeavesOneGlobalTraceRecord) {
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.enable(1024);
+  {
+    rt::Runtime r(small_config(2, 1));
+    r.start();
+    for (u32 s = 0; s < 2; ++s)
+      for (int i = 0; i < 5; ++i) (void)r.call_pooled(s, open_cmd(2)).take();
+    r.stop();
+  }
   std::ostringstream os;
-  r.dump_trace_jsonl(os);
+  tracer.dump_jsonl(os);
+  tracer.disable();
+
   const std::string out = os.str();
-  EXPECT_NE(out.find("\"shard\""), std::string::npos);
-  EXPECT_NE(out.find("\"open\""), std::string::npos);
-  // 10 commands → 10 lines.
-  std::size_t lines = 0;
-  for (char ch : out)
-    if (ch == '\n') ++lines;
-  EXPECT_EQ(lines, 10u);
+  const std::string tag = "\"cat\":\"runtime\"";
+  std::size_t records = 0;
+  for (std::size_t at = out.find(tag); at != std::string::npos;
+       at = out.find(tag, at + tag.size()))
+    ++records;
+  EXPECT_EQ(records, 10u);  // 10 commands, one record each
 }
 
 }  // namespace
