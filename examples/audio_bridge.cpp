@@ -41,8 +41,7 @@ int main(int argc, char** argv) {
       g.id = id;
       g.members = groups[id];
       g.links = real.links;
-      for (min::u32 m : groups[id])
-        g.taps.push_back(sw::GroupRealization::Tap{m, real.tap_level});
+      g.tap_level = real.tap_level;
       realizations.push_back(std::move(g));
     }
     const sw::EvalReport report = fabric.evaluate(realizations);

@@ -1,6 +1,8 @@
 #include "cluster/cluster.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <set>
 #include <utility>
 
@@ -8,6 +10,7 @@
 #include "conference/subnetwork.hpp"
 #include "min/network.hpp"
 #include "switchmod/fabric.hpp"
+#include "switchmod/fabric_state.hpp"
 #include "util/bitset.hpp"
 #include "util/trace.hpp"
 
@@ -82,10 +85,8 @@ OpenReport Cluster::open_intra(const LegSpec& leg) {
   if (r.status == runtime::CommandStatus::kDone &&
       r.open.outcome == conf::RequestOutcome::kServed) {
     const u64 id = next_id_++;
-    Conference c;
-    c.legs.push_back(Leg{leg.shard, *r.open.session, leg.members});
-    c.spanning = false;
-    live_.emplace(id, std::move(c));
+    live_.emplace_back(
+        id, Conference{{Leg{leg.shard, *r.open.session, leg.members}}, false});
     ++stats_.intra_accepted;
     report = OpenReport{Admit::kAccepted, id, 0};
   } else {
@@ -179,10 +180,7 @@ OpenReport Cluster::open_span(const std::vector<LegSpec>& legs) {
   }
 
   const u64 id = next_id_++;
-  Conference c;
-  c.legs = std::move(granted);
-  c.spanning = true;
-  live_.emplace(id, std::move(c));
+  live_.emplace_back(id, Conference{std::move(granted), true});
   ++stats_.span_accepted;
   obs::trace_emit("cluster", "span_open", static_cast<double>(shards.size()));
   CONFNET_AUDIT_HOOK(audit::check_cluster(*this));
@@ -203,11 +201,20 @@ void Cluster::close_legs(const std::vector<Leg>& legs, u32 skip_shard) {
   pending_.clear();
 }
 
-bool Cluster::close(u64 id) {
-  const auto it = live_.find(id);
-  if (it == live_.end()) return false;
-  const Conference c = std::move(it->second);
+std::optional<Cluster::Conference> Cluster::take_live(u64 id) {
+  const auto it = std::lower_bound(
+      live_.begin(), live_.end(), id,
+      [](const auto& entry, u64 key) { return entry.first < key; });
+  if (it == live_.end() || it->first != id) return std::nullopt;
+  Conference c = std::move(it->second);
   live_.erase(it);
+  return c;
+}
+
+bool Cluster::close(u64 id) {
+  const std::optional<Conference> taken = take_live(id);
+  if (!taken) return false;
+  const Conference& c = *taken;
   close_legs(c.legs, config_.shards);
   if (c.spanning) {
     trunks_.release_mesh(touched_shards(c));
@@ -228,9 +235,9 @@ std::vector<u32> Cluster::touched_shards(const Conference& c) const {
 }
 
 void Cluster::tear_down(u64 id, u32 dead_shard) {
-  const auto it = live_.find(id);
-  const Conference c = std::move(it->second);
-  live_.erase(it);
+  const std::optional<Conference> taken = take_live(id);
+  expects(taken.has_value(), "tear_down of a conference that is not live");
+  const Conference& c = *taken;
   close_legs(c.legs, dead_shard);
   if (c.spanning) trunks_.release_mesh(touched_shards(c));
   if (c.spanning)
@@ -354,7 +361,9 @@ void Cluster::cross_check() const {
   const u32 N_flat = flat.size();
   const sw::Fabric oracle(flat, sw::FabricConfig{});
   util::DynBitset owned(N_flat);  // member ports of the conferences so far
-  std::vector<u32> load(std::size_t{n_flat + 1} * N_flat, 0);
+  // 16-bit like FabricState's live table: R1 keeps every count far below
+  // kMaxLoad, and the guard below refuses a count that would pass it.
+  std::vector<std::uint16_t> load(std::size_t{n_flat + 1} * N_flat, 0);
 
   for (const auto& entry : live_) {
     const Conference& c = entry.second;
@@ -388,9 +397,14 @@ void Cluster::cross_check() const {
                      "flattened conferences share a member port");
       owned.set(m);
     }
-    for (u32 level = 0; level <= n_flat; ++level)
-      for (u32 row : group.links[level])
-        ++load[std::size_t{level} * N_flat + row];
+    for (u32 level = 0; level <= n_flat; ++level) {
+      for (u32 row : group.links[level]) {
+        std::uint16_t& users = load[std::size_t{level} * N_flat + row];
+        expects(users < sw::FabricState::kMaxLoad,
+                "flattened link load would pass the 16-bit ceiling");
+        ++users;
+      }
+    }
     const sw::PropagationResult heard = oracle.propagate(group, nullptr);
     audit::require(heard.capability_violations == 0, kSub,
                    "flattened oracle hit capability violations");

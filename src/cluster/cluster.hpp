@@ -51,7 +51,8 @@
 // and no external producer is submitting).
 #pragma once
 
-#include <map>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "cluster/portmap.hpp"
@@ -162,8 +163,9 @@ class Cluster {
     bool spanning = false;
   };
 
-  [[nodiscard]] const std::map<u64, Conference>& conferences()
-      const noexcept {
+  /// Live conferences, ascending by cluster id.
+  using LiveTable = std::vector<std::pair<u64, Conference>>;
+  [[nodiscard]] const LiveTable& conferences() const noexcept {
     return live_;
   }
   [[nodiscard]] u64 active_conferences() const noexcept {
@@ -195,11 +197,12 @@ class Cluster {
   /// every live conference, realized on one 2^(stages + log2 K) network,
   /// must deliver exactly the member sets the cluster's per-shard legs +
   /// trunk relays deliver. Streams one conference at a time (only its
-  /// realization and signals are alive); the accumulated load table is
-  /// held to R1 and to the member ports. Also re-verifies each shard
+  /// realization and signals are alive); the accumulated 16-bit load table
+  /// is held to R1 and to the member ports. Also re-verifies each shard
   /// fabric (incremental and stateless oracle paths) and runs the cluster
-  /// conservation audit. Throws audit::AuditError on any mismatch
-  /// (Error for a malformed flattened realization).
+  /// conservation audit. Throws audit::AuditError on any mismatch (Error
+  /// for a malformed flattened realization, or a link count that would
+  /// pass sw::FabricState::kMaxLoad).
   void cross_check() const;
 
  private:
@@ -224,11 +227,17 @@ class Cluster {
 
   [[nodiscard]] std::vector<u32> touched_shards(const Conference& c) const;
 
+  /// Remove live conference `id` from the table and return it; nullopt
+  /// when no such conference is live.
+  [[nodiscard]] std::optional<Conference> take_live(u64 id);
+
   const ClusterConfig config_;       // cluster-owner: immutable
   PortMap map_;                      // cluster-owner: immutable
   runtime::Runtime runtime_;         // cluster-owner: queue
   TrunkBook trunks_;                 // cluster-owner: caller
-  std::map<u64, Conference> live_;   // cluster-owner: caller
+  // Ids are minted in increasing order, so an open appends and the table
+  // stays sorted; a close erases in place.
+  LiveTable live_;                   // cluster-owner: caller
   u64 next_id_ = 0;                  // cluster-owner: caller
   ClusterStats stats_;               // cluster-owner: caller
   // Reused fan-out scratch (coordinator-only): staged command bursts and

@@ -68,20 +68,30 @@ std::vector<u32> ConferenceNetworkBase::repair_link(u32 level, u32 row) {
 // ---------------------------------------------------------------------------
 
 namespace {
-std::vector<u32> with_member(const std::vector<u32>& members, u32 port) {
-  const auto at = std::lower_bound(members.begin(), members.end(), port);
-  std::vector<u32> grown;
-  grown.reserve(members.size() + 1);  // one allocation, not copy + regrow
-  grown.insert(grown.end(), members.begin(), at);
-  grown.push_back(port);
-  grown.insert(grown.end(), at, members.end());
-  return grown;
+/// `members` with `port` inserted (grow) or erased, written into `out`.
+void edit_members(const std::vector<u32>& members, u32 port, bool grow,
+                  std::vector<u32>& out) {
+  out.assign(members.begin(), members.end());
+  const auto at = std::lower_bound(out.begin(), out.end(), port);
+  if (grow)
+    out.insert(at, port);
+  else
+    out.erase(at);
 }
 
-std::vector<u32> without_member(const std::vector<u32>& members, u32 port) {
-  std::vector<u32> shrunk = members;
-  shrunk.erase(std::lower_bound(shrunk.begin(), shrunk.end(), port));
-  return shrunk;
+/// Expect `members` to name at least two in-range ports; false (with
+/// kPortBusy recorded) when one is already in a conference.
+bool ports_free(const sw::FabricState& state, const std::vector<u32>& members,
+                SetupError& error) {
+  expects(members.size() >= 2, "conferences need at least two members");
+  for (u32 m : members) {
+    expects(m < state.network().size(), "member out of range");
+    if (!state.port_free(m)) {
+      error = SetupError::kPortBusy;
+      return false;
+    }
+  }
+  return true;
 }
 
 /// The stateless-oracle functional check shared by both designs: rebuild
@@ -122,27 +132,23 @@ std::string DirectConferenceNetwork::name() const {
          dilation_.label() + ")";
 }
 
+void DirectConferenceNetwork::realize_scratch() {
+  path_union_links(kind(), n(), scratch_.members, scratch_.members,
+                   scratch_.links, parts_);
+}
+
 std::optional<u32> DirectConferenceNetwork::setup(
     const std::vector<u32>& members) {
-  expects(members.size() >= 2, "conferences need at least two members");
-  for (u32 m : members) {
-    expects(m < size(), "member out of range");
-    if (!state_.port_free(m)) {
-      last_error_ = SetupError::kPortBusy;
-      return std::nullopt;
-    }
-  }
-  std::vector<u32> sorted = members;
-  std::sort(sorted.begin(), sorted.end());
-  sw::GroupRealization g;
-  g.id = handles_.peek();
-  g.links = all_pairs_links(kind(), n(), sorted);
-  g.members = std::move(sorted);
-  if (!state_.links_clear(g.links)) {
+  if (!ports_free(state_, members, last_error_)) return std::nullopt;
+  scratch_.id = handles_.peek();
+  scratch_.members.assign(members.begin(), members.end());
+  std::sort(scratch_.members.begin(), scratch_.members.end());
+  realize_scratch();
+  if (!state_.links_clear(scratch_.links)) {
     last_error_ = SetupError::kLinkFaulty;
     return std::nullopt;
   }
-  if (!state_.try_add(std::move(g))) {
+  if (!state_.try_add(scratch_)) {
     last_error_ = SetupError::kLinkCapacity;
     return std::nullopt;
   }
@@ -173,15 +179,14 @@ bool DirectConferenceNetwork::add_member(u32 handle, u32 port) {
     last_error_ = SetupError::kPortBusy;
     return false;
   }
-  sw::GroupRealization grown;
-  grown.id = handle;
-  grown.members = with_member(state_.group(handle).members, port);
-  grown.links = all_pairs_links(kind(), n(), grown.members);
-  if (!state_.links_clear(grown.links)) {
+  scratch_.id = handle;
+  edit_members(state_.group(handle).members, port, true, scratch_.members);
+  realize_scratch();
+  if (!state_.links_clear(scratch_.links)) {
     last_error_ = SetupError::kLinkFaulty;
     return false;
   }
-  if (!state_.try_replace(handle, std::move(grown))) {
+  if (!state_.try_replace(handle, scratch_)) {
     last_error_ = SetupError::kLinkCapacity;
     return false;
   }
@@ -194,13 +199,12 @@ bool DirectConferenceNetwork::remove_member(u32 handle, u32 port) {
   const std::vector<u32>& members = state_.group(handle).members;
   if (!std::binary_search(members.begin(), members.end(), port)) return false;
   if (members.size() <= 2) return false;  // close instead
-  sw::GroupRealization shrunk;
-  shrunk.id = handle;
-  shrunk.members = without_member(members, port);
-  shrunk.links = all_pairs_links(kind(), n(), shrunk.members);
+  scratch_.id = handle;
+  edit_members(members, port, false, scratch_.members);
+  realize_scratch();
   // An ALL_PAIRS subnetwork of fewer members only releases links, so the
   // swap cannot oversubscribe anything.
-  state_.replace(handle, std::move(shrunk));
+  state_.replace(handle, scratch_);
   CONFNET_AUDIT_HOOK(audit::check_direct_network(*this));
   return true;
 }
@@ -242,39 +246,28 @@ EnhancedCubeNetwork::EnhancedCubeNetwork(u32 n)
 
 std::string EnhancedCubeNetwork::name() const { return "enhanced-cube"; }
 
-sw::GroupRealization EnhancedCubeNetwork::realize(u32 handle,
-                                                  std::vector<u32> members,
-                                                  EnhancedRealization real) {
-  sw::GroupRealization g;
-  g.id = handle;
-  g.links = std::move(real.links);
-  for (u32 m : members)
-    g.taps.push_back(sw::GroupRealization::Tap{m, real.tap_level});
-  g.members = std::move(members);
-  return g;
+void EnhancedCubeNetwork::realize_scratch() {
+  // enhanced_cube_realization, built in the scratch buffers.
+  scratch_.tap_level = cube_completion_level(n(), scratch_.members);
+  path_union_links(min::Kind::kIndirectCube, n(), scratch_.members,
+                   scratch_.members, scratch_.links, parts_);
+  scratch_.links.truncate_above(scratch_.tap_level);
 }
 
 std::optional<u32> EnhancedCubeNetwork::setup(
     const std::vector<u32>& members) {
-  expects(members.size() >= 2, "conferences need at least two members");
-  for (u32 m : members) {
-    expects(m < size(), "member out of range");
-    if (!state_.port_free(m)) {
-      last_error_ = SetupError::kPortBusy;
-      return std::nullopt;
-    }
-  }
-  std::vector<u32> sorted = members;
-  std::sort(sorted.begin(), sorted.end());
-  EnhancedRealization real = enhanced_cube_realization(n(), sorted);
-  if (!state_.links_clear(real.links)) {
+  if (!ports_free(state_, members, last_error_)) return std::nullopt;
+  scratch_.id = handles_.peek();
+  scratch_.members.assign(members.begin(), members.end());
+  std::sort(scratch_.members.begin(), scratch_.members.end());
+  realize_scratch();
+  if (!state_.links_clear(scratch_.links)) {
     last_error_ = SetupError::kLinkFaulty;
     return std::nullopt;
   }
   // The enhanced design keeps single-channel links; a conflict means the
   // placement was not aligned (or the fabric is genuinely oversubscribed).
-  if (!state_.try_add(realize(handles_.peek(), std::move(sorted),
-                              std::move(real)))) {
+  if (!state_.try_add(scratch_)) {
     last_error_ = SetupError::kLinkCapacity;
     return std::nullopt;
   }
@@ -305,17 +298,17 @@ bool EnhancedCubeNetwork::add_member(u32 handle, u32 port) {
     last_error_ = SetupError::kPortBusy;
     return false;
   }
-  std::vector<u32> grown = with_member(state_.group(handle).members, port);
-  EnhancedRealization real = enhanced_cube_realization(n(), grown);
-  if (!state_.links_clear(real.links)) {
+  scratch_.id = handle;
+  edit_members(state_.group(handle).members, port, true, scratch_.members);
+  realize_scratch();
+  if (!state_.links_clear(scratch_.links)) {
     last_error_ = SetupError::kLinkFaulty;
     return false;
   }
   // A grown conference may also RELEASE links: joining a member outside the
   // old span raises the tap level, but within a span it only adds links.
   // try_replace checks capacity on the gained links only.
-  if (!state_.try_replace(handle,
-                          realize(handle, std::move(grown), std::move(real)))) {
+  if (!state_.try_replace(handle, scratch_)) {
     last_error_ = SetupError::kLinkCapacity;
     return false;
   }
@@ -328,12 +321,13 @@ bool EnhancedCubeNetwork::remove_member(u32 handle, u32 port) {
   const std::vector<u32>& members = state_.group(handle).members;
   if (!std::binary_search(members.begin(), members.end(), port)) return false;
   if (members.size() <= 2) return false;  // close instead
-  std::vector<u32> shrunk = without_member(members, port);
-  EnhancedRealization real = enhanced_cube_realization(n(), shrunk);
+  scratch_.id = handle;
+  edit_members(members, port, false, scratch_.members);
+  realize_scratch();
   // Shrinking never adds links under a fixed tap level; new-only links can
   // only appear when the tap level drops, freeing more than it takes within
   // the conference's own rows — so the unconditional swap is safe.
-  state_.replace(handle, realize(handle, std::move(shrunk), std::move(real)));
+  state_.replace(handle, scratch_);
   CONFNET_AUDIT_HOOK(audit::check_enhanced_network(*this));
   return true;
 }
@@ -345,9 +339,10 @@ const std::vector<u32>& EnhancedCubeNetwork::members_for(u32 handle) const {
 
 u32 EnhancedCubeNetwork::tap_level(u32 handle) const {
   expects(state_.contains(handle), "unknown conference handle");
-  const sw::GroupRealization& g = state_.group(handle);
-  ensures(!g.taps.empty(), "enhanced group must carry taps");
-  return g.taps.front().tap_level;
+  const u32 level = state_.group(handle).tap_level;
+  ensures(level != sw::GroupRealization::kNoTap,
+          "enhanced group must carry a relay tap");
+  return level;
 }
 
 std::vector<u32> EnhancedCubeNetwork::fail_link(u32 level, u32 row) {
@@ -409,9 +404,10 @@ void check_direct_network(const conf::DirectConferenceNetwork& net) {
             kSub, "a link carries more conferences than R1 allows");
   }
   // Deep shape check: the stored links are exactly the ALL_PAIRS
-  // subnetwork of the stored members, with no relay taps.
+  // subnetwork of the stored members, with no relay tap.
   net.state_.for_each_group([&](const sw::GroupRealization& g) {
-    require(g.taps.empty(), kSub, "direct design must not carry relay taps");
+    require(g.tap_level == sw::GroupRealization::kNoTap, kSub,
+            "direct design must not carry a relay tap");
     require(g.links == conf::all_pairs_links(net.kind(), net.n(), g.members),
             kSub, "stored links diverge from the ALL_PAIRS recomputation");
   });
@@ -423,14 +419,11 @@ void check_enhanced_network(const conf::EnhancedCubeNetwork& net) {
   check_design_state(net.state_, net.n(), net.handles_.minted(), kSub);
   std::vector<std::vector<std::vector<u32>>> group_links;
   net.state_.for_each_group([&](const sw::GroupRealization& g) {
-    // The stored realization is exactly the recomputed one (taps included).
+    // The stored realization is exactly the recomputed one (tap included).
     const conf::EnhancedRealization fresh =
         conf::enhanced_cube_realization(net.n(), g.members);
-    require(g.taps.size() == g.members.size(), kSub,
-            "enhanced group must tap every member");
-    for (const auto& tap : g.taps)
-      require(tap.tap_level == fresh.tap_level, kSub,
-              "stored tap level diverges from the recomputed completion level");
+    require(g.tap_level == fresh.tap_level, kSub,
+            "stored tap level diverges from the recomputed completion level");
     require(g.links == fresh.links, kSub,
             "stored links diverge from the enhanced-cube recomputation");
     group_links.push_back(g.links.nested());

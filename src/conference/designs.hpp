@@ -165,7 +165,7 @@ class ConferenceNetworkBase {
 /// A design's conference handles. A freed handle is reused (the most
 /// recently freed first) before a new one is minted, so every handle stays
 /// below the peak number of live conferences and so does the fabric's
-/// id->slot table, however many setups a long-lived design serves.
+/// id-indexed entry table, however many setups a long-lived design serves.
 class HandlePool {
  public:
   /// The handle the next take() hands out.
@@ -238,10 +238,17 @@ class DirectConferenceNetwork final : public ConferenceNetworkBase {
  private:
   friend void audit::check_direct_network(const ::confnet::conf::DirectConferenceNetwork&);
 
+  /// ALL_PAIRS links of scratch_.members into scratch_.links.
+  void realize_scratch();
+
   DilationProfile dilation_;
   sw::FabricState state_;  // owns the active realizations + link loads
   HandlePool handles_;
   SetupError last_error_ = SetupError::kPortBusy;
+  // Admission scratch: each mutation builds its realization here and the
+  // fabric copies it only once admitted, so a refusal allocates nothing.
+  sw::GroupRealization scratch_;
+  std::vector<u32> parts_;  // path_union_links parts scratch
 };
 
 class EnhancedCubeNetwork final : public ConferenceNetworkBase {
@@ -294,12 +301,15 @@ class EnhancedCubeNetwork final : public ConferenceNetworkBase {
  private:
   friend void audit::check_enhanced_network(const ::confnet::conf::EnhancedCubeNetwork&);
 
-  [[nodiscard]] static sw::GroupRealization realize(
-      u32 handle, std::vector<u32> members, EnhancedRealization real);
+  /// Enhanced-cube realization of scratch_.members into scratch_.
+  void realize_scratch();
 
   sw::FabricState state_;  // owns the active realizations + link loads
   HandlePool handles_;
   SetupError last_error_ = SetupError::kPortBusy;
+  // Admission scratch, as in DirectConferenceNetwork.
+  sw::GroupRealization scratch_;
+  std::vector<u32> parts_;
 };
 
 // Each design owns its fabric and the fabric owns its network, so a design

@@ -74,16 +74,17 @@ u32 PortPlacer::free_ports() const noexcept {
   return (u32{1} << n_) - taken_count_;
 }
 
-std::optional<std::vector<u32>> PortPlacer::place(u32 size, util::Rng& rng) {
+bool PortPlacer::place_into(u32 size, util::Rng& rng,
+                            std::vector<u32>& ports) {
   expects(size >= 2, "conferences need at least two members");
-  if (size > free_ports()) return std::nullopt;
-  std::vector<u32> ports;
+  ports.clear();
+  if (size > free_ports()) return false;
   switch (policy_) {
     case PlacementPolicy::kBuddy: {
       const u32 order = util::log2_ceil(size);
-      if (order > n_) return std::nullopt;
+      if (order > n_) return false;
       const auto base = buddy_.allocate(order);
-      if (!base) return std::nullopt;
+      if (!base) return false;
       buddy_blocks_[*base] = order;
       ports.reserve(size);
       for (u32 i = 0; i < size; ++i) ports.push_back(*base + i);
@@ -93,7 +94,7 @@ std::optional<std::vector<u32>> PortPlacer::place(u32 size, util::Rng& rng) {
       ports.reserve(size);
       for (u32 p = 0; p < taken_.size() && ports.size() < size; ++p)
         if (!taken_[p]) ports.push_back(p);
-      if (ports.size() < size) return std::nullopt;
+      if (ports.size() < size) return false;
       break;
     }
     case PlacementPolicy::kRandom: {
@@ -122,7 +123,7 @@ std::optional<std::vector<u32>> PortPlacer::place(u32 size, util::Rng& rng) {
     taken_[p] = true;
   }
   taken_count_ += size;
-  return ports;
+  return true;
 }
 
 std::optional<u32> PortPlacer::expand(const std::vector<u32>& current,

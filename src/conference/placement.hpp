@@ -105,10 +105,19 @@ class PlacerBase {
   /// Whether `port` is currently assigned to some conference.
   [[nodiscard]] virtual bool occupied(u32 port) const noexcept = 0;
 
-  /// Choose `size` ports for a new conference; nullopt = placement blocked
-  /// (no capacity or, for buddy, fragmentation).
-  [[nodiscard]] virtual std::optional<std::vector<u32>> place(
-      u32 size, util::Rng& rng) = 0;
+  /// Choose `size` ports for a new conference into `ports` (cleared first;
+  /// sorted on success); false = placement blocked (no capacity or, for
+  /// buddy, fragmentation). A caller that reuses `ports` allocates nothing.
+  [[nodiscard]] virtual bool place_into(u32 size, util::Rng& rng,
+                                        std::vector<u32>& ports) = 0;
+
+  /// place_into a fresh vector; nullopt = placement blocked.
+  [[nodiscard]] std::optional<std::vector<u32>> place(u32 size,
+                                                      util::Rng& rng) {
+    std::vector<u32> ports;
+    if (!place_into(size, rng, ports)) return std::nullopt;
+    return ports;
+  }
 
   /// Choose one additional port for an existing conference (dynamic join).
   /// Under buddy placement the new member must fit inside the conference's
@@ -146,8 +155,8 @@ class PortPlacer final : public PlacerBase {
     return port < taken_.size() && taken_[port];
   }
 
-  [[nodiscard]] std::optional<std::vector<u32>> place(
-      u32 size, util::Rng& rng) override;
+  [[nodiscard]] bool place_into(u32 size, util::Rng& rng,
+                                std::vector<u32>& ports) override;
 
   [[nodiscard]] std::optional<u32> expand(const std::vector<u32>& current,
                                           util::Rng& rng) override;

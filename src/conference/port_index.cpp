@@ -82,17 +82,17 @@ FastPortPlacer::FastPortPlacer(u32 n, PlacementPolicy policy)
   block_order_.assign(u32{1} << n, 0);
 }
 
-std::optional<std::vector<u32>> FastPortPlacer::place(u32 size,
-                                                      util::Rng& rng) {
+bool FastPortPlacer::place_into(u32 size, util::Rng& rng,
+                                std::vector<u32>& ports) {
   expects(size >= 2, "conferences need at least two members");
-  if (size > free_ports()) return std::nullopt;
-  std::vector<u32> ports;
+  ports.clear();
+  if (size > free_ports()) return false;
   switch (policy_) {
     case PlacementPolicy::kBuddy: {
       const u32 order = util::log2_ceil(size);
-      if (order > n_) return std::nullopt;
+      if (order > n_) return false;
       const auto base = buddy_.allocate(order);
-      if (!base) return std::nullopt;
+      if (!base) return false;
       block_order_[*base] = static_cast<std::uint8_t>(order + 1);
       ports.reserve(size);
       for (u32 i = 0; i < size; ++i) {
@@ -126,7 +126,7 @@ std::optional<std::vector<u32>> FastPortPlacer::place(u32 size,
       break;
     }
   }
-  return ports;
+  return true;
 }
 
 CONFNET_HOT std::optional<u32> FastPortPlacer::expand(

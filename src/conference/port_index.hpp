@@ -84,8 +84,8 @@ class FastPortPlacer final : public PlacerBase {
     return port < free_.size() && !free_.test(port);
   }
 
-  [[nodiscard]] std::optional<std::vector<u32>> place(
-      u32 size, util::Rng& rng) override;
+  [[nodiscard]] bool place_into(u32 size, util::Rng& rng,
+                                std::vector<u32>& ports) override;
 
   [[nodiscard]] std::optional<u32> expand(const std::vector<u32>& current,
                                           util::Rng& rng) override;

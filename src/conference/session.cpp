@@ -47,31 +47,24 @@ std::pair<OpenResult, std::optional<u32>> SessionManager::open(
 std::pair<OpenResult, std::optional<u32>> SessionManager::open_impl(
     u32 size, util::Rng& rng, bool audit_each) {
   ++stats_.attempts;
-  auto ports = placer_->place(size, rng);
-  if (!ports) {
+  if (!placer_->place_into(size, rng, ports_)) {
     ++stats_.blocked_placement;
     obs::trace_emit("conf", "open_blocked_placement", size);
     if (audit_each) CONFNET_AUDIT_HOOK(audit::check_session_manager(*this));
     return {OpenResult::kBlockedPlacement, std::nullopt};
   }
-  auto handle = network_.setup(*ports);
+  auto handle = network_.setup(ports_);
   if (!handle && network_.last_error() == SetupError::kLinkFaulty) {
     // Fault-aware repack: a deterministic placer (buddy, first-fit) would
     // hand back the same dead window forever, so hold each failed placement
     // while probing for the next one — the placer is forced onto fresh
     // windows — and release the holds afterwards.
-    std::vector<std::vector<u32>> held;
-    held.push_back(std::move(*ports));
-    ports.reset();
+    std::vector<std::vector<u32>> held{ports_};
     for (int attempt = 1; attempt < kFaultRepackAttempts; ++attempt) {
-      auto retry = placer_->place(size, rng);
-      if (!retry) break;
-      handle = network_.setup(*retry);
-      if (handle) {
-        ports = std::move(retry);
-        break;
-      }
-      held.push_back(std::move(*retry));
+      if (!placer_->place_into(size, rng, ports_)) break;
+      handle = network_.setup(ports_);
+      if (handle) break;
+      held.push_back(ports_);
     }
     for (const auto& window : held) placer_->release(window);
     if (!handle) {
@@ -82,7 +75,7 @@ std::pair<OpenResult, std::optional<u32>> SessionManager::open_impl(
     }
   }
   if (!handle) {
-    placer_->release(*ports);
+    placer_->release(ports_);
     ++stats_.blocked_capacity;
     obs::trace_emit("conf", "open_blocked_capacity", size);
     if (audit_each) CONFNET_AUDIT_HOOK(audit::check_session_manager(*this));
@@ -90,7 +83,7 @@ std::pair<OpenResult, std::optional<u32>> SessionManager::open_impl(
   }
   ++stats_.accepted;
   const u32 id = next_session_++;
-  sessions_.emplace(id, Session{std::move(*ports), *handle});
+  sessions_.push_back(Session{id, *handle});
   obs::trace_emit("conf", "open_accepted", size);
   if (audit_each) CONFNET_AUDIT_HOOK(audit::check_session_manager(*this));
   return {OpenResult::kAccepted, id};
@@ -115,11 +108,19 @@ SessionManager::open_batch(const std::vector<u32>& sizes, util::Rng& rng) {
   return results;
 }
 
+std::vector<SessionManager::Session>::const_iterator SessionManager::find(
+    u32 session_id) const {
+  const auto it = std::lower_bound(
+      sessions_.begin(), sessions_.end(), session_id,
+      [](const Session& s, u32 id) { return s.id < id; });
+  return it != sessions_.end() && it->id == session_id ? it : sessions_.end();
+}
+
 void SessionManager::close(u32 session_id) {
-  const auto it = sessions_.find(session_id);
+  const auto it = find(session_id);
   expects(it != sessions_.end(), "close of unknown session");
-  network_.teardown(it->second.handle);
-  placer_->release(it->second.ports);
+  placer_->release(network_.members_for(it->handle));
+  network_.teardown(it->handle);
   sessions_.erase(it);
   ++stats_.closes;
   obs::trace_emit("conf", "close", session_id);
@@ -127,31 +128,28 @@ void SessionManager::close(u32 session_id) {
 }
 
 const std::vector<u32>& SessionManager::members_of(u32 session_id) const {
-  const auto it = sessions_.find(session_id);
+  const auto it = find(session_id);
   expects(it != sessions_.end(), "unknown session");
-  return it->second.ports;
+  return network_.members_for(it->handle);
 }
 
 std::pair<OpenResult, std::optional<u32>> SessionManager::join(
     u32 session_id, util::Rng& rng) {
-  const auto it = sessions_.find(session_id);
+  const auto it = find(session_id);
   expects(it != sessions_.end(), "join on unknown session");
-  const auto port = placer_->expand(it->second.ports, rng);
+  const u32 handle = it->handle;
+  const auto port = placer_->expand(network_.members_for(handle), rng);
   if (!port) {
     ++stats_.joins_blocked;
     obs::trace_emit("conf", "join_blocked", session_id);
     return {OpenResult::kBlockedPlacement, std::nullopt};
   }
-  if (!network_.add_member(it->second.handle, *port)) {
+  if (!network_.add_member(handle, *port)) {
     placer_->release_one(*port);
     ++stats_.joins_blocked;
     obs::trace_emit("conf", "join_blocked", session_id);
     return {OpenResult::kBlockedCapacity, std::nullopt};
   }
-  it->second.ports.insert(
-      std::lower_bound(it->second.ports.begin(), it->second.ports.end(),
-                       *port),
-      *port);
   ++stats_.joins;
   obs::trace_emit("conf", "join", session_id);
   CONFNET_AUDIT_HOOK(audit::check_session_manager(*this));
@@ -159,14 +157,10 @@ std::pair<OpenResult, std::optional<u32>> SessionManager::join(
 }
 
 bool SessionManager::leave(u32 session_id, u32 port) {
-  const auto it = sessions_.find(session_id);
+  const auto it = find(session_id);
   expects(it != sessions_.end(), "leave on unknown session");
-  if (!network_.remove_member(it->second.handle, port)) return false;
-  const auto pos = std::lower_bound(it->second.ports.begin(),
-                                    it->second.ports.end(), port);
-  expects(pos != it->second.ports.end() && *pos == port,
-          "session/network membership mismatch");
-  it->second.ports.erase(pos);
+  const u32 handle = it->handle;
+  if (!network_.remove_member(handle, port)) return false;
   placer_->release_one(port);
   ++stats_.leaves;
   obs::trace_emit("conf", "leave", session_id);
@@ -175,9 +169,9 @@ bool SessionManager::leave(u32 session_id, u32 port) {
 }
 
 u32 SessionManager::handle_of(u32 session_id) const {
-  const auto it = sessions_.find(session_id);
+  const auto it = find(session_id);
   expects(it != sessions_.end(), "unknown session");
-  return it->second.handle;
+  return it->handle;
 }
 
 std::vector<u32> SessionManager::sessions_using(
@@ -185,9 +179,9 @@ std::vector<u32> SessionManager::sessions_using(
   std::vector<u32> sorted = handles;
   std::sort(sorted.begin(), sorted.end());
   std::vector<u32> ids;
-  for (const auto& [id, session] : sessions_)
-    if (std::binary_search(sorted.begin(), sorted.end(), session.handle))
-      ids.push_back(id);
+  for (const Session& s : sessions_)
+    if (std::binary_search(sorted.begin(), sorted.end(), s.handle))
+      ids.push_back(s.id);
   return ids;
 }
 
@@ -227,12 +221,17 @@ void check_session_manager(const conf::SessionManager& manager) {
   std::vector<std::vector<u32>> member_sets;
   member_sets.reserve(manager.sessions_.size());
   u64 total_ports = 0;
-  for (const auto& [id, session] : manager.sessions_) {
-    require(id < manager.next_session_, kSub, "session id from the future");
-    require(session.ports.size() >= 2, kSub,
-            "live session below two members");
-    total_ports += session.ports.size();
-    member_sets.push_back(session.ports);
+  for (std::size_t i = 0; i < manager.sessions_.size(); ++i) {
+    const auto& session = manager.sessions_[i];
+    require(session.id < manager.next_session_, kSub,
+            "session id from the future");
+    require(i == 0 || manager.sessions_[i - 1].id < session.id, kSub,
+            "session table not ascending by id");
+    const std::vector<u32>& ports =
+        manager.network_.members_for(session.handle);
+    require(ports.size() >= 2, kSub, "live session below two members");
+    total_ports += ports.size();
+    member_sets.push_back(ports);
   }
   check_disjoint_memberships(member_sets, N, kSub);
   check_session_stats(manager.stats_, manager.sessions_.size());

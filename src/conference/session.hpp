@@ -4,7 +4,6 @@
 // blocking by cause.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 
@@ -101,11 +100,12 @@ class SessionManager {
   /// below two members.
   [[nodiscard]] bool leave(u32 session_id, u32 port);
 
-  /// Members of an open session.
+  /// Members of an open session: the fabric group's member list
+  /// (ConferenceNetworkBase::members_for), valid until the next mutation.
   [[nodiscard]] const std::vector<u32>& members_of(u32 session_id) const;
 
   [[nodiscard]] bool contains(u32 session_id) const {
-    return sessions_.find(session_id) != sessions_.end();
+    return find(session_id) != sessions_.end();
   }
 
   /// Session ids whose fabric handle is in `handles` (e.g. the conferences a
@@ -138,13 +138,21 @@ class SessionManager {
   [[nodiscard]] std::pair<OpenResult, std::optional<u32>> open_impl(
       u32 size, util::Rng& rng, bool audit_each);
 
+  /// A live session names its fabric group; the group owns the members.
   struct Session {
-    std::vector<u32> ports;
+    u32 id;
     u32 handle;
   };
+  /// Live session `session_id`, or sessions_.end().
+  [[nodiscard]] std::vector<Session>::const_iterator find(
+      u32 session_id) const;
+
   ConferenceNetworkBase& network_;
   std::unique_ptr<PlacerBase> placer_;
-  std::map<u32, Session> sessions_;
+  // Live sessions, ascending by id. Ids are minted in increasing order, so
+  // an open appends; a close erases in place.
+  std::vector<Session> sessions_;
+  std::vector<u32> ports_;  // placement scratch, reused by every open
   u32 next_session_ = 0;
   SessionStats stats_;
 };

@@ -27,9 +27,9 @@ std::span<u32> sort_unique(std::span<u32> v) {
 }
 }  // namespace
 
-LevelLinks path_union_links(min::Kind kind, u32 n,
-                            std::span<const u32> sources,
-                            std::span<const u32> sinks) {
+void path_union_links(min::Kind kind, u32 n, std::span<const u32> sources,
+                      std::span<const u32> sinks, LevelLinks& links,
+                      std::vector<u32>& parts) {
   expects(n >= 1 && n <= 20, "subnetwork: 1 <= n <= 20");
   expects(!sources.empty() && !sinks.empty(), "path union: empty endpoints");
   for (u32 v : sources) expects(v < (u32{1} << n), "source out of range");
@@ -37,23 +37,23 @@ LevelLinks path_union_links(min::Kind kind, u32 n,
   // Every topology's row is src_part(i) | dst_part(j) over disjoint bit
   // fields (min::row_parts), so each pair of distinct parts names a
   // distinct row: count every level's rows from its distinct parts, then
-  // allocate the result once and sort each level in place.
+  // shape the result once and sort each level in place.
   const std::size_t s = sources.size();
   const std::size_t d = sinks.size();
-  std::vector<u32> scratch((s + d) * (n + 1));
+  parts.resize((s + d) * (n + 1));
   std::array<std::span<u32>, 21> src, dst;  // n <= 20
   std::array<u32, 21> counts{};
   for (u32 level = 0; level <= n; ++level) {
-    const min::RowParts parts = min::row_parts(kind, n, level);
-    const auto a = std::span(scratch).subspan((s + d) * level, s);
-    const auto b = std::span(scratch).subspan((s + d) * level + s, d);
-    for (std::size_t i = 0; i < s; ++i) a[i] = parts.src.apply(sources[i]);
-    for (std::size_t j = 0; j < d; ++j) b[j] = parts.dst.apply(sinks[j]);
+    const min::RowParts rp = min::row_parts(kind, n, level);
+    const auto a = std::span(parts).subspan((s + d) * level, s);
+    const auto b = std::span(parts).subspan((s + d) * level + s, d);
+    for (std::size_t i = 0; i < s; ++i) a[i] = rp.src.apply(sources[i]);
+    for (std::size_t j = 0; j < d; ++j) b[j] = rp.dst.apply(sinks[j]);
     src[level] = sort_unique(a);
     dst[level] = sort_unique(b);
     counts[level] = static_cast<u32>(src[level].size() * dst[level].size());
   }
-  LevelLinks links(std::span<const u32>(counts.data(), n + 1));
+  links.reshape(std::span<const u32>(counts.data(), n + 1));
   for (u32 level = 0; level <= n; ++level) {
     const std::span<u32> rows = links.rows(level);
     std::size_t k = 0;
@@ -61,6 +61,14 @@ LevelLinks path_union_links(min::Kind kind, u32 n,
       for (u32 b : dst[level]) rows[k++] = a | b;
     std::sort(rows.begin(), rows.end());
   }
+}
+
+LevelLinks path_union_links(min::Kind kind, u32 n,
+                            std::span<const u32> sources,
+                            std::span<const u32> sinks) {
+  LevelLinks links;
+  std::vector<u32> parts;
+  path_union_links(kind, n, sources, sinks, links, parts);
   return links;
 }
 

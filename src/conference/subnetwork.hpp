@@ -36,6 +36,13 @@ using LevelLinks = min::LevelLinks;
                                           std::span<const u32> sources,
                                           std::span<const u32> sinks);
 
+/// The same union written into `links` (LevelLinks::reshape), with
+/// `parts` as the per-level parts scratch: a caller that keeps both
+/// across calls allocates only when a union outgrows every earlier one.
+void path_union_links(min::Kind kind, u32 n, std::span<const u32> sources,
+                      std::span<const u32> sinks, LevelLinks& links,
+                      std::vector<u32>& parts);
+
 /// ALL_PAIRS subnetwork via the closed-form path algebra: the path union
 /// with the members as both sources and sinks.
 [[nodiscard]] LevelLinks all_pairs_links(min::Kind kind, u32 n,

@@ -31,16 +31,7 @@ class LevelLinks {
   /// power of two: blocks freed by membership churn then fall into a few
   /// allocator size classes and get reused (exact sizes cost the DES
   /// ~40 KB more heap).
-  explicit LevelLinks(std::span<const u32> counts) {
-    if (counts.empty()) return;
-    std::size_t total = counts.size() + 1;
-    for (u32 c : counts) total += c;
-    words_.reserve(std::bit_ceil(total));
-    words_.assign(total, 0);
-    words_[0] = static_cast<u32>(counts.size() + 1);
-    for (std::size_t l = 0; l < counts.size(); ++l)
-      words_[l + 1] = words_[l] + counts[l];
-  }
+  explicit LevelLinks(std::span<const u32> counts) { reshape(counts); }
   /// Copy of nested per-level rows, e.g. {{0, 1}, {1}, {}} (3 levels).
   LevelLinks(std::initializer_list<std::initializer_list<u32>> levels)
       : words_(pack(levels)) {}
@@ -79,6 +70,35 @@ class LevelLinks {
     for (u32 l = 1; l < first; ++l)
       if (words_[l] < words_[l - 1]) return false;
     return words_[first - 1] == words_.size();
+  }
+
+  /// Become counts.size() levels of counts[l] zero rows, as the counts
+  /// constructor builds them, keeping the block when it is large enough:
+  /// a reused value allocates nothing once it has held the largest shape.
+  void reshape(std::span<const u32> counts) {
+    words_.clear();
+    if (counts.empty()) return;
+    std::size_t total = counts.size() + 1;
+    for (u32 c : counts) total += c;
+    if (words_.capacity() < total) words_.reserve(std::bit_ceil(total));
+    words_.assign(total, 0);
+    words_[0] = static_cast<u32>(counts.size() + 1);
+    for (std::size_t l = 0; l < counts.size(); ++l)
+      words_[l + 1] = words_[l] + counts[l];
+  }
+
+  /// Copy `other`'s levels into a block of the power-of-two capacity the
+  /// counts constructor would give it, reusing this value's block when it
+  /// already has exactly that capacity.
+  void assign(const LevelLinks& other) {
+    const std::size_t want =
+        other.words_.empty() ? 0 : std::bit_ceil(other.words_.size());
+    if (words_.capacity() != want) {
+      std::vector<u32> block;
+      block.reserve(want);
+      words_.swap(block);
+    }
+    words_.assign(other.words_.begin(), other.words_.end());
   }
 
   /// Empty every level above `level` (< levels()), keeping the level count.

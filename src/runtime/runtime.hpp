@@ -98,10 +98,13 @@ class Runtime {
   /// and `done` already ran inline with kRejectedStopped.
   SubmitStatus submit_to_blocking(u32 shard, Command&& cmd);
 
-  /// Allocation-free call: hangs a recycled ResultPool slot on the command
-  /// and submits (blocking on a full queue). The returned handle always
+  /// Pooled call: hangs a recycled ResultPool slot on the command and
+  /// submits (blocking on a full queue). The returned handle always
   /// completes — with kRejectedStopped when the runtime refused the
-  /// command. Steady-state churn through this path allocates nothing.
+  /// command. The hand-off itself allocates nothing; in steady-state
+  /// open/close churn a refused open and a close allocate nothing and a
+  /// served open at most two blocks (the fabric group's member list and
+  /// link rows; tests/alloc_budget_test.cpp pins this).
   [[nodiscard]] PooledResult call_pooled(u32 shard, Command&& cmd);
 
   /// Stage an allocation-free call: hangs a recycled slot on the command

@@ -205,7 +205,7 @@ PropagationResult Fabric::propagate(const GroupRealization& g,
     }
   }
 
-  // Delivery: relay taps when present, otherwise level-n member rows.
+  // Delivery: the relay tap level when present, otherwise level n.
   result.delivered.resize(g.members.size());
   for_each_output(g, [&](std::size_t mi, u32 level, std::size_t li) {
     result.delivered[mi] = at(level, li);
@@ -231,20 +231,12 @@ void validate_realization(const min::Network& net,
             "GroupRealization link rows must be sorted and distinct");
     expects(rows.empty() || rows.back() < N, "link row out of range");
   }
-  if (group.taps.empty()) return;
-  expects(group.taps.size() == group.members.size(),
-          "relay taps must cover every member");
-  std::vector<bool> tapped(group.members.size(), false);
-  for (const auto& tap : group.taps) {
-    const std::size_t mi = index_of(group.members, tap.output);
-    expects(mi != static_cast<std::size_t>(-1), "tap output is not a member");
-    expects(!tapped[mi], "member tapped twice");
-    tapped[mi] = true;
-    expects(tap.tap_level <= n, "tap level out of range");
-    expects(index_of(group.links[tap.tap_level], tap.output) !=
+  if (group.tap_level == GroupRealization::kNoTap) return;
+  expects(group.tap_level <= n, "tap level out of range");
+  for (u32 m : group.members)
+    expects(index_of(group.links[group.tap_level], m) !=
                 static_cast<std::size_t>(-1),
             "tap link is not part of the group's subnetwork");
-  }
 }
 
 }  // namespace confnet::sw
@@ -282,23 +274,13 @@ void check_group_realization(const min::Network& net,
       require(fed, kSub, "interstage link with no feeding predecessor");
     }
   }
-  // Relay taps, when present, cover exactly the member set at legal levels
-  // on links the group owns.
-  if (!group.taps.empty()) {
-    require(group.taps.size() == group.members.size(), kSub,
-            "taps must cover every member exactly once");
-    std::vector<bool> tapped(N, false);
-    for (const auto& tap : group.taps) {
-      require(std::binary_search(group.members.begin(), group.members.end(),
-                                 tap.output),
-              kSub, "tap output is not a member");
-      require(!tapped[tap.output], kSub, "member tapped twice");
-      tapped[tap.output] = true;
-      require(tap.tap_level <= n, kSub, "tap level out of range");
-      require(std::binary_search(group.links[tap.tap_level].begin(),
-                                 group.links[tap.tap_level].end(), tap.output),
-              kSub, "tap points at a link outside the group's subnetwork");
-    }
+  // A relay tap sits at a legal level on links the group owns.
+  if (group.tap_level != sw::GroupRealization::kNoTap) {
+    require(group.tap_level <= n, kSub, "tap level out of range");
+    const auto taps = group.links[group.tap_level];
+    for (u32 m : group.members)
+      require(std::binary_search(taps.begin(), taps.end(), m), kSub,
+              "tap points at a link outside the group's subnetwork");
   }
 }
 

@@ -1,8 +1,8 @@
 // Functional switch-fabric engine.
 //
 // Given a network, a per-link channel capacity (dilation) and a set of
-// group realizations (which links each group occupies, optionally with mux
-// relay taps), the engine:
+// group realizations (which links each group occupies, optionally with a
+// mux relay tap level), the engine:
 //   * checks channel capacity on every link (conflict detection — the
 //     "multiplicity of routing conflicts" made operational),
 //   * propagates combining signals level by level through fan-in/fan-out
@@ -48,22 +48,20 @@ class FaultSet;
 namespace confnet::sw {
 
 /// One group (conference) mapped onto fabric links: two heap blocks
-/// (members and flat link rows) for an untapped group, whatever n is.
+/// (members and flat link rows) whatever n is.
 struct GroupRealization {
+  /// tap_level of a group whose members listen at level n.
+  static constexpr u32 kNoTap = 0xffffffffu;
+
   u32 id = 0;
+  /// Optional mux relay: every member listens to link (tap_level, its own
+  /// row) instead of level n.
+  u32 tap_level = kNoTap;
   /// Sorted member rows; members inject at level 0 and listen at level n
-  /// (or at their relay tap).
+  /// (or at the relay tap).
   std::vector<u32> members;
   /// links[level] = sorted rows occupied at that level (levels 0..n).
   min::LevelLinks links;
-  /// Optional mux relay: member `output` listens to link
-  /// (tap_level, its own row) instead of level n. One entry per member when
-  /// used; empty means "listen at level n".
-  struct Tap {
-    u32 output;
-    u32 tap_level;
-  };
-  std::vector<Tap> taps;
 };
 
 /// A link where demand exceeded the channel capacity.
@@ -76,9 +74,8 @@ struct Overflow {
 /// Throws Error unless `group` is a well-formed realization on `net`:
 /// non-empty, strictly increasing member rows below N; well-formed link
 /// offsets and n+1 link levels of strictly increasing rows below N; and,
-/// when taps are present, one tap per member, each naming a distinct
-/// member at a level <= n on a link the group owns. Untapped groups pay
-/// nothing for the tap rules.
+/// when tapped, a tap level <= n whose links include every member's row.
+/// Untapped groups pay nothing for the tap rules.
 void validate_realization(const min::Network& net,
                           const GroupRealization& group);
 
@@ -92,21 +89,19 @@ inline std::size_t index_of(std::span<const u32> sorted_rows, u32 row) {
 }
 
 /// Invoke fn(member index, level, link index) for the link each of `g`'s
-/// outputs listens to: its relay tap when present, else its level-n row.
-/// `g` must pass validate_realization; an untapped member whose level-n
-/// link is missing throws Error.
+/// outputs listens to: its own row at the relay tap level when tapped,
+/// else at level n. `g` must pass validate_realization; an untapped member
+/// whose level-n link is missing throws Error.
 template <typename Fn>
 void for_each_output(const GroupRealization& g, Fn&& fn) {
   constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  const u32 n = g.links.levels() - 1;
-  const bool tapped = !g.taps.empty();
+  const u32 level = g.tap_level == GroupRealization::kNoTap
+                        ? g.links.levels() - 1
+                        : g.tap_level;
   for (std::size_t i = 0; i < g.members.size(); ++i) {
-    const u32 output = tapped ? g.taps[i].output : g.members[i];
-    const u32 level = tapped ? g.taps[i].tap_level : n;
-    const std::size_t mi = tapped ? index_of(g.members, output) : i;
-    const std::size_t li = index_of(g.links[level], output);
+    const std::size_t li = index_of(g.links[level], g.members[i]);
     expects(li != npos, "output link is not part of the group's subnetwork");
-    fn(mi, level, li);
+    fn(i, level, li);
   }
 }
 

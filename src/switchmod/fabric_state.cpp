@@ -70,29 +70,14 @@ CONFNET_HOT void FabricState::apply_load(const GroupRealization& group,
   }
 }
 
-u32 FabricState::occupy_slot(u32 id) {
-  u32 slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<u32>(slots_.size());
-    slots_.emplace_back();
-  }
-  if (id >= slot_of_.size()) slot_of_.resize(id + 1, kNoSlot);
-  slot_of_[id] = slot;
-  // Keep live_ids_ sorted; a fresh id is the largest yet, so it appends.
-  if (live_ids_.empty() || live_ids_.back() < id) {
-    live_ids_.push_back(id);
-  } else {
-    live_ids_.insert(
-        std::lower_bound(live_ids_.begin(), live_ids_.end(), id), id);
-  }
-  slots_[slot].id = id;
-  return slot;
+void FabricState::store(Entry& entry, const GroupRealization& group) {
+  entry.group.id = group.id;
+  entry.group.tap_level = group.tap_level;
+  entry.group.members.assign(group.members.begin(), group.members.end());
+  entry.group.links.assign(group.links);
 }
 
-CONFNET_HOT bool FabricState::try_add(GroupRealization group) {
+CONFNET_HOT bool FabricState::try_add(const GroupRealization& group) {
   validate_realization(net_, group);
   expects(!contains(group.id), "group id already admitted");
   for (u32 m : group.members)
@@ -108,21 +93,23 @@ CONFNET_HOT bool FabricState::try_add(GroupRealization group) {
 
   for (u32 m : group.members) busy_.set(m);
   apply_load(group, true);
-  const u32 id = group.id;
-  Entry& entry = slots_[occupy_slot(id)];
+  // static_check: allow(hot-alloc) grows to the largest id, amortized
+  if (group.id >= entries_.size()) entries_.resize(group.id + 1);
+  Entry& entry = entries_[group.id];
   entry.dead_links = 0;  // links_clear above
   entry.lacks_fan = lacks_fan_for(group);
-  entry.group = std::move(group);
+  store(entry, group);  // the admitted copy: this path's only allocations
+  ++group_count_;
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
   return true;
 }
 
 CONFNET_HOT bool FabricState::try_replace(u32 id,
-                                          GroupRealization group) {
+                                          const GroupRealization& group) {
   expects(contains(id), "replace of unknown group id");
   expects(group.id == id, "replacement must keep the group id");
   validate_realization(net_, group);
-  Entry& entry = slots_[slot_of_[id]];
+  Entry& entry = entries_[id];
   const GroupRealization& old = entry.group;
 
   // The whole replacement realization must avoid the fault mask (not just
@@ -143,22 +130,21 @@ CONFNET_HOT bool FabricState::try_replace(u32 id,
   if (!feasible) return false;
 
   expect_members_free(old, group);
-  swap_group(entry, std::move(group), 0);  // links_clear above
+  swap_group(entry, group, 0);  // links_clear above
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
   return true;
 }
 
-CONFNET_HOT void FabricState::replace(u32 id, GroupRealization group) {
+CONFNET_HOT void FabricState::replace(u32 id, const GroupRealization& group) {
   expects(contains(id), "replace of unknown group id");
   expects(group.id == id, "replacement must keep the group id");
   validate_realization(net_, group);
-  Entry& entry = slots_[slot_of_[id]];
+  Entry& entry = entries_[id];
   expect_members_free(entry.group, group);
   for_each_delta(group.links, entry.group.links, [&](u32 level, u32 row) {
     expect_headroom(load_[link_index(level, row)]);
   });
-  const u32 dead = dead_links_in(group.links);
-  swap_group(entry, std::move(group), dead);
+  swap_group(entry, group, dead_links_in(group.links));
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
 }
 
@@ -171,7 +157,7 @@ void FabricState::expect_members_free(const GroupRealization& old,
 }
 
 CONFNET_HOT void FabricState::swap_group(Entry& entry,
-                                         GroupRealization group,
+                                         const GroupRealization& group,
                                          u32 dead_links) {
   for (u32 m : entry.group.members) busy_.reset(m);
   for (u32 m : group.members) busy_.set(m);
@@ -186,21 +172,16 @@ CONFNET_HOT void FabricState::swap_group(Entry& entry,
   });
   entry.dead_links = dead_links;
   entry.lacks_fan = lacks_fan_for(group);
-  entry.group = std::move(group);
+  store(entry, group);
 }
 
 CONFNET_HOT void FabricState::remove(u32 id) {
   expects(contains(id), "remove of unknown group id");
-  const u32 slot = slot_of_[id];
-  Entry& entry = slots_[slot];
+  Entry& entry = entries_[id];
   apply_load(entry.group, false);
   for (u32 m : entry.group.members) busy_.reset(m);
-  slot_of_[id] = kNoSlot;
-  // static_check: allow(hot-alloc) slot free-list, bounded by peak groups
-  free_slots_.push_back(slot);
-  const auto it =
-      std::lower_bound(live_ids_.begin(), live_ids_.end(), id);
-  live_ids_.erase(it);
+  entry = Entry{};  // a free entry owns no heap
+  --group_count_;
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
 }
 
@@ -210,8 +191,8 @@ CONFNET_HOT const std::vector<u32>& FabricState::count_link_users(
   // One channel per group per link: the link's load is its user count.
   const u32 users = load_[link_index(level, row)];
   if (users == 0) return users_scratch_;
-  for (u32 id : live_ids_) {
-    Entry& entry = slots_[slot_of_[id]];
+  for (Entry& entry : entries_) {
+    if (!live(entry)) continue;
     const std::span<const u32> rows = entry.group.links[level];
     if (std::binary_search(rows.begin(), rows.end(), row)) {
       if (failed)
@@ -220,7 +201,7 @@ CONFNET_HOT const std::vector<u32>& FabricState::count_link_users(
         --entry.dead_links;
       // static_check: allow(hot-alloc) capacity reused across mutations,
       // bounded by peak groups on one link
-      users_scratch_.push_back(id);
+      users_scratch_.push_back(entry.group.id);
       if (users_scratch_.size() == users) break;
     }
   }
@@ -299,10 +280,9 @@ CONFNET_HOT bool FabricState::lacks_fan_for(
 }
 
 bool FabricState::delivery_ok() const {
-  for (u32 id : live_ids_) {
-    const Entry& entry = slots_[slot_of_[id]];
-    if (entry.dead_links != 0 || entry.lacks_fan) return false;
-  }
+  for (const Entry& entry : entries_)
+    if (live(entry) && (entry.dead_links != 0 || entry.lacks_fan))
+      return false;
   return true;
 }
 
@@ -328,8 +308,12 @@ void FabricState::cross_check() const {
   std::vector<u32> expected_load(load_.size(), 0);  // same level-major layout
   util::DynBitset expected_busy(N);
   u32 expected_overflowing = 0;
-  for (u32 id : live_ids_) {
-    const GroupRealization& g = slots_[slot_of_[id]].group;
+  u32 live_groups = 0;
+  for (u32 id = 0; id < entries_.size(); ++id) {
+    const GroupRealization& g = entries_[id].group;
+    if (!live(entries_[id])) continue;
+    ++live_groups;
+    audit::require(g.id == id, kSub, "entry does not name its own id");
     for (u32 level = 0; level <= n; ++level)
       for (u32 row : g.links[level]) ++expected_load[link_index(level, row)];
     for (u32 m : g.members) {
@@ -338,36 +322,8 @@ void FabricState::cross_check() const {
       expected_busy.set(m);
     }
   }
-
-  // Slot-table coherence: live_ids_ is sorted and duplicate-free, maps to
-  // distinct live slots that name their owner back, free slots are exactly
-  // the remainder, and no stale slot_of_ entry points anywhere.
-  audit::require(
-      std::is_sorted(live_ids_.begin(), live_ids_.end()) &&
-          std::adjacent_find(live_ids_.begin(), live_ids_.end()) ==
-              live_ids_.end(),
-      kSub, "live id list is not sorted and unique");
-  audit::require(live_ids_.size() + free_slots_.size() == slots_.size(), kSub,
-                 "live and free slots do not partition the slot vector");
-  std::vector<bool> slot_live(slots_.size(), false);
-  for (u32 id : live_ids_) {
-    audit::require(id < slot_of_.size() && slot_of_[id] != kNoSlot, kSub,
-                   "live id lost its slot mapping");
-    const u32 slot = slot_of_[id];
-    audit::require(slot < slots_.size() && !slot_live[slot], kSub,
-                   "two live ids share a slot");
-    slot_live[slot] = true;
-    audit::require(slots_[slot].id == id && slots_[slot].group.id == id, kSub,
-                   "slot entry does not name its owning id");
-  }
-  for (u32 slot : free_slots_)
-    audit::require(slot < slots_.size() && !slot_live[slot], kSub,
-                   "free slot list names a live slot");
-  std::size_t mapped = 0;
-  for (u32 slot : slot_of_)
-    if (slot != kNoSlot) ++mapped;
-  audit::require(mapped == live_ids_.size(), kSub,
-                 "stale id->slot mappings outlive their groups");
+  audit::require(live_groups == group_count_, kSub,
+                 "group count diverges from the live entries");
   for (u32 level = 0; level <= n; ++level)
     for (u32 row = 0; row < N; ++row)
       if (expected_load[link_index(level, row)] > capacity_[level])
@@ -392,8 +348,8 @@ void FabricState::cross_check() const {
   // links are not exactly its member->output paths fails here.
   const Fabric oracle(
       net_, FabricConfig{std::numeric_limits<u32>::max(), fan_in_, fan_out_});
-  for (u32 id : live_ids_) {
-    const Entry& entry = slots_[slot_of_[id]];
+  for (const Entry& entry : entries_) {
+    if (!live(entry)) continue;
 #if defined(CONFNET_AUDIT)
     audit::check_group_realization(net_, entry.group);
 #endif

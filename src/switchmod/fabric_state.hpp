@@ -17,12 +17,14 @@
 //     mutations before any state changes.
 //   * per-link and per-port tables are narrow: a link load is 16 bits and
 //     port occupancy is one bit (see `load_` / `busy_` below).
-//   * group bookkeeping is flat: entries live in a dense slot vector whose
-//     freed slots are recycled LIFO, an id->slot table replaces the old
-//     std::map, and a sorted id vector drives ascending-order iteration —
-//     try_add/remove allocate no tree nodes on the hot path. Each stored
-//     realization's link rows are one min::LevelLinks block, and the walks
-//     over them (apply_load, dead_links_in, lacks_fan_for,
+//   * group bookkeeping is flat: one entry per group id, in a vector
+//     indexed by the id, so a scan in index order visits groups in
+//     ascending id order. The designs recycle their handles, so ids stay
+//     below the peak live count. A free entry owns no heap; the mutations
+//     copy a realization in only once it is admitted (reusing the entry's
+//     blocks where they fit), so a refused one allocates nothing. Each
+//     stored realization's link rows are one min::LevelLinks block, and
+//     the walks over them (apply_load, dead_links_in, lacks_fan_for,
 //     count_link_users) read spans and allocate nothing (CONFNET_HOT).
 //   * a live fault mask (min::FaultSet) turns link failures and repairs
 //     into runtime events: fail_link/repair_link update the dead-link
@@ -32,7 +34,7 @@
 // Precondition of the shortcut: every admitted group is canonical — its
 // links are exactly the union of its member->output paths (an ALL_PAIRS
 // subnetwork, or the enhanced-cube realization truncated at its tap
-// level, taps included). Both conference designs admit only such groups.
+// level). Both conference designs admit only such groups.
 // A hand-built realization may be admitted (validate_realization checks
 // shape, not canonicity), but its `delivery_ok()` verdict means nothing;
 // ask `Fabric::propagate` instead.
@@ -86,24 +88,25 @@ class FabricState {
 
   // --- Mutations (all O(links of the touched group)). -------------------
 
-  /// Admit a group if every link it uses has a free channel. Returns false
-  /// (and changes nothing) on a capacity conflict. Members must be disjoint
-  /// from every admitted group's. Throws Error, changing nothing, when the
-  /// group fails validate_realization or a link load would pass kMaxLoad.
-  [[nodiscard]] bool try_add(GroupRealization group);
+  /// Admit a copy of `group` if every link it uses has a free channel.
+  /// Returns false (and changes nothing) on a capacity conflict. Members
+  /// must be disjoint from every admitted group's. Throws Error, changing
+  /// nothing, when the group fails validate_realization or a link load
+  /// would pass kMaxLoad.
+  [[nodiscard]] bool try_add(const GroupRealization& group);
 
-  /// Atomically swap group `id` for a new realization if every link used by
-  /// the new one but not the old one has a free channel. Returns false (and
-  /// changes nothing) on a capacity conflict. Throws Error, changing
-  /// nothing, when the group fails validate_realization or a gained link's
-  /// load would pass kMaxLoad.
-  [[nodiscard]] bool try_replace(u32 id, GroupRealization group);
+  /// Atomically swap group `id` for a copy of a new realization if every
+  /// link used by the new one but not the old one has a free channel.
+  /// Returns false (and changes nothing) on a capacity conflict. Throws
+  /// Error, changing nothing, when the group fails validate_realization or
+  /// a gained link's load would pass kMaxLoad.
+  [[nodiscard]] bool try_replace(u32 id, const GroupRealization& group);
 
   /// Unconditional swap (shrink paths, where the new link set cannot
   /// oversubscribe anything the old one did not). Capacity is not checked,
   /// but every contract (validate_realization, disjointness, kMaxLoad) is,
   /// before anything changes.
-  void replace(u32 id, GroupRealization group);
+  void replace(u32 id, const GroupRealization& group);
 
   void remove(u32 id);
 
@@ -143,11 +146,9 @@ class FabricState {
 
   // --- Queries -----------------------------------------------------------
 
-  [[nodiscard]] u32 group_count() const noexcept {
-    return static_cast<u32>(live_ids_.size());
-  }
+  [[nodiscard]] u32 group_count() const noexcept { return group_count_; }
   [[nodiscard]] bool contains(u32 id) const {
-    return id < slot_of_.size() && slot_of_[id] != kNoSlot;
+    return id < entries_.size() && live(entries_[id]);
   }
   [[nodiscard]] const GroupRealization& group(u32 id) const;
 
@@ -180,11 +181,12 @@ class FabricState {
   /// Visit every admitted group in ascending id order.
   template <typename Fn>
   void for_each_group(Fn&& fn) const {
-    for (u32 id : live_ids_) fn(slots_[slot_of_[id]].group);
+    for (const Entry& entry : entries_)
+      if (live(entry)) fn(entry.group);
   }
 
   /// Recount loads, busy ports, overflows and per-group dead links from the
-  /// admitted groups and check the slot tables; then pin every group's
+  /// admitted groups and check the entry table; then pin every group's
   /// closed-form verdict against `Fabric::propagate`: exact delivery iff no
   /// dead link, and, on a healthy group, a capability violation iff the
   /// fan flag is set. A non-canonical group fails here. Under
@@ -195,24 +197,28 @@ class FabricState {
  private:
   friend void audit::check_fabric_state(const FabricState& state);
 
-  /// slot_of_ sentinel: group id not admitted.
-  static constexpr u32 kNoSlot = 0xffffffffu;
-
   struct Entry {
-    u32 id = 0;  // owning group id while the slot is live
-    GroupRealization group;
-    u32 dead_links = 0;  // links of `group` on the fault mask
+    GroupRealization group;  // no members while the id is free
+    u32 dead_links = 0;      // links of `group` on the fault mask
     bool lacks_fan = false;  // `group` demands a fan op the fabric lacks
   };
+  static_assert(sizeof(Entry) <= 64, "a fabric entry is one 64-byte record");
+  [[nodiscard]] static bool live(const Entry& entry) noexcept {
+    return !entry.group.members.empty();
+  }
 
   /// Throws unless each of `group`'s members is free or one of `old`'s.
   void expect_members_free(const GroupRealization& old,
                            const GroupRealization& group) const;
   void apply_load(const GroupRealization& group, bool add);
-  /// Swap `entry`'s realization for `group`, which has `dead_links` links
-  /// on the fault mask: busy ports, link loads, the overflow counter and
-  /// the entry's counters. Checks nothing; both replace paths check first.
-  void swap_group(Entry& entry, GroupRealization group, u32 dead_links);
+  /// Swap `entry`'s realization for a copy of `group`, which has
+  /// `dead_links` links on the fault mask: busy ports, link loads, the
+  /// overflow counter and the entry's counters. Checks nothing; both
+  /// replace paths check first.
+  void swap_group(Entry& entry, const GroupRealization& group,
+                  u32 dead_links);
+  /// Copy `group` into `entry`, reusing its blocks where they fit.
+  static void store(Entry& entry, const GroupRealization& group);
   /// Links of `links` (levels 0..n) on the fault mask; 0 without a look
   /// when the fabric is healthy.
   [[nodiscard]] u32 dead_links_in(const min::LevelLinks& links) const;
@@ -228,12 +234,9 @@ class FabricState {
   /// users_scratch_ (capacity reused across mutations, CONFNET_HOT).
   const std::vector<u32>& count_link_users(u32 level, u32 row, bool failed);
 
-  /// Take a slot for a new group: recycle the most recently freed one or
-  /// grow the vector, and wire up slot_of_.
-  [[nodiscard]] u32 occupy_slot(u32 id);
   [[nodiscard]] const Entry& entry_of(u32 id) const {
     expects(contains(id), "unknown group id");
-    return slots_[slot_of_[id]];
+    return entries_[id];
   }
   /// Position of link (level, row) in the level-major `load_`.
   [[nodiscard]] std::size_t link_index(u32 level, u32 row) const {
@@ -245,15 +248,10 @@ class FabricState {
   bool fan_in_;
   bool fan_out_;
   min::FaultSet faults_;
-  // Flat group tables (see header comment): dense recycled entry slots, an
-  // id->slot map, and the sorted live-id list for ordered iteration.
-  // slot_of_ grows with the largest id ever admitted (4 bytes per id) —
-  // the designs recycle their handles, so ids stay below the peak live
-  // count and the table is a straight array rather than a hash.
-  std::vector<Entry> slots_;
-  std::vector<u32> free_slots_;  // recyclable slot indices (LIFO)
-  std::vector<u32> slot_of_;     // group id -> slot, kNoSlot when absent
-  std::vector<u32> live_ids_;    // admitted ids, ascending
+  // Group id -> entry (see header comment). It grows with the largest id
+  // ever admitted, one Entry per id.
+  std::vector<Entry> entries_;
+  u32 group_count_ = 0;
   // (n+1)·N link loads, indexed by link_index(). 16 bits suffice because
   // of R1 (see kMaxLoad): 2·(n+1)·N bytes, 22 KiB at N = 1024.
   std::vector<std::uint16_t> load_;

@@ -155,8 +155,8 @@ void check_network(const min::Network& net);
 
 /// A group realization is a well-formed flow graph on `net`: links sorted,
 /// unique, in range; members injected at level 0; every used interstage
-/// link fed by a used predecessor; taps (when present) cover exactly the
-/// member set at legal levels.
+/// link fed by a used predecessor; a relay tap (when present) sits at a
+/// legal level on links carrying every member's row.
 void check_group_realization(const min::Network& net,
                              const sw::GroupRealization& group);
 

@@ -3,16 +3,21 @@
 //
 // A realization keeps its link rows in one flat block (min::LevelLinks),
 // so an ALL_PAIRS subnetwork costs a parts scratch plus its result
-// whatever n is, and a design setup adds only the sorted member copy. The
-// budgets are steady-state figures: each design is warmed first, so its
-// slot, id and handle tables already hold the capacity they need.
+// whatever n is. A design builds each realization in reused scratch and
+// the fabric copies only an admitted one: the stored member list and link
+// block. The budgets are steady-state figures: each design is warmed
+// first, so its entry, handle and scratch buffers already hold the
+// capacity they need. The churn budgets also pin the live heap each open
+// conference costs (usable bytes of every operator-new block).
 //
 // Construction budgets pin what building an object costs: a network and
 // its channel tables are inline, so a fabric allocates only its link
 // loads, busy-port bitset and fault mask, and a first-fit placer builds no
 // buddy allocator.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -21,6 +26,7 @@
 
 #include "conference/designs.hpp"
 #include "conference/port_index.hpp"
+#include "conference/session.hpp"
 #include "conference/subnetwork.hpp"
 #include "runtime/runtime.hpp"
 #include "util/audit.hpp"
@@ -28,21 +34,34 @@
 namespace {
 std::atomic<bool> g_count_allocs{false};
 std::atomic<std::size_t> g_allocs{0};
+// Usable bytes of every live operator-new block, counted always.
+std::atomic<long long> g_live_bytes{0};
 
 void* counted_alloc(std::size_t size) {
   if (g_count_allocs.load(std::memory_order_relaxed))
     g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
+  if (void* p = std::malloc(size ? size : 1)) {
+    g_live_bytes.fetch_add(static_cast<long long>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
+    return p;
+  }
   throw std::bad_alloc();
+}
+
+void counted_free(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<long long>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  std::free(p);
 }
 }  // namespace
 
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
 
 namespace confnet::conf {
 namespace {
@@ -85,8 +104,8 @@ TEST_P(AllocBudget, DirectDesignSteadyState) {
   DirectConferenceNetwork net(Kind::kOmega, n, DilationProfile::full(n));
 
   // Warm-up: admit, grow, shrink and release a few conferences so the
-  // fabric's slot vector, id table and live-id list and the handle pool
-  // hold their capacity.
+  // fabric's entry table, the design's scratch and the handle pool hold
+  // their capacity.
   std::vector<u32> handles;
   for (u32 i = 0; i < 8; ++i) {
     const auto h = net.setup({4 * i, 4 * i + 1, 4 * i + 2});
@@ -99,15 +118,171 @@ TEST_P(AllocBudget, DirectDesignSteadyState) {
 
   const std::vector<u32> members{8, 9, 10};
   std::optional<u32> handle;
-  EXPECT_LE(allocations_in([&] { handle = net.setup(members); }), 3u);
+  EXPECT_LE(allocations_in([&] { handle = net.setup(members); }), 2u);
   ASSERT_TRUE(handle.has_value());
   bool ok = false;
-  EXPECT_LE(allocations_in([&] { ok = net.add_member(*handle, 11); }), 3u);
+  EXPECT_LE(allocations_in([&] { ok = net.add_member(*handle, 11); }), 2u);
   EXPECT_TRUE(ok);
-  EXPECT_LE(allocations_in([&] { ok = net.remove_member(*handle, 11); }), 3u);
+  EXPECT_LE(allocations_in([&] { ok = net.remove_member(*handle, 11); }), 2u);
   EXPECT_TRUE(ok);
   EXPECT_EQ(allocations_in([&] { net.teardown(*handle); }), 0u);
   EXPECT_EQ(net.active_count(), 0u);
+}
+
+/// What steady-state SessionManager churn costs: the most allocations any
+/// accepted open made, the total over refused opens and over closes, and
+/// the live heap per open conference.
+struct ChurnFigures {
+  std::size_t accepted = 0;
+  std::size_t refused = 0;
+  std::size_t closes = 0;
+  std::size_t max_allocs_accepted = 0;
+  std::size_t allocs_refused = 0;
+  std::size_t allocs_close = 0;
+  double heap_per_conference = 0.0;
+};
+
+/// One shard's conference churn, as a closed-loop client drives it: keep
+/// `target` conferences open, closing the oldest when full or after a
+/// refused open, each open of a uniform size in [min_size, max_size]. The
+/// first `warmup` steps fill every table and scratch buffer to its steady
+/// capacity; the next `steps` are counted. Heap per conference is all the
+/// heap the design and the manager hold at the end, fixed fabric tables
+/// included, divided by the conferences then open.
+ChurnFigures session_churn(u32 n, PlacementPolicy policy, u32 min_size,
+                           u32 max_size, u32 target, u32 warmup, u32 steps) {
+  ChurnFigures f;
+  std::vector<u32> live;
+  live.reserve(target + 1);
+  const long long base = g_live_bytes.load();
+  {
+    DirectConferenceNetwork net(Kind::kIndirectCube, n,
+                                DilationProfile::uniform(n, 4));
+    SessionManager manager(net, policy);
+    util::Rng rng(7);
+    bool refused = false;
+    for (u32 step = 0; step < warmup + steps; ++step) {
+      const bool counted = step >= warmup;
+      if (!live.empty() && (live.size() >= target || refused)) {
+        refused = false;
+        const u32 oldest = live.front();
+        live.erase(live.begin());
+        const std::size_t allocs =
+            allocations_in([&] { manager.close(oldest); });
+        if (counted) {
+          ++f.closes;
+          f.allocs_close += allocs;
+        }
+        continue;
+      }
+      const u32 size =
+          min_size + static_cast<u32>(rng.below(max_size - min_size + 1));
+      std::pair<OpenResult, std::optional<u32>> r;
+      const std::size_t allocs =
+          allocations_in([&] { r = manager.open(size, rng); });
+      refused = r.first != OpenResult::kAccepted;
+      if (!refused) live.push_back(*r.second);
+      if (!counted) continue;
+      if (refused) {
+        ++f.refused;
+        f.allocs_refused += allocs;
+      } else {
+        ++f.accepted;
+        f.max_allocs_accepted = std::max(f.max_allocs_accepted, allocs);
+      }
+    }
+    f.heap_per_conference = static_cast<double>(g_live_bytes.load() - base) /
+                            static_cast<double>(live.size());
+  }
+  return f;
+}
+
+TEST(SessionChurnBudget, FirstFitAtEightStages) {
+  if (audit::kEnabled)
+    GTEST_SKIP() << "CONFNET_AUDIT hooks allocate on every mutation";
+  const ChurnFigures f =
+      session_churn(8, PlacementPolicy::kFirstFit, 2, 4, 64, 4000, 4000);
+  ASSERT_GT(f.accepted, 1000u);
+  ASSERT_GT(f.refused, 50u);
+  EXPECT_LE(f.max_allocs_accepted, 2u);
+  EXPECT_EQ(f.allocs_refused, 0u);
+  EXPECT_EQ(f.allocs_close, 0u);
+  EXPECT_LE(f.heap_per_conference, 470.0);
+}
+
+TEST(SessionChurnBudget, BuddyAtTenStages) {
+  if (audit::kEnabled)
+    GTEST_SKIP() << "CONFNET_AUDIT hooks allocate on every mutation";
+  const ChurnFigures f =
+      session_churn(10, PlacementPolicy::kBuddy, 2, 16, 128, 4000, 4000);
+  ASSERT_GT(f.accepted, 1000u);
+  ASSERT_GT(f.refused, 50u);
+  EXPECT_LE(f.max_allocs_accepted, 2u);
+  EXPECT_EQ(f.allocs_refused, 0u);
+  EXPECT_EQ(f.allocs_close, 0u);
+}
+
+TEST(RuntimeChurnBudget, FourShardsCallPooled) {
+  if (audit::kEnabled)
+    GTEST_SKIP() << "CONFNET_AUDIT hooks allocate on every mutation";
+  runtime::RuntimeConfig config;
+  config.shards = 4;
+  config.shard.stages = 8;
+  config.shard.dilation = 4;
+  config.shard.policy = PlacementPolicy::kFirstFit;
+  config.shard.wait_capacity = 0;  // loss mode: a refusal is final
+  config.shard.recovery.max_retries = 0;
+  runtime::Runtime rt(config);
+  rt.start();
+  constexpr u32 kTarget = 300;
+  std::vector<std::pair<u32, u32>> live;  // (shard, session), oldest first
+  live.reserve(kTarget + 1);
+  util::Rng rng(11);
+  std::size_t served = 0, refused_n = 0, closes = 0;
+  std::size_t max_served = 0, allocs_refused = 0, allocs_close = 0;
+  bool refused = false;
+  for (u32 step = 0; step < 12000; ++step) {
+    const bool counted = step >= 6000;
+    runtime::Command cmd;
+    if (!live.empty() && (live.size() >= kTarget || refused)) {
+      refused = false;
+      const auto [shard, session] = live.front();
+      live.erase(live.begin());
+      cmd.kind = runtime::CommandKind::kClose;
+      cmd.session = session;
+      runtime::CommandResult r;
+      const std::size_t allocs = allocations_in(
+          [&] { r = rt.call_pooled(shard, std::move(cmd)).take(); });
+      ASSERT_TRUE(r.ok);
+      if (counted) {
+        ++closes;
+        allocs_close += allocs;
+      }
+      continue;
+    }
+    const auto shard = static_cast<u32>(rng.below(4));
+    cmd.kind = runtime::CommandKind::kOpen;
+    cmd.size = 2 + static_cast<u32>(rng.below(3));
+    runtime::CommandResult r;
+    const std::size_t allocs = allocations_in(
+        [&] { r = rt.call_pooled(shard, std::move(cmd)).take(); });
+    refused = r.open.outcome != conf::RequestOutcome::kServed;
+    if (!refused) live.emplace_back(shard, *r.open.session);
+    if (!counted) continue;
+    if (refused) {
+      ++refused_n;
+      allocs_refused += allocs;
+    } else {
+      ++served;
+      max_served = std::max(max_served, allocs);
+    }
+  }
+  rt.stop();
+  ASSERT_GT(served, 1000u);
+  ASSERT_GT(refused_n, 50u);
+  EXPECT_LE(max_served, 2u);
+  EXPECT_EQ(allocs_refused, 0u);
+  EXPECT_EQ(allocs_close, 0u);
 }
 
 TEST(ConstructionBudget, FirstFitPlacerBuildsNoBuddyTables) {

@@ -603,7 +603,11 @@ class ClusterModel {
 /// Asserts that the cluster's conference `id` has exactly the model's legs.
 void expect_same_legs(const cl::Cluster& c, const ClusterModel& model,
                       u64 id, int step) {
-  const auto& got = c.conferences().at(id).legs;
+  const auto& live = c.conferences();
+  const auto entry = std::find_if(live.begin(), live.end(),
+                                  [id](const auto& e) { return e.first == id; });
+  ASSERT_NE(entry, live.end()) << "step " << step;
+  const auto& got = entry->second.legs;
   const auto& want = model.live().at(id).legs;
   ASSERT_EQ(got.size(), want.size()) << "step " << step;
   for (std::size_t i = 0; i < got.size(); ++i) {

@@ -146,19 +146,25 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // The closed form against the window oracle at N = 1024, the size the
-// benchmark fabrics run, on seeded member sets of 2..64 ports.
+// benchmark fabrics run, on seeded member sets of 2..64 ports; also
+// through the overload that reuses one result and parts scratch across
+// every set, as the designs call it.
 TEST(Subnetwork, ClosedFormEqualsGenericAtTen) {
   constexpr u32 n = 10;
   constexpr u32 N = u32{1} << n;
   util::Rng rng(1010);
+  LevelLinks reused;
+  std::vector<u32> parts;
   for (Kind kind : min::kAllKinds) {
     const min::WindowTable wt(min::Network(kind, n));
     for (int trial = 0; trial < 6; ++trial) {
       const u32 size = 2 + static_cast<u32>(rng.below(63));
       const auto members = random_members(rng, N, size);
-      EXPECT_EQ(all_pairs_links(kind, n, members),
-                all_pairs_links_generic(wt, members))
+      const LevelLinks generic = all_pairs_links_generic(wt, members);
+      EXPECT_EQ(all_pairs_links(kind, n, members), generic)
           << min::kind_name(kind) << " trial " << trial;
+      path_union_links(kind, n, members, members, reused, parts);
+      EXPECT_EQ(reused, generic) << min::kind_name(kind) << " trial " << trial;
     }
   }
 }

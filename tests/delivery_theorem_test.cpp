@@ -40,8 +40,7 @@ sw::GroupRealization canonical_group(Realization r, Kind kind, u32 n, u32 id,
   } else {
     conf::EnhancedRealization er = conf::enhanced_cube_realization(n, members);
     g.links = std::move(er.links);
-    for (u32 m : members)
-      g.taps.push_back(sw::GroupRealization::Tap{m, er.tap_level});
+    g.tap_level = er.tap_level;
   }
   g.members = std::move(members);
   return g;

@@ -1,5 +1,6 @@
 // The flat per-level link-row type: nested round trips, empty levels,
-// equality, truncation and the offset checks validate_realization relies on.
+// block reuse, equality, truncation and the offset checks
+// validate_realization relies on.
 #include "min/level_links.hpp"
 
 #include <gtest/gtest.h>
@@ -62,6 +63,35 @@ TEST(LevelLinks, CountsConstructorSizesEveryLevel) {
   links.rows(0)[1] = 4;
   links.rows(2)[0] = 9;
   EXPECT_EQ(links, (LevelLinks{{3, 4}, {}, {9}}));
+}
+
+TEST(LevelLinks, ReshapeKeepsABlockLargeEnough) {
+  LevelLinks links(std::vector<u32>{3, 3, 3});  // 13 words, capacity 16
+  const u32* block = links.words().data();
+  links.reshape(std::vector<u32>{1, 0});  // 4 words fit
+  EXPECT_EQ(links.words().data(), block);
+  EXPECT_EQ(links, (LevelLinks{{0}, {}}));
+  links.reshape(std::vector<u32>{20});  // 22 words do not: capacity 32
+  EXPECT_EQ(links.words().capacity(), 32u);
+  EXPECT_EQ(links.levels(), 1u);
+  EXPECT_TRUE(links.well_formed());
+}
+
+TEST(LevelLinks, AssignCopiesIntoThePowerOfTwoClass) {
+  const LevelLinks six{{1, 2}, {3}};  // 6 words: class 8
+  LevelLinks copy;
+  copy.assign(six);
+  EXPECT_EQ(copy, six);
+  EXPECT_EQ(copy.words().capacity(), 8u);
+  const u32* block = copy.words().data();
+  copy.assign(LevelLinks{{4}, {5, 6, 7}});  // 7 words: same class, reused
+  EXPECT_EQ(copy.words().data(), block);
+  EXPECT_EQ(copy, (LevelLinks{{4}, {5, 6, 7}}));
+  copy.assign(LevelLinks{{1}});  // 3 words: class 4, a smaller block
+  EXPECT_EQ(copy.words().capacity(), 4u);
+  EXPECT_EQ(copy, (LevelLinks{{1}}));
+  copy.assign(LevelLinks{});
+  EXPECT_EQ(copy.levels(), 0u);
 }
 
 TEST(LevelLinks, EqualityComparesLevelsAndRows) {

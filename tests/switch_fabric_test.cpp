@@ -145,8 +145,7 @@ TEST(Fabric, MuxRelayTapsDeliverAtInternalLevel) {
   g.id = 0;
   g.members = members;
   g.links = real.links;
-  for (u32 m : members)
-    g.taps.push_back(GroupRealization::Tap{m, real.tap_level});
+  g.tap_level = real.tap_level;
   const EvalReport report = fabric.evaluate({g});
   ASSERT_TRUE(report.ok());
   for (const MemberSet& d : report.delivered[0]) EXPECT_EQ(d.values(), members);
@@ -165,8 +164,7 @@ TEST(Fabric, ManyDisjointEnhancedConferencesAreConflictFree) {
     g.id = b;
     g.members = members;
     g.links = real.links;
-    for (u32 m : members)
-      g.taps.push_back(GroupRealization::Tap{m, real.tap_level});
+    g.tap_level = real.tap_level;
     groups.push_back(std::move(g));
   }
   const EvalReport report = fabric.evaluate(groups);
@@ -254,20 +252,14 @@ constexpr MalformedCase kMalformed[] = {
      [](GroupRealization& g, u32 n) {
        edit_rows(g, [n](Rows& r) { r[n].push_back(u32{1} << n); });
      }},
-    {"taps miss a member",
-     [](GroupRealization& g, u32 n) { g.taps = {{4, n}}; }},
-    {"member tapped twice",
-     [](GroupRealization& g, u32 n) { g.taps = {{4, n}, {4, n}}; }},
-    {"tap output not a member",
-     [](GroupRealization& g, u32 n) { g.taps = {{4, n}, {6, n}}; }},
     {"tap level above n",
-     [](GroupRealization& g, u32 n) { g.taps = {{4, n}, {5, n + 5}}; }},
+     [](GroupRealization& g, u32 n) { g.tap_level = n + 5; }},
     {"tap link not owned",
      [](GroupRealization& g, u32 n) {
        edit_rows(g, [n](Rows& r) {
          r[n].erase(std::find(r[n].begin(), r[n].end(), 5));
        });
-       g.taps = {{4, n}, {5, n}};
+       g.tap_level = n;
      }},
 };
 
@@ -322,14 +314,9 @@ TEST(FabricState, AdmissionChecksRelayTaps) {
   const Kind kind = Kind::kOmega;
   FabricState state(min::Network(kind, n), FabricConfig{4, true, true});
 
-  // Both taps name member 0, so member 1 has no output at all.
-  GroupRealization twice = make_group(0, kind, n, {0, 1});
-  twice.taps = {{0, n}, {0, n}};
-  EXPECT_THROW((void)state.try_add(twice), Error);
-
   // A tap past level n does not exist.
   GroupRealization deep = make_group(0, kind, n, {0, 1});
-  deep.taps = {{0, n}, {1, n + 5}};
+  deep.tap_level = n + 5;
   EXPECT_THROW((void)state.try_add(deep), Error);
 
   EXPECT_EQ(state.group_count(), 0u);
@@ -338,7 +325,7 @@ TEST(FabricState, AdmissionChecksRelayTaps) {
 
   // Taps at level n on the members' own rows are the untapped delivery.
   GroupRealization good = make_group(0, kind, n, {0, 1});
-  good.taps = {{1, n}, {0, n}};
+  good.tap_level = n;
   ASSERT_TRUE(state.try_add(good));
   EXPECT_TRUE(state.delivery_ok());
   const Fabric oracle(state.network(), FabricConfig{4, true, true});
