@@ -244,11 +244,11 @@ void emit_tables() {
                "one admission decision) across workers="
             << (workers.empty() ? 0 : workers.front()) << ".."
             << (workers.empty() ? 0 : workers.back())
-            << " is the scaling curve\n(target >= 3x at 4 workers on >= 4 "
-               "hardware threads; this host reports "
+            << " is the scaling curve\n(one producer thread feeds every "
+               "shard, so it bounds the curve; this host reports "
             << std::thread::hardware_concurrency()
-            << ").\nCounters are worker-count invariant and gated; timings "
-               "are warn-only\nin perf-smoke.\n\n";
+            << " hardware threads).\nCounters are worker-count invariant "
+               "and gated; timings are warn-only\nin perf-smoke.\n\n";
 
   // Timing rows are registered here (not statically) so --workers can
   // select them; run_main calls emit_tables before benchmark::Initialize.
@@ -298,6 +298,33 @@ void BM_RuntimeConstruction(::benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RuntimeConstruction)->Unit(::benchmark::kMicrosecond);
+
+void BM_RuntimeRoundTrip(::benchmark::State& state) {
+  // One empty round trip through an idle runtime: a close of a session no
+  // shard ever opened, through call_pooled, round-robin over 4 shards on
+  // two workers — the probe behind e2ebench's runtime.rtt_us. It times the
+  // hand-off itself (enqueue, wake, dequeue, fulfill, the producer's
+  // wait); the command does no admission work. CPU time is the whole
+  // process's, so it includes what the workers burn while spinning.
+  rt::Runtime r(runtime_config(2));
+  r.start();
+  u32 shard = 0;
+  u64 refused = 0;
+  for (auto _ : state) {
+    rt::Command cmd;
+    cmd.kind = rt::CommandKind::kClose;
+    cmd.session = 1u << 30;
+    const rt::CommandResult res = r.call_pooled(shard, std::move(cmd)).take();
+    refused += res.ok ? 0 : 1;
+    shard = (shard + 1) % kShards;
+  }
+  r.stop();
+  ::benchmark::DoNotOptimize(refused);
+}
+BENCHMARK(BM_RuntimeRoundTrip)
+    ->Unit(::benchmark::kMicrosecond)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace confnet

@@ -9,11 +9,16 @@
 // free list is empty (cold), and every vector involved recycles capacity
 // (the `hot-alloc` static check covers acquire/release/fulfill).
 //
-// Thread-safety: internally synchronized. The free list is guarded by the
-// pool mutex; each slot carries its own mutex/condvar for the
-// producer/owner rendezvous. Slot addresses are stable for the pool's
-// lifetime (slots are held by unique_ptr), so a raw `ResultSlot*` stays
-// valid across the hand-off.
+// Thread-safety: thread-safe. The free list is guarded by the pool mutex.
+// Each slot's producer/owner rendezvous is one 32-bit atomic state word
+// (pending, asleep, ready): the producer spins on it for kSpinBudget
+// (runtime/spin.hpp), then marks it asleep and sleeps in
+// std::atomic::wait; fulfill publishes the result with one exchange and
+// calls notify_one only when the producer had gone to sleep, so a
+// producer still spinning costs the worker no syscall. Slot addresses are
+// stable for the pool's lifetime (slots are held by unique_ptr), so a raw
+// `ResultSlot*` stays valid across the hand-off, and a late notify_one on
+// a slot that was already recycled is only a spurious wake-up.
 //
 // Ownership protocol (see docs/THREADING.md): between acquire and fulfill
 // the slot is shared by exactly two parties — the producer holding the
@@ -23,13 +28,16 @@
 // recycled slot can never be fulfilled by a stale command).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "min/types.hpp"
 #include "runtime/command.hpp"
+#include "runtime/spin.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -45,23 +53,19 @@ class ResultSlot {
   ResultSlot(const ResultSlot&) = delete;
   ResultSlot& operator=(const ResultSlot&) = delete;
 
-  /// Owner-thread side: publish the result and wake the producer. Called
-  /// exactly once per acquire (by the worker after apply, or inline by the
-  /// submit path on kRejectedStopped).
+  /// Owner-thread side: publish the result and wake the producer if it is
+  /// asleep. Called exactly once per acquire (by the worker after apply,
+  /// or inline by the submit path on kRejectedStopped).
   CONFNET_HOT void fulfill(CommandResult&& result) {
-    {
-      util::MutexLock lock(mu_);
-      result_ = std::move(result);
-      ready_ = true;
-    }
-    cv_.notify_one();
+    result_ = std::move(result);
+    if (state_.exchange(kReady, std::memory_order_acq_rel) == kAsleep)
+      state_.notify_one();
   }
 
-  /// Producer side: block until fulfilled, move the result out. The slot
+  /// Producer side: wait until fulfilled, move the result out. The slot
   /// stays acquired — PooledResult::take releases it afterwards.
   CONFNET_HOT CommandResult wait_take() {
-    util::MutexLock lock(mu_);
-    while (!ready_) cv_.wait(mu_);
+    wait_ready();
     return std::move(result_);
   }
 
@@ -69,21 +73,28 @@ class ResultSlot {
   friend class ResultPool;
   friend class PooledResult;
 
+  static constexpr std::uint32_t kPending = 0;  // acquired, not fulfilled
+  static constexpr std::uint32_t kAsleep = 1;   // producer sleeps on state_
+  static constexpr std::uint32_t kReady = 2;    // result_ is published
+
   /// Re-arm for the next acquire. Pool-side, pre-hand-off: no concurrency.
-  void reset() {
-    util::MutexLock lock(mu_);
-    ready_ = false;
-  }
+  void reset() { state_.store(kPending, std::memory_order_relaxed); }
 
+  /// Spin, then sleep, until fulfill has published. Only fulfill moves the
+  /// state off kPending besides this waiter, so a change seen while
+  /// spinning, or a failed move to kAsleep, means kReady.
   void wait_ready() {
-    util::MutexLock lock(mu_);
-    while (!ready_) cv_.wait(mu_);
+    if (spin_until_changed(state_, kPending)) return;
+    std::uint32_t seen = kPending;
+    if (state_.compare_exchange_strong(seen, kAsleep,
+                                       std::memory_order_acquire))
+      state_.wait(kAsleep, std::memory_order_acquire);
   }
 
-  util::Mutex mu_;    // runtime-owner: lock
-  util::CondVar cv_;  // runtime-owner: lock
-  CommandResult result_ CONFNET_GUARDED_BY(mu_);
-  bool ready_ CONFNET_GUARDED_BY(mu_) = false;
+  // Written by fulfill before its release exchange; read by the producer
+  // after an acquire load of kReady. state_ orders every access.
+  CommandResult result_;                  // runtime-owner: caller
+  std::atomic<std::uint32_t> state_{kPending};  // runtime-owner: atomic
 };
 
 /// Move-only handle to an acquired slot. Destroying an unfinished handle

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "runtime/spin.hpp"
 #include "util/error.hpp"
 
 namespace confnet::runtime {
@@ -42,13 +43,11 @@ void Runtime::stop() {
   stopped_ = true;
   // (1) No new commands — submits from here on are answered inline.
   for (auto& s : shards_) s->close_queue();
-  // (2) Tell each worker to finish and wake it.
-  for (auto& w : workers_) {
-    {
-      util::MutexLock lock(w->mu);
-      w->stop = true;
-    }
-    w->cv.notify_one();
+  // (2) Tell each worker to finish and wake it. The wake also ends a
+  // spin at once, so stop() never waits one out.
+  for (u32 w = 0; w < workers_n_; ++w) {
+    workers_[w]->stop.store(true, std::memory_order_seq_cst);
+    wake(w);
   }
   // (3)+(4) Workers drain, flush retries, publish, exit; we join.
   for (auto& w : workers_)
@@ -138,45 +137,47 @@ u64 Runtime::submitted() const {
 void Runtime::wake(u32 worker) {
   Worker& w = *workers_[worker];
   // Publish the signal, then check whether the worker is (or is about to
-  // be) parked. Both sides' store-then-load pairs are seq_cst, so this
-  // producer sees `parked == true` or the worker sees `signals > 0` — a
-  // busy worker costs one uncontended fetch_add, no mutex, no notify.
-  w.signals.fetch_add(1, std::memory_order_seq_cst);
-  if (w.parked.load(std::memory_order_seq_cst)) {
-    // Serialize with the park decision: once we hold the mutex the worker
-    // is either inside cv.wait (the notify lands) or past its re-check of
-    // signals (it saw ours and will re-scan).
-    util::MutexLock lock(w.mu);
-    w.cv.notify_one();
-  }
+  // be) asleep. Both sides' store-then-load pairs are seq_cst, so this
+  // producer sees `parked == true` or the worker sees the signal — a busy
+  // or spinning worker costs one atomic store and no syscall.
+  w.signal.store(1, std::memory_order_seq_cst);
+  if (w.parked.load(std::memory_order_seq_cst)) w.signal.notify_one();
 }
 
 void Runtime::worker_loop(u32 w) {
   Worker& me = *workers_[w];
+  // Spin only right after a scan that applied work: a busy shard tends to
+  // get its next command soon. A freshly started or long-idle worker parks
+  // at once, so idle workers cost no CPU.
+  bool spin = false;
   for (;;) {
     std::size_t applied = 0;
     for (u32 s : me.shard_ids) applied += shards_[s]->process_available();
-    if (applied != 0) continue;  // re-scan: work may have landed meanwhile
-    bool stopping = false;
-    {
-      util::MutexLock lock(me.mu);
-      me.parked.store(true, std::memory_order_seq_cst);
-      // Re-check after publishing parked: a producer that signalled before
-      // seeing parked=true is caught here; one that saw parked=true takes
-      // the mutex and notifies, which cannot be missed while we hold it.
-      while (me.signals.load(std::memory_order_seq_cst) == 0 && !me.stop)
-        me.cv.wait(me.mu);
-      me.parked.store(false, std::memory_order_relaxed);
-      me.signals.store(0, std::memory_order_relaxed);
-      stopping = me.stop;
+    if (applied != 0) {
+      spin = true;
+      continue;  // re-scan: work may have landed meanwhile
     }
-    if (!stopping) continue;
-    // Queues were closed before the stop flag was set, so one more drain
-    // sees everything that was ever accepted; then retries terminate.
-    for (u32 s : me.shard_ids) shards_[s]->process_available();
-    for (u32 s : me.shard_ids) shards_[s]->flush_retries();
-    return;
+    // Checked after an empty scan, so once stop is seen the drain below
+    // races nothing: the queues were closed before the flag was set.
+    // stop, its wake and the signal reset below are all seq_cst: a reset
+    // that overwrites stop()'s signal is ordered after its stop store.
+    if (me.stop.load(std::memory_order_seq_cst)) break;
+    const bool woken = spin && spin_until_changed(me.signal, 0);
+    spin = false;
+    if (!woken) {
+      me.parked.store(true, std::memory_order_seq_cst);
+      // wait() re-reads signal after parked is published: a producer that
+      // signalled before seeing parked=true is caught by that read; one
+      // that saw it notifies, and wait() returns only once signal != 0.
+      me.signal.wait(0, std::memory_order_seq_cst);
+      me.parked.store(false, std::memory_order_relaxed);
+    }
+    me.signal.store(0, std::memory_order_seq_cst);
   }
+  // One more drain sees everything that was ever accepted; then retries
+  // terminate.
+  for (u32 s : me.shard_ids) shards_[s]->process_available();
+  for (u32 s : me.shard_ids) shards_[s]->flush_retries();
 }
 
 }  // namespace confnet::runtime

@@ -24,6 +24,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -34,7 +35,6 @@
 #include "runtime/result_pool.hpp"
 #include "runtime/shard.hpp"
 #include "runtime/shard_obs.hpp"
-#include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace confnet::runtime {
@@ -152,25 +152,21 @@ class Runtime {
   [[nodiscard]] bool stopped() const noexcept { return stopped_; }
 
  private:
-  /// Parking state for one worker thread. The signal counter (not a bare
-  /// flag) makes wakeups level-triggered: a producer's wake between "saw
-  /// empty queues" and "parked" leaves signals > 0, so the worker re-scans
-  /// instead of sleeping through it.
+  /// Parking state for one worker thread. `signal` is level-triggered: a
+  /// producer's wake between "saw empty queues" and "parked" leaves it set,
+  /// so the worker re-scans instead of sleeping through it.
   ///
-  /// Lock-lean wake protocol: `signals` and `parked` are atomics, so the
-  /// steady-state wake (worker busy) is one uncontended fetch_add with no
-  /// mutex and no notify. The mutex/condvar pair is touched only around
-  /// actual parking. Both sides' critical orderings are seq_cst
-  /// store-then-load fences: the worker publishes `parked = true` before
-  /// re-reading `signals`; a producer publishes its signal before reading
-  /// `parked` — at least one of them must see the other's store, so a
-  /// wakeup is never lost (see docs/THREADING.md).
+  /// Lock-lean wake protocol: a producer stores `signal = 1` and issues
+  /// notify_one only when it then reads `parked == true`, so a busy or
+  /// spinning worker costs it one atomic store and no syscall. The worker
+  /// publishes `parked = true` before re-reading `signal`, then sleeps in
+  /// `signal.wait(0)`. Both store-then-load pairs are seq_cst, so at least
+  /// one side sees the other's store and a wakeup is never lost (see
+  /// docs/THREADING.md).
   struct Worker {
-    util::Mutex mu;                   // runtime-owner: lock
-    util::CondVar cv;                 // runtime-owner: lock
-    std::atomic<u64> signals{0};      // runtime-owner: atomic
-    std::atomic<bool> parked{false};  // runtime-owner: atomic
-    bool stop CONFNET_GUARDED_BY(mu) = false;
+    std::atomic<std::uint32_t> signal{0};  // runtime-owner: atomic
+    std::atomic<bool> parked{false};       // runtime-owner: atomic
+    std::atomic<bool> stop{false};         // runtime-owner: atomic
     std::vector<u32> shard_ids;  // runtime-owner: immutable
     std::thread thread;          // runtime-owner: caller
   };

@@ -12,8 +12,10 @@ namespace confnet::runtime {
 namespace {
 // Burst bound for pop_batch: one lock round-trip amortizes over up to this
 // many commands; small enough that stats publish (and thus drain progress)
-// stays responsive.
+// stays responsive. The burst buffer starts at kInitialBurst and doubles
+// only when a burst outgrows it, so it never holds more than kMaxBurst.
 constexpr std::size_t kMaxBurst = 64;
+constexpr std::size_t kInitialBurst = 16;
 
 /// Hand the waiters served and the victims recovered to the caller.
 void report(CommandResult& result, const conf::ControlPlane::Effects& fx) {
@@ -32,7 +34,7 @@ Shard::Shard(u32 index, const ShardConfig& config)
                config.wait_bypass, config.backend),
       rng_(config.seed + index),
       queue_(config.queue_depth) {
-  burst_.reserve(kMaxBurst);
+  burst_.reserve(kInitialBurst);
   publish();  // expose a consistent (all-zero) snapshot before any command
 }
 
@@ -77,16 +79,18 @@ void Shard::reject_inline(Command& cmd) {
 std::size_t Shard::process_available() {
   std::size_t applied = 0;
   for (;;) {
-    const std::size_t depth = queue_.size();
     burst_.clear();
-    const std::size_t n = queue_.pop_batch(burst_, kMaxBurst);
-    if (n == 0) break;
-    stats_.max_queue_depth = std::max<u64>(stats_.max_queue_depth, depth);
+    const QueuePop got = queue_.pop_batch(burst_, kMaxBurst);
+    if (got.taken == 0) break;
+    stats_.max_queue_depth = std::max<u64>(stats_.max_queue_depth, got.depth);
     ++stats_.bursts;
-    stats_.max_burst = std::max<u64>(stats_.max_burst, n);
-    for (std::size_t i = 0; i < n; ++i) apply(burst_[i]);
-    applied += n;
+    stats_.max_burst = std::max<u64>(stats_.max_burst, got.taken);
+    for (std::size_t i = 0; i < got.taken; ++i) apply(burst_[i]);
+    applied += got.taken;
     publish();
+    // Everything queued at the pop was taken: return rather than lock again
+    // to find the queue empty. The worker re-scans after any applied work.
+    if (got.taken == got.depth) break;
   }
   return applied;
 }

@@ -75,8 +75,10 @@ class Shard {
 
   // --- owner side: exactly one worker thread -----------------------------
 
-  /// Drain and apply every queued command in bursts; returns how many were
-  /// applied. Publishes stats at each burst boundary. Owner thread only.
+  /// Apply queued commands in bursts until one burst takes everything it
+  /// found queued; returns how many were applied. A command that lands
+  /// after that burst waits for the next call. Publishes stats at each
+  /// burst boundary. Owner thread only.
   std::size_t process_available();
 
   /// Run the whole retry agenda (run_due(+inf)): every victim between

@@ -12,8 +12,9 @@
 //
 // Construction budgets pin what building an object costs: a network and
 // its channel tables are inline, so a fabric allocates only its link
-// loads, busy-port bitset and fault mask, and a first-fit placer builds no
-// buddy allocator.
+// loads, busy-port bitset and fault mask, a first-fit placer builds no
+// buddy allocator, and a runtime's command rings and burst buffers start
+// small and grow only under load.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
@@ -280,6 +281,8 @@ TEST(RuntimeChurnBudget, FourShardsCallPooled) {
   rt.stop();
   ASSERT_GT(served, 1000u);
   ASSERT_GT(refused_n, 50u);
+  // The counter sees every thread, so a worker growing its command ring
+  // or burst buffer inside a counted call would show here too.
   EXPECT_LE(max_served, 2u);
   EXPECT_EQ(allocs_refused, 0u);
   EXPECT_EQ(allocs_close, 0u);
@@ -316,7 +319,14 @@ TEST(ConstructionBudget, FourShardRuntime) {
   config.shard.policy = PlacementPolicy::kFirstFit;
   config.shard.queue_depth = 256;
   std::optional<runtime::Runtime> rt;
+  const long long before = g_live_bytes.load();
   EXPECT_LE(allocations_in([&] { rt.emplace(config); }), 50u);
+  // Four 256-port fabrics and control planes, and per shard a 16-slot
+  // command ring and a 16-command burst buffer: 44,592 bytes measured.
+  // Rings and burst buffers sized to their bounds at construction held
+  // 153,728 (four 256-slot rings alone are ~98 KB).
+  const long long held = g_live_bytes.load() - before;
+  EXPECT_LE(held, 48 * 1024);
   EXPECT_EQ(rt->shard(3).ports(), 256u);
 }
 

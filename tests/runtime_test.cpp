@@ -12,7 +12,9 @@
 // destroyed, and each command leaves one record in the global tracer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <limits>
 #include <memory>
@@ -231,7 +233,7 @@ TEST(QueueSlots, PopReleasesWhatTheItemOwns) {
   ASSERT_EQ(commands.try_push(std::move(c)), rt::QueuePush::kOk);
   EXPECT_EQ(captured.use_count(), 2);
   std::vector<rt::Command> burst;
-  ASSERT_EQ(commands.pop_batch(burst, 8), 1u);
+  ASSERT_EQ(commands.pop_batch(burst, 8).taken, 1u);
   burst.clear();
   EXPECT_EQ(captured.use_count(), 1);
 
@@ -242,7 +244,7 @@ TEST(QueueSlots, PopReleasesWhatTheItemOwns) {
   ASSERT_EQ(q.try_push(Counted(1, token)), rt::QueuePush::kOk);
   EXPECT_EQ(token.use_count(), 2);
   std::vector<Counted> out;
-  ASSERT_EQ(q.pop_batch(out, 8), 1u);
+  ASSERT_EQ(q.pop_batch(out, 8).taken, 1u);
   out.clear();
   EXPECT_EQ(token.use_count(), 1);
   EXPECT_EQ(Counted::alive(), 0);
@@ -370,6 +372,136 @@ TEST(QueueSlots, DestroyingAWrappedQueueDestroysEachItemOnce) {
       ASSERT_EQ(q.try_push(Counted(i, tokens[i])), rt::QueuePush::kOk);
     ASSERT_EQ(Counted::alive(), 3);
   }
+  for (const auto& token : tokens) EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(Counted::alive(), 0);
+}
+
+TEST(QueueSlots, RingGrowsOnDemandUpToTheBound) {
+  for (const std::size_t capacity :
+       {std::size_t{1}, std::size_t{5}, std::size_t{16}, std::size_t{17},
+        std::size_t{37}, std::size_t{64}, std::size_t{256}}) {
+    Counted::reset_counts();
+    rt::BoundedMpscQueue<Counted> q(capacity);
+    const std::size_t initial = std::min(
+        capacity, rt::BoundedMpscQueue<Counted>::kInitialSlots);
+    EXPECT_EQ(q.slots(), initial) << "capacity " << capacity;
+    std::size_t last_slots = q.slots();
+    for (std::size_t i = 0; i < capacity; ++i) {
+      ASSERT_EQ(q.try_push(Counted(static_cast<int>(i))), rt::QueuePush::kOk)
+          << "capacity " << capacity << " push " << i;
+      const std::size_t slots = q.slots();
+      EXPECT_GE(slots, q.size());
+      EXPECT_LE(slots, capacity) << "capacity " << capacity;
+      // The ring grows only when full, to double its size (or the bound).
+      if (slots != last_slots) {
+        EXPECT_EQ(i, last_slots) << "capacity " << capacity;
+        EXPECT_EQ(slots, std::min(capacity, 2 * last_slots));
+      }
+      last_slots = slots;
+    }
+    // kFull comes at exactly the bound, never at the ring's size.
+    EXPECT_EQ(q.size(), capacity);
+    EXPECT_EQ(q.slots(), capacity);
+    EXPECT_EQ(q.try_push(Counted(-1)), rt::QueuePush::kFull);
+    EXPECT_EQ(q.bounced(), 1u);
+    EXPECT_EQ(Counted::alive(), static_cast<int>(capacity));
+  }
+}
+
+TEST(QueueSlots, FifoAcrossGrowthAtEveryHeadOffset) {
+  // For every ring size the queue passes through and every head offset in
+  // it: fill the ring with the head at that offset, then push past it so
+  // the growth has to unroll a wrapped ring. FIFO order, the live item
+  // count and the bound must all survive.
+  for (const std::size_t capacity : {std::size_t{37}, std::size_t{256}}) {
+    std::size_t ring = rt::BoundedMpscQueue<Counted>::kInitialSlots;
+    for (;;) {
+      for (std::size_t head = 0; head < ring; ++head) {
+        Counted::reset_counts();
+        auto token = std::make_shared<int>(0);
+        rt::BoundedMpscQueue<Counted> q(capacity);
+        int next_in = 0;
+        int next_out = 0;
+        // Grow to `ring` slots, drain, then move the head to `head`.
+        push_counted(q, static_cast<int>(ring), next_in, token);
+        pop_counted(q, ring, next_out);
+        ASSERT_EQ(q.slots(), ring);
+        const std::size_t offset = (head + ring - next_in % ring) % ring;
+        push_counted(q, static_cast<int>(offset), next_in, token);
+        pop_counted(q, offset, next_out);
+        ASSERT_EQ(q.size(), 0u);
+        // Fill the ring exactly, then push to the bound through growth.
+        push_counted(q, static_cast<int>(ring), next_in, token);
+        ASSERT_EQ(q.slots(), ring) << "capacity " << capacity << " head "
+                                   << head;
+        push_counted(q, static_cast<int>(capacity - ring), next_in, token);
+        EXPECT_EQ(q.slots(), capacity);
+        EXPECT_EQ(q.try_push(Counted(-1, token)), rt::QueuePush::kFull);
+        expect_only_queued_alive(q, token);
+        // Drain in uneven bursts across the new wrap point.
+        while (q.size() > 0) pop_counted(q, 1 + q.size() / 3, next_out);
+        EXPECT_EQ(next_out, next_in)
+            << "capacity " << capacity << " ring " << ring << " head "
+            << head;
+        expect_only_queued_alive(q, token);
+      }
+      if (ring == capacity) break;
+      ring = std::min(capacity, 2 * ring);
+    }
+  }
+}
+
+TEST(QueueSlots, PushWaitBlocksAtTheBoundOfAGrownRing) {
+  constexpr std::size_t kCapacity = 37;
+  rt::BoundedMpscQueue<Counted> q(kCapacity);
+  for (int i = 0; i < static_cast<int>(kCapacity); ++i)
+    ASSERT_EQ(q.push_wait(Counted(i)), rt::QueuePush::kOk);
+  ASSERT_EQ(q.slots(), kCapacity);
+  std::atomic<bool> pushed{false};
+  std::thread producer([&] {
+    EXPECT_EQ(q.push_wait(Counted(99)), rt::QueuePush::kOk);
+    pushed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(pushed.load()) << "push_wait must block at the bound";
+  std::vector<Counted> out;
+  ASSERT_EQ(q.pop_batch(out, 1).taken, 1u);
+  producer.join();
+  EXPECT_TRUE(pushed.load());
+  EXPECT_EQ(q.size(), kCapacity);
+  EXPECT_EQ(q.slots(), kCapacity);
+}
+
+TEST(QueueSlots, CloseAndDestroyAGrownRingDestroyOnlyQueuedItems) {
+  // One token per item: an item destroyed twice, or never, leaves its
+  // token's count off by one.
+  Counted::reset_counts();
+  std::vector<std::shared_ptr<int>> tokens;
+  for (int i = 0; i < 40; ++i) tokens.push_back(std::make_shared<int>(i));
+  {
+    rt::BoundedMpscQueue<Counted> q(37);
+    for (int i = 0; i < 10; ++i)  // head at slot 6 of the 16-slot ring
+      ASSERT_EQ(q.try_push(Counted(i, tokens[i])), rt::QueuePush::kOk);
+    int next_out = 0;
+    pop_counted(q, 6, next_out);
+    for (int i = 10; i < 35; ++i)  // wraps, then grows twice
+      ASSERT_EQ(q.try_push(Counted(i, tokens[i])), rt::QueuePush::kOk);
+    ASSERT_EQ(q.slots(), 32u);
+    ASSERT_EQ(Counted::alive(), 29);
+    q.close();
+    // A refused push leaves the item with its caller.
+    Counted refused(35, tokens[35]);
+    EXPECT_EQ(q.try_push(std::move(refused)), rt::QueuePush::kClosed);
+    EXPECT_EQ(q.push_wait(std::move(refused)), rt::QueuePush::kClosed);
+    EXPECT_EQ(tokens[35].use_count(), 2);
+    // close() destroys nothing; what was queued still drains in order.
+    EXPECT_EQ(Counted::alive(), 30);
+    pop_counted(q, 4, next_out);
+    EXPECT_EQ(next_out, 10);
+    for (int i = 0; i < 10; ++i) EXPECT_EQ(tokens[i].use_count(), 1);
+    for (int i = 10; i < 35; ++i) EXPECT_EQ(tokens[i].use_count(), 2);
+  }
+  // Destruction released each of the 25 still-queued items exactly once.
   for (const auto& token : tokens) EXPECT_EQ(token.use_count(), 1);
   EXPECT_EQ(Counted::alive(), 0);
 }

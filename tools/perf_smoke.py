@@ -21,7 +21,9 @@ optimized hot paths:
   * bench_e15_runtime — BM_RuntimeChurn at --workers 1,2,4 (thread-per-
     shard concurrent runtime over 4 shards; one item is one admission
     decision; the admitted/blocked/decisions counters are worker-count
-    invariant and gated, wall time is the scaling curve);
+    invariant and gated, wall time is the scaling curve) and
+    BM_RuntimeRoundTrip (one empty call_pooled round trip on an idle
+    4-shard runtime, the probe behind e2ebench's runtime.rtt_us);
   * bench_e6_blocking — BM_PropagateReference (Fabric::propagate, the one
     set-based signal engine, which backs the cross_check() oracle) over one
     deterministically populated fabric; the fan-op counters are
@@ -70,7 +72,7 @@ TARGETS = (
     ("bench_e4_load_multiplicity", "BM_MonteCarloTrial", ()),
     ("bench_e8_latency", "BM_SteadyStateEventRate", ()),
     ("bench_e14_admission", "BM_", ()),
-    ("bench_e15_runtime", "BM_RuntimeChurn", ("--workers=1,2,4",)),
+    ("bench_e15_runtime", "BM_Runtime(Churn|RoundTrip)", ("--workers=1,2,4",)),
     ("bench_e6_blocking", "BM_Propagate", ()),
     ("bench_e16_cluster", "BM_Cluster", ("--workers=1,2",)),
 )

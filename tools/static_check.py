@@ -165,8 +165,9 @@ HOT_CONTRACT: dict[str, list[str]] = {
     "src/switchmod/fabric_state.cpp": [
         "count_link_users", "apply_load", "dead_links_in", "lacks_fan_for",
     ],
-    # Lock-lean command path (PR 10): the bounded MPSC ring buffer's
-    # producer/consumer primitives must stay on the preallocated ring.
+    # Lock-lean command path: the bounded MPSC ring buffer's
+    # producer/consumer primitives recycle its slots; the ring's on-demand
+    # growth in place() is the one waived allocation.
     "src/runtime/queue.hpp": [
         "try_push", "push_wait", "pop_batch", "place",
     ],
