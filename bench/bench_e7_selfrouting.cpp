@@ -70,11 +70,12 @@ void emit_tables() {
   bench::show(t);
   std::cout << "Shape: the closed-form rule costs tens of ns per full path "
                "and needs ZERO\nnetwork state; destination-tag simulation "
-               "matches its speed over the network's\nO(n) closed-form stage "
-               "wiring, and the topology-agnostic window-greedy oracle is\n"
-               "5-8x slower on top of an O(N^2)-bit window table — the "
-               "'simpler self-routing'\nof the question is a few bit "
-               "operations per stage, uniformly across the class.\n";
+               "over the network's O(n) closed-form\nstage wiring is within "
+               "a small factor of it, and the topology-agnostic\n"
+               "window-greedy oracle is several times slower again on top of "
+               "an O(N^2)-bit\nwindow table — the 'simpler self-routing' of "
+               "the question is a few bit\noperations per stage, uniformly "
+               "across the class.\n";
 }
 
 void BM_ClosedFormPath(benchmark::State& state) {

@@ -5,8 +5,8 @@
 // subnetworks; interstage links carry a configurable number of channels
 // (dilation). With dilation d(l) = min(2^l, 2^(n-l)) the design is
 // conflict-free for arbitrary disjoint conferences (R1); with d = 1 it
-// relies on placement (R2: conflict-free for omega/cube/butterfly under
-// buddy placement).
+// relies on placement (R2: conflict-free under buddy placement unless
+// min::has_block_block_windows; the session audit checks it on live state).
 //
 // EnhancedCubeNetwork — the Yang (2001) design the abstract describes: an
 // indirect binary cube whose internal stage outputs are relayed through

@@ -8,8 +8,8 @@
 //   * measure:     count link sharing for a concrete ConferenceSet;
 //   * theory:      closed forms min(2^l, 2^(n-l)) (arbitrary placement, all
 //                  topologies) and the aligned-placement forms (1 for
-//                  omega/cube/butterfly; 2^(min(l,n-l)-1) for baseline and
-//                  flip);
+//                  the orthogonal-window kinds; 2^(min(l,n-l)-1) for
+//                  baseline and flip);
 //   * adversary:   explicit ConferenceSets achieving the bounds;
 //   * exhaustive:  brute force over every disjoint conference set (small N)
 //                  and every aligned buddy configuration (N <= 16).
@@ -88,8 +88,8 @@ struct MultiplicityScratch {
 [[nodiscard]] u32 theoretical_peak(u32 n);
 
 /// Closed form under aligned-block (buddy) placement:
-/// 1 for omega/cube/butterfly; 2^(min(level,n-level)-1) for baseline/flip
-/// at interstage levels (levels 0 and n are always 1).
+/// 1 for the orthogonal-window kinds; 2^(min(level,n-level)-1) for
+/// baseline/flip at interstage levels (levels 0 and n are always 1).
 [[nodiscard]] u32 theoretical_aligned_max(min::Kind kind, u32 n, u32 level);
 
 /// Build a set of min(2^level, 2^(n-level)) disjoint two-member

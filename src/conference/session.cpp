@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "min/windows.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
@@ -148,6 +149,7 @@ std::pair<OpenResult, std::optional<u32>> SessionManager::join(
     placer_->release_one(*port);
     ++stats_.joins_blocked;
     obs::trace_emit("conf", "join_blocked", session_id);
+    CONFNET_AUDIT_HOOK(audit::check_session_manager(*this));
     return {OpenResult::kBlockedCapacity, std::nullopt};
   }
   ++stats_.joins;
@@ -243,6 +245,23 @@ void check_session_manager(const conf::SessionManager& manager) {
       require(manager.placer_->occupied(port), kSub,
               "session port not marked occupied in the placer");
   check_placer(*manager.placer_);
+  // R2 on live state: buddy placement on a kind with orthogonal (block x
+  // stride) windows is conflict-free, so on a healthy direct fabric no
+  // interstage link carries two conferences and capacity never refuses an
+  // open or a join.
+  const auto* direct =
+      dynamic_cast<const conf::DirectConferenceNetwork*>(&manager.network_);
+  if (direct == nullptr ||
+      manager.placer_->policy() != conf::PlacementPolicy::kBuddy ||
+      min::has_block_block_windows(direct->kind()) ||
+      direct->faults()->fault_count() != 0)
+    return;
+  for (u32 level = 1; level < direct->n(); ++level)
+    require(direct->current_level_load(level) <= 1, kSub,
+            "R2: two buddy-placed conferences share an interstage link");
+  require(manager.stats_.blocked_capacity == 0 &&
+              direct->last_error() != conf::SetupError::kLinkCapacity,
+          kSub, "R2: link capacity refused a buddy-placed conference");
 }
 
 }  // namespace confnet::audit

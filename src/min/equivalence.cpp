@@ -9,89 +9,24 @@ namespace confnet::min {
 
 namespace {
 
-using util::low_bits;
-using util::reverse_bits_n;
-using util::rotl_n_by;
-
-Permutation perm_from(u32 n, u32 (*fn)(u32, u32, u32), u32 arg) {
-  const u32 N = u32{1} << n;
-  std::vector<u32> m(N);
-  for (u32 p = 0; p < N; ++p) m[p] = fn(p, n, arg);
+/// Level-l map from a's rows to b's rows: each field moves to b's position,
+/// its bits reversed when `reverse_src` / `reverse_dst`.
+Permutation level_map(Kind a, Kind b, u32 n, u32 l, bool reverse_src,
+                      bool reverse_dst) {
+  const RowParts from = row_parts(a, n, l);
+  const RowParts to = row_parts(b, n, l);
+  const auto move = [](u32 row, PartField f, PartField t, u32 width,
+                       bool reverse) {
+    const u32 field = (row >> f.shift_out) & f.mask;
+    return (reverse ? static_cast<u32>(util::reverse_bits_n(field, width))
+                    : field)
+           << t.shift_out;
+  };
+  std::vector<u32> m(u32{1} << n);
+  for (u32 r = 0; r < m.size(); ++r)
+    m[r] = move(r, from.src, to.src, n - l, reverse_src) |
+           move(r, from.dst, to.dst, l, reverse_dst);
   return Permutation(std::move(m));
-}
-
-u32 fn_identity(u32 p, u32, u32) { return p; }
-u32 fn_reverse(u32 p, u32 n, u32) {
-  return static_cast<u32>(reverse_bits_n(p, n));
-}
-/// Rotate the n-bit row left by `s`.
-u32 fn_rotl(u32 p, u32 n, u32 s) {
-  return s % n == 0 ? p : static_cast<u32>(rotl_n_by(p, n, s % n));
-}
-/// Reverse only the low `k` bits, keep the top bits in place.
-u32 fn_reverse_low(u32 p, u32, u32 k) {
-  const u32 low = static_cast<u32>(low_bits(p, k));
-  return static_cast<u32>(((p >> k) << k) | reverse_bits_n(low, k));
-}
-/// Reverse low (n - level) bits after rotating left by (n - level): the
-/// flip -> butterfly per-level map.
-u32 fn_flip_hub(u32 p, u32 n, u32 level) {
-  const u32 rotated = fn_rotl(p, n, n - level);
-  return fn_reverse_low(rotated, n, n - level);
-}
-/// Full bit reversal after rotating left by level: reverse-omega -> hub.
-u32 fn_revomega_hub(u32 p, u32 n, u32 level) {
-  return fn_reverse(fn_rotl(p, n, level % n == 0 ? 0 : level), n, 0);
-}
-
-/// The isomorphism from `kind` to the butterfly hub.
-LevelwiseIsomorphism to_hub(Kind kind, u32 n) {
-  LevelwiseIsomorphism iso{Permutation::identity(u32{1} << n),
-                           Permutation::identity(u32{1} << n),
-                           {}};
-  iso.level_maps.reserve(n + 1);
-  switch (kind) {
-    case Kind::kButterfly:
-      for (u32 l = 0; l <= n; ++l)
-        iso.level_maps.push_back(perm_from(n, fn_identity, 0));
-      break;
-    case Kind::kOmega:
-      // omega row = [s_low | d_top], butterfly row = [d_top | s_low]:
-      // rotate the l-bit destination field from the bottom to the top.
-      for (u32 l = 0; l <= n; ++l)
-        iso.level_maps.push_back(perm_from(n, fn_rotl, (n - l) % n));
-      break;
-    case Kind::kBaseline:
-      // baseline(s,d) row carries s's HIGH bits where butterfly carries
-      // s's LOW bits: reverse the source address and the row's low field.
-      iso.input_perm = bit_reversal(n);
-      for (u32 l = 0; l <= n; ++l)
-        iso.level_maps.push_back(perm_from(n, fn_reverse_low, n - l));
-      break;
-    case Kind::kFlip:
-      // flip row = [s_high | d_top]: rotate the d-field up, then as
-      // baseline.
-      iso.input_perm = bit_reversal(n);
-      for (u32 l = 0; l <= n; ++l)
-        iso.level_maps.push_back(perm_from(n, fn_flip_hub, l));
-      break;
-    case Kind::kIndirectCube:
-      // cube row = [s_high | d_low]: full bit reversal with both port
-      // relabelings reversed.
-      iso.input_perm = bit_reversal(n);
-      iso.output_perm = bit_reversal(n);
-      for (u32 l = 0; l <= n; ++l)
-        iso.level_maps.push_back(perm_from(n, fn_reverse, 0));
-      break;
-    case Kind::kReverseOmega:
-      // reverse-omega row = [d_low | s_high]: rotate to cube layout first.
-      iso.input_perm = bit_reversal(n);
-      iso.output_perm = bit_reversal(n);
-      for (u32 l = 0; l <= n; ++l)
-        iso.level_maps.push_back(perm_from(n, fn_revomega_hub, l));
-      break;
-  }
-  return iso;
 }
 
 }  // namespace
@@ -119,17 +54,16 @@ bool verify_isomorphism(Kind a, Kind b, u32 n,
 
 LevelwiseIsomorphism class_isomorphism(Kind a, Kind b, u32 n) {
   expects(n >= 1 && n <= 12, "class_isomorphism: 1 <= n <= 12");
-  // Compose a -> hub and the inverse of b -> hub.
-  const LevelwiseIsomorphism ah = to_hub(a, n);
-  const LevelwiseIsomorphism bh = to_hub(b, n);
-  LevelwiseIsomorphism iso{
-      ah.input_perm.then(bh.input_perm.inverse()),
-      ah.output_perm.then(bh.output_perm.inverse()),
-      {}};
+  // Kinds that keep opposite ends of an address see it bit-reversed.
+  const bool reverse_src = layout(a).src_high != layout(b).src_high;
+  const bool reverse_dst = layout(a).dst_top != layout(b).dst_top;
+  const auto relabel = [n](bool reverse) {
+    return reverse ? bit_reversal(n) : Permutation::identity(u32{1} << n);
+  };
+  LevelwiseIsomorphism iso{relabel(reverse_src), relabel(reverse_dst), {}};
   iso.level_maps.reserve(n + 1);
   for (u32 l = 0; l <= n; ++l)
-    iso.level_maps.push_back(
-        ah.level_maps[l].then(bh.level_maps[l].inverse()));
+    iso.level_maps.push_back(level_map(a, b, n, l, reverse_src, reverse_dst));
   return iso;
 }
 

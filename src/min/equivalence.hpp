@@ -1,14 +1,14 @@
 // Topological equivalence of the class (Wu & Feng): any two of the studied
 // networks are isomorphic under per-level link relabelings combined with an
 // input and an output port relabeling. This module constructs the
-// isomorphisms explicitly (closed-form bit permutations, composed through
-// the butterfly as a hub) and can verify any candidate isomorphism
-// exhaustively — turning the classic "the class is one family" theorem into
-// checkable code. Note what equivalence does and does not give: it
-// preserves path structure (hence blocking behaviour under relabeled
-// workloads), but conference *members* live on fixed external ports, which
-// is why conflict behaviour under aligned placement still differs across
-// the class (R2).
+// isomorphisms explicitly from the two kinds' row layouts (`min::KindLayout`
+// in types.hpp) and can verify any candidate isomorphism exhaustively
+// against `path_row` — turning the classic "the class is one family"
+// theorem into checkable code. Note what equivalence does and does not
+// give: it preserves path structure (hence blocking behaviour under
+// relabeled workloads), but conference *members* live on fixed external
+// ports, which is why conflict behaviour under aligned placement still
+// differs across the class (R2).
 #pragma once
 
 #include <vector>
@@ -31,8 +31,11 @@ struct LevelwiseIsomorphism {
 [[nodiscard]] bool verify_isomorphism(Kind a, Kind b, u32 n,
                                       const LevelwiseIsomorphism& iso);
 
-/// Construct the canonical isomorphism from network `a` to network `b`
-/// (closed-form; verified by the test suite for every ordered pair).
+/// Construct the canonical isomorphism from network `a` to network `b`.
+/// The level-l map moves each row field to b's position, reversing its
+/// bits when a and b keep opposite ends of that address; each port
+/// relabeling is then the identity or exactly `bit_reversal`.
+/// `min_equivalence_test` verifies it for every ordered pair.
 [[nodiscard]] LevelwiseIsomorphism class_isomorphism(Kind a, Kind b, u32 n);
 
 }  // namespace confnet::min

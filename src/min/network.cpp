@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "min/selfroute.hpp"
 #include "util/audit.hpp"
 #include "util/bits.hpp"
 #include "util/error.hpp"
@@ -18,31 +19,20 @@ Kind kind_from_name(std::string_view name) {
 
 StageSpec make_stage(Kind kind, u32 n, u32 k) {
   expects(k < n, "make_stage needs k < n");
-  constexpr bool kLeft = true, kRight = false;
-  switch (kind) {
-    case Kind::kOmega:
-      // Perfect shuffle in front of every stage; destination bits MSB->LSB.
-      return {FieldRotation(n, kLeft), {}, n - 1 - k};
-    case Kind::kBaseline:
-      // Adjacent pairing, then inverse shuffle inside halving blocks.
-      return {{}, FieldRotation(n - k, kRight), n - 1 - k};
-    case Kind::kIndirectCube:
-      // Stage k pairs rows differing in bit k (bit k moved to the LSB and
-      // back); destination bits LSB -> MSB.
-      return {FieldRotation(k + 1, kLeft), FieldRotation(k + 1, kRight), k};
-    case Kind::kButterfly:
-      // Stage k pairs rows differing in bit n-1-k; MSB -> LSB.
-      return {FieldRotation(n - k, kLeft), FieldRotation(n - k, kRight),
-              n - 1 - k};
-    case Kind::kFlip:
-      // Reverse baseline: shuffle inside growing blocks, identity out.
-      return {FieldRotation(k + 1, kLeft), {}, n - 1 - k};
-    case Kind::kReverseOmega:
-      // Mirrored omega: adjacent pairing, inverse shuffle after every
-      // stage; destination bits LSB -> MSB.
-      return {{}, FieldRotation(n, kRight), k};
-  }
-  throw Error("unknown topology kind");
+  // Stage k turns the level-k row into the level-(k+1) row. Its source
+  // field gives up its low end bit (s bit k) when it keeps the high bits,
+  // else its top end bit (s bit n-1-k); the input wiring rotates that bit's
+  // row position p down to the switch-port LSB. Its destination field gains
+  // the routed bit (d bit n-1-k below the kept top bits, else d bit k above
+  // the kept low bits); the output wiring rotates the LSB up to that bit's
+  // position q in the next row.
+  const KindLayout& lay = layout(kind);
+  const u32 p = row_parts(kind, n, k).src.shift_out +
+                (lay.src_high ? 0 : n - 1 - k);
+  const u32 q = row_parts(kind, n, k + 1).dst.shift_out +
+                (lay.dst_top ? 0 : k);
+  const u32 routing_bit = lay.dst_top ? n - 1 - k : k;
+  return {FieldRotation(p + 1, true), FieldRotation(q + 1, false), routing_bit};
 }
 
 Network::Network(Kind kind, u32 n) : kind_(kind), n_(n) {

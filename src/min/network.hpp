@@ -2,7 +2,10 @@
 //
 // A stage is: input wiring -> a column of N/2 two-by-two switch modules
 // (switch w owns post-wiring ports {2w, 2w+1}) -> output wiring. Each wiring
-// is a closed-form `FieldRotation`. A `Network` is its kind plus n such
+// is a closed-form `FieldRotation`, and `make_stage` derives both rotations
+// and the routing bit from the kind's row layout (`min::KindLayout` in
+// types.hpp); `StageWiring.MatchesExplicitPermutationsForEveryKind` pins
+// them against the named wiring patterns. A `Network` is its kind plus n such
 // stages over N = 2^n rows, held inline, so it allocates nothing and is
 // freely copied and moved whatever N. Destination-tag self-routing holds
 // for every member of the class: at stage k the switch emits the signal on

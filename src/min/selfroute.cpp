@@ -1,74 +1,11 @@
 #include "min/selfroute.hpp"
 
-#include "util/bits.hpp"
-#include "util/error.hpp"
-
 namespace confnet::min {
-
-using util::bit_field;
-using util::low_bits;
-
-u32 path_row(Kind kind, u32 n, u32 src, u32 dst, u32 level) {
-  expects(n >= 1 && n <= 20, "path_row: 1 <= n <= 20");
-  const u32 N = u32{1} << n;
-  expects(src < N && dst < N, "path_row: endpoints out of range");
-  expects(level <= n, "path_row: level <= n");
-  const u32 l = level;
-  switch (kind) {
-    case Kind::kOmega:
-      // s_low(n-l) concatenated with d_top(l).
-      return static_cast<u32>((low_bits(src, n - l) << l) |
-                              bit_field(dst, n - l, n));
-    case Kind::kBaseline:
-      // d_top(l) concatenated with s_high(n-l).
-      return static_cast<u32>((bit_field(dst, n - l, n) << (n - l)) |
-                              (src >> l));
-    case Kind::kIndirectCube:
-      // s with its low l bits replaced by d's low l bits.
-      return static_cast<u32>(((src >> l) << l) | low_bits(dst, l));
-    case Kind::kButterfly:
-      // s with its top l bits replaced by d's top l bits.
-      return static_cast<u32>(((dst >> (n - l)) << (n - l)) |
-                              low_bits(src, n - l));
-    case Kind::kFlip:
-      // s_high(n-l) concatenated with d_top(l).
-      return static_cast<u32>(((src >> l) << l) | bit_field(dst, n - l, n));
-    case Kind::kReverseOmega:
-      // d_low(l) concatenated with s_high(n-l).
-      return static_cast<u32>((low_bits(dst, l) << (n - l)) | (src >> l));
-  }
-  throw Error("path_row: bad kind");
-}
 
 std::vector<u32> path_rows(Kind kind, u32 n, u32 src, u32 dst) {
   std::vector<u32> rows(n + 1);
   for (u32 l = 0; l <= n; ++l) rows[l] = path_row(kind, n, src, dst, l);
   return rows;
-}
-
-RowParts row_parts(Kind kind, u32 n, u32 level) {
-  expects(n >= 1 && n <= 20, "row_parts: 1 <= n <= 20");
-  expects(level <= n, "row_parts: level <= n");
-  const u32 l = level;
-  // Masks for the two fields: the source contributes n-l bits, the
-  // destination l bits (each mask is 0 at the degenerate end levels).
-  const u32 src_mask = (u32{1} << (n - l)) - 1;
-  const u32 dst_mask = (u32{1} << l) - 1;
-  switch (kind) {
-    case Kind::kOmega:
-      return RowParts{{0, src_mask, l}, {n - l, dst_mask, 0}};
-    case Kind::kBaseline:
-      return RowParts{{l, src_mask, 0}, {n - l, dst_mask, n - l}};
-    case Kind::kIndirectCube:
-      return RowParts{{l, src_mask, l}, {0, dst_mask, 0}};
-    case Kind::kButterfly:
-      return RowParts{{0, src_mask, 0}, {n - l, dst_mask, n - l}};
-    case Kind::kFlip:
-      return RowParts{{l, src_mask, l}, {n - l, dst_mask, 0}};
-    case Kind::kReverseOmega:
-      return RowParts{{l, src_mask, 0}, {0, dst_mask, n - l}};
-  }
-  throw Error("row_parts: bad kind");
 }
 
 }  // namespace confnet::min

@@ -3,22 +3,18 @@
 // state. This is the "simpler self-routing algorithm" the paper's question
 // asks about: a switch can derive its action locally from the address bits.
 //
-// `min_route_test` asserts these formulas equal Network::route_rows for
-// every (src,dst,level) of every topology.
+// Both forms read the kind's row layout (`min::KindLayout` in types.hpp):
+// the level-l row is a source field beside a destination field. The
+// `min_route_test` suite asserts these formulas equal Network::route_rows
+// for every (src,dst,level) of every topology.
 #pragma once
 
 #include <vector>
 
 #include "min/types.hpp"
+#include "util/error.hpp"
 
 namespace confnet::min {
-
-/// Row occupied at `level` (0..n) by the unique path src -> dst.
-[[nodiscard]] u32 path_row(Kind kind, u32 n, u32 src, u32 dst, u32 level);
-
-/// All rows of the path, levels 0..n (equivalent to Network::route_rows but
-/// allocation is the only non-O(1) cost per level).
-[[nodiscard]] std::vector<u32> path_rows(Kind kind, u32 n, u32 src, u32 dst);
 
 /// One bit field of a level row: extracted from an address as
 /// ((addr >> shift_in) & mask) << shift_out.
@@ -42,6 +38,30 @@ struct RowParts {
   PartField src;
   PartField dst;
 };
-[[nodiscard]] RowParts row_parts(Kind kind, u32 n, u32 level);
+[[nodiscard]] constexpr RowParts row_parts(Kind kind, u32 n, u32 level) {
+  expects(n >= 1 && n <= 20, "row_parts: 1 <= n <= 20");
+  expects(level <= n, "row_parts: level <= n");
+  const KindLayout& k = layout(kind);
+  const u32 l = level;
+  // The source contributes n-l bits, the destination l bits (each mask is 0
+  // at the degenerate end levels); whichever field sits on top is shifted
+  // past the other one.
+  return RowParts{
+      {k.src_high ? l : 0, (u32{1} << (n - l)) - 1, k.src_on_top ? l : 0},
+      {k.dst_top ? n - l : 0, (u32{1} << l) - 1, k.src_on_top ? 0 : n - l}};
+}
+
+/// Row occupied at `level` (0..n) by the unique path src -> dst.
+[[nodiscard]] constexpr u32 path_row(Kind kind, u32 n, u32 src, u32 dst,
+                                     u32 level) {
+  const RowParts parts = row_parts(kind, n, level);
+  expects(src < (u32{1} << n) && dst < (u32{1} << n),
+          "path_row: endpoints out of range");
+  return parts.src.apply(src) | parts.dst.apply(dst);
+}
+
+/// All rows of the path, levels 0..n (equivalent to Network::route_rows but
+/// allocation is the only non-O(1) cost per level).
+[[nodiscard]] std::vector<u32> path_rows(Kind kind, u32 n, u32 src, u32 dst);
 
 }  // namespace confnet::min

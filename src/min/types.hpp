@@ -2,6 +2,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -21,6 +22,35 @@ enum class Kind : std::uint8_t {
   kReverseOmega,  // inverse-shuffle wiring after every stage (omega mirrored)
 };
 
+/// How a kind lays out its level-l row address (Gur & Zalevsky's
+/// "fundamental arrangement"): the row on the unique src -> dst path is a
+/// field of n-l source bits beside a field of l destination bits, each
+/// taken from one end of its address. Everything else about a kind is
+/// derived from these three bits: path rows and row parts (selfroute),
+/// window shapes (windows), stage wiring and routing bit order (network)
+/// and the class isomorphisms (equivalence).
+struct KindLayout {
+  std::string_view name;
+  bool src_high;    // keeps the source's high n-l bits (else its low n-l)
+  bool dst_top;     // keeps the destination's top l bits (else its low l)
+  bool src_on_top;  // the source field sits above the destination field
+};
+
+/// One row per Kind, in enum order; the comment is the level-l row, most
+/// significant field first.
+inline constexpr std::array<KindLayout, 6> kKindLayouts{{
+    {"omega", false, true, true},           // s_low  | d_top
+    {"baseline", true, true, false},        // d_top  | s_high
+    {"cube", true, false, true},            // s_high | d_low
+    {"butterfly", false, true, false},      // d_top  | s_low
+    {"flip", true, true, true},             // s_high | d_top
+    {"reverse-omega", true, false, false},  // d_low  | s_high
+}};
+
+[[nodiscard]] constexpr const KindLayout& layout(Kind k) noexcept {
+  return kKindLayouts[static_cast<std::size_t>(k)];
+}
+
 inline constexpr std::array<Kind, 6> kAllKinds{
     Kind::kOmega,     Kind::kBaseline, Kind::kIndirectCube,
     Kind::kButterfly, Kind::kFlip,     Kind::kReverseOmega};
@@ -30,15 +60,7 @@ inline constexpr std::array<Kind, 3> kPaperKinds{
     Kind::kBaseline, Kind::kOmega, Kind::kIndirectCube};
 
 [[nodiscard]] constexpr std::string_view kind_name(Kind k) noexcept {
-  switch (k) {
-    case Kind::kOmega: return "omega";
-    case Kind::kBaseline: return "baseline";
-    case Kind::kIndirectCube: return "cube";
-    case Kind::kButterfly: return "butterfly";
-    case Kind::kFlip: return "flip";
-    case Kind::kReverseOmega: return "reverse-omega";
-  }
-  return "?";
+  return layout(k).name;
 }
 
 /// Parse a kind name as produced by kind_name(); throws on anything else.

@@ -1,12 +1,9 @@
 #include "min/windows.hpp"
 
-#include "util/bits.hpp"
+#include "min/selfroute.hpp"
 #include "util/error.hpp"
 
 namespace confnet::min {
-
-using util::bit_field;
-using util::low_bits;
 
 namespace {
 void check_args(u32 n, u32 level, u32 row) {
@@ -15,12 +12,12 @@ void check_args(u32 n, u32 level, u32 row) {
   expects(row < (u32{1} << n), "window: row < N");
 }
 
-constexpr WindowDesc block(u32 first, u32 size) noexcept {
-  return WindowDesc{WindowShape::kBlock, first, 1, size};
-}
-
-constexpr WindowDesc stride_class(u32 first, u32 stride, u32 size) noexcept {
-  // A full-period stride class degenerates to a block when stride == 1.
+/// The addresses whose `field` bits match the ones `row` holds: `size`
+/// elements `stride` apart. A field of high (top) address bits gives a
+/// block, stride 1; a field of low bits a residue class, which degenerates
+/// to a block at the full-period end level.
+WindowDesc kept_window(PartField field, u32 row, u32 stride, u32 size) {
+  const u32 first = ((row >> field.shift_out) & field.mask) << field.shift_in;
   return WindowDesc{stride == 1 ? WindowShape::kBlock : WindowShape::kStride,
                     first, stride, size};
 }
@@ -28,63 +25,20 @@ constexpr WindowDesc stride_class(u32 first, u32 stride, u32 size) noexcept {
 
 WindowDesc in_window(Kind kind, u32 n, u32 level, u32 row) {
   check_args(n, level, row);
-  const u32 l = level;
-  const u32 size = u32{1} << l;
-  switch (kind) {
-    case Kind::kOmega:
-      // Link row = s_low(n-l) . d_top(l)  =>  s fixed in its low n-l bits.
-      return stride_class(static_cast<u32>(row >> l), u32{1} << (n - l), size);
-    case Kind::kButterfly:
-      // Row keeps s's low n-l bits in place.
-      return stride_class(static_cast<u32>(low_bits(row, n - l)),
-                          u32{1} << (n - l), size);
-    case Kind::kIndirectCube:
-      // Row keeps s's high n-l bits in place.
-      return block(static_cast<u32>((row >> l) << l), size);
-    case Kind::kBaseline:
-      // Row = d_top(l) . s_high(n-l): sources with those high bits.
-      return block(static_cast<u32>(low_bits(row, n - l) << l), size);
-    case Kind::kFlip:
-      // Row = s_high(n-l) . d_top(l).
-      return block(static_cast<u32>((row >> l) << l), size);
-    case Kind::kReverseOmega:
-      // Row = d_low(l) . s_high(n-l): sources with those high bits.
-      return block(static_cast<u32>(low_bits(row, n - l) << l), size);
-  }
-  throw Error("in_window: bad kind");
+  return kept_window(row_parts(kind, n, level).src, row,
+                     layout(kind).src_high ? 1 : u32{1} << (n - level),
+                     u32{1} << level);
 }
 
 WindowDesc out_window(Kind kind, u32 n, u32 level, u32 row) {
   check_args(n, level, row);
-  const u32 l = level;
-  const u32 size = u32{1} << (n - l);
-  switch (kind) {
-    case Kind::kOmega:
-      // Destinations whose top l bits equal the row's low l bits.
-      return block(static_cast<u32>(low_bits(row, l) << (n - l)), size);
-    case Kind::kButterfly:
-      // Destinations whose top l bits equal the row's top l bits.
-      return block(static_cast<u32>((row >> (n - l)) << (n - l)), size);
-    case Kind::kIndirectCube:
-      // Destinations whose low l bits equal the row's low l bits.
-      return stride_class(static_cast<u32>(low_bits(row, l)), u32{1} << l,
-                          size);
-    case Kind::kBaseline:
-      // Destinations whose top l bits equal the row's top l bits.
-      return block(static_cast<u32>((row >> (n - l)) << (n - l)), size);
-    case Kind::kFlip:
-      // Destinations whose top l bits equal the row's low l bits.
-      return block(static_cast<u32>(low_bits(row, l) << (n - l)), size);
-    case Kind::kReverseOmega:
-      // Destinations whose low l bits equal the row's top l bits.
-      return stride_class(static_cast<u32>(row >> (n - l)), u32{1} << l,
-                          size);
-  }
-  throw Error("out_window: bad kind");
+  return kept_window(row_parts(kind, n, level).dst, row,
+                     layout(kind).dst_top ? 1 : u32{1} << level,
+                     u32{1} << (n - level));
 }
 
 bool has_block_block_windows(Kind kind) noexcept {
-  return kind == Kind::kBaseline || kind == Kind::kFlip;
+  return layout(kind).src_high && layout(kind).dst_top;
 }
 
 WindowTable::WindowTable(const Network& net)

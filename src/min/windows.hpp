@@ -1,10 +1,12 @@
 // Closed-form reachability windows for the studied class.
 //
-// Every link (level,row) of a banyan-class network partitions the address
-// bits into a source-determined part and a destination-determined part; the
-// resulting In/Out windows are either aligned contiguous blocks or stride
-// residue classes. The window *shapes* per topology are the structural fact
-// behind the conference-conflict results (DESIGN.md R1/R2) and are the
+// A link (level,row) is reached from the sources whose bits match the
+// row's source field and reaches the destinations whose bits match its
+// destination field, so the windows are read straight off the kind's row
+// layout (`min::KindLayout` in types.hpp): a field of an address's high
+// (top) bits gives an aligned contiguous block, a field of its low bits a
+// stride residue class. The window *shapes* per topology are the structural
+// fact behind the conference-conflict results (DESIGN.md R1/R2) and are the
 // content of experiment E1. `min_windows_test` asserts these formulas
 // against the BFS-computed `WindowTable` (below) for every link of every
 // topology.

@@ -181,7 +181,9 @@ void check_placer(const conf::FastPortPlacer& placer);
 void check_placer(const conf::PlacerBase& placer);
 
 /// Sessions hold sorted, pairwise-disjoint member sets of size >= 2 whose
-/// ports are all occupied in the placer; counters cohere.
+/// ports are all occupied in the placer; counters cohere. Under buddy
+/// placement on a healthy direct fabric whose kind has orthogonal windows,
+/// R2 holds: no interstage load above 1 and no capacity refusal.
 void check_session_manager(const conf::SessionManager& manager);
 
 /// Queue shape and counters cohere with the inner session manager (every

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -18,11 +20,13 @@
 #include <vector>
 
 #include "conference/designs.hpp"
+#include "conference/multiplicity.hpp"
 #include "conference/placement.hpp"
 #include "conference/session.hpp"
 #include "conference/subnetwork.hpp"
 #include "conference/waitqueue.hpp"
 #include "min/network.hpp"
+#include "min/windows.hpp"
 #include "switchmod/fabric.hpp"
 #include "util/rng.hpp"
 
@@ -166,6 +170,110 @@ TEST(AuditSession, CorruptedStatsFire) {
         audit::check_disjoint_memberships({{0, 1}, {1, 2}}, 8, "session");
       },
       "session");
+}
+
+/// What a buddy churn on a direct fabric met: the highest interstage load
+/// and the opens and joins refused for capacity.
+struct ChurnSeen {
+  u32 peak_load = 0;
+  u32 capacity_refusals = 0;
+};
+
+/// Buddy open/join/leave/close churn on a direct fabric, with the session
+/// audit (R2 included) run after every step.
+ChurnSeen buddy_churn(min::Kind kind, const conf::DilationProfile& dilation) {
+  const u32 n = dilation.n();
+  conf::DirectConferenceNetwork net(kind, n, dilation);
+  conf::SessionManager mgr(net, conf::PlacementPolicy::kBuddy);
+  util::Rng rng(23);
+  std::vector<u32> live;
+  ChurnSeen seen;
+  for (int step = 0; step < 800; ++step) {
+    const std::uint64_t op = rng.below(10);
+    if (op < 4 || live.empty()) {
+      const auto [r, id] = mgr.open(static_cast<u32>(2 + rng.below(5)), rng);
+      if (id) live.push_back(*id);
+      seen.capacity_refusals += r == conf::OpenResult::kBlockedCapacity;
+    } else {
+      const std::size_t at = rng.below(live.size());
+      const u32 id = live[at];
+      if (op < 6) {
+        seen.capacity_refusals +=
+            mgr.join(id, rng).first == conf::OpenResult::kBlockedCapacity;
+      } else if (op < 8) {
+        const std::vector<u32> members = mgr.members_of(id);
+        (void)mgr.leave(id, members[rng.below(members.size())]);
+      } else {
+        mgr.close(id);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
+      }
+    }
+    EXPECT_NO_THROW(audit::check_session_manager(mgr))
+        << min::kind_name(kind) << " " << dilation.label() << " step "
+        << step;
+    for (u32 level = 1; level < n; ++level)
+      seen.peak_load = std::max(seen.peak_load, net.current_level_load(level));
+  }
+  return seen;
+}
+
+TEST(AuditSession, BuddyChurnHoldsR2OnEveryKind) {
+  const u32 n = 5;
+  for (min::Kind kind : min::kAllKinds) {
+    const ChurnSeen unit =
+        buddy_churn(kind, conf::DilationProfile::uniform(n, 1));
+    const ChurnSeen full = buddy_churn(kind, conf::DilationProfile::full(n));
+    if (min::has_block_block_windows(kind)) {
+      // Baseline and flip conflict even under buddy placement: capacity
+      // refuses at d=1 and links carry two conferences at full dilation,
+      // and the audit, outside its premise, says nothing.
+      EXPECT_GT(unit.capacity_refusals, 0u) << min::kind_name(kind);
+      EXPECT_GE(full.peak_load, 2u) << min::kind_name(kind);
+    } else {
+      // Orthogonal windows are conflict-free: the audit's R2 premise
+      // holds, and it stays silent.
+      EXPECT_EQ(unit.capacity_refusals, 0u) << min::kind_name(kind);
+      EXPECT_LE(std::max(unit.peak_load, full.peak_load), 1u)
+          << min::kind_name(kind);
+    }
+  }
+}
+
+TEST(AuditSession, R2ViolationsFire) {
+  // Two conferences forced onto one omega link behind the buddy placer's
+  // back (an R1 adversary), as a placement bug would.
+  const u32 n = 4;
+  const min::Kind kind = min::Kind::kOmega;
+  const conf::ConferenceSet adversary =
+      conf::adversarial_conference_set(kind, n, 2, 0);
+  const auto& pair = adversary.conferences();
+  ASSERT_GE(pair.size(), 2u);
+
+  conf::DirectConferenceNetwork wide(kind, n, conf::DilationProfile::full(n));
+  ASSERT_TRUE(wide.setup(pair[0].members()));
+  ASSERT_TRUE(wide.setup(pair[1].members()));
+  ASSERT_EQ(wide.current_level_load(2), 2u);
+  const conf::SessionManager shared(wide, conf::PlacementPolicy::kBuddy);
+  const std::string load = audit_failure(
+      [&] { audit::check_session_manager(shared); }, "session");
+  EXPECT_NE(load.find("share an interstage link"), std::string::npos);
+
+  // At unit dilation the second one is refused for capacity instead.
+  conf::DirectConferenceNetwork narrow(kind, n,
+                                       conf::DilationProfile::uniform(n, 1));
+  ASSERT_TRUE(narrow.setup(pair[0].members()));
+  ASSERT_FALSE(narrow.setup(pair[1].members()));
+  const conf::SessionManager refused(narrow, conf::PlacementPolicy::kBuddy);
+  const std::string capacity = audit_failure(
+      [&] { audit::check_session_manager(refused); }, "session");
+  EXPECT_NE(capacity.find("capacity refused"), std::string::npos);
+
+  // The same fabric outside R2's premise — another placer, or a dead
+  // link — passes.
+  const conf::SessionManager first_fit(wide, conf::PlacementPolicy::kFirstFit);
+  EXPECT_NO_THROW(audit::check_session_manager(first_fit));
+  (void)wide.fail_link(1, 0);
+  EXPECT_NO_THROW(audit::check_session_manager(shared));
 }
 
 // --------------------------------------------------------------- waitqueue

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "min/windows.hpp"
 #include "sim/replication.hpp"
 #include "util/error.hpp"
 
@@ -101,7 +102,8 @@ TEST(Teletraffic, DilationReducesCapacityBlocking) {
 TEST(Teletraffic, BuddyPlacementRemovesCapacityBlockingAtUnitDilation) {
   // R2 consequence, dynamically: orthogonal-window topologies at d=1 with
   // buddy placement never block for capacity.
-  for (Kind kind : {Kind::kOmega, Kind::kIndirectCube, Kind::kButterfly}) {
+  for (Kind kind : min::kAllKinds) {
+    if (min::has_block_block_windows(kind)) continue;
     DirectConferenceNetwork net(kind, 6, DilationProfile::uniform(6, 1));
     TeletrafficConfig c = base_config();
     c.policy = PlacementPolicy::kBuddy;
@@ -112,14 +114,17 @@ TEST(Teletraffic, BuddyPlacementRemovesCapacityBlockingAtUnitDilation) {
 }
 
 TEST(Teletraffic, BaselineAtUnitDilationDoesCapacityBlockEvenBuddy) {
-  // ...while baseline (block x block windows) still conflicts under buddy.
-  DirectConferenceNetwork net(Kind::kBaseline, 6,
-                              DilationProfile::uniform(6, 1));
-  TeletrafficConfig c = base_config();
-  c.policy = PlacementPolicy::kBuddy;
-  c.traffic.arrival_rate = 6.0;
-  const TeletrafficResult r = run_teletraffic(net, c);
-  EXPECT_GT(r.stats.blocked_capacity, 0u);
+  // ...while the block x block topologies (baseline, flip) still conflict
+  // under buddy.
+  for (Kind kind : min::kAllKinds) {
+    if (!min::has_block_block_windows(kind)) continue;
+    DirectConferenceNetwork net(kind, 6, DilationProfile::uniform(6, 1));
+    TeletrafficConfig c = base_config();
+    c.policy = PlacementPolicy::kBuddy;
+    c.traffic.arrival_rate = 6.0;
+    const TeletrafficResult r = run_teletraffic(net, c);
+    EXPECT_GT(r.stats.blocked_capacity, 0u) << min::kind_name(kind);
+  }
 }
 
 TEST(Teletraffic, FunctionalVerificationDuringChurn) {

@@ -2,7 +2,8 @@
 //
 // Everything the checker audits, done the sanctioned way: locking through
 // the annotated util wrappers, a CONFNET_HOT kernel that only mutates
-// preallocated state, and randomness drawn from the seeded util::Rng.
+// preallocated state, randomness drawn from the seeded util::Rng, and a
+// switch over an enum that is not min::Kind.
 
 #include "util/mutex.hpp"
 #include "util/rng.hpp"
@@ -31,6 +32,20 @@ CONFNET_HOT double weighted_pick(double* slots, unsigned n, util::Rng& rng) {
   const auto i = static_cast<unsigned>(rng.below(n));
   slots[i] += 1.0;
   return slots[i];
+}
+
+// An option kind of its own (as in util/cli.cpp): not a topology, so its
+// case labels do not trip kind-switch.
+enum class Kind { kBool, kInt, kDouble, kString };
+
+const char* placeholder(Kind kind) {
+  switch (kind) {
+    case Kind::kBool: return "";
+    case Kind::kInt: return "<int>";
+    case Kind::kDouble: return "<float>";
+    case Kind::kString: return "<string>";
+  }
+  return "";
 }
 
 }  // namespace confnet::conf

@@ -57,6 +57,14 @@ installed). Enforces the repo-specific rules that the compiler cannot:
                    or a `// cluster-owner: <tag>` comment with the same
                    tag vocabulary as runtime-owner.
 
+  kind-switch      No `case` on a min::Kind enumerator (kOmega, kBaseline,
+                   kIndirectCube, kButterfly, kFlip, kReverseOmega) anywhere
+                   in src/. A kind's structure is written once, in its
+                   min::KindLayout row (src/min/types.hpp); wiring, routing,
+                   windows and isomorphisms derive from that row. Other
+                   enums with a `Kind` name (util/cli.cpp's option kinds)
+                   do not match.
+
 Suppression: a finding is waived by a comment on the same line — or on
 the line(s) immediately above — of the form
 
@@ -114,6 +122,10 @@ RULES: dict[str, str] = {
         "mutable state in src/cluster headers must be CONFNET_GUARDED_BY a"
         " mutex or carry a `// cluster-owner: <tag>` ownership comment"
         " (worker|queue|lock|immutable|atomic|caller)"
+    ),
+    "kind-switch": (
+        "`case` on a min::Kind enumerator in src/; derive the kind's"
+        " structure from its min::KindLayout row instead"
     ),
 }
 
@@ -205,6 +217,11 @@ DETERMINISM_RE = re.compile(
     r"|\b(?:system_clock|steady_clock|high_resolution_clock)\b"
     r"|\btime\s*\(\s*(?:NULL|nullptr|0)?\s*\)"
     r"|\bgettimeofday\b|\bclock\s*\(\s*\)"
+)
+
+KIND_SWITCH_RE = re.compile(
+    r"\bcase\s+(?:(?:::)?confnet::)?(?:min::)?Kind::"
+    r"k(?:Omega|Baseline|IndirectCube|Butterfly|Flip|ReverseOmega)\b"
 )
 
 ALLOW_RE = re.compile(r"//\s*static_check:\s*allow\(([^)]*)\)\s*(.*)")
@@ -588,6 +605,21 @@ def check_determinism(sf: SourceFile, findings: list[Finding]) -> None:
             )
 
 
+def check_kind_switch(sf: SourceFile, findings: list[Finding]) -> None:
+    if not sf.path.startswith("src/"):
+        return
+    for i, line in enumerate(sf.lines):
+        m = KIND_SWITCH_RE.search(line)
+        if m and not sf.allowed(i, "kind-switch"):
+            findings.append(
+                Finding(
+                    sf.path, i + 1, "kind-switch",
+                    f"`{m.group(0)}` switches on the topology kind; read "
+                    "the kind's min::KindLayout row (src/min/types.hpp)",
+                )
+            )
+
+
 def check_member_ownership(sf: SourceFile, findings: list[Finding]) -> None:
     rule = next(
         (r for root, r in OWNER_ROOTS.items() if sf.path.startswith(root)),
@@ -667,6 +699,7 @@ def run_rules(files: dict[str, SourceFile], engine: str) -> list[Finding]:
         check_raw_mutex(sf, findings)
         check_hot_alloc(sf, findings)
         check_determinism(sf, findings)
+        check_kind_switch(sf, findings)
         check_member_ownership(sf, findings)
         check_bare_allows(sf, findings)
     check_audit_hooks(files, findings)
