@@ -7,7 +7,6 @@
 // conflict-multiplicity results.
 #include "bench_common.hpp"
 #include "conference/placement.hpp"
-#include "conference/subnetwork.hpp"
 #include "min/network.hpp"
 #include "sim/erlang.hpp"
 #include "sim/replication.hpp"
@@ -171,11 +170,7 @@ std::vector<u32> populate_propagation_state(sw::FabricState& fabric, u32 n) {
         2 + static_cast<u32>(rng.below(std::min(N / 4, u32{63})));
     auto ports = placer.place(size, rng);
     if (!ports) break;
-    sw::GroupRealization g;
-    g.id = id;
-    g.links = conf::all_pairs_links(Kind::kIndirectCube, n, *ports);
-    g.members = std::move(*ports);
-    if (!fabric.try_add(std::move(g))) break;
+    if (fabric.try_add(id, *ports) != sw::Admission::kAdmitted) break;
     ids.push_back(id);
   }
   return ids;
@@ -186,12 +181,13 @@ void BM_PropagateReference(benchmark::State& state) {
   const min::Network net(Kind::kIndirectCube, n);
   sw::FabricState fabric(net, sw::FabricConfig{u32{1} << n, true, true});
   const std::vector<u32> ids = populate_propagation_state(fabric, n);
+  std::vector<sw::GroupRealization> groups;
+  for (u32 id : ids) groups.push_back(fabric.realization(id));
   const sw::Fabric oracle(fabric.network(), sw::FabricConfig{});
   for (auto _ : state) {
     std::uint64_t violations = 0;
-    for (u32 id : ids) {
-      const sw::PropagationResult ref =
-          oracle.propagate(fabric.group(id), &fabric.faults());
+    for (const sw::GroupRealization& g : groups) {
+      const sw::PropagationResult ref = oracle.propagate(g, &fabric.faults());
       violations += ref.capability_violations;
       benchmark::DoNotOptimize(ref.delivered.data());
     }
@@ -199,9 +195,8 @@ void BM_PropagateReference(benchmark::State& state) {
   }
   std::uint64_t fan_in = 0;
   std::uint64_t fan_out = 0;
-  for (u32 id : ids) {
-    const sw::PropagationResult ref =
-        oracle.propagate(fabric.group(id), &fabric.faults());
+  for (const sw::GroupRealization& g : groups) {
+    const sw::PropagationResult ref = oracle.propagate(g, &fabric.faults());
     fan_in += ref.fan_in_ops;
     fan_out += ref.fan_out_ops;
   }
@@ -213,8 +208,8 @@ void BM_PropagateReference(benchmark::State& state) {
 }
 BENCHMARK(BM_PropagateReference)->DenseRange(6, 10, 2);
 
-// The teletraffic simulation's pattern: one group changes (here: replaced by a
-// copy of its own realization, which recounts its dead links and fan flag),
+// The teletraffic simulation's pattern: one group changes (here: replaced by
+// its own member list, which re-derives its rows, dead links and fan flag),
 // then the periodic delivery check runs over the whole fabric, reading
 // every group's counters.
 void BM_DeliveryCheckChurn(benchmark::State& state) {
@@ -226,7 +221,7 @@ void BM_DeliveryCheckChurn(benchmark::State& state) {
   for (auto _ : state) {
     const u32 id = ids[next];
     next = next + 1 == ids.size() ? 0 : next + 1;
-    fabric.replace(id, fabric.group(id));
+    fabric.replace(id, fabric.members(id));
     bool ok = fabric.delivery_ok();
     benchmark::DoNotOptimize(ok);
   }

@@ -94,18 +94,26 @@ bool ports_free(const sw::FabricState& state, const std::vector<u32>& members,
   return true;
 }
 
-/// The stateless-oracle functional check shared by both designs: rebuild
-/// every group and re-propagate through Fabric::evaluate with unlimited
-/// channels (capacity was enforced at setup, so this reports pure delivery
-/// correctness). Evaluated against the design's live fault set, so a
-/// degraded group fails the check exactly when a member stops hearing the
-/// full conference.
+/// True iff the fabric admitted; otherwise records why it refused.
+bool admitted(sw::Admission verdict, SetupError& error) {
+  if (verdict == sw::Admission::kLinkFaulty) error = SetupError::kLinkFaulty;
+  if (verdict == sw::Admission::kLinkCapacity)
+    error = SetupError::kLinkCapacity;
+  return verdict == sw::Admission::kAdmitted;
+}
+
+/// The stateless-oracle functional check shared by both designs:
+/// materialize every group and re-propagate through Fabric::evaluate with
+/// unlimited channels (capacity was enforced at setup, so this reports
+/// pure delivery correctness). Evaluated against the design's live fault
+/// set, so a degraded group fails the check exactly when a member stops
+/// hearing the full conference.
 bool verify_via_fabric(const sw::FabricState& state) {
   const min::Network& net = state.network();
   std::vector<sw::GroupRealization> groups;
   groups.reserve(state.group_count());
   state.for_each_group(
-      [&](const sw::GroupRealization& g) { groups.push_back(g); });
+      [&](u32 id) { groups.push_back(state.realization(id)); });
   const sw::Fabric fabric(net,
                           sw::FabricConfig{net.size(), true, true});
   const sw::EvalReport report = fabric.evaluate(groups, &state.faults());
@@ -132,26 +140,13 @@ std::string DirectConferenceNetwork::name() const {
          dilation_.label() + ")";
 }
 
-void DirectConferenceNetwork::realize_scratch() {
-  path_union_links(kind(), n(), scratch_.members, scratch_.members,
-                   scratch_.links, parts_);
-}
-
 std::optional<u32> DirectConferenceNetwork::setup(
     const std::vector<u32>& members) {
   if (!ports_free(state_, members, last_error_)) return std::nullopt;
-  scratch_.id = handles_.peek();
-  scratch_.members.assign(members.begin(), members.end());
-  std::sort(scratch_.members.begin(), scratch_.members.end());
-  realize_scratch();
-  if (!state_.links_clear(scratch_.links)) {
-    last_error_ = SetupError::kLinkFaulty;
+  scratch_.assign(members.begin(), members.end());
+  std::sort(scratch_.begin(), scratch_.end());
+  if (!admitted(state_.try_add(handles_.peek(), scratch_), last_error_))
     return std::nullopt;
-  }
-  if (!state_.try_add(scratch_)) {
-    last_error_ = SetupError::kLinkCapacity;
-    return std::nullopt;
-  }
   const u32 handle = handles_.take();
   CONFNET_AUDIT_HOOK(audit::check_direct_network(*this));
   return handle;
@@ -179,29 +174,19 @@ bool DirectConferenceNetwork::add_member(u32 handle, u32 port) {
     last_error_ = SetupError::kPortBusy;
     return false;
   }
-  scratch_.id = handle;
-  edit_members(state_.group(handle).members, port, true, scratch_.members);
-  realize_scratch();
-  if (!state_.links_clear(scratch_.links)) {
-    last_error_ = SetupError::kLinkFaulty;
+  edit_members(state_.members(handle), port, true, scratch_);
+  if (!admitted(state_.try_replace(handle, scratch_), last_error_))
     return false;
-  }
-  if (!state_.try_replace(handle, scratch_)) {
-    last_error_ = SetupError::kLinkCapacity;
-    return false;
-  }
   CONFNET_AUDIT_HOOK(audit::check_direct_network(*this));
   return true;
 }
 
 bool DirectConferenceNetwork::remove_member(u32 handle, u32 port) {
   expects(state_.contains(handle), "remove_member on unknown handle");
-  const std::vector<u32>& members = state_.group(handle).members;
+  const std::vector<u32>& members = state_.members(handle);
   if (!std::binary_search(members.begin(), members.end(), port)) return false;
   if (members.size() <= 2) return false;  // close instead
-  scratch_.id = handle;
-  edit_members(members, port, false, scratch_.members);
-  realize_scratch();
+  edit_members(members, port, false, scratch_);
   // An ALL_PAIRS subnetwork of fewer members only releases links, so the
   // swap cannot oversubscribe anything.
   state_.replace(handle, scratch_);
@@ -212,7 +197,7 @@ bool DirectConferenceNetwork::remove_member(u32 handle, u32 port) {
 const std::vector<u32>& DirectConferenceNetwork::members_for(
     u32 handle) const {
   expects(state_.contains(handle), "unknown conference handle");
-  return state_.group(handle).members;
+  return state_.members(handle);
 }
 
 u32 DirectConferenceNetwork::current_level_load(u32 level) const {
@@ -246,31 +231,16 @@ EnhancedCubeNetwork::EnhancedCubeNetwork(u32 n)
 
 std::string EnhancedCubeNetwork::name() const { return "enhanced-cube"; }
 
-void EnhancedCubeNetwork::realize_scratch() {
-  // enhanced_cube_realization, built in the scratch buffers.
-  scratch_.tap_level = cube_completion_level(n(), scratch_.members);
-  path_union_links(min::Kind::kIndirectCube, n(), scratch_.members,
-                   scratch_.members, scratch_.links, parts_);
-  scratch_.links.truncate_above(scratch_.tap_level);
-}
-
 std::optional<u32> EnhancedCubeNetwork::setup(
     const std::vector<u32>& members) {
   if (!ports_free(state_, members, last_error_)) return std::nullopt;
-  scratch_.id = handles_.peek();
-  scratch_.members.assign(members.begin(), members.end());
-  std::sort(scratch_.members.begin(), scratch_.members.end());
-  realize_scratch();
-  if (!state_.links_clear(scratch_.links)) {
-    last_error_ = SetupError::kLinkFaulty;
-    return std::nullopt;
-  }
+  scratch_.assign(members.begin(), members.end());
+  std::sort(scratch_.begin(), scratch_.end());
   // The enhanced design keeps single-channel links; a conflict means the
   // placement was not aligned (or the fabric is genuinely oversubscribed).
-  if (!state_.try_add(scratch_)) {
-    last_error_ = SetupError::kLinkCapacity;
+  if (!admitted(state_.try_add(handles_.peek(), scratch_, /*relay=*/true),
+                last_error_))
     return std::nullopt;
-  }
   const u32 handle = handles_.take();
   CONFNET_AUDIT_HOOK(audit::check_enhanced_network(*this));
   return handle;
@@ -298,32 +268,22 @@ bool EnhancedCubeNetwork::add_member(u32 handle, u32 port) {
     last_error_ = SetupError::kPortBusy;
     return false;
   }
-  scratch_.id = handle;
-  edit_members(state_.group(handle).members, port, true, scratch_.members);
-  realize_scratch();
-  if (!state_.links_clear(scratch_.links)) {
-    last_error_ = SetupError::kLinkFaulty;
-    return false;
-  }
+  edit_members(state_.members(handle), port, true, scratch_);
   // A grown conference may also RELEASE links: joining a member outside the
   // old span raises the tap level, but within a span it only adds links.
   // try_replace checks capacity on the gained links only.
-  if (!state_.try_replace(handle, scratch_)) {
-    last_error_ = SetupError::kLinkCapacity;
+  if (!admitted(state_.try_replace(handle, scratch_), last_error_))
     return false;
-  }
   CONFNET_AUDIT_HOOK(audit::check_enhanced_network(*this));
   return true;
 }
 
 bool EnhancedCubeNetwork::remove_member(u32 handle, u32 port) {
   expects(state_.contains(handle), "remove_member on unknown handle");
-  const std::vector<u32>& members = state_.group(handle).members;
+  const std::vector<u32>& members = state_.members(handle);
   if (!std::binary_search(members.begin(), members.end(), port)) return false;
   if (members.size() <= 2) return false;  // close instead
-  scratch_.id = handle;
-  edit_members(members, port, false, scratch_.members);
-  realize_scratch();
+  edit_members(members, port, false, scratch_);
   // Shrinking never adds links under a fixed tap level; new-only links can
   // only appear when the tap level drops, freeing more than it takes within
   // the conference's own rows — so the unconditional swap is safe.
@@ -334,12 +294,12 @@ bool EnhancedCubeNetwork::remove_member(u32 handle, u32 port) {
 
 const std::vector<u32>& EnhancedCubeNetwork::members_for(u32 handle) const {
   expects(state_.contains(handle), "unknown conference handle");
-  return state_.group(handle).members;
+  return state_.members(handle);
 }
 
 u32 EnhancedCubeNetwork::tap_level(u32 handle) const {
   expects(state_.contains(handle), "unknown conference handle");
-  const u32 level = state_.group(handle).tap_level;
+  const u32 level = state_.tap_level(handle);
   ensures(level != sw::GroupRealization::kNoTap,
           "enhanced group must carry a relay tap");
   return level;
@@ -371,14 +331,13 @@ void check_design_state(const sw::FabricState& state, conf::u32 n,
   using conf::u32;
   const u32 N = u32{1} << n;
   std::vector<std::vector<u32>> member_sets;
-  state.for_each_group([&](const sw::GroupRealization& g) {
-    require(g.id < next_handle, sub, "conference handle from the future");
-    require(g.members.size() >= 2, sub, "active conference below two members");
-    member_sets.push_back(g.members);
-    for (u32 m : g.members)
+  state.for_each_group([&](u32 id) {
+    require(id < next_handle, sub, "conference handle from the future");
+    const std::vector<u32>& members = state.members(id);
+    require(members.size() >= 2, sub, "active conference below two members");
+    member_sets.push_back(members);
+    for (u32 m : members)
       require(m < N, sub, "active member row out of range");
-    require(g.links.levels() == n + 1, sub,
-            "active link set has wrong level count");
   });
   check_disjoint_memberships(member_sets, N, sub);
   // Both designs admit only within capacity, so the incremental overflow
@@ -403,13 +362,9 @@ void check_direct_network(const conf::DirectConferenceNetwork& net) {
                 conf::theoretical_max(net.n(), level),
             kSub, "a link carries more conferences than R1 allows");
   }
-  // Deep shape check: the stored links are exactly the ALL_PAIRS
-  // subnetwork of the stored members, with no relay tap.
-  net.state_.for_each_group([&](const sw::GroupRealization& g) {
-    require(g.tap_level == sw::GroupRealization::kNoTap, kSub,
+  net.state_.for_each_group([&](u32 id) {
+    require(net.state_.tap_level(id) == sw::GroupRealization::kNoTap, kSub,
             "direct design must not carry a relay tap");
-    require(g.links == conf::all_pairs_links(net.kind(), net.n(), g.members),
-            kSub, "stored links diverge from the ALL_PAIRS recomputation");
   });
 }
 
@@ -418,14 +373,13 @@ void check_enhanced_network(const conf::EnhancedCubeNetwork& net) {
   using conf::u32;
   check_design_state(net.state_, net.n(), net.handles_.minted(), kSub);
   std::vector<std::vector<std::vector<u32>>> group_links;
-  net.state_.for_each_group([&](const sw::GroupRealization& g) {
-    // The stored realization is exactly the recomputed one (tap included).
+  net.state_.for_each_group([&](u32 id) {
+    // The realization the fabric derives is the enhanced-cube one.
+    const sw::GroupRealization g = net.state_.realization(id);
     const conf::EnhancedRealization fresh =
         conf::enhanced_cube_realization(net.n(), g.members);
-    require(g.tap_level == fresh.tap_level, kSub,
-            "stored tap level diverges from the recomputed completion level");
-    require(g.links == fresh.links, kSub,
-            "stored links diverge from the enhanced-cube recomputation");
+    require(g.tap_level == fresh.tap_level && g.links == fresh.links, kSub,
+            "fabric realization diverges from the enhanced-cube one");
     group_links.push_back(g.links.nested());
   });
   // The paper's claim, machine-checked on live state: enhanced-design

@@ -238,17 +238,13 @@ class DirectConferenceNetwork final : public ConferenceNetworkBase {
  private:
   friend void audit::check_direct_network(const ::confnet::conf::DirectConferenceNetwork&);
 
-  /// ALL_PAIRS links of scratch_.members into scratch_.links.
-  void realize_scratch();
-
   DilationProfile dilation_;
-  sw::FabricState state_;  // owns the active realizations + link loads
+  sw::FabricState state_;  // owns the member lists + link loads
   HandlePool handles_;
   SetupError last_error_ = SetupError::kPortBusy;
-  // Admission scratch: each mutation builds its realization here and the
+  // Admission scratch: each mutation builds its member list here and the
   // fabric copies it only once admitted, so a refusal allocates nothing.
-  sw::GroupRealization scratch_;
-  std::vector<u32> parts_;  // path_union_links parts scratch
+  std::vector<u32> scratch_;
 };
 
 class EnhancedCubeNetwork final : public ConferenceNetworkBase {
@@ -301,15 +297,10 @@ class EnhancedCubeNetwork final : public ConferenceNetworkBase {
  private:
   friend void audit::check_enhanced_network(const ::confnet::conf::EnhancedCubeNetwork&);
 
-  /// Enhanced-cube realization of scratch_.members into scratch_.
-  void realize_scratch();
-
-  sw::FabricState state_;  // owns the active realizations + link loads
+  sw::FabricState state_;  // owns the member lists + link loads
   HandlePool handles_;
   SetupError last_error_ = SetupError::kPortBusy;
-  // Admission scratch, as in DirectConferenceNetwork.
-  sw::GroupRealization scratch_;
-  std::vector<u32> parts_;
+  std::vector<u32> scratch_;  // member-list scratch, as in the direct design
 };
 
 // Each design owns its fabric and the fabric owns its network, so a design

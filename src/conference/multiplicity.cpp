@@ -338,18 +338,6 @@ u32 exhaustive_link_packing(Kind kind, u32 n, u32 level, u32 row) {
   return best;
 }
 
-namespace {
-/// ALL_PAIRS realization of one conference, ready for the fabric layer.
-sw::GroupRealization realize_all_pairs(Kind kind, u32 n,
-                                       const Conference& c) {
-  sw::GroupRealization g;
-  g.id = c.id();
-  g.members = c.members();
-  g.links = all_pairs_links(kind, n, c.members());
-  return g;
-}
-}  // namespace
-
 MonteCarloResult monte_carlo_multiplicity(Kind kind, u32 n,
                                           u32 conference_count, u32 min_size,
                                           u32 max_size,
@@ -409,7 +397,8 @@ MonteCarloResult monte_carlo_multiplicity(Kind kind, u32 n,
         admitted.clear();
         bool ok = true;
         for (const Conference& c : set.conferences()) {
-          if (fabric->try_add(realize_all_pairs(kind, n, c))) {
+          if (fabric->try_add(c.id(), c.members()) ==
+              sw::Admission::kAdmitted) {
             admitted.push_back(c.id());
           } else {
             ok = false;  // cannot happen: disjoint members, channels = N
@@ -479,7 +468,8 @@ MonteCarloResult monte_carlo_multiplicity_reference(
       std::vector<sw::GroupRealization> groups;
       groups.reserve(set.conferences().size());
       for (const Conference& c : set.conferences())
-        groups.push_back(realize_all_pairs(kind, n, c));
+        groups.push_back({c.id(), sw::GroupRealization::kNoTap, c.members(),
+                          all_pairs_links(kind, n, c.members())});
       const sw::Fabric oracle(net, sw::FabricConfig{N, true, true});
       const sw::EvalReport report = oracle.evaluate(groups);
       bool ok = report.ok();

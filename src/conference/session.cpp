@@ -150,7 +150,10 @@ std::pair<OpenResult, std::optional<u32>> SessionManager::join(
     ++stats_.joins_blocked;
     obs::trace_emit("conf", "join_blocked", session_id);
     CONFNET_AUDIT_HOOK(audit::check_session_manager(*this));
-    return {OpenResult::kBlockedCapacity, std::nullopt};
+    return {network_.last_error() == SetupError::kLinkFaulty
+                ? OpenResult::kBlockedFault
+                : OpenResult::kBlockedCapacity,
+            std::nullopt};
   }
   ++stats_.joins;
   obs::trace_emit("conf", "join", session_id);

@@ -1,12 +1,10 @@
 #include "conference/subnetwork.hpp"
 
 #include <algorithm>
-#include <array>
 #include <span>
 
 #include "min/selfroute.hpp"
 #include "min/windows.hpp"
-#include "util/bits.hpp"
 #include "util/error.hpp"
 
 namespace confnet::conf {
@@ -19,56 +17,14 @@ void check_members(u32 n, const std::vector<u32>& members) {
           "subnetwork: members must be sorted");
   expects(members.back() < (u32{1} << n), "subnetwork: member out of range");
 }
-
-std::span<u32> sort_unique(std::span<u32> v) {
-  std::sort(v.begin(), v.end());
-  return v.first(static_cast<std::size_t>(
-      std::unique(v.begin(), v.end()) - v.begin()));
-}
 }  // namespace
-
-void path_union_links(min::Kind kind, u32 n, std::span<const u32> sources,
-                      std::span<const u32> sinks, LevelLinks& links,
-                      std::vector<u32>& parts) {
-  expects(n >= 1 && n <= 20, "subnetwork: 1 <= n <= 20");
-  expects(!sources.empty() && !sinks.empty(), "path union: empty endpoints");
-  for (u32 v : sources) expects(v < (u32{1} << n), "source out of range");
-  for (u32 v : sinks) expects(v < (u32{1} << n), "sink out of range");
-  // Every topology's row is src_part(i) | dst_part(j) over disjoint bit
-  // fields (min::row_parts), so each pair of distinct parts names a
-  // distinct row: count every level's rows from its distinct parts, then
-  // shape the result once and sort each level in place.
-  const std::size_t s = sources.size();
-  const std::size_t d = sinks.size();
-  parts.resize((s + d) * (n + 1));
-  std::array<std::span<u32>, 21> src, dst;  // n <= 20
-  std::array<u32, 21> counts{};
-  for (u32 level = 0; level <= n; ++level) {
-    const min::RowParts rp = min::row_parts(kind, n, level);
-    const auto a = std::span(parts).subspan((s + d) * level, s);
-    const auto b = std::span(parts).subspan((s + d) * level + s, d);
-    for (std::size_t i = 0; i < s; ++i) a[i] = rp.src.apply(sources[i]);
-    for (std::size_t j = 0; j < d; ++j) b[j] = rp.dst.apply(sinks[j]);
-    src[level] = sort_unique(a);
-    dst[level] = sort_unique(b);
-    counts[level] = static_cast<u32>(src[level].size() * dst[level].size());
-  }
-  links.reshape(std::span<const u32>(counts.data(), n + 1));
-  for (u32 level = 0; level <= n; ++level) {
-    const std::span<u32> rows = links.rows(level);
-    std::size_t k = 0;
-    for (u32 a : src[level])
-      for (u32 b : dst[level]) rows[k++] = a | b;
-    std::sort(rows.begin(), rows.end());
-  }
-}
 
 LevelLinks path_union_links(min::Kind kind, u32 n,
                             std::span<const u32> sources,
                             std::span<const u32> sinks) {
   LevelLinks links;
   std::vector<u32> parts;
-  path_union_links(kind, n, sources, sinks, links, parts);
+  min::path_union(kind, n, sources, sinks, n, links, parts);
   return links;
 }
 
@@ -119,17 +75,16 @@ LevelLinks fanin_tree_links(min::Kind kind, u32 n,
 
 u32 cube_completion_level(u32 n, const std::vector<u32>& members) {
   check_members(n, members);
-  u32 diff = 0;
-  for (u32 m : members) diff |= m ^ members.front();
-  return diff == 0 ? 0 : util::highest_bit(diff) + 1;
+  return min::cube_tap_level(members);
 }
 
 EnhancedRealization enhanced_cube_realization(
     u32 n, const std::vector<u32>& members) {
   EnhancedRealization real;
   real.tap_level = cube_completion_level(n, members);
-  real.links = all_pairs_links(min::Kind::kIndirectCube, n, members);
-  real.links.truncate_above(real.tap_level);
+  std::vector<u32> parts;
+  min::path_union(min::Kind::kIndirectCube, n, members, members,
+                  real.tap_level, real.links, parts);
   return real;
 }
 

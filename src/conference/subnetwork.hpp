@@ -6,7 +6,9 @@
 // and because every topology's link row is the OR of a source-determined
 // field and a destination-determined field, the level-l rows factor as
 //   { a | b : a in {src_part(i)}, b in {dst_part(j)} },
-// which is how `all_pairs_links` computes them in O(|A||B|) per level.
+// which is how `min::path_union` computes them in O(|A||B|) per level,
+// for `all_pairs_links` here and for `sw::FabricState`, which derives a
+// group's rows from its member list on demand instead of storing them.
 //
 // FANIN_TREE: the union of paths from every member to one root output —
 // the combining tree of the mux-relay (Yang 2001) design. Both, and the
@@ -29,19 +31,12 @@ namespace confnet::conf {
 /// one flat allocation (min/level_links.hpp).
 using LevelLinks = min::LevelLinks;
 
-/// Union of the unique paths from every source to every sink: level l
-/// holds { src_part(i) | dst_part(j) } (min::row_parts). Two heap
-/// allocations (a parts scratch and the result) whatever n is.
+/// Union of the unique paths from every source to every sink
+/// (min::path_union): level l holds { src_part(i) | dst_part(j) }. Two
+/// heap allocations (a parts scratch and the result) whatever n is.
 [[nodiscard]] LevelLinks path_union_links(min::Kind kind, u32 n,
                                           std::span<const u32> sources,
                                           std::span<const u32> sinks);
-
-/// The same union written into `links` (LevelLinks::reshape), with
-/// `parts` as the per-level parts scratch: a caller that keeps both
-/// across calls allocates only when a union outgrows every earlier one.
-void path_union_links(min::Kind kind, u32 n, std::span<const u32> sources,
-                      std::span<const u32> sinks, LevelLinks& links,
-                      std::vector<u32>& parts);
 
 /// ALL_PAIRS subnetwork via the closed-form path algebra: the path union
 /// with the members as both sources and sinks.

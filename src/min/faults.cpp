@@ -1,7 +1,5 @@
 #include "min/faults.hpp"
 
-#include <algorithm>
-
 #include "min/network.hpp"
 #include "min/selfroute.hpp"
 #include "min/windows.hpp"
@@ -86,29 +84,14 @@ double connectivity(Kind kind, u32 n, const FaultSet& faults) {
 bool conference_survives(Kind kind, u32 n, const std::vector<u32>& members,
                          const FaultSet& faults) {
   expects(faults.n() == n, "fault set size mismatch");
-  // The conference's level-l links factor as {src_part(i) | dst_part(j)}
-  // (see conf::all_pairs_links); checking the distinct parts beats walking
-  // all |G|^2 member pairs.
-  for (u32 m : members) expects(m < faults.size(), "member out of range");
-  std::vector<u32> src_parts, dst_parts;
-  for (u32 level = 0; level <= n; ++level) {
-    const RowParts parts = row_parts(kind, n, level);
-    src_parts.clear();
-    dst_parts.clear();
-    for (u32 m : members) {
-      src_parts.push_back(parts.src.apply(m));
-      dst_parts.push_back(parts.dst.apply(m));
-    }
-    std::sort(src_parts.begin(), src_parts.end());
-    src_parts.erase(std::unique(src_parts.begin(), src_parts.end()),
-                    src_parts.end());
-    std::sort(dst_parts.begin(), dst_parts.end());
-    dst_parts.erase(std::unique(dst_parts.begin(), dst_parts.end()),
-                    dst_parts.end());
-    for (u32 a : src_parts)
-      for (u32 b : dst_parts)
-        if (faults.is_faulty(level, a | b)) return false;
-  }
+  // The conference's links are the path union of its members (see
+  // path_union); walking them beats walking all |G|^2 member pairs.
+  LevelLinks links;
+  std::vector<u32> parts;
+  path_union(kind, n, members, members, n, links, parts);
+  for (u32 level = 0; level <= n; ++level)
+    for (u32 row : links[level])
+      if (faults.is_faulty(level, row)) return false;
   return true;
 }
 

@@ -28,9 +28,8 @@ class LevelLinks {
   LevelLinks() = default;
   /// counts.size() levels, level l holding counts[l] zero rows; fill them
   /// through rows(level). One allocation, its capacity rounded up to a
-  /// power of two: blocks freed by membership churn then fall into a few
-  /// allocator size classes and get reused (exact sizes cost the DES
-  /// ~40 KB more heap).
+  /// power of two, so a value reused as scratch (FabricState derives every
+  /// group's rows into one; none is stored) regrows only O(log) times.
   explicit LevelLinks(std::span<const u32> counts) { reshape(counts); }
   /// Copy of nested per-level rows, e.g. {{0, 1}, {1}, {}} (3 levels).
   LevelLinks(std::initializer_list<std::initializer_list<u32>> levels)
@@ -85,28 +84,6 @@ class LevelLinks {
     words_[0] = static_cast<u32>(counts.size() + 1);
     for (std::size_t l = 0; l < counts.size(); ++l)
       words_[l + 1] = words_[l] + counts[l];
-  }
-
-  /// Copy `other`'s levels into a block of the power-of-two capacity the
-  /// counts constructor would give it, reusing this value's block when it
-  /// already has exactly that capacity.
-  void assign(const LevelLinks& other) {
-    const std::size_t want =
-        other.words_.empty() ? 0 : std::bit_ceil(other.words_.size());
-    if (words_.capacity() != want) {
-      std::vector<u32> block;
-      block.reserve(want);
-      words_.swap(block);
-    }
-    words_.assign(other.words_.begin(), other.words_.end());
-  }
-
-  /// Empty every level above `level` (< levels()), keeping the level count.
-  void truncate_above(u32 level) {
-    expects(level < levels(), "truncate_above: level out of range");
-    const u32 end = words_[level + 1];
-    for (u32 l = level + 2; l <= levels(); ++l) words_[l] = end;
-    words_.resize(end);
   }
 
   /// The rows as one vector per level.

@@ -9,8 +9,10 @@
 // for every (src,dst,level) of every topology.
 #pragma once
 
+#include <span>
 #include <vector>
 
+#include "min/level_links.hpp"
 #include "min/types.hpp"
 #include "util/error.hpp"
 
@@ -59,6 +61,25 @@ struct RowParts {
           "path_row: endpoints out of range");
   return parts.src.apply(src) | parts.dst.apply(dst);
 }
+
+/// The union of the unique paths from every source to every sink, written
+/// into `links` (n+1 levels, LevelLinks::reshape) with `parts` as scratch:
+/// level l <= last holds { src_part(i) | dst_part(j) } (row_parts), and
+/// the levels above `last` are empty (a realization cut at a relay tap).
+/// The two fields are disjoint, so each pair of distinct parts is a
+/// distinct row; enumerating the upper field's parts in the outer loop
+/// emits every level's rows sorted. A field of an address's top bits is
+/// monotone in a sorted endpoint list, so its parts need no sort. A caller
+/// that keeps `links` and `parts` allocates only when a union outgrows
+/// every earlier one.
+void path_union(Kind kind, u32 n, std::span<const u32> sources,
+                std::span<const u32> sinks, u32 last, LevelLinks& links,
+                std::vector<u32>& parts);
+
+/// Mux-relay tap level of an indirect-cube conference on sorted
+/// `members`: the number of low address bits in which they disagree. From
+/// that level on, every member's own row carries every member's signal.
+[[nodiscard]] u32 cube_tap_level(std::span<const u32> members);
 
 /// All rows of the path, levels 0..n (equivalent to Network::route_rows but
 /// allocation is the only non-O(1) cost per level).

@@ -103,8 +103,9 @@ class Runtime {
   /// completes — with kRejectedStopped when the runtime refused the
   /// command. The hand-off itself allocates nothing; in steady-state
   /// open/close churn a refused open and a close allocate nothing and a
-  /// served open at most two blocks (the fabric group's member list and
-  /// link rows; tests/alloc_budget_test.cpp pins this).
+  /// served open at most one block (the fabric group's member list; its
+  /// link rows are derived, not stored; tests/alloc_budget_test.cpp pins
+  /// this).
   [[nodiscard]] PooledResult call_pooled(u32 shard, Command&& cmd);
 
   /// Stage an allocation-free call: hangs a recycled slot on the command

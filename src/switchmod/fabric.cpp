@@ -213,14 +213,18 @@ PropagationResult Fabric::propagate(const GroupRealization& g,
   return result;
 }
 
+void validate_members(const min::Network& net, std::span<const u32> members) {
+  expects(!members.empty(), "group has no members");
+  expects(strictly_increasing(members),
+          "group members must be sorted and distinct");
+  expects(members.back() < net.size(), "member row out of range");
+}
+
 void validate_realization(const min::Network& net,
                           const GroupRealization& group) {
   const u32 N = net.size();
   const u32 n = net.n();
-  expects(!group.members.empty(), "group has no members");
-  expects(strictly_increasing(group.members),
-          "GroupRealization members must be sorted and distinct");
-  expects(group.members.back() < N, "member row out of range");
+  validate_members(net, group.members);
   expects(group.links.well_formed(),
           "GroupRealization link offsets are malformed");
   expects(group.links.levels() == n + 1,

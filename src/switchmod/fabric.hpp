@@ -47,8 +47,9 @@ class FaultSet;
 
 namespace confnet::sw {
 
-/// One group (conference) mapped onto fabric links: two heap blocks
-/// (members and flat link rows) whatever n is.
+/// One group (conference) mapped onto fabric links, the oracle's input:
+/// two heap blocks (members and flat link rows) whatever n is. FabricState
+/// stores only the members and materializes one on demand.
 struct GroupRealization {
   /// tap_level of a group whose members listen at level n.
   static constexpr u32 kNoTap = 0xffffffffu;
@@ -71,8 +72,12 @@ struct Overflow {
   u32 demand;  // number of groups on the link
 };
 
+/// Throws Error unless `members` is a member list on `net`: non-empty,
+/// strictly increasing rows below N.
+void validate_members(const min::Network& net, std::span<const u32> members);
+
 /// Throws Error unless `group` is a well-formed realization on `net`:
-/// non-empty, strictly increasing member rows below N; well-formed link
+/// a member list (validate_members); well-formed link
 /// offsets and n+1 link levels of strictly increasing rows below N; and,
 /// when tapped, a tap level <= n whose links include every member's row.
 /// Untapped groups pay nothing for the tap rules.

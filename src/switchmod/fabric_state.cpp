@@ -5,6 +5,8 @@
 #include <span>
 #include <utility>
 
+#include "min/selfroute.hpp"
+#include "min/windows.hpp"
 #include "util/audit.hpp"
 #include "util/error.hpp"
 #include "util/thread_annotations.hpp"
@@ -12,22 +14,18 @@
 namespace confnet::sw {
 
 namespace {
-/// The 16-bit guard every increment path runs before changing anything.
-void expect_headroom(u32 load) {
-  expects(load < FabricState::kMaxLoad,
-          "link load would pass the 16-bit ceiling");
+/// True iff `rows` holds `row` (rows sorted).
+bool holds(std::span<const u32> rows, u32 row) {
+  return std::binary_search(rows.begin(), rows.end(), row);
 }
 
 /// Invoke fn(level, row) for every link present in `a` but not in `b`.
 template <typename Fn>
 void for_each_delta(const min::LevelLinks& a, const min::LevelLinks& b,
                     Fn&& fn) {
-  for (u32 level = 0; level < a.levels(); ++level) {
-    const std::span<const u32> other = b[level];
+  for (u32 level = 0; level < a.levels(); ++level)
     for (u32 row : a[level])
-      if (!std::binary_search(other.begin(), other.end(), row))
-        fn(level, row);
-  }
+      if (!holds(b[level], row)) fn(level, row);
 }
 }  // namespace
 
@@ -53,14 +51,38 @@ FabricState::FabricState(min::Network net, std::span<const u32> capacity,
   std::copy(capacity.begin(), capacity.end(), capacity_.begin());
 }
 
-CONFNET_HOT void FabricState::apply_load(const GroupRealization& group,
+void FabricState::expect_members_free(std::span<const u32> old,
+                                      std::span<const u32> members) const {
+  for (u32 m : members)
+    expects(!busy_.test(m) || holds(old, m),
+            "groups must be pairwise disjoint");
+}
+
+void FabricState::derive(std::span<const u32> members, u32 tap_level,
+                         min::LevelLinks& rows,
+                         std::vector<u32>& parts) const {
+  min::path_union(net_.kind(), net_.n(), members, members,
+                  tap_level == GroupRealization::kNoTap ? net_.n() : tap_level,
+                  rows, parts);
+}
+
+u32 FabricState::derive_swap(const Entry& entry,
+                             std::span<const u32> members) {
+  const u32 tap = entry.tap_level == GroupRealization::kNoTap
+                      ? GroupRealization::kNoTap
+                      : min::cube_tap_level(members);
+  derive(members, tap, rows_, parts_);
+  derive(entry.members, entry.tap_level, old_rows_, parts_);
+  return tap;
+}
+
+CONFNET_HOT void FabricState::apply_load(const min::LevelLinks& rows,
                                          bool add) {
-  for (u32 level = 0; level < group.links.levels(); ++level) {
+  for (u32 level = 0; level < rows.levels(); ++level) {
     const u32 cap = capacity_[level];
-    for (u32 row : group.links[level]) {
+    for (u32 row : rows[level]) {
       std::uint16_t& load = load_[link_index(level, row)];
       if (add) {
-        // try_add ran expect_headroom on this link before calling here.
         if (++load == cap + 1) ++overflowing_;
       } else {
         expects(load > 0, "link load underflow");
@@ -70,116 +92,102 @@ CONFNET_HOT void FabricState::apply_load(const GroupRealization& group,
   }
 }
 
-void FabricState::store(Entry& entry, const GroupRealization& group) {
-  entry.group.id = group.id;
-  entry.group.tap_level = group.tap_level;
-  entry.group.members.assign(group.members.begin(), group.members.end());
-  entry.group.links.assign(group.links);
-}
+CONFNET_HOT Admission FabricState::try_add(u32 id,
+                                           std::span<const u32> members,
+                                           bool relay) {
+  validate_members(net_, members);
+  expects(!contains(id), "group id already admitted");
+  expect_members_free({}, members);
+  expects(!relay || net_.kind() == min::Kind::kIndirectCube,
+          "a relay tap needs the indirect cube");
+  const u32 tap =
+      relay ? min::cube_tap_level(members) : GroupRealization::kNoTap;
+  derive(members, tap, rows_, parts_);
+  if (dead_links_in(rows_) != 0) return Admission::kLinkFaulty;
+  for (u32 level = 0; level < rows_.levels(); ++level)
+    for (u32 row : rows_[level])
+      if (load_[link_index(level, row)] >= capacity_[level])
+        return Admission::kLinkCapacity;
 
-CONFNET_HOT bool FabricState::try_add(const GroupRealization& group) {
-  validate_realization(net_, group);
-  expects(!contains(group.id), "group id already admitted");
-  for (u32 m : group.members)
-    expects(!busy_.test(m), "groups must be pairwise disjoint");
-  if (!links_clear(group.links)) return false;
-  for (u32 level = 0; level < group.links.levels(); ++level) {
-    for (u32 row : group.links[level]) {
-      const u32 load = load_[link_index(level, row)];
-      if (load + 1 > capacity_[level]) return false;
-      expect_headroom(load);
-    }
-  }
-
-  for (u32 m : group.members) busy_.set(m);
-  apply_load(group, true);
+  for (u32 m : members) busy_.set(m);
+  apply_load(rows_, true);
   // static_check: allow(hot-alloc) grows to the largest id, amortized
-  if (group.id >= entries_.size()) entries_.resize(group.id + 1);
-  Entry& entry = entries_[group.id];
-  entry.dead_links = 0;  // links_clear above
-  entry.lacks_fan = lacks_fan_for(group);
-  store(entry, group);  // the admitted copy: this path's only allocations
+  if (id >= entries_.size()) entries_.resize(id + 1);
+  Entry& entry = entries_[id];
+  // static_check: allow(hot-alloc) the admitted member list: this path's
+  // only allocation
+  entry.members.assign(members.begin(), members.end());
+  entry.tap_level = tap;
+  entry.dead_links = 0;  // checked above
+  entry.lacks_fan = lacks_fan_for(rows_);
   ++group_count_;
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
-  return true;
+  return Admission::kAdmitted;
 }
 
-CONFNET_HOT bool FabricState::try_replace(u32 id,
-                                          const GroupRealization& group) {
+CONFNET_HOT Admission FabricState::try_replace(u32 id,
+                                               std::span<const u32> members) {
   expects(contains(id), "replace of unknown group id");
-  expects(group.id == id, "replacement must keep the group id");
-  validate_realization(net_, group);
+  validate_members(net_, members);
   Entry& entry = entries_[id];
-  const GroupRealization& old = entry.group;
-
+  expect_members_free(entry.members, members);
+  const u32 tap = derive_swap(entry, members);
   // The whole replacement realization must avoid the fault mask (not just
   // the gained links): a successful try_ mutation never yields a degraded
   // group. Shrink paths that must tolerate degradation use replace().
-  if (!links_clear(group.links)) return false;
-
-  // Capacity and 16-bit checks on the links gained by the swap, before
-  // any change.
+  if (dead_links_in(rows_) != 0) return Admission::kLinkFaulty;
   bool feasible = true;
-  for_each_delta(group.links, old.links, [&](u32 level, u32 row) {
-    const u32 load = load_[link_index(level, row)];
-    if (load + 1 > capacity_[level])
-      feasible = false;
-    else
-      expect_headroom(load);
+  for_each_delta(rows_, old_rows_, [&](u32 level, u32 row) {
+    if (load_[link_index(level, row)] >= capacity_[level]) feasible = false;
   });
-  if (!feasible) return false;
+  if (!feasible) return Admission::kLinkCapacity;
 
-  expect_members_free(old, group);
-  swap_group(entry, group, 0);  // links_clear above
+  swap_group(entry, members, tap, 0);  // checked above
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
-  return true;
+  return Admission::kAdmitted;
 }
 
-CONFNET_HOT void FabricState::replace(u32 id, const GroupRealization& group) {
+CONFNET_HOT void FabricState::replace(u32 id, std::span<const u32> members) {
   expects(contains(id), "replace of unknown group id");
-  expects(group.id == id, "replacement must keep the group id");
-  validate_realization(net_, group);
+  validate_members(net_, members);
   Entry& entry = entries_[id];
-  expect_members_free(entry.group, group);
-  for_each_delta(group.links, entry.group.links, [&](u32 level, u32 row) {
-    expect_headroom(load_[link_index(level, row)]);
-  });
-  swap_group(entry, group, dead_links_in(group.links));
+  expect_members_free(entry.members, members);
+  const u32 tap = derive_swap(entry, members);
+  swap_group(entry, members, tap, dead_links_in(rows_));
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
-}
-
-void FabricState::expect_members_free(const GroupRealization& old,
-                                      const GroupRealization& group) const {
-  for (u32 m : group.members)
-    expects(!busy_.test(m) || std::binary_search(old.members.begin(),
-                                                 old.members.end(), m),
-            "groups must be pairwise disjoint");
 }
 
 CONFNET_HOT void FabricState::swap_group(Entry& entry,
-                                         const GroupRealization& group,
-                                         u32 dead_links) {
-  for (u32 m : entry.group.members) busy_.reset(m);
-  for (u32 m : group.members) busy_.set(m);
-  for_each_delta(group.links, entry.group.links, [&](u32 level, u32 row) {
+                                         std::span<const u32> members,
+                                         u32 tap_level, u32 dead_links) {
+  for (u32 m : entry.members) busy_.reset(m);
+  for (u32 m : members) busy_.set(m);
+  for_each_delta(rows_, old_rows_, [&](u32 level, u32 row) {
     std::uint16_t& load = load_[link_index(level, row)];
     if (++load == capacity_[level] + 1) ++overflowing_;
   });
-  for_each_delta(entry.group.links, group.links, [&](u32 level, u32 row) {
+  for_each_delta(old_rows_, rows_, [&](u32 level, u32 row) {
     std::uint16_t& load = load_[link_index(level, row)];
     expects(load > 0, "link load underflow");
     if (load-- == capacity_[level] + 1) --overflowing_;
   });
+  // `members` may be the entry's own list (a same-member swap).
+  if (members.data() != entry.members.data()) {
+    // static_check: allow(hot-alloc) the new member list, a grow's one
+    // allocation
+    entry.members.assign(members.begin(), members.end());
+  }
+  entry.tap_level = tap_level;
   entry.dead_links = dead_links;
-  entry.lacks_fan = lacks_fan_for(group);
-  store(entry, group);
+  entry.lacks_fan = lacks_fan_for(rows_);
 }
 
 CONFNET_HOT void FabricState::remove(u32 id) {
   expects(contains(id), "remove of unknown group id");
   Entry& entry = entries_[id];
-  apply_load(entry.group, false);
-  for (u32 m : entry.group.members) busy_.reset(m);
+  derive(entry.members, entry.tap_level, rows_, parts_);
+  apply_load(rows_, false);
+  for (u32 m : entry.members) busy_.reset(m);
   entry = Entry{};  // a free entry owns no heap
   --group_count_;
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
@@ -191,19 +199,32 @@ CONFNET_HOT const std::vector<u32>& FabricState::count_link_users(
   // One channel per group per link: the link's load is its user count.
   const u32 users = load_[link_index(level, row)];
   if (users == 0) return users_scratch_;
-  for (Entry& entry : entries_) {
+  // A group uses the link iff it has a member in each of its windows (and,
+  // when tapped, the link is not above the tap).
+  const min::WindowDesc in = min::in_window(net_.kind(), net_.n(), level, row);
+  const min::WindowDesc out =
+      min::out_window(net_.kind(), net_.n(), level, row);
+  for (u32 id = 0; id < entries_.size(); ++id) {
+    Entry& entry = entries_[id];
     if (!live(entry)) continue;
-    const std::span<const u32> rows = entry.group.links[level];
-    if (std::binary_search(rows.begin(), rows.end(), row)) {
-      if (failed)
-        ++entry.dead_links;
-      else
-        --entry.dead_links;
-      // static_check: allow(hot-alloc) capacity reused across mutations,
-      // bounded by peak groups on one link
-      users_scratch_.push_back(entry.group.id);
-      if (users_scratch_.size() == users) break;
+    if (entry.tap_level != GroupRealization::kNoTap && level > entry.tap_level)
+      continue;
+    bool from = false;
+    bool to = false;
+    for (u32 m : entry.members) {
+      from = from || in.contains(m);
+      to = to || out.contains(m);
+      if (from && to) break;
     }
+    if (!(from && to)) continue;
+    if (failed)
+      ++entry.dead_links;
+    else
+      --entry.dead_links;
+    // static_check: allow(hot-alloc) capacity reused across mutations,
+    // bounded by peak groups on one link
+    users_scratch_.push_back(id);
+    if (users_scratch_.size() == users) break;
   }
   return users_scratch_;
 }
@@ -236,34 +257,32 @@ bool FabricState::group_survives(u32 id) const {
   return entry_of(id).dead_links == 0;
 }
 
-bool FabricState::links_clear(const min::LevelLinks& links) const {
-  return dead_links_in(links) == 0;
+GroupRealization FabricState::realization(u32 id) const {
+  const Entry& entry = entry_of(id);
+  GroupRealization g;
+  g.id = id;
+  g.tap_level = entry.tap_level;
+  g.members = entry.members;
+  std::vector<u32> parts;
+  derive(entry.members, entry.tap_level, g.links, parts);
+  return g;
 }
 
-const GroupRealization& FabricState::group(u32 id) const {
-  return entry_of(id).group;
-}
-
-CONFNET_HOT u32 FabricState::dead_links_in(
-    const min::LevelLinks& links) const {
+CONFNET_HOT u32 FabricState::dead_links_in(const min::LevelLinks& rows) const {
   if (faults_.fault_count() == 0) return 0;
   u32 dead = 0;
-  for (u32 level = 0; level < links.levels(); ++level)
-    for (u32 row : links[level])
+  for (u32 level = 0; level < rows.levels(); ++level)
+    for (u32 row : rows[level])
       if (faults_.is_faulty(level, row)) ++dead;
   return dead;
 }
 
-CONFNET_HOT bool FabricState::lacks_fan_for(
-    const GroupRealization& g) const {
+CONFNET_HOT bool FabricState::lacks_fan_for(const min::LevelLinks& rows) const {
   if (fan_in_ && fan_out_) return false;
   const u32 n = net_.n();
-  const auto owned = [&](u32 level, u32 row) {
-    const std::span<const u32> rows = g.links[level];
-    return std::binary_search(rows.begin(), rows.end(), row);
-  };
+  const auto owned = [&](u32 level, u32 row) { return holds(rows[level], row); };
   for (u32 level = 0; level <= n; ++level) {
-    for (u32 row : g.links[level]) {
+    for (u32 row : rows[level]) {
       if (!fan_in_ && level > 0) {
         const auto preds = net_.predecessors(level, row);
         if (owned(level - 1, preds[0]) && owned(level - 1, preds[1]))
@@ -303,17 +322,23 @@ void FabricState::cross_check() const {
   const u32 N = net_.size();
   const u32 n = net_.n();
 
-  // Recount the load matrix and overflow counter from the admitted groups.
-  // Counted in u32, so a load that wrapped its 16 bits shows as divergence.
+  // Materialize every live group, then recount the load matrix and
+  // overflow counter from the realizations. Counted in u32, so a load that
+  // wrapped its 16 bits shows as divergence.
+  std::vector<GroupRealization> groups;
+  for_each_group([&](u32 id) { groups.push_back(realization(id)); });
   std::vector<u32> expected_load(load_.size(), 0);  // same level-major layout
   util::DynBitset expected_busy(N);
   u32 expected_overflowing = 0;
-  u32 live_groups = 0;
-  for (u32 id = 0; id < entries_.size(); ++id) {
-    const GroupRealization& g = entries_[id].group;
-    if (!live(entries_[id])) continue;
-    ++live_groups;
-    audit::require(g.id == id, kSub, "entry does not name its own id");
+  for (const GroupRealization& g : groups) {
+    audit::require(std::adjacent_find(g.members.begin(), g.members.end(),
+                                      std::greater_equal<>()) ==
+                           g.members.end() &&
+                       g.members.back() < N,
+                   kSub, "stored member list is not sorted rows below N");
+    audit::require(g.tap_level == GroupRealization::kNoTap ||
+                       g.tap_level == min::cube_tap_level(g.members),
+                   kSub, "stored tap level is not the members' relay level");
     for (u32 level = 0; level <= n; ++level)
       for (u32 row : g.links[level]) ++expected_load[link_index(level, row)];
     for (u32 m : g.members) {
@@ -322,7 +347,7 @@ void FabricState::cross_check() const {
       expected_busy.set(m);
     }
   }
-  audit::require(live_groups == group_count_, kSub,
+  audit::require(groups.size() == group_count_, kSub,
                  "group count diverges from the live entries");
   for (u32 level = 0; level <= n; ++level)
     for (u32 row = 0; row < N; ++row)
@@ -343,34 +368,32 @@ void FabricState::cross_check() const {
 
   // Pin each group's counters: its dead-link count against a recount over
   // the fault mask, then its closed-form verdict against the set-based
-  // sweep of Fabric::propagate on the same (possibly degraded) fabric. The
-  // theorem needs a canonical realization, so a hand-built group whose
-  // links are not exactly its member->output paths fails here.
+  // sweep of Fabric::propagate on the same (possibly degraded) fabric.
   const Fabric oracle(
       net_, FabricConfig{std::numeric_limits<u32>::max(), fan_in_, fan_out_});
-  for (const Entry& entry : entries_) {
-    if (!live(entry)) continue;
+  for (const GroupRealization& g : groups) {
+    const Entry& entry = entries_[g.id];
 #if defined(CONFNET_AUDIT)
-    audit::check_group_realization(net_, entry.group);
+    audit::check_group_realization(net_, g);
 #endif
-    audit::require(entry.dead_links == dead_links_in(entry.group.links), kSub,
+    audit::require(entry.dead_links == dead_links_in(g.links), kSub,
                    "dead-link count diverges from the fault-mask recount");
-    audit::require(entry.lacks_fan == lacks_fan_for(entry.group), kSub,
+    audit::require(entry.lacks_fan == lacks_fan_for(g.links), kSub,
                    "fan flag diverges from the group's link rows");
-    const PropagationResult ref = oracle.propagate(entry.group, &faults_);
+    const PropagationResult ref = oracle.propagate(g, &faults_);
     bool exact = true;
     for (const MemberSet& heard : ref.delivered)
-      if (heard.values() != entry.group.members) exact = false;
+      if (heard.values() != g.members) exact = false;
     audit::require(exact == (entry.dead_links == 0), kSub,
                    "closed-form delivery (exact iff no dead link) diverges "
-                   "from Fabric::propagate: is the realization canonical?");
+                   "from Fabric::propagate");
     // A dead link leaves the downstream switches idle, so fan ops are
     // comparable only on a healthy group.
     if (entry.dead_links == 0)
       audit::require(entry.lacks_fan == (ref.capability_violations != 0),
                      kSub,
                      "closed-form fan-capability flag diverges from "
-                     "Fabric::propagate: is the realization canonical?");
+                     "Fabric::propagate");
   }
 }
 

@@ -5,14 +5,21 @@
 // for a teletraffic run that opens/joins/leaves/closes thousands of
 // sessions. `FabricState` keeps the load matrix live and applies per-group
 // deltas instead:
+//   * a group is its member list. In a banyan network every input reaches
+//     every output by one path, so a conference's ALL_PAIRS subnetwork is a
+//     function of its members: the fabric derives its link rows on demand
+//     (min::path_union, into reused scratch) and stores none. Each group is
+//     canonical by construction (DESIGN.md §3, invariant 15): its links are
+//     exactly its member->output paths, or the indirect-cube realization
+//     cut at its relay tap level, which the fabric computes too;
 //   * mutations (try_add / try_replace / replace / remove) cost O(links of
-//     the touched group);
-//   * delivery is decided by theorem, not by propagating signals (DESIGN.md
-//     §3, "canonical realization"): every (input, output) pair has exactly
-//     one path, so a canonically realized group delivers exactly iff none
-//     of its links is dead, and the fan operations it demands depend only
-//     on its link rows. Each group therefore keeps a dead-link count and a
-//     flag for a fan operation the fabric lacks; `delivery_ok()` reads them;
+//     the touched group): each derives the rows it needs once;
+//   * delivery is decided by theorem, not by propagating signals: a
+//     canonical group delivers exactly iff none of its links is dead, and
+//     the fan operations it demands depend only on its link rows. Each
+//     group therefore keeps a dead-link count and a flag for a fan
+//     operation the fabric lacks, set when its rows are derived;
+//     `delivery_ok()` reads them;
 //   * capacity is per level (a dilation profile), enforced by the try_
 //     mutations before any state changes.
 //   * per-link and per-port tables are narrow: a link load is 16 bits and
@@ -20,30 +27,22 @@
 //   * group bookkeeping is flat: one entry per group id, in a vector
 //     indexed by the id, so a scan in index order visits groups in
 //     ascending id order. The designs recycle their handles, so ids stay
-//     below the peak live count. A free entry owns no heap; the mutations
-//     copy a realization in only once it is admitted (reusing the entry's
-//     blocks where they fit), so a refused one allocates nothing. Each
-//     stored realization's link rows are one min::LevelLinks block, and
-//     the walks over them (apply_load, dead_links_in, lacks_fan_for,
-//     count_link_users) read spans and allocate nothing (CONFNET_HOT).
+//     below the peak live count. A free entry owns no heap; an admitted
+//     one owns its member list, copied in only once admitted, so a
+//     refusal allocates nothing and an admission at most that one block.
+//     The walks over derived rows (apply_load, dead_links_in,
+//     lacks_fan_for, count_link_users) allocate nothing (CONFNET_HOT).
 //   * a live fault mask (min::FaultSet) turns link failures and repairs
-//     into runtime events: fail_link/repair_link update the dead-link
-//     counts of only the groups on the touched link, and admission refuses
-//     realizations over dead windows.
+//     into runtime events: fail_link/repair_link find the groups on the
+//     touched link with the O(members) window test (min::in_window /
+//     out_window) and update only their dead-link counts, and admission
+//     refuses groups over dead links.
 //
-// Precondition of the shortcut: every admitted group is canonical — its
-// links are exactly the union of its member->output paths (an ALL_PAIRS
-// subnetwork, or the enhanced-cube realization truncated at its tap
-// level). Both conference designs admit only such groups.
-// A hand-built realization may be admitted (validate_realization checks
-// shape, not canonicity), but its `delivery_ok()` verdict means nothing;
-// ask `Fabric::propagate` instead.
-//
-// The stateless engine stays the oracle: `cross_check()` recounts loads,
-// busy ports, overflows and dead links from the admitted groups and pins
-// every group's closed-form verdict against the set-based sweep
-// `Fabric::propagate`, throwing on any divergence — a non-canonical group
-// fails it. CONFNET_AUDIT builds run it periodically from the mutation
+// The stateless engine stays the oracle: `cross_check()` materializes
+// every group's realization, recounts loads, busy ports, overflows and
+// dead links from them, and pins every group's closed-form verdict
+// against the set-based sweep `Fabric::propagate`, throwing on any
+// divergence. CONFNET_AUDIT builds run it periodically from the mutation
 // hooks (see audit::check_fabric_state).
 #pragma once
 
@@ -67,13 +66,22 @@ void check_fabric_state(const sw::FabricState& state);
 
 namespace confnet::sw {
 
+/// Why a FabricState try_ mutation refused, or that it did not.
+enum class Admission : std::uint8_t {
+  kAdmitted,
+  kLinkFaulty,    // a link of the new realization is on the fault mask
+  kLinkCapacity,  // a gained link has no free channel
+};
+
 class FabricState {
  public:
-  /// Ceiling of one link's load (16-bit counters). Result R1 bounds the
-  /// disjoint conferences sharing a level-l link by min(2^l, 2^(n-l)), at
-  /// most 2^10 for n <= 20, so only a synthetic realization can get here;
-  /// every increment path refuses it with `expects` before changing state.
+  /// Ceiling of one link's load (16-bit counters). The disjoint groups on a
+  /// level-l link each own a member in its in-window (2^l inputs) and one
+  /// in its out-window (2^(n-l) outputs), so R1 bounds the load by
+  /// min(2^l, 2^(n-l)): 2^10 at most for n <= 20. Derived rows never get
+  /// here, and cross_check() recounts in 32 bits.
   static constexpr u32 kMaxLoad = 0xffffu;
+  static_assert(u32{1} << (min::Network::kMaxStages / 2) < kMaxLoad);
 
   /// Uniform capacity: `config.channels_per_link` on every level. The
   /// fabric owns its network.
@@ -87,35 +95,34 @@ class FabricState {
   FabricState(FabricState&&) = default;
 
   // --- Mutations (all O(links of the touched group)). -------------------
+  // `members` is a group's member list: non-empty, strictly increasing
+  // rows below N (Error otherwise, changing nothing), disjoint from every
+  // other admitted group's.
 
-  /// Admit a copy of `group` if every link it uses has a free channel.
-  /// Returns false (and changes nothing) on a capacity conflict. Members
-  /// must be disjoint from every admitted group's. Throws Error, changing
-  /// nothing, when the group fails validate_realization or a link load
-  /// would pass kMaxLoad.
-  [[nodiscard]] bool try_add(const GroupRealization& group);
+  /// Admit group `id` on `members` if its realization avoids the fault
+  /// mask and every link it uses has a free channel; changes nothing
+  /// otherwise. `relay` (indirect cube only) taps every member's output at
+  /// min::cube_tap_level(members) and cuts the realization there.
+  [[nodiscard]] Admission try_add(u32 id, std::span<const u32> members,
+                                  bool relay = false);
 
-  /// Atomically swap group `id` for a copy of a new realization if every
-  /// link used by the new one but not the old one has a free channel.
-  /// Returns false (and changes nothing) on a capacity conflict. Throws
-  /// Error, changing nothing, when the group fails validate_realization or
-  /// a gained link's load would pass kMaxLoad.
-  [[nodiscard]] bool try_replace(u32 id, const GroupRealization& group);
+  /// Atomically swap group `id`'s members (keeping its relay) if the new
+  /// realization avoids the fault mask and every link it gains has a free
+  /// channel; changes nothing otherwise.
+  [[nodiscard]] Admission try_replace(u32 id, std::span<const u32> members);
 
   /// Unconditional swap (shrink paths, where the new link set cannot
-  /// oversubscribe anything the old one did not). Capacity is not checked,
-  /// but every contract (validate_realization, disjointness, kMaxLoad) is,
-  /// before anything changes.
-  void replace(u32 id, const GroupRealization& group);
+  /// oversubscribe anything the old one did not). Neither capacity nor the
+  /// fault mask is checked; the new dead links are counted.
+  void replace(u32 id, std::span<const u32> members);
 
   void remove(u32 id);
 
   // --- Runtime fault events ----------------------------------------------
   // The fabric carries a live min::FaultSet. Failing or repairing a link
   // updates the dead-link counts of only the groups whose realization uses
-  // it (found in O(groups on the link) thanks to the load matrix);
-  // load/busy-port accounting is untouched — a dead link still holds its
-  // channel assignments until the control plane re-places the affected
+  // it; load/busy-port accounting is untouched — a dead link still holds
+  // its channel assignments until the control plane re-places the affected
   // groups. try_add / try_replace refuse realizations that touch a faulty
   // link, so a successful try_ mutation never yields a degraded group;
   // replace() may (a shrink on a degraded fabric) and counts its dead links.
@@ -140,17 +147,22 @@ class FabricState {
   /// (its dead-link count is zero). O(1).
   [[nodiscard]] bool group_survives(u32 id) const;
 
-  /// True iff every row of `links` (levels 0..n) avoids the fault mask.
-  /// Constant-time when the fabric is healthy — the admission fast path.
-  [[nodiscard]] bool links_clear(const min::LevelLinks& links) const;
-
   // --- Queries -----------------------------------------------------------
 
   [[nodiscard]] u32 group_count() const noexcept { return group_count_; }
   [[nodiscard]] bool contains(u32 id) const {
     return id < entries_.size() && live(entries_[id]);
   }
-  [[nodiscard]] const GroupRealization& group(u32 id) const;
+  /// Group `id`'s sorted member list.
+  [[nodiscard]] const std::vector<u32>& members(u32 id) const {
+    return entry_of(id).members;
+  }
+  /// Group `id`'s relay tap level (GroupRealization::kNoTap when its
+  /// members listen at level n).
+  [[nodiscard]] u32 tap_level(u32 id) const { return entry_of(id).tap_level; }
+  /// Group `id` materialized with its derived link rows, for the oracle
+  /// paths (Fabric::propagate / evaluate). Allocates.
+  [[nodiscard]] GroupRealization realization(u32 id) const;
 
   /// True iff no admitted group has `port` among its members.
   [[nodiscard]] bool port_free(u32 port) const {
@@ -160,7 +172,7 @@ class FabricState {
 
   /// True iff every member of every group hears exactly its group's member
   /// set and no fan capability was violated, decided from the per-group
-  /// counters (canonical groups only; see the header comment).
+  /// counters (see the header comment).
   /// Capacity-independent, like the unlimited-channel functional check it
   /// replaces. O(groups).
   [[nodiscard]] bool delivery_ok() const;
@@ -178,18 +190,18 @@ class FabricState {
   }
   [[nodiscard]] const min::Network& network() const noexcept { return net_; }
 
-  /// Visit every admitted group in ascending id order.
+  /// Visit every admitted group's id in ascending order.
   template <typename Fn>
   void for_each_group(Fn&& fn) const {
-    for (const Entry& entry : entries_)
-      if (live(entry)) fn(entry.group);
+    for (u32 id = 0; id < entries_.size(); ++id)
+      if (live(entries_[id])) fn(id);
   }
 
-  /// Recount loads, busy ports, overflows and per-group dead links from the
-  /// admitted groups and check the entry table; then pin every group's
-  /// closed-form verdict against `Fabric::propagate`: exact delivery iff no
-  /// dead link, and, on a healthy group, a capability violation iff the
-  /// fan flag is set. A non-canonical group fails here. Under
+  /// Materialize every admitted group's realization, recount loads, busy
+  /// ports, overflows and per-group dead links from them and check the
+  /// entry table; then pin every group's closed-form verdict against
+  /// `Fabric::propagate`: exact delivery iff no dead link, and, on a
+  /// healthy group, a capability violation iff the fan flag is set. Under
   /// CONFNET_AUDIT every group also runs audit::check_group_realization.
   /// Throws audit::AuditError on any divergence.
   void cross_check() const;
@@ -198,38 +210,43 @@ class FabricState {
   friend void audit::check_fabric_state(const FabricState& state);
 
   struct Entry {
-    GroupRealization group;  // no members while the id is free
-    u32 dead_links = 0;      // links of `group` on the fault mask
-    bool lacks_fan = false;  // `group` demands a fan op the fabric lacks
+    std::vector<u32> members;  // sorted; empty while the id is free
+    u32 tap_level = GroupRealization::kNoTap;
+    u32 dead_links = 0;        // links of the realization on the fault mask
+    bool lacks_fan = false;    // it demands a fan op the fabric lacks
   };
-  static_assert(sizeof(Entry) <= 64, "a fabric entry is one 64-byte record");
+  static_assert(sizeof(Entry) <= 40, "a fabric entry is one 40-byte record");
   [[nodiscard]] static bool live(const Entry& entry) noexcept {
-    return !entry.group.members.empty();
+    return !entry.members.empty();
   }
 
-  /// Throws unless each of `group`'s members is free or one of `old`'s.
-  void expect_members_free(const GroupRealization& old,
-                           const GroupRealization& group) const;
-  void apply_load(const GroupRealization& group, bool add);
-  /// Swap `entry`'s realization for a copy of `group`, which has
-  /// `dead_links` links on the fault mask: busy ports, link loads, the
-  /// overflow counter and the entry's counters. Checks nothing; both
-  /// replace paths check first.
-  void swap_group(Entry& entry, const GroupRealization& group,
+  /// Throws unless each of `members` is free or one of `old`'s.
+  void expect_members_free(std::span<const u32> old,
+                           std::span<const u32> members) const;
+  /// The realization of `members` tapped at `tap_level` into `rows`.
+  void derive(std::span<const u32> members, u32 tap_level,
+              min::LevelLinks& rows, std::vector<u32>& parts) const;
+  /// Derive the realization of `members` at `entry`'s relay into rows_
+  /// and `entry`'s own into old_rows_; returns the new tap level.
+  u32 derive_swap(const Entry& entry, std::span<const u32> members);
+  void apply_load(const min::LevelLinks& rows, bool add);
+  /// Swap `entry` for `members` at `tap_level`, whose realization is
+  /// rows_ with `dead_links` links on the fault mask, from the one in
+  /// old_rows_: busy ports, link loads, the overflow counter and the
+  /// entry. Checks nothing; both replace paths check first.
+  void swap_group(Entry& entry, std::span<const u32> members, u32 tap_level,
                   u32 dead_links);
-  /// Copy `group` into `entry`, reusing its blocks where they fit.
-  static void store(Entry& entry, const GroupRealization& group);
-  /// Links of `links` (levels 0..n) on the fault mask; 0 without a look
+  /// Links of `rows` (levels 0..n) on the fault mask; 0 without a look
   /// when the fabric is healthy.
-  [[nodiscard]] u32 dead_links_in(const min::LevelLinks& links) const;
-  /// True iff `g`'s link rows demand fan-in (a switch with both inputs
-  /// owned) or fan-out (both outputs owned) from a fabric without it.
-  /// False without a look when the fabric has both.
-  [[nodiscard]] bool lacks_fan_for(const GroupRealization& g) const;
+  [[nodiscard]] u32 dead_links_in(const min::LevelLinks& rows) const;
+  /// True iff `rows` demand fan-in (a switch with both inputs owned) or
+  /// fan-out (both outputs owned) from a fabric without it. False without
+  /// a look when the fabric has both.
+  [[nodiscard]] bool lacks_fan_for(const min::LevelLinks& rows) const;
   void maybe_periodic_audit();
   /// Count link (level,row) in (`failed`) or out of the dead-link count of
-  /// every group whose realization uses it; returns their
-  /// ids in ascending order. O(groups on the link): the scan stops once
+  /// every group whose realization uses it; returns their ids in ascending
+  /// order. O(members of the groups scanned): the scan stops once
   /// load_[link_index(level, row)] users have been found. Writes into
   /// users_scratch_ (capacity reused across mutations, CONFNET_HOT).
   const std::vector<u32>& count_link_users(u32 level, u32 row, bool failed);
@@ -263,6 +280,11 @@ class FabricState {
   u32 mutations_ = 0;  // drives the periodic CONFNET_AUDIT cross-check
   // Reused id buffer for count_link_users (fail/repair hot path).
   std::vector<u32> users_scratch_;
+  // Derivation scratch, reused across mutations: the new realization's
+  // rows, the old one's (replace paths) and the path-union parts.
+  min::LevelLinks rows_;
+  min::LevelLinks old_rows_;
+  std::vector<u32> parts_;
 };
 
 }  // namespace confnet::sw

@@ -195,13 +195,13 @@ void check_waitqueue(const conf::WaitQueueManager& manager);
 /// ticket or one agenda entry, and no ticket or entry outlives its record.
 void check_recovery(const conf::ControlPlane& plane);
 
-/// Every active conference's stored links equal the recomputed ALL_PAIRS
-/// subnetwork, per-link load equals the sum over active conferences and
-/// respects the dilation profile, and the busy-port bitmap is exactly the
-/// union of members.
+/// Every active conference is untapped, per-link load equals the sum over
+/// the active conferences' derived ALL_PAIRS rows and respects the
+/// dilation profile and R1, and the busy-port bitmap is exactly the union
+/// of members.
 void check_direct_network(const conf::DirectConferenceNetwork& net);
 
-/// Enhanced design: stored realizations equal the recomputed enhanced-cube
+/// Enhanced design: the fabric's realizations equal the enhanced-cube
 /// realization (tap level included), and active conferences are mutually
 /// link-disjoint on interstage levels — the paper's nonblocking claim.
 void check_enhanced_network(const conf::EnhancedCubeNetwork& net);

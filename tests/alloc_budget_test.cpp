@@ -3,12 +3,12 @@
 //
 // A realization keeps its link rows in one flat block (min::LevelLinks),
 // so an ALL_PAIRS subnetwork costs a parts scratch plus its result
-// whatever n is. A design builds each realization in reused scratch and
-// the fabric copies only an admitted one: the stored member list and link
-// block. The budgets are steady-state figures: each design is warmed
-// first, so its entry, handle and scratch buffers already hold the
-// capacity they need. The churn budgets also pin the live heap each open
-// conference costs (usable bytes of every operator-new block).
+// whatever n is. The fabric stores no rows: it derives them into reused
+// scratch, and an admitted group costs one block, its stored member list.
+// The budgets are steady-state figures: each design is warmed first, so
+// its entry, handle and scratch buffers already hold the capacity they
+// need. The churn budgets also pin the live heap each open conference
+// costs (usable bytes of every operator-new block).
 //
 // Construction budgets pin what building an object costs: a network and
 // its channel tables are inline, so a fabric allocates only its link
@@ -119,12 +119,12 @@ TEST_P(AllocBudget, DirectDesignSteadyState) {
 
   const std::vector<u32> members{8, 9, 10};
   std::optional<u32> handle;
-  EXPECT_LE(allocations_in([&] { handle = net.setup(members); }), 2u);
+  EXPECT_LE(allocations_in([&] { handle = net.setup(members); }), 1u);
   ASSERT_TRUE(handle.has_value());
   bool ok = false;
-  EXPECT_LE(allocations_in([&] { ok = net.add_member(*handle, 11); }), 2u);
+  EXPECT_LE(allocations_in([&] { ok = net.add_member(*handle, 11); }), 1u);
   EXPECT_TRUE(ok);
-  EXPECT_LE(allocations_in([&] { ok = net.remove_member(*handle, 11); }), 2u);
+  EXPECT_EQ(allocations_in([&] { ok = net.remove_member(*handle, 11); }), 0u);
   EXPECT_TRUE(ok);
   EXPECT_EQ(allocations_in([&] { net.teardown(*handle); }), 0u);
   EXPECT_EQ(net.active_count(), 0u);
@@ -205,10 +205,11 @@ TEST(SessionChurnBudget, FirstFitAtEightStages) {
       session_churn(8, PlacementPolicy::kFirstFit, 2, 4, 64, 4000, 4000);
   ASSERT_GT(f.accepted, 1000u);
   ASSERT_GT(f.refused, 50u);
-  EXPECT_LE(f.max_allocs_accepted, 2u);
+  EXPECT_LE(f.max_allocs_accepted, 1u);
   EXPECT_EQ(f.allocs_refused, 0u);
   EXPECT_EQ(f.allocs_close, 0u);
-  EXPECT_LE(f.heap_per_conference, 470.0);
+  // 170.9 B measured (Release, glibc); the bound allows 5% more.
+  EXPECT_LE(f.heap_per_conference, 179.0);
 }
 
 TEST(SessionChurnBudget, BuddyAtTenStages) {
@@ -218,9 +219,11 @@ TEST(SessionChurnBudget, BuddyAtTenStages) {
       session_churn(10, PlacementPolicy::kBuddy, 2, 16, 128, 4000, 4000);
   ASSERT_GT(f.accepted, 1000u);
   ASSERT_GT(f.refused, 50u);
-  EXPECT_LE(f.max_allocs_accepted, 2u);
+  EXPECT_LE(f.max_allocs_accepted, 1u);
   EXPECT_EQ(f.allocs_refused, 0u);
   EXPECT_EQ(f.allocs_close, 0u);
+  // 333.1 B measured (Release, glibc); the bound allows 5% more.
+  EXPECT_LE(f.heap_per_conference, 349.0);
 }
 
 TEST(RuntimeChurnBudget, FourShardsCallPooled) {
@@ -283,7 +286,7 @@ TEST(RuntimeChurnBudget, FourShardsCallPooled) {
   ASSERT_GT(refused_n, 50u);
   // The counter sees every thread, so a worker growing its command ring
   // or burst buffer inside a counted call would show here too.
-  EXPECT_LE(max_served, 2u);
+  EXPECT_LE(max_served, 1u);
   EXPECT_EQ(allocs_refused, 0u);
   EXPECT_EQ(allocs_close, 0u);
 }

@@ -200,5 +200,25 @@ TEST(Membership, DirectChurnAllTopologiesStayConsistent) {
   }
 }
 
+// A join whose grown realization crosses a dead link is a fault refusal,
+// not a capacity one: with every interstage link failed, no port can join.
+TEST(Membership, JoinOverDeadLinksIsBlockedByFault) {
+  constexpr u32 n = 4;
+  DirectConferenceNetwork net(Kind::kOmega, n, DilationProfile::full(n));
+  SessionManager mgr(net, PlacementPolicy::kFirstFit);
+  util::Rng rng(29);
+  const auto [r, sid] = mgr.open(3, rng);
+  ASSERT_EQ(r, OpenResult::kAccepted);
+  for (u32 level = 1; level < n; ++level)
+    for (u32 row = 0; row < net.size(); ++row)
+      (void)net.fail_link(level, row);
+  const auto [jr, port] = mgr.join(*sid, rng);
+  EXPECT_EQ(jr, OpenResult::kBlockedFault);
+  EXPECT_FALSE(port.has_value());
+  EXPECT_EQ(net.last_error(), SetupError::kLinkFaulty);
+  EXPECT_EQ(mgr.stats().joins_blocked, 1u);
+  EXPECT_EQ(mgr.members_of(*sid).size(), 3u);
+}
+
 }  // namespace
 }  // namespace confnet::conf

@@ -147,8 +147,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The closed form against the window oracle at N = 1024, the size the
 // benchmark fabrics run, on seeded member sets of 2..64 ports; also
-// through the overload that reuses one result and parts scratch across
-// every set, as the designs call it.
+// through min::path_union reusing one result and parts scratch across
+// every set, as FabricState calls it.
 TEST(Subnetwork, ClosedFormEqualsGenericAtTen) {
   constexpr u32 n = 10;
   constexpr u32 N = u32{1} << n;
@@ -163,7 +163,7 @@ TEST(Subnetwork, ClosedFormEqualsGenericAtTen) {
       const LevelLinks generic = all_pairs_links_generic(wt, members);
       EXPECT_EQ(all_pairs_links(kind, n, members), generic)
           << min::kind_name(kind) << " trial " << trial;
-      path_union_links(kind, n, members, members, reused, parts);
+      min::path_union(kind, n, members, members, n, reused, parts);
       EXPECT_EQ(reused, generic) << min::kind_name(kind) << " trial " << trial;
     }
   }

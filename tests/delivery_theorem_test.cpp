@@ -6,7 +6,9 @@
 // on and off, direct and tapped enhanced realizations), by a seeded churn
 // property test at n = 8..10, through the dead-link counter's edge cases,
 // and on the Monte-Carlo verification path. A hand-built non-canonical
-// group shows where the theorem stops and that cross_check() catches it.
+// realization shows where the theorem stops: Fabric::propagate tells it
+// apart, and FabricState, which derives every group's rows from its
+// members, cannot hold one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +21,6 @@
 #include "conference/subnetwork.hpp"
 #include "min/network.hpp"
 #include "switchmod/fabric_state.hpp"
-#include "util/audit.hpp"
 #include "util/rng.hpp"
 
 namespace confnet {
@@ -44,6 +45,13 @@ sw::GroupRealization canonical_group(Realization r, Kind kind, u32 n, u32 id,
   }
   g.members = std::move(members);
   return g;
+}
+
+/// Admit `members` as group `id` in realization `r`; true iff admitted.
+bool admit(sw::FabricState& state, Realization r, u32 id,
+           const std::vector<u32>& members) {
+  return state.try_add(id, members, r == Realization::kEnhanced) ==
+         sw::Admission::kAdmitted;
 }
 
 /// What Fabric::propagate says about one group.
@@ -85,7 +93,7 @@ void expect_closed_form_matches(const sw::FabricState& state,
   bool all_ok = true;
   for (u32 id : ids) {
     const OracleVerdict v =
-        oracle_verdict(oracle, state.group(id), state.faults());
+        oracle_verdict(oracle, state.realization(id), state.faults());
     EXPECT_EQ(state.group_survives(id), v.exact) << "group " << id;
     all_ok = all_ok && v.exact && v.capability_violations == 0;
   }
@@ -117,7 +125,7 @@ void sweep_member_sets(Realization r, Kind kind, u32 n,
     for (u32 p = 0; p < N; ++p)
       if ((mask >> p & 1) != 0) members.push_back(p);
     const sw::GroupRealization g = canonical_group(r, kind, n, 0, members);
-    for (sw::FabricState& s : states) ASSERT_TRUE(s.try_add(g));
+    for (sw::FabricState& s : states) ASSERT_TRUE(admit(s, r, 0, members));
 
     const auto check = [&](u32 level, u32 row) {
       const OracleVerdict v = oracle_verdict(oracle, g, states[0].faults());
@@ -235,35 +243,33 @@ TEST_P(DeliveryTheoremChurn, ClosedFormMatchesOracleUnderChurnAndFaults) {
       if (action <= 2 || alive.empty()) {
         const u32 size = 2 + static_cast<u32>(rng_.below(12));
         if (auto ports = placer.place(size, rng_)) {
-          sw::GroupRealization g =
-              canonical_group(r, kind, n, next_id, std::move(*ports));
-          if (state.try_add(g)) {
+          if (admit(state, r, next_id, *ports)) {
             alive.push_back(next_id++);
           } else {
-            placer.release(g.members);  // over a dead link or out of room
+            placer.release(*ports);  // over a dead link or out of room
           }
         }
       } else if (action == 3) {
         const std::size_t at = rng_.below(alive.size());
-        placer.release(state.group(alive[at]).members);
+        placer.release(state.members(alive[at]));
         state.remove(alive[at]);
         alive.erase(alive.begin() + static_cast<std::ptrdiff_t>(at));
       } else if (action == 4) {
         // Shrink by one member through the unconditional replace, degraded
         // or not, as remove_member does.
         const u32 id = alive[rng_.below(alive.size())];
-        std::vector<u32> members = state.group(id).members;
+        std::vector<u32> members = state.members(id);
         if (members.size() > 2) {
           const std::size_t at = rng_.below(members.size());
           placer.release_one(members[at]);
           members.erase(members.begin() + static_cast<std::ptrdiff_t>(at));
-          state.replace(id, canonical_group(r, kind, n, id, members));
+          state.replace(id, members);
         }
       } else if (action == 5) {
         // Fail a link some group uses, or any link.
         if (rng_.below(3) != 0) {
-          const auto& links =
-              state.group(alive[rng_.below(alive.size())]).links;
+          const min::LevelLinks links =
+              state.realization(alive[rng_.below(alive.size())]).links;
           std::vector<std::array<u32, 2>> used;
           for (u32 level = 0; level <= n; ++level)
             for (u32 row : links[level]) used.push_back({level, row});
@@ -320,8 +326,8 @@ TEST_P(DeadLinkCounter, FailRepairReplaceAndRemoveKeepTheCount) {
   sw::FabricState state(net, sw::FabricConfig{N, true, true});
   const sw::Fabric oracle(net, sw::FabricConfig{N, true, true});
   // Two aligned blocks, so the enhanced realizations are link-disjoint.
-  ASSERT_TRUE(state.try_add(canonical_group(r, kind, n, 0, {0, 1, 2, 3})));
-  ASSERT_TRUE(state.try_add(canonical_group(r, kind, n, 1, {8, 9, 10})));
+  ASSERT_TRUE(admit(state, r, 0, {0, 1, 2, 3}));
+  ASSERT_TRUE(admit(state, r, 1, {8, 9, 10}));
   std::vector<u32> ids{0, 1};
   expect_closed_form_matches(state, oracle, ids);
 
@@ -347,11 +353,11 @@ TEST_P(DeadLinkCounter, FailRepairReplaceAndRemoveKeepTheCount) {
 
   // remove_member on a degraded group (replace): shedding member 3 drops
   // one dead link, the other stays counted.
-  state.replace(0, canonical_group(r, kind, n, 0, {0, 1, 2}));
+  state.replace(0, std::vector<u32>{0, 1, 2});
   EXPECT_FALSE(state.group_survives(0));
   expect_closed_form_matches(state, oracle, ids);
   // Shedding member 0 too releases the last dead link.
-  state.replace(0, canonical_group(r, kind, n, 0, {1, 2}));
+  state.replace(0, std::vector<u32>{1, 2});
   EXPECT_TRUE(state.group_survives(0));
   EXPECT_TRUE(state.delivery_ok());
   expect_closed_form_matches(state, oracle, ids);
@@ -362,7 +368,7 @@ TEST_P(DeadLinkCounter, FailRepairReplaceAndRemoveKeepTheCount) {
 
   // Teardown of a degraded group: group 1 loses a link, is removed, and
   // the repair afterwards finds no user to count down.
-  const u32 row = state.group(1).links[0].front();
+  const u32 row = state.realization(1).links[0].front();
   EXPECT_EQ(state.fail_link(0, row), (std::vector<u32>{1}));
   EXPECT_FALSE(state.delivery_ok());
   expect_closed_form_matches(state, oracle, ids);
@@ -375,7 +381,7 @@ TEST_P(DeadLinkCounter, FailRepairReplaceAndRemoveKeepTheCount) {
   expect_closed_form_matches(state, oracle, ids);
 
   // Readmitting over the repaired links starts from a clean count.
-  ASSERT_TRUE(state.try_add(canonical_group(r, kind, n, 1, {8, 9, 10})));
+  ASSERT_TRUE(admit(state, r, 1, {8, 9, 10}));
   ids = {0, 1};
   EXPECT_TRUE(state.delivery_ok());
   expect_closed_form_matches(state, oracle, ids);
@@ -392,17 +398,19 @@ INSTANTIATE_TEST_SUITE_P(Designs, DeadLinkCounter,
 
 // --- Where the theorem stops ---------------------------------------------
 
-// A hand-built group with a dead-end branch: an extra level-1 link fed by
-// member 0 that leads to no output. The unique-path argument needs every
-// link on a member->output path, so this group is not canonical: once the
-// branch dies, the closed form reports lost delivery while the oracle
-// still delivers exactly, and cross_check() refuses the state.
-TEST(DeliveryTheorem, NonCanonicalGroupFailsCrossCheck) {
+// A hand-built realization with a dead-end branch: an extra level-1 link
+// fed by member 0 that leads to no output. The unique-path argument needs
+// every link on a member->output path, so this realization is not
+// canonical: once the branch dies, the closed form (exact iff no dead
+// link) reports lost delivery while Fabric::propagate still delivers
+// exactly. The same members admitted to a FabricState get the derived,
+// canonical rows, so failing the branch touches no group there and both
+// verdicts agree.
+TEST(DeliveryTheorem, NonCanonicalRealizationDivergesInPropagate) {
   constexpr u32 n = 3;
   constexpr u32 N = u32{1} << n;
   const Kind kind = Kind::kOmega;
   const min::Network net(kind, n);
-  sw::FabricState state(net, sw::FabricConfig{N, true, true});
   const sw::Fabric oracle(net, sw::FabricConfig{N, true, true});
 
   sw::GroupRealization g = canonical_group(Realization::kDirect, kind, n, 0,
@@ -416,18 +424,29 @@ TEST(DeliveryTheorem, NonCanonicalGroupFailsCrossCheck) {
   rows[1].insert(std::lower_bound(rows[1].begin(), rows[1].end(), branch),
                  branch);
   g.links = min::LevelLinks(rows);
-  ASSERT_TRUE(state.try_add(g));
+  EXPECT_NO_THROW(sw::validate_realization(net, g));
 
-  // Healthy, the two verdicts still agree.
+  // Healthy, the theorem and the oracle still agree.
+  min::FaultSet faults(n);
+  EXPECT_TRUE(oracle_verdict(oracle, g, faults).exact);
+
+  // Dead branch: one dead link in the realization, yet exact delivery.
+  faults.fail_link(1, branch);
+  EXPECT_TRUE(oracle_verdict(oracle, g, faults).exact);
+  u32 dead = 0;
+  for (u32 level = 0; level <= n; ++level)
+    for (u32 row : g.links[level]) dead += faults.is_faulty(level, row);
+  EXPECT_EQ(dead, 1u) << "the closed form would report lost delivery";
+
+  // The fabric derives the canonical rows for the same members.
+  sw::FabricState state(net, sw::FabricConfig{N, true, true});
+  ASSERT_TRUE(admit(state, Realization::kDirect, 0, g.members));
+  EXPECT_NE(state.realization(0).links, g.links);
+  EXPECT_TRUE(state.fail_link(1, branch).empty());
   EXPECT_TRUE(state.delivery_ok());
-  EXPECT_TRUE(oracle_verdict(oracle, g, state.faults()).exact);
+  EXPECT_TRUE(oracle_verdict(oracle, state.realization(0), state.faults())
+                  .exact);
   EXPECT_NO_THROW(state.cross_check());
-
-  EXPECT_EQ(state.fail_link(1, branch), (std::vector<u32>{0}));
-  EXPECT_FALSE(state.delivery_ok());
-  EXPECT_FALSE(state.group_survives(0));
-  EXPECT_TRUE(oracle_verdict(oracle, g, state.faults()).exact);
-  EXPECT_THROW(state.cross_check(), audit::AuditError);
 }
 
 // --- Monte-Carlo delivery verification -----------------------------------

@@ -1,13 +1,12 @@
 // The flat per-level link-row type: nested round trips, empty levels,
-// block reuse, equality, truncation and the offset checks
-// validate_realization relies on.
+// block reuse, equality and the offset checks validate_realization relies
+// on.
 #include "min/level_links.hpp"
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "util/error.hpp"
 
 namespace confnet::min {
 namespace {
@@ -77,23 +76,6 @@ TEST(LevelLinks, ReshapeKeepsABlockLargeEnough) {
   EXPECT_TRUE(links.well_formed());
 }
 
-TEST(LevelLinks, AssignCopiesIntoThePowerOfTwoClass) {
-  const LevelLinks six{{1, 2}, {3}};  // 6 words: class 8
-  LevelLinks copy;
-  copy.assign(six);
-  EXPECT_EQ(copy, six);
-  EXPECT_EQ(copy.words().capacity(), 8u);
-  const u32* block = copy.words().data();
-  copy.assign(LevelLinks{{4}, {5, 6, 7}});  // 7 words: same class, reused
-  EXPECT_EQ(copy.words().data(), block);
-  EXPECT_EQ(copy, (LevelLinks{{4}, {5, 6, 7}}));
-  copy.assign(LevelLinks{{1}});  // 3 words: class 4, a smaller block
-  EXPECT_EQ(copy.words().capacity(), 4u);
-  EXPECT_EQ(copy, (LevelLinks{{1}}));
-  copy.assign(LevelLinks{});
-  EXPECT_EQ(copy.levels(), 0u);
-}
-
 TEST(LevelLinks, EqualityComparesLevelsAndRows) {
   EXPECT_EQ((LevelLinks{{1}, {2}}), (LevelLinks{{1}, {2}}));
   // Same rows, different level split.
@@ -101,19 +83,6 @@ TEST(LevelLinks, EqualityComparesLevelsAndRows) {
   // Same rows, different level count.
   EXPECT_NE((LevelLinks{{1}, {2}}), (LevelLinks{{1}, {2}, {}}));
   EXPECT_NE((LevelLinks{{1}, {2}}), (LevelLinks{{1}, {3}}));
-}
-
-TEST(LevelLinks, TruncateAboveEmptiesHigherLevels) {
-  LevelLinks links{{1, 2}, {3}, {4, 5}, {6}};
-  links.truncate_above(3);  // top level: nothing to drop
-  EXPECT_EQ(links, (LevelLinks{{1, 2}, {3}, {4, 5}, {6}}));
-  links.truncate_above(1);
-  EXPECT_EQ(links, (LevelLinks{{1, 2}, {3}, {}, {}}));
-  EXPECT_EQ(links.levels(), 4u);
-  EXPECT_TRUE(links.well_formed());
-  links.truncate_above(0);
-  EXPECT_EQ(links, (LevelLinks{{1, 2}, {}, {}, {}}));
-  EXPECT_THROW(links.truncate_above(4), Error);
 }
 
 TEST(LevelLinks, WellFormedChecksTheOffsets) {

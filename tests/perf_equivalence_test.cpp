@@ -15,7 +15,6 @@
 #include "conference/designs.hpp"
 #include "conference/multiplicity.hpp"
 #include "conference/placement.hpp"
-#include "conference/subnetwork.hpp"
 #include "min/network.hpp"
 #include "sim/teletraffic.hpp"
 #include "switchmod/fabric.hpp"
@@ -84,22 +83,15 @@ TEST_P(EquivalenceSuite, FabricStateMatchesStatelessOracle) {
   conf::PortPlacer placer(n, conf::PlacementPolicy::kRandom);
   std::vector<u32> alive;
   u32 next_id = 0;
-  const auto make_group = [&](u32 id) -> std::optional<sw::GroupRealization> {
-    const u32 size = 2 + static_cast<u32>(rng_.below(5));
-    auto ports = placer.place(size, rng_);
-    if (!ports) return std::nullopt;
-    sw::GroupRealization g;
-    g.id = id;
-    g.links = conf::all_pairs_links(kind, n, *ports);
-    g.members = std::move(*ports);
-    return g;
+  const auto place = [&] {
+    return placer.place(2 + static_cast<u32>(rng_.below(5)), rng_);
   };
 
   for (int step = 0; step < 60; ++step) {
     const u32 action = static_cast<u32>(rng_.below(3));
     if (action == 0 || alive.empty()) {
-      if (auto g = make_group(next_id)) {
-        ASSERT_TRUE(state.try_add(std::move(*g)));
+      if (auto ports = place()) {
+        ASSERT_EQ(state.try_add(next_id, *ports), sw::Admission::kAdmitted);
         alive.push_back(next_id++);
       }
     } else if (action == 1) {
@@ -107,9 +99,9 @@ TEST_P(EquivalenceSuite, FabricStateMatchesStatelessOracle) {
       const u32 id = alive[idx];
       // Re-roll the group's ports: free them first, then replace (or drop
       // the group entirely if no placement fits anymore).
-      placer.release(state.group(id).members);
-      if (auto g = make_group(id)) {
-        ASSERT_TRUE(state.try_replace(id, std::move(*g)));
+      placer.release(state.members(id));
+      if (auto ports = place()) {
+        ASSERT_EQ(state.try_replace(id, *ports), sw::Admission::kAdmitted);
       } else {
         state.remove(id);
         alive.erase(alive.begin() + static_cast<std::ptrdiff_t>(idx));
@@ -117,7 +109,7 @@ TEST_P(EquivalenceSuite, FabricStateMatchesStatelessOracle) {
     } else {
       const std::size_t idx = rng_.below(alive.size());
       const u32 id = alive[idx];
-      placer.release(state.group(id).members);
+      placer.release(state.members(id));
       state.remove(id);
       alive.erase(alive.begin() + static_cast<std::ptrdiff_t>(idx));
     }

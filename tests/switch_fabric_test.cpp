@@ -1,9 +1,9 @@
 // Functional fabric tests: signal propagation with fan-in/fan-out, channel
 // overflow detection, mux relay taps, one table of malformed realizations
-// that Fabric::evaluate and every FabricState mutation must refuse,
-// FabricState's incremental load matrix against a recount of its admitted
-// groups, its 16-bit load guard, and its busy-port set against group
-// membership.
+// that Fabric::evaluate must refuse and the malformed member lists every
+// FabricState mutation must refuse, FabricState's relay taps, its
+// incremental load matrix against a recount of its admitted groups, and
+// its busy-port set against group membership.
 #include "switchmod/fabric.hpp"
 
 #include <gtest/gtest.h>
@@ -265,12 +265,29 @@ constexpr MalformedCase kMalformed[] = {
 
 TEST(Fabric, RejectsMalformedGroups) {
   constexpr u32 n = 3;
-  constexpr u32 N = u32{1} << n;
   const Kind kind = Kind::kOmega;
   const min::Network net(kind, n);
-  const Fabric fabric(net, FabricConfig{N, true, true});
-  FabricState state(net, FabricConfig{N, true, true});
-  ASSERT_TRUE(state.try_add(make_group(0, kind, n, {0, 1})));
+  const Fabric fabric(net, FabricConfig{u32{1} << n, true, true});
+  for (const MalformedCase& bad : kMalformed) {
+    SCOPED_TRACE(bad.what);
+    GroupRealization fresh = make_group(1, kind, n, {4, 5});
+    bad.make(fresh, n);
+    EXPECT_THROW((void)fabric.evaluate({fresh}), Error);
+  }
+}
+
+/// Add `id` on `members`; true iff admitted.
+bool add(FabricState& state, u32 id, std::vector<u32> members) {
+  std::sort(members.begin(), members.end());
+  return state.try_add(id, members) == Admission::kAdmitted;
+}
+
+TEST(FabricState, RejectsMalformedMemberLists) {
+  constexpr u32 n = 3;
+  constexpr u32 N = u32{1} << n;
+  const Kind kind = Kind::kOmega;
+  FabricState state(min::Network(kind, n), FabricConfig{N, true, true});
+  ASSERT_TRUE(add(state, 0, {0, 1}));
 
   std::vector<u32> loads;
   std::vector<bool> free_ports;
@@ -286,52 +303,51 @@ TEST(Fabric, RejectsMalformedGroups) {
   const std::vector<u32> loads_before = loads;
   const std::vector<bool> free_before = free_ports;
 
-  for (const MalformedCase& bad : kMalformed) {
-    SCOPED_TRACE(bad.what);
-    GroupRealization fresh = make_group(1, kind, n, {4, 5});
-    bad.make(fresh, n);
-    GroupRealization swap = make_group(0, kind, n, {4, 5});
-    bad.make(swap, n);
-
+  const std::vector<std::vector<u32>> malformed{{}, {5, 4}, {4, 4}, {4, N}};
+  for (const std::vector<u32>& members : malformed) {
+    SCOPED_TRACE(::testing::PrintToString(members));
     // A refusal that slips through leaves `state` holding a malformed
     // group, so stop at the first one.
-    ASSERT_THROW((void)state.try_add(fresh), Error);
-    ASSERT_THROW((void)state.try_replace(0, swap), Error);
-    ASSERT_THROW(state.replace(0, swap), Error);
-    EXPECT_THROW((void)fabric.evaluate({fresh}), Error);
+    ASSERT_THROW((void)state.try_add(1, members), Error);
+    ASSERT_THROW((void)state.try_replace(0, members), Error);
+    ASSERT_THROW(state.replace(0, members), Error);
 
     snapshot();
     EXPECT_EQ(loads, loads_before);
     EXPECT_EQ(free_ports, free_before);
     EXPECT_EQ(state.group_count(), 1u);
     EXPECT_FALSE(state.contains(1));
-    EXPECT_EQ(state.group(0).members, (std::vector<u32>{0, 1}));
+    EXPECT_EQ(state.members(0), (std::vector<u32>{0, 1}));
   }
+  // Only the indirect cube has a relay tap.
+  EXPECT_THROW((void)state.try_add(1, std::vector<u32>{4, 5}, true), Error);
+  EXPECT_FALSE(state.contains(1));
 }
 
-TEST(FabricState, AdmissionChecksRelayTaps) {
-  constexpr u32 n = 2;
-  const Kind kind = Kind::kOmega;
-  FabricState state(min::Network(kind, n), FabricConfig{4, true, true});
-
-  // A tap past level n does not exist.
-  GroupRealization deep = make_group(0, kind, n, {0, 1});
-  deep.tap_level = n + 5;
-  EXPECT_THROW((void)state.try_add(deep), Error);
-
-  EXPECT_EQ(state.group_count(), 0u);
-  EXPECT_TRUE(state.port_free(0));
-  EXPECT_TRUE(state.port_free(1));
-
-  // Taps at level n on the members' own rows are the untapped delivery.
-  GroupRealization good = make_group(0, kind, n, {0, 1});
-  good.tap_level = n;
-  ASSERT_TRUE(state.try_add(good));
+TEST(FabricState, RelayTapsAtTheCubeCompletionLevel) {
+  constexpr u32 n = 4;
+  FabricState state(min::Network(Kind::kIndirectCube, n),
+                    FabricConfig{1, true, true});
+  const std::vector<u32> members{4, 5, 6, 7};
+  ASSERT_EQ(state.try_add(0, members, true), Admission::kAdmitted);
+  EXPECT_EQ(state.tap_level(0), 2u);
+  const GroupRealization g = state.realization(0);
+  const auto real = conf::enhanced_cube_realization(n, members);
+  EXPECT_EQ(g.links, real.links);
   EXPECT_TRUE(state.delivery_ok());
-  const Fabric oracle(state.network(), FabricConfig{4, true, true});
-  for (const MemberSet& heard :
-       oracle.propagate(state.group(0), &state.faults()).delivered)
-    EXPECT_EQ(heard.values(), (std::vector<u32>{0, 1}));
+  const Fabric oracle(state.network(), FabricConfig{1, true, true});
+  for (const MemberSet& heard : oracle.propagate(g, &state.faults()).delivered)
+    EXPECT_EQ(heard.values(), members);
+
+  // Growing past the block raises the tap; shrinking lowers it again.
+  ASSERT_EQ(state.try_replace(0, std::vector<u32>{4, 5, 6, 7, 8}),
+            Admission::kAdmitted);
+  EXPECT_EQ(state.tap_level(0), 4u);
+  state.replace(0, std::vector<u32>{4, 5});
+  EXPECT_EQ(state.tap_level(0), 1u);
+  EXPECT_EQ(state.realization(0).links,
+            conf::enhanced_cube_realization(n, {4, 5}).links);
+  EXPECT_NO_THROW(state.cross_check());
 }
 
 TEST(Fabric, ConfigValidation) {
@@ -344,7 +360,8 @@ TEST(Fabric, ConfigValidation) {
 void expect_loads_match_recount(const FabricState& state, u32 n) {
   const u32 N = u32{1} << n;
   std::vector<std::vector<u32>> load(n + 1, std::vector<u32>(N, 0));
-  state.for_each_group([&](const GroupRealization& g) {
+  state.for_each_group([&](u32 id) {
+    const GroupRealization g = state.realization(id);
     for (u32 level = 0; level <= n; ++level)
       for (u32 row : g.links[level]) ++load[level][row];
   });
@@ -394,8 +411,7 @@ TEST(FabricState, LoadMatrixMatchesGroupRecountUnderChurn) {
         std::vector<u32> members;
         for (u32 i : rng.sample_distinct(static_cast<u32>(ports.size()), k))
           members.push_back(ports[i]);
-        if (state.try_add(make_group(next_id, kind, n, members)))
-          live.push_back(next_id);
+        if (add(state, next_id, members)) live.push_back(next_id);
         ++next_id;
       } else if (op == 1 && !live.empty()) {
         const std::size_t at = rng.below(live.size());
@@ -403,18 +419,20 @@ TEST(FabricState, LoadMatrixMatchesGroupRecountUnderChurn) {
         live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
       } else if (op == 2 && !live.empty() && !ports.empty()) {
         const u32 id = live[rng.below(live.size())];
-        std::vector<u32> members = state.group(id).members;
+        std::vector<u32> members = state.members(id);
         members.push_back(ports[rng.below(ports.size())]);
-        (void)state.try_replace(id, make_group(id, kind, n, members));
+        std::sort(members.begin(), members.end());
+        (void)state.try_replace(id, members);
       } else if (op == 3 && !live.empty()) {
         const u32 id = live[rng.below(live.size())];
-        std::vector<u32> members = state.group(id).members;
+        std::vector<u32> members = state.members(id);
         if (members.size() > 2)
           members.erase(members.begin() +
                         static_cast<std::ptrdiff_t>(rng.below(members.size())));
         else if (!ports.empty())
           members[rng.below(2)] = ports[rng.below(ports.size())];
-        state.replace(id, make_group(id, kind, n, members));
+        std::sort(members.begin(), members.end());
+        state.replace(id, members);
       }
       expect_loads_match_recount(state, n);
       if (HasFatalFailure()) return;
@@ -424,81 +442,6 @@ TEST(FabricState, LoadMatrixMatchesGroupRecountUnderChurn) {
     EXPECT_GT(most_live, n > 2 ? 1u : 0u) << "n=" << n;
   }
   EXPECT_GT(steps_overflowing, 0u) << "the churn never overflowed a link";
-}
-
-/// A synthetic one-member group: the member's own level-0 and level-n rows,
-/// plus link (level, row) when `shared`.
-GroupRealization single_member_group(u32 id, u32 n, u32 member, u32 level,
-                                     u32 row, bool shared) {
-  GroupRealization g;
-  g.id = id;
-  g.members = {member};
-  Rows rows(n + 1);
-  rows[0] = {member};
-  rows[n] = {member};
-  if (shared) rows[level] = {row};
-  g.links = min::LevelLinks(rows);
-  return g;
-}
-
-/// Runs `mutation`, which must be refused by the 16-bit load guard.
-template <typename Fn>
-void expect_guard_refusal(Fn&& mutation) {
-  try {
-    mutation();
-    ADD_FAILURE() << "mutation took a link load past the 16-bit ceiling";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string_view(e.what()).find("16-bit"),
-              std::string_view::npos)
-        << e.what();
-  }
-}
-
-TEST(FabricState, SixteenBitLoadGuardRefusesBeforeAnyChange) {
-#if defined(CONFNET_AUDIT)
-  // The armed periodic cross-check is O(groups) every 32 mutations, so the
-  // 65535 admissions below would cost ~10^8 group re-checks.
-  GTEST_SKIP() << "too slow with the periodic CONFNET_AUDIT cross-check";
-#endif
-  // Capacity does not stop the shared link (2^16 channels), so only the
-  // guard stands between its load and a wrap to zero.
-  constexpr u32 n = 16;
-  constexpr u32 level = 8;
-  constexpr u32 row = 0;
-  constexpr u32 ceiling = FabricState::kMaxLoad;
-  std::vector<u32> capacity(n + 1, 1);
-  capacity[level] = ceiling + 1;
-  FabricState state(min::Network(Kind::kOmega, n), capacity);
-  // Ports 1..65535 each hold a group on the shared link; port 0 is free.
-  for (u32 port = 1; port <= ceiling; ++port)
-    ASSERT_TRUE(state.try_add(
-        single_member_group(port, n, port, level, row, true)));
-  ASSERT_EQ(state.load_at(level, row), ceiling);
-  ASSERT_TRUE(state.port_free(0));
-
-  expect_guard_refusal([&] {
-    (void)state.try_add(single_member_group(0, n, 0, level, row, true));
-  });
-  EXPECT_EQ(state.load_at(level, row), ceiling);
-  EXPECT_EQ(state.load_at(0, 0), 0u);
-  EXPECT_EQ(state.group_count(), ceiling);
-  EXPECT_TRUE(state.port_free(0));
-  EXPECT_FALSE(state.contains(0));
-
-  // A group off the shared link may not swap onto it either.
-  ASSERT_TRUE(state.try_add(single_member_group(0, n, 0, level, row, false)));
-  expect_guard_refusal([&] {
-    state.replace(0, single_member_group(0, n, 0, level, row, true));
-  });
-  expect_guard_refusal([&] {
-    (void)state.try_replace(0,
-                            single_member_group(0, n, 0, level, row, true));
-  });
-  EXPECT_EQ(state.load_at(level, row), ceiling);
-  EXPECT_EQ(state.group_count(), ceiling + 1);
-  EXPECT_FALSE(state.port_free(0));
-  EXPECT_TRUE(state.group(0).links[level].empty());
-  EXPECT_EQ(state.overflowing_links(), 0u);
 }
 
 /// True iff `a` and `b` occupy a common link.
@@ -516,8 +459,8 @@ bool share_a_link(const GroupRealization& a, const GroupRealization& b) {
 void expect_busy_matches_membership(const FabricState& state,
                                     std::string_view step) {
   std::vector<bool> member(state.network().size(), false);
-  state.for_each_group([&](const GroupRealization& g) {
-    for (u32 m : g.members) member[m] = true;
+  state.for_each_group([&](u32 id) {
+    for (u32 m : state.members(id)) member[m] = true;
   });
   for (u32 p = 0; p < member.size(); ++p)
     EXPECT_EQ(state.port_free(p), !member[p]) << step << ": port " << p;
@@ -541,7 +484,7 @@ TEST(FabricState, BusyPortsTrackMembership) {
   };
 
   const GroupRealization a = make_group(0, kind, n, {0, 5});
-  ASSERT_TRUE(state.try_add(a));
+  ASSERT_TRUE(add(state, 0, a.members));
   expect_busy_matches_membership(state, "try_add");
 
   // A free pair whose subnetwork crosses a's is refused for capacity.
@@ -551,13 +494,13 @@ TEST(FabricState, BusyPortsTrackMembership) {
       if (p < q && !clash && share_a_link(make_group(1, kind, n, {p, q}), a))
         clash = make_group(1, kind, n, {p, q});
   ASSERT_TRUE(clash.has_value());
-  EXPECT_FALSE(state.try_add(*clash));
+  EXPECT_EQ(state.try_add(1, clash->members), Admission::kLinkCapacity);
   expect_busy_matches_membership(state, "refused try_add");
 
   // Growing the only group always fits.
   const GroupRealization a3 =
       make_group(0, kind, n, with(a.members, free_ports().front()));
-  ASSERT_TRUE(state.try_replace(0, a3));
+  ASSERT_EQ(state.try_replace(0, a3.members), Admission::kAdmitted);
   expect_busy_matches_membership(state, "try_replace");
 
   // A second group that fits, then a growth of it that crosses a3.
@@ -567,28 +510,30 @@ TEST(FabricState, BusyPortsTrackMembership) {
       if (p < q && !c && !share_a_link(make_group(1, kind, n, {p, q}), a3))
         c = make_group(1, kind, n, {p, q});
   ASSERT_TRUE(c.has_value());
-  ASSERT_TRUE(state.try_add(*c));
+  ASSERT_TRUE(add(state, 1, c->members));
   std::optional<GroupRealization> c_grown;
   for (u32 r : free_ports()) {
     const GroupRealization g = make_group(1, kind, n, with(c->members, r));
     if (!c_grown && share_a_link(g, a3)) c_grown = g;
   }
   ASSERT_TRUE(c_grown.has_value());
-  EXPECT_FALSE(state.try_replace(1, *c_grown));
+  EXPECT_EQ(state.try_replace(1, c_grown->members), Admission::kLinkCapacity);
   expect_busy_matches_membership(state, "refused try_replace");
 
   // A replace onto another group's port throws and leaves both intact.
   EXPECT_THROW(
-      state.replace(1, make_group(1, kind, n, with(c->members, a.members[0]))),
+      state.replace(1, make_group(1, kind, n, with(c->members, a.members[0]))
+                           .members),
       Error);
   expect_busy_matches_membership(state, "refused replace");
-  EXPECT_EQ(state.group(1).members, c->members);
+  EXPECT_EQ(state.members(1), c->members);
 
   // Unconditional swaps: shrink a3, move one of c's members.
-  state.replace(0, make_group(0, kind, n, a.members));
+  state.replace(0, a.members);
   std::vector<u32> moved = c->members;
   moved[0] = free_ports().back();
-  state.replace(1, make_group(1, kind, n, moved));
+  std::sort(moved.begin(), moved.end());
+  state.replace(1, moved);
   expect_busy_matches_membership(state, "replace");
 
   state.remove(0);
