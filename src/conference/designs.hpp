@@ -1,4 +1,6 @@
-// The two conference-network designs under comparison.
+// The two conference-network designs under comparison, as two
+// configurations of one fabric-backed implementation,
+// FabricConferenceNetwork.
 //
 // DirectConferenceNetwork — "directly adopt a baseline, an omega, or an
 // indirect binary cube network": conferences are realized as ALL_PAIRS
@@ -12,15 +14,16 @@
 // indirect binary cube whose internal stage outputs are relayed through
 // per-output (n+1)-to-1 multiplexers; a conference placed on an aligned
 // block of 2^j ports completes combining at level j inside its own rows
-// and taps there, leaving no shared interstage links.
+// and taps there, leaving no shared interstage links. It is the same
+// fabric with one channel per link and the relay on.
 #pragma once
 
 #include <array>
-#include <map>
 #include <optional>
 #include <span>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "conference/conference.hpp"
@@ -188,10 +191,12 @@ class HandlePool {
   std::vector<u32> free_;
 };
 
-class DirectConferenceNetwork final : public ConferenceNetworkBase {
+/// The one implementation of the contract above: each conference is a
+/// group of one sw::FabricState whose per-level capacity and relay are
+/// fixed at construction. The designs the paper compares are its two
+/// configurations, DirectConferenceNetwork and EnhancedCubeNetwork below.
+class FabricConferenceNetwork : public ConferenceNetworkBase {
  public:
-  DirectConferenceNetwork(min::Kind kind, u32 n, DilationProfile dilation);
-
   [[nodiscard]] u32 n() const noexcept override {
     return state_.network().n();
   }
@@ -207,16 +212,22 @@ class DirectConferenceNetwork final : public ConferenceNetworkBase {
   }
   [[nodiscard]] bool verify_delivery() const override;
   [[nodiscard]] bool verify_delivery_reference() const override;
+  [[nodiscard]] u32 stages_for(u32 handle) const override {
+    return relay_ ? tap_level(handle) : n();
+  }
   [[nodiscard]] bool add_member(u32 handle, u32 port) override;
   [[nodiscard]] bool remove_member(u32 handle, u32 port) override;
   [[nodiscard]] const std::vector<u32>& members_for(u32 handle) const override;
-
-  [[nodiscard]] const DilationProfile& dilation() const noexcept {
-    return dilation_;
-  }
   [[nodiscard]] min::Kind kind() const noexcept override {
     return state_.network().kind();
   }
+
+  /// True iff every conference is relayed out at its mux tap level (the
+  /// enhanced cube); false when members listen at level n.
+  [[nodiscard]] bool relays() const noexcept { return relay_; }
+  /// Mux tap level of an active relayed conference (latency figure: it
+  /// traverses tap_level stages instead of n).
+  [[nodiscard]] u32 tap_level(u32 handle) const;
   /// Highest channel load currently on any link of the level.
   [[nodiscard]] u32 current_level_load(u32 level) const;
   /// Channel load currently on link (level, row).
@@ -235,10 +246,18 @@ class DirectConferenceNetwork final : public ConferenceNetworkBase {
     return state_.group_survives(handle);
   }
 
+ protected:
+  /// `dilation` is the per-level capacity; `relay` (indirect cube only)
+  /// taps every conference at min::cube_tap_level of its members.
+  FabricConferenceNetwork(min::Kind kind, u32 n, DilationProfile dilation,
+                          bool relay);
+
  private:
-  friend void audit::check_direct_network(const ::confnet::conf::DirectConferenceNetwork&);
+  friend void audit::check_fabric_network(
+      const ::confnet::conf::FabricConferenceNetwork&);
 
   DilationProfile dilation_;
+  bool relay_;
   sw::FabricState state_;  // owns the member lists + link loads
   HandlePool handles_;
   SetupError last_error_ = SetupError::kPortBusy;
@@ -247,60 +266,21 @@ class DirectConferenceNetwork final : public ConferenceNetworkBase {
   std::vector<u32> scratch_;
 };
 
-class EnhancedCubeNetwork final : public ConferenceNetworkBase {
+/// Standard banyan adopted directly: ALL_PAIRS conferences, `dilation`
+/// channels per interstage link, no relay.
+class DirectConferenceNetwork final : public FabricConferenceNetwork {
  public:
-  explicit EnhancedCubeNetwork(u32 n);
+  DirectConferenceNetwork(min::Kind kind, u32 n, DilationProfile dilation)
+      : FabricConferenceNetwork(kind, n, std::move(dilation), false) {}
+};
 
-  [[nodiscard]] u32 n() const noexcept override {
-    return state_.network().n();
-  }
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::optional<u32> setup(
-      const std::vector<u32>& members) override;
-  [[nodiscard]] SetupError last_error() const noexcept override {
-    return last_error_;
-  }
-  void teardown(u32 handle) override;
-  [[nodiscard]] u32 active_count() const noexcept override {
-    return state_.group_count();
-  }
-  [[nodiscard]] bool verify_delivery() const override;
-  [[nodiscard]] bool verify_delivery_reference() const override;
-  [[nodiscard]] bool add_member(u32 handle, u32 port) override;
-  [[nodiscard]] bool remove_member(u32 handle, u32 port) override;
-  [[nodiscard]] const std::vector<u32>& members_for(u32 handle) const override;
-
-  /// Mux tap level of an active conference (latency figure: a conference
-  /// traverses tap_level stages instead of n).
-  [[nodiscard]] u32 tap_level(u32 handle) const;
-
-  [[nodiscard]] u32 stages_for(u32 handle) const override {
-    return tap_level(handle);
-  }
-
-  [[nodiscard]] min::Kind kind() const noexcept override {
-    return state_.network().kind();
-  }
-  [[nodiscard]] bool supports_faults() const noexcept override { return true; }
-  [[nodiscard]] std::vector<u32> fail_link(u32 level, u32 row) override;
-  std::vector<u32> repair_link(u32 level, u32 row) override;
-  [[nodiscard]] bool link_faulty(u32 level, u32 row) const override {
-    return state_.link_faulty(level, row);
-  }
-  [[nodiscard]] const min::FaultSet* faults() const noexcept override {
-    return &state_.faults();
-  }
-  [[nodiscard]] bool conference_survives(u32 handle) const override {
-    return state_.group_survives(handle);
-  }
-
- private:
-  friend void audit::check_enhanced_network(const ::confnet::conf::EnhancedCubeNetwork&);
-
-  sw::FabricState state_;  // owns the member lists + link loads
-  HandlePool handles_;
-  SetupError last_error_ = SetupError::kPortBusy;
-  std::vector<u32> scratch_;  // member-list scratch, as in the direct design
+/// Yang's enhanced indirect cube: one channel per link, every conference
+/// relayed out at its tap level.
+class EnhancedCubeNetwork final : public FabricConferenceNetwork {
+ public:
+  explicit EnhancedCubeNetwork(u32 n)
+      : FabricConferenceNetwork(min::Kind::kIndirectCube, n,
+                                DilationProfile::uniform(n, 1), true) {}
 };
 
 // Each design owns its fabric and the fabric owns its network, so a design

@@ -129,7 +129,7 @@ std::optional<u32> ReplicatedConferenceNetwork::setup(
   for (u32 p = 0; p < planes(); ++p) {
     if (const auto inner = planes_[p].setup(members)) {
       for (u32 m : members) port_busy_[m] = true;
-      const u32 handle = next_handle_++;
+      const u32 handle = handles_.take();
       active_.emplace(handle, Active{p, *inner});
       return handle;
     }
@@ -145,6 +145,7 @@ void ReplicatedConferenceNetwork::teardown(u32 handle) {
     port_busy_[m] = false;
   planes_[it->second.plane].teardown(it->second.inner_handle);
   active_.erase(it);
+  handles_.release(handle);
 }
 
 u32 ReplicatedConferenceNetwork::active_count() const noexcept {

@@ -7,6 +7,7 @@
 // model all reason about the same object.
 #pragma once
 
+#include <map>
 #include <optional>
 #include <vector>
 
@@ -89,7 +90,7 @@ class ReplicatedConferenceNetwork final : public ConferenceNetworkBase {
     u32 inner_handle;
   };
   std::map<u32, Active> active_;
-  u32 next_handle_ = 0;
+  HandlePool handles_;
   SetupError last_error_ = SetupError::kPortBusy;
 };
 

@@ -29,6 +29,7 @@ void fold_into_registry(const SessionStats& s) {
   reg.counter("conf", "closes").add(s.closes);
   reg.counter("conf", "joins").add(s.joins);
   reg.counter("conf", "joins_blocked").add(s.joins_blocked);
+  reg.counter("conf", "joins_blocked_fault").add(s.joins_blocked_fault);
   reg.counter("conf", "leaves").add(s.leaves);
 }
 
@@ -147,12 +148,12 @@ std::pair<OpenResult, std::optional<u32>> SessionManager::join(
   }
   if (!network_.add_member(handle, *port)) {
     placer_->release_one(*port);
+    const bool fault = network_.last_error() == SetupError::kLinkFaulty;
     ++stats_.joins_blocked;
+    stats_.joins_blocked_fault += fault ? 1 : 0;
     obs::trace_emit("conf", "join_blocked", session_id);
     CONFNET_AUDIT_HOOK(audit::check_session_manager(*this));
-    return {network_.last_error() == SetupError::kLinkFaulty
-                ? OpenResult::kBlockedFault
-                : OpenResult::kBlockedCapacity,
+    return {fault ? OpenResult::kBlockedFault : OpenResult::kBlockedCapacity,
             std::nullopt};
   }
   ++stats_.joins;
@@ -209,6 +210,8 @@ void check_session_stats(const conf::SessionStats& stats,
           kSub, "attempts do not split into accepted + blocking causes");
   require(stats.interrupted <= stats.closes, kSub,
           "more fault interrupts than closes");
+  require(stats.joins_blocked_fault <= stats.joins_blocked, kSub,
+          "more fault-refused joins than refused joins");
   require(active_sessions <= stats.accepted, kSub,
           "more live sessions than accepted opens");
   require(stats.closes <= stats.accepted, kSub,
@@ -249,12 +252,12 @@ void check_session_manager(const conf::SessionManager& manager) {
               "session port not marked occupied in the placer");
   check_placer(*manager.placer_);
   // R2 on live state: buddy placement on a kind with orthogonal (block x
-  // stride) windows is conflict-free, so on a healthy direct fabric no
-  // interstage link carries two conferences and capacity never refuses an
-  // open or a join.
+  // stride) windows is conflict-free, so on a healthy direct (unrelayed)
+  // fabric no interstage link carries two conferences and capacity never
+  // refuses an open or a join.
   const auto* direct =
-      dynamic_cast<const conf::DirectConferenceNetwork*>(&manager.network_);
-  if (direct == nullptr ||
+      dynamic_cast<const conf::FabricConferenceNetwork*>(&manager.network_);
+  if (direct == nullptr || direct->relays() ||
       manager.placer_->policy() != conf::PlacementPolicy::kBuddy ||
       min::has_block_block_windows(direct->kind()) ||
       direct->faults()->fault_count() != 0)

@@ -34,6 +34,9 @@ struct SessionStats {
   u64 closes = 0;
   u64 joins = 0;
   u64 joins_blocked = 0;
+  /// Joins refused because the grown conference would cross a live faulty
+  /// link (subset of `joins_blocked`).
+  u64 joins_blocked_fault = 0;
   u64 leaves = 0;
   /// Closes forced by a link failure (subset of `closes`); see interrupt().
   u64 interrupted = 0;

@@ -172,13 +172,10 @@ ClusterTrafficResult run_cluster_traffic(cluster::Cluster& cluster,
       Offered victim = std::move(it->second);
       live.erase(it);
       ++result.interrupted;
-      if (!config.retry_interrupted) {
-        ++result.lost;
-      } else if (config.retry_on_repair) {
+      if (config.retry_on_repair)
         parked[key].push_back(std::move(victim));
-      } else {
+      else
         reoffer(std::move(victim));
-      }
     }
   };
 

@@ -45,16 +45,13 @@ struct ClusterTrafficConfig {
   /// a healthy interstage link uniformly. 0 disables.
   double link_fault_rate = 0.0;
   double link_repair_rate = 1.0;
-  /// Re-offer a fault-interrupted conference once, immediately, with the
-  /// same leg layout (reopened vs lost accounting below).
-  bool retry_interrupted = true;
-  /// Instead of retrying immediately, hold each interrupted conference in
-  /// a retry queue keyed by the fault that tore it down and re-offer it
-  /// when the matching repair_trunk / repair_link fires. A victim whose
-  /// holding time expires while queued — or whose fault is never repaired
-  /// before the run ends — counts as lost, so interrupted == reopened +
-  /// lost is preserved. Only meaningful with retry_interrupted; false
-  /// keeps the legacy immediate-retry mode.
+  /// A fault-interrupted conference is re-offered once with the same leg
+  /// layout (reopened vs lost accounting below): immediately by default.
+  /// With this set, it instead waits in a retry queue keyed by the fault
+  /// that tore it down and is re-offered when the matching repair_trunk /
+  /// repair_link fires. A victim whose holding time expires while queued
+  /// — or whose fault is never repaired before the run ends — counts as
+  /// lost, so interrupted == reopened + lost is preserved.
   bool retry_on_repair = false;
   /// Periodically run Cluster::cross_check (flattened-oracle delivery +
   /// conservation audit). A violation stops the run with functional_ok

@@ -53,8 +53,7 @@ class PortPlacer;
 class FastPortPlacer;
 class BuddyAllocator;
 class BitmapBuddyAllocator;
-class DirectConferenceNetwork;
-class EnhancedCubeNetwork;
+class FabricConferenceNetwork;
 struct SessionStats;
 struct WaitStats;
 }
@@ -109,7 +108,8 @@ void check_link_disjoint(
     u32 rows, std::string_view subsystem);
 
 /// Session counter coherence: attempts split exactly into accepted and the
-/// two blocking causes, and the live session count never exceeds accepts.
+/// blocking causes, fault-refused joins are a subset of refused joins, and
+/// the live session count never exceeds accepts.
 void check_session_stats(const conf::SessionStats& stats, u64 active_sessions);
 
 /// Wait-queue counter coherence plus queue shape: every issued ticket id is
@@ -195,16 +195,14 @@ void check_waitqueue(const conf::WaitQueueManager& manager);
 /// ticket or one agenda entry, and no ticket or entry outlives its record.
 void check_recovery(const conf::ControlPlane& plane);
 
-/// Every active conference is untapped, per-link load equals the sum over
-/// the active conferences' derived ALL_PAIRS rows and respects the
-/// dilation profile and R1, and the busy-port bitmap is exactly the union
-/// of members.
-void check_direct_network(const conf::DirectConferenceNetwork& net);
-
-/// Enhanced design: the fabric's realizations equal the enhanced-cube
-/// realization (tap level included), and active conferences are mutually
-/// link-disjoint on interstage levels — the paper's nonblocking claim.
-void check_enhanced_network(const conf::EnhancedCubeNetwork& net);
+/// The fabric-backed design: member sets are disjoint, per-link load
+/// equals the sum over the active conferences' derived rows and respects
+/// the dilation profile and R1, and the busy-port bitmap is exactly the
+/// union of members. Without relay every conference is untapped; with it
+/// (the enhanced cube) each realization equals the enhanced-cube one, tap
+/// level included, and active conferences are mutually link-disjoint on
+/// interstage levels — the paper's nonblocking claim.
+void check_fabric_network(const conf::FabricConferenceNetwork& net);
 
 /// Cluster conservation law: admission counters cohere with the live
 /// conference table (check_cluster_stats), the trunk ledger equals a

@@ -164,6 +164,11 @@ TEST(AuditSession, CorruptedStatsFire) {
   ok.accepted = 3;
   audit_failure([&] { audit::check_session_stats(ok, 4); }, "session");
 
+  // More fault-refused joins than refused joins.
+  conf::SessionStats joins = ok;
+  joins.joins_blocked_fault = 1;
+  audit_failure([&] { audit::check_session_stats(joins, 0); }, "session");
+
   // Two sessions claiming the same port.
   audit_failure(
       [] {
@@ -323,9 +328,9 @@ TEST(AuditDesigns, HealthyDirectNetworkPasses) {
   auto h1 = net.setup({0, 3, 9});
   auto h2 = net.setup({1, 2, 12, 14});
   ASSERT_TRUE(h1 && h2);
-  EXPECT_NO_THROW(audit::check_direct_network(net));
+  EXPECT_NO_THROW(audit::check_fabric_network(net));
   net.teardown(*h1);
-  EXPECT_NO_THROW(audit::check_direct_network(net));
+  EXPECT_NO_THROW(audit::check_fabric_network(net));
 }
 
 TEST(AuditDesigns, HealthyEnhancedNetworkPasses) {
@@ -333,11 +338,11 @@ TEST(AuditDesigns, HealthyEnhancedNetworkPasses) {
   auto h1 = net.setup({0, 1, 2, 3});
   auto h2 = net.setup({8, 9, 10, 11});
   ASSERT_TRUE(h1 && h2);
-  EXPECT_NO_THROW(audit::check_enhanced_network(net));
+  EXPECT_NO_THROW(audit::check_fabric_network(net));
   ASSERT_TRUE(net.add_member(*h2, 12));
-  EXPECT_NO_THROW(audit::check_enhanced_network(net));
+  EXPECT_NO_THROW(audit::check_fabric_network(net));
   net.teardown(*h1);
-  EXPECT_NO_THROW(audit::check_enhanced_network(net));
+  EXPECT_NO_THROW(audit::check_fabric_network(net));
 }
 
 TEST(AuditDesigns, SharedInterstageLinkFires) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "conference/multiplicity.hpp"
+#include "conference/replication.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -134,7 +135,7 @@ TEST(Direct, AdversaryMeetsR1ExactlyUnderTheLiveAudit) {
                   theoretical_max(n, level))
             << min::kind_name(kind) << " level " << level << " row " << row;
         EXPECT_EQ(net.current_level_load(level), theoretical_max(n, level));
-        EXPECT_NO_THROW(audit::check_direct_network(net));
+        EXPECT_NO_THROW(audit::check_fabric_network(net));
       }
     }
   }
@@ -280,8 +281,8 @@ TEST(Designs, EnhancedDesignWorksAfterMove) {
 // at most three live conferences never hand out a handle of 3 or more, so
 // the fabric's id table stays three entries long.
 void expect_handles_recycled(ConferenceNetworkBase& net) {
-  // Aligned port pairs: link-disjoint on the enhanced cube, and within
-  // full dilation on the direct design.
+  // Aligned port pairs: link-disjoint on the enhanced cube, within full
+  // dilation on the direct design, and one plane each when replicated.
   const std::vector<std::vector<u32>> pairs{{0, 1}, {2, 3}, {4, 5}, {6, 7}};
   std::vector<u32> live;  // handles, oldest first
   std::vector<std::size_t> pair_of;  // the pair each live handle holds
@@ -313,6 +314,11 @@ TEST(Designs, DirectDesignRecyclesHandles) {
 
 TEST(Designs, EnhancedDesignRecyclesHandles) {
   EnhancedCubeNetwork net(3);
+  expect_handles_recycled(net);
+}
+
+TEST(Designs, ReplicatedDesignRecyclesHandles) {
+  ReplicatedConferenceNetwork net(Kind::kOmega, 3, 3);
   expect_handles_recycled(net);
 }
 

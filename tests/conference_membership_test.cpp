@@ -217,6 +217,7 @@ TEST(Membership, JoinOverDeadLinksIsBlockedByFault) {
   EXPECT_FALSE(port.has_value());
   EXPECT_EQ(net.last_error(), SetupError::kLinkFaulty);
   EXPECT_EQ(mgr.stats().joins_blocked, 1u);
+  EXPECT_EQ(mgr.stats().joins_blocked_fault, 1u);
   EXPECT_EQ(mgr.members_of(*sid).size(), 3u);
 }
 

@@ -1212,6 +1212,7 @@ std::vector<Folded> folded_counts(const conf::ControlPlane& plane) {
       {"conf", "closes", s.closes},
       {"conf", "joins", s.joins},
       {"conf", "joins_blocked", s.joins_blocked},
+      {"conf", "joins_blocked_fault", s.joins_blocked_fault},
       {"conf", "leaves", s.leaves},
       {"conf", "wait_served_immediately", w.served_immediately},
       {"conf", "wait_served_after_wait", w.served_after_wait},

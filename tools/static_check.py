@@ -154,11 +154,7 @@ AUDIT_CONTRACT: dict[str, list[str]] = {
     "ControlPlane": [
         "close", "fail_link", "repair_link", "run_due",
     ],
-    "DirectConferenceNetwork": [
-        "setup", "teardown", "add_member", "remove_member",
-        "fail_link", "repair_link",
-    ],
-    "EnhancedCubeNetwork": [
+    "FabricConferenceNetwork": [
         "setup", "teardown", "add_member", "remove_member",
         "fail_link", "repair_link",
     ],
