@@ -7,8 +7,9 @@
 // only one In-window element per link.
 #include <algorithm>
 
+#include "analysis/conference/multicast.hpp"
 #include "bench_common.hpp"
-#include "conference/multicast.hpp"
+#include "min/windows.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -45,7 +46,7 @@ void emit_tables() {
               .cell(n)
               .cell(level)
               .cell(through)
-              .cell(conf::multicast_theoretical_max(n, level));
+              .cell(min::r1_bound(n, level));
         }
       }
     }

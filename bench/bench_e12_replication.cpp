@@ -3,9 +3,9 @@
 // A d-channel dilated network and a d-plane replicated network both absorb
 // multiplicity-d conflicts; they differ in hardware (crossbar growth vs
 // linear planes + port muxes) and in blocking under dynamic traffic.
+#include "analysis/conference/replication.hpp"
+#include "analysis/cost/cost.hpp"
 #include "bench_common.hpp"
-#include "conference/replication.hpp"
-#include "cost/cost.hpp"
 #include "sim/teletraffic.hpp"
 
 namespace confnet {

@@ -7,9 +7,9 @@
 // up — dilation/replication/placement instead of extra stages.
 #include <numeric>
 
+#include "analysis/min/benes.hpp"
+#include "analysis/min/permroute.hpp"
 #include "bench_common.hpp"
-#include "min/benes.hpp"
-#include "min/permroute.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 

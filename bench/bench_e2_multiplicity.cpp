@@ -7,10 +7,11 @@
 // per-link packing, and the constructive adversary's measured sharing.
 #include <cmath>
 
+#include "analysis/conference/multiplicity.hpp"
+#include "analysis/util/thread_pool.hpp"
 #include "bench_common.hpp"
-#include "conference/multiplicity.hpp"
 #include "conference/subnetwork.hpp"
-#include "util/thread_pool.hpp"
+#include "min/windows.hpp"
 
 namespace confnet {
 namespace {
@@ -66,7 +67,7 @@ void emit_tables() {
             .cell(n)
             .cell(u32{1} << n)
             .cell(level)
-            .cell(conf::theoretical_max(n, level))
+            .cell(min::r1_bound(n, level))
             .cell(conf::exhaustive_link_packing(Kind::kOmega, n, level, row))
             .cell(through);
       }

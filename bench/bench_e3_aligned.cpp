@@ -3,8 +3,8 @@
 // class?": yes for omega / indirect cube / butterfly (conflict-free), no
 // for baseline / flip (still Theta(sqrt N) conflicts). Exhaustive search at
 // small N, constructive adversary and Monte-Carlo confirmation at larger N.
+#include "analysis/conference/multiplicity.hpp"
 #include "bench_common.hpp"
-#include "conference/multiplicity.hpp"
 
 namespace confnet {
 namespace {

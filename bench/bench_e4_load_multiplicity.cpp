@@ -4,10 +4,10 @@
 // pins the orthogonal-window topologies at 1.
 #include <cstdint>
 
+#include "analysis/conference/multiplicity.hpp"
+#include "analysis/util/thread_pool.hpp"
 #include "bench_common.hpp"
-#include "conference/multiplicity.hpp"
 #include "util/chart.hpp"
-#include "util/thread_pool.hpp"
 
 namespace confnet {
 namespace {

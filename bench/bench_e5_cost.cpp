@@ -5,8 +5,8 @@
 // (Yang 2001: muxes relay internal outputs), bounded dilation (nonblocking
 // for up to g conferences anywhere), full dilation (nonblocking for
 // arbitrary placement) and the crossbar strawman.
+#include "analysis/cost/cost.hpp"
 #include "bench_common.hpp"
-#include "cost/cost.hpp"
 
 namespace confnet {
 namespace {

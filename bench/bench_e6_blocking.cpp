@@ -5,11 +5,11 @@
 // placement (no free ports / fragmentation) vs capacity (fabric link
 // channels exhausted). The capacity component is the dynamic face of the
 // conflict-multiplicity results.
+#include "analysis/sim/erlang.hpp"
+#include "analysis/sim/replication.hpp"
 #include "bench_common.hpp"
 #include "conference/placement.hpp"
 #include "min/network.hpp"
-#include "sim/erlang.hpp"
-#include "sim/replication.hpp"
 #include "switchmod/fabric_state.hpp"
 #include "util/rng.hpp"
 

@@ -7,8 +7,8 @@
 //     cross-conference sharing depends on root choice.
 // (c) Dilation sweep: blocking vs d on random placement — how much fabric
 //     buys back what placement gave away.
+#include "analysis/conference/multiplicity.hpp"
 #include "bench_common.hpp"
-#include "conference/multiplicity.hpp"
 #include "conference/subnetwork.hpp"
 #include "sim/teletraffic.hpp"
 

@@ -5,8 +5,8 @@
 //   ./capacity_planner --ports 256 --concurrent 16 --placement-controlled
 #include <iostream>
 
-#include "conference/multiplicity.hpp"
-#include "cost/cost.hpp"
+#include "analysis/conference/multiplicity.hpp"
+#include "analysis/cost/cost.hpp"
 #include "util/bits.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"

@@ -9,10 +9,10 @@
 #include <fstream>
 #include <iostream>
 
+#include "analysis/conference/multiplicity.hpp"
+#include "analysis/min/dot.hpp"
 #include "conference/designs.hpp"
-#include "conference/multiplicity.hpp"
 #include "conference/subnetwork.hpp"
-#include "min/dot.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"

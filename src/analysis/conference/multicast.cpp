@@ -1,4 +1,4 @@
-#include "conference/multicast.hpp"
+#include "analysis/conference/multicast.hpp"
 
 #include <algorithm>
 #include <span>
@@ -75,11 +75,6 @@ MulticastProfile measure_multicast_multiplicity(Kind kind, u32 n,
       profile.peak = std::max(profile.peak, profile.per_level[level]);
   }
   return profile;
-}
-
-u32 multicast_theoretical_max(u32 n, u32 level) {
-  expects(level <= n, "multicast_theoretical_max: level <= n");
-  return std::min(u32{1} << level, u32{1} << (n - level));
 }
 
 MulticastSet multicast_adversarial_set(Kind kind, u32 n, u32 level,

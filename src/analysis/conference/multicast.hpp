@@ -71,13 +71,9 @@ struct MulticastProfile {
 [[nodiscard]] MulticastProfile measure_multicast_multiplicity(
     min::Kind kind, u32 n, const MulticastSet& set);
 
-/// Worst-case multicast link sharing at a level: min(2^l, 2^(n-l)) — the
-/// same closed form as conferences (distinct sources bound the In side,
-/// disjoint receivers the Out side).
-[[nodiscard]] u32 multicast_theoretical_max(u32 n, u32 level);
-
-/// Constructive adversary: min(2^l, 2^(n-l)) single-receiver multicasts all
-/// crossing link (level,row).
+/// Constructive adversary: min::r1_bound(n, level) single-receiver
+/// multicasts all crossing link (level,row); worst-case multicast sharing
+/// has the same closed form as conferences.
 [[nodiscard]] MulticastSet multicast_adversarial_set(min::Kind kind, u32 n,
                                                      u32 level, u32 row);
 

@@ -1,10 +1,11 @@
-#include "conference/multiplicity.hpp"
+#include "analysis/conference/multiplicity.hpp"
 
 #include <algorithm>
 #include <functional>
 #include <limits>
 #include <optional>
 
+#include "analysis/util/thread_pool.hpp"
 #include "conference/subnetwork.hpp"
 #include "min/selfroute.hpp"
 #include "min/windows.hpp"
@@ -13,7 +14,6 @@
 #include "util/bits.hpp"
 #include "util/error.hpp"
 #include "util/thread_annotations.hpp"
-#include "util/thread_pool.hpp"
 
 namespace confnet::conf {
 
@@ -119,11 +119,6 @@ MultiplicityProfile measure_multiplicity_reference(Kind kind, u32 n,
   return profile;
 }
 
-u32 theoretical_max(u32 n, u32 level) {
-  expects(level <= n, "theoretical_max: level <= n");
-  return std::min(u32{1} << level, u32{1} << (n - level));
-}
-
 u32 theoretical_peak(u32 n) { return u32{1} << (n / 2); }
 
 u32 theoretical_aligned_max(Kind kind, u32 n, u32 level) {
@@ -193,7 +188,7 @@ ConferenceSet adversarial_conference_set(Kind kind, u32 n, u32 level,
     set.add(Conference(next_id++, {x, partner}));
   }
 
-  const u32 target = theoretical_max(n, level);
+  const u32 target = min::r1_bound(n, level);
   // Verify the construction actually achieves the bound at this link.
   u32 using_link = 0;
   for (const Conference& c : set.conferences())

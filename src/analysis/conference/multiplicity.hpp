@@ -80,9 +80,6 @@ struct MultiplicityScratch {
 [[nodiscard]] MultiplicityProfile measure_multiplicity_reference(
     min::Kind kind, u32 n, const ConferenceSet& set);
 
-/// Closed form for arbitrary placement: min(2^level, 2^(n-level)).
-[[nodiscard]] u32 theoretical_max(u32 n, u32 level);
-
 /// Closed form for the network-wide peak under arbitrary placement:
 /// 2^floor(n/2) (attained at the middle level).
 [[nodiscard]] u32 theoretical_peak(u32 n);
@@ -92,10 +89,10 @@ struct MultiplicityScratch {
 /// baseline/flip at interstage levels (levels 0 and n are always 1).
 [[nodiscard]] u32 theoretical_aligned_max(min::Kind kind, u32 n, u32 level);
 
-/// Build a set of min(2^level, 2^(n-level)) disjoint two-member
-/// conferences that all use link (level,row) — the constructive lower
-/// bound for R1. Throws if the theoretical construction cannot be packed
-/// (never happens for n >= 2 at interstage levels).
+/// Build a set of min::r1_bound(n, level) disjoint two-member conferences
+/// that all use link (level,row) — the constructive lower bound for R1.
+/// Throws if the theoretical construction cannot be packed (never happens
+/// for n >= 2 at interstage levels).
 [[nodiscard]] ConferenceSet adversarial_conference_set(min::Kind kind, u32 n,
                                                        u32 level, u32 row);
 
@@ -119,7 +116,7 @@ struct MultiplicityScratch {
 /// Exact maximum number of disjoint conferences through one fixed link,
 /// computed by optimizing over the link's window element classes
 /// (In-only / Out-only / both / outside). Independent of the closed form;
-/// tests assert it equals theoretical_max for every link.
+/// tests assert it equals min::r1_bound for every link.
 [[nodiscard]] u32 exhaustive_link_packing(min::Kind kind, u32 n, u32 level,
                                           u32 row);
 

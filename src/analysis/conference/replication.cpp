@@ -1,9 +1,9 @@
-#include "conference/replication.hpp"
+#include "analysis/conference/replication.hpp"
 
 #include <algorithm>
 #include <span>
 
-#include "conference/multiplicity.hpp"
+#include "analysis/conference/multiplicity.hpp"
 #include "conference/subnetwork.hpp"
 #include "util/error.hpp"
 

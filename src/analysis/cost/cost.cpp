@@ -1,6 +1,6 @@
-#include "cost/cost.hpp"
+#include "analysis/cost/cost.hpp"
 
-#include "switchmod/mux.hpp"
+#include "analysis/switchmod/mux.hpp"
 #include "util/error.hpp"
 
 namespace confnet::cost {

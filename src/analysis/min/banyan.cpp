@@ -1,4 +1,4 @@
-#include "min/banyan.hpp"
+#include "analysis/min/banyan.hpp"
 
 #include <vector>
 

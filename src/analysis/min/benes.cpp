@@ -1,4 +1,4 @@
-#include "min/benes.hpp"
+#include "analysis/min/benes.hpp"
 
 #include "util/error.hpp"
 

@@ -1,4 +1,4 @@
-#include "min/dot.hpp"
+#include "analysis/min/dot.hpp"
 
 #include <algorithm>
 #include <ostream>

@@ -1,4 +1,4 @@
-#include "min/equivalence.hpp"
+#include "analysis/min/equivalence.hpp"
 
 #include "min/selfroute.hpp"
 #include "min/wiring.hpp"

@@ -1,4 +1,4 @@
-#include "min/permroute.hpp"
+#include "analysis/min/permroute.hpp"
 
 #include "min/selfroute.hpp"
 #include "util/error.hpp"

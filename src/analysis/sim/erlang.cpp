@@ -1,4 +1,4 @@
-#include "sim/erlang.hpp"
+#include "analysis/sim/erlang.hpp"
 
 #include "util/error.hpp"
 

@@ -1,8 +1,8 @@
-#include "sim/replication.hpp"
+#include "analysis/sim/replication.hpp"
 
 #include <vector>
 
-#include "util/thread_pool.hpp"
+#include "analysis/util/thread_pool.hpp"
 
 namespace confnet::sim {
 

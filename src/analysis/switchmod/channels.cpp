@@ -1,4 +1,4 @@
-#include "switchmod/channels.hpp"
+#include "analysis/switchmod/channels.hpp"
 
 #include <bit>
 

@@ -1,4 +1,4 @@
-#include "switchmod/module.hpp"
+#include "analysis/switchmod/module.hpp"
 
 #include <cstddef>
 

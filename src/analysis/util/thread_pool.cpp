@@ -1,4 +1,4 @@
-#include "util/thread_pool.hpp"
+#include "analysis/util/thread_pool.hpp"
 
 #include <algorithm>
 

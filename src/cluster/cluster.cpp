@@ -6,9 +6,9 @@
 #include <set>
 #include <utility>
 
-#include "conference/multiplicity.hpp"
 #include "conference/subnetwork.hpp"
 #include "min/network.hpp"
+#include "min/windows.hpp"
 #include "switchmod/fabric.hpp"
 #include "switchmod/fabric_state.hpp"
 #include "util/bitset.hpp"
@@ -432,7 +432,7 @@ void Cluster::cross_check() const {
   // disjoint ALL_PAIRS conferences share a level-l link. An external link
   // carries exactly the conference that owns its port, or nothing.
   for (u32 level = 0; level <= n_flat; ++level) {
-    const u32 bound = conf::theoretical_max(n_flat, level);
+    const u32 bound = min::r1_bound(n_flat, level);
     const bool external = level == 0 || level == n_flat;
     for (u32 row = 0; row < N_flat; ++row) {
       const u32 users = load[std::size_t{level} * N_flat + row];

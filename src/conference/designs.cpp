@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "conference/multiplicity.hpp"
+#include "min/windows.hpp"
 #include "util/bits.hpp"
 #include "util/error.hpp"
 
@@ -25,7 +25,7 @@ DilationProfile DilationProfile::uniform(u32 n, u32 d) {
 DilationProfile DilationProfile::full(u32 n) {
   DilationProfile p(n, "full");
   for (u32 l = 1; l < n; ++l)
-    p.channels_[l] = std::min(u32{1} << l, u32{1} << (n - l));
+    p.channels_[l] = min::r1_bound(n, l);
   return p;
 }
 
@@ -33,7 +33,7 @@ DilationProfile DilationProfile::bounded(u32 n, u32 g) {
   expects(g >= 1, "bounded dilation needs g >= 1");
   DilationProfile p(n, "g=" + std::to_string(g));
   for (u32 l = 1; l < n; ++l)
-    p.channels_[l] = std::min({u32{1} << l, u32{1} << (n - l), g});
+    p.channels_[l] = std::min(min::r1_bound(n, l), g);
   return p;
 }
 
@@ -264,8 +264,7 @@ void check_fabric_network(const conf::FabricConferenceNetwork& net) {
             "fabric capacity diverges from the dilation profile");
     // R1 on live state: at most min(2^l, 2^(n-l)) disjoint ALL_PAIRS
     // conferences share a level-l link, whatever the dilation allows.
-    require(state.level_peak_load(level) <=
-                conf::theoretical_max(net.n(), level),
+    require(state.level_peak_load(level) <= min::r1_bound(net.n(), level),
             kSub, "a link carries more conferences than R1 allows");
   }
   // The paper's claim, machine-checked on live state: relayed conferences

@@ -12,7 +12,8 @@
 //
 // FANIN_TREE: the union of paths from every member to one root output —
 // the combining tree of the mux-relay (Yang 2001) design. Both, and the
-// multicast trees of multicast.hpp, are one `path_union_links`.
+// multicast trees of analysis/conference/multicast.hpp, are one
+// `path_union_links`.
 //
 // Both have generic (WindowTable-based) twins used as test oracles.
 #pragma once

@@ -12,11 +12,13 @@
 // topology.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "min/network.hpp"
 #include "min/types.hpp"
 #include "util/bitset.hpp"
+#include "util/error.hpp"
 
 namespace confnet::min {
 
@@ -54,6 +56,16 @@ struct WindowDesc {
 
 /// Outputs reachable from link (level,row); |window| == 2^(n-level).
 [[nodiscard]] WindowDesc out_window(Kind kind, u32 n, u32 level, u32 row);
+
+/// R1 (DESIGN.md): at most min(|In(level)|, |Out(level)|) = min(2^level,
+/// 2^(n-level)) disjoint conferences (or multicasts, whose distinct sources
+/// and disjoint receivers meet the same two windows) share one level-`level`
+/// link, on every kind and under any placement. Full dilation provisions
+/// exactly this many channels.
+[[nodiscard]] constexpr u32 r1_bound(u32 n, u32 level) {
+  expects(level <= n, "r1_bound: level <= n");
+  return std::min(u32{1} << level, u32{1} << (n - level));
+}
 
 /// True iff both of the topology's window families are aligned blocks
 /// (baseline and flip). Such networks keep conference conflicts even under

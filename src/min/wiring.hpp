@@ -6,8 +6,8 @@
 // `FieldRotation` is that closed form: `network.cpp` assembles the networks
 // from it, and a hop through a stage costs a few ALU operations with no
 // table. `Permutation` is the explicit form used by the isomorphism
-// machinery (`equivalence.cpp`) and by the wiring tests, which pin every
-// `FieldRotation` against an explicitly built permutation.
+// machinery (`analysis/min/equivalence.cpp`) and by the wiring tests,
+// which pin every `FieldRotation` against an explicitly built permutation.
 #pragma once
 
 #include <bit>

@@ -23,9 +23,9 @@ bool strictly_increasing(std::span<const u32> rows) {
 
 /// Shared observability handles for every Fabric instance. The
 /// `peak_link_load` histogram is the dynamic face of the paper's conflict
-/// multiplicity: its max must stay within conference/multiplicity's
-/// analytic bound min(2^l, 2^(n-l)) for the group sets evaluated (oracle
-/// checks only; live FabricState traffic never reaches it).
+/// multiplicity: its max must stay within R1's bound `min::r1_bound` for
+/// the group sets evaluated (oracle checks only; live FabricState traffic
+/// never reaches it).
 struct FabricMetrics {
   obs::Counter& evaluations =
       obs::Registry::global().counter("fabric", "evaluations");

@@ -24,8 +24,8 @@
 // Only oracle evaluations feed them — the designs'
 // `verify_delivery_reference` and the Monte-Carlo reference — so they
 // cross-check the analytic conflict-multiplicity bounds of
-// conference/multiplicity.hpp on the workloads those oracles evaluate, not
-// on live FabricState traffic. The flattened oracle of
+// analysis/conference/multiplicity.hpp on the workloads those oracles
+// evaluate, not on live FabricState traffic. The flattened oracle of
 // `Cluster::cross_check` streams one group at a time through `propagate`
 // and publishes nothing.
 #pragma once

@@ -19,8 +19,8 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/conference/multiplicity.hpp"
 #include "conference/designs.hpp"
-#include "conference/multiplicity.hpp"
 #include "conference/placement.hpp"
 #include "conference/session.hpp"
 #include "conference/subnetwork.hpp"

@@ -19,13 +19,13 @@
 #include <thread>
 #include <vector>
 
-#include "conference/multiplicity.hpp"
+#include "analysis/conference/multiplicity.hpp"
+#include "analysis/util/thread_pool.hpp"
 #include "conference/placement.hpp"
 #include "min/types.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
-#include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
 namespace {

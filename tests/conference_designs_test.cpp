@@ -9,8 +9,9 @@
 #include <memory>
 #include <vector>
 
-#include "conference/multiplicity.hpp"
-#include "conference/replication.hpp"
+#include "analysis/conference/multiplicity.hpp"
+#include "analysis/conference/replication.hpp"
+#include "min/windows.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -132,9 +133,9 @@ TEST(Direct, AdversaryMeetsR1ExactlyUnderTheLiveAudit) {
           ASSERT_TRUE(net.setup(c.members()).has_value())
               << min::kind_name(kind) << " level " << level << " row " << row;
         EXPECT_EQ(net.current_link_load(level, row),
-                  theoretical_max(n, level))
+                  min::r1_bound(n, level))
             << min::kind_name(kind) << " level " << level << " row " << row;
-        EXPECT_EQ(net.current_level_load(level), theoretical_max(n, level));
+        EXPECT_EQ(net.current_level_load(level), min::r1_bound(n, level));
         EXPECT_NO_THROW(audit::check_fabric_network(net));
       }
     }

@@ -1,5 +1,5 @@
 // Multicast trees and their conflict multiplicity.
-#include "conference/multicast.hpp"
+#include "analysis/conference/multicast.hpp"
 
 #include <gtest/gtest.h>
 
@@ -7,6 +7,7 @@
 
 #include "conference/subnetwork.hpp"
 #include "min/network.hpp"
+#include "min/windows.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -108,17 +109,17 @@ TEST_P(MulticastConflictSuite, AdversaryMeetsClosedForm) {
     for (u32 row = 0; row < N; row += 3) {
       const MulticastSet set =
           multicast_adversarial_set(kind, n, level, row);
-      EXPECT_EQ(set.size(), multicast_theoretical_max(n, level));
+      EXPECT_EQ(set.size(), min::r1_bound(n, level));
       u32 through = 0;
       for (const Multicast& m : set.multicasts())
         if (multicast_uses_link(kind, n, m.source(), m.receivers(), level,
                                 row))
           ++through;
-      EXPECT_EQ(through, multicast_theoretical_max(n, level))
+      EXPECT_EQ(through, min::r1_bound(n, level))
           << min::kind_name(kind) << " level=" << level << " row=" << row;
       const MulticastProfile prof =
           measure_multicast_multiplicity(kind, n, set);
-      EXPECT_GE(prof.per_level[level], multicast_theoretical_max(n, level));
+      EXPECT_GE(prof.per_level[level], min::r1_bound(n, level));
     }
   }
 }
@@ -139,7 +140,7 @@ TEST_P(MulticastConflictSuite, RandomSetsRespectBound) {
     }
     const MulticastProfile prof = measure_multicast_multiplicity(kind, n, set);
     for (u32 level = 0; level <= n; ++level)
-      EXPECT_LE(prof.per_level[level], multicast_theoretical_max(n, level));
+      EXPECT_LE(prof.per_level[level], min::r1_bound(n, level));
   }
 }
 

@@ -1,13 +1,14 @@
 // The reproduction's core claims (DESIGN.md R1-R3), verified four
 // independent ways: closed forms vs exhaustive partition search vs
 // constructive adversaries vs exact per-link packing.
-#include "conference/multiplicity.hpp"
+#include "analysis/conference/multiplicity.hpp"
 
 #include <gtest/gtest.h>
 
 #include "test_util.hpp"
 
 #include "conference/subnetwork.hpp"
+#include "min/windows.hpp"
 #include "util/error.hpp"
 
 namespace confnet::conf {
@@ -22,7 +23,7 @@ TEST(R1Exhaustive, EveryTopologyMatchesClosedFormSmallN) {
     for (u32 n : {2u, 3u}) {
       const MultiplicityProfile prof = exhaustive_max_multiplicity(kind, n);
       for (u32 level = 0; level <= n; ++level)
-        EXPECT_EQ(prof.per_level[level], theoretical_max(n, level))
+        EXPECT_EQ(prof.per_level[level], min::r1_bound(n, level))
             << min::kind_name(kind) << " n=" << n << " level=" << level;
       EXPECT_EQ(prof.peak, theoretical_peak(n));
     }
@@ -30,11 +31,11 @@ TEST(R1Exhaustive, EveryTopologyMatchesClosedFormSmallN) {
 }
 
 TEST(R1ClosedForm, Values) {
-  EXPECT_EQ(theoretical_max(4, 0), 1u);
-  EXPECT_EQ(theoretical_max(4, 1), 2u);
-  EXPECT_EQ(theoretical_max(4, 2), 4u);
-  EXPECT_EQ(theoretical_max(4, 3), 2u);
-  EXPECT_EQ(theoretical_max(4, 4), 1u);
+  EXPECT_EQ(min::r1_bound(4, 0), 1u);
+  EXPECT_EQ(min::r1_bound(4, 1), 2u);
+  EXPECT_EQ(min::r1_bound(4, 2), 4u);
+  EXPECT_EQ(min::r1_bound(4, 3), 2u);
+  EXPECT_EQ(min::r1_bound(4, 4), 1u);
   EXPECT_EQ(theoretical_peak(4), 4u);
   EXPECT_EQ(theoretical_peak(5), 4u);
   EXPECT_EQ(theoretical_peak(10), 32u);
@@ -57,11 +58,11 @@ TEST_P(PerLinkSuite, AdversaryAchievesBoundOnEveryLink) {
       u32 through = 0;
       for (const Conference& c : set.conferences())
         if (uses_link(kind, n, c.members(), level, row)) ++through;
-      EXPECT_EQ(through, theoretical_max(n, level))
+      EXPECT_EQ(through, min::r1_bound(n, level))
           << min::kind_name(kind) << " level=" << level << " row=" << row;
       // And the measured profile confirms the sharing.
       const MultiplicityProfile prof = measure_multiplicity(kind, n, set);
-      EXPECT_GE(prof.per_level[level], theoretical_max(n, level));
+      EXPECT_GE(prof.per_level[level], min::r1_bound(n, level));
     }
   }
 }
@@ -72,7 +73,7 @@ TEST_P(PerLinkSuite, ExactPackingEqualsClosedFormOnEveryLink) {
   for (u32 level = 0; level <= n; ++level)
     for (u32 row = 0; row < N; ++row)
       EXPECT_EQ(exhaustive_link_packing(kind, n, level, row),
-                theoretical_max(n, level))
+                min::r1_bound(n, level))
           << min::kind_name(kind) << " level=" << level << " row=" << row;
 }
 

@@ -1,11 +1,12 @@
 // Vertical replication: conflict graph, coloring, plane assignment and the
 // dilation/replication correspondence.
-#include "conference/replication.hpp"
+#include "analysis/conference/replication.hpp"
 
 #include <gtest/gtest.h>
 
-#include "conference/multiplicity.hpp"
-#include "cost/cost.hpp"
+#include "analysis/conference/multiplicity.hpp"
+#include "analysis/cost/cost.hpp"
+#include "min/windows.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -82,7 +83,7 @@ TEST(Replicated, PlanesAbsorbTheAdversary) {
   for (Kind kind : min::kAllKinds) {
     const ConferenceSet adversary =
         adversarial_conference_set(kind, n, level, 5);
-    const u32 m = theoretical_max(n, level);
+    const u32 m = min::r1_bound(n, level);
     ReplicatedConferenceNetwork enough(kind, n, m);
     u32 accepted = 0;
     for (const auto& c : adversary.conferences())

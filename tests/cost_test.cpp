@@ -1,6 +1,6 @@
 // Hardware cost model: closed-form counts, asymptotic orderings between
 // the designs (the "less hardware cost" comparison the paper asks about).
-#include "cost/cost.hpp"
+#include "analysis/cost/cost.hpp"
 
 #include <gtest/gtest.h>
 

@@ -16,7 +16,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "conference/multiplicity.hpp"
+#include "analysis/conference/multiplicity.hpp"
 #include "conference/placement.hpp"
 #include "conference/subnetwork.hpp"
 #include "min/network.hpp"

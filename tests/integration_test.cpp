@@ -5,9 +5,10 @@
 
 #include <memory>
 
-#include "conference/multiplicity.hpp"
+#include "analysis/conference/multiplicity.hpp"
+#include "analysis/cost/cost.hpp"
 #include "conference/session.hpp"
-#include "cost/cost.hpp"
+#include "min/windows.hpp"
 #include "sim/teletraffic.hpp"
 #include "util/rng.hpp"
 
@@ -136,11 +137,11 @@ TEST(Integration, SimulationAgreesWithStaticAnalyzer) {
 
 TEST(Integration, CostOfNonblockingnessMatchesAnalyzer) {
   // The dilation the analyzer demands for arbitrary placement is what the
-  // cost model prices: full() uses exactly theoretical_max per level.
+  // cost model prices: full() uses exactly min::r1_bound per level.
   const min::u32 n = 8;
   const auto profile = DilationProfile::full(n);
   for (min::u32 l = 0; l <= n; ++l) {
-    const min::u32 want = l == 0 || l == n ? 1u : conf::theoretical_max(n, l);
+    const min::u32 want = l == 0 || l == n ? 1u : min::r1_bound(n, l);
     EXPECT_EQ(profile.channels(l), want);
   }
   const auto full_cost = cost::direct_cost(n, profile);

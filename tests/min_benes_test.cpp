@@ -1,6 +1,6 @@
 // Benes rearrangeability: the looping algorithm must realize every
 // permutation conflict-free; exhaustive at N=4, randomized beyond.
-#include "min/benes.hpp"
+#include "analysis/min/benes.hpp"
 
 #include <gtest/gtest.h>
 

@@ -1,5 +1,5 @@
 // Graphviz export: well-formedness, determinism, highlight/fault styling.
-#include "min/dot.hpp"
+#include "analysis/min/dot.hpp"
 
 #include <gtest/gtest.h>
 

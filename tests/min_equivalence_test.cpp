@@ -1,7 +1,7 @@
 // Topological equivalence of the class: the constructed isomorphisms must
 // map path structure exactly for every ordered pair of topologies, compose
 // consistently, and respect the expected port relabelings.
-#include "min/equivalence.hpp"
+#include "analysis/min/equivalence.hpp"
 
 #include <gtest/gtest.h>
 

@@ -1,7 +1,7 @@
 // Unicast permutation routing sanity: classic known facts about the class
 // (identity permutations route conflict-free; bit reversal congests omega
 // with exactly sqrt(N) load at the middle) plus structural invariants.
-#include "min/permroute.hpp"
+#include "analysis/min/permroute.hpp"
 
 #include <gtest/gtest.h>
 

@@ -7,7 +7,7 @@
 
 #include "test_util.hpp"
 
-#include "min/banyan.hpp"
+#include "analysis/min/banyan.hpp"
 #include "min/windows.hpp"
 #include "util/error.hpp"
 

@@ -12,15 +12,15 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/conference/multiplicity.hpp"
+#include "analysis/util/thread_pool.hpp"
 #include "conference/designs.hpp"
-#include "conference/multiplicity.hpp"
 #include "conference/placement.hpp"
 #include "min/network.hpp"
 #include "sim/teletraffic.hpp"
 #include "switchmod/fabric.hpp"
 #include "switchmod/fabric_state.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace confnet {
 namespace {

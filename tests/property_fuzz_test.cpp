@@ -1,13 +1,23 @@
 // Seeded randomized property sweep: one suite instantiated across many RNG
 // seeds, each trial cross-checking independent implementations of the same
 // quantity on random topologies/sizes/workloads. This is the long-tail
-// safety net behind the targeted unit suites — it also exercises the
-// umbrella header as a compilation test of the whole public API.
-#include "confnet.hpp"
-
+// safety net behind the targeted unit suites.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
+
+#include "analysis/conference/multiplicity.hpp"
+#include "conference/designs.hpp"
+#include "conference/placement.hpp"
+#include "conference/session.hpp"
+#include "conference/subnetwork.hpp"
+#include "min/faults.hpp"
+#include "min/network.hpp"
+#include "min/selfroute.hpp"
+#include "min/windows.hpp"
+#include "switchmod/fabric.hpp"
+#include "util/rng.hpp"
 
 namespace confnet {
 namespace {

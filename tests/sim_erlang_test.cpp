@@ -1,6 +1,6 @@
 // Analytic loss models: Erlang-B identities and Kaufman-Roberts, validated
 // against each other and against the discrete-event simulator.
-#include "sim/erlang.hpp"
+#include "analysis/sim/erlang.hpp"
 
 #include <gtest/gtest.h>
 

@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/sim/replication.hpp"
 #include "min/windows.hpp"
-#include "sim/replication.hpp"
 #include "util/error.hpp"
 
 namespace confnet::sim {

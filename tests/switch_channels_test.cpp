@@ -1,11 +1,11 @@
 // Channel assignment on dilated links: first-fit indices, all-or-nothing
 // allocation, audit consistency, agreement with the load-count admission
 // of the direct design.
-#include "switchmod/channels.hpp"
+#include "analysis/switchmod/channels.hpp"
 
 #include <gtest/gtest.h>
 
-#include "conference/multiplicity.hpp"
+#include "analysis/conference/multiplicity.hpp"
 #include "conference/subnetwork.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"

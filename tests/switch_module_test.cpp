@@ -1,10 +1,10 @@
 // Unit tests for the 2x2 fan-in/fan-out switch module and the combining
 // signal algebra.
-#include "switchmod/module.hpp"
+#include "analysis/switchmod/module.hpp"
 
 #include <gtest/gtest.h>
 
-#include "switchmod/mux.hpp"
+#include "analysis/switchmod/mux.hpp"
 #include "util/error.hpp"
 
 namespace confnet::sw {

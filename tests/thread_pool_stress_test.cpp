@@ -2,7 +2,7 @@
 // many concurrent producers, tasks that throw, destruction with work still
 // queued, and overlapping parallel_for callers. All tests are also
 // functional (they verify counts), so they gate Release builds too.
-#include "util/thread_pool.hpp"
+#include "analysis/util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 

@@ -4,12 +4,12 @@
 #include <atomic>
 #include <sstream>
 
+#include "analysis/util/thread_pool.hpp"
 #include "util/chart.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace confnet::util {

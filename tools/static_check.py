@@ -32,7 +32,8 @@ installed). Enforces the repo-specific rules that the compiler cannot:
                    definition cannot be found is itself an error, so the
                    table cannot go silently stale.
 
-  sim-determinism  src/sim and src/conference never read wall-clock time
+  sim-determinism  src/sim and src/conference (and their analysis
+                   counterparts under src/analysis/) never read wall-clock time
                    or nondeterministic randomness (rand(), srand(),
                    std::random_device, *_clock::now, time(NULL)). All
                    randomness flows through the seeded util::Rng and all
@@ -64,6 +65,12 @@ installed). Enforces the repo-specific rules that the compiler cannot:
                    windows and isomorphisms derive from that row. Other
                    enums with a `Kind` name (util/cli.cpp's option kinds)
                    do not match.
+
+  core-include     No file under src/ outside src/analysis/ includes an
+                   "analysis/..." header. The serving core (confnet_util,
+                   _min, _switchmod, _conference, _runtime, _cluster, _sim)
+                   never depends on the paper's analysis (confnet_analysis),
+                   which is built on top of it.
 
 Suppression: a finding is waived by a comment on the same line — or on
 the line(s) immediately above — of the form
@@ -126,6 +133,10 @@ RULES: dict[str, str] = {
     "kind-switch": (
         "`case` on a min::Kind enumerator in src/; derive the kind's"
         " structure from its min::KindLayout row instead"
+    ),
+    "core-include": (
+        "#include of an analysis/ header from src/ outside src/analysis/;"
+        " the serving core never depends on confnet_analysis"
     ),
 }
 
@@ -222,7 +233,15 @@ KIND_SWITCH_RE = re.compile(
 
 ALLOW_RE = re.compile(r"//\s*static_check:\s*allow\(([^)]*)\)\s*(.*)")
 
-DETERMINISM_ROOTS = ("src/sim/", "src/conference/")
+DETERMINISM_ROOTS = (
+    "src/sim/", "src/conference/",
+    "src/analysis/sim/", "src/analysis/conference/",
+)
+
+# core-include: the analysis target's root; everything else under src/ is
+# the serving core and may not include from it.
+ANALYSIS_ROOT = "src/analysis/"
+CORE_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*["<](analysis/[^">]*)')
 
 # runtime-owner / cluster-owner: every `name_` member declared in a
 # src/runtime or src/cluster header is concurrent-adjacent state (the
@@ -616,6 +635,25 @@ def check_kind_switch(sf: SourceFile, findings: list[Finding]) -> None:
             )
 
 
+def check_core_include(sf: SourceFile, findings: list[Finding]) -> None:
+    if not sf.path.startswith("src/") or sf.path.startswith(ANALYSIS_ROOT):
+        return
+    for i, raw in enumerate(sf.raw_lines):
+        m = CORE_INCLUDE_RE.match(raw)
+        # The stripped line blanks the path but keeps the directive, and is
+        # empty when the include sits inside a block comment.
+        if not m or not sf.lines[i].lstrip().startswith("#"):
+            continue
+        if not sf.allowed(i, "core-include"):
+            findings.append(
+                Finding(
+                    sf.path, i + 1, "core-include",
+                    f"serving-core file includes `{m.group(1)}`; the core "
+                    "never depends on confnet_analysis (src/analysis/)",
+                )
+            )
+
+
 def check_member_ownership(sf: SourceFile, findings: list[Finding]) -> None:
     rule = next(
         (r for root, r in OWNER_ROOTS.items() if sf.path.startswith(root)),
@@ -696,6 +734,7 @@ def run_rules(files: dict[str, SourceFile], engine: str) -> list[Finding]:
         check_hot_alloc(sf, findings)
         check_determinism(sf, findings)
         check_kind_switch(sf, findings)
+        check_core_include(sf, findings)
         check_member_ownership(sf, findings)
         check_bare_allows(sf, findings)
     check_audit_hooks(files, findings)
