@@ -10,11 +10,11 @@ namespace confnet::min {
 FaultSet::FaultSet(u32 n) : n_(n) {
   expects(n >= 1 && n <= Network::kMaxStages,
           "FaultSet: 1 <= n <= Network::kMaxStages");
-  faulty_ = util::DynBitset(std::size_t{n + 1} << n);
 }
 
 void FaultSet::fail_link(u32 level, u32 row) {
   expects(level <= n_ && row < size(), "fail_link out of range");
+  if (faulty_.size() == 0) faulty_ = util::DynBitset(std::size_t{n_ + 1} << n_);
   if (!faulty_.test(bit(level, row))) {
     faulty_.set(bit(level, row));
     ++count_;
@@ -23,7 +23,7 @@ void FaultSet::fail_link(u32 level, u32 row) {
 
 void FaultSet::repair_link(u32 level, u32 row) {
   expects(level <= n_ && row < size(), "repair_link out of range");
-  if (faulty_.test(bit(level, row))) {
+  if (is_faulty(level, row)) {
     faulty_.reset(bit(level, row));
     --count_;
   }
@@ -31,7 +31,7 @@ void FaultSet::repair_link(u32 level, u32 row) {
 
 bool FaultSet::is_faulty(u32 level, u32 row) const {
   expects(level <= n_ && row < size(), "is_faulty out of range");
-  return faulty_.test(bit(level, row));
+  return count_ != 0 && faulty_.test(bit(level, row));
 }
 
 void FaultSet::clear() {

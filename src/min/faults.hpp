@@ -56,7 +56,9 @@ class FaultSet {
 
   u32 n_;
   u64 count_ = 0;
-  util::DynBitset faulty_;  // (n+1)·2^n bits, indexed by bit(level, row)
+  // (n+1)·2^n bits, indexed by bit(level, row); allocated by the first
+  // fail_link, so a set that never sees a fault owns no heap.
+  util::DynBitset faulty_;
 };
 
 /// True iff the unique (src,dst) path avoids every faulty link.

@@ -1,6 +1,7 @@
 #include "switchmod/fabric_state.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <span>
 #include <utility>
@@ -19,6 +20,18 @@ bool holds(std::span<const u32> rows, u32 row) {
   return std::binary_search(rows.begin(), rows.end(), row);
 }
 
+/// The smallest aligned block enclosing sorted `members`: `size` ports
+/// from `first`.
+struct Block {
+  u32 first;
+  u32 size;
+};
+Block enclosing_block(std::span<const u32> members) {
+  const u32 size = u32{1}
+                   << std::bit_width(members.front() ^ members.back());
+  return {members.front() & ~(size - 1), size};
+}
+
 /// Invoke fn(level, row) for every link present in `a` but not in `b`.
 template <typename Fn>
 void for_each_delta(const min::LevelLinks& a, const min::LevelLinks& b,
@@ -34,11 +47,16 @@ FabricState::FabricState(min::Network net, FabricConfig config)
       fan_in_(config.fan_in),
       fan_out_(config.fan_out),
       faults_(net_.n()),
-      load_(std::size_t{net_.n() + 1} * net_.size(), 0),
       busy_(net_.size()) {
   expects(config.channels_per_link >= 1,
           "FabricState needs at least one channel per link");
   capacity_.fill(config.channels_per_link);
+  if (r2_capable()) {
+    r2_ = true;
+    claimed_ = util::DynBitset(net_.size());
+  } else {
+    leave_r2();
+  }
 }
 
 FabricState::FabricState(min::Network net, std::span<const u32> capacity,
@@ -49,6 +67,44 @@ FabricState::FabricState(min::Network net, std::span<const u32> capacity,
   for (u32 c : capacity)
     expects(c >= 1, "FabricState needs at least one channel per link");
   std::copy(capacity.begin(), capacity.end(), capacity_.begin());
+}
+
+bool FabricState::r2_capable() const noexcept {
+  return !min::has_block_block_windows(net_.kind()) && fan_in_ && fan_out_;
+}
+
+bool FabricState::r2_claim(std::span<const u32> old,
+                           std::span<const u32> members) {
+  if (!r2_) return false;
+  if (!old.empty()) {
+    const Block held = enclosing_block(old);
+    claimed_.assign_range(held.first, held.size, false);
+  }
+  const Block block = enclosing_block(members);
+  if (claimed_.any_in(block.first, block.size)) {
+    leave_r2();
+    return false;
+  }
+  claimed_.assign_range(block.first, block.size, true);
+  return true;
+}
+
+void FabricState::leave_r2() {
+  r2_ = false;
+  claimed_.clear();
+  if (load_.empty()) load_.assign(std::size_t{net_.n() + 1} * net_.size(), 0);
+  for (const Entry& entry : entries_) {
+    if (!live(entry)) continue;
+    derive(entry.members, entry.tap_level, rows_, parts_);
+    apply_load(rows_, true);
+  }
+}
+
+void FabricState::maybe_enter_r2() {
+  // An empty fabric holds no load, so the table is already all zero.
+  if (!r2_ && group_count_ == 0 && faults_.fault_count() == 0 &&
+      r2_capable())
+    r2_ = true;
 }
 
 void FabricState::expect_members_free(std::span<const u32> old,
@@ -66,14 +122,16 @@ void FabricState::derive(std::span<const u32> members, u32 tap_level,
                   rows, parts);
 }
 
-u32 FabricState::derive_swap(const Entry& entry,
-                             std::span<const u32> members) {
-  const u32 tap = entry.tap_level == GroupRealization::kNoTap
-                      ? GroupRealization::kNoTap
-                      : min::cube_tap_level(members);
-  derive(members, tap, rows_, parts_);
+u32 FabricState::swap_tap(const Entry& entry, std::span<const u32> members) {
+  return entry.tap_level == GroupRealization::kNoTap
+             ? GroupRealization::kNoTap
+             : min::cube_tap_level(members);
+}
+
+void FabricState::derive_swap(const Entry& entry,
+                              std::span<const u32> members, u32 tap_level) {
+  derive(members, tap_level, rows_, parts_);
   derive(entry.members, entry.tap_level, old_rows_, parts_);
-  return tap;
 }
 
 CONFNET_HOT void FabricState::apply_load(const min::LevelLinks& rows,
@@ -102,15 +160,17 @@ CONFNET_HOT Admission FabricState::try_add(u32 id,
           "a relay tap needs the indirect cube");
   const u32 tap =
       relay ? min::cube_tap_level(members) : GroupRealization::kNoTap;
-  derive(members, tap, rows_, parts_);
-  if (dead_links_in(rows_) != 0) return Admission::kLinkFaulty;
-  for (u32 level = 0; level < rows_.levels(); ++level)
-    for (u32 row : rows_[level])
-      if (load_[link_index(level, row)] >= capacity_[level])
-        return Admission::kLinkCapacity;
+  if (!r2_claim({}, members)) {
+    derive(members, tap, rows_, parts_);
+    if (dead_links_in(rows_) != 0) return Admission::kLinkFaulty;
+    for (u32 level = 0; level < rows_.levels(); ++level)
+      for (u32 row : rows_[level])
+        if (load_[link_index(level, row)] >= capacity_[level])
+          return Admission::kLinkCapacity;
+    apply_load(rows_, true);
+  }
 
   for (u32 m : members) busy_.set(m);
-  apply_load(rows_, true);
   // static_check: allow(hot-alloc) grows to the largest id, amortized
   if (id >= entries_.size()) entries_.resize(id + 1);
   Entry& entry = entries_[id];
@@ -118,7 +178,8 @@ CONFNET_HOT Admission FabricState::try_add(u32 id,
   // only allocation
   entry.members.assign(members.begin(), members.end());
   entry.tap_level = tap;
-  entry.dead_links = 0;  // checked above
+  entry.dead_links = 0;  // checked above, or no fault in R2 mode
+  // R2 mode has both fan ops, so lacks_fan_for returns without a look.
   entry.lacks_fan = lacks_fan_for(rows_);
   ++group_count_;
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
@@ -131,7 +192,13 @@ CONFNET_HOT Admission FabricState::try_replace(u32 id,
   validate_members(net_, members);
   Entry& entry = entries_[id];
   expect_members_free(entry.members, members);
-  const u32 tap = derive_swap(entry, members);
+  const u32 tap = swap_tap(entry, members);
+  if (r2_claim(entry.members, members)) {
+    swap_group(entry, members, tap, 0);
+    CONFNET_AUDIT_HOOK(maybe_periodic_audit());
+    return Admission::kAdmitted;
+  }
+  derive_swap(entry, members, tap);
   // The whole replacement realization must avoid the fault mask (not just
   // the gained links): a successful try_ mutation never yields a degraded
   // group. Shrink paths that must tolerate degradation use replace().
@@ -152,8 +219,13 @@ CONFNET_HOT void FabricState::replace(u32 id, std::span<const u32> members) {
   validate_members(net_, members);
   Entry& entry = entries_[id];
   expect_members_free(entry.members, members);
-  const u32 tap = derive_swap(entry, members);
-  swap_group(entry, members, tap, dead_links_in(rows_));
+  const u32 tap = swap_tap(entry, members);
+  if (r2_claim(entry.members, members)) {
+    swap_group(entry, members, tap, 0);
+  } else {
+    derive_swap(entry, members, tap);
+    swap_group(entry, members, tap, dead_links_in(rows_));
+  }
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
 }
 
@@ -162,15 +234,17 @@ CONFNET_HOT void FabricState::swap_group(Entry& entry,
                                          u32 tap_level, u32 dead_links) {
   for (u32 m : entry.members) busy_.reset(m);
   for (u32 m : members) busy_.set(m);
-  for_each_delta(rows_, old_rows_, [&](u32 level, u32 row) {
-    std::uint16_t& load = load_[link_index(level, row)];
-    if (++load == capacity_[level] + 1) ++overflowing_;
-  });
-  for_each_delta(old_rows_, rows_, [&](u32 level, u32 row) {
-    std::uint16_t& load = load_[link_index(level, row)];
-    expects(load > 0, "link load underflow");
-    if (load-- == capacity_[level] + 1) --overflowing_;
-  });
+  if (!r2_) {
+    for_each_delta(rows_, old_rows_, [&](u32 level, u32 row) {
+      std::uint16_t& load = load_[link_index(level, row)];
+      if (++load == capacity_[level] + 1) ++overflowing_;
+    });
+    for_each_delta(old_rows_, rows_, [&](u32 level, u32 row) {
+      std::uint16_t& load = load_[link_index(level, row)];
+      expects(load > 0, "link load underflow");
+      if (load-- == capacity_[level] + 1) --overflowing_;
+    });
+  }
   // `members` may be the entry's own list (a same-member swap).
   if (members.data() != entry.members.data()) {
     // static_check: allow(hot-alloc) the new member list, a grow's one
@@ -179,17 +253,23 @@ CONFNET_HOT void FabricState::swap_group(Entry& entry,
   }
   entry.tap_level = tap_level;
   entry.dead_links = dead_links;
-  entry.lacks_fan = lacks_fan_for(rows_);
+  entry.lacks_fan = lacks_fan_for(rows_);  // no look in R2 mode
 }
 
 CONFNET_HOT void FabricState::remove(u32 id) {
   expects(contains(id), "remove of unknown group id");
   Entry& entry = entries_[id];
-  derive(entry.members, entry.tap_level, rows_, parts_);
-  apply_load(rows_, false);
+  if (r2_) {
+    const Block block = enclosing_block(entry.members);
+    claimed_.assign_range(block.first, block.size, false);
+  } else {
+    derive(entry.members, entry.tap_level, rows_, parts_);
+    apply_load(rows_, false);
+  }
   for (u32 m : entry.members) busy_.reset(m);
   entry = Entry{};  // a free entry owns no heap
   --group_count_;
+  maybe_enter_r2();
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
 }
 
@@ -235,6 +315,8 @@ const std::vector<u32>& FabricState::fail_link(u32 level, u32 row) {
     users_scratch_.clear();
     return users_scratch_;
   }
+  // A fault ends R2 mode: the victims are found through the loads.
+  if (r2_) leave_r2();
   faults_.fail_link(level, row);
   const auto& touched = count_link_users(level, row, true);
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
@@ -249,6 +331,7 @@ const std::vector<u32>& FabricState::repair_link(u32 level, u32 row) {
   }
   faults_.repair_link(level, row);
   const auto& touched = count_link_users(level, row, false);
+  maybe_enter_r2();
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
   return touched;
 }
@@ -308,13 +391,32 @@ bool FabricState::delivery_ok() const {
 u32 FabricState::load_at(u32 level, u32 row) const {
   expects(level <= net_.n(), "level out of range");
   expects(row < net_.size(), "row out of range");
+  if (r2_) return recount_loads()[link_index(level, row)];
   return load_[link_index(level, row)];
 }
 
 u32 FabricState::level_peak_load(u32 level) const {
   expects(level <= net_.n(), "level out of range");
-  const auto first = load_.begin() + std::ptrdiff_t{level} * net_.size();
-  return *std::max_element(first, first + net_.size());
+  const auto offset = static_cast<std::ptrdiff_t>(link_index(level, 0));
+  if (r2_) {
+    const std::vector<u32> loads = recount_loads();
+    return *std::max_element(loads.begin() + offset,
+                             loads.begin() + offset + net_.size());
+  }
+  return *std::max_element(load_.begin() + offset,
+                           load_.begin() + offset + net_.size());
+}
+
+std::vector<u32> FabricState::recount_loads() const {
+  std::vector<u32> loads(std::size_t{net_.n() + 1} * net_.size(), 0);
+  min::LevelLinks rows;
+  std::vector<u32> parts;
+  for_each_group([&](u32 id) {
+    derive(entries_[id].members, entries_[id].tap_level, rows, parts);
+    for (u32 level = 0; level < rows.levels(); ++level)
+      for (u32 row : rows[level]) ++loads[link_index(level, row)];
+  });
+  return loads;
 }
 
 void FabricState::cross_check() const {
@@ -327,8 +429,9 @@ void FabricState::cross_check() const {
   // wrapped its 16 bits shows as divergence.
   std::vector<GroupRealization> groups;
   for_each_group([&](u32 id) { groups.push_back(realization(id)); });
-  std::vector<u32> expected_load(load_.size(), 0);  // same level-major layout
+  const std::vector<u32> expected_load = recount_loads();
   util::DynBitset expected_busy(N);
+  util::DynBitset expected_claimed(claimed_.size());
   u32 expected_overflowing = 0;
   for (const GroupRealization& g : groups) {
     audit::require(std::adjacent_find(g.members.begin(), g.members.end(),
@@ -339,12 +442,16 @@ void FabricState::cross_check() const {
     audit::require(g.tap_level == GroupRealization::kNoTap ||
                        g.tap_level == min::cube_tap_level(g.members),
                    kSub, "stored tap level is not the members' relay level");
-    for (u32 level = 0; level <= n; ++level)
-      for (u32 row : g.links[level]) ++expected_load[link_index(level, row)];
     for (u32 m : g.members) {
       audit::require(!expected_busy.test(m), kSub,
                      "admitted groups share a member port");
       expected_busy.set(m);
+    }
+    if (r2_) {
+      const Block block = enclosing_block(g.members);
+      audit::require(!expected_claimed.any_in(block.first, block.size), kSub,
+                     "R2 mode holds two groups with overlapping blocks");
+      expected_claimed.assign_range(block.first, block.size, true);
     }
   }
   audit::require(groups.size() == group_count_, kSub,
@@ -353,9 +460,25 @@ void FabricState::cross_check() const {
     for (u32 row = 0; row < N; ++row)
       if (expected_load[link_index(level, row)] > capacity_[level])
         ++expected_overflowing;
-  audit::require(std::equal(load_.begin(), load_.end(),
-                            expected_load.begin(), expected_load.end()),
-                 kSub, "incremental load matrix diverges from group recount");
+  if (r2_) {
+    // R2: disjoint blocks on an orthogonal kind share no link. The load
+    // table, if a past excursion allocated it, is untouched and all zero.
+    audit::require(r2_capable() && faults_.fault_count() == 0, kSub,
+                   "R2 mode on a fabric R2 does not cover");
+    for (u32 level = 1; level < n; ++level)
+      for (u32 row = 0; row < N; ++row)
+        audit::require(expected_load[link_index(level, row)] <= 1, kSub,
+                       "R2 mode: two groups share an interstage link");
+    audit::require(std::all_of(load_.begin(), load_.end(),
+                               [](std::uint16_t load) { return load == 0; }),
+                   kSub, "R2 mode: the load table holds a load");
+  } else {
+    audit::require(std::equal(load_.begin(), load_.end(),
+                              expected_load.begin(), expected_load.end()),
+                   kSub, "incremental load matrix diverges from group recount");
+  }
+  audit::require(claimed_ == expected_claimed, kSub,
+                 "claimed blocks diverge from the live groups' blocks");
   audit::require(busy_ == expected_busy, kSub,
                  "busy-port set diverges from group membership");
   audit::require(overflowing_ == expected_overflowing, kSub,

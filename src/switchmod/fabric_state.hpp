@@ -37,13 +37,29 @@
 //     touched link with the O(members) window test (min::in_window /
 //     out_window) and update only their dead-link counts, and admission
 //     refuses groups over dead links.
+//   * R2 decides admission while it applies (DESIGN.md R2). A group's
+//     block is the smallest aligned block enclosing its members. On a kind
+//     with orthogonal windows, groups on disjoint blocks share no link: a
+//     level-l link's windows are an aligned block and a residue class that
+//     meet in one port per block of that size, so two users would share a
+//     port (a relay tap only cuts links away). So while the kind is
+//     orthogonal, both fan operations exist, no link is faulty and every
+//     group's block met no other group's (`claimed_`) when it was
+//     admitted, no load exceeds 1 and nothing can refuse. In this R2 mode
+//     a mutation checks ports, copies the member list and sets or clears
+//     busy and claimed bits: no rows are derived and no load table is
+//     kept. The first admission whose block meets a claimed bit, or the
+//     first fail_link, leaves the mode: the load table is allocated at
+//     that first use and filled from one derivation per live group. An
+//     empty fabric with no fault returns to R2 mode.
 //
 // The stateless engine stays the oracle: `cross_check()` materializes
 // every group's realization, recounts loads, busy ports, overflows and
-// dead links from them, and pins every group's closed-form verdict
-// against the set-based sweep `Fabric::propagate`, throwing on any
-// divergence. CONFNET_AUDIT builds run it periodically from the mutation
-// hooks (see audit::check_fabric_state).
+// dead links from them (in R2 mode it also requires load <= 1 on every
+// interstage link and recounts the claimed blocks), and pins every group's
+// closed-form verdict against the set-based sweep `Fabric::propagate`,
+// throwing on any divergence. CONFNET_AUDIT builds run it periodically
+// from the mutation hooks (see audit::check_fabric_state).
 #pragma once
 
 #include <array>
@@ -177,9 +193,15 @@ class FabricState {
   /// replaces. O(groups).
   [[nodiscard]] bool delivery_ok() const;
 
+  /// Groups on link (level,row). In R2 mode, a recount over derived rows
+  /// (allocates; the mode does not change).
   [[nodiscard]] u32 load_at(u32 level, u32 row) const;
-  /// Highest channel load currently on any link of the level.
+  /// Highest channel load currently on any link of the level; a recount
+  /// in R2 mode, as load_at.
   [[nodiscard]] u32 level_peak_load(u32 level) const;
+  /// True while R2 decides admission (see the header comment): no load
+  /// table is kept and no rows are derived.
+  [[nodiscard]] bool r2_mode() const noexcept { return r2_; }
   /// Links currently loaded beyond their capacity (0 when only try_
   /// mutations were used).
   [[nodiscard]] u32 overflowing_links() const noexcept { return overflowing_; }
@@ -199,9 +221,12 @@ class FabricState {
 
   /// Materialize every admitted group's realization, recount loads, busy
   /// ports, overflows and per-group dead links from them and check the
-  /// entry table; then pin every group's closed-form verdict against
-  /// `Fabric::propagate`: exact delivery iff no dead link, and, on a
-  /// healthy group, a capability violation iff the fan flag is set. Under
+  /// entry table and, outside R2 mode, the load table. In R2 mode also
+  /// require load <= 1 on every interstage link, an empty fault mask and
+  /// the claimed bits equal to the live groups' disjoint blocks. Then pin
+  /// every group's closed-form verdict against `Fabric::propagate`: exact
+  /// delivery iff no dead link, and, on a healthy group, a capability
+  /// violation iff the fan flag is set. Under
   /// CONFNET_AUDIT every group also runs audit::check_group_realization.
   /// Throws audit::AuditError on any divergence.
   void cross_check() const;
@@ -220,20 +245,41 @@ class FabricState {
     return !entry.members.empty();
   }
 
+  /// True iff R2 can decide admission on this fabric at all: an
+  /// orthogonal kind with both fan operations.
+  [[nodiscard]] bool r2_capable() const noexcept;
+  /// In R2 mode, release the block of `old` (a group being replaced; empty
+  /// for an add) and claim the block of `members` if no other group's
+  /// claims it: true then. Otherwise leave R2 mode and return false; so
+  /// does a fabric already out of it.
+  bool r2_claim(std::span<const u32> old, std::span<const u32> members);
+  /// Allocate the load table at first use and fill it by deriving every
+  /// live group once; R2 mode ends.
+  void leave_r2();
+  /// Back to R2 mode when the fabric is empty, healthy and R2-capable.
+  void maybe_enter_r2();
+  /// Every link's load recounted from derived rows, by link_index().
+  [[nodiscard]] std::vector<u32> recount_loads() const;
   /// Throws unless each of `members` is free or one of `old`'s.
   void expect_members_free(std::span<const u32> old,
                            std::span<const u32> members) const;
   /// The realization of `members` tapped at `tap_level` into `rows`.
   void derive(std::span<const u32> members, u32 tap_level,
               min::LevelLinks& rows, std::vector<u32>& parts) const;
-  /// Derive the realization of `members` at `entry`'s relay into rows_
-  /// and `entry`'s own into old_rows_; returns the new tap level.
-  u32 derive_swap(const Entry& entry, std::span<const u32> members);
+  /// The tap level `entry` would have on `members`: kNoTap without a
+  /// relay, else the members' relay level.
+  [[nodiscard]] static u32 swap_tap(const Entry& entry,
+                                    std::span<const u32> members);
+  /// Derive the realization of `members` at `tap_level` into rows_ and
+  /// `entry`'s own into old_rows_.
+  void derive_swap(const Entry& entry, std::span<const u32> members,
+                   u32 tap_level);
   void apply_load(const min::LevelLinks& rows, bool add);
   /// Swap `entry` for `members` at `tap_level`, whose realization is
   /// rows_ with `dead_links` links on the fault mask, from the one in
   /// old_rows_: busy ports, link loads, the overflow counter and the
-  /// entry. Checks nothing; both replace paths check first.
+  /// entry; in R2 mode no load moves and no rows are read. Checks
+  /// nothing; both replace paths check first.
   void swap_group(Entry& entry, std::span<const u32> members, u32 tap_level,
                   u32 dead_links);
   /// Links of `rows` (levels 0..n) on the fault mask; 0 without a look
@@ -270,12 +316,19 @@ class FabricState {
   std::vector<Entry> entries_;
   u32 group_count_ = 0;
   // (n+1)·N link loads, indexed by link_index(). 16 bits suffice because
-  // of R1 (see kMaxLoad): 2·(n+1)·N bytes, 22 KiB at N = 1024.
+  // of R1 (see kMaxLoad): 2·(n+1)·N bytes, 22 KiB at N = 1024. Allocated
+  // when the fabric first leaves R2 mode (at construction on a fabric
+  // that can never be in it); all zero while in R2 mode.
   std::vector<std::uint16_t> load_;
   // Port occupancy, one bit per port: set while an admitted group has the
   // port as a member. Only "is this port free" is ever asked, so no group
   // id is stored.
   util::DynBitset busy_;
+  // R2 mode (see the header comment) and, while in it, the ports of every
+  // live group's block; all clear outside it. Empty on a fabric that is
+  // not r2_capable().
+  bool r2_ = false;
+  util::DynBitset claimed_;
   u32 overflowing_ = 0;
   u32 mutations_ = 0;  // drives the periodic CONFNET_AUDIT cross-check
   // Reused id buffer for count_link_users (fail/repair hot path).

@@ -7,6 +7,7 @@
 // temporaries.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -101,6 +102,25 @@ class DynBitset {
     return true;
   }
 
+  /// True iff a bit of [first, first + count) is set.
+  [[nodiscard]] bool any_in(std::size_t first, std::size_t count) const {
+    bool found = false;
+    for_range(first, count, [&](std::size_t wi, u64 mask) {
+      found = found || (words_[wi] & mask) != 0;
+    });
+    return found;
+  }
+
+  /// Set (`value`) or clear every bit of [first, first + count).
+  void assign_range(std::size_t first, std::size_t count, bool value) {
+    for_range(first, count, [&](std::size_t wi, u64 mask) {
+      if (value)
+        words_[wi] |= mask;
+      else
+        words_[wi] &= ~mask;
+    });
+  }
+
   /// Index of the lowest set bit, or size() when empty.
   [[nodiscard]] std::size_t find_first() const noexcept {
     for (std::size_t wi = 0; wi < words_.size(); ++wi)
@@ -145,6 +165,22 @@ class DynBitset {
   }
 
  private:
+  /// Invoke fn(word index, mask of that word's bits in [first, first +
+  /// count)) for every word the range touches, in order.
+  template <typename Fn>
+  void for_range(std::size_t first, std::size_t count, Fn&& fn) const {
+    expects(first <= nbits_ && count <= nbits_ - first,
+            "DynBitset range out of range");
+    const std::size_t end = first + count;
+    while (first < end) {
+      const std::size_t lo = first & 63;
+      const std::size_t width = std::min<std::size_t>(64 - lo, end - first);
+      const u64 ones = width == 64 ? ~u64{0} : (u64{1} << width) - 1;
+      fn(first >> 6, ones << lo);
+      first += width;
+    }
+  }
+
   void trim() noexcept {
     if (nbits_ % 64 != 0 && !words_.empty())
       words_.back() &= (u64{1} << (nbits_ % 64)) - 1;

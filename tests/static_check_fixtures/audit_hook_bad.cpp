@@ -1,4 +1,4 @@
-// static-check-fixture: path=src/switchmod/fixture_audit.cpp expect=audit-hook
+// static-check-fixture: path=src/switchmod/fixture_audit.cpp expect=audit-hook:1
 //
 // A mutating method from the audit contract table (FabricState::try_add)
 // whose body never invokes CONFNET_AUDIT_HOOK. The sibling remove() below

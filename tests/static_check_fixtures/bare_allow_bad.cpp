@@ -1,4 +1,4 @@
-// static-check-fixture: path=src/switchmod/fixture_bare_allow.cpp expect=raw-mutex
+// static-check-fixture: path=src/switchmod/fixture_bare_allow.cpp expect=raw-mutex:2
 //
 // An allow() with no reason does not suppress: the raw-mutex finding still
 // fires, and the reasonless suppression itself is reported under the same

@@ -1,4 +1,4 @@
-// static-check-fixture: path=src/cluster/fixture_owner.hpp expect=cluster-owner
+// static-check-fixture: path=src/cluster/fixture_owner.hpp expect=cluster-owner:2
 //
 // Cluster-header members that never say who owns them. The Cluster front
 // object brokers coordinator-side ledgers (trunk accounts, the live

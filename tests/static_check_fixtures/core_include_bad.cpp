@@ -1,4 +1,4 @@
-// static-check-fixture: path=src/cluster/fixture_core_include.cpp expect=core-include
+// static-check-fixture: path=src/cluster/fixture_core_include.cpp expect=core-include:2
 //
 // A serving-core file reaching into the analysis target. Both spellings of
 // the include are reported; the mentions in comments and in the block

@@ -1,4 +1,4 @@
-// static-check-fixture: path=src/conference/fixture_hot_alloc.cpp expect=hot-alloc
+// static-check-fixture: path=src/conference/fixture_hot_alloc.cpp expect=hot-alloc:2
 //
 // A CONFNET_HOT kernel that grows a vector and heap-allocates. Both must
 // be flagged; the cold helper below doing the same must not be.

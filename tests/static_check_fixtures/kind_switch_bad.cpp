@@ -1,4 +1,4 @@
-// static-check-fixture: path=src/min/fixture_kind.cpp expect=kind-switch
+// static-check-fixture: path=src/min/fixture_kind.cpp expect=kind-switch:6
 //
 // Topology structure written out per kind instead of read from the kind's
 // min::KindLayout row. Every spelling of a min::Kind case label below is

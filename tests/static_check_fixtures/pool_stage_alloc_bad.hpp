@@ -1,4 +1,4 @@
-// static-check-fixture: path=src/runtime/fixture_pool_stage.hpp expect=hot-alloc
+// static-check-fixture: path=src/runtime/fixture_pool_stage.hpp expect=hot-alloc:3
 //
 // The PR 10 lock-lean command path regressing: a slot-recycled result
 // pool whose CONFNET_HOT acquire allocates per call (instead of only on

@@ -1,4 +1,4 @@
-// static-check-fixture: path=src/switchmod/fixture_raw_mutex.cpp expect=raw-mutex
+// static-check-fixture: path=src/switchmod/fixture_raw_mutex.cpp expect=raw-mutex:3
 //
 // Library code reaching for the standard lock types directly. Every one of
 // these must be reported: raw std locks are invisible to -Wthread-safety,

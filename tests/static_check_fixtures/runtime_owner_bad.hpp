@@ -1,4 +1,4 @@
-// static-check-fixture: path=src/runtime/fixture_owner.hpp expect=runtime-owner
+// static-check-fixture: path=src/runtime/fixture_owner.hpp expect=runtime-owner:2
 //
 // Runtime-header members that never say who owns them. The runtime is the
 // one subsystem whose objects are touched from multiple threads by design,

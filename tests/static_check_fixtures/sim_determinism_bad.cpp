@@ -1,4 +1,4 @@
-// static-check-fixture: path=src/sim/fixture_clock.cpp expect=sim-determinism
+// static-check-fixture: path=src/sim/fixture_clock.cpp expect=sim-determinism:4
 //
 // Simulation code reading wall-clock time and ambient randomness. Every
 // run must be byte-reproducible from its seed, so all four uses below are

@@ -1,4 +1,4 @@
-// static-check-fixture: path=src/util/fixture_simd.cpp expect=hot-alloc
+// static-check-fixture: path=src/util/fixture_simd.cpp expect=hot-alloc:2
 //
 // A SIMD row kernel marked CONFNET_HOT that buffers words through a
 // growing vector instead of streaming over the row in place. The

@@ -142,6 +142,27 @@ TEST(DynBitset, RandomizedAgainstReference) {
   EXPECT_EQ(b.count(), want_count);
 }
 
+TEST(DynBitset, RangesAgainstReference) {
+  Rng rng(7);
+  DynBitset b(200);
+  std::vector<bool> ref(200, false);
+  for (int step = 0; step < 3000; ++step) {
+    const auto first = static_cast<std::size_t>(rng.below(201));
+    const auto count = static_cast<std::size_t>(rng.below(201 - first));
+    bool want_any = false;
+    for (std::size_t i = first; i < first + count; ++i) want_any |= ref[i];
+    ASSERT_EQ(b.any_in(first, count), want_any)
+        << "[" << first << ", +" << count << ")";
+    const bool value = rng.chance(0.5);
+    b.assign_range(first, count, value);
+    for (std::size_t i = first; i < first + count; ++i) ref[i] = value;
+  }
+  for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(b.test(i), ref[i]);
+  EXPECT_FALSE(b.any_in(200, 0));
+  EXPECT_THROW((void)b.any_in(150, 51), Error);
+  EXPECT_THROW(b.assign_range(201, 0, true), Error);
+}
+
 TEST(DynBitset, Clear) {
   DynBitset b(100, true);
   b.clear();

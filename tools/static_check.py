@@ -82,8 +82,10 @@ The reason is mandatory; an allow() without one is reported as a finding.
 Modes:
   (default)        scan the tree; exit 1 with file:line findings if dirty
   --list [--json]  print the rule registry (tools/lint.py delegates here)
-  --self-test DIR  run the golden fixtures under DIR (each declares its
-                   expected findings in a static-check-fixture header)
+  --self-test DIR  run the golden fixtures under DIR (each declares the
+                   number of findings it expects per rule in a
+                   static-check-fixture header: expect=rule:count[,...]
+                   or expect=clean)
   --report PATH    additionally write findings to PATH (CI artifact)
   --engine E       regex (default) | libclang | auto
 """
@@ -764,6 +766,29 @@ FIXTURE_RE = re.compile(
 )
 
 
+def parse_expected(expect: str) -> dict[str, int] | None:
+    """Per-rule finding counts of a fixture header, or None if malformed.
+
+    A fixture names every rule it trips with the number of findings, so a
+    regex regression that stops matching one of several documented
+    spellings fails the self-test instead of passing on the rule name.
+    """
+    if expect == "clean":
+        return {}
+    counts: dict[str, int] = {}
+    for item in expect.split(","):
+        rule, sep, count = item.partition(":")
+        if not sep or not rule or not count.isdigit() or int(count) < 1 \
+                or rule in counts:
+            return None
+        counts[rule] = int(count)
+    return counts
+
+
+def render_counts(counts: dict[str, int]) -> str:
+    return ",".join(f"{r}:{c}" for r, c in sorted(counts.items())) or "clean"
+
+
 def run_self_test(fixture_dir: Path, engine: str) -> int:
     failures = 0
     fixtures = sorted(fixture_dir.glob("*.cpp")) + sorted(
@@ -782,7 +807,12 @@ def run_self_test(fixture_dir: Path, engine: str) -> int:
             failures += 1
             continue
         virtual_path, expect = m.group(1), m.group(2)
-        expected = set() if expect == "clean" else set(expect.split(","))
+        expected = parse_expected(expect)
+        if expected is None:
+            print(f"{fx.name}: malformed expect={expect} (want "
+                  "rule:count[,rule:count...] or clean)", file=sys.stderr)
+            failures += 1
+            continue
         files = {virtual_path: SourceFile(virtual_path, text)}
         findings = [
             f for f in run_rules(files, engine)
@@ -790,12 +820,14 @@ def run_self_test(fixture_dir: Path, engine: str) -> int:
             # the real tree; fixtures only assert rules they can trigger.
             if f.path == virtual_path
         ]
-        fired = {f.rule for f in findings}
+        fired: dict[str, int] = {}
+        for f in findings:
+            fired[f.rule] = fired.get(f.rule, 0) + 1
         if fired != expected:
             failures += 1
             print(
-                f"{fx.name}: expected rules {sorted(expected) or ['clean']}, "
-                f"got {sorted(fired) or ['clean']}",
+                f"{fx.name}: expected {render_counts(expected)}, "
+                f"got {render_counts(fired)}",
                 file=sys.stderr,
             )
             for f in findings:
