@@ -149,10 +149,10 @@ BENCHMARK(BM_AdmissionChurn)
 
 /// End-to-end DES rows: the full teletraffic admission stack (session
 /// manager, fabric bookkeeping, subnetwork setup) over the direct cube at
-/// N=1024, with bursty arrivals drained through open_batch on the fast
-/// placer. Arg0 is always 0 (it selected the retired reference-placer twin;
-/// kept so row names match earlier baselines). Arg1: arrivals per event
-/// (1 = classic serial path). items_per_second counts DES events.
+/// N=1024, on the fast placer. Both args are fixed and kept only so the
+/// row name matches earlier baselines: Arg0 selected the retired
+/// reference-placer twin, Arg1 the retired arrivals-per-event burst (the
+/// `/0/8` row went with it). items_per_second counts DES events.
 void BM_TeletrafficAdmission(benchmark::State& state) {
   sim::TeletrafficConfig c;
   c.traffic.arrival_rate = 40.0;
@@ -163,7 +163,6 @@ void BM_TeletrafficAdmission(benchmark::State& state) {
   c.duration = 60.0;
   c.warmup = 10.0;
   c.seed = 7;
-  c.arrival_burst = static_cast<u32>(state.range(1));
 
   std::uint64_t events = 0;
   sim::TeletrafficResult r;
@@ -176,11 +175,10 @@ void BM_TeletrafficAdmission(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
   state.counters["attempts"] = static_cast<double>(r.stats.attempts);
   state.counters["accepted"] = static_cast<double>(r.stats.accepted);
-  state.SetLabel("fast/burst=" + std::to_string(c.arrival_burst));
+  state.SetLabel("fast/burst=1");
 }
 BENCHMARK(BM_TeletrafficAdmission)
     ->Args({0, 1})
-    ->Args({0, 8})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -8,10 +8,11 @@
 // independent — the admitted/blocked counters must be byte-identical
 // across every row (gated by tools/compare_bench.py), and the
 // items_per_second ratio between rows IS the scaling curve. One item is
-// one admission decision: each open, each open_batch element and each
-// close — a burst-8 open_batch counts 8, not 1. A serial WaitQueueManager
-// oracle (phase A, untimed) precomputes the command script including close
-// targets, pinning the twin-equivalence contract.
+// one admission decision: each open and each close, so a command is one
+// decision. At burst 8 the producer stages eight opens per shard
+// (largest first) and flushes them with one submit_stage. A serial
+// WaitQueueManager oracle (phase A, untimed) precomputes the command
+// script including close targets, pinning the twin-equivalence contract.
 //
 // Reading timings: the committed baselines were measured on a 4-vCPU
 // x86-64 host (nproc = 4) with unpinned threads, where one row can move by
@@ -21,6 +22,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,17 +72,20 @@ rt::RuntimeConfig runtime_config(u32 workers) {
   return cfg;
 }
 
-/// One scripted step for a shard: an open, a close of a known session, or
-/// a batched open burst.
+/// One scripted command for a shard: an open, or a close of a known
+/// session.
 struct ScriptEntry {
   rt::CommandKind kind;
   u32 size = 0;
   u32 session = 0;
-  std::vector<u32> batch_sizes;
 };
 
+/// What the producer hands a shard at once: one command, or a staged
+/// burst of opens.
+using ScriptStep = std::vector<ScriptEntry>;
+
 struct ShardScript {
-  std::vector<ScriptEntry> entries;
+  std::vector<ScriptStep> steps;
   u64 expect_accepted = 0;  // whole-script served opens (oracle)
   u64 expect_rejected = 0;  // whole-script blocked opens (oracle)
 };
@@ -89,9 +95,10 @@ struct ShardScript {
 /// (including the session ids the closes will name — the runtime assigns
 /// identical ids because its per-shard control plane is deterministic).
 /// Fill to blocking with small conferences, churn oldest-out/new-in for
-/// kChurnPerShard cycles (batched in groups of `burst` when burst > 1),
-/// then close everything so the fabric ends empty and the script can be
-/// replayed on a fresh runtime.
+/// kChurnPerShard cycles (in groups of `burst` when burst > 1: `burst`
+/// closes, then one staged burst of `burst` opens, largest first, ties in
+/// draw order), then close everything so the fabric ends empty and the
+/// script can be replayed on a fresh runtime.
 ShardScript build_script(u32 shard_index, u32 burst) {
   const rt::RuntimeConfig cfg = runtime_config(1);
   DirectConferenceNetwork net(
@@ -104,48 +111,45 @@ ShardScript build_script(u32 shard_index, u32 burst) {
   ShardScript out;
   std::deque<u32> live;
 
-  auto scripted_open = [&](u32 size) {
-    out.entries.push_back({rt::CommandKind::kOpen, size, 0, {}});
+  // Scripts one open into `step`; the session id when it is served.
+  auto scripted_open = [&](u32 size, ScriptStep& step) -> std::optional<u32> {
+    step.push_back({rt::CommandKind::kOpen, size, 0});
     const auto r = oracle.request(size, rng);
     if (r.outcome == RequestOutcome::kServed) {
       ++out.expect_accepted;
-      live.push_back(*r.session);
-      return true;
+      return r.session;
     }
     ++out.expect_rejected;
-    return false;
+    return std::nullopt;
+  };
+  auto draw_size = [&] {
+    return 2 + static_cast<u32>(script.below(kMaxConf - 1));
   };
   auto scripted_close = [&] {
-    out.entries.push_back({rt::CommandKind::kClose, 0, live.front(), {}});
+    out.steps.push_back({{rt::CommandKind::kClose, 0, live.front()}});
     (void)oracle.close(live.front(), rng);
     live.pop_front();
   };
 
   // Fill to the first blocked admission.
-  while (scripted_open(2 + static_cast<u32>(script.below(kMaxConf - 1)))) {
-  }
-  // Steady-state churn.
+  while (const auto id = scripted_open(draw_size(), out.steps.emplace_back()))
+    live.push_back(*id);
+  // Steady-state churn. A burst is staged largest first, and its served
+  // sessions join the oldest-out queue in draw order.
+  std::vector<u32> sizes(burst);
+  std::vector<u32> order(burst);
+  std::vector<std::optional<u32>> served(burst);
   for (u32 i = 0; i < kChurnPerShard / burst; ++i) {
     const u32 closes = std::min<u32>(burst, static_cast<u32>(live.size()));
     for (u32 b = 0; b < closes; ++b) scripted_close();
-    if (burst == 1) {
-      scripted_open(2 + static_cast<u32>(script.below(kMaxConf - 1)));
-    } else {
-      ScriptEntry e{rt::CommandKind::kOpenBatch, 0, 0, {}};
-      for (u32 b = 0; b < burst; ++b)
-        e.batch_sizes.push_back(2 +
-                                static_cast<u32>(script.below(kMaxConf - 1)));
-      const auto results = oracle.request_batch(e.batch_sizes, rng);
-      for (const auto& r : results) {
-        if (r.outcome == RequestOutcome::kServed) {
-          ++out.expect_accepted;
-          live.push_back(*r.session);
-        } else {
-          ++out.expect_rejected;
-        }
-      }
-      out.entries.push_back(std::move(e));
-    }
+    for (u32& size : sizes) size = draw_size();
+    std::iota(order.begin(), order.end(), 0u);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](u32 a, u32 b) { return sizes[a] > sizes[b]; });
+    ScriptStep& step = out.steps.emplace_back();
+    for (u32 idx : order) served[idx] = scripted_open(sizes[idx], step);
+    for (const auto& id : served)
+      if (id) live.push_back(*id);
   }
   // Leave the fabric empty for the next replay.
   while (!live.empty()) scripted_close();
@@ -163,30 +167,37 @@ const std::vector<ShardScript>& scripts(u32 burst) {
 
 struct ReplayOutcome {
   u64 commands = 0;
-  u64 decisions = 0;  // opens (batch elements counted singly) + closes
+  u64 decisions = 0;  // opens + closes
   u64 accepted = 0;
   u64 rejected = 0;
   u64 max_queue_depth = 0;
 };
 
 /// Phase B: replay the scripts through a started Runtime. One producer
-/// round-robins across shards (each shard's command order is preserved by
-/// its FIFO queue), then drains. The caller owns runtime lifecycle so the
-/// timed region is submission + processing only.
+/// round-robins across shards one step at a time (each shard's command
+/// order is preserved by its FIFO queue), then drains. A one-command step
+/// is a blocking submit, a burst one staged flush. The caller owns runtime
+/// lifecycle so the timed region is submission + processing only.
 ReplayOutcome replay(rt::Runtime& r, u32 burst) {
   const auto& sc = scripts(burst);
   std::size_t max_len = 0;
-  for (const auto& s : sc) max_len = std::max(max_len, s.entries.size());
+  for (const auto& s : sc) max_len = std::max(max_len, s.steps.size());
+  rt::CommandStage stage;
   for (std::size_t i = 0; i < max_len; ++i) {
     for (u32 s = 0; s < kShards; ++s) {
-      if (i >= sc[s].entries.size()) continue;
-      const ScriptEntry& e = sc[s].entries[i];
-      rt::Command c;
-      c.kind = e.kind;
-      c.size = e.size;
-      c.session = e.session;
-      c.batch_sizes = e.batch_sizes;
-      (void)r.submit_to_blocking(s, std::move(c));
+      if (i >= sc[s].steps.size()) continue;
+      const ScriptStep& step = sc[s].steps[i];
+      for (const ScriptEntry& e : step) {
+        rt::Command c;
+        c.kind = e.kind;
+        c.size = e.size;
+        c.session = e.session;
+        if (step.size() == 1)
+          (void)r.submit_to_blocking(s, std::move(c));
+        else
+          stage.add(s, std::move(c));
+      }
+      if (!stage.empty()) (void)r.submit_stage(stage);
     }
   }
   r.drain();

@@ -15,10 +15,11 @@ PathCensus count_paths(const Network& net) {
     std::fill(cur.begin(), cur.end(), u64{0});
     cur[s] = 1;
     for (u32 level = 0; level < n; ++level) {
+      const StageSpec stage = net.stage(level);
       std::fill(next.begin(), next.end(), u64{0});
       for (u32 p = 0; p < N; ++p) {
         if (cur[p] == 0) continue;
-        for (u32 q : net.successors(level, p)) next[q] += cur[p];
+        for (u32 q : stage.successors(p)) next[q] += cur[p];
       }
       cur.swap(next);
     }

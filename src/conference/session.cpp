@@ -43,16 +43,11 @@ SessionManager::~SessionManager() { fold_into_registry(stats_); }
 
 std::pair<OpenResult, std::optional<u32>> SessionManager::open(
     u32 size, util::Rng& rng) {
-  return open_impl(size, rng, /*audit_each=*/true);
-}
-
-std::pair<OpenResult, std::optional<u32>> SessionManager::open_impl(
-    u32 size, util::Rng& rng, bool audit_each) {
   ++stats_.attempts;
   if (!placer_->place_into(size, rng, ports_)) {
     ++stats_.blocked_placement;
     obs::trace_emit("conf", "open_blocked_placement", size);
-    if (audit_each) CONFNET_AUDIT_HOOK(audit::check_session_manager(*this));
+    CONFNET_AUDIT_HOOK(audit::check_session_manager(*this));
     return {OpenResult::kBlockedPlacement, std::nullopt};
   }
   auto handle = network_.setup(ports_);
@@ -72,7 +67,7 @@ std::pair<OpenResult, std::optional<u32>> SessionManager::open_impl(
     if (!handle) {
       ++stats_.blocked_fault;
       obs::trace_emit("conf", "open_blocked_fault", size);
-      if (audit_each) CONFNET_AUDIT_HOOK(audit::check_session_manager(*this));
+      CONFNET_AUDIT_HOOK(audit::check_session_manager(*this));
       return {OpenResult::kBlockedFault, std::nullopt};
     }
   }
@@ -80,34 +75,15 @@ std::pair<OpenResult, std::optional<u32>> SessionManager::open_impl(
     placer_->release(ports_);
     ++stats_.blocked_capacity;
     obs::trace_emit("conf", "open_blocked_capacity", size);
-    if (audit_each) CONFNET_AUDIT_HOOK(audit::check_session_manager(*this));
+    CONFNET_AUDIT_HOOK(audit::check_session_manager(*this));
     return {OpenResult::kBlockedCapacity, std::nullopt};
   }
   ++stats_.accepted;
   const u32 id = next_session_++;
   sessions_.push_back(Session{id, *handle});
   obs::trace_emit("conf", "open_accepted", size);
-  if (audit_each) CONFNET_AUDIT_HOOK(audit::check_session_manager(*this));
-  return {OpenResult::kAccepted, id};
-}
-
-std::vector<std::pair<OpenResult, std::optional<u32>>>
-SessionManager::open_batch(const std::vector<u32>& sizes, util::Rng& rng) {
-  // Canonical service order: descending size, ties in input order. The
-  // stable sort makes the order (and therefore every RNG draw and session
-  // id) a pure function of the request multiset, so batched and serial
-  // admission of the same canonical sequence are byte-identical.
-  std::vector<u32> order(sizes.size());
-  for (u32 i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&sizes](u32 a, u32 b) {
-    return sizes[a] > sizes[b];
-  });
-  std::vector<std::pair<OpenResult, std::optional<u32>>> results(
-      sizes.size(), {OpenResult::kBlockedPlacement, std::nullopt});
-  for (u32 idx : order)
-    results[idx] = open_impl(sizes[idx], rng, /*audit_each=*/false);
   CONFNET_AUDIT_HOOK(audit::check_session_manager(*this));
-  return results;
+  return {OpenResult::kAccepted, id};
 }
 
 std::vector<SessionManager::Session>::const_iterator SessionManager::find(

@@ -71,15 +71,6 @@ class SessionManager {
   [[nodiscard]] std::pair<OpenResult, std::optional<u32>> open(
       u32 size, util::Rng& rng);
 
-  /// Batched admission: open every requested conference in one pass.
-  /// Requests are serviced in canonical order — descending size, ties in
-  /// input order — which fills large blocks before fragmentation sets in,
-  /// and per-mutation audit hooks are amortized into a single audit at the
-  /// end of the batch. Results are returned in INPUT order. Outcomes are
-  /// byte-identical to calling open() serially in the canonical order.
-  [[nodiscard]] std::vector<std::pair<OpenResult, std::optional<u32>>>
-  open_batch(const std::vector<u32>& sizes, util::Rng& rng);
-
   /// Whether an open(size) could currently succeed at the placement stage
   /// (ports available; under buddy policy, an aligned block exists). False
   /// guarantees open() would return kBlockedPlacement without consuming
@@ -135,11 +126,6 @@ class SessionManager {
 
  private:
   friend void audit::check_session_manager(const ::confnet::conf::SessionManager&);
-
-  /// open() body; `audit_each` gates the per-outcome audit hooks so
-  /// open_batch can run one audit per batch instead of one per request.
-  [[nodiscard]] std::pair<OpenResult, std::optional<u32>> open_impl(
-      u32 size, util::Rng& rng, bool audit_each);
 
   /// A live session names its fabric group; the group owns the members.
   struct Session {

@@ -60,24 +60,6 @@ WaitQueueManager::RequestResult WaitQueueManager::request(u32 size,
   return {RequestOutcome::kQueued, std::nullopt, ticket};
 }
 
-// static_check: allow(audit-hook) delegates to request(), which audits
-std::vector<WaitQueueManager::RequestResult> WaitQueueManager::request_batch(
-    const std::vector<u32>& sizes, util::Rng& rng) {
-  // Same canonical order as SessionManager::open_batch — descending size,
-  // ties in input order — so a burst admitted here and the equivalent
-  // serial request() sequence in canonical order are byte-identical.
-  std::vector<u32> order(sizes.size());
-  for (u32 i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&sizes](u32 a, u32 b) {
-    return sizes[a] > sizes[b];
-  });
-  std::vector<RequestResult> results(
-      sizes.size(),
-      RequestResult{RequestOutcome::kRejected, std::nullopt, std::nullopt});
-  for (u32 idx : order) results[idx] = request(sizes[idx], rng);
-  return results;
-}
-
 std::vector<WaitQueueManager::ServedTicket> WaitQueueManager::close(
     u32 session_id, util::Rng& rng) {
   manager_.close(session_id);

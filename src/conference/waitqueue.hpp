@@ -63,13 +63,6 @@ class WaitQueueManager {
   };
   [[nodiscard]] RequestResult request(u32 size, util::Rng& rng);
 
-  /// Batched admission front end: service a burst of simultaneous requests
-  /// in the canonical order (descending size, ties in arrival order) that
-  /// SessionManager::open_batch uses, so a DES draining same-timestamp
-  /// arrivals does one pass over the burst. Results are in INPUT order.
-  [[nodiscard]] std::vector<RequestResult> request_batch(
-      const std::vector<u32>& sizes, util::Rng& rng);
-
   /// A served waiter, reported by close()/process_queue().
   struct ServedTicket {
     Ticket ticket;

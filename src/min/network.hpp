@@ -5,11 +5,12 @@
 // is a closed-form `FieldRotation`, and `make_stage` derives both rotations
 // and the routing bit from the kind's row layout (`min::KindLayout` in
 // types.hpp); `StageWiring.MatchesExplicitPermutationsForEveryKind` pins
-// them against the named wiring patterns. A `Network` is its kind plus n such
-// stages over N = 2^n rows, held inline, so it allocates nothing and is
-// freely copied and moved whatever N. Destination-tag self-routing holds
-// for every member of the class: at stage k the switch emits the signal on
-// sub-port `bit(dest, routing_bit[k])`.
+// them against the named wiring patterns. A `Network` is just its kind and
+// n: `stage(k)` derives stage k on demand, so a network allocates nothing
+// and is two words to build, copy or move whatever N. A caller that walks a
+// whole level takes that level's spec once. Destination-tag self-routing
+// holds for every member of the class: at stage k the switch emits the
+// signal on sub-port `bit(dest, routing_bit[k])`.
 //
 // The network answers the structural questions everything upstream needs:
 // link successors and predecessors, switch indexing, and the unique
@@ -18,7 +19,6 @@
 #pragma once
 
 #include <array>
-#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -31,9 +31,25 @@ struct StageSpec {
   FieldRotation in_perm;   // level k rows -> switch ports
   FieldRotation out_perm;  // switch ports -> level k+1 rows
   u32 routing_bit;         // destination bit consumed by this stage
+
+  /// Level-(k+1) rows fed by level-k row `row`.
+  [[nodiscard]] constexpr std::array<u32, 2> successors(
+      u32 row) const noexcept {
+    const u32 q = in_perm(row) & ~u32{1};
+    return {out_perm(q), out_perm(q | 1)};
+  }
+
+  /// Level-k rows feeding level-(k+1) row `row`.
+  [[nodiscard]] constexpr std::array<u32, 2> predecessors(
+      u32 row) const noexcept {
+    const FieldRotation in_inv = in_perm.inverse();
+    const u32 q = out_perm.inverse()(row) & ~u32{1};
+    return {in_inv(q), in_inv(q | 1)};
+  }
 };
 
-/// Stage `k` (0-based) of the named topology with N = 2^n ports.
+/// Stage `k` (0-based) of the named topology with N = 2^n ports. Ensures
+/// both wirings fit the n-bit row address and the routing bit is below n.
 [[nodiscard]] StageSpec make_stage(Kind kind, u32 n, u32 k);
 
 class Network {
@@ -48,8 +64,9 @@ class Network {
   [[nodiscard]] u32 n() const noexcept { return n_; }
   /// Number of member ports N = 2^n.
   [[nodiscard]] u32 size() const noexcept { return u32{1} << n_; }
-  [[nodiscard]] std::span<const StageSpec> stages() const noexcept {
-    return {stages_.data(), n_};
+  /// Stage `k` (0-based, k < n).
+  [[nodiscard]] StageSpec stage(u32 k) const {
+    return make_stage(kind_, n_, k);
   }
 
   /// Level-(level+1) rows fed by link (level,row); requires level < n.
@@ -73,7 +90,6 @@ class Network {
  private:
   Kind kind_;
   u32 n_;
-  std::array<StageSpec, kMaxStages> stages_{};  // the first n_ are used
 };
 
 static_assert(std::is_copy_constructible_v<Network> &&

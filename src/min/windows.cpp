@@ -52,16 +52,20 @@ WindowTable::WindowTable(const Network& net)
   };
   // Forward pass: inputs reaching each link.
   for (u32 p = 0; p < N; ++p) in_[at(0, p)].set(p);
-  for (u32 level = 0; level < n; ++level)
+  for (u32 level = 0; level < n; ++level) {
+    const StageSpec stage = net_.stage(level);
     for (u32 p = 0; p < N; ++p)
-      for (u32 q : net_.successors(level, p))
+      for (u32 q : stage.successors(p))
         in_[at(level + 1, q)] |= in_[at(level, p)];
+  }
   // Backward pass: outputs reachable from each link.
   for (u32 p = 0; p < N; ++p) out_[at(n, p)].set(p);
-  for (u32 level = n; level >= 1; --level)
+  for (u32 level = n; level >= 1; --level) {
+    const StageSpec stage = net_.stage(level - 1);
     for (u32 p = 0; p < N; ++p)
-      for (u32 q : net_.predecessors(level, p))
+      for (u32 q : stage.predecessors(p))
         out_[at(level - 1, q)] |= out_[at(level, p)];
+  }
 }
 
 const util::DynBitset& WindowTable::in_set(u32 level, u32 row) const {

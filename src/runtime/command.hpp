@@ -31,9 +31,7 @@ using u64 = min::u64;
 /// What a command asks the owning shard to do.
 enum class CommandKind : std::uint8_t {
   kOpen,       // admit one conference of `size` members
-  kOpenBatch,  // admit a burst of conferences in one open_batch pass
   kClose,      // close the open session `session`
-  kReplace,    // close `session`, then admit a fresh `size`-member one
   kFailLink,   // fail interstage link (level, row); triggers recovery
   kRepairLink, // repair interstage link (level, row); drains waiters
 };
@@ -41,9 +39,7 @@ enum class CommandKind : std::uint8_t {
 [[nodiscard]] constexpr const char* command_name(CommandKind k) noexcept {
   switch (k) {
     case CommandKind::kOpen: return "open";
-    case CommandKind::kOpenBatch: return "open_batch";
     case CommandKind::kClose: return "close";
-    case CommandKind::kReplace: return "replace";
     case CommandKind::kFailLink: return "fail_link";
     case CommandKind::kRepairLink: return "repair_link";
   }
@@ -66,7 +62,7 @@ enum class CommandStatus : std::uint8_t {
   kRejectedStopped,  // never applied: the runtime stopped first
 };
 
-/// Admission verdict of one open (or the open half of a replace).
+/// Admission verdict of one open.
 struct OpenOutcome {
   conf::RequestOutcome outcome = conf::RequestOutcome::kRejected;
   std::optional<u32> session;  // set on kServed
@@ -84,12 +80,11 @@ struct CommandResult {
   /// processed before it on this shard). Deterministic — never wall clock.
   u64 applied_at = 0;
 
-  OpenOutcome open;                 // kOpen / kReplace
-  std::vector<OpenOutcome> batch;   // kOpenBatch, input order
-  bool ok = false;                  // kClose/kReplace: session existed;
-                                    // kFailLink/kRepairLink: state changed
-  /// Waiters admitted as a side effect of this command (a close/replace
-  /// freeing capacity, a repair restoring it).
+  OpenOutcome open;  // kOpen
+  bool ok = false;   // kClose: session existed;
+                     // kFailLink/kRepairLink: state changed
+  /// Waiters admitted as a side effect of this command (a close freeing
+  /// capacity, a repair restoring it).
   std::vector<conf::WaitQueueManager::ServedTicket> served;
   /// kFailLink: victim session ids (already closed by the shard). A front
   /// end tracking sessions by id (e.g. the cluster layer, whose spanning
@@ -105,11 +100,10 @@ struct CommandResult {
 /// (see CommandKind); unused fields are ignored.
 struct Command {
   CommandKind kind = CommandKind::kOpen;
-  u32 size = 0;                  // kOpen / kReplace
-  u32 session = 0;               // kClose / kReplace
-  u32 level = 0;                 // kFailLink / kRepairLink
-  u32 row = 0;                   // kFailLink / kRepairLink
-  std::vector<u32> batch_sizes;  // kOpenBatch
+  u32 size = 0;     // kOpen
+  u32 session = 0;  // kClose
+  u32 level = 0;    // kFailLink / kRepairLink
+  u32 row = 0;      // kFailLink / kRepairLink
   /// Optional completion, invoked exactly once: on the owner thread after
   /// the command is applied, or inline on the submitting thread with
   /// kRejectedStopped when the runtime refuses it. Never invoked for
@@ -122,5 +116,7 @@ struct Command {
   /// PooledResult, which keeps the slot alive until fulfilled.
   ResultSlot* slot = nullptr;
 };
+// A command fits one cache line; every queue hand-off moves one.
+static_assert(sizeof(Command) <= 64);
 
 }  // namespace confnet::runtime

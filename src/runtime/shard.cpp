@@ -95,25 +95,6 @@ std::size_t Shard::process_available() {
   return applied;
 }
 
-void Shard::serve_open(OpenOutcome& out,
-                       const conf::WaitQueueManager::RequestResult& r) {
-  out.outcome = r.outcome;
-  out.session = r.session;
-  out.ticket = r.ticket;
-  ++stats_.opens;
-  switch (r.outcome) {
-    case conf::RequestOutcome::kServed:
-      ++stats_.accepted;
-      break;
-    case conf::RequestOutcome::kQueued:
-      ++stats_.queued;
-      break;
-    case conf::RequestOutcome::kRejected:
-      ++stats_.rejected;
-      break;
-  }
-}
-
 void Shard::flush_retries() {
   control_.run_due(std::numeric_limits<double>::infinity(), rng_);
   publish();
@@ -129,14 +110,20 @@ void Shard::apply(Command& cmd) {
   conf::WaitQueueManager& wait = control_.wait();
   switch (cmd.kind) {
     case CommandKind::kOpen: {
-      serve_open(result.open, wait.request(cmd.size, rng_));
-      break;
-    }
-    case CommandKind::kOpenBatch: {
-      const auto results = wait.request_batch(cmd.batch_sizes, rng_);
-      result.batch.resize(results.size());
-      for (std::size_t i = 0; i < results.size(); ++i)
-        serve_open(result.batch[i], results[i]);
+      const auto r = wait.request(cmd.size, rng_);
+      result.open = OpenOutcome{r.outcome, r.session, r.ticket};
+      ++stats_.opens;
+      switch (r.outcome) {
+        case conf::RequestOutcome::kServed:
+          ++stats_.accepted;
+          break;
+        case conf::RequestOutcome::kQueued:
+          ++stats_.queued;
+          break;
+        case conf::RequestOutcome::kRejected:
+          ++stats_.rejected;
+          break;
+      }
       break;
     }
     case CommandKind::kClose: {
@@ -145,16 +132,6 @@ void Shard::apply(Command& cmd) {
       result.ok = wait.sessions().contains(cmd.session);
       if (result.ok) ++stats_.closes;
       report(result, control_.close(cmd.session, rng_));
-      break;
-    }
-    case CommandKind::kReplace: {
-      // Close-then-open composite. `ok` reports whether the close half
-      // found a live session; the open half always runs so churn keeps
-      // flowing even when a fault tore the old session down first.
-      result.ok = wait.sessions().contains(cmd.session);
-      report(result, control_.close(cmd.session, rng_));
-      ++stats_.replaces;
-      serve_open(result.open, wait.request(cmd.size, rng_));
       break;
     }
     case CommandKind::kFailLink: {

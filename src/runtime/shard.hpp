@@ -14,7 +14,7 @@
 // Determinism: outcomes depend only on the per-shard command sequence and
 // the shard's seed — never on burst boundaries, worker count, or wall-clock
 // timing. Bursts amortize queue locking; they do not reorder or coalesce
-// commands (batched admission rides kOpenBatch, which the *producer* forms).
+// commands (a producer that wants a burst stages its commands).
 #pragma once
 
 #include <atomic>
@@ -117,7 +117,6 @@ class Shard {
   /// whichever completion channel it carries (slot or done).
   void reject_inline(Command& cmd);
   void publish() CONFNET_EXCLUDES(pub_mu_);
-  void serve_open(OpenOutcome& out, const conf::WaitQueueManager::RequestResult& r);
 
   const u32 index_;           // runtime-owner: immutable
 

@@ -10,7 +10,6 @@ void ShardStats::merge(const ShardStats& other) noexcept {
   queued += other.queued;
   rejected += other.rejected;
   closes += other.closes;
-  replaces += other.replaces;
   recovery.merge(other.recovery);
   rejected_stopped += other.rejected_stopped;
   submit_bounced += other.submit_bounced;

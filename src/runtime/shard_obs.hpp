@@ -25,12 +25,11 @@ namespace confnet::runtime {
 /// Cumulative per-shard accounting, maintained by the owner thread and
 /// published at burst boundaries. All fields count since start().
 struct ShardStats {
-  u64 opens = 0;           // kOpen commands + open_batch elements + replaces
+  u64 opens = 0;           // kOpen commands applied
   u64 accepted = 0;        // opens admitted immediately
   u64 queued = 0;          // opens parked in the hold queue
   u64 rejected = 0;        // opens bounced (hold queue full / loss system)
   u64 closes = 0;          // kClose commands that closed a live session
-  u64 replaces = 0;        // kReplace commands applied
   /// Fault and recovery counts, copied from the shard's ControlPlane
   /// at each publish (the control plane is their only owner).
   conf::RecoveryStats recovery;

@@ -187,8 +187,7 @@ TeletrafficResult run_teletraffic(conf::ConferenceNetworkBase& network,
 
   // --- Arrival process -------------------------------------------------
   // Follow-up wiring of one accepted open: occupancy, stage stats, talk
-  // spurts, churn chain and the holding-time departure. Shared between the
-  // classic one-request path and the batched burst path.
+  // spurts, churn chain and the holding-time departure.
   const auto on_accepted = [&](u32 size, u32 sid) {
     busy_ports += size;
     if (des.now() >= config.warmup)
@@ -237,23 +236,9 @@ TeletrafficResult run_teletraffic(conf::ConferenceNetworkBase& network,
   std::function<void()> arrival = [&] {
     maybe_snapshot();
     advance_area(des.now());
-    if (config.arrival_burst <= 1) {
-      // Classic path: one request per event, byte-identical (RNG draws and
-      // all) to the pre-batching simulator.
-      const u32 size = config.traffic.conference_size(rng);
-      const auto [outcome, session] = manager.open(size, rng);
-      if (outcome == conf::OpenResult::kAccepted) on_accepted(size, *session);
-    } else {
-      // Bursty signalling: the whole same-timestamp burst goes through one
-      // open_batch pass (canonical descending-size order), then follow-up
-      // wiring runs in arrival order over the accepted subset.
-      std::vector<u32> sizes(config.arrival_burst);
-      for (u32& s : sizes) s = config.traffic.conference_size(rng);
-      const auto results = manager.open_batch(sizes, rng);
-      for (std::size_t i = 0; i < sizes.size(); ++i)
-        if (results[i].first == conf::OpenResult::kAccepted)
-          on_accepted(sizes[i], *results[i].second);
-    }
+    const u32 size = config.traffic.conference_size(rng);
+    const auto [outcome, session] = manager.open(size, rng);
+    if (outcome == conf::OpenResult::kAccepted) on_accepted(size, *session);
     des.schedule_in(config.traffic.next_interarrival(rng), arrival);
   };
   des.schedule_in(config.traffic.next_interarrival(rng), arrival);

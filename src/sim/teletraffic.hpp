@@ -41,11 +41,6 @@ struct TeletrafficConfig {
   double fault_rate = 0.0;
   double repair_rate = 1.0;
   conf::RecoveryPolicy recovery;
-  /// Arrivals per arrival event. 1 (the default) preserves the classic
-  /// one-request-per-event path byte-for-byte; k > 1 drains k simultaneous
-  /// requests through SessionManager::open_batch (canonical descending-size
-  /// order), modelling bursty signalling load on the admission path.
-  u32 arrival_burst = 1;
 };
 
 struct TeletrafficResult {

@@ -80,7 +80,7 @@ void publish_fabric_observations(const EvalReport& report, u32 n) {
 }
 }  // namespace
 
-Fabric::Fabric(const min::Network& net, FabricConfig config)
+Fabric::Fabric(min::Network net, FabricConfig config)
     : net_(net), config_(config) {
   expects(config_.channels_per_link >= 1,
           "Fabric needs at least one channel per link");
@@ -172,11 +172,12 @@ PropagationResult Fabric::propagate(const GroupRealization& g,
 
   // Sweep forward: each used link mixes its used predecessors.
   for (u32 level = 1; level <= n; ++level) {
+    const min::StageSpec stage = net_.stage(level - 1);
     for (std::size_t i = 0; i < g.links[level].size(); ++i) {
       const u32 row = g.links[level][i];
       if (dead(level, row)) continue;  // carries nothing downstream
       u32 feeding = 0;
-      for (u32 q : net_.predecessors(level, row)) {
+      for (u32 q : stage.predecessors(row)) {
         const std::size_t pi = index_of(g.links[level - 1], q);
         if (pi == npos || at(level - 1, pi).empty()) continue;
         at(level, i).combine(at(level - 1, pi));
@@ -191,10 +192,11 @@ PropagationResult Fabric::propagate(const GroupRealization& g,
 
   // Fan-out accounting: a used link feeding both its successors.
   for (u32 level = 0; level < n; ++level) {
+    const min::StageSpec stage = net_.stage(level);
     for (std::size_t i = 0; i < g.links[level].size(); ++i) {
       if (at(level, i).empty()) continue;
       u32 fed = 0;
-      for (u32 q : net_.successors(level, g.links[level][i])) {
+      for (u32 q : stage.successors(g.links[level][i])) {
         if (dead(level + 1, q)) continue;  // the switch cannot drive it
         if (index_of(g.links[level + 1], q) != npos) ++fed;
       }
@@ -268,8 +270,9 @@ void check_group_realization(const min::Network& net,
   // links the group actually owns (the conference merge).
   for (u32 level = 1; level <= n; ++level) {
     if (group.links[level].empty()) continue;
+    const min::StageSpec stage = net.stage(level - 1);
     for (u32 row : group.links[level]) {
-      const auto preds = net.predecessors(level, row);
+      const auto preds = stage.predecessors(row);
       const bool fed =
           std::binary_search(group.links[level - 1].begin(),
                              group.links[level - 1].end(), preds[0]) ||

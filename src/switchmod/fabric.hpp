@@ -146,7 +146,7 @@ struct FabricConfig {
 
 class Fabric {
  public:
-  Fabric(const min::Network& net, FabricConfig config);
+  Fabric(min::Network net, FabricConfig config);
 
   /// Evaluate a set of groups. Groups must have pairwise disjoint member
   /// sets; link sets may overlap (that is what channel capacity is for).
@@ -177,7 +177,7 @@ class Fabric {
   [[nodiscard]] const FabricConfig& config() const noexcept { return config_; }
 
  private:
-  const min::Network& net_;
+  min::Network net_;
   FabricConfig config_;
 };
 

@@ -365,14 +365,17 @@ CONFNET_HOT bool FabricState::lacks_fan_for(const min::LevelLinks& rows) const {
   const u32 n = net_.n();
   const auto owned = [&](u32 level, u32 row) { return holds(rows[level], row); };
   for (u32 level = 0; level <= n; ++level) {
+    // The stages into and out of this level (unused at the ends).
+    const auto in = level > 0 ? net_.stage(level - 1) : min::StageSpec{};
+    const auto out = level < n ? net_.stage(level) : min::StageSpec{};
     for (u32 row : rows[level]) {
       if (!fan_in_ && level > 0) {
-        const auto preds = net_.predecessors(level, row);
+        const auto preds = in.predecessors(row);
         if (owned(level - 1, preds[0]) && owned(level - 1, preds[1]))
           return true;
       }
       if (!fan_out_ && level < n) {
-        const auto succs = net_.successors(level, row);
+        const auto succs = out.successors(row);
         if (owned(level + 1, succs[0]) && owned(level + 1, succs[1]))
           return true;
       }

@@ -1,10 +1,7 @@
-// Bit-manipulation primitives used throughout the multistage-network code.
-//
-// Multistage interconnection networks of size N = 2^n are defined by bit
-// permutations on n-bit port addresses (perfect shuffle = rotate, baseline
-// wiring = sub-block unshuffle, cube wiring = bit swap with the LSB, ...).
-// Everything here is constexpr so topology math can run at compile time in
-// tests.
+// Bit-manipulation primitives used by the multistage-network code: a bit of
+// a port address, its bit reversal, a population count and the logarithms
+// that size port blocks. Everything here is constexpr so topology math can
+// run at compile time in tests.
 #pragma once
 
 #include <bit>
@@ -17,88 +14,20 @@ namespace confnet::util {
 using u32 = std::uint32_t;
 using u64 = std::uint64_t;
 
-/// True iff `x` is a power of two (0 is not).
-constexpr bool is_pow2(u64 x) noexcept { return x != 0 && (x & (x - 1)) == 0; }
-
-/// Exact log2 of a power of two. Throws for non-powers.
-constexpr u32 log2_exact(u64 x) {
-  expects(is_pow2(x), "log2_exact requires a power of two");
-  return static_cast<u32>(std::countr_zero(x));
-}
-
 /// Ceiling of log2 (log2_ceil(1) == 0).
 constexpr u32 log2_ceil(u64 x) {
   expects(x >= 1, "log2_ceil requires x >= 1");
   return x == 1 ? 0u : static_cast<u32>(64 - std::countl_zero(x - 1));
 }
 
-/// Smallest power of two >= x.
-constexpr u64 next_pow2(u64 x) {
-  expects(x >= 1, "next_pow2 requires x >= 1");
-  return std::bit_ceil(x);
-}
-
 /// Extract bit `i` of `x`.
 constexpr u32 bit(u64 x, u32 i) noexcept { return static_cast<u32>((x >> i) & 1u); }
-
-/// Return `x` with bit `i` set to `v` (v must be 0 or 1).
-constexpr u64 with_bit(u64 x, u32 i, u32 v) noexcept {
-  return (x & ~(u64{1} << i)) | (u64{v & 1u} << i);
-}
-
-/// Return `x` with bit `i` flipped.
-constexpr u64 flip_bit(u64 x, u32 i) noexcept { return x ^ (u64{1} << i); }
-
-/// Low `k` bits of `x`.
-constexpr u64 low_bits(u64 x, u32 k) noexcept {
-  return k >= 64 ? x : x & ((u64{1} << k) - 1);
-}
-
-/// Bits `hi-1 .. lo` of x, right aligned (field width hi-lo).
-constexpr u64 bit_field(u64 x, u32 lo, u32 hi) noexcept {
-  return low_bits(x >> lo, hi - lo);
-}
-
-/// Rotate the low `n` bits of `x` left by one (perfect shuffle of 2^n ports).
-/// A zero-width field rotates to itself (0); the guard also keeps the shift
-/// by n-1 defined for n == 0.
-constexpr u64 rotl_n(u64 x, u32 n) noexcept {
-  if (n <= 1) return n == 0 ? 0 : x & 1;
-  const u64 m = (n >= 64) ? ~u64{0} : ((u64{1} << n) - 1);
-  x &= m;
-  return ((x << 1) | (x >> (n - 1))) & m;
-}
-
-/// Rotate the low `n` bits of `x` right by one (inverse shuffle).
-constexpr u64 rotr_n(u64 x, u32 n) noexcept {
-  if (n <= 1) return n == 0 ? 0 : x & 1;
-  const u64 m = (n >= 64) ? ~u64{0} : ((u64{1} << n) - 1);
-  x &= m;
-  return ((x >> 1) | ((x & 1) << (n - 1))) & m;
-}
-
-/// Rotate the low `n` bits left by `s` positions. n == 0 is the empty
-/// rotation (guards the `s % n` below).
-constexpr u64 rotl_n_by(u64 x, u32 n, u32 s) noexcept {
-  if (n == 0) return 0;
-  const u64 m = (n >= 64) ? ~u64{0} : ((u64{1} << n) - 1);
-  x &= m;
-  s %= n;
-  if (s == 0) return x;
-  return ((x << s) | (x >> (n - s))) & m;
-}
 
 /// Reverse the low `n` bits of `x` (bit-reversal permutation).
 constexpr u64 reverse_bits_n(u64 x, u32 n) noexcept {
   u64 r = 0;
   for (u32 i = 0; i < n; ++i) r |= u64{bit(x, i)} << (n - 1 - i);
   return r;
-}
-
-/// Swap bits `i` and `j` of `x`.
-constexpr u64 swap_bits(u64 x, u32 i, u32 j) noexcept {
-  const u64 d = (bit(x, i) ^ bit(x, j));
-  return x ^ ((d << i) | (d << j));
 }
 
 /// Population count.
@@ -108,14 +37,6 @@ constexpr u32 popcount(u64 x) noexcept { return static_cast<u32>(std::popcount(x
 constexpr u32 highest_bit(u64 x) {
   expects(x != 0, "highest_bit requires x != 0");
   return static_cast<u32>(63 - std::countl_zero(x));
-}
-
-/// Binary-reflected Gray code and its inverse (used in placement tests).
-constexpr u64 gray_code(u64 x) noexcept { return x ^ (x >> 1); }
-constexpr u64 gray_decode(u64 g) noexcept {
-  u64 x = 0;
-  for (; g != 0; g >>= 1) x ^= g;
-  return x;
 }
 
 }  // namespace confnet::util

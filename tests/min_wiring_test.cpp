@@ -16,6 +16,24 @@ namespace {
 // --- Named wiring patterns on N = 2^n_bits ports, built as explicit
 // permutations independently of FieldRotation (the oracle). ---
 
+/// Rotate the low `n` bits of `x` left by one (perfect shuffle of 2^n
+/// ports). A zero-width field rotates to itself (0); the guard also keeps
+/// the shift by n-1 defined for n == 0.
+constexpr u64 rotl_n(u64 x, u32 n) noexcept {
+  if (n <= 1) return n == 0 ? 0 : x & 1;
+  const u64 m = (n >= 64) ? ~u64{0} : ((u64{1} << n) - 1);
+  x &= m;
+  return ((x << 1) | (x >> (n - 1))) & m;
+}
+
+/// Rotate the low `n` bits of `x` right by one (inverse shuffle).
+constexpr u64 rotr_n(u64 x, u32 n) noexcept {
+  if (n <= 1) return n == 0 ? 0 : x & 1;
+  const u64 m = (n >= 64) ? ~u64{0} : ((u64{1} << n) - 1);
+  x &= m;
+  return ((x >> 1) | ((x & 1) << (n - 1))) & m;
+}
+
 template <class Fn>
 Permutation from_fn(u32 n_bits, Fn fn) {
   expects(n_bits >= 1 && n_bits < 31, "wiring needs 1 <= n_bits < 31");
@@ -27,14 +45,14 @@ Permutation from_fn(u32 n_bits, Fn fn) {
 /// Perfect shuffle: rotate the n-bit address left by one.
 Permutation shuffle(u32 n_bits) {
   return from_fn(n_bits, [&](u32 p) {
-    return static_cast<u32>(util::rotl_n(p, n_bits));
+    return static_cast<u32>(rotl_n(p, n_bits));
   });
 }
 
 /// Inverse perfect shuffle: rotate right by one.
 Permutation unshuffle(u32 n_bits) {
   return from_fn(n_bits, [&](u32 p) {
-    return static_cast<u32>(util::rotr_n(p, n_bits));
+    return static_cast<u32>(rotr_n(p, n_bits));
   });
 }
 
@@ -45,7 +63,7 @@ Permutation block_shuffle(u32 n_bits, u32 block_bits) {
           "block_shuffle needs 1 <= block_bits <= n_bits");
   const u32 mask = (u32{1} << block_bits) - 1;
   return from_fn(n_bits, [&](u32 p) {
-    return (p & ~mask) | static_cast<u32>(util::rotl_n(p & mask, block_bits));
+    return (p & ~mask) | static_cast<u32>(rotl_n(p & mask, block_bits));
   });
 }
 
@@ -56,7 +74,7 @@ Permutation block_unshuffle(u32 n_bits, u32 block_bits) {
           "block_unshuffle needs 1 <= block_bits <= n_bits");
   const u32 mask = (u32{1} << block_bits) - 1;
   return from_fn(n_bits, [&](u32 p) {
-    return (p & ~mask) | static_cast<u32>(util::rotr_n(p & mask, block_bits));
+    return (p & ~mask) | static_cast<u32>(rotr_n(p & mask, block_bits));
   });
 }
 
@@ -129,10 +147,13 @@ TEST(Permutation, Composition) {
 }
 
 TEST(Wiring, ShuffleIsLeftRotation) {
+  // The oracle's rotations, by hand: 0b1001 <-> 0b0011 over 4 bits.
+  static_assert(rotl_n(0b1001, 4) == 0b0011u);
+  static_assert(rotr_n(0b0011, 4) == 0b1001u);
   const u32 n = 3;
   const Permutation s = shuffle(n);
   for (u32 p = 0; p < 8; ++p)
-    EXPECT_EQ(s(p), static_cast<u32>(util::rotl_n(p, n)));
+    EXPECT_EQ(s(p), static_cast<u32>(rotl_n(p, n)));
 }
 
 TEST(Wiring, UnshuffleInvertsShuffle) {
@@ -207,7 +228,7 @@ TEST(StageWiring, MatchesExplicitPermutationsForEveryKind) {
     for (u32 n = 1; n <= 12; ++n) {
       const Network net(kind, n);
       for (u32 k = 0; k < n; ++k) {
-        const StageSpec& st = net.stages()[k];
+        const StageSpec st = net.stage(k);
         const auto [in, out] = oracle_stage(kind, n, k);
         const u32 N = u32{1} << n;
         EXPECT_EQ(first_mismatch(st.in_perm, in), N)

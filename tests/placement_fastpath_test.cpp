@@ -1,7 +1,7 @@
 // Fast-path admission equivalence: the hierarchical-bitmap placer against
 // the reference PortPlacer oracle (exact port sets under identical RNG
-// streams), the bitmap buddy allocator against the classic one, batched
-// against serial admission, and the hold-queue watermark's bounded work.
+// streams), the bitmap buddy allocator against the classic one, and the
+// hold-queue watermark's bounded work.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -257,66 +257,6 @@ INSTANTIATE_TEST_SUITE_P(
                   : "Random";
       return name;
     });
-
-// --- Batched admission: open_batch == serial opens in canonical order ---
-
-TEST(OpenBatch, IdenticalToSerialOpensInCanonicalOrder) {
-  for (u64 seed = 1; seed <= 5; ++seed) {
-    for (PlacementPolicy policy : kPolicies) {
-      const u32 n = 5;
-      DirectConferenceNetwork net_a(Kind::kIndirectCube, n,
-                                    DilationProfile::full(n));
-      DirectConferenceNetwork net_b(Kind::kIndirectCube, n,
-                                    DilationProfile::full(n));
-      SessionManager batched(net_a, policy);
-      SessionManager serial(net_b, policy);
-      util::Rng rng_a(seed);
-      util::Rng rng_b(seed);
-      util::Rng script(seed + 100);
-
-      std::vector<u32> sizes(12);
-      for (u32& s : sizes) s = 2 + static_cast<u32>(script.below(9));
-      const auto results = batched.open_batch(sizes, rng_a);
-      ASSERT_EQ(results.size(), sizes.size());
-
-      // Replay serially in the documented canonical order: descending
-      // size, ties in input order.
-      std::vector<u32> order(sizes.size());
-      for (u32 i = 0; i < order.size(); ++i) order[i] = i;
-      std::stable_sort(order.begin(), order.end(), [&](u32 a, u32 b) {
-        return sizes[a] > sizes[b];
-      });
-      for (u32 idx : order) {
-        const auto [outcome, session] = serial.open(sizes[idx], rng_b);
-        ASSERT_EQ(results[idx].first, outcome);
-        ASSERT_EQ(results[idx].second.has_value(), session.has_value());
-        if (session) {
-          ASSERT_EQ(*results[idx].second, *session);
-          ASSERT_EQ(batched.members_of(*session),
-                    serial.members_of(*session));
-        }
-      }
-      ASSERT_EQ(batched.stats().attempts, serial.stats().attempts);
-      ASSERT_EQ(batched.stats().accepted, serial.stats().accepted);
-      ASSERT_EQ(batched.active_sessions(), serial.active_sessions());
-    }
-  }
-}
-
-TEST(OpenBatch, WaitQueueBatchServesLargestFirst) {
-  const u32 n = 3;  // 8 ports
-  DirectConferenceNetwork net(Kind::kIndirectCube, n,
-                              DilationProfile::full(n));
-  WaitQueueManager wq(net, PlacementPolicy::kFirstFit, 8);
-  util::Rng rng(1);
-  // Burst of 4+4+2: canonical order admits 4,4 and queues the trailing 2.
-  const auto results = wq.request_batch({2, 4, 4}, rng);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(results[1].outcome, RequestOutcome::kServed);
-  EXPECT_EQ(results[2].outcome, RequestOutcome::kServed);
-  EXPECT_EQ(results[0].outcome, RequestOutcome::kQueued);
-  EXPECT_EQ(wq.queue_length(), 1u);
-}
 
 // --- Hold-queue watermark: no O(queue) rescans of doomed tickets --------
 

@@ -12,9 +12,11 @@
 // plain Release builds too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <deque>
+#include <functional>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -52,8 +54,9 @@ rt::Command noop_close() {
   return c;
 }
 
-// Many producers blasting opens/closes/replaces at every shard while the
-// runtime churns; every accepted command's completion must run exactly once.
+// Many producers blasting opens, staged open bursts and close-then-open
+// pairs at every shard while the runtime churns; every accepted command's
+// completion must run exactly once.
 TEST(RuntimeStress, CommandStormAcrossShards) {
   constexpr u32 kShards = 4;
   constexpr u32 kWorkers = 4;
@@ -64,31 +67,62 @@ TEST(RuntimeStress, CommandStormAcrossShards) {
   r.start();
 
   std::atomic<u64> completions{0};
+  std::atomic<u64> sent{0};
   std::atomic<u64> accepted_submits{0};
   std::vector<std::thread> producers;
   producers.reserve(kProducers);
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       confnet::util::Rng rng(static_cast<u64>(p) + 1);
-      for (int i = 0; i < kPerProducer; ++i) {
-        rt::Command c;
-        const u64 roll = rng.below(10);
-        if (roll < 6) {
-          c.kind = rt::CommandKind::kOpen;
-          c.size = 2 + static_cast<u32>(rng.below(5));
-        } else if (roll < 8) {
-          c.kind = rt::CommandKind::kOpenBatch;
-          c.batch_sizes = {2, 3, static_cast<u32>(2 + rng.below(3))};
-        } else {
-          c.kind = rt::CommandKind::kReplace;
-          c.session = static_cast<u32>(rng.below(40));
-          c.size = 2 + static_cast<u32>(rng.below(4));
-        }
-        c.done = [&](rt::CommandResult&&) { completions.fetch_add(1); };
-        const u32 shard = static_cast<u32>(rng.below(kShards));
+      rt::CommandStage stage;
+      std::vector<rt::PooledResult> burst;
+      const auto count_done = [&](rt::CommandResult&&) {
+        completions.fetch_add(1);
+      };
+      const auto submit = [&](u32 shard, rt::Command&& c) {
+        c.done = count_done;
+        sent.fetch_add(1);
         if (r.submit_to_blocking(shard, std::move(c)) ==
             rt::SubmitStatus::kAccepted)
           accepted_submits.fetch_add(1);
+      };
+      for (int i = 0; i < kPerProducer; ++i) {
+        const u64 roll = rng.below(10);
+        if (roll < 6) {
+          rt::Command c;
+          c.kind = rt::CommandKind::kOpen;
+          c.size = 2 + static_cast<u32>(rng.below(5));
+          submit(static_cast<u32>(rng.below(kShards)), std::move(c));
+        } else if (roll < 8) {
+          // A staged burst of three opens to one shard, largest first.
+          std::vector<u32> sizes = {2, 3, static_cast<u32>(2 + rng.below(3))};
+          std::stable_sort(sizes.begin(), sizes.end(), std::greater<>());
+          const u32 shard = static_cast<u32>(rng.below(kShards));
+          burst.clear();
+          for (u32 size : sizes) {
+            rt::Command c;
+            c.kind = rt::CommandKind::kOpen;
+            c.size = size;
+            burst.push_back(r.stage_call(stage, shard, std::move(c)));
+          }
+          sent.fetch_add(sizes.size());
+          if (r.submit_stage(stage) == rt::SubmitStatus::kAccepted)
+            accepted_submits.fetch_add(sizes.size());
+          for (auto& handle : burst)
+            if (handle.take().status == rt::CommandStatus::kDone)
+              completions.fetch_add(1);
+        } else {
+          // Close a session (live or not), then open a fresh one there.
+          rt::Command close;
+          close.kind = rt::CommandKind::kClose;
+          close.session = static_cast<u32>(rng.below(40));
+          rt::Command open;
+          open.kind = rt::CommandKind::kOpen;
+          open.size = 2 + static_cast<u32>(rng.below(4));
+          const u32 shard = static_cast<u32>(rng.below(kShards));
+          submit(shard, std::move(close));
+          submit(shard, std::move(open));
+        }
       }
     });
   }
@@ -97,8 +131,8 @@ TEST(RuntimeStress, CommandStormAcrossShards) {
 
   // Post-stop rejections also invoke `done`, so the two counts only match
   // when nothing raced; here every submit happened before stop().
-  EXPECT_EQ(accepted_submits.load(),
-            static_cast<u64>(kProducers) * kPerProducer);
+  EXPECT_EQ(accepted_submits.load(), sent.load());
+  EXPECT_GE(sent.load(), static_cast<u64>(kProducers) * kPerProducer);
   EXPECT_EQ(completions.load(), accepted_submits.load());
   const rt::RuntimeSnapshot snap = r.snapshot();
   EXPECT_EQ(snap.total.completed, accepted_submits.load());
@@ -119,16 +153,21 @@ TEST(RuntimeStress, ConcurrentFaultsAndChurn) {
     confnet::util::Rng rng(11);
     for (int i = 0; i < 1200; ++i) {
       rt::Command c;
+      c.kind = rt::CommandKind::kOpen;
       if (rng.chance(0.25)) {
-        c.kind = rt::CommandKind::kReplace;
-        c.session = static_cast<u32>(rng.below(60));
+        // Close a session (live or not), then open a fresh one there.
+        rt::Command close;
+        close.kind = rt::CommandKind::kClose;
+        close.session = static_cast<u32>(rng.below(60));
         c.size = 2 + static_cast<u32>(rng.below(4));
+        const u32 shard = static_cast<u32>(rng.below(kShards));
+        (void)r.submit_to_blocking(shard, std::move(close));
+        (void)r.submit_to_blocking(shard, std::move(c));
       } else {
-        c.kind = rt::CommandKind::kOpen;
         c.size = 2 + static_cast<u32>(rng.below(5));
+        (void)r.submit_to_blocking(static_cast<u32>(rng.below(kShards)),
+                                   std::move(c));
       }
-      (void)r.submit_to_blocking(static_cast<u32>(rng.below(kShards)),
-                                 std::move(c));
     }
   });
 

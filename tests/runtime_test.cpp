@@ -91,21 +91,24 @@ TEST(Runtime, OpenCloseRoundTripThroughPooledResults) {
   EXPECT_EQ(snap.total.active_sessions, 0u);
 }
 
-TEST(Runtime, OpenBatchReportsInputOrderOutcomes) {
-  rt::Runtime r(small_config(1, 1));
-  r.start();
-  rt::Command c;
-  c.kind = rt::CommandKind::kOpenBatch;
-  c.batch_sizes = {2, 5, 3};
-  auto result = r.call_pooled(0, std::move(c)).take();
-  r.stop();
-  ASSERT_EQ(result.status, rt::CommandStatus::kDone);
-  ASSERT_EQ(result.batch.size(), 3u);
-
-  // The runtime must report exactly what a serial WaitQueueManager fed the
-  // same batch with the same seed reports, in input order. (Not all three
-  // need to be admitted — blocking is the point of these fabrics.)
+TEST(Runtime, StagedOpenBurstMatchesSerialOracle) {
+  // A staged burst is the commands in stage order, nothing more: each
+  // verdict and session id equals a serial WaitQueueManager's fed the
+  // same sizes with the shard's seed. (Not all three need to be admitted —
+  // blocking is the point of these fabrics.)
+  const std::vector<u32> sizes = {5, 3, 2};
   const rt::RuntimeConfig cfg = small_config(1, 1);
+  rt::Runtime r(cfg);
+  r.start();
+  rt::CommandStage stage;
+  std::vector<rt::PooledResult> pending;
+  for (u32 size : sizes)
+    pending.push_back(r.stage_call(stage, 0, open_cmd(size)));
+  ASSERT_EQ(r.submit_stage(stage), rt::SubmitStatus::kAccepted);
+  std::vector<rt::CommandResult> results;
+  for (auto& p : pending) results.push_back(p.take());
+  r.stop();
+
   conf::DirectConferenceNetwork net(
       cfg.shard.kind, cfg.shard.stages,
       conf::DilationProfile::uniform(cfg.shard.stages, 1));
@@ -113,44 +116,18 @@ TEST(Runtime, OpenBatchReportsInputOrderOutcomes) {
                                 cfg.shard.wait_capacity,
                                 cfg.shard.wait_bypass, cfg.shard.backend);
   confnet::util::Rng rng(cfg.shard.seed);
-  const auto expected = oracle.request_batch({2, 5, 3}, rng);
-  ASSERT_EQ(expected.size(), 3u);
   u32 served = 0;
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(result.batch[i].outcome, expected[i].outcome);
-    EXPECT_EQ(result.batch[i].session.has_value(),
-              expected[i].session.has_value());
-    if (result.batch[i].session) ++served;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const auto expected = oracle.request(sizes[i], rng);
+    ASSERT_EQ(results[i].status, rt::CommandStatus::kDone);
+    EXPECT_EQ(results[i].open.outcome, expected.outcome) << "open " << i;
+    EXPECT_EQ(results[i].open.session, expected.session) << "open " << i;
+    if (results[i].open.session) ++served;
   }
   EXPECT_GE(served, 1u);
   const rt::RuntimeSnapshot snap = r.snapshot();
   EXPECT_EQ(snap.total.opens, 3u);
   EXPECT_EQ(snap.total.accepted, static_cast<u64>(served));
-}
-
-TEST(Runtime, ReplaceSwapsSessionsAndToleratesDeadOnes) {
-  rt::Runtime r(small_config(1, 1));
-  r.start();
-  auto opened = r.call_pooled(0, open_cmd(4)).take();
-  ASSERT_TRUE(opened.open.session.has_value());
-
-  rt::Command swap;
-  swap.kind = rt::CommandKind::kReplace;
-  swap.session = *opened.open.session;
-  swap.size = 2;
-  auto swapped = r.call_pooled(0, std::move(swap)).take();
-  EXPECT_TRUE(swapped.ok);
-  EXPECT_EQ(swapped.open.outcome, conf::RequestOutcome::kServed);
-
-  // Replacing a session that no longer exists still runs the open half.
-  rt::Command ghost;
-  ghost.kind = rt::CommandKind::kReplace;
-  ghost.session = 9999;
-  ghost.size = 2;
-  auto ghosted = r.call_pooled(0, std::move(ghost)).take();
-  EXPECT_FALSE(ghosted.ok);
-  EXPECT_EQ(ghosted.open.outcome, conf::RequestOutcome::kServed);
-  r.stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -649,22 +626,26 @@ TEST(Runtime, StagedBurstSurvivesTinyQueues) {
 TEST(Runtime, StopDrainsInFlightBatchesExactlyOnce) {
   // Stop immediately after a burst of submits: every accepted command must
   // still be applied (drain-on-stop), and each completion runs exactly once.
+  // Every fifth submit is a staged burst of two opens instead.
   rt::RuntimeConfig cfg = small_config(4, 2);
   cfg.shard.queue_depth = 512;
   rt::Runtime r(cfg);
   r.start();
 
   std::atomic<int> completions{0};
+  rt::CommandStage stage;
+  std::vector<rt::PooledResult> staged;
   constexpr int kPerShard = 100;
   for (u32 s = 0; s < 4; ++s) {
     for (int i = 0; i < kPerShard; ++i) {
+      if (i % 5 == 4) {
+        staged.push_back(r.stage_call(stage, s, open_cmd(3)));
+        staged.push_back(r.stage_call(stage, s, open_cmd(2)));
+        ASSERT_EQ(r.submit_stage(stage), rt::SubmitStatus::kAccepted);
+        continue;
+      }
       rt::Command c =
           open_cmd(2 + static_cast<u32>(i % 3));
-      if (i % 5 == 4) {
-        c.kind = rt::CommandKind::kOpenBatch;
-        c.batch_sizes = {2, 3};
-        c.size = 0;
-      }
       c.done = [&](rt::CommandResult&& result) {
         EXPECT_EQ(result.status, rt::CommandStatus::kDone);
         completions.fetch_add(1);
@@ -675,9 +656,12 @@ TEST(Runtime, StopDrainsInFlightBatchesExactlyOnce) {
   }
   r.stop();  // no drain() first — stop itself must finish the backlog
 
-  EXPECT_EQ(completions.load(), 4 * kPerShard);
+  constexpr int kBursts = kPerShard / 5;
+  EXPECT_EQ(completions.load(), 4 * (kPerShard - kBursts));
+  ASSERT_EQ(staged.size(), static_cast<std::size_t>(4 * 2 * kBursts));
+  for (auto& p : staged) EXPECT_EQ(p.take().status, rt::CommandStatus::kDone);
   const rt::RuntimeSnapshot snap = r.snapshot();
-  EXPECT_EQ(snap.total.completed, static_cast<u64>(4 * kPerShard));
+  EXPECT_EQ(snap.total.completed, static_cast<u64>(4 * (kPerShard + kBursts)));
   EXPECT_EQ(snap.total.rejected_stopped, 0u);
 }
 

@@ -7,23 +7,6 @@
 namespace confnet::util {
 namespace {
 
-TEST(Bits, IsPow2) {
-  EXPECT_FALSE(is_pow2(0));
-  EXPECT_TRUE(is_pow2(1));
-  EXPECT_TRUE(is_pow2(2));
-  EXPECT_FALSE(is_pow2(3));
-  EXPECT_TRUE(is_pow2(u64{1} << 40));
-  EXPECT_FALSE(is_pow2((u64{1} << 40) + 1));
-}
-
-TEST(Bits, Log2Exact) {
-  EXPECT_EQ(log2_exact(1), 0u);
-  EXPECT_EQ(log2_exact(2), 1u);
-  EXPECT_EQ(log2_exact(1024), 10u);
-  EXPECT_THROW(log2_exact(0), Error);
-  EXPECT_THROW(log2_exact(3), Error);
-}
-
 TEST(Bits, Log2Ceil) {
   EXPECT_EQ(log2_ceil(1), 0u);
   EXPECT_EQ(log2_ceil(2), 1u);
@@ -34,45 +17,9 @@ TEST(Bits, Log2Ceil) {
   EXPECT_THROW(log2_ceil(0), Error);
 }
 
-TEST(Bits, NextPow2) {
-  EXPECT_EQ(next_pow2(1), 1u);
-  EXPECT_EQ(next_pow2(2), 2u);
-  EXPECT_EQ(next_pow2(3), 4u);
-  EXPECT_EQ(next_pow2(1000), 1024u);
-}
-
 TEST(Bits, BitAccess) {
   EXPECT_EQ(bit(0b1010, 1), 1u);
   EXPECT_EQ(bit(0b1010, 0), 0u);
-  EXPECT_EQ(with_bit(0b1010, 0, 1), 0b1011u);
-  EXPECT_EQ(with_bit(0b1010, 1, 0), 0b1000u);
-  EXPECT_EQ(with_bit(0b1010, 3, 1), 0b1010u);
-  EXPECT_EQ(flip_bit(0b1010, 3), 0b0010u);
-}
-
-TEST(Bits, Fields) {
-  EXPECT_EQ(low_bits(0xdeadbeef, 8), 0xefu);
-  EXPECT_EQ(low_bits(0xff, 0), 0u);
-  EXPECT_EQ(bit_field(0b110100, 2, 5), 0b101u);
-  EXPECT_EQ(bit_field(0xabcd, 0, 16), 0xabcdu);
-}
-
-TEST(Bits, RotateWithinN) {
-  // rotl_n over 4 bits: 0b1001 -> 0b0011
-  EXPECT_EQ(rotl_n(0b1001, 4), 0b0011u);
-  EXPECT_EQ(rotr_n(0b0011, 4), 0b1001u);
-  // rotl then rotr is identity over the masked field.
-  for (u64 x = 0; x < 64; ++x) {
-    EXPECT_EQ(rotr_n(rotl_n(x, 6), 6), x);
-    EXPECT_EQ(rotl_n(rotr_n(x, 6), 6), x);
-  }
-}
-
-TEST(Bits, RotateByS) {
-  EXPECT_EQ(rotl_n_by(0b0001, 4, 2), 0b0100u);
-  EXPECT_EQ(rotl_n_by(0b1000, 4, 1), 0b0001u);
-  // Full rotation is identity.
-  for (u64 x = 0; x < 16; ++x) EXPECT_EQ(rotl_n_by(x, 4, 4), x);
 }
 
 TEST(Bits, ReverseBits) {
@@ -83,12 +30,6 @@ TEST(Bits, ReverseBits) {
     EXPECT_EQ(reverse_bits_n(reverse_bits_n(x, 7), 7), x);
 }
 
-TEST(Bits, SwapBits) {
-  EXPECT_EQ(swap_bits(0b10, 0, 1), 0b01u);
-  EXPECT_EQ(swap_bits(0b11, 0, 1), 0b11u);
-  EXPECT_EQ(swap_bits(0b100, 2, 0), 0b001u);
-}
-
 TEST(Bits, HighestBit) {
   EXPECT_EQ(highest_bit(1), 0u);
   EXPECT_EQ(highest_bit(0b1000), 3u);
@@ -96,17 +37,8 @@ TEST(Bits, HighestBit) {
   EXPECT_THROW(highest_bit(0), Error);
 }
 
-TEST(Bits, GrayCodeRoundTrip) {
-  for (u64 x = 0; x < 1024; ++x) EXPECT_EQ(gray_decode(gray_code(x)), x);
-  // Adjacent gray codes differ in exactly one bit.
-  for (u64 x = 0; x + 1 < 1024; ++x)
-    EXPECT_EQ(popcount(gray_code(x) ^ gray_code(x + 1)), 1u);
-}
-
 TEST(Bits, ConstexprUsable) {
-  static_assert(is_pow2(64));
-  static_assert(log2_exact(64) == 6);
-  static_assert(rotl_n(0b100, 3) == 0b001);
+  static_assert(log2_ceil(64) == 6);
   static_assert(reverse_bits_n(0b110, 3) == 0b011);
   SUCCEED();
 }

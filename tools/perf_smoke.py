@@ -2,7 +2,7 @@
 """Run the hot-path benchmark sections and merge them into one artifact.
 
 Usage:
-    python3 tools/perf_smoke.py [--build-dir DIR] [--out BENCH_pr21.json]
+    python3 tools/perf_smoke.py [--build-dir DIR] [--out BENCH_pr33.json]
         [--min-time SECONDS]
 
 Runs the BM_* timing sections of the benchmark binaries that cover the
@@ -16,12 +16,13 @@ optimized hot paths:
     frequent incremental FabricState verification);
   * bench_e14_admission — BM_AdmissionChurn (bitmap port index vs the
     reference placer oracle, N=1024 high churn) and
-    BM_TeletrafficAdmission/0/1 and /0/8 (end-to-end DES admission on the
-    fast placer, serial vs batched arrivals);
+    BM_TeletrafficAdmission/0/1 (end-to-end DES admission on the fast
+    placer; the batched-arrival /0/8 row is retired);
   * bench_e15_runtime — BM_RuntimeChurn at --workers 1,2,4 (thread-per-
     shard concurrent runtime over 4 shards; one item is one admission
-    decision; the admitted/blocked/decisions counters are worker-count
-    invariant and gated, wall time is the scaling curve) and
+    decision, and a burst:8 row stages eight opens per flush; the
+    admitted/blocked/decisions counters are worker-count invariant and
+    gated, wall time is the scaling curve) and
     BM_RuntimeRoundTrip (one empty call_pooled round trip on an idle
     4-shard runtime, the probe behind e2ebench's runtime.rtt_us);
   * bench_e6_blocking — BM_PropagateReference (Fabric::propagate, the one
@@ -38,7 +39,7 @@ binary-prefixed names ("bench_e2_multiplicity/BM_MeasureMultiplicity/6"),
 ready for tools/compare_bench.py's timing section:
 
     python3 tools/perf_smoke.py --out BENCH_new.json
-    python3 tools/compare_bench.py BENCH_pr21.json BENCH_new.json --warn-only
+    python3 tools/compare_bench.py BENCH_pr33.json BENCH_new.json --warn-only
 
 Worker-count invariance is checked here, not in compare_bench.py: rows of
 the same benchmark differing only in their /workers:N suffix must report
@@ -158,7 +159,7 @@ def main() -> int:
     parser.add_argument("--build-dir", type=Path, default=None,
                         help="build tree holding bench/ (default: search "
                              f"{', '.join(SEARCH_DIRS)})")
-    parser.add_argument("--out", type=Path, default=Path("BENCH_pr21.json"))
+    parser.add_argument("--out", type=Path, default=Path("BENCH_pr33.json"))
     parser.add_argument("--min-time", type=float, default=0.0,
                         help="--benchmark_min_time per benchmark (seconds); "
                              "0 keeps the google-benchmark default")

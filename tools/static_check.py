@@ -158,11 +158,10 @@ AUDIT_CONTRACT: dict[str, list[str]] = {
         "fail_link", "repair_link",
     ],
     "SessionManager": [
-        "open_impl", "open_batch", "close", "join", "leave", "interrupt",
+        "open", "close", "join", "leave", "interrupt",
     ],
     "WaitQueueManager": [
-        "request", "request_batch", "close", "process_queue", "drain",
-        "abandon",
+        "request", "close", "process_queue", "drain", "abandon",
     ],
     "ControlPlane": [
         "close", "fail_link", "repair_link", "run_due",
