@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
-#include <set>
 #include <utility>
 
 #include "conference/subnetwork.hpp"
@@ -286,22 +284,15 @@ std::vector<u64> Cluster::fail_link(u32 shard, u32 level, u32 row) {
   if (r.status != runtime::CommandStatus::kDone) return interrupted;
   if (r.ok) ++stats_.link_failures;
 
-  // Fold the shard's impact into cluster bookkeeping: a relocated victim
-  // rehomes its leg onto the replacement session; a terminally-dropped
-  // victim dooms its whole conference.
-  const std::map<u32, u32> relocated(r.relocated.begin(), r.relocated.end());
-  std::set<u32> dead(r.torn_sessions.begin(), r.torn_sessions.end());
-  for (const auto& moved : relocated) dead.erase(moved.first);
-  for (auto& entry : live_) {
-    for (Leg& leg : entry.second.legs) {
-      if (leg.shard != shard) continue;
-      const auto moved = relocated.find(leg.session);
-      if (moved != relocated.end()) {
-        leg.session = moved->second;
-        ++stats_.legs_relocated;
-      } else if (dead.count(leg.session) != 0) {
+  // Fold the shard's impact into cluster bookkeeping: a victim repacked in
+  // place kept its session id, so its leg stands as it is; a victim in
+  // torn_sessions was dropped and dooms its whole conference.
+  for (const auto& entry : live_) {
+    for (const Leg& leg : entry.second.legs) {
+      if (leg.shard == shard &&
+          std::find(r.torn_sessions.begin(), r.torn_sessions.end(),
+                    leg.session) != r.torn_sessions.end())
         interrupted.push_back(entry.first);
-      }
     }
   }
   for (const u64 id : interrupted) tear_down(id, shard);

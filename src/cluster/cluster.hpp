@@ -38,9 +38,9 @@
 //
 // Shards run loss-mode admission (no hold queue, no retry budget): a
 // reservation must be a synchronous yes/no, never a parked ticket, and a
-// link-fault victim is either repacked in place (the cluster rehomes the
-// leg onto the replacement session id) or terminally dropped (the cluster
-// tears the whole conference down and reports it interrupted).
+// link-fault victim is either repacked in place (under its own session id,
+// so the leg stands unchanged) or terminally dropped (the cluster tears the
+// whole conference down and reports it interrupted).
 //
 // Thread-safety: externally synchronized — one coordinator thread drives
 // the public API. The runtime underneath is internally synchronized (its
@@ -140,9 +140,10 @@ class Cluster {
   bool repair_trunk(u32 a, u32 b);
 
   /// Fail interstage link (level,row) inside a shard. The shard tears down
-  /// and (loss-mode) repacks victims; the cluster rehomes relocated legs
-  /// and tears down conferences whose leg was terminally dropped. Returns
-  /// the ids of conferences interrupted (intra and spanning).
+  /// and (loss-mode) repacks victims, each under its own session id; the
+  /// cluster tears down the conferences whose leg is in the result's
+  /// torn_sessions (terminally dropped). Returns the ids of conferences
+  /// interrupted (intra and spanning).
   std::vector<u64> fail_link(u32 shard, u32 level, u32 row);
 
   /// Repair interstage link (level,row) inside a shard; true when it was
@@ -220,8 +221,8 @@ class Cluster {
   void close_legs(const std::vector<Leg>& legs, u32 skip_shard);
 
   /// Tear down a live conference (faults): close surviving legs, release
-  /// the trunk mesh, erase it. `dead_shard`/`dead_session` name a leg whose
-  /// shard session is already gone (skip its close); pass shard >= K for
+  /// the trunk mesh, erase it. `dead_shard` names the shard whose leg
+  /// session is already gone (its close is skipped); pass shard >= K for
   /// none.
   void tear_down(u64 id, u32 dead_shard);
 

@@ -21,7 +21,7 @@ struct ClusterStats {
   u64 intra_accepted = 0;
   u64 intra_blocked = 0;
   u64 intra_closes = 0;
-  u64 intra_interrupted = 0;  // torn by a shard link fault, not rehomed
+  u64 intra_interrupted = 0;  // torn by a shard link fault, not repacked
 
   // Cross-shard (spanning) admission through reserve-then-commit.
   u64 span_opens = 0;
@@ -35,9 +35,6 @@ struct ClusterStats {
   // again because a later leg or the trunk commit failed.
   u64 legs_reserved = 0;
   u64 legs_rolled_back = 0;
-  // Spanning legs rehomed onto a fresh shard session by in-place recovery
-  // after a link fault (the conference survives).
-  u64 legs_relocated = 0;
 
   // Fault process, cluster view.
   u64 trunk_failures = 0;

@@ -49,8 +49,10 @@ ControlPlane::ControlPlane(ConferenceNetworkBase& network,
 
 ControlPlane::~ControlPlane() { fold_into_registry(stats_); }
 
-void ControlPlane::note_recovered(const Recovered& r, Effects& fx) {
-  pending_.erase(r.origin);
+void ControlPlane::note_recovered(u32 replacement, const Recovered& r,
+                                  Effects& fx) {
+  wait_.sessions().reinstate(replacement, r.session);
+  pending_.erase(r.session);
   fx.recovered.push_back(r);
   obs::trace_emit("fault", "session_recovered", r.size);
 }
@@ -62,8 +64,8 @@ void ControlPlane::admit(u32 origin, u32 size, double failed_at, u32 attempt,
     case RequestOutcome::kServed:
       ++(attempt == 0 ? stats_.recovered_inplace
                       : stats_.recovered_after_retry);
-      note_recovered(
-          Recovered{origin, *result.session, size, failed_at, attempt}, fx);
+      note_recovered(*result.session,
+                     Recovered{origin, size, failed_at, attempt}, fx);
       return;
     case RequestOutcome::kQueued:
       pending_[origin] =
@@ -102,9 +104,8 @@ void ControlPlane::absorb(
     const Pending& p = pe->second;
     ticket_origin_.erase(to);
     ++stats_.recovered_after_wait;
-    note_recovered(Recovered{origin, ticket.session, p.size, p.failed_at,
-                             p.attempt},
-                   fx);
+    note_recovered(ticket.session,
+                   Recovered{origin, p.size, p.failed_at, p.attempt}, fx);
   }
 }
 
@@ -147,10 +148,10 @@ ControlPlane::Effects ControlPlane::fail_link(u32 level, u32 row, double now,
 
   // Tear every victim down first so the repacks below see all the freed
   // ports and links at once.
-  fx.torn_sizes.reserve(fx.torn_down.size());
+  std::vector<u32> sizes;
+  sizes.reserve(fx.torn_down.size());
   for (u32 sid : fx.torn_down) {
-    fx.torn_sizes.push_back(
-        static_cast<u32>(wait_.sessions().members_of(sid).size()));
+    sizes.push_back(static_cast<u32>(wait_.sessions().members_of(sid).size()));
     wait_.sessions().interrupt(sid);
     ++stats_.sessions_interrupted;
   }
@@ -159,7 +160,7 @@ ControlPlane::Effects ControlPlane::fail_link(u32 level, u32 row, double now,
   // With no earlier waiters the head is a victim that just tried it.
   const bool behind_waiters = wait_.queue_length() > 0;
   for (std::size_t i = 0; i < fx.torn_down.size(); ++i)
-    admit(fx.torn_down[i], fx.torn_sizes[i], now, 0, now, fx, rng);
+    admit(fx.torn_down[i], sizes[i], now, 0, now, fx, rng);
   if (behind_waiters) absorb(wait_.drain(rng), fx);
   CONFNET_AUDIT_HOOK(audit::check_recovery(*this));
   return fx;
@@ -215,6 +216,8 @@ void check_recovery(const conf::ControlPlane& plane) {
   // between-retries records and the agenda.
   u64 queued = 0;
   for (const auto& [origin, p] : plane.pending_) {
+    require(!plane.wait_.sessions().contains(origin), kSub,
+            "a victim pending recovery is live under its id");
     if (p.queued) {
       ++queued;
       const auto it = plane.ticket_origin_.find(p.ticket);

@@ -3,7 +3,9 @@
 // supplies. A link failure tears down every conference whose realization
 // crosses the dead link (the fabric holds a unique path per pair, so there
 // is no in-place reroute); the control plane then re-places each victim
-// through the wait-queue front end:
+// through the wait-queue front end, and a victim that comes back keeps the
+// session id it had before the fault (SessionManager::reinstate), so a
+// caller never learns a replacement id. The paths back:
 //   * immediate repack — SessionManager::open probes fresh placements and
 //     the victim comes back at once on a healthy window;
 //   * wait — no room right now; the victim holds a FIFO ticket and returns
@@ -88,10 +90,9 @@ class ControlPlane {
   ControlPlane(const ControlPlane&) = delete;
   ControlPlane& operator=(const ControlPlane&) = delete;
 
-  /// A victim session that came back under a new session id.
+  /// A victim session that came back, live again under its own id.
   struct Recovered {
-    u32 origin;   // session id torn down by the failure
-    u32 session;  // replacement session id
+    u32 session;  // the id the failure tore down
     u32 size;
     double failed_at;
     u32 attempt;  // retries consumed before recovery
@@ -99,10 +100,9 @@ class ControlPlane {
 
   /// What one call did. Every session the call opened appears exactly once:
   /// in `served` when it answers a caller's own wait ticket, in `recovered`
-  /// when it replaces an interrupted session.
+  /// (under the victim's id) when it brings an interrupted session back.
   struct Effects {
-    std::vector<u32> torn_down;   // fail_link: victim ids (already closed)
-    std::vector<u32> torn_sizes;  // their sizes (parallel to torn_down)
+    std::vector<u32> torn_down;  // fail_link: victim ids (already closed)
     std::vector<WaitQueueManager::ServedTicket> served;
     std::vector<Recovered> recovered;
     /// Due times this call put on the agenda, in schedule order. A caller
@@ -160,7 +160,9 @@ class ControlPlane {
   /// Split served tickets into the caller's own and recovered victims.
   void absorb(const std::vector<WaitQueueManager::ServedTicket>& served,
               Effects& fx);
-  void note_recovered(const Recovered& r, Effects& fx);
+  /// Move `replacement`, just opened for victim `r.session`, onto the
+  /// victim's id and report the recovery.
+  void note_recovered(u32 replacement, const Recovered& r, Effects& fx);
 
   WaitQueueManager wait_;
   RecoveryPolicy policy_;

@@ -35,6 +35,20 @@ void fold_into_registry(const SessionStats& s) {
 
 }  // namespace
 
+SessionStats SessionStats::since(const SessionStats& earlier) const noexcept {
+  return SessionStats{attempts - earlier.attempts,
+                      accepted - earlier.accepted,
+                      blocked_placement - earlier.blocked_placement,
+                      blocked_capacity - earlier.blocked_capacity,
+                      blocked_fault - earlier.blocked_fault,
+                      closes - earlier.closes,
+                      joins - earlier.joins,
+                      joins_blocked - earlier.joins_blocked,
+                      joins_blocked_fault - earlier.joins_blocked_fault,
+                      leaves - earlier.leaves,
+                      interrupted - earlier.interrupted};
+}
+
 SessionManager::SessionManager(ConferenceNetworkBase& network,
                                PlacementPolicy policy, PlacerBackend backend)
     : network_(network), placer_(make_placer(network.n(), policy, backend)) {}
@@ -165,6 +179,20 @@ std::vector<u32> SessionManager::sessions_using(
     if (std::binary_search(sorted.begin(), sorted.end(), s.handle))
       ids.push_back(s.id);
   return ids;
+}
+
+void SessionManager::reinstate(u32 replacement, u32 retired) {
+  const auto from = find(replacement);
+  expects(from != sessions_.end() && retired < replacement &&
+              !contains(retired),
+          "reinstate needs a live session and an earlier id not live");
+  const u32 handle = from->handle;
+  sessions_.erase(from);
+  const auto at = std::lower_bound(
+      sessions_.begin(), sessions_.end(), retired,
+      [](const Session& s, u32 id) { return s.id < id; });
+  sessions_.insert(at, Session{retired, handle});
+  CONFNET_AUDIT_HOOK(audit::check_session_manager(*this));
 }
 
 // static_check: allow(audit-hook) delegates to close(), which audits

@@ -43,6 +43,9 @@ struct SessionStats {
 
   bool operator==(const SessionStats&) const = default;
 
+  /// Field-wise difference: the events counted since snapshot `earlier`.
+  [[nodiscard]] SessionStats since(const SessionStats& earlier) const noexcept;
+
   [[nodiscard]] double blocking_probability() const noexcept {
     return attempts == 0
                ? 0.0
@@ -51,6 +54,8 @@ struct SessionStats {
                      static_cast<double>(attempts);
   }
 };
+// since() names all 11 fields: a new field must be added there too.
+static_assert(sizeof(SessionStats) == 11 * sizeof(u64));
 
 class SessionManager {
  public:
@@ -111,12 +116,22 @@ class SessionManager {
   /// top of the regular close accounting).
   void interrupt(u32 session_id);
 
+  /// Fault recovery: move `replacement`, the session just opened for an
+  /// interrupted one, onto `retired`, the victim's id, so a conference
+  /// keeps one id for life. `retired` must be an earlier id that is not
+  /// live; the replacement's own id is never used again.
+  void reinstate(u32 replacement, u32 retired);
+
   /// Fabric handle of an open session (for design-specific queries such as
   /// ConferenceNetworkBase::stages_for).
   [[nodiscard]] u32 handle_of(u32 session_id) const;
 
   [[nodiscard]] u32 active_sessions() const noexcept {
     return static_cast<u32>(sessions_.size());
+  }
+  /// Ports held by live sessions (the placer's occupancy).
+  [[nodiscard]] u32 busy_ports() const noexcept {
+    return network_.size() - placer_->free_ports();
   }
   [[nodiscard]] const SessionStats& stats() const noexcept { return stats_; }
   [[nodiscard]] ConferenceNetworkBase& network() noexcept { return network_; }
@@ -139,7 +154,7 @@ class SessionManager {
   ConferenceNetworkBase& network_;
   std::unique_ptr<PlacerBase> placer_;
   // Live sessions, ascending by id. Ids are minted in increasing order, so
-  // an open appends; a close erases in place.
+  // an open appends; a close erases in place and reinstate() re-inserts.
   std::vector<Session> sessions_;
   std::vector<u32> ports_;  // placement scratch, reused by every open
   u32 next_session_ = 0;

@@ -86,14 +86,12 @@ struct CommandResult {
   /// Waiters admitted as a side effect of this command (a close freeing
   /// capacity, a repair restoring it).
   std::vector<conf::WaitQueueManager::ServedTicket> served;
-  /// kFailLink: victim session ids (already closed by the shard). A front
-  /// end tracking sessions by id (e.g. the cluster layer, whose spanning
-  /// legs are shard sessions) folds these into its own bookkeeping.
+  /// kFailLink: the victims not live when the command completes (pending
+  /// recovery or dropped). A victim comes back, now or after a later
+  /// command, under its own id, so a front end tracking sessions by id
+  /// (e.g. the cluster layer, whose legs are shard sessions) never
+  /// rewrites one.
   std::vector<u32> torn_sessions;
-  /// kFailLink/kRepairLink: victims restored under a fresh session id,
-  /// as (origin, replacement) pairs. The origin id is dead; the caller
-  /// rehomes its records onto the replacement.
-  std::vector<std::pair<u32, u32>> relocated;
 };
 
 /// One unit of work for a shard. Fields beyond `kind` are read per kind

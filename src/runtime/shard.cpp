@@ -17,12 +17,10 @@ namespace {
 constexpr std::size_t kMaxBurst = 64;
 constexpr std::size_t kInitialBurst = 16;
 
-/// Hand the waiters served and the victims recovered to the caller.
+/// Hand the waiters served to the caller (recovered victims keep their ids).
 void report(CommandResult& result, const conf::ControlPlane::Effects& fx) {
   result.served.insert(result.served.end(), fx.served.begin(),
                        fx.served.end());
-  for (const auto& r : fx.recovered)
-    result.relocated.emplace_back(r.origin, r.session);
 }
 }  // namespace
 
@@ -154,6 +152,8 @@ void Shard::apply(Command& cmd) {
   // Logical time only advances with commands, so the retries this command
   // made due run now and report through its result.
   report(result, control_.run_due(static_cast<double>(now_), rng_));
+  std::erase_if(result.torn_sessions,
+                [&](u32 sid) { return wait.sessions().contains(sid); });
   stats_.active_sessions = wait.sessions().active_sessions();
   // The process-wide tracer (no-op unless --trace armed it; Tracer::record
   // is thread-safe, so concurrent shards may interleave).

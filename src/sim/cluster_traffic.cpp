@@ -55,6 +55,9 @@ ClusterTrafficResult run_cluster_traffic(cluster::Cluster& cluster,
   expects(config.shard_weights.empty() ||
               config.shard_weights.size() == shards,
           "shard_weights must have one entry per shard");
+  expects(config.link_fault_rate <= 0.0 || n >= 2,
+          "link_fault_rate > 0 needs shards with interstage links "
+          "(stages >= 2)");
 
   std::vector<double> weights = config.shard_weights;
   if (weights.empty()) weights.assign(shards, 1.0);

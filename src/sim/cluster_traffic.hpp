@@ -42,7 +42,8 @@ struct ClusterTrafficConfig {
   double trunk_repair_rate = 1.0;
   /// Interstage-link fault process inside shards, same convention: events
   /// cluster-wide at `link_fault_rate`, each picking a shard by weight and
-  /// a healthy interstage link uniformly. 0 disables.
+  /// a healthy interstage link uniformly. 0 disables; > 0 needs
+  /// `stages >= 2` (a one-stage shard has no interstage link).
   double link_fault_rate = 0.0;
   double link_repair_rate = 1.0;
   /// A fault-interrupted conference is re-offered once with the same leg

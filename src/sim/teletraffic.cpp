@@ -1,7 +1,6 @@
 #include "sim/teletraffic.hpp"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 
 #include "min/faults.hpp"
@@ -60,7 +59,6 @@ TeletrafficResult run_teletraffic(conf::ConferenceNetworkBase& network,
   double last_t = config.warmup;
   double session_area = 0.0;
   double port_area = 0.0;
-  u32 busy_ports = 0;
   conf::SessionStats warm_start;  // stats snapshot at warmup end
   bool warm_snapshotted = false;
   util::RunningStats stages;
@@ -69,7 +67,7 @@ TeletrafficResult run_teletraffic(conf::ConferenceNetworkBase& network,
   const auto advance_area = [&](double now) {
     if (now <= last_t) return;
     session_area += manager.active_sessions() * (now - last_t);
-    port_area += static_cast<double>(busy_ports) * (now - last_t);
+    port_area += static_cast<double>(manager.busy_ports()) * (now - last_t);
     last_t = now;
   };
   const auto maybe_snapshot = [&] {
@@ -80,36 +78,26 @@ TeletrafficResult run_teletraffic(conf::ConferenceNetworkBase& network,
       session_area = port_area = 0.0;
     }
   };
+  // Each event first closes the warmup window (once) and the areas to now.
+  const auto observe = [&] {
+    maybe_snapshot();
+    advance_area(des.now());
+  };
 
   // --- Fault-recovery bookkeeping --------------------------------------
-  // A session recovered after an interruption comes back under a NEW
-  // session id; `redirect` chains origin -> replacement so the departure
-  // and churn events scheduled against the origin keep finding it.
-  std::map<u32, u32> redirect;
-  const auto resolve = [&](u32 sid) {
-    auto it = redirect.find(sid);
-    while (it != redirect.end()) {
-      sid = it->second;
-      it = redirect.find(sid);
-    }
-    return sid;
-  };
+  // A recovered session is live again under its own id, so the events
+  // scheduled against it keep finding it. Every control-plane call reports
+  // its recoveries and the retry due times it scheduled; each due time
+  // gets one wake event that runs the agenda up to it.
   util::RunningStats latency_stats;
-  // Every control-plane call reports its recoveries and the retry due
-  // times it scheduled; each due time gets one wake event that runs the
-  // agenda up to it.
   std::function<void()> wake;
   const auto note = [&](const conf::ControlPlane::Effects& fx) {
-    for (const auto& r : fx.recovered) {
-      redirect[r.origin] = r.session;
-      busy_ports += static_cast<u32>(manager.members_of(r.session).size());
+    for (const auto& r : fx.recovered)
       latency_stats.add(des.now() - r.failed_at);
-    }
     for (const double due : fx.scheduled) des.schedule(due, wake);
   };
   wake = [&] {
-    maybe_snapshot();
-    advance_area(des.now());
+    observe();
     note(control.run_due(des.now(), rng));
   };
 
@@ -156,40 +144,33 @@ TeletrafficResult run_teletraffic(conf::ConferenceNetworkBase& network,
 
   // --- Membership churn --------------------------------------------------
   // Per live session, joins and leaves arrive as independent Poisson
-  // processes; the session's departure invalidates the chain via `alive`.
-  std::function<void(u32, std::shared_ptr<bool>)> schedule_churn =
-      [&](u32 sid, std::shared_ptr<bool> alive) {
-        const double total = config.join_rate + config.leave_rate;
-        if (total <= 0.0) return;
-        des.schedule_in(rng.exponential(total), [&, sid, alive] {
-          if (!*alive) return;
-          const u32 live = resolve(sid);
-          // An interrupted session waiting for recovery has no membership
-          // to churn; its chain simply ends (recovered sessions restart
-          // with their original member count).
-          if (!manager.contains(live)) return;
-          const bool join =
-              rng.uniform() * (config.join_rate + config.leave_rate) <
-              config.join_rate;
-          if (join) {
-            const auto [r, port] = manager.join(live, rng);
-            if (r == conf::OpenResult::kAccepted) ++busy_ports;
-          } else {
-            const auto& members = manager.members_of(live);
-            if (members.size() > 2) {
-              const u32 port = members[rng.below(members.size())];
-              if (manager.leave(live, port)) --busy_ports;
-            }
-          }
-          schedule_churn(sid, alive);
-        });
-      };
+  // processes. Session ids are never reused, so the chain ends at the first
+  // event that finds its session not live: departed, or interrupted and
+  // waiting for recovery (if it comes back later, it has the member count
+  // it had at the fault and no churn chain).
+  std::function<void(u32)> schedule_churn = [&](u32 sid) {
+    const double total = config.join_rate + config.leave_rate;
+    if (total <= 0.0) return;
+    des.schedule_in(rng.exponential(total), [&, sid] {
+      if (!manager.contains(sid)) return;
+      const bool join =
+          rng.uniform() * (config.join_rate + config.leave_rate) <
+          config.join_rate;
+      if (join) {
+        (void)manager.join(sid, rng);
+      } else {
+        const auto& members = manager.members_of(sid);
+        if (members.size() > 2)
+          (void)manager.leave(sid, members[rng.below(members.size())]);
+      }
+      schedule_churn(sid);
+    });
+  };
 
   // --- Arrival process -------------------------------------------------
   // Follow-up wiring of one accepted open: occupancy, stage stats, talk
   // spurts, churn chain and the holding-time departure.
   const auto on_accepted = [&](u32 size, u32 sid) {
-    busy_ports += size;
     if (des.now() >= config.warmup)
       stages.add(network.stages_for(manager.handle_of(sid)));
 
@@ -201,25 +182,16 @@ TeletrafficResult run_teletraffic(conf::ConferenceNetworkBase& network,
       for (u32 m = 0; m < size; ++m) schedule_toggle(st, true);
     }
 
-    std::shared_ptr<bool> alive;
-    if (config.membership_churn) {
-      alive = std::make_shared<bool>(true);
-      schedule_churn(sid, alive);
-    }
+    if (config.membership_churn) schedule_churn(sid);
 
     const double hold = config.traffic.holding_time(rng);
-    des.schedule_in(hold, [&, sid, st, alive] {
-      maybe_snapshot();
-      advance_area(des.now());
-      if (alive) *alive = false;
-      const u32 live = resolve(sid);
-      if (manager.contains(live))
-        busy_ports -= static_cast<u32>(manager.members_of(live).size());
+    des.schedule_in(hold, [&, sid, st] {
+      observe();
       // The close goes through the wait queue so a departure can admit a
       // displaced session (with an empty queue this is exactly
       // manager.close, no RNG consumed). A session interrupted and still
       // unrecovered instead has its recovery expire.
-      note(control.close(live, rng));
+      note(control.close(sid, rng));
       if (st) {
         st->alive = false;
         const double now = des.now();
@@ -234,8 +206,7 @@ TeletrafficResult run_teletraffic(conf::ConferenceNetworkBase& network,
   };
 
   std::function<void()> arrival = [&] {
-    maybe_snapshot();
-    advance_area(des.now());
+    observe();
     const u32 size = config.traffic.conference_size(rng);
     const auto [outcome, session] = manager.open(size, rng);
     if (outcome == conf::OpenResult::kAccepted) on_accepted(size, *session);
@@ -257,15 +228,13 @@ TeletrafficResult run_teletraffic(conf::ConferenceNetworkBase& network,
   // Everything here (including the RNG draws) is gated on faults_on, so a
   // fault_rate == 0 run replays the exact zero-fault event stream.
   std::function<void(u32, u32)> repair_event = [&](u32 level, u32 row) {
-    maybe_snapshot();
-    advance_area(des.now());
+    observe();
     note(control.repair_link(level, row, rng));
     refresh_degraded();
   };
 
   std::function<void()> fault_event = [&] {
-    maybe_snapshot();
-    advance_area(des.now());
+    observe();
     const u32 n = network.n();
     const u32 N = network.size();
     // Sample a healthy interstage link (levels 1..n-1); bail out when
@@ -279,9 +248,7 @@ TeletrafficResult run_teletraffic(conf::ConferenceNetworkBase& network,
       found = !network.link_faulty(level, row);
     }
     if (found) {
-      const auto fx = control.fail_link(level, row, des.now(), rng);
-      for (u32 size : fx.torn_sizes) busy_ports -= size;
-      note(fx);
+      note(control.fail_link(level, row, des.now(), rng));
       refresh_degraded();
       des.schedule_in(rng.exponential(config.repair_rate),
                       [&, level, row] { repair_event(level, row); });
@@ -297,14 +264,7 @@ TeletrafficResult run_teletraffic(conf::ConferenceNetworkBase& network,
 
   // --- Reduce -----------------------------------------------------------
   const conf::SessionStats total = manager.stats();
-  result.stats.attempts = total.attempts - warm_start.attempts;
-  result.stats.accepted = total.accepted - warm_start.accepted;
-  result.stats.blocked_placement =
-      total.blocked_placement - warm_start.blocked_placement;
-  result.stats.blocked_capacity =
-      total.blocked_capacity - warm_start.blocked_capacity;
-  result.stats.blocked_fault = total.blocked_fault - warm_start.blocked_fault;
-  result.stats.interrupted = total.interrupted - warm_start.interrupted;
+  result.stats = total.since(warm_start);
   result.blocking_probability = result.stats.blocking_probability();
 
   const double observed = config.duration - config.warmup;

@@ -44,7 +44,7 @@ struct TeletrafficConfig {
 };
 
 struct TeletrafficResult {
-  conf::SessionStats stats;          // post-warmup attempts/blocks
+  conf::SessionStats stats;          // post-warmup counts, every field
   double blocking_probability = 0.0;
   double mean_active_sessions = 0.0;  // time-weighted (carried Erlangs)
   double mean_busy_ports = 0.0;       // time-weighted

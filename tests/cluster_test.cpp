@@ -25,6 +25,7 @@
 #include "conference/waitqueue.hpp"
 #include "sim/cluster_traffic.hpp"
 #include "util/audit.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -306,7 +307,7 @@ TEST(Cluster, TrunkFaultTearsDownCrossingSpansOnly) {
   c.stop();
 }
 
-TEST(Cluster, LinkFaultEitherRehomesOrTearsDownDeterministically) {
+TEST(Cluster, LinkFaultEitherRepacksOrTearsDownDeterministically) {
   cl::ClusterConfig cfg = small_config();
   cfg.dilation = 1;  // make interstage links scarce enough to matter
   cl::Cluster c(cfg);
@@ -324,7 +325,7 @@ TEST(Cluster, LinkFaultEitherRehomesOrTearsDownDeterministically) {
   for (u32 row = 0; row < 16 && interrupted_total == 0; ++row) {
     const auto torn = c.fail_link(1, 1, row);
     interrupted_total += torn.size();
-    // Whatever happened — rehomed legs, torn conferences, or nothing —
+    // Whatever happened — repacked legs, torn conferences, or nothing —
     // the cluster must stay conserving and oracle-equivalent.
     EXPECT_NO_THROW(audit::check_cluster(c));
     EXPECT_NO_THROW(c.cross_check());
@@ -335,6 +336,43 @@ TEST(Cluster, LinkFaultEitherRehomesOrTearsDownDeterministically) {
                 (c.active_conferences() + s.span_closes + s.intra_closes),
             s.span_accepted + s.intra_accepted)
       << "every accepted conference must be live, closed, or interrupted";
+  c.stop();
+}
+
+TEST(Cluster, LinkFaultsLeaveSurvivingLegsOnTheirAdmittedSessions) {
+  // Shard 0 is half full (8 of 16 ports), so most victims repack in place.
+  // A repacked leg keeps its shard session id: every conference that
+  // survives a fault still names exactly the legs it was admitted with.
+  cl::Cluster c(small_config());
+  c.start();
+  std::map<u64, std::vector<cl::Cluster::Leg>> admitted;
+  for (const auto& legs : {span({{0, 2}, {1, 2}}), span({{0, 3}}),
+                           span({{0, 1}, {2, 2}, {3, 1}})}) {
+    const cl::OpenReport r = c.open(legs);
+    ASSERT_EQ(r.result, cl::Admit::kAccepted);
+    admitted[r.id] = c.conferences().back().second.legs;
+  }
+  for (u32 level = 1; level < 4; ++level) {
+    for (u32 row = 0; row < 16; ++row) {
+      for (const u64 id : c.fail_link(0, level, row)) admitted.erase(id);
+      ASSERT_EQ(c.active_conferences(), admitted.size());
+      for (const auto& [id, conference] : c.conferences()) {
+        const std::vector<cl::Cluster::Leg>& legs = admitted.at(id);
+        ASSERT_EQ(conference.legs.size(), legs.size());
+        for (std::size_t i = 0; i < legs.size(); ++i) {
+          EXPECT_EQ(conference.legs[i].shard, legs[i].shard);
+          EXPECT_EQ(conference.legs[i].session, legs[i].session)
+              << "conference " << id << " at (" << level << "," << row
+              << ")";
+          EXPECT_EQ(conference.legs[i].members, legs[i].members);
+        }
+      }
+      ASSERT_NO_THROW(c.cross_check());
+      ASSERT_TRUE(c.repair_link(0, level, row));
+    }
+  }
+  EXPECT_GT(c.runtime_snapshot().shards[0].recovery.recovered_inplace, 0u);
+  EXPECT_FALSE(admitted.empty());
   c.stop();
 }
 
@@ -756,6 +794,17 @@ TEST(ClusterTraffic, SkewedRegionsAndFaultsKeepConservation) {
   EXPECT_GT(snap.shards[0].opens, snap.shards[3].opens);
   EXPECT_NO_THROW(c.cross_check());
   c.stop();
+}
+
+TEST(ClusterTraffic, LinkFaultsOnOneStageShardsAreRefusedUpFront) {
+  // A one-stage shard has no interstage link to fail: the driver refuses
+  // the configuration instead of drawing a level from an empty range.
+  cl::ClusterConfig cc = small_config(2);
+  cc.stages = 1;
+  cl::Cluster c(cc);
+  sim::ClusterTrafficConfig cfg = traffic_config(5);
+  cfg.link_fault_rate = 0.05;
+  EXPECT_THROW((void)sim::run_cluster_traffic(c, cfg), confnet::Error);
 }
 
 TEST(ClusterTraffic, RepairGatedRetryQueueKeepsConservation) {

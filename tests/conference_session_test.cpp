@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/error.hpp"
 
 namespace confnet::conf {
@@ -105,6 +107,44 @@ TEST(Session, StatsAccumulate) {
   EXPECT_EQ(mgr.stats().accepted + mgr.stats().blocked_placement +
                 mgr.stats().blocked_capacity,
             10u);
+}
+
+TEST(Session, ReinstateMovesAReplacementOntoItsRetiredId) {
+  DirectConferenceNetwork net(Kind::kOmega, 4, DilationProfile::full(4));
+  SessionManager mgr(net, PlacementPolicy::kFirstFit);
+  util::Rng rng(7);
+  const u32 a = *mgr.open(2, rng).second;
+  const u32 b = *mgr.open(3, rng).second;
+  mgr.interrupt(a);
+  const u32 replacement = *mgr.open(2, rng).second;
+  const std::vector<u32> members = mgr.members_of(replacement);
+  // Neither a live id nor one never minted can take a replacement.
+  EXPECT_THROW(mgr.reinstate(replacement, b), Error);
+  EXPECT_THROW(mgr.reinstate(replacement, replacement + 1), Error);
+  mgr.reinstate(replacement, a);
+  EXPECT_TRUE(mgr.contains(a));
+  EXPECT_FALSE(mgr.contains(replacement));
+  EXPECT_EQ(mgr.members_of(a), members);
+  EXPECT_EQ(mgr.active_sessions(), 2u);
+  // The replacement id stays retired: the next open mints a fresh one.
+  EXPECT_GT(*mgr.open(2, rng).second, replacement);
+}
+
+TEST(Session, BusyPortsCountEveryLiveMember) {
+  DirectConferenceNetwork net(Kind::kIndirectCube, 4,
+                              DilationProfile::full(4));
+  SessionManager mgr(net, PlacementPolicy::kRandom);
+  util::Rng rng(8);
+  EXPECT_EQ(mgr.busy_ports(), 0u);
+  const u32 a = *mgr.open(3, rng).second;
+  const u32 b = *mgr.open(4, rng).second;
+  EXPECT_EQ(mgr.busy_ports(), 7u);
+  ASSERT_EQ(mgr.join(a, rng).first, OpenResult::kAccepted);
+  EXPECT_EQ(mgr.busy_ports(), 8u);
+  ASSERT_TRUE(mgr.leave(b, mgr.members_of(b).front()));
+  EXPECT_EQ(mgr.busy_ports(), 7u);
+  mgr.close(a);
+  EXPECT_EQ(mgr.busy_ports(), 3u);
 }
 
 }  // namespace

@@ -191,20 +191,23 @@ TEST(Recovery, ImmediateRepackMovesVictimToHealthyWindow) {
 
   const auto fx = plane.fail_link(0, 0, 1.0, rng);
   ASSERT_EQ(fx.torn_down, std::vector<u32>{*a.session});
-  ASSERT_EQ(fx.torn_sizes, std::vector<u32>{2u});
   ASSERT_EQ(fx.recovered.size(), 1u);
   EXPECT_TRUE(fx.served.empty());
   EXPECT_TRUE(fx.scheduled.empty());
   EXPECT_FALSE(plane.next_due().has_value());
   const auto& r = fx.recovered.front();
-  EXPECT_EQ(r.origin, *a.session);
+  EXPECT_EQ(r.session, *a.session);
   EXPECT_EQ(r.size, 2u);
   EXPECT_EQ(r.attempt, 0u);
   EXPECT_DOUBLE_EQ(r.failed_at, 1.0);
-  // The replacement lives on a healthy window away from the dead port.
-  ASSERT_TRUE(wait.sessions().contains(r.session));
-  EXPECT_TRUE(net.conference_survives(wait.sessions().handle_of(r.session)));
-  for (u32 port : wait.sessions().members_of(r.session)) EXPECT_NE(port, 0u);
+  // The victim is live again under its own id, on a healthy window away
+  // from the dead port; no replacement id is live beside it.
+  ASSERT_TRUE(wait.sessions().contains(*a.session));
+  EXPECT_EQ(wait.sessions().active_sessions(), 1u);
+  EXPECT_TRUE(
+      net.conference_survives(wait.sessions().handle_of(*a.session)));
+  for (u32 port : wait.sessions().members_of(*a.session))
+    EXPECT_NE(port, 0u);
 
   const RecoveryStats& s = plane.stats();
   EXPECT_EQ(s.link_failures, 1u);
@@ -248,9 +251,13 @@ TEST(Recovery, VictimWaitsInQueueAndReturnsOnDeparture) {
   EXPECT_TRUE(closed.served.empty());
   ASSERT_EQ(closed.recovered.size(), 1u);
   const auto& r = closed.recovered.front();
-  EXPECT_EQ(r.origin, *a.session);
+  EXPECT_EQ(r.session, *a.session);
   EXPECT_DOUBLE_EQ(r.failed_at, 2.0);
-  EXPECT_TRUE(net.conference_survives(wait.sessions().handle_of(r.session)));
+  // Back under its own id, on a healthy window; C is gone, B stays.
+  ASSERT_TRUE(wait.sessions().contains(*a.session));
+  EXPECT_EQ(wait.sessions().active_sessions(), 2u);
+  EXPECT_TRUE(
+      net.conference_survives(wait.sessions().handle_of(*a.session)));
 
   const RecoveryStats& s = plane.stats();
   EXPECT_EQ(s.sessions_interrupted, 1u);
@@ -279,7 +286,8 @@ TEST(Recovery, RepairDrainsTheWaitQueue) {
   const auto fx = plane.repair_link(0, 0, rng);
   ASSERT_EQ(fx.recovered.size(), 1u);
   EXPECT_TRUE(fx.served.empty());
-  EXPECT_EQ(fx.recovered.front().origin, *a.session);
+  EXPECT_EQ(fx.recovered.front().session, *a.session);
+  EXPECT_TRUE(wait.sessions().contains(*a.session));
   EXPECT_DOUBLE_EQ(fx.recovered.front().failed_at, 2.0);
   EXPECT_EQ(plane.stats().link_repairs, 1u);
   EXPECT_EQ(plane.stats().recovered_after_wait, 1u);
@@ -315,10 +323,10 @@ TEST(Recovery, FailureDrainHandsFreedRoomToTheQueueHead) {
       if (fx.torn_down != std::vector<u32>{*c.session}) continue;
       ++scenarios;
       ASSERT_EQ(fx.recovered.size(), 1u) << level << "," << row;
-      EXPECT_EQ(fx.recovered.front().origin, *a.session);
+      EXPECT_EQ(fx.recovered.front().session, *a.session);
       EXPECT_DOUBLE_EQ(fx.recovered.front().failed_at, 1.0);
       EXPECT_TRUE(fx.served.empty());
-      for (u32 port : wait.sessions().members_of(fx.recovered.front().session))
+      for (u32 port : wait.sessions().members_of(*a.session))
         EXPECT_GE(port, 4u);
       EXPECT_EQ(plane.stats().recovered_after_wait, 1u);
       EXPECT_EQ(plane.pending(), 1u);  // C waits in turn
@@ -394,10 +402,15 @@ TEST(Recovery, RetrySucceedsOnceCapacityReturns) {
   EXPECT_TRUE(plane.close(*b.session, rng).recovered.empty());
   const auto run = plane.run_due(1.5, rng);
   ASSERT_EQ(run.recovered.size(), 1u);
-  EXPECT_EQ(run.recovered.front().origin, *a.session);
+  EXPECT_EQ(run.recovered.front().session, *a.session);
   EXPECT_EQ(run.recovered.front().attempt, 1u);
   EXPECT_EQ(plane.stats().recovered_after_retry, 1u);
   EXPECT_EQ(plane.pending(), 0u);
+  // Back under its own id, on B's old (healthy) block.
+  ASSERT_TRUE(wait.sessions().contains(*a.session));
+  EXPECT_EQ(wait.sessions().active_sessions(), 1u);
+  EXPECT_TRUE(
+      net.conference_survives(wait.sessions().handle_of(*a.session)));
   EXPECT_TRUE(net.verify_delivery());
 }
 
@@ -463,13 +476,11 @@ TEST(RecoveryAgenda, EqualDueTimesRunInScheduleOrder) {
   // first and the buddy placer hands it the lowest block.
   const auto run = t.plane.run_due(1.5, t.rng);
   ASSERT_EQ(run.recovered.size(), 2u);
-  EXPECT_EQ(run.recovered[0].origin, t.a);
-  EXPECT_EQ(run.recovered[1].origin, t.b);
+  EXPECT_EQ(run.recovered[0].session, t.a);
+  EXPECT_EQ(run.recovered[1].session, t.b);
   const SessionManager& sessions = t.plane.wait().sessions();
-  EXPECT_EQ(sessions.members_of(run.recovered[0].session),
-            (std::vector<u32>{0, 1}));
-  EXPECT_EQ(sessions.members_of(run.recovered[1].session),
-            (std::vector<u32>{2, 3}));
+  EXPECT_EQ(sessions.members_of(t.a), (std::vector<u32>{0, 1}));
+  EXPECT_EQ(sessions.members_of(t.b), (std::vector<u32>{2, 3}));
 }
 
 TEST(RecoveryAgenda, RunDueLeavesLaterEntriesInPlace) {

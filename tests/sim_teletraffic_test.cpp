@@ -215,6 +215,31 @@ TEST(Teletraffic, ChurnKeepsDirectFabricConsistent) {
   EXPECT_GT(r.leaves, 0u);
 }
 
+TEST(Teletraffic, PostWarmupStatsDiffEveryField) {
+  // Churn and a fault process move every SessionStats field; each
+  // post-warmup count is the whole-run count less the warmup snapshot, so
+  // it is positive here and no larger than the whole-run figure.
+  DirectConferenceNetwork net(Kind::kIndirectCube, 6,
+                              DilationProfile::full(6));
+  TeletrafficConfig c = base_config();
+  c.policy = PlacementPolicy::kRandom;
+  c.membership_churn = true;
+  c.join_rate = 2.0;
+  c.leave_rate = 1.0;
+  c.duration = 300.0;
+  c.fault_rate = 0.2;
+  const TeletrafficResult r = run_teletraffic(net, c);
+  EXPECT_GT(r.stats.closes, 0u);
+  EXPECT_GT(r.stats.joins, 0u);
+  EXPECT_GT(r.stats.leaves, 0u);
+  EXPECT_GT(r.stats.interrupted, 0u);
+  EXPECT_LE(r.stats.joins, r.joins);
+  EXPECT_LE(r.stats.joins_blocked, r.joins_blocked);
+  EXPECT_LE(r.stats.leaves, r.leaves);
+  EXPECT_LE(r.stats.interrupted, r.sessions_interrupted);
+  EXPECT_LE(r.stats.joins_blocked_fault, r.stats.joins_blocked);
+}
+
 TEST(Teletraffic, ConfigValidation) {
   DirectConferenceNetwork net(Kind::kOmega, 3, DilationProfile::full(3));
   TeletrafficConfig c = base_config();

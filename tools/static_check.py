@@ -158,7 +158,7 @@ AUDIT_CONTRACT: dict[str, list[str]] = {
         "fail_link", "repair_link",
     ],
     "SessionManager": [
-        "open", "close", "join", "leave", "interrupt",
+        "open", "close", "join", "leave", "interrupt", "reinstate",
     ],
     "WaitQueueManager": [
         "request", "close", "process_queue", "drain", "abandon",
