@@ -141,9 +141,9 @@ void emit_tables() {
       const sim::TeletrafficResult r = sim::run_teletraffic(net, c);
       t.row()
           .cell(fault_rate, 2)
-          .cell(r.sessions_interrupted)
-          .cell(r.sessions_recovered)
-          .cell(r.sessions_dropped)
+          .cell(r.recovery.sessions_interrupted)
+          .cell(r.recovery.recovered())
+          .cell(r.recovery.dropped)
           .cell(r.dropped_session_rate, 4)
           .cell(r.recovery_latency.mean, 4)
           .cell(r.degraded_fraction, 5);
@@ -220,10 +220,10 @@ void BM_TeletrafficRecovery(benchmark::State& state) {
     c.fault_rate = 0.25;
     c.repair_rate = 1.0;
     const sim::TeletrafficResult r = sim::run_teletraffic(net, c);
-    benchmark::DoNotOptimize(r.sessions_recovered);
+    benchmark::DoNotOptimize(r.recovery.recovered());
     state.counters["interrupted"] =
-        static_cast<double>(r.sessions_interrupted);
-    state.counters["recovered"] = static_cast<double>(r.sessions_recovered);
+        static_cast<double>(r.recovery.sessions_interrupted);
+    state.counters["recovered"] = static_cast<double>(r.recovery.recovered());
   }
 }
 BENCHMARK(BM_TeletrafficRecovery);

@@ -179,7 +179,7 @@ std::vector<u32> populate_propagation_state(sw::FabricState& fabric, u32 n) {
 void BM_PropagateReference(benchmark::State& state) {
   const u32 n = static_cast<u32>(state.range(0));
   const min::Network net(Kind::kIndirectCube, n);
-  sw::FabricState fabric(net, sw::FabricConfig{u32{1} << n, true, true});
+  sw::FabricState fabric(net, std::vector<u32>(n + 1, u32{1} << n));
   const std::vector<u32> ids = populate_propagation_state(fabric, n);
   std::vector<sw::GroupRealization> groups;
   for (u32 id : ids) groups.push_back(fabric.realization(id));
@@ -209,13 +209,13 @@ void BM_PropagateReference(benchmark::State& state) {
 BENCHMARK(BM_PropagateReference)->DenseRange(6, 10, 2);
 
 // The teletraffic simulation's pattern: one group changes (here: replaced by
-// its own member list, which re-derives its rows, dead links and fan flag),
+// its own member list, which re-derives its rows and dead links),
 // then the periodic delivery check runs over the whole fabric, reading
 // every group's counters.
 void BM_DeliveryCheckChurn(benchmark::State& state) {
   const u32 n = static_cast<u32>(state.range(0));
   const min::Network net(Kind::kIndirectCube, n);
-  sw::FabricState fabric(net, sw::FabricConfig{u32{1} << n, true, true});
+  sw::FabricState fabric(net, std::vector<u32>(n + 1, u32{1} << n));
   const std::vector<u32> ids = populate_propagation_state(fabric, n);
   std::size_t next = 0;
   for (auto _ : state) {

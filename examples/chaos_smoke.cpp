@@ -96,27 +96,27 @@ int main(int argc, char** argv) {
         sim::TeletrafficConfig c = base;
         c.seed = seed;
         const sim::TeletrafficResult r = sim::run_teletraffic(*net, c);
+        const conf::RecoveryStats& rs = r.recovery;
         ++runs;
-        total_failures += r.link_failures;
-        total_interrupted += r.sessions_interrupted;
-        total_recovered += r.sessions_recovered;
-        total_dropped += r.sessions_dropped;
+        total_failures += rs.link_failures;
+        total_interrupted += rs.sessions_interrupted;
+        total_recovered += rs.recovered();
+        total_dropped += rs.dropped;
 
         std::string failed;
         if (!r.functional_ok) failed += " functional-check";
-        if (r.sessions_interrupted !=
-            r.sessions_recovered + r.sessions_dropped + r.sessions_expired +
-                r.recovery_pending)
+        if (rs.sessions_interrupted !=
+            rs.recovered() + rs.dropped + rs.expired + r.recovery_pending)
           failed += " interrupt-conservation";
         if (!net->verify_delivery()) failed += " incremental-delivery";
         if (!net->verify_delivery_reference()) failed += " oracle-delivery";
-        if (c.fault_rate > 0.0 && r.link_failures == 0)
+        if (c.fault_rate > 0.0 && rs.link_failures == 0)
           failed += " no-faults-injected";
         std::cout << net->name() << " seed " << seed << ": "
-                  << r.link_failures << " failures, "
-                  << r.sessions_interrupted << " interrupted, "
-                  << r.sessions_recovered << " recovered, "
-                  << r.sessions_dropped << " dropped, degraded fraction "
+                  << rs.link_failures << " failures, "
+                  << rs.sessions_interrupted << " interrupted, "
+                  << rs.recovered() << " recovered, "
+                  << rs.dropped << " dropped, degraded fraction "
                   << r.degraded_fraction
                   << (failed.empty() ? " [ok]" : " [FAIL:" + failed + "]")
                   << "\n";

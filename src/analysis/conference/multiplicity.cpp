@@ -367,7 +367,7 @@ MonteCarloResult monte_carlo_multiplicity(Kind kind, u32 n,
     // verification is on.
     std::optional<sw::FabricState> fabric;
     if (verify_delivery)
-      fabric.emplace(min::Network(kind, n), sw::FabricConfig{N, true, true});
+      fabric.emplace(min::Network(kind, n), std::vector<u32>(n + 1, N));
     std::vector<u32> admitted;
     for (std::size_t t = begin; t < end; ++t) {
       util::Rng trial_rng = trial_rngs[t];

@@ -84,19 +84,17 @@ bool admitted(sw::Admission verdict, SetupError& error) {
 }
 }  // namespace
 
-FabricConferenceNetwork::FabricConferenceNetwork(min::Kind kind, u32 n,
-                                                 DilationProfile dilation,
-                                                 bool relay)
-    : dilation_(std::move(dilation)),
-      relay_(relay),
-      state_(min::Network(kind, n), dilation_.channels()) {
-  expects(dilation_.n() == n, "dilation profile size mismatch");
+FabricConferenceNetwork::FabricConferenceNetwork(
+    min::Kind kind, u32 n, const DilationProfile& dilation, bool relay)
+    : dilation_label_(dilation.label()),
+      state_(min::Network(kind, n), dilation.channels(), relay) {
+  expects(dilation.n() == n, "dilation profile size mismatch");
 }
 
 std::string FabricConferenceNetwork::name() const {
-  if (relay_) return "enhanced-cube";
+  if (relays()) return "enhanced-cube";
   return "direct-" + std::string(min::kind_name(kind())) + "(" +
-         dilation_.label() + ")";
+         dilation_label_ + ")";
 }
 
 std::optional<u32> FabricConferenceNetwork::setup(
@@ -113,8 +111,7 @@ std::optional<u32> FabricConferenceNetwork::setup(
   std::sort(scratch_.begin(), scratch_.end());
   // With the relay on, links keep one channel: a conflict means the
   // placement was not aligned (or the fabric is genuinely oversubscribed).
-  if (!admitted(state_.try_add(handles_.peek(), scratch_, relay_),
-                last_error_))
+  if (!admitted(state_.try_add(handles_.peek(), scratch_), last_error_))
     return std::nullopt;
   const u32 handle = handles_.take();
   CONFNET_AUDIT_HOOK(audit::check_fabric_network(*this));
@@ -240,11 +237,7 @@ void check_fabric_network(const conf::FabricConferenceNetwork& net) {
     member_sets.push_back(members);
     for (u32 m : members)
       require(m < net.size(), kSub, "active member row out of range");
-    if (!net.relay_) {
-      require(state.tap_level(id) == sw::GroupRealization::kNoTap, kSub,
-              "direct design must not carry a relay tap");
-      return;
-    }
+    if (!state.relays()) return;
     // The realization the fabric derives is the enhanced-cube one.
     const sw::GroupRealization g = state.realization(id);
     const conf::EnhancedRealization fresh =
@@ -260,8 +253,6 @@ void check_fabric_network(const conf::FabricConferenceNetwork& net) {
           "admitted conferences exceed link channel capacity");
   check_fabric_state(state);
   for (u32 level = 0; level <= net.n(); ++level) {
-    require(state.capacity()[level] == net.dilation_.channels(level), kSub,
-            "fabric capacity diverges from the dilation profile");
     // R1 on live state: at most min(2^l, 2^(n-l)) disjoint ALL_PAIRS
     // conferences share a level-l link, whatever the dilation allows.
     require(state.level_peak_load(level) <= min::r1_bound(net.n(), level),
@@ -269,7 +260,7 @@ void check_fabric_network(const conf::FabricConferenceNetwork& net) {
   }
   // The paper's claim, machine-checked on live state: relayed conferences
   // never share an interstage link.
-  if (net.relay_)
+  if (state.relays())
     check_link_disjoint(group_links, net.n() + 1, net.size(), kSub);
 }
 

@@ -23,7 +23,6 @@
 #include <span>
 #include <string>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "conference/conference.hpp"
@@ -213,7 +212,7 @@ class FabricConferenceNetwork : public ConferenceNetworkBase {
   [[nodiscard]] bool verify_delivery() const override;
   [[nodiscard]] bool verify_delivery_reference() const override;
   [[nodiscard]] u32 stages_for(u32 handle) const override {
-    return relay_ ? tap_level(handle) : n();
+    return relays() ? tap_level(handle) : n();
   }
   [[nodiscard]] bool add_member(u32 handle, u32 port) override;
   [[nodiscard]] bool remove_member(u32 handle, u32 port) override;
@@ -224,7 +223,7 @@ class FabricConferenceNetwork : public ConferenceNetworkBase {
 
   /// True iff every conference is relayed out at its mux tap level (the
   /// enhanced cube); false when members listen at level n.
-  [[nodiscard]] bool relays() const noexcept { return relay_; }
+  [[nodiscard]] bool relays() const noexcept { return state_.relays(); }
   /// Mux tap level of an active relayed conference (latency figure: it
   /// traverses tap_level stages instead of n).
   [[nodiscard]] u32 tap_level(u32 handle) const;
@@ -249,16 +248,15 @@ class FabricConferenceNetwork : public ConferenceNetworkBase {
  protected:
   /// `dilation` is the per-level capacity; `relay` (indirect cube only)
   /// taps every conference at min::cube_tap_level of its members.
-  FabricConferenceNetwork(min::Kind kind, u32 n, DilationProfile dilation,
-                          bool relay);
+  FabricConferenceNetwork(min::Kind kind, u32 n,
+                          const DilationProfile& dilation, bool relay);
 
  private:
   friend void audit::check_fabric_network(
       const ::confnet::conf::FabricConferenceNetwork&);
 
-  DilationProfile dilation_;
-  bool relay_;
-  sw::FabricState state_;  // owns the member lists + link loads
+  std::string dilation_label_;  // the profile's; the fabric holds its table
+  sw::FabricState state_;       // owns the member lists + link loads
   HandlePool handles_;
   SetupError last_error_ = SetupError::kPortBusy;
   // Admission scratch: each mutation builds its member list here and the
@@ -270,8 +268,9 @@ class FabricConferenceNetwork : public ConferenceNetworkBase {
 /// channels per interstage link, no relay.
 class DirectConferenceNetwork final : public FabricConferenceNetwork {
  public:
-  DirectConferenceNetwork(min::Kind kind, u32 n, DilationProfile dilation)
-      : FabricConferenceNetwork(kind, n, std::move(dilation), false) {}
+  DirectConferenceNetwork(min::Kind kind, u32 n,
+                          const DilationProfile& dilation)
+      : FabricConferenceNetwork(kind, n, dilation, false) {}
 };
 
 /// Yang's enhanced indirect cube: one channel per link, every conference

@@ -30,11 +30,10 @@ namespace confnet::conf {
 
 /// Knobs for the retry/backoff recovery path.
 struct RecoveryPolicy {
-  std::size_t queue_capacity = 16;  // wait-queue slots for displaced sessions
-  u32 max_retries = 3;              // re-admissions after a full queue
-  double base_backoff = 0.5;        // delay before the first retry
+  u32 max_retries = 3;        // re-admissions after a full queue
+  double base_backoff = 0.5;  // delay before the first retry
   double backoff_multiplier = 2.0;
-  double max_backoff = 8.0;         // bound on the exponential growth
+  double max_backoff = 8.0;   // bound on the exponential growth
 
   /// Delay before retry number `attempt` (1-based): bounded exponential.
   [[nodiscard]] double backoff_delay(u32 attempt) const noexcept {

@@ -73,15 +73,11 @@ LevelLinks fanin_tree_links(min::Kind kind, u32 n,
   return path_union_links(kind, n, members, std::span(&root, 1));
 }
 
-u32 cube_completion_level(u32 n, const std::vector<u32>& members) {
-  check_members(n, members);
-  return min::cube_tap_level(members);
-}
-
 EnhancedRealization enhanced_cube_realization(
     u32 n, const std::vector<u32>& members) {
   EnhancedRealization real;
-  real.tap_level = cube_completion_level(n, members);
+  check_members(n, members);
+  real.tap_level = min::cube_tap_level(members);
   std::vector<u32> parts;
   min::path_union(min::Kind::kIndirectCube, n, members, members,
                   real.tap_level, real.links, parts);

@@ -61,12 +61,6 @@ using LevelLinks = min::LevelLinks;
                                           const std::vector<u32>& members,
                                           u32 root);
 
-/// Level at which the combined signal of `members` is complete on every
-/// used row of the indirect binary cube (the mux-relay tap level): the
-/// number of low-order bits in which members disagree. Equals the aligned
-/// span bits; n at worst.
-[[nodiscard]] u32 cube_completion_level(u32 n, const std::vector<u32>& members);
-
 /// The enhanced (Yang 2001) realization on the indirect binary cube:
 /// ALL_PAIRS links truncated at the completion level, where every member
 /// taps its own row through its output multiplexer.

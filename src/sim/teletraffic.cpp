@@ -12,6 +12,9 @@ namespace confnet::sim {
 
 namespace {
 
+/// Hold-queue slots for the sessions a link fault displaces.
+constexpr std::size_t kRecoveryQueueSlots = 16;
+
 /// Talk-spurt state of one live session.
 struct SpurtState {
   bool alive = true;
@@ -48,7 +51,7 @@ TeletrafficResult run_teletraffic(conf::ConferenceNetworkBase& network,
   expects(!faults_on || (network.supports_faults() && network.n() >= 2),
           "fault_rate > 0 needs a fault-capable design with interstage links");
   conf::ControlPlane control(network, config.recovery, config.policy,
-                             faults_on ? config.recovery.queue_capacity : 0);
+                             faults_on ? kRecoveryQueueSlots : 0);
   conf::SessionManager& manager = control.wait().sessions();
   TalkSpurtProcess spurts(config.mean_talk, config.mean_silence);
 
@@ -281,12 +284,7 @@ TeletrafficResult run_teletraffic(conf::ConferenceNetworkBase& network,
   result.leaves = total.leaves;
   if (faults_on) {
     const conf::RecoveryStats& rs = control.stats();
-    result.link_failures = rs.link_failures;
-    result.link_repairs = rs.link_repairs;
-    result.sessions_interrupted = rs.sessions_interrupted;
-    result.sessions_recovered = rs.recovered();
-    result.sessions_dropped = rs.dropped;
-    result.sessions_expired = rs.expired;
+    result.recovery = rs;
     result.recovery_pending = control.pending();
     result.dropped_session_rate =
         rs.sessions_interrupted == 0

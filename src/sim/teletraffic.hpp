@@ -61,13 +61,9 @@ struct TeletrafficResult {
   std::uint64_t joins = 0;
   std::uint64_t joins_blocked = 0;
   std::uint64_t leaves = 0;
-  /// Availability accounting (whole run; all zero when fault_rate == 0).
-  std::uint64_t link_failures = 0;
-  std::uint64_t link_repairs = 0;
-  std::uint64_t sessions_interrupted = 0;
-  std::uint64_t sessions_recovered = 0;
-  std::uint64_t sessions_dropped = 0;
-  std::uint64_t sessions_expired = 0;
+  /// Availability accounting (whole run; all zero when fault_rate == 0):
+  /// the control plane's own recovery counts.
+  conf::RecoveryStats recovery;
   std::uint64_t recovery_pending = 0;  // still in flight at the end
   /// Dropped / interrupted (0 when nothing was interrupted).
   double dropped_session_rate = 0.0;

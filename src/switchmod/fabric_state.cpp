@@ -42,15 +42,17 @@ void for_each_delta(const min::LevelLinks& a, const min::LevelLinks& b,
 }
 }  // namespace
 
-FabricState::FabricState(min::Network net, FabricConfig config)
-    : net_(std::move(net)),
-      fan_in_(config.fan_in),
-      fan_out_(config.fan_out),
-      faults_(net_.n()),
+FabricState::FabricState(min::Network net, std::span<const u32> capacity,
+                         bool relay)
+    : net_(std::move(net)), relay_(relay), faults_(net_.n()),
       busy_(net_.size()) {
-  expects(config.channels_per_link >= 1,
-          "FabricState needs at least one channel per link");
-  capacity_.fill(config.channels_per_link);
+  expects(capacity.size() == static_cast<std::size_t>(net_.n()) + 1,
+          "FabricState capacity needs n+1 levels");
+  for (u32 c : capacity)
+    expects(c >= 1, "FabricState needs at least one channel per link");
+  expects(!relay || net_.kind() == min::Kind::kIndirectCube,
+          "a relay tap needs the indirect cube");
+  std::copy(capacity.begin(), capacity.end(), capacity_.begin());
   if (r2_capable()) {
     r2_ = true;
     claimed_ = util::DynBitset(net_.size());
@@ -59,18 +61,8 @@ FabricState::FabricState(min::Network net, FabricConfig config)
   }
 }
 
-FabricState::FabricState(min::Network net, std::span<const u32> capacity,
-                         bool fan_in, bool fan_out)
-    : FabricState(std::move(net), FabricConfig{1, fan_in, fan_out}) {
-  expects(capacity.size() == static_cast<std::size_t>(net_.n()) + 1,
-          "FabricState capacity needs n+1 levels");
-  for (u32 c : capacity)
-    expects(c >= 1, "FabricState needs at least one channel per link");
-  std::copy(capacity.begin(), capacity.end(), capacity_.begin());
-}
-
 bool FabricState::r2_capable() const noexcept {
-  return !min::has_block_block_windows(net_.kind()) && fan_in_ && fan_out_;
+  return !min::has_block_block_windows(net_.kind());
 }
 
 bool FabricState::r2_claim(std::span<const u32> old,
@@ -95,7 +87,7 @@ void FabricState::leave_r2() {
   if (load_.empty()) load_.assign(std::size_t{net_.n() + 1} * net_.size(), 0);
   for (const Entry& entry : entries_) {
     if (!live(entry)) continue;
-    derive(entry.members, entry.tap_level, rows_, parts_);
+    derive(entry.members, rows_, parts_);
     apply_load(rows_, true);
   }
 }
@@ -114,24 +106,21 @@ void FabricState::expect_members_free(std::span<const u32> old,
             "groups must be pairwise disjoint");
 }
 
-void FabricState::derive(std::span<const u32> members, u32 tap_level,
-                         min::LevelLinks& rows,
-                         std::vector<u32>& parts) const {
-  min::path_union(net_.kind(), net_.n(), members, members,
-                  tap_level == GroupRealization::kNoTap ? net_.n() : tap_level,
-                  rows, parts);
+u32 FabricState::tap_of(std::span<const u32> members) const {
+  return relay_ ? min::cube_tap_level(members) : GroupRealization::kNoTap;
 }
 
-u32 FabricState::swap_tap(const Entry& entry, std::span<const u32> members) {
-  return entry.tap_level == GroupRealization::kNoTap
-             ? GroupRealization::kNoTap
-             : min::cube_tap_level(members);
+void FabricState::derive(std::span<const u32> members, min::LevelLinks& rows,
+                         std::vector<u32>& parts) const {
+  min::path_union(net_.kind(), net_.n(), members, members,
+                  relay_ ? min::cube_tap_level(members) : net_.n(), rows,
+                  parts);
 }
 
 void FabricState::derive_swap(const Entry& entry,
-                              std::span<const u32> members, u32 tap_level) {
-  derive(members, tap_level, rows_, parts_);
-  derive(entry.members, entry.tap_level, old_rows_, parts_);
+                              std::span<const u32> members) {
+  derive(members, rows_, parts_);
+  derive(entry.members, old_rows_, parts_);
 }
 
 CONFNET_HOT void FabricState::apply_load(const min::LevelLinks& rows,
@@ -151,17 +140,12 @@ CONFNET_HOT void FabricState::apply_load(const min::LevelLinks& rows,
 }
 
 CONFNET_HOT Admission FabricState::try_add(u32 id,
-                                           std::span<const u32> members,
-                                           bool relay) {
+                                           std::span<const u32> members) {
   validate_members(net_, members);
   expects(!contains(id), "group id already admitted");
   expect_members_free({}, members);
-  expects(!relay || net_.kind() == min::Kind::kIndirectCube,
-          "a relay tap needs the indirect cube");
-  const u32 tap =
-      relay ? min::cube_tap_level(members) : GroupRealization::kNoTap;
   if (!r2_claim({}, members)) {
-    derive(members, tap, rows_, parts_);
+    derive(members, rows_, parts_);
     if (dead_links_in(rows_) != 0) return Admission::kLinkFaulty;
     for (u32 level = 0; level < rows_.levels(); ++level)
       for (u32 row : rows_[level])
@@ -177,10 +161,7 @@ CONFNET_HOT Admission FabricState::try_add(u32 id,
   // static_check: allow(hot-alloc) the admitted member list: this path's
   // only allocation
   entry.members.assign(members.begin(), members.end());
-  entry.tap_level = tap;
   entry.dead_links = 0;  // checked above, or no fault in R2 mode
-  // R2 mode has both fan ops, so lacks_fan_for returns without a look.
-  entry.lacks_fan = lacks_fan_for(rows_);
   ++group_count_;
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
   return Admission::kAdmitted;
@@ -192,13 +173,12 @@ CONFNET_HOT Admission FabricState::try_replace(u32 id,
   validate_members(net_, members);
   Entry& entry = entries_[id];
   expect_members_free(entry.members, members);
-  const u32 tap = swap_tap(entry, members);
   if (r2_claim(entry.members, members)) {
-    swap_group(entry, members, tap, 0);
+    swap_group(entry, members, 0);
     CONFNET_AUDIT_HOOK(maybe_periodic_audit());
     return Admission::kAdmitted;
   }
-  derive_swap(entry, members, tap);
+  derive_swap(entry, members);
   // The whole replacement realization must avoid the fault mask (not just
   // the gained links): a successful try_ mutation never yields a degraded
   // group. Shrink paths that must tolerate degradation use replace().
@@ -209,7 +189,7 @@ CONFNET_HOT Admission FabricState::try_replace(u32 id,
   });
   if (!feasible) return Admission::kLinkCapacity;
 
-  swap_group(entry, members, tap, 0);  // checked above
+  swap_group(entry, members, 0);  // checked above
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
   return Admission::kAdmitted;
 }
@@ -219,19 +199,18 @@ CONFNET_HOT void FabricState::replace(u32 id, std::span<const u32> members) {
   validate_members(net_, members);
   Entry& entry = entries_[id];
   expect_members_free(entry.members, members);
-  const u32 tap = swap_tap(entry, members);
   if (r2_claim(entry.members, members)) {
-    swap_group(entry, members, tap, 0);
+    swap_group(entry, members, 0);
   } else {
-    derive_swap(entry, members, tap);
-    swap_group(entry, members, tap, dead_links_in(rows_));
+    derive_swap(entry, members);
+    swap_group(entry, members, dead_links_in(rows_));
   }
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
 }
 
 CONFNET_HOT void FabricState::swap_group(Entry& entry,
                                          std::span<const u32> members,
-                                         u32 tap_level, u32 dead_links) {
+                                         u32 dead_links) {
   for (u32 m : entry.members) busy_.reset(m);
   for (u32 m : members) busy_.set(m);
   if (!r2_) {
@@ -251,9 +230,7 @@ CONFNET_HOT void FabricState::swap_group(Entry& entry,
     // allocation
     entry.members.assign(members.begin(), members.end());
   }
-  entry.tap_level = tap_level;
   entry.dead_links = dead_links;
-  entry.lacks_fan = lacks_fan_for(rows_);  // no look in R2 mode
 }
 
 CONFNET_HOT void FabricState::remove(u32 id) {
@@ -263,7 +240,7 @@ CONFNET_HOT void FabricState::remove(u32 id) {
     const Block block = enclosing_block(entry.members);
     claimed_.assign_range(block.first, block.size, false);
   } else {
-    derive(entry.members, entry.tap_level, rows_, parts_);
+    derive(entry.members, rows_, parts_);
     apply_load(rows_, false);
   }
   for (u32 m : entry.members) busy_.reset(m);
@@ -287,8 +264,7 @@ CONFNET_HOT const std::vector<u32>& FabricState::count_link_users(
   for (u32 id = 0; id < entries_.size(); ++id) {
     Entry& entry = entries_[id];
     if (!live(entry)) continue;
-    if (entry.tap_level != GroupRealization::kNoTap && level > entry.tap_level)
-      continue;
+    if (relay_ && level > min::cube_tap_level(entry.members)) continue;
     bool from = false;
     bool to = false;
     for (u32 m : entry.members) {
@@ -344,10 +320,10 @@ GroupRealization FabricState::realization(u32 id) const {
   const Entry& entry = entry_of(id);
   GroupRealization g;
   g.id = id;
-  g.tap_level = entry.tap_level;
+  g.tap_level = tap_of(entry.members);
   g.members = entry.members;
   std::vector<u32> parts;
-  derive(entry.members, entry.tap_level, g.links, parts);
+  derive(entry.members, g.links, parts);
   return g;
 }
 
@@ -360,34 +336,9 @@ CONFNET_HOT u32 FabricState::dead_links_in(const min::LevelLinks& rows) const {
   return dead;
 }
 
-CONFNET_HOT bool FabricState::lacks_fan_for(const min::LevelLinks& rows) const {
-  if (fan_in_ && fan_out_) return false;
-  const u32 n = net_.n();
-  const auto owned = [&](u32 level, u32 row) { return holds(rows[level], row); };
-  for (u32 level = 0; level <= n; ++level) {
-    // The stages into and out of this level (unused at the ends).
-    const auto in = level > 0 ? net_.stage(level - 1) : min::StageSpec{};
-    const auto out = level < n ? net_.stage(level) : min::StageSpec{};
-    for (u32 row : rows[level]) {
-      if (!fan_in_ && level > 0) {
-        const auto preds = in.predecessors(row);
-        if (owned(level - 1, preds[0]) && owned(level - 1, preds[1]))
-          return true;
-      }
-      if (!fan_out_ && level < n) {
-        const auto succs = out.successors(row);
-        if (owned(level + 1, succs[0]) && owned(level + 1, succs[1]))
-          return true;
-      }
-    }
-  }
-  return false;
-}
-
 bool FabricState::delivery_ok() const {
   for (const Entry& entry : entries_)
-    if (live(entry) && (entry.dead_links != 0 || entry.lacks_fan))
-      return false;
+    if (live(entry) && entry.dead_links != 0) return false;
   return true;
 }
 
@@ -415,7 +366,7 @@ std::vector<u32> FabricState::recount_loads() const {
   min::LevelLinks rows;
   std::vector<u32> parts;
   for_each_group([&](u32 id) {
-    derive(entries_[id].members, entries_[id].tap_level, rows, parts);
+    derive(entries_[id].members, rows, parts);
     for (u32 level = 0; level < rows.levels(); ++level)
       for (u32 row : rows[level]) ++loads[link_index(level, row)];
   });
@@ -442,9 +393,6 @@ void FabricState::cross_check() const {
                            g.members.end() &&
                        g.members.back() < N,
                    kSub, "stored member list is not sorted rows below N");
-    audit::require(g.tap_level == GroupRealization::kNoTap ||
-                       g.tap_level == min::cube_tap_level(g.members),
-                   kSub, "stored tap level is not the members' relay level");
     for (u32 m : g.members) {
       audit::require(!expected_busy.test(m), kSub,
                      "admitted groups share a member port");
@@ -496,7 +444,7 @@ void FabricState::cross_check() const {
   // the fault mask, then its closed-form verdict against the set-based
   // sweep of Fabric::propagate on the same (possibly degraded) fabric.
   const Fabric oracle(
-      net_, FabricConfig{std::numeric_limits<u32>::max(), fan_in_, fan_out_});
+      net_, FabricConfig{std::numeric_limits<u32>::max(), true, true});
   for (const GroupRealization& g : groups) {
     const Entry& entry = entries_[g.id];
 #if defined(CONFNET_AUDIT)
@@ -504,8 +452,6 @@ void FabricState::cross_check() const {
 #endif
     audit::require(entry.dead_links == dead_links_in(g.links), kSub,
                    "dead-link count diverges from the fault-mask recount");
-    audit::require(entry.lacks_fan == lacks_fan_for(g.links), kSub,
-                   "fan flag diverges from the group's link rows");
     const PropagationResult ref = oracle.propagate(g, &faults_);
     bool exact = true;
     for (const MemberSet& heard : ref.delivered)
@@ -513,13 +459,6 @@ void FabricState::cross_check() const {
     audit::require(exact == (entry.dead_links == 0), kSub,
                    "closed-form delivery (exact iff no dead link) diverges "
                    "from Fabric::propagate");
-    // A dead link leaves the downstream switches idle, so fan ops are
-    // comparable only on a healthy group.
-    if (entry.dead_links == 0)
-      audit::require(entry.lacks_fan == (ref.capability_violations != 0),
-                     kSub,
-                     "closed-form fan-capability flag diverges from "
-                     "Fabric::propagate");
   }
 }
 

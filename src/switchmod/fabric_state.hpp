@@ -10,28 +10,29 @@
 //     function of its members: the fabric derives its link rows on demand
 //     (min::path_union, into reused scratch) and stores none. Each group is
 //     canonical by construction (DESIGN.md §3, invariant 15): its links are
-//     exactly its member->output paths, or the indirect-cube realization
-//     cut at its relay tap level, which the fabric computes too;
+//     exactly its member->output paths or, on a relay fabric (the indirect
+//     cube, fixed at construction), that realization cut at the members'
+//     tap level, min::cube_tap_level, computed wherever it is read;
 //   * mutations (try_add / try_replace / replace / remove) cost O(links of
 //     the touched group): each derives the rows it needs once;
 //   * delivery is decided by theorem, not by propagating signals: a
-//     canonical group delivers exactly iff none of its links is dead, and
-//     the fan operations it demands depend only on its link rows. Each
-//     group therefore keeps a dead-link count and a flag for a fan
-//     operation the fabric lacks, set when its rows are derived;
-//     `delivery_ok()` reads them;
+//     canonical group delivers exactly iff none of its links is dead. Every
+//     switch module both combines and duplicates (fan-in and fan-out), as
+//     in both of the paper's designs, so no fan operation can be missing.
+//     Each group therefore keeps only a dead-link count; `delivery_ok()`
+//     reads them;
 //   * capacity is per level (a dilation profile), enforced by the try_
 //     mutations before any state changes.
 //   * per-link and per-port tables are narrow: a link load is 16 bits and
 //     port occupancy is one bit (see `load_` / `busy_` below).
-//   * group bookkeeping is flat: one entry per group id, in a vector
-//     indexed by the id, so a scan in index order visits groups in
-//     ascending id order. The designs recycle their handles, so ids stay
+//   * group bookkeeping is flat: one 32-byte entry (member list and
+//     dead-link count) per group id, in a vector indexed by the id, so a
+//     scan in index order visits groups in ascending id order. The designs recycle their handles, so ids stay
 //     below the peak live count. A free entry owns no heap; an admitted
 //     one owns its member list, copied in only once admitted, so a
 //     refusal allocates nothing and an admission at most that one block.
 //     The walks over derived rows (apply_load, dead_links_in,
-//     lacks_fan_for, count_link_users) allocate nothing (CONFNET_HOT).
+//     count_link_users) allocate nothing (CONFNET_HOT).
 //   * a live fault mask (min::FaultSet) turns link failures and repairs
 //     into runtime events: fail_link/repair_link find the groups on the
 //     touched link with the O(members) window test (min::in_window /
@@ -43,7 +44,7 @@
 //     level-l link's windows are an aligned block and a residue class that
 //     meet in one port per block of that size, so two users would share a
 //     port (a relay tap only cuts links away). So while the kind is
-//     orthogonal, both fan operations exist, no link is faulty and every
+//     orthogonal, no link is faulty and every
 //     group's block met no other group's (`claimed_`) when it was
 //     admitted, no load exceeds 1 and nothing can refuse. In this R2 mode
 //     a mutation checks ports, copies the member list and sets or clears
@@ -99,12 +100,12 @@ class FabricState {
   static constexpr u32 kMaxLoad = 0xffffu;
   static_assert(u32{1} << (min::Network::kMaxStages / 2) < kMaxLoad);
 
-  /// Uniform capacity: `config.channels_per_link` on every level. The
+  /// Per-level capacity (levels 0..n, every entry >= 1). With `relay`
+  /// (indirect cube only), every group taps its members' outputs at
+  /// min::cube_tap_level(members) and its realization is cut there. The
   /// fabric owns its network.
-  FabricState(min::Network net, FabricConfig config);
-  /// Per-level capacity (levels 0..n, every entry >= 1).
   FabricState(min::Network net, std::span<const u32> capacity,
-              bool fan_in = true, bool fan_out = true);
+              bool relay = false);
 
   FabricState(const FabricState&) = delete;
   FabricState& operator=(const FabricState&) = delete;
@@ -117,12 +118,10 @@ class FabricState {
 
   /// Admit group `id` on `members` if its realization avoids the fault
   /// mask and every link it uses has a free channel; changes nothing
-  /// otherwise. `relay` (indirect cube only) taps every member's output at
-  /// min::cube_tap_level(members) and cuts the realization there.
-  [[nodiscard]] Admission try_add(u32 id, std::span<const u32> members,
-                                  bool relay = false);
+  /// otherwise.
+  [[nodiscard]] Admission try_add(u32 id, std::span<const u32> members);
 
-  /// Atomically swap group `id`'s members (keeping its relay) if the new
+  /// Atomically swap group `id`'s members if the new
   /// realization avoids the fault mask and every link it gains has a free
   /// channel; changes nothing otherwise.
   [[nodiscard]] Admission try_replace(u32 id, std::span<const u32> members);
@@ -175,7 +174,12 @@ class FabricState {
   }
   /// Group `id`'s relay tap level (GroupRealization::kNoTap when its
   /// members listen at level n).
-  [[nodiscard]] u32 tap_level(u32 id) const { return entry_of(id).tap_level; }
+  [[nodiscard]] u32 tap_level(u32 id) const {
+    return tap_of(entry_of(id).members);
+  }
+  /// True iff every group is relayed out at its tap level (see the
+  /// constructor); false when members listen at level n.
+  [[nodiscard]] bool relays() const noexcept { return relay_; }
   /// Group `id` materialized with its derived link rows, for the oracle
   /// paths (Fabric::propagate / evaluate). Allocates.
   [[nodiscard]] GroupRealization realization(u32 id) const;
@@ -187,9 +191,8 @@ class FabricState {
   }
 
   /// True iff every member of every group hears exactly its group's member
-  /// set and no fan capability was violated, decided from the per-group
-  /// counters (see the header comment).
-  /// Capacity-independent, like the unlimited-channel functional check it
+  /// set, decided from the per-group dead-link counts (see the header
+  /// comment). Capacity-independent, like the unlimited-channel functional check it
   /// replaces. O(groups).
   [[nodiscard]] bool delivery_ok() const;
 
@@ -225,9 +228,8 @@ class FabricState {
   /// require load <= 1 on every interstage link, an empty fault mask and
   /// the claimed bits equal to the live groups' disjoint blocks. Then pin
   /// every group's closed-form verdict against `Fabric::propagate`: exact
-  /// delivery iff no dead link, and, on a healthy group, a capability
-  /// violation iff the fan flag is set. Under
-  /// CONFNET_AUDIT every group also runs audit::check_group_realization.
+  /// delivery iff no dead link. Under CONFNET_AUDIT every group also runs
+  /// audit::check_group_realization.
   /// Throws audit::AuditError on any divergence.
   void cross_check() const;
 
@@ -236,17 +238,15 @@ class FabricState {
 
   struct Entry {
     std::vector<u32> members;  // sorted; empty while the id is free
-    u32 tap_level = GroupRealization::kNoTap;
     u32 dead_links = 0;        // links of the realization on the fault mask
-    bool lacks_fan = false;    // it demands a fan op the fabric lacks
   };
-  static_assert(sizeof(Entry) <= 40, "a fabric entry is one 40-byte record");
+  static_assert(sizeof(Entry) <= 32, "a fabric entry is one 32-byte record");
   [[nodiscard]] static bool live(const Entry& entry) noexcept {
     return !entry.members.empty();
   }
 
   /// True iff R2 can decide admission on this fabric at all: an
-  /// orthogonal kind with both fan operations.
+  /// orthogonal kind.
   [[nodiscard]] bool r2_capable() const noexcept;
   /// In R2 mode, release the block of `old` (a group being replaced; empty
   /// for an add) and claim the block of `members` if no other group's
@@ -263,32 +263,24 @@ class FabricState {
   /// Throws unless each of `members` is free or one of `old`'s.
   void expect_members_free(std::span<const u32> old,
                            std::span<const u32> members) const;
-  /// The realization of `members` tapped at `tap_level` into `rows`.
-  void derive(std::span<const u32> members, u32 tap_level,
-              min::LevelLinks& rows, std::vector<u32>& parts) const;
-  /// The tap level `entry` would have on `members`: kNoTap without a
-  /// relay, else the members' relay level.
-  [[nodiscard]] static u32 swap_tap(const Entry& entry,
-                                    std::span<const u32> members);
-  /// Derive the realization of `members` at `tap_level` into rows_ and
-  /// `entry`'s own into old_rows_.
-  void derive_swap(const Entry& entry, std::span<const u32> members,
-                   u32 tap_level);
+  /// The relay tap level of `members`: kNoTap without a relay.
+  [[nodiscard]] u32 tap_of(std::span<const u32> members) const;
+  /// The realization of `members`, cut at its tap level, into `rows`.
+  void derive(std::span<const u32> members, min::LevelLinks& rows,
+              std::vector<u32>& parts) const;
+  /// Derive the realization of `members` into rows_ and `entry`'s own into
+  /// old_rows_.
+  void derive_swap(const Entry& entry, std::span<const u32> members);
   void apply_load(const min::LevelLinks& rows, bool add);
-  /// Swap `entry` for `members` at `tap_level`, whose realization is
-  /// rows_ with `dead_links` links on the fault mask, from the one in
-  /// old_rows_: busy ports, link loads, the overflow counter and the
-  /// entry; in R2 mode no load moves and no rows are read. Checks
-  /// nothing; both replace paths check first.
-  void swap_group(Entry& entry, std::span<const u32> members, u32 tap_level,
-                  u32 dead_links);
+  /// Swap `entry` for `members`, whose realization is rows_ with
+  /// `dead_links` links on the fault mask, from the one in old_rows_: busy
+  /// ports, link loads, the overflow counter and the entry; in R2 mode no
+  /// load moves and no rows are read. Checks nothing; both replace paths
+  /// check first.
+  void swap_group(Entry& entry, std::span<const u32> members, u32 dead_links);
   /// Links of `rows` (levels 0..n) on the fault mask; 0 without a look
   /// when the fabric is healthy.
   [[nodiscard]] u32 dead_links_in(const min::LevelLinks& rows) const;
-  /// True iff `rows` demand fan-in (a switch with both inputs owned) or
-  /// fan-out (both outputs owned) from a fabric without it. False without
-  /// a look when the fabric has both.
-  [[nodiscard]] bool lacks_fan_for(const min::LevelLinks& rows) const;
   void maybe_periodic_audit();
   /// Count link (level,row) in (`failed`) or out of the dead-link count of
   /// every group whose realization uses it; returns their ids in ascending
@@ -308,8 +300,7 @@ class FabricState {
 
   min::Network net_;
   std::array<u32, min::Network::kMaxStages + 1> capacity_{};  // levels 0..n
-  bool fan_in_;
-  bool fan_out_;
+  bool relay_;
   min::FaultSet faults_;
   // Group id -> entry (see header comment). It grows with the largest id
   // ever admitted, one Entry per id.

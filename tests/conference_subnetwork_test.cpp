@@ -170,14 +170,17 @@ TEST(Subnetwork, ClosedFormEqualsGenericAtTen) {
 }
 
 TEST(CubeCompletion, AlignedBlocks) {
+  const auto tap = [](std::vector<u32> members) {
+    return min::cube_tap_level(members);
+  };
   // A full aligned block of 2^j ports completes at level j.
-  EXPECT_EQ(cube_completion_level(4, {8, 9, 10, 11}), 2u);
-  EXPECT_EQ(cube_completion_level(4, {0, 1}), 1u);
-  EXPECT_EQ(cube_completion_level(4, {14, 15}), 1u);
+  EXPECT_EQ(tap({8, 9, 10, 11}), 2u);
+  EXPECT_EQ(tap({0, 1}), 1u);
+  EXPECT_EQ(tap({14, 15}), 1u);
   // Partial occupancy of a block still completes at the block level.
-  EXPECT_EQ(cube_completion_level(4, {8, 11}), 2u);
+  EXPECT_EQ(tap({8, 11}), 2u);
   // Scattered members need the whole network.
-  EXPECT_EQ(cube_completion_level(4, {0, 15}), 4u);
+  EXPECT_EQ(tap({0, 15}), 4u);
 }
 
 TEST(EnhancedRealization, TrimsAboveTapLevel) {

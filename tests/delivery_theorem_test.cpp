@@ -1,9 +1,9 @@
-// Delivery by theorem: FabricState decides delivery from per-group
-// counters (a dead-link count and a missing-fan flag) instead of
-// propagating signals. These suites pin that closed form against the
-// set-based sweep Fabric::propagate: exhaustively on small networks (every
-// kind, every member set, healthy and single-link faults, fan capabilities
-// on and off, direct and tapped enhanced realizations), by a seeded churn
+// Delivery by theorem: FabricState decides delivery from a per-group
+// dead-link count instead of propagating signals. These suites pin that
+// closed form against the set-based sweep Fabric::propagate: exhaustively
+// on small networks (every kind, every member set, healthy and single-link
+// faults, direct and tapped enhanced realizations, with the fan operations
+// each healthy group demands counted from its rows), by a seeded churn
 // property test at n = 8..10, through the dead-link counter's edge cases,
 // and on the Monte-Carlo verification path. A hand-built non-canonical
 // realization shows where the theorem stops: Fabric::propagate tells it
@@ -47,11 +47,17 @@ sw::GroupRealization canonical_group(Realization r, Kind kind, u32 n, u32 id,
   return g;
 }
 
-/// Admit `members` as group `id` in realization `r`; true iff admitted.
-bool admit(sw::FabricState& state, Realization r, u32 id,
-           const std::vector<u32>& members) {
-  return state.try_add(id, members, r == Realization::kEnhanced) ==
-         sw::Admission::kAdmitted;
+/// A fabric with `channels` on every level that realizes `r`: relayed at
+/// the tap level for the enhanced cube.
+sw::FabricState fabric_for(Realization r, const min::Network& net,
+                           u32 channels) {
+  return sw::FabricState(net, std::vector<u32>(net.n() + 1, channels),
+                         r == Realization::kEnhanced);
+}
+
+/// Admit `members` as group `id`; true iff admitted.
+bool admit(sw::FabricState& state, u32 id, const std::vector<u32>& members) {
+  return state.try_add(id, members) == sw::Admission::kAdmitted;
 }
 
 /// What Fabric::propagate says about one group.
@@ -60,15 +66,34 @@ struct OracleVerdict {
   std::uint64_t fan_in_ops = 0;
   std::uint64_t fan_out_ops = 0;
   std::uint64_t capability_violations = 0;
-
-  /// Delivery verdict on a fabric with the given capabilities: exact, and
-  /// no fan op of a kind the modules lack (the oracle's definition of a
-  /// capability violation).
-  [[nodiscard]] bool delivers(bool fan_in, bool fan_out) const {
-    return exact && (fan_in || fan_in_ops == 0) &&
-           (fan_out || fan_out_ops == 0);
-  }
 };
+
+/// Fan operations a healthy canonical group demands, counted from its link
+/// rows: a used link fed by both of its predecessors (fan-in) or feeding
+/// both of its successors (fan-out). Every used link of such a group
+/// carries a signal, so these are the operations Fabric::propagate counts.
+std::array<std::uint64_t, 2> fan_ops(const min::Network& net,
+                                     const min::LevelLinks& rows) {
+  const auto owned = [&](u32 level, u32 row) {
+    return std::binary_search(rows[level].begin(), rows[level].end(), row);
+  };
+  std::array<std::uint64_t, 2> ops{0, 0};
+  for (u32 level = 0; level <= net.n(); ++level) {
+    for (u32 row : rows[level]) {
+      if (level > 0) {
+        const auto preds = net.stage(level - 1).predecessors(row);
+        if (owned(level - 1, preds[0]) && owned(level - 1, preds[1]))
+          ++ops[0];
+      }
+      if (level < net.n()) {
+        const auto succs = net.stage(level).successors(row);
+        if (owned(level + 1, succs[0]) && owned(level + 1, succs[1]))
+          ++ops[1];
+      }
+    }
+  }
+  return ops;
+}
 
 OracleVerdict oracle_verdict(const sw::Fabric& oracle,
                              const sw::GroupRealization& g,
@@ -85,7 +110,7 @@ OracleVerdict oracle_verdict(const sw::Fabric& oracle,
 
 /// Every live group's group_survives() must equal the oracle's exact
 /// delivery, delivery_ok() the conjunction of every group's oracle verdict
-/// (taken on `oracle`, built with the state's fan capabilities), and
+/// (taken on `oracle`, whose modules have both fan operations), and
 /// cross_check() must pass.
 void expect_closed_form_matches(const sw::FabricState& state,
                                 const sw::Fabric& oracle,
@@ -101,56 +126,53 @@ void expect_closed_form_matches(const sw::FabricState& state,
   EXPECT_NO_THROW(state.cross_check());
 }
 
-constexpr std::array<std::array<bool, 2>, 4> kFanConfigs{
-    {{true, true}, {false, true}, {true, false}, {false, false}}};
-
 // --- Exhaustive: small networks ------------------------------------------
 
-/// Admit each member set alone, on one fabric per fan configuration, and
-/// compare the closed form with the oracle on the healthy fabric and, when
-/// `faults` is set, under every single-link fault of the network. One
-/// oracle sweep serves all four configurations: it runs on modules with
-/// neither capability, so it reports every fan op it demands.
+/// Admit each member set alone and compare the closed form with the oracle
+/// on the healthy fabric and, when `faults` is set, under every single-link
+/// fault of the network. The oracle's modules have neither fan operation,
+/// so on the healthy fabric it reports every fan op the group demands as a
+/// capability violation, and those counts are pinned against fan_ops().
 void sweep_member_sets(Realization r, Kind kind, u32 n,
                        const std::vector<u32>& masks, bool faults) {
   const u32 N = u32{1} << n;
   const min::Network net(kind, n);
   const sw::Fabric oracle(net, sw::FabricConfig{N, false, false});
-  std::vector<sw::FabricState> states;
-  for (const auto& [fan_in, fan_out] : kFanConfigs)
-    states.emplace_back(net, sw::FabricConfig{N, fan_in, fan_out});
+  sw::FabricState state = fabric_for(r, net, N);
 
   for (u32 mask : masks) {
     std::vector<u32> members;
     for (u32 p = 0; p < N; ++p)
       if ((mask >> p & 1) != 0) members.push_back(p);
     const sw::GroupRealization g = canonical_group(r, kind, n, 0, members);
-    for (sw::FabricState& s : states) ASSERT_TRUE(admit(s, r, 0, members));
+    ASSERT_TRUE(admit(state, 0, members));
 
-    const auto check = [&](u32 level, u32 row) {
-      const OracleVerdict v = oracle_verdict(oracle, g, states[0].faults());
-      for (std::size_t c = 0; c < states.size(); ++c) {
-        const auto [fan_in, fan_out] = kFanConfigs[c];
-        ASSERT_EQ(states[c].group_survives(0), v.exact)
-            << min::kind_name(kind) << " n=" << n << " mask=" << mask
-            << " fault (" << level << "," << row << ")";
-        ASSERT_EQ(states[c].delivery_ok(), v.delivers(fan_in, fan_out))
-            << min::kind_name(kind) << " n=" << n << " mask=" << mask
-            << " fault (" << level << "," << row << ") fan_in=" << fan_in
-            << " fan_out=" << fan_out;
-      }
+    const auto check = [&](const OracleVerdict& v, u32 level, u32 row) {
+      ASSERT_EQ(state.group_survives(0), v.exact)
+          << min::kind_name(kind) << " n=" << n << " mask=" << mask
+          << " fault (" << level << "," << row << ")";
+      ASSERT_EQ(state.delivery_ok(), v.exact)
+          << min::kind_name(kind) << " n=" << n << " mask=" << mask
+          << " fault (" << level << "," << row << ")";
     };
-    check(n + 1, 0);  // healthy: no such level
+    const OracleVerdict healthy = oracle_verdict(oracle, g, state.faults());
+    const auto [fan_in, fan_out] = fan_ops(net, state.realization(0).links);
+    ASSERT_EQ(healthy.fan_in_ops, fan_in)
+        << min::kind_name(kind) << " n=" << n << " mask=" << mask;
+    ASSERT_EQ(healthy.fan_out_ops, fan_out)
+        << min::kind_name(kind) << " n=" << n << " mask=" << mask;
+    ASSERT_EQ(healthy.capability_violations, fan_in + fan_out);
+    check(healthy, n + 1, 0);  // healthy: no such level
     if (faults) {
       for (u32 level = 0; level <= n; ++level) {
         for (u32 row = 0; row < N; ++row) {
-          for (sw::FabricState& s : states) (void)s.fail_link(level, row);
-          check(level, row);
-          for (sw::FabricState& s : states) (void)s.repair_link(level, row);
+          (void)state.fail_link(level, row);
+          check(oracle_verdict(oracle, g, state.faults()), level, row);
+          (void)state.repair_link(level, row);
         }
       }
     }
-    for (sw::FabricState& s : states) s.remove(0);
+    state.remove(0);
   }
 }
 
@@ -219,10 +241,9 @@ TEST_P(DeliveryTheoremChurn, ClosedFormMatchesOracleUnderChurnAndFaults) {
     const Kind kind = r == Realization::kEnhanced
                           ? Kind::kIndirectCube
                           : min::kAllKinds[rng_.below(min::kAllKinds.size())];
-    const auto [fan_in, fan_out] = kFanConfigs[rng_.below(kFanConfigs.size())];
     const min::Network net(kind, n);
-    sw::FabricState state(net, sw::FabricConfig{N, fan_in, fan_out});
-    const sw::Fabric oracle(net, sw::FabricConfig{N, fan_in, fan_out});
+    sw::FabricState state = fabric_for(r, net, N);
+    const sw::Fabric oracle(net, sw::FabricConfig{N, true, true});
     // Buddy placement keeps enhanced groups link-disjoint; the direct
     // fabric has channels to spare either way.
     conf::PortPlacer placer(n, r == Realization::kEnhanced
@@ -230,8 +251,7 @@ TEST_P(DeliveryTheoremChurn, ClosedFormMatchesOracleUnderChurnAndFaults) {
                                    : conf::PlacementPolicy::kRandom);
     SCOPED_TRACE(::testing::Message()
                  << min::kind_name(kind) << " n=" << n
-                 << (r == Realization::kEnhanced ? " enhanced" : " direct")
-                 << " fan_in=" << fan_in << " fan_out=" << fan_out);
+                 << (r == Realization::kEnhanced ? " enhanced" : " direct"));
 
     std::vector<u32> alive;
     u32 next_id = 0;
@@ -243,7 +263,7 @@ TEST_P(DeliveryTheoremChurn, ClosedFormMatchesOracleUnderChurnAndFaults) {
       if (action <= 2 || alive.empty()) {
         const u32 size = 2 + static_cast<u32>(rng_.below(12));
         if (auto ports = placer.place(size, rng_)) {
-          if (admit(state, r, next_id, *ports)) {
+          if (admit(state, next_id, *ports)) {
             alive.push_back(next_id++);
           } else {
             placer.release(*ports);  // over a dead link or out of room
@@ -323,11 +343,11 @@ TEST_P(DeadLinkCounter, FailRepairReplaceAndRemoveKeepTheCount) {
   constexpr u32 n = 4;
   constexpr u32 N = u32{1} << n;
   const min::Network net(kind, n);
-  sw::FabricState state(net, sw::FabricConfig{N, true, true});
+  sw::FabricState state = fabric_for(r, net, N);
   const sw::Fabric oracle(net, sw::FabricConfig{N, true, true});
   // Two aligned blocks, so the enhanced realizations are link-disjoint.
-  ASSERT_TRUE(admit(state, r, 0, {0, 1, 2, 3}));
-  ASSERT_TRUE(admit(state, r, 1, {8, 9, 10}));
+  ASSERT_TRUE(admit(state, 0, {0, 1, 2, 3}));
+  ASSERT_TRUE(admit(state, 1, {8, 9, 10}));
   std::vector<u32> ids{0, 1};
   expect_closed_form_matches(state, oracle, ids);
 
@@ -381,7 +401,7 @@ TEST_P(DeadLinkCounter, FailRepairReplaceAndRemoveKeepTheCount) {
   expect_closed_form_matches(state, oracle, ids);
 
   // Readmitting over the repaired links starts from a clean count.
-  ASSERT_TRUE(admit(state, r, 1, {8, 9, 10}));
+  ASSERT_TRUE(admit(state, 1, {8, 9, 10}));
   ids = {0, 1};
   EXPECT_TRUE(state.delivery_ok());
   expect_closed_form_matches(state, oracle, ids);
@@ -439,8 +459,8 @@ TEST(DeliveryTheorem, NonCanonicalRealizationDivergesInPropagate) {
   EXPECT_EQ(dead, 1u) << "the closed form would report lost delivery";
 
   // The fabric derives the canonical rows for the same members.
-  sw::FabricState state(net, sw::FabricConfig{N, true, true});
-  ASSERT_TRUE(admit(state, Realization::kDirect, 0, g.members));
+  sw::FabricState state = fabric_for(Realization::kDirect, net, N);
+  ASSERT_TRUE(admit(state, 0, g.members));
   EXPECT_NE(state.realization(0).links, g.links);
   EXPECT_TRUE(state.fail_link(1, branch).empty());
   EXPECT_TRUE(state.delivery_ok());

@@ -344,7 +344,6 @@ TEST(Recovery, RetryBackoffBudgetExhaustionDrops) {
   // retry is refused, and the budget (max_retries) bounds the attempts.
   DirectConferenceNetwork net(Kind::kOmega, 2, DilationProfile::full(2));
   RecoveryPolicy policy;
-  policy.queue_capacity = 0;
   policy.max_retries = 3;
   ControlPlane plane(net, policy, PlacementPolicy::kBuddy, 0);
   WaitQueueManager& wait = plane.wait();
@@ -387,9 +386,7 @@ TEST(Recovery, RetryBackoffBudgetExhaustionDrops) {
 
 TEST(Recovery, RetrySucceedsOnceCapacityReturns) {
   DirectConferenceNetwork net(Kind::kOmega, 2, DilationProfile::full(2));
-  RecoveryPolicy policy;
-  policy.queue_capacity = 0;
-  ControlPlane plane(net, policy, PlacementPolicy::kBuddy, 0);
+  ControlPlane plane(net, RecoveryPolicy{}, PlacementPolicy::kBuddy, 0);
   WaitQueueManager& wait = plane.wait();
   util::Rng rng(9);
 
@@ -447,16 +444,10 @@ TEST(Recovery, OriginDepartureCancelsPendingRecovery) {
 /// the same instant: both victims go on the agenda due at t = 1.5.
 struct TwoVictims {
   DirectConferenceNetwork net{Kind::kOmega, 2, DilationProfile::full(2)};
-  ControlPlane plane{net, loss_policy(), PlacementPolicy::kBuddy, 0};
+  ControlPlane plane{net, RecoveryPolicy{}, PlacementPolicy::kBuddy, 0};
   util::Rng rng{11};
   u32 a = 0;  // {0,1}, torn first
   u32 b = 0;  // {2,3}, torn second
-
-  static RecoveryPolicy loss_policy() {
-    RecoveryPolicy policy;
-    policy.queue_capacity = 0;
-    return policy;
-  }
 
   TwoVictims() {
     a = *plane.wait().request(2, rng).session;
@@ -504,7 +495,7 @@ TEST(RecoveryAgenda, RunDueLeavesLaterEntriesInPlace) {
 TEST(RecoveryAgenda, UnboundedHorizonEndsEveryEntryWithinBudget) {
   TwoVictims t;
   const u32 budget = t.plane.stats().sessions_interrupted *
-                     TwoVictims::loss_policy().max_retries;
+                     RecoveryPolicy{}.max_retries;
   (void)t.plane.run_due(std::numeric_limits<double>::infinity(), t.rng);
   const RecoveryStats& s = t.plane.stats();
   EXPECT_FALSE(t.plane.next_due().has_value());
@@ -554,6 +545,7 @@ using conf::DilationProfile;
 using conf::DirectConferenceNetwork;
 using conf::EnhancedCubeNetwork;
 using conf::PlacementPolicy;
+using conf::RecoveryStats;
 using min::Kind;
 
 TeletrafficConfig golden_config() {
@@ -585,8 +577,7 @@ TEST(TeletrafficFaults, ZeroFaultRateIsByteIdenticalToPreFaultGolden) {
     EXPECT_EQ(r.leaves, 0u);
     EXPECT_DOUBLE_EQ(r.mean_active_sessions, 4.1712681986264526);
     EXPECT_DOUBLE_EQ(r.mean_busy_ports, 16.361675557271493);
-    EXPECT_EQ(r.link_failures, 0u);
-    EXPECT_EQ(r.sessions_interrupted, 0u);
+    EXPECT_EQ(r.recovery, RecoveryStats{});
   }
   {
     // The churn + talk-spurt + periodic-verification variant consumes far
@@ -644,21 +635,20 @@ TEST(TeletrafficFaults, RecoveryAccountingConservesInterruptedSessions) {
       c.repair_rate = 1.0;
       const TeletrafficResult r = run_teletraffic(*net, c);
 
-      EXPECT_GT(r.link_failures, 0u) << "seed " << seed;
-      EXPECT_LE(r.link_repairs, r.link_failures);
+      const RecoveryStats& rs = r.recovery;
+      EXPECT_GT(rs.link_failures, 0u) << "seed " << seed;
+      EXPECT_LE(rs.link_repairs, rs.link_failures);
       EXPECT_TRUE(r.functional_ok) << "seed " << seed;
-      EXPECT_EQ(r.sessions_interrupted,
-                r.sessions_recovered + r.sessions_dropped +
-                    r.sessions_expired + r.recovery_pending)
+      EXPECT_EQ(rs.sessions_interrupted,
+                rs.recovered() + rs.dropped + rs.expired + r.recovery_pending)
           << "seed " << seed;
       EXPECT_GE(r.degraded_fraction, 0.0);
       EXPECT_LT(r.degraded_fraction, 1.0);
-      if (r.sessions_recovered > 0) {
-        EXPECT_EQ(r.recovery_latency.n,
-                  r.sessions_recovered);
+      if (rs.recovered() > 0) {
+        EXPECT_EQ(r.recovery_latency.n, rs.recovered());
         EXPECT_GE(r.recovery_latency.min, 0.0);
       }
-      if (r.sessions_dropped > 0) {
+      if (rs.dropped > 0) {
         EXPECT_GT(r.dropped_session_rate, 0.0);
       }
       // Surviving sessions still deliver on the (possibly still degraded)
@@ -687,9 +677,7 @@ TEST(TeletrafficFaults, FaultRunsAreReproducible) {
   const TeletrafficResult a = run();
   const TeletrafficResult b = run();
   EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(a.link_failures, b.link_failures);
-  EXPECT_EQ(a.sessions_interrupted, b.sessions_interrupted);
-  EXPECT_EQ(a.sessions_recovered, b.sessions_recovered);
+  EXPECT_EQ(a.recovery, b.recovery);
   EXPECT_DOUBLE_EQ(a.mean_active_sessions, b.mean_active_sessions);
   EXPECT_DOUBLE_EQ(a.degraded_fraction, b.degraded_fraction);
 }

@@ -78,7 +78,7 @@ TEST_P(EquivalenceSuite, FabricStateMatchesStatelessOracle) {
   const u32 n = 3 + static_cast<u32>(rng_.below(3));
   const u32 N = u32{1} << n;
   const min::Network net(kind, n);
-  sw::FabricState state(net, sw::FabricConfig{N, true, true});
+  sw::FabricState state(net, std::vector<u32>(n + 1, N));
 
   conf::PortPlacer placer(n, conf::PlacementPolicy::kRandom);
   std::vector<u32> alive;

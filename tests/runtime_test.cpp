@@ -1223,9 +1223,8 @@ TEST(RegistryFold, ControlPlanesFoldEveryCounterOnceOnDestruction) {
     // while pending, the other exhausts its retry budget.
     conf::DirectConferenceNetwork net_b(Kind::kOmega, 2,
                                         conf::DilationProfile::full(2));
-    conf::RecoveryPolicy loss;
-    loss.queue_capacity = 0;
-    conf::ControlPlane b(net_b, loss, conf::PlacementPolicy::kBuddy, 0);
+    conf::ControlPlane b(net_b, conf::RecoveryPolicy{},
+                         conf::PlacementPolicy::kBuddy, 0);
 
     for (const Folded& f : folded_counts(a))
       before.push_back(registry_value(f));

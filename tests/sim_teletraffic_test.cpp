@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+
 #include "analysis/sim/replication.hpp"
 #include "min/windows.hpp"
 #include "util/error.hpp"
+#include "util/metrics.hpp"
 
 namespace confnet::sim {
 namespace {
@@ -236,8 +240,42 @@ TEST(Teletraffic, PostWarmupStatsDiffEveryField) {
   EXPECT_LE(r.stats.joins, r.joins);
   EXPECT_LE(r.stats.joins_blocked, r.joins_blocked);
   EXPECT_LE(r.stats.leaves, r.leaves);
-  EXPECT_LE(r.stats.interrupted, r.sessions_interrupted);
+  EXPECT_LE(r.stats.interrupted, r.recovery.sessions_interrupted);
   EXPECT_LE(r.stats.joins_blocked_fault, r.stats.joins_blocked);
+}
+
+TEST(Teletraffic, RecoveryCountsEqualTheRegistryFold) {
+  // The run's control plane folds its recovery counts into the registry
+  // once, when it ends; the result reports those same counts.
+  const auto counter = [](const char* subsystem, const char* name) {
+    return obs::Registry::global().counter(subsystem, name).value();
+  };
+  const auto fold = [&] {
+    return std::array<std::uint64_t, 7>{
+        counter("fault", "link_failures"),
+        counter("fault", "link_repairs"),
+        counter("conf", "recovery_interrupted"),
+        counter("conf", "recovery_recovered"),
+        counter("conf", "recovery_retries"),
+        counter("conf", "recovery_dropped"),
+        counter("conf", "recovery_expired")};
+  };
+  DirectConferenceNetwork net(Kind::kOmega, 5, DilationProfile::full(5));
+  TeletrafficConfig c = base_config();
+  c.duration = 300.0;
+  c.seed = 29;
+  c.fault_rate = 0.3;
+  const std::array<std::uint64_t, 7> before = fold();
+  const TeletrafficResult r = run_teletraffic(net, c);
+  const std::array<std::uint64_t, 7> after = fold();
+  const conf::RecoveryStats& rs = r.recovery;
+  EXPECT_GT(rs.sessions_interrupted, 0u);
+  const std::array<std::uint64_t, 7> reported{
+      rs.link_failures, rs.link_repairs, rs.sessions_interrupted,
+      rs.recovered(),   rs.retries,      rs.dropped,
+      rs.expired};
+  for (std::size_t i = 0; i < reported.size(); ++i)
+    EXPECT_EQ(after[i] - before[i], reported[i]) << "counter " << i;
 }
 
 TEST(Teletraffic, ConfigValidation) {

@@ -130,8 +130,7 @@ TEST(DerivedRows, UnsortedEndpointsGiveTheSameRows) {
 
 /// Disjoint seeded member sets of 2..6 ports, admitted to `state` as groups
 /// 0, 1, ... until the ports run out.
-std::vector<u32> admit_disjoint(sw::FabricState& state, bool relay,
-                                util::Rng& rng) {
+std::vector<u32> admit_disjoint(sw::FabricState& state, util::Rng& rng) {
   const u32 N = state.network().size();
   std::vector<u32> ports = rng.sample_distinct(N, N);
   std::vector<u32> ids;
@@ -142,7 +141,7 @@ std::vector<u32> admit_disjoint(sw::FabricState& state, bool relay,
                              ports.end());
     ports.resize(ports.size() - take);
     std::sort(members.begin(), members.end());
-    EXPECT_EQ(state.try_add(id, members, relay), sw::Admission::kAdmitted);
+    EXPECT_EQ(state.try_add(id, members), sw::Admission::kAdmitted);
     ids.push_back(id);
   }
   return ids;
@@ -157,8 +156,8 @@ TEST(DerivedRows, FabricRealizationEqualsWindowOracle) {
         if (relay && kind != Kind::kIndirectCube) continue;
         const min::Network net(kind, n);
         const min::WindowTable wt(net);
-        sw::FabricState state(net, sw::FabricConfig{N, true, true});
-        for (u32 id : admit_disjoint(state, relay, rng)) {
+        sw::FabricState state(net, std::vector<u32>(n + 1, N), relay);
+        for (u32 id : admit_disjoint(state, rng)) {
           const sw::GroupRealization g = state.realization(id);
           const LevelLinks oracle =
               conf::all_pairs_links_generic(wt, g.members);
@@ -181,8 +180,8 @@ TEST(DerivedRows, FailLinkVictimsEqualBruteForceScan) {
       for (bool relay : {false, true}) {
         if (relay && kind != Kind::kIndirectCube) continue;
         sw::FabricState state(min::Network(kind, n),
-                              sw::FabricConfig{N, true, true});
-        const std::vector<u32> ids = admit_disjoint(state, relay, rng);
+                              std::vector<u32>(n + 1, N), relay);
+        const std::vector<u32> ids = admit_disjoint(state, rng);
         std::vector<sw::GroupRealization> groups;
         for (u32 id : ids) groups.push_back(state.realization(id));
         for (u32 level = 0; level <= n; ++level) {
@@ -206,8 +205,7 @@ TEST(DerivedRows, FailLinkVictimsEqualBruteForceScan) {
 }
 
 // --- R2 mode -------------------------------------------------------------
-// On a kind with orthogonal windows, with both fan operations and no
-// fault, a fabric whose groups sit on pairwise disjoint aligned blocks
+// On a kind with orthogonal windows and with no fault, a fabric whose groups sit on pairwise disjoint aligned blocks
 // derives no rows and keeps no load table. The churn below pins every
 // verdict and victim list, in and out of that mode, against a recount of
 // the materialized realizations.
@@ -285,7 +283,7 @@ void churn(const Geometry& geo, Policy policy, bool fault, u64 seed) {
   const min::WindowTable wt(net);
   std::vector<u32> capacity(n + 1, 1);
   for (u32 level = 1; level < n; ++level) capacity[level] = 2;
-  sw::FabricState state(net, capacity);
+  sw::FabricState state(net, capacity, geo.relay);
   const bool r2_kind = !min::has_block_block_windows(geo.kind);
   util::Rng rng(seed);
 
@@ -364,7 +362,7 @@ void churn(const Geometry& geo, Policy policy, bool fault, u64 seed) {
       const u32 id = free_ids.empty() ? next_id : free_ids.back();
       const sw::Admission want =
           expected_verdict(state, rows_for(members, geo.relay), nullptr, load);
-      ASSERT_EQ(state.try_add(id, members, geo.relay), want);
+      ASSERT_EQ(state.try_add(id, members), want);
       if (want == sw::Admission::kAdmitted) {
         if (id == next_id)
           ++next_id;
@@ -462,13 +460,12 @@ TEST(R2Mode, FaultMaterializesLoadsEqualToTheRecount) {
     if (min::has_block_block_windows(geo.kind)) continue;
     SCOPED_TRACE(std::string(min::kind_name(geo.kind)));
     sw::FabricState state(min::Network(geo.kind, n),
-                          sw::FabricConfig{1, true, true});
+                          std::vector<u32>(n + 1, 1), geo.relay);
     // Eight groups on the eight aligned blocks of eight ports, each on a
     // varying part of its block.
     for (u32 id = 0; id < N / 8; ++id) {
       const std::vector<u32> members{8 * id + id % 3, 8 * id + 4 + id % 4};
-      ASSERT_EQ(state.try_add(id, members, geo.relay),
-                sw::Admission::kAdmitted);
+      ASSERT_EQ(state.try_add(id, members), sw::Admission::kAdmitted);
     }
     ASSERT_TRUE(state.r2_mode());
     // In R2 mode the loads are a recount, and asking does not change mode.
@@ -509,7 +506,7 @@ TEST(R2Mode, OverlappingBlockLeavesTheModeAndKeepsVerdicts) {
   // leaves R2 mode and is refused exactly when its rows meet a loaded link.
   constexpr u32 n = 4;
   sw::FabricState state(min::Network(Kind::kOmega, n),
-                        sw::FabricConfig{1, true, true});
+                        std::vector<u32>(n + 1, 1));
   ASSERT_EQ(state.try_add(0, std::vector<u32>{0, 1}),
             sw::Admission::kAdmitted);
   ASSERT_EQ(state.try_add(1, std::vector<u32>{2, 3}),

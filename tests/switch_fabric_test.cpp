@@ -286,7 +286,7 @@ TEST(FabricState, RejectsMalformedMemberLists) {
   constexpr u32 n = 3;
   constexpr u32 N = u32{1} << n;
   const Kind kind = Kind::kOmega;
-  FabricState state(min::Network(kind, n), FabricConfig{N, true, true});
+  FabricState state(min::Network(kind, n), std::vector<u32>(n + 1, N));
   ASSERT_TRUE(add(state, 0, {0, 1}));
 
   std::vector<u32> loads;
@@ -320,16 +320,17 @@ TEST(FabricState, RejectsMalformedMemberLists) {
     EXPECT_EQ(state.members(0), (std::vector<u32>{0, 1}));
   }
   // Only the indirect cube has a relay tap.
-  EXPECT_THROW((void)state.try_add(1, std::vector<u32>{4, 5}, true), Error);
-  EXPECT_FALSE(state.contains(1));
+  EXPECT_THROW(FabricState(min::Network(kind, n), std::vector<u32>(n + 1, N),
+                           true),
+               Error);
 }
 
 TEST(FabricState, RelayTapsAtTheCubeCompletionLevel) {
   constexpr u32 n = 4;
   FabricState state(min::Network(Kind::kIndirectCube, n),
-                    FabricConfig{1, true, true});
+                    std::vector<u32>(n + 1, 1), true);
   const std::vector<u32> members{4, 5, 6, 7};
-  ASSERT_EQ(state.try_add(0, members, true), Admission::kAdmitted);
+  ASSERT_EQ(state.try_add(0, members), Admission::kAdmitted);
   EXPECT_EQ(state.tap_level(0), 2u);
   const GroupRealization g = state.realization(0);
   const auto real = conf::enhanced_cube_realization(n, members);

@@ -180,10 +180,10 @@ AUDIT_CONTRACT: dict[str, list[str]] = {
 HOT_CONTRACT: dict[str, list[str]] = {
     # Fail/repair fast path: counts link users' dead links via the reused
     # scratch. The admission walks over a group's flat link rows (load
-    # updates, the dead-link recount, the fan-capability probe) read spans
-    # of one block and must not regrow per-level temporaries.
+    # updates, the dead-link recount) read spans of one block and must not
+    # regrow per-level temporaries.
     "src/switchmod/fabric_state.cpp": [
-        "count_link_users", "apply_load", "dead_links_in", "lacks_fan_for",
+        "count_link_users", "apply_load", "dead_links_in",
     ],
     # Lock-lean command path: the bounded MPSC ring buffer's
     # producer/consumer primitives recycle its slots; the ring's on-demand
