@@ -133,9 +133,11 @@ class PlacerBase {
   /// that conference, minus single releases).
   virtual void release(const std::vector<u32>& ports) = 0;
 
-  /// Feasibility watermark: false guarantees place(size) would return
-  /// nullopt right now (and consume no RNG); monotone in size. Lets hold
-  /// queues skip tickets that cannot possibly be admitted yet.
+  /// Feasibility watermark, exact: false guarantees place(size) would
+  /// return nullopt right now (and consume no RNG), true that it would
+  /// succeed; monotone in size. Lets hold queues skip tickets that cannot
+  /// possibly be admitted yet, and lets SessionManager's repack probe
+  /// without losing the window it holds.
   [[nodiscard]] virtual bool placeable(u32 size) const noexcept = 0;
 };
 

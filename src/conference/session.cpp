@@ -1,19 +1,26 @@
 #include "conference/session.hpp"
 
 #include <algorithm>
+#include <array>
+#include <span>
 
 #include "min/windows.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
+#include "util/thread_annotations.hpp"
 #include "util/trace.hpp"
 
 namespace confnet::conf {
 
 namespace {
 
-/// Bound on the fault-repack probe loop in open(): how many distinct
-/// placements to try before declaring the attempt fault-blocked.
-constexpr int kFaultRepackAttempts = 32;
+/// Bound on the repack loop in open(): how many distinct placements, the
+/// first one included, to try before the open blocks.
+constexpr u32 kRepackAttempts = 32;
+
+/// Refused windows of up to this many members are stacked in repack()'s
+/// own frame (2 KB); a larger conference stacks its windows in held_.
+constexpr std::size_t kFrameMembers = 16;
 
 /// Fold one manager's lifetime counts into the process-wide registry. A
 /// manager that saw no event leaves the registry untouched.
@@ -22,6 +29,7 @@ void fold_into_registry(const SessionStats& s) {
   obs::Registry& reg = obs::Registry::global();
   reg.counter("conf", "open_attempts").add(s.attempts);
   reg.counter("conf", "open_accepted").add(s.accepted);
+  reg.counter("conf", "open_repacked").add(s.repacked);
   reg.counter("conf", "blocked_placement").add(s.blocked_placement);
   reg.counter("conf", "blocked_capacity").add(s.blocked_capacity);
   reg.counter("conf", "blocked_fault").add(s.blocked_fault);
@@ -38,6 +46,7 @@ void fold_into_registry(const SessionStats& s) {
 SessionStats SessionStats::since(const SessionStats& earlier) const noexcept {
   return SessionStats{attempts - earlier.attempts,
                       accepted - earlier.accepted,
+                      repacked - earlier.repacked,
                       blocked_placement - earlier.blocked_placement,
                       blocked_capacity - earlier.blocked_capacity,
                       blocked_fault - earlier.blocked_fault,
@@ -65,32 +74,19 @@ std::pair<OpenResult, std::optional<u32>> SessionManager::open(
     return {OpenResult::kBlockedPlacement, std::nullopt};
   }
   auto handle = network_.setup(ports_);
-  if (!handle && network_.last_error() == SetupError::kLinkFaulty) {
-    // Fault-aware repack: a deterministic placer (buddy, first-fit) would
-    // hand back the same dead window forever, so hold each failed placement
-    // while probing for the next one — the placer is forced onto fresh
-    // windows — and release the holds afterwards.
-    std::vector<std::vector<u32>> held{ports_};
-    for (int attempt = 1; attempt < kFaultRepackAttempts; ++attempt) {
-      if (!placer_->place_into(size, rng, ports_)) break;
-      handle = network_.setup(ports_);
-      if (handle) break;
-      held.push_back(ports_);
-    }
-    for (const auto& window : held) placer_->release(window);
-    if (!handle) {
-      ++stats_.blocked_fault;
-      obs::trace_emit("conf", "open_blocked_fault", size);
-      CONFNET_AUDIT_HOOK(audit::check_session_manager(*this));
-      return {OpenResult::kBlockedFault, std::nullopt};
-    }
-  }
   if (!handle) {
-    placer_->release(ports_);
-    ++stats_.blocked_capacity;
-    obs::trace_emit("conf", "open_blocked_capacity", size);
-    CONFNET_AUDIT_HOOK(audit::check_session_manager(*this));
-    return {OpenResult::kBlockedCapacity, std::nullopt};
+    const bool fault = network_.last_error() == SetupError::kLinkFaulty;
+    handle = repack(size, rng);
+    if (!handle) {
+      ++(fault ? stats_.blocked_fault : stats_.blocked_capacity);
+      obs::trace_emit("conf",
+                      fault ? "open_blocked_fault" : "open_blocked_capacity",
+                      size);
+      CONFNET_AUDIT_HOOK(audit::check_session_manager(*this));
+      return {fault ? OpenResult::kBlockedFault : OpenResult::kBlockedCapacity,
+              std::nullopt};
+    }
+    ++stats_.repacked;
   }
   ++stats_.accepted;
   const u32 id = next_session_++;
@@ -98,6 +94,41 @@ std::pair<OpenResult, std::optional<u32>> SessionManager::open(
   obs::trace_emit("conf", "open_accepted", size);
   CONFNET_AUDIT_HOOK(audit::check_session_manager(*this));
   return {OpenResult::kAccepted, id};
+}
+
+// Whether a dilation-d fabric carries a conference depends on where its
+// members sit, so a refused window is not the last word. A deterministic
+// placer (buddy, first-fit) would hand the same window back forever, so
+// each refused window is stacked and stays placed while the placer probes
+// on; the stack is released when the loop ends, admitted or not.
+// placeable() is exact, so a probe is only made when it succeeds and
+// ports_ always holds a whole window to stack or to release through.
+CONFNET_HOT std::optional<u32> SessionManager::repack(u32 size,
+                                                      util::Rng& rng) {
+  std::array<u32, kFrameMembers * kRepackAttempts> frame{};
+  std::span<u32> stack(frame);
+  const std::size_t need = std::size_t{size} * kRepackAttempts;
+  if (need > stack.size()) {
+    // static_check: allow(hot-alloc) held_ grows to the largest conference
+    // repacked so far, once; every later repack reuses it
+    if (held_.size() < need) held_.resize(need);
+    stack = held_;
+  }
+  std::optional<u32> handle;
+  u32 held = 0;
+  while (!handle) {
+    std::copy(ports_.begin(), ports_.end(),
+              stack.begin() + std::size_t{held++} * size);
+    if (held == kRepackAttempts || !placer_->placeable(size)) break;
+    const bool placed = placer_->place_into(size, rng, ports_);
+    expects(placed, "placeable() promised a placement");
+    handle = network_.setup(ports_);
+  }
+  for (u32 w = 0; w < held; ++w) {
+    std::copy_n(stack.begin() + std::size_t{w} * size, size, ports_.begin());
+    placer_->release(ports_);
+  }
+  return handle;
 }
 
 std::vector<SessionManager::Session>::const_iterator SessionManager::find(
@@ -212,6 +243,8 @@ void check_session_stats(const conf::SessionStats& stats,
   require(stats.attempts == stats.accepted + stats.blocked_placement +
                                 stats.blocked_capacity + stats.blocked_fault,
           kSub, "attempts do not split into accepted + blocking causes");
+  require(stats.repacked <= stats.accepted, kSub,
+          "more repacked opens than accepted opens");
   require(stats.interrupted <= stats.closes, kSub,
           "more fault interrupts than closes");
   require(stats.joins_blocked_fault <= stats.joins_blocked, kSub,

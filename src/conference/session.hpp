@@ -28,6 +28,9 @@ enum class OpenResult : std::uint8_t {
 struct SessionStats {
   u64 attempts = 0;
   u64 accepted = 0;
+  /// Opens admitted only after their first placement was refused and the
+  /// manager re-placed them (subset of `accepted`); see open().
+  u64 repacked = 0;
   u64 blocked_placement = 0;
   u64 blocked_capacity = 0;
   u64 blocked_fault = 0;
@@ -54,8 +57,8 @@ struct SessionStats {
                      static_cast<double>(attempts);
   }
 };
-// since() names all 11 fields: a new field must be added there too.
-static_assert(sizeof(SessionStats) == 11 * sizeof(u64));
+// since() names all 12 fields: a new field must be added there too.
+static_assert(sizeof(SessionStats) == 12 * sizeof(u64));
 
 class SessionManager {
  public:
@@ -72,7 +75,9 @@ class SessionManager {
   SessionManager& operator=(const SessionManager&) = delete;
 
   /// Try to open a conference for `size` members. On success returns a
-  /// session id.
+  /// session id. A placement the fabric refuses (link capacity or a dead
+  /// link) is re-placed before the open blocks; a blocked open is counted
+  /// by its first refusal's cause.
   [[nodiscard]] std::pair<OpenResult, std::optional<u32>> open(
       u32 size, util::Rng& rng);
 
@@ -150,6 +155,11 @@ class SessionManager {
   /// Live session `session_id`, or sessions_.end().
   [[nodiscard]] std::vector<Session>::const_iterator find(
       u32 session_id) const;
+  /// Re-place the refused window in ports_ until the fabric admits one or
+  /// the attempts run out; every refused window is released on return.
+  /// It allocates nothing but what an admission stores, once held_ has
+  /// grown to the largest conference repacked.
+  [[nodiscard]] std::optional<u32> repack(u32 size, util::Rng& rng);
 
   ConferenceNetworkBase& network_;
   std::unique_ptr<PlacerBase> placer_;
@@ -157,6 +167,10 @@ class SessionManager {
   // an open appends; a close erases in place and reinstate() re-inserts.
   std::vector<Session> sessions_;
   std::vector<u32> ports_;  // placement scratch, reused by every open
+  // Repack scratch for conferences too large for repack()'s frame: the
+  // refused windows of one open, back to back, held while the placer
+  // probes on.
+  std::vector<u32> held_;
   u32 next_session_ = 0;
   SessionStats stats_;
 };

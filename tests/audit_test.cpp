@@ -169,6 +169,11 @@ TEST(AuditSession, CorruptedStatsFire) {
   joins.joins_blocked_fault = 1;
   audit_failure([&] { audit::check_session_stats(joins, 0); }, "session");
 
+  // More repacked opens than accepted ones.
+  conf::SessionStats repacked = ok;
+  repacked.repacked = 4;
+  audit_failure([&] { audit::check_session_stats(repacked, 0); }, "session");
+
   // Two sessions claiming the same port.
   audit_failure(
       [] {

@@ -73,6 +73,39 @@ TEST(Session, CapacityBlockingReleasesPorts) {
   mgr.close(*s);
 }
 
+TEST(Session, LinkRefusalIsRePlacedBeforeBlocking) {
+  // Dilation 1: first-fit's window {3,4} shares a link with {0,1,2}, so
+  // the open is re-placed onto {5,6}; the next 2-member open finds no
+  // window the fabric carries and blocks on capacity after the full loop.
+  DirectConferenceNetwork net(Kind::kOmega, 3, DilationProfile::uniform(3, 1));
+  SessionManager mgr(net, PlacementPolicy::kFirstFit);
+  util::Rng rng(9);
+  const u32 a = *mgr.open(3, rng).second;
+  EXPECT_EQ(mgr.members_of(a), (std::vector<u32>{0, 1, 2}));
+  EXPECT_EQ(mgr.stats().repacked, 0u);
+  EXPECT_FALSE(net.setup({3, 4}).has_value());
+  EXPECT_EQ(net.last_error(), SetupError::kLinkCapacity);
+
+  const SessionStats before = mgr.stats();
+  const auto [r, b] = mgr.open(2, rng);
+  ASSERT_EQ(r, OpenResult::kAccepted);
+  EXPECT_EQ(mgr.members_of(*b), (std::vector<u32>{5, 6}));
+  const SessionStats delta = mgr.stats().since(before);
+  EXPECT_EQ(delta.accepted, 1u);
+  EXPECT_EQ(delta.repacked, 1u);
+  // The held window {3,4} went back to the placer.
+  EXPECT_EQ(mgr.busy_ports(), 5u);
+
+  const auto [blocked, none] = mgr.open(2, rng);
+  EXPECT_EQ(blocked, OpenResult::kBlockedCapacity);
+  EXPECT_FALSE(none.has_value());
+  EXPECT_EQ(mgr.busy_ports(), 5u);
+  EXPECT_EQ(mgr.stats().accepted, 2u);
+  EXPECT_EQ(mgr.stats().repacked, 1u);
+  EXPECT_EQ(mgr.stats().blocked_capacity, 1u);
+  EXPECT_TRUE(net.verify_delivery());
+}
+
 TEST(Session, BuddyPlusEnhancedNeverCapacityBlocks) {
   // The design claim end-to-end: aligned placement + enhanced cube never
   // refuses for capacity, only for lack of ports.

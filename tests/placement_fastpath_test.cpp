@@ -81,10 +81,12 @@ void placer_churn_twin(PlacementPolicy policy, u64 seed) {
     const u64 action = script.below(10);
     if (action < 5 || live.empty()) {
       const u32 size = 2 + static_cast<u32>(script.below(15));
-      ASSERT_EQ(fast->placeable(size), ref->placeable(size));
+      const bool placeable = fast->placeable(size);
+      ASSERT_EQ(placeable, ref->placeable(size));
       const auto pf = fast->place(size, rng_fast);
       const auto pr = ref->place(size, rng_ref);
       ASSERT_EQ(pf.has_value(), pr.has_value());
+      ASSERT_EQ(pf.has_value(), placeable);  // the watermark is exact
       if (pf) {
         ASSERT_EQ(*pf, *pr);
         live.push_back(*pf);

@@ -185,6 +185,12 @@ HOT_CONTRACT: dict[str, list[str]] = {
     "src/switchmod/fabric_state.cpp": [
         "count_link_users", "apply_load", "dead_links_in",
     ],
+    # Admission repack: a refused open re-places into reused scratch; the
+    # held-window stack's growth to the largest conference is the one
+    # waived allocation.
+    "src/conference/session.cpp": [
+        "repack",
+    ],
     # Lock-lean command path: the bounded MPSC ring buffer's
     # producer/consumer primitives recycle its slots; the ring's on-demand
     # growth in place() is the one waived allocation.
