@@ -829,4 +829,48 @@ TEST(ClusterTraffic, RepairGatedRetryQueueKeepsConservation) {
   c2.stop();
 }
 
+TEST(ClusterTraffic, FaultedSpanningRunIsPinned) {
+  // Spans, trunk faults and link faults, with victims re-offered at once
+  // and parked until their repair: any change to the event order, the RNG
+  // draw order or the event count moves these figures.
+  struct Golden {
+    std::vector<u64> stats;  // ClusterStats in declaration order
+    u64 interrupted, reopened, lost, events;
+    double mean_active;
+    u32 trunk_peak;
+  };
+  const Golden golden[] = {
+      {{326, 251, 75, 247, 1, 193, 120, 28, 45, 111, 7, 315, 32, 6, 6, 5, 5},
+       8, 0, 8, 904, 6.2233122735682898, 2},
+      {{326, 250, 76, 246, 1, 192, 121, 29, 42, 111, 8, 317, 32, 6, 6, 5, 5},
+       9, 5, 4, 904, 6.3192430389702876, 2},
+  };
+  for (const bool retry : {false, true}) {
+    SCOPED_TRACE(retry ? "retry_on_repair" : "reoffer at once");
+    cl::Cluster c(small_config());
+    sim::ClusterTrafficConfig cfg = traffic_config(31);
+    cfg.retry_on_repair = retry;
+    const auto r = sim::run_cluster_traffic(c, cfg);
+    const Golden& g = golden[retry ? 1 : 0];
+    const cl::ClusterStats& s = r.stats;
+    EXPECT_EQ((std::vector<u64>{
+                  s.intra_opens, s.intra_accepted, s.intra_blocked,
+                  s.intra_closes, s.intra_interrupted, s.span_opens,
+                  s.span_accepted, s.span_blocked_local, s.span_blocked_trunk,
+                  s.span_closes, s.span_interrupted, s.legs_reserved,
+                  s.legs_rolled_back, s.trunk_failures, s.trunk_repairs,
+                  s.link_failures, s.link_repairs}),
+              g.stats);
+    EXPECT_EQ(r.interrupted, g.interrupted);
+    EXPECT_EQ(r.reopened, g.reopened);
+    EXPECT_EQ(r.lost, g.lost);
+    EXPECT_EQ(r.events, g.events);
+    EXPECT_DOUBLE_EQ(r.mean_active, g.mean_active);
+    EXPECT_EQ(r.trunk_peak, g.trunk_peak);
+    EXPECT_EQ(r.functional_checks, 4u);
+    EXPECT_TRUE(r.functional_ok);
+    c.stop();
+  }
+}
+
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 
 #include "min/faults.hpp"
 #include "sim/teletraffic.hpp"
@@ -602,6 +603,81 @@ TEST(TeletrafficFaults, ZeroFaultRateIsByteIdenticalToPreFaultGolden) {
     EXPECT_EQ(r.leaves, 1186u);
     EXPECT_DOUBLE_EQ(r.mean_active_sessions, 4.0038270534646836);
     EXPECT_DOUBLE_EQ(r.mean_busy_ports, 15.533586763852409);
+    EXPECT_TRUE(r.functional_ok);
+  }
+}
+
+TEST(TeletrafficFaults, FaultedRunWithEveryProcessIsPinned) {
+  // Every event kind at once: arrivals, departures, churn, talk spurts,
+  // periodic verification, link faults and repairs, with recoveries in
+  // place and through the wait queue. Any change to the event order, the
+  // RNG draw order or the event count moves these figures.
+  struct Golden {
+    conf::SessionStats stats;
+    std::uint64_t events;
+    RecoveryStats recovery;
+    double degraded_fraction;
+    std::size_t latency_n;
+    double latency_mean;
+    double latency_max;
+    double mean_active_sessions;
+    double mean_busy_ports;
+    std::size_t speakers_n;
+    double speakers_mean;
+  };
+  const Golden direct{
+      {.attempts = 696, .accepted = 685, .repacked = 152,
+       .blocked_placement = 0, .blocked_capacity = 0, .blocked_fault = 11,
+       .closes = 686, .joins = 681, .joins_blocked = 514,
+       .joins_blocked_fault = 22, .leaves = 798, .interrupted = 72},
+      13379,
+      RecoveryStats{412, 411, 96, 92, 3, 0, 0, 0, 1},
+      0.030159408240999327, 95, 0.0070659822224007776, 0.33220856019431722,
+      4.004550758893064, 14.710100143475739, 615, 0.71020640734230744};
+  const Golden enhanced{
+      {.attempts = 684, .accepted = 677, .repacked = 110,
+       .blocked_placement = 0, .blocked_capacity = 0, .blocked_fault = 7,
+       .closes = 676, .joins = 709, .joins_blocked = 509,
+       .joins_blocked_fault = 1, .leaves = 848, .interrupted = 42},
+      13815,
+      RecoveryStats{406, 403, 55, 54, 1, 0, 0, 0, 0},
+      0.035605761796198176, 55, 0.0018918158545674984, 0.10404987200121241,
+      3.9912344561542938, 15.521252504448508, 634, 0.69795150527893512};
+
+  for (const bool is_enhanced : {false, true}) {
+    std::unique_ptr<conf::ConferenceNetworkBase> net;
+    if (is_enhanced)
+      net = std::make_unique<EnhancedCubeNetwork>(6);
+    else
+      net = std::make_unique<DirectConferenceNetwork>(
+          Kind::kOmega, 6, DilationProfile::full(6));
+    TeletrafficConfig c = golden_config();
+    c.duration = 400.0;
+    c.membership_churn = true;
+    c.join_rate = 1.0;
+    c.leave_rate = 1.0;
+    c.verify_functional = true;
+    c.verify_interval = 50.0;
+    c.talk_spurts = true;
+    c.fault_rate = 1.0;
+    c.repair_rate = 0.5;
+    const TeletrafficResult r = run_teletraffic(*net, c);
+
+    const Golden& g = is_enhanced ? enhanced : direct;
+    SCOPED_TRACE(is_enhanced ? "enhanced" : "direct");
+    EXPECT_EQ(r.stats, g.stats);
+    EXPECT_EQ(r.events, g.events);
+    EXPECT_EQ(r.recovery, g.recovery);
+    EXPECT_EQ(r.recovery_pending, 0u);
+    EXPECT_DOUBLE_EQ(r.degraded_fraction, g.degraded_fraction);
+    EXPECT_EQ(r.recovery_latency.n, g.latency_n);
+    EXPECT_DOUBLE_EQ(r.recovery_latency.mean, g.latency_mean);
+    EXPECT_DOUBLE_EQ(r.recovery_latency.max, g.latency_max);
+    EXPECT_DOUBLE_EQ(r.mean_active_sessions, g.mean_active_sessions);
+    EXPECT_DOUBLE_EQ(r.mean_busy_ports, g.mean_busy_ports);
+    EXPECT_EQ(r.speaker_concurrency.n, g.speakers_n);
+    EXPECT_DOUBLE_EQ(r.speaker_concurrency.mean, g.speakers_mean);
+    EXPECT_EQ(r.functional_checks, 8u);
     EXPECT_TRUE(r.functional_ok);
   }
 }
