@@ -1,7 +1,6 @@
 #include "sim/cluster_traffic.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <map>
 #include <tuple>
 #include <utility>
@@ -14,6 +13,14 @@ namespace confnet::sim {
 using u64 = min::u64;
 
 namespace {
+
+/// The driver's events. EventArgs::id is a departing conference; a
+/// trunk repair's shard pair is (a, b), a link repair's link is (level b,
+/// row c) of shard a. kWarmup snapshots the counters once.
+enum EventKind : std::uint32_t {
+  kWarmup, kArrival, kDeparture, kTrunkFault, kTrunkRepair, kLinkFault,
+  kLinkRepair, kVerify,
+};
 
 /// Weighted shard draw over the still-eligible entries of `weights`.
 u32 draw_shard(util::Rng& rng, const std::vector<double>& weights,
@@ -94,16 +101,15 @@ ClusterTrafficResult run_cluster_traffic(cluster::Cluster& cluster,
   std::map<u64, Offered> live;
 
   cluster::ClusterStats at_warmup;
-  des.schedule(config.warmup, [&] { at_warmup = cluster.stats(); });
+  des.schedule(config.warmup, kWarmup);
 
   // --- conference admission ------------------------------------------------
-
   auto make_legs = [&](u32 size) {
     std::vector<cluster::LegSpec> legs;
     const bool span = shards > 1 && config.span_fraction > 0.0 &&
                       rng.chance(config.span_fraction);
+    std::vector<bool> taken(shards, false);
     if (!span) {
-      std::vector<bool> taken(shards, false);
       legs.push_back({draw_shard(rng, weights, taken), std::max(size, 2u)});
       return legs;
     }
@@ -111,7 +117,6 @@ ClusterTrafficResult run_cluster_traffic(cluster::Cluster& cluster,
         std::min(std::max(config.max_span_shards, 2u), shards);
     const u32 touch = static_cast<u32>(
         rng.between(2, std::max(2u, std::min(max_touch, size))));
-    std::vector<bool> taken(shards, false);
     for (u32 i = 0; i < touch; ++i) {
       const u32 s = draw_shard(rng, weights, taken);
       taken[s] = true;
@@ -119,39 +124,22 @@ ClusterTrafficResult run_cluster_traffic(cluster::Cluster& cluster,
     }
     for (u32 m = touch; m < size; ++m)
       legs[rng.below(touch)].members += 1;
-    std::sort(legs.begin(), legs.end(),
-              [](const cluster::LegSpec& a, const cluster::LegSpec& b) {
-                return a.shard < b.shard;
-              });
+    std::ranges::sort(legs, {}, &cluster::LegSpec::shard);
     return legs;
-  };
-
-  std::function<void(u64)> departure = [&](u64 id) {
-    advance(des.now());
-    live.erase(id);
-    (void)cluster.close(id);  // false when a fault already tore it down
   };
 
   auto offer = [&](std::vector<cluster::LegSpec> legs, double departs) {
     const cluster::OpenReport r = cluster.open(legs);
     if (r.result == cluster::Admit::kAccepted) {
       live.emplace(r.id, Offered{std::move(legs), departs});
-      des.schedule(departs, [&, id = r.id] { departure(id); });
+      des.schedule(departs, kDeparture, {.id = r.id});
     }
     return r.result;
   };
 
-  std::function<void()> arrival = [&] {
-    advance(des.now());
-    const u32 size = config.traffic.conference_size(rng);
-    const double departs = des.now() + config.traffic.holding_time(rng);
-    (void)offer(make_legs(size), departs);
-    des.schedule_in(config.traffic.next_interarrival(rng), arrival);
-  };
-  des.schedule_in(config.traffic.next_interarrival(rng), arrival);
+  des.schedule_in(config.traffic.next_interarrival(rng), kArrival);
 
   // --- fault interruption bookkeeping -------------------------------------
-
   // Retry queue for retry_on_repair: victims parked per fault key until
   // the matching repair fires. Key = (kind, a/shard, b/level, 0/row) with
   // kind 0 = trunk pair, 1 = interstage link.
@@ -159,12 +147,10 @@ ClusterTrafficResult run_cluster_traffic(cluster::Cluster& cluster,
   std::map<FaultKey, std::vector<Offered>> parked;
 
   auto reoffer = [&](Offered&& victim) {
-    if (victim.departs > des.now() &&
-        offer(std::move(victim.legs), victim.departs) ==
-            cluster::Admit::kAccepted)
-      ++result.reopened;
-    else
-      ++result.lost;
+    const bool back = victim.departs > des.now() &&
+                      offer(std::move(victim.legs), victim.departs) ==
+                          cluster::Admit::kAccepted;
+    ++(back ? result.reopened : result.lost);
   };
 
   auto absorb_interrupts = [&](const std::vector<u64>& ids,
@@ -191,88 +177,93 @@ ClusterTrafficResult run_cluster_traffic(cluster::Cluster& cluster,
     for (Offered& victim : queue) reoffer(std::move(victim));
   };
 
-  // --- trunk fault process -------------------------------------------------
-  // The recurring event closures live at function scope: scheduled events
-  // capture them by reference and fire long after any inner block ends.
-
+  // --- fault processes and periodic deep verification ---------------------
   const u32 pairs = cluster.trunks().pair_count();
-  std::function<void(u32, u32)> trunk_repair = [&](u32 a, u32 b) {
-    advance(des.now());
-    if (cluster.repair_trunk(a, b)) release_parked(FaultKey{0, a, b, 0});
-  };
-  std::function<void()> trunk_fault = [&] {
-    advance(des.now());
-    // Sample a healthy pair; bail out when faults saturate the mesh.
-    for (u32 attempt = 0; attempt < 8; ++attempt) {
-      const auto [a, b] =
-          pair_of_index(shards, static_cast<u32>(rng.below(pairs)));
-      if (cluster.trunks().faulty(a, b)) continue;
-      absorb_interrupts(cluster.fail_trunk(a, b), FaultKey{0, a, b, 0});
-      des.schedule_in(rng.exponential(config.trunk_repair_rate),
-                      [&, a = a, b = b] { trunk_repair(a, b); });
-      break;
-    }
-    des.schedule_in(rng.exponential(config.trunk_fault_rate), trunk_fault);
-  };
   if (config.trunk_fault_rate > 0.0 && shards > 1)
-    des.schedule_in(rng.exponential(config.trunk_fault_rate), trunk_fault);
-
-  // --- shard link fault process -------------------------------------------
-
-  std::function<void(u32, u32, u32)> link_repair = [&](u32 s, u32 level,
-                                                       u32 row) {
-    advance(des.now());
-    if (cluster.repair_link(s, level, row))
-      release_parked(FaultKey{1, s, level, row});
-  };
-  std::function<void()> link_fault = [&] {
-    advance(des.now());
-    std::vector<bool> taken(shards, false);
-    const u32 s = draw_shard(rng, weights, taken);
-    // Interstage links live at levels 1..n-1.
-    const u32 level = 1 + static_cast<u32>(rng.below(n - 1));
-    const u32 row = static_cast<u32>(rng.below(ports));
-    const u64 before = cluster.stats().link_failures;
-    absorb_interrupts(cluster.fail_link(s, level, row),
-                      FaultKey{1, s, level, row});
-    if (cluster.stats().link_failures > before) {
-      des.schedule_in(rng.exponential(config.link_repair_rate),
-                      [&, s, level, row] { link_repair(s, level, row); });
-    }
-    des.schedule_in(rng.exponential(config.link_fault_rate), link_fault);
-  };
+    des.schedule_in(rng.exponential(config.trunk_fault_rate), kTrunkFault);
   if (config.link_fault_rate > 0.0)
-    des.schedule_in(rng.exponential(config.link_fault_rate), link_fault);
-
-  // --- periodic deep verification -----------------------------------------
-
-  std::function<void()> verify = [&] {
-    ++result.functional_checks;
-    try {
-      cluster.drain();
-      cluster.cross_check();
-    } catch (const audit::AuditError&) {
-      result.functional_ok = false;
-      des.stop();
-      return;
-    }
-    des.schedule_in(config.verify_interval, verify);
-  };
+    des.schedule_in(rng.exponential(config.link_fault_rate), kLinkFault);
   if (config.verify_functional)
-    des.schedule_in(config.verify_interval, verify);
+    des.schedule_in(config.verify_interval, kVerify);
 
-  des.run_until(config.duration);
+  des.run_until(config.duration, [&](const Event& ev) {
+    // Areas advance before every state change; a verification changes
+    // nothing they measure.
+    if (ev.kind != kVerify) advance(des.now());
+    switch (static_cast<EventKind>(ev.kind)) {
+      case kWarmup:
+        at_warmup = cluster.stats();
+        break;
+      case kArrival: {
+        const u32 size = config.traffic.conference_size(rng);
+        const double departs = des.now() + config.traffic.holding_time(rng);
+        (void)offer(make_legs(size), departs);
+        des.schedule_in(config.traffic.next_interarrival(rng), kArrival);
+        break;
+      }
+      case kDeparture:
+        live.erase(ev.args.id);
+        (void)cluster.close(ev.args.id);  // false when a fault tore it down
+        break;
+      case kTrunkFault:
+        // Sample a healthy pair; bail out when faults saturate the mesh.
+        for (u32 attempt = 0; attempt < 8; ++attempt) {
+          const auto [a, b] =
+              pair_of_index(shards, static_cast<u32>(rng.below(pairs)));
+          if (cluster.trunks().faulty(a, b)) continue;
+          absorb_interrupts(cluster.fail_trunk(a, b), FaultKey{0, a, b, 0});
+          des.schedule_in(rng.exponential(config.trunk_repair_rate),
+                          kTrunkRepair, {.a = a, .b = b});
+          break;
+        }
+        des.schedule_in(rng.exponential(config.trunk_fault_rate),
+                        kTrunkFault);
+        break;
+      case kTrunkRepair:
+        if (cluster.repair_trunk(ev.args.a, ev.args.b))
+          release_parked(FaultKey{0, ev.args.a, ev.args.b, 0});
+        break;
+      case kLinkFault: {
+        std::vector<bool> taken(shards, false);
+        const u32 s = draw_shard(rng, weights, taken);
+        // Interstage links live at levels 1..n-1.
+        const u32 level = 1 + static_cast<u32>(rng.below(n - 1));
+        const u32 row = static_cast<u32>(rng.below(ports));
+        const u64 before = cluster.stats().link_failures;
+        absorb_interrupts(cluster.fail_link(s, level, row),
+                          FaultKey{1, s, level, row});
+        if (cluster.stats().link_failures > before)
+          des.schedule_in(rng.exponential(config.link_repair_rate),
+                          kLinkRepair, {.a = s, .b = level, .c = row});
+        des.schedule_in(rng.exponential(config.link_fault_rate), kLinkFault);
+        break;
+      }
+      case kLinkRepair:
+        if (cluster.repair_link(ev.args.a, ev.args.b, ev.args.c))
+          release_parked(FaultKey{1, ev.args.a, ev.args.b, ev.args.c});
+        break;
+      case kVerify:
+        ++result.functional_checks;
+        try {
+          cluster.drain();
+          cluster.cross_check();
+        } catch (const audit::AuditError&) {
+          result.functional_ok = false;
+          return false;  // a violation ends the run
+        }
+        des.schedule_in(config.verify_interval, kVerify);
+        break;
+    }
+    return true;
+  });
   advance(std::max(config.duration, last));
   cluster.drain();
 
   // Victims still parked at the horizon never saw their repair: they are
   // lost, keeping interrupted == reopened + lost exact.
-  for (const auto& [key, queue] : parked)
-    result.lost += queue.size();
-  parked.clear();
+  for (const auto& [key, queue] : parked) result.lost += queue.size();
 
   // --- results -------------------------------------------------------------
-
   result.stats = cluster.stats();
   const cluster::ClusterStats& s = result.stats;
   const u64 intra_opens = s.intra_opens - at_warmup.intra_opens;

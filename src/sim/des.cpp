@@ -1,5 +1,6 @@
 #include "sim/des.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "util/error.hpp"
@@ -10,79 +11,73 @@ namespace confnet::sim {
 
 namespace {
 
-/// Registry handles resolved once per process (function-local static), so
-/// the event loop pays one relaxed atomic op per update.
-struct SimMetrics {
-  obs::Counter& events = obs::Registry::global().counter("sim", "events");
-  obs::Counter& runs = obs::Registry::global().counter("sim", "runs");
-  obs::Gauge& queue_depth =
-      obs::Registry::global().gauge("sim", "queue_depth");
-  obs::Gauge& virtual_time =
-      obs::Registry::global().gauge("sim", "virtual_time");
-  obs::Gauge& virtual_time_rate =
-      obs::Registry::global().gauge("sim", "virtual_time_rate");
+/// The heap order: `a` fires after `b`.
+bool later(const Event& a, const Event& b) noexcept {
+  return a.time != b.time ? a.time > b.time : a.seq > b.seq;
+}
 
-  static SimMetrics& get() {
-    static SimMetrics m;
-    return m;
-  }
-};
+/// Wall time for the virtual_time_rate gauge only.
+std::int64_t wall_ns() {
+  // static_check: allow(sim-determinism) reporting-only wall clock
+  const auto t = std::chrono::steady_clock::now().time_since_epoch();
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(t).count();
+}
 
 }  // namespace
 
-void Simulator::schedule(SimTime t, std::function<void()> fn) {
+void Simulator::schedule(SimTime t, std::uint32_t kind, EventArgs args) {
   expects(t >= now_, "cannot schedule events in the past");
-  queue_.push(Event{t, seq_++, std::move(fn)});
+  agenda_.push_back(Event{t, seq_++, kind, args});
+  std::push_heap(agenda_.begin(), agenda_.end(), later);
 }
 
-void Simulator::run_until(SimTime t_end) {
-  SimMetrics& m = SimMetrics::get();
+void Simulator::begin_run(SimTime t_end) {
   obs::Tracer& tracer = obs::Tracer::global();
-  const bool tracing = tracer.enabled();
-  const SimTime t_start = now_;
-  const std::uint64_t processed_before = processed_;
-  // static_check: allow(sim-determinism) wall clock only feeds the
-  // virtual_time_rate gauge; simulation logic never reads it
-  const auto wall_start = std::chrono::steady_clock::now();
-  if (tracing) {
+  tracing_ = tracer.enabled();
+  if (tracing_) {
     tracer.set_logical_time(now_);
     obs::trace_emit("sim", "run_begin", t_end);
   }
+  run_now_ = now_;
+  run_processed_ = processed_;
+  run_wall_ns_ = wall_ns();
+}
 
-  stopped_ = false;
-  while (!stopped_ && !queue_.empty()) {
-    const Event& top = queue_.top();
-    if (top.time > t_end) break;
-    // priority_queue::top is const; move out via const_cast is UB — copy
-    // the callable handle instead (cheap: std::function small for our
-    // lambdas, and correctness beats the copy here).
-    Event ev{top.time, top.seq, top.fn};
-    queue_.pop();
-    now_ = ev.time;
-    ++processed_;
-    if (tracing) tracer.set_logical_time(now_);
-    ev.fn();
-  }
-  if (queue_.empty() || queue_.top().time > t_end) now_ = t_end;
-  if (tracing) {
-    tracer.set_logical_time(now_);
+bool Simulator::pop(SimTime t_end, Event& out) {
+  if (agenda_.empty() || agenda_.front().time > t_end) return false;
+  std::pop_heap(agenda_.begin(), agenda_.end(), later);
+  out = agenda_.back();
+  agenda_.pop_back();
+  now_ = out.time;
+  ++processed_;
+  if (tracing_) obs::Tracer::global().set_logical_time(now_);
+  return true;
+}
+
+void Simulator::end_run(SimTime t_end) {
+  if (agenda_.empty() || agenda_.front().time > t_end) now_ = t_end;
+  if (tracing_) {
+    obs::Tracer::global().set_logical_time(now_);
     obs::trace_emit("sim", "run_end",
-                    static_cast<double>(processed_ - processed_before));
+                    static_cast<double>(processed_ - run_processed_));
   }
 
   // Observability: cumulative event count, instantaneous queue depth, and
   // the virtual-time rate (simulated seconds per wall second) of this run.
-  m.events.add(processed_ - processed_before);
-  m.runs.add();
-  m.queue_depth.set(static_cast<double>(queue_.size()));
-  m.virtual_time.set(now_);
+  // The registry handles are resolved once per process.
+  obs::Registry& reg = obs::Registry::global();
+  static obs::Counter& events = reg.counter("sim", "events");
+  static obs::Counter& runs = reg.counter("sim", "runs");
+  static obs::Gauge& queue_depth = reg.gauge("sim", "queue_depth");
+  static obs::Gauge& virtual_time = reg.gauge("sim", "virtual_time");
+  static obs::Gauge& time_rate = reg.gauge("sim", "virtual_time_rate");
+  events.add(processed_ - run_processed_);
+  runs.add();
+  queue_depth.set(static_cast<double>(agenda_.size()));
+  virtual_time.set(now_);
   const double wall_seconds =
-      // static_check: allow(sim-determinism) reporting-only wall clock
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  if (wall_seconds > 0.0)
-    m.virtual_time_rate.set((now_ - t_start) / wall_seconds);
+      static_cast<double>(wall_ns() - run_wall_ns_) / 1e9;
+  if (wall_seconds > 0.0) time_rate.set((now_ - run_now_) / wall_seconds);
 }
 
 }  // namespace confnet::sim

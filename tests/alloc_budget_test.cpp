@@ -10,6 +10,10 @@
 // need. The churn budgets also pin the live heap each open conference
 // costs (usable bytes of every operator-new block).
 //
+// The DES budgets run the teletraffic driver end to end: its agenda holds
+// plain events in one growing heap, so what a run allocates beyond that
+// heap's growth is the member lists the fabric stores.
+//
 // Construction budgets pin what building an object costs: a network and
 // its channel tables are inline, so a fabric on a kind with orthogonal
 // windows allocates only its busy-port and claimed-block bitsets (its link
@@ -32,6 +36,7 @@
 #include "conference/session.hpp"
 #include "conference/subnetwork.hpp"
 #include "runtime/runtime.hpp"
+#include "sim/teletraffic.hpp"
 #include "util/audit.hpp"
 
 namespace {
@@ -349,6 +354,72 @@ TEST(RuntimeChurnBudget, FourShardsCallPooled) {
   EXPECT_LE(max_served, 1u);
   EXPECT_EQ(allocs_refused, 0u);
   EXPECT_EQ(allocs_close, 0u);
+}
+
+/// The DES configuration of the e2ebench des_teletraffic workload: buddy
+/// churn on one N = 1024 indirect cube of dilation 4, membership churn and
+/// a delivery check every half unit. Warm-up only gates the statistics, so
+/// with none the counts cover the whole run and the event stream is the
+/// same.
+sim::TeletrafficConfig des_budget_config() {
+  sim::TeletrafficConfig cfg;
+  cfg.traffic.arrival_rate = 40.0;
+  cfg.traffic.mean_holding = 2.0;
+  cfg.traffic.min_size = 2;
+  cfg.traffic.max_size = 16;
+  cfg.policy = PlacementPolicy::kBuddy;
+  cfg.duration = 100.0;
+  cfg.warmup = 0.0;
+  cfg.seed = 7;
+  cfg.verify_functional = true;
+  cfg.verify_interval = 0.5;
+  cfg.membership_churn = true;
+  return cfg;
+}
+
+/// Allocations of one run_teletraffic on a fresh design, with its result.
+std::size_t des_allocations(const sim::TeletrafficConfig& cfg,
+                            sim::TeletrafficResult& result) {
+  DirectConferenceNetwork net(Kind::kIndirectCube, 10,
+                              DilationProfile::uniform(10, 4));
+  return allocations_in([&] { result = sim::run_teletraffic(net, cfg); });
+}
+
+/// What a run may allocate besides member lists: the manager, the control
+/// plane and the placer at construction, and the agenda heap's doublings.
+constexpr std::size_t kDesFixedAllocs = 64;
+
+TEST(DesBudget, AgendaAllocatesOnlyMemberLists) {
+  if (audit::kEnabled)
+    GTEST_SKIP() << "CONFNET_AUDIT hooks allocate on every mutation";
+  sim::TeletrafficResult r;
+  const std::size_t allocs = des_allocations(des_budget_config(), r);
+  ASSERT_GT(r.stats.accepted, 3000u);
+  ASSERT_GT(r.joins, 2000u);
+  // Each accepted open stores one member list and each join may regrow
+  // it; nothing else allocates per event. A queue of std::function
+  // events allocated 44,529 times here (19,419 events).
+  EXPECT_LE(allocs, r.stats.accepted + r.joins + kDesFixedAllocs)
+      << r.events << " events";
+}
+
+TEST(DesBudget, TalkSpurtsAddOnlyTheirTableGrowth) {
+  if (audit::kEnabled)
+    GTEST_SKIP() << "CONFNET_AUDIT hooks allocate on every mutation";
+  sim::TeletrafficConfig cfg = des_budget_config();
+  cfg.talk_spurts = true;
+  sim::TeletrafficResult r;
+  const std::size_t allocs = des_allocations(cfg, r);
+  ASSERT_GT(r.stats.accepted, 3000u);
+  // The spurt table is indexed by session id and doubles as ids grow:
+  // one allocation per doubling up to the last id. A shared state per
+  // chain and a std::function per toggle allocated 197,194 times here
+  // (93,277 events).
+  std::size_t doublings = 0;
+  for (std::uint64_t cap = 1; cap < r.stats.attempts; cap *= 2) ++doublings;
+  EXPECT_LE(allocs,
+            r.stats.accepted + r.joins + kDesFixedAllocs + doublings + 1)
+      << r.events << " events";
 }
 
 TEST(ConstructionBudget, FirstFitPlacerBuildsNoBuddyTables) {

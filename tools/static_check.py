@@ -72,6 +72,12 @@ installed). Enforces the repo-specific rules that the compiler cannot:
                    never depends on the paper's analysis (confnet_analysis),
                    which is built on top of it.
 
+  sim-agenda       No std::function, std::shared_ptr, make_shared or
+                   #include <functional> in src/sim/. The DES agenda holds
+                   plain events (time, seq, kind, a few ids) in one heap,
+                   and each driver fires them with one switch over its
+                   own kinds, so no event owns a closure or a shared state.
+
 Suppression: a finding is waived by a comment on the same line — or on
 the line(s) immediately above — of the form
 
@@ -139,6 +145,10 @@ RULES: dict[str, str] = {
     "core-include": (
         "#include of an analysis/ header from src/ outside src/analysis/;"
         " the serving core never depends on confnet_analysis"
+    ),
+    "sim-agenda": (
+        "std::function, std::shared_ptr, make_shared or <functional> in"
+        " src/sim/; schedule a plain event and fire it in the driver's switch"
     ),
 }
 
@@ -249,6 +259,14 @@ DETERMINISM_ROOTS = (
 # the serving core and may not include from it.
 ANALYSIS_ROOT = "src/analysis/"
 CORE_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*["<](analysis/[^">]*)')
+
+# sim-agenda: the DES agenda's root and the owning or type-erased callables
+# it keeps out.
+SIM_AGENDA_ROOT = "src/sim/"
+SIM_AGENDA_RE = re.compile(
+    r"\bstd::(?:function|shared_ptr)\b|\bmake_shared\b"
+    r"|#\s*include\s*<functional>"
+)
 
 # runtime-owner / cluster-owner: every `name_` member declared in a
 # src/runtime or src/cluster header is concurrent-adjacent state (the
@@ -661,6 +679,21 @@ def check_core_include(sf: SourceFile, findings: list[Finding]) -> None:
             )
 
 
+def check_sim_agenda(sf: SourceFile, findings: list[Finding]) -> None:
+    if not sf.path.startswith(SIM_AGENDA_ROOT):
+        return
+    for i, line in enumerate(sf.lines):
+        m = SIM_AGENDA_RE.search(line)
+        if m and not sf.allowed(i, "sim-agenda"):
+            findings.append(
+                Finding(
+                    sf.path, i + 1, "sim-agenda",
+                    f"`{m.group(0)}` in the DES; schedule a plain event "
+                    "(sim::Event) and fire it in the driver's switch",
+                )
+            )
+
+
 def check_member_ownership(sf: SourceFile, findings: list[Finding]) -> None:
     rule = next(
         (r for root, r in OWNER_ROOTS.items() if sf.path.startswith(root)),
@@ -742,6 +775,7 @@ def run_rules(files: dict[str, SourceFile], engine: str) -> list[Finding]:
         check_determinism(sf, findings)
         check_kind_switch(sf, findings)
         check_core_include(sf, findings)
+        check_sim_agenda(sf, findings)
         check_member_ownership(sf, findings)
         check_bare_allows(sf, findings)
     check_audit_hooks(files, findings)
