@@ -206,6 +206,7 @@ TeletrafficResult run_teletraffic(conf::ConferenceNetworkBase& network,
       }
       case kChurn: {
         if (!manager.contains(sid)) break;
+        observe();  // a join or leave moves busy_ports()
         const bool join =
             rng.uniform() * (config.join_rate + config.leave_rate) <
             config.join_rate;
