@@ -231,6 +231,10 @@ class FabricConferenceNetwork : public ConferenceNetworkBase {
   [[nodiscard]] u32 current_level_load(u32 level) const;
   /// Channel load currently on link (level, row).
   [[nodiscard]] u32 current_link_load(u32 level, u32 row) const;
+  /// The fabric the conferences are groups of (for checks).
+  [[nodiscard]] const sw::FabricState& fabric() const noexcept {
+    return state_;
+  }
 
   [[nodiscard]] bool supports_faults() const noexcept override { return true; }
   [[nodiscard]] std::vector<u32> fail_link(u32 level, u32 row) override;

@@ -27,19 +27,45 @@ std::optional<u32> BuddyAllocator::allocate(u32 order) {
     std::sort(free_[have].begin(), free_[have].end());
   }
   free_ports_ -= u32{1} << order;
-  if constexpr (audit::kEnabled) allocated_.emplace(base, order);
   return base;
+}
+
+u32 BuddyAllocator::claim(Region region) {
+  expects(region.order <= n_, "claim order beyond network size");
+  u32 taken = 0;
+  for (u32 ord = 0; ord <= n_; ++ord) {
+    auto& list = free_[ord];
+    const auto first = std::lower_bound(list.begin(), list.end(), region.base);
+    if (ord >= region.order) {
+      const u32 holder = region.base & ~((u32{1} << ord) - 1);
+      expects(!std::binary_search(list.begin(), list.end(), holder),
+              "claim of a region inside a free block");
+      continue;
+    }
+    const auto last = std::lower_bound(first, list.end(), region.end());
+    taken += static_cast<u32>(last - first) << ord;
+    list.erase(first, last);
+  }
+  free_ports_ -= taken;
+  return taken;
+}
+
+bool BuddyAllocator::overlaps_free(Region block) const {
+  for (u32 ord = 0; ord <= n_; ++ord) {
+    const auto& list = free_[ord];
+    const u32 from = block.base & ~((u32{1} << ord) - 1);
+    const auto it = std::lower_bound(list.begin(), list.end(), from);
+    if (it != list.end() && *it < block.end()) return true;
+  }
+  return false;
 }
 
 void BuddyAllocator::release(u32 base, u32 order) {
   expects(order <= n_, "release order beyond network size");
   expects((base & ((u32{1} << order) - 1)) == 0, "release base misaligned");
-  if constexpr (audit::kEnabled) {
-    const auto live = allocated_.find({base, order});
-    expects(live != allocated_.end(),
-            "release of a block that is not currently allocated");
-    allocated_.erase(live);
-  }
+  if constexpr (audit::kEnabled)
+    expects(!overlaps_free({base, order}),
+            "release of a block that is not wholly allocated");
   expects(free_ports_ + (u32{1} << order) <= size(),
           "release frees more ports than exist (double free)");
   free_ports_ += u32{1} << order;
@@ -67,8 +93,29 @@ bool BuddyAllocator::can_allocate(u32 order) const {
   return false;
 }
 
+RegionBook::RegionBook(u32 n)
+    : order_(std::size_t{1} << n, 0), cover_(std::size_t{1} << n, 0) {}
+
+Region RegionBook::region_of(u32 port) const {
+  expects(port < order_.size() && order_[port] != 0,
+          "region of a port no buddy placement holds");
+  const u32 order = order_[port] - 1u;
+  return {port & ~((u32{1} << order) - 1), order};
+}
+
+u32 RegionBook::max_cover(Region region) const {
+  return *std::max_element(cover_.begin() + region.base,
+                           cover_.begin() + region.end());
+}
+
+void RegionBook::cover_region(Region region) {
+  for (u32 p = region.base; p < region.end(); ++p) ++cover_[p];
+}
+
 PortPlacer::PortPlacer(u32 n, PlacementPolicy policy)
-    : n_(n), policy_(policy), buddy_(n), taken_(u32{1} << n, false) {}
+    : n_(n), policy_(policy), buddy_(n), taken_(u32{1} << n, false) {
+  if (policy_ == PlacementPolicy::kBuddy) book_ = RegionBook(n);
+}
 
 u32 PortPlacer::free_ports() const noexcept {
   return (u32{1} << n_) - taken_count_;
@@ -85,9 +132,12 @@ bool PortPlacer::place_into(u32 size, util::Rng& rng,
       if (order > n_) return false;
       const auto base = buddy_.allocate(order);
       if (!base) return false;
-      buddy_blocks_[*base] = order;
+      book_.cover_region({*base, order});
       ports.reserve(size);
-      for (u32 i = 0; i < size; ++i) ports.push_back(*base + i);
+      for (u32 i = 0; i < size; ++i) {
+        ports.push_back(*base + i);
+        book_.record(*base + i, {*base, order});
+      }
       break;
     }
     case PlacementPolicy::kFirstFit: {
@@ -126,6 +176,46 @@ bool PortPlacer::place_into(u32 size, util::Rng& rng,
   return true;
 }
 
+bool PortPlacer::place_shared_into(u32 size, std::vector<u32>& ports) {
+  expects(size >= 2, "conferences need at least two members");
+  ports.clear();
+  if (policy_ != PlacementPolicy::kBuddy || size > free_ports()) return false;
+  const u32 order = util::log2_ceil(size);
+  if (order > n_) return false;
+  expects(!buddy_.can_allocate(order),
+          "the shared step follows a failed aligned one");
+  // Every region of every order at least `order`, each scanned port by
+  // port; the best is the least (cover, order, base).
+  std::optional<Region> best;
+  u32 best_cover = 0;
+  for (u32 o = order; o <= n_; ++o) {
+    for (u32 base = 0; base < taken_.size(); base += u32{1} << o) {
+      const Region region{base, o};
+      u32 room = 0;
+      for (u32 p = base; p < region.end(); ++p) room += taken_[p] ? 0u : 1u;
+      const u32 cover = book_.max_cover(region);
+      if (room < size || cover >= RegionBook::kMaxCover) continue;
+      if (!best || cover < best_cover) {
+        best = region;
+        best_cover = cover;
+      }
+    }
+  }
+  if (!best) return false;
+  for (const bool covered : {false, true})
+    for (u32 p = best->base; p < best->end() && ports.size() < size; ++p)
+      if (!taken_[p] && (book_.cover(p) != 0) == covered) ports.push_back(p);
+  std::sort(ports.begin(), ports.end());
+  for (u32 p : ports) {
+    taken_[p] = true;
+    book_.record(p, *best);
+  }
+  taken_count_ += size;
+  (void)buddy_.claim(*best);
+  book_.cover_region(*best);
+  return true;
+}
+
 std::optional<u32> PortPlacer::expand(const std::vector<u32>& current,
                                       util::Rng& rng) {
   expects(!current.empty(), "expand of empty placement");
@@ -133,15 +223,12 @@ std::optional<u32> PortPlacer::expand(const std::vector<u32>& current,
   std::optional<u32> port;
   switch (policy_) {
     case PlacementPolicy::kBuddy: {
-      // The new member must live inside the conference's own block.
-      const auto block = find_buddy_block(current.front());
-      expects(block != buddy_blocks_.end(),
-              "expand: placement is not buddy-allocated");
-      const u32 base = block->first;
-      const u32 end = base + (u32{1} << block->second);
-      for (u32 p = base; p < end; ++p) {
+      // The new member must live inside the conference's own region.
+      const Region region = book_.region_of(current.front());
+      for (u32 p = region.base; p < region.end(); ++p) {
         if (!taken_[p]) {
           port = p;
+          book_.record(p, region);
           break;
         }
       }
@@ -175,24 +262,26 @@ void PortPlacer::release_one(u32 port) {
   expects(port < taken_.size() && taken_[port], "release of unplaced port");
   taken_[port] = false;
   --taken_count_;
-  // Under buddy placement the block remains owned by the conference; it is
-  // returned wholesale by release().
+  // Under buddy placement the region stays covered by the conference; it
+  // is uncovered by release().
+  if (policy_ == PlacementPolicy::kBuddy) book_.clear(port);
 }
 
 void PortPlacer::release(const std::vector<u32>& ports) {
   expects(!ports.empty(), "release of empty placement");
+  const bool buddy = policy_ == PlacementPolicy::kBuddy;
+  const Region region = buddy ? book_.region_of(ports.front()) : Region{};
   for (u32 p : ports) {
     expects(p < taken_.size() && taken_[p], "release of unplaced port");
+    expects(!buddy || book_.holds(p, region),
+            "buddy release must pass ports of one placed conference");
     taken_[p] = false;
+    if (buddy) book_.clear(p);
   }
   taken_count_ -= static_cast<u32>(ports.size());
-  if (policy_ == PlacementPolicy::kBuddy) {
-    const auto it = find_buddy_block(ports.front());
-    expects(it != buddy_blocks_.end(),
-            "buddy release must pass ports of one placed conference");
-    buddy_.release(it->first, it->second);
-    buddy_blocks_.erase(it);
-  }
+  if (buddy)
+    book_.uncover_region(region,
+                         [&](u32 base, u32 order) { buddy_.release(base, order); });
 }
 
 bool PortPlacer::placeable(u32 size) const noexcept {
@@ -200,15 +289,6 @@ bool PortPlacer::placeable(u32 size) const noexcept {
   if (policy_ != PlacementPolicy::kBuddy) return true;
   const u32 order = util::log2_ceil(size);
   return order <= n_ && buddy_.can_allocate(order);
-}
-
-std::map<u32, u32>::iterator PortPlacer::find_buddy_block(u32 port) {
-  // Last block whose base is <= port, if the port falls inside it.
-  auto it = buddy_blocks_.upper_bound(port);
-  if (it == buddy_blocks_.begin()) return buddy_blocks_.end();
-  --it;
-  if (port >= it->first + (u32{1} << it->second)) return buddy_blocks_.end();
-  return it;
 }
 
 }  // namespace confnet::conf
@@ -225,27 +305,35 @@ void check_placer(const conf::PortPlacer& placer) {
           "occupancy counter disagrees with the taken bitmap");
   if (placer.policy_ != conf::PlacementPolicy::kBuddy) return;
 
-  // The placer's block table doubles as the allocated set: every
-  // allocation flows through place()/release(), so the two views are equal
-  // whenever the allocator's own tracking set is maintained (audit builds;
-  // release builds do not pay for it — see BuddyAllocator::release).
-  const conf::BuddyAllocator& buddy = placer.buddy_;
-  const std::vector<std::pair<u32, u32>> live(placer.buddy_blocks_.begin(),
-                                              placer.buddy_blocks_.end());
-  check_buddy_state(buddy.free_, live, buddy.n_, buddy.free_ports_);
-  if constexpr (kEnabled) {
-    require(std::equal(buddy.allocated_.begin(), buddy.allocated_.end(),
-                       live.begin(), live.end()),
-            kSub, "allocator live-block set diverges from the placer's");
+  check_region_book(placer.book_, placer.buddy_.free_,
+                    placer.buddy_.free_ports_, placer.taken_);
+}
+
+void check_region_book(const conf::RegionBook& book,
+                       const std::vector<std::vector<u32>>& free_lists,
+                       u32 free_ports, const std::vector<bool>& taken) {
+  constexpr std::string_view kSub = "placement";
+  using conf::u32;
+  const auto size = static_cast<u32>(book.cover_.size());
+  require(book.order_.size() == size && taken.size() == size, kSub,
+          "region book and occupancy differ in size");
+  std::vector<std::pair<u32, u32>> covered;
+  book.for_each_block({0, static_cast<u32>(std::countr_zero(size))}, true,
+                      [&](u32 base, u32 order) {
+                        covered.emplace_back(base, order);
+                      });
+  check_buddy_state(free_lists, covered,
+                    static_cast<u32>(free_lists.size()) - 1, free_ports);
+  for (u32 p = 0; p < size; ++p) {
+    require((book.order_[p] != 0) == taken[p], kSub,
+            "a taken port records no region, or a free port records one");
+    if (!taken[p]) continue;
+    const conf::Region region = book.region_of(p);
+    require(std::all_of(book.cover_.begin() + region.base,
+                        book.cover_.begin() + region.end(),
+                        [](std::uint8_t c) { return c != 0; }),
+            kSub, "a taken port's region is not wholly covered");
   }
-  // Every taken port lies inside one of the live blocks.
-  std::vector<bool> in_block(placer.taken_.size(), false);
-  for (const auto& [base, order] : placer.buddy_blocks_) {
-    for (u32 p = base; p < base + (u32{1} << order); ++p) in_block[p] = true;
-  }
-  for (std::size_t p = 0; p < placer.taken_.size(); ++p)
-    require(!placer.taken_[p] || in_block[p], kSub,
-            "taken port outside every live buddy block");
 }
 
 }  // namespace confnet::audit

@@ -5,20 +5,33 @@
 // allocation). Arbitrary (first-fit / random) placement is the adversarial
 // alternative that exposes the full Theta(sqrt N) conflict multiplicity.
 //
+// A buddy placement records its *region* per port: the aligned block it
+// was placed in. An ordinary placement's region is its own buddy block.
+// When no free aligned block is left, SessionManager::open takes a second,
+// shared step (place_shared_into): it places the conference in an aligned
+// region that other conferences' regions already cover, the least covered
+// one with room, on the region's uncovered free ports first. Regions are aligned, so any two are nested or disjoint;
+// a port's *cover* is the number of live regions holding it, and the buddy
+// allocator's free space is exactly the ports of cover 0. DESIGN.md's
+// cover bound (R2 generalized) says why sharing is safe: a link carries at
+// most as many conferences as cover its crossing port, so a fabric with d
+// channels per link admits every group whose region's cover stays <= d.
+//
 // Two interchangeable allocator backends sit behind `PlacerBase`:
 //  * `FastPortPlacer` (port_index.hpp) — the admission fast path, a
 //    hierarchical bitmap occupancy index;
 //  * `PortPlacer` (below) — the original linear-scan implementation, kept
 //    as the reference oracle. Randomized equivalence tests pin the two to
 //    exact port-set equality under identical RNG streams, which requires
-//    both to implement the same draw sequence per policy (see place()).
+//    both to implement the same draw sequence per policy (see place()) and
+//    the same shared-region choice (see place_shared_into()).
 #pragma once
 
-#include <map>
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <optional>
-#include <set>
-#include <utility>
 #include <vector>
 
 #include "conference/conference.hpp"
@@ -26,6 +39,21 @@
 #include "util/rng.hpp"
 
 namespace confnet::conf {
+
+/// An aligned range of 2^order ports from `base`: a buddy block, or the
+/// region a buddy placement was made in.
+struct Region {
+  u32 base = 0;
+  u32 order = 0;
+
+  [[nodiscard]] constexpr u32 end() const noexcept {
+    return base + (u32{1} << order);
+  }
+  [[nodiscard]] constexpr bool contains(u32 port) const noexcept {
+    return port >= base && port < end();
+  }
+  bool operator==(const Region&) const = default;
+};
 
 /// Classic binary buddy allocator over 2^n ports.
 class BuddyAllocator {
@@ -40,7 +68,13 @@ class BuddyAllocator {
   /// beyond repair or full. Returns the block base.
   [[nodiscard]] std::optional<u32> allocate(u32 order);
 
-  /// Release a block previously returned by allocate(order). Buddies are
+  /// Take every free block inside `region` out of the free lists (a shared
+  /// placement covers its whole region); returns the ports taken. No free
+  /// block may hold the whole region.
+  u32 claim(Region region);
+
+  /// Release an aligned block none of whose ports is free (one returned by
+  /// allocate(), or uncovered space of a claimed region). Buddies are
   /// coalesced eagerly. Full double-free/foreign-free detection runs in
   /// CONFNET_AUDIT builds; release builds keep two cheap guards (free-port
   /// counter overflow and same-order duplicate insertion).
@@ -52,14 +86,88 @@ class BuddyAllocator {
  private:
   friend void audit::check_placer(const ::confnet::conf::PortPlacer&);
 
+  /// Whether any port of the block is free.
+  [[nodiscard]] bool overlaps_free(Region block) const;
+
   u32 n_;
   u32 free_ports_;
   // free_[order] = sorted bases of free blocks of that order.
   std::vector<std::vector<u32>> free_;
-  // Live allocations (base,order), for double-free/foreign-free detection.
-  // Maintained only when audit::kEnabled — the per-session std::set
-  // insert/erase is pure checking overhead on the admission hot path.
-  std::set<std::pair<u32, u32>> allocated_;
+};
+
+/// Buddy placement's per-port bookkeeping, shared by both backends: the
+/// order of the region each occupied port's conference was placed in, and
+/// each port's cover (the live regions holding it). Empty unless buddy.
+class RegionBook {
+ public:
+  /// Cover ceiling of the one-byte counters: the shared step never enters
+  /// a region where some port is already this covered.
+  static constexpr u32 kMaxCover = 0xff;
+
+  RegionBook() = default;
+  explicit RegionBook(u32 n);
+
+  /// Region of occupied `port`'s conference.
+  [[nodiscard]] Region region_of(u32 port) const;
+  [[nodiscard]] u32 cover(u32 port) const noexcept {
+    return port < cover_.size() ? cover_[port] : 0;
+  }
+  /// Highest cover of any port of `region`.
+  [[nodiscard]] u32 max_cover(Region region) const;
+
+  /// Whether occupied `port` was placed in `region`.
+  [[nodiscard]] bool holds(u32 port, Region region) const noexcept {
+    return region.contains(port) && order_[port] == region.order + 1;
+  }
+  /// Record `port` as placed in `region`, or as free.
+  void record(u32 port, Region region) {
+    order_[port] = static_cast<std::uint8_t>(region.order + 1);
+  }
+  void clear(u32 port) { order_[port] = 0; }
+
+  /// One more live region: `region`, whose ports are all covered less
+  /// than kMaxCover times (free space, or a region the shared step chose).
+  void cover_region(Region region);
+  /// One live region fewer; fn(base, order) for every maximal aligned
+  /// block of `region` left uncovered, in ascending order.
+  template <typename Fn>
+  void uncover_region(Region region, Fn&& fn) {
+    std::uint8_t left = 0;
+    for (u32 p = region.base; p < region.end(); ++p)
+      left = std::max(left, --cover_[p]);
+    if (left == 0)
+      fn(region.base, region.order);  // no other region within or around
+    else
+      for_each_block(region, false, fn);
+  }
+  /// fn(base, order) for every maximal aligned block of `region` whose
+  /// ports are all covered (`covered`) or all uncovered, ascending.
+  template <typename Fn>
+  void for_each_block(Region region, bool covered, Fn&& fn) const {
+    u32 p = region.base;
+    while (p < region.end()) {
+      if ((cover_[p] != 0) != covered) {
+        ++p;
+        continue;
+      }
+      u32 stop = p + 1;
+      while (stop < region.end() && (cover_[stop] != 0) == covered) ++stop;
+      while (p < stop) {  // split the run into aligned blocks
+        const u32 fits = static_cast<u32>(std::bit_width(stop - p)) - 1;
+        const u32 order = std::min(fits, static_cast<u32>(std::countr_zero(p)));
+        fn(p, order);
+        p += u32{1} << order;
+      }
+    }
+  }
+
+ private:
+  friend void audit::check_region_book(
+      const ::confnet::conf::RegionBook&,
+      const std::vector<std::vector<u32>>&, u32, const std::vector<bool>&);
+
+  std::vector<std::uint8_t> order_;  // region order + 1; 0 = port free
+  std::vector<std::uint8_t> cover_;
 };
 
 enum class PlacementPolicy : std::uint8_t {
@@ -119,18 +227,38 @@ class PlacerBase {
     return ports;
   }
 
+  /// The shared step of a buddy open, for when place_into() found no free
+  /// aligned block of order log2_ceil(size): among the aligned regions of
+  /// at least that order with `size` free ports and a cover below
+  /// RegionBook::kMaxCover, choose the least covered (the highest cover of
+  /// its ports), then the smallest, then the lowest-based; take `size` of
+  /// its free ports into `ports` (cleared first; sorted), the uncovered
+  /// ones (space fragmentation left, which no conference grows into)
+  /// lowest first and then the lowest covered ones, and cover the region.
+  /// Draws nothing; false, changing nothing except emptying `ports`, when
+  /// no region has room or under the other policies.
+  [[nodiscard]] virtual bool place_shared_into(u32 size,
+                                               std::vector<u32>& ports) = 0;
+
+  /// Buddy only: the region occupied `port`'s conference was placed in.
+  [[nodiscard]] virtual Region region_of(u32 port) const = 0;
+  /// Buddy only: how many live placements' regions hold `port`.
+  [[nodiscard]] virtual u32 cover(u32 port) const noexcept = 0;
+
   /// Choose one additional port for an existing conference (dynamic join).
   /// Under buddy placement the new member must fit inside the conference's
-  /// block (no migration); nullopt = blocked.
+  /// region (no migration); nullopt = blocked.
   [[nodiscard]] virtual std::optional<u32> expand(
       const std::vector<u32>& current, util::Rng& rng) = 0;
 
-  /// Release a single member's port (dynamic leave). Buddy blocks stay
-  /// allocated until the full placement is released.
+  /// Release a single member's port (dynamic leave). Buddy regions stay
+  /// covered until the full placement is released.
   virtual void release_one(u32 port) = 0;
 
-  /// Return ports taken by a previous place() call (plus any expansions of
-  /// that conference, minus single releases).
+  /// Return ports taken by a previous place() or place_shared_into() call
+  /// (plus any expansions of that conference, minus single releases).
+  /// Under buddy the region's cover drops and what it leaves uncovered
+  /// returns to the buddy allocator.
   virtual void release(const std::vector<u32>& ports) = 0;
 
   /// Feasibility watermark, exact: false guarantees place(size) would
@@ -160,6 +288,16 @@ class PortPlacer final : public PlacerBase {
   [[nodiscard]] bool place_into(u32 size, util::Rng& rng,
                                 std::vector<u32>& ports) override;
 
+  [[nodiscard]] bool place_shared_into(u32 size,
+                                       std::vector<u32>& ports) override;
+
+  [[nodiscard]] Region region_of(u32 port) const override {
+    return book_.region_of(port);
+  }
+  [[nodiscard]] u32 cover(u32 port) const noexcept override {
+    return book_.cover(port);
+  }
+
   [[nodiscard]] std::optional<u32> expand(const std::vector<u32>& current,
                                           util::Rng& rng) override;
 
@@ -172,16 +310,12 @@ class PortPlacer final : public PlacerBase {
  private:
   friend void audit::check_placer(const ::confnet::conf::PortPlacer&);
 
-  /// Buddy block containing `port`, or end().
-  std::map<u32, u32>::iterator find_buddy_block(u32 port);
-
   u32 n_;
   PlacementPolicy policy_;
   BuddyAllocator buddy_;
   std::vector<bool> taken_;
   u32 taken_count_ = 0;
-  // For buddy: block (base,order) keyed by base, to release correctly.
-  std::map<u32, u32> buddy_blocks_;
+  RegionBook book_;  // empty unless kBuddy
 };
 
 /// Build the selected backend (defined in port_index.cpp, which sees both

@@ -1,6 +1,7 @@
 #include "conference/port_index.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "min/network.hpp"
 #include "util/bits.hpp"
@@ -35,21 +36,44 @@ CONFNET_HOT std::optional<u32> BitmapBuddyAllocator::allocate(u32 order) {
     free_[have].set(idx | 1u);
   }
   free_ports_ -= u32{1} << order;
-  const u32 base = idx << order;
-  // static_check: allow(hot-alloc) live-block tracking, audit builds only
-  if constexpr (audit::kEnabled) allocated_.emplace(base, order);
-  return base;
+  return idx << order;
+}
+
+CONFNET_HOT u32 BitmapBuddyAllocator::claim(Region region) {
+  expects(region.order <= n_, "claim order beyond network size");
+  u32 taken = 0;
+  for (u32 ord = 0; ord <= n_; ++ord) {
+    if (ord >= region.order) {
+      expects(!free_[ord].test(region.base >> ord),
+              "claim of a region inside a free block");
+      continue;
+    }
+    const u32 end = region.end() >> ord;
+    for (std::size_t idx = free_[ord].find_first_at_least(region.base >> ord);
+         idx < end; idx = free_[ord].find_first_at_least(idx + 1)) {
+      free_[ord].reset(idx);
+      taken += u32{1} << ord;
+    }
+  }
+  free_ports_ -= taken;
+  return taken;
+}
+
+bool BitmapBuddyAllocator::overlaps_free(Region block) const {
+  for (u32 ord = 0; ord <= n_; ++ord) {
+    const std::size_t idx = free_[ord].find_first_at_least(block.base >> ord);
+    if (idx != util::HierBitset::npos && (idx << ord) < block.end())
+      return true;
+  }
+  return false;
 }
 
 CONFNET_HOT void BitmapBuddyAllocator::release(u32 base, u32 order) {
   expects(order <= n_, "release order beyond network size");
   expects((base & ((u32{1} << order) - 1)) == 0, "release base misaligned");
-  if constexpr (audit::kEnabled) {
-    const auto live = allocated_.find({base, order});
-    expects(live != allocated_.end(),
-            "release of a block that is not currently allocated");
-    allocated_.erase(live);
-  }
+  if constexpr (audit::kEnabled)
+    expects(!overlaps_free({base, order}),
+            "release of a block that is not wholly allocated");
   expects(free_ports_ + (u32{1} << order) <= size(),
           "release frees more ports than exist (double free)");
   free_ports_ += u32{1} << order;
@@ -79,7 +103,7 @@ FastPortPlacer::FastPortPlacer(u32 n, PlacementPolicy policy)
   free_ = util::HierBitset(u32{1} << n, true);
   if (policy_ != PlacementPolicy::kBuddy) return;
   buddy_ = BitmapBuddyAllocator(n);
-  block_order_.assign(u32{1} << n, 0);
+  book_ = RegionBook(n);
 }
 
 bool FastPortPlacer::place_into(u32 size, util::Rng& rng,
@@ -93,11 +117,12 @@ bool FastPortPlacer::place_into(u32 size, util::Rng& rng,
       if (order > n_) return false;
       const auto base = buddy_.allocate(order);
       if (!base) return false;
-      block_order_[*base] = static_cast<std::uint8_t>(order + 1);
+      book_.cover_region({*base, order});
       ports.reserve(size);
       for (u32 i = 0; i < size; ++i) {
         ports.push_back(*base + i);
         free_.reset(*base + i);
+        book_.record(*base + i, {*base, order});
       }
       break;
     }
@@ -129,6 +154,74 @@ bool FastPortPlacer::place_into(u32 size, util::Rng& rng,
   return true;
 }
 
+bool FastPortPlacer::place_shared_into(u32 size, std::vector<u32>& ports) {
+  expects(size >= 2, "conferences need at least two members");
+  ports.clear();
+  if (policy_ != PlacementPolicy::kBuddy || size > free_ports()) return false;
+  const u32 order = util::log2_ceil(size);
+  if (order > n_) return false;
+  expects(!buddy_.can_allocate(order),
+          "the shared step follows a failed aligned one");
+  // One pass over the blocks of the least order folds each larger block
+  // from its two halves as its last half is read, on a stack of at most
+  // n+1 partial blocks. Blocks of one order complete in base order, so
+  // keeping only strictly smaller (cover, order) keys picks the least
+  // (cover, order, base). No candidate has cover 0 (its ports would all be
+  // free: an aligned block), so the first region of the least order with
+  // cover 1 ends the pass.
+  struct Fold {
+    u32 order;
+    u32 cover;
+    u32 room;
+  };
+  std::array<Fold, min::Network::kMaxStages + 1> stack{};
+  u32 depth = 0;
+  std::optional<Region> best;
+  u32 best_cover = 0;
+  const auto consider = [&](const Fold& fold, u32 end) {
+    if (fold.room < size || fold.cover >= RegionBook::kMaxCover) return;
+    if (!best || fold.cover < best_cover ||
+        (fold.cover == best_cover && fold.order < best->order)) {
+      best = Region{end - (u32{1} << fold.order), fold.order};
+      best_cover = fold.cover;
+    }
+  };
+  const u32 span = u32{1} << order;
+  for (u32 base = 0; base < free_.size(); base += span) {
+    const Region block{base, order};
+    Fold fold{order, book_.max_cover(block),
+              static_cast<u32>(free_.count_in(base, span))};
+    consider(fold, block.end());
+    while (depth > 0 && stack[depth - 1].order == fold.order) {
+      const Fold& low = stack[--depth];
+      fold = {fold.order + 1, std::max(low.cover, fold.cover),
+              low.room + fold.room};
+      consider(fold, block.end());
+    }
+    stack[depth++] = fold;
+    if (best && best_cover == 1 && best->order == order) break;
+  }
+  if (!best) return false;
+  // The region's uncovered free ports first (space buddy fragmentation
+  // left, which no conference grows into), then the lowest covered ones.
+  ports.reserve(size);
+  for (const bool covered : {false, true}) {
+    for (std::size_t p = free_.find_first_at_least(best->base);
+         p < best->end() && ports.size() < size;
+         p = free_.find_first_at_least(p + 1))
+      if ((book_.cover(static_cast<u32>(p)) != 0) == covered)
+        ports.push_back(static_cast<u32>(p));
+  }
+  std::sort(ports.begin(), ports.end());
+  for (u32 p : ports) {
+    free_.reset(p);
+    book_.record(p, *best);
+  }
+  (void)buddy_.claim(*best);
+  book_.cover_region(*best);
+  return true;
+}
+
 CONFNET_HOT std::optional<u32> FastPortPlacer::expand(
     const std::vector<u32>& current, util::Rng& rng) {
   expects(!current.empty(), "expand of empty placement");
@@ -136,11 +229,13 @@ CONFNET_HOT std::optional<u32> FastPortPlacer::expand(
   std::optional<u32> port;
   switch (policy_) {
     case PlacementPolicy::kBuddy: {
-      // The new member must live inside the conference's own block.
-      const auto [base, order] = find_buddy_block(current.front());
-      const std::size_t p = free_.find_first_at_least(base);
-      if (p != util::HierBitset::npos && p < base + (u32{1} << order))
+      // The new member must live inside the conference's own region.
+      const Region region = book_.region_of(current.front());
+      const std::size_t p = free_.find_first_at_least(region.base);
+      if (p != util::HierBitset::npos && p < region.end()) {
         port = static_cast<u32>(p);
+        book_.record(*port, region);
+      }
       break;
     }
     case PlacementPolicy::kFirstFit: {
@@ -161,21 +256,25 @@ CONFNET_HOT std::optional<u32> FastPortPlacer::expand(
 CONFNET_HOT void FastPortPlacer::release_one(u32 port) {
   expects(occupied(port), "release of unplaced port");
   free_.set(port);
-  // Under buddy placement the block remains owned by the conference; it is
-  // returned wholesale by release().
+  // Under buddy placement the region stays covered by the conference; it
+  // is uncovered by release().
+  if (policy_ == PlacementPolicy::kBuddy) book_.clear(port);
 }
 
 CONFNET_HOT void FastPortPlacer::release(const std::vector<u32>& ports) {
   expects(!ports.empty(), "release of empty placement");
+  const bool buddy = policy_ == PlacementPolicy::kBuddy;
+  const Region region = buddy ? book_.region_of(ports.front()) : Region{};
   for (u32 p : ports) {
     expects(occupied(p), "release of unplaced port");
+    expects(!buddy || book_.holds(p, region),
+            "buddy release must pass ports of one placed conference");
     free_.set(p);
+    if (buddy) book_.clear(p);
   }
-  if (policy_ == PlacementPolicy::kBuddy) {
-    const auto [base, order] = find_buddy_block(ports.front());
-    buddy_.release(base, order);
-    block_order_[base] = 0;
-  }
+  if (buddy)
+    book_.uncover_region(
+        region, [&](u32 base, u32 order) { buddy_.release(base, order); });
 }
 
 CONFNET_HOT bool FastPortPlacer::placeable(u32 size) const noexcept {
@@ -183,15 +282,6 @@ CONFNET_HOT bool FastPortPlacer::placeable(u32 size) const noexcept {
   if (policy_ != PlacementPolicy::kBuddy) return true;
   const u32 order = util::log2_ceil(size);
   return order <= n_ && buddy_.can_allocate(order);
-}
-
-std::pair<u32, u32> FastPortPlacer::find_buddy_block(u32 port) const {
-  for (u32 order = 0; order <= n_; ++order) {
-    const u32 base = port & ~((u32{1} << order) - 1);
-    if (block_order_[base] == order + 1) return {base, order};
-  }
-  expects(false, "port is not inside any live buddy block");
-  return {0, 0};  // unreachable
 }
 
 std::unique_ptr<PlacerBase> make_placer(u32 n, PlacementPolicy policy,
@@ -232,33 +322,17 @@ void check_placer(const conf::FastPortPlacer& placer) {
 
   if (placer.policy_ != conf::PlacementPolicy::kBuddy) return;
 
-  // Rebuild plain free lists from the per-order bitmaps and the live block
-  // set from the flat base->order table, then reuse the raw buddy tiling
-  // checker. The allocator's own tracking set (audit builds only) must
-  // agree with the table.
+  // Rebuild plain free lists from the per-order bitmaps and the occupancy
+  // from the free-port bitmap, then check the region book against them.
   const conf::BitmapBuddyAllocator& buddy = placer.buddy_;
   std::vector<std::vector<u32>> free_lists(buddy.n_ + 1);
   for (u32 order = 0; order <= buddy.n_; ++order)
     for (std::size_t b = buddy.free_[order].find_first(); b != npos;
          b = buddy.free_[order].find_first_at_least(b + 1))
       free_lists[order].push_back(static_cast<u32>(b) << order);
-  std::vector<std::pair<u32, u32>> live;
-  for (u32 base = 0; base < placer.block_order_.size(); ++base)
-    if (placer.block_order_[base] != 0)
-      live.emplace_back(base, u32{placer.block_order_[base]} - 1);
-  check_buddy_state(free_lists, live, buddy.n_, buddy.free_ports_);
-  if constexpr (kEnabled) {
-    require(std::equal(buddy.allocated_.begin(), buddy.allocated_.end(),
-                       live.begin(), live.end()),
-            kSub, "allocator live-block set diverges from the block table");
-  }
-  // Every taken port lies inside one of the live blocks.
-  std::vector<bool> in_block(free.size(), false);
-  for (const auto& [base, order] : live)
-    for (u32 p = base; p < base + (u32{1} << order); ++p) in_block[p] = true;
-  for (std::size_t p = 0; p < free.size(); ++p)
-    require(free.test(p) || in_block[p], kSub,
-            "taken port outside every live buddy block");
+  std::vector<bool> taken(free.size());
+  for (std::size_t p = 0; p < free.size(); ++p) taken[p] = !free.test(p);
+  check_region_book(placer.book_, free_lists, buddy.free_ports_, taken);
 }
 
 void check_placer(const conf::PlacerBase& placer) {

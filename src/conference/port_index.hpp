@@ -11,15 +11,14 @@
 //                 identical RNG streams and return identical ports),
 //  * buddy      = per-order free-block bitmaps with O(1) coalesce tests
 //                 (`free_[ord].test(idx ^ 1)`) replacing the sorted-vector
-//                 lower_bound/erase bookkeeping.
+//                 lower_bound/erase bookkeeping; the shared step is one
+//                 pass over the ports that folds aligned blocks bottom-up.
 // Randomized equivalence tests (tests/placement_fastpath_test.cpp) pin this
 // backend to the reference on exact port sets under interleaved churn.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <set>
-#include <utility>
 #include <vector>
 
 #include "conference/placement.hpp"
@@ -46,9 +45,12 @@ class BitmapBuddyAllocator {
   /// beyond repair or full. Returns the block base.
   [[nodiscard]] std::optional<u32> allocate(u32 order);
 
-  /// Release a block previously returned by allocate(order). Same checking
+  /// BuddyAllocator::claim: take every free block inside `region` out.
+  u32 claim(Region region);
+
+  /// Release an aligned block none of whose ports is free. Same checking
   /// split as BuddyAllocator::release: full double-free/foreign-free
-  /// tracking in CONFNET_AUDIT builds, cheap guards otherwise.
+  /// detection in CONFNET_AUDIT builds, cheap guards otherwise.
   void release(u32 base, u32 order);
 
   /// Whether a block of the given order could be allocated right now.
@@ -57,18 +59,18 @@ class BitmapBuddyAllocator {
  private:
   friend void audit::check_placer(const ::confnet::conf::FastPortPlacer&);
 
+  /// Whether any port of the block is free.
+  [[nodiscard]] bool overlaps_free(Region block) const;
+
   u32 n_ = 0;
   u32 free_ports_ = 0;
   std::vector<util::HierBitset> free_;  // [order] -> free-block bitmap
-  // Live allocations, maintained only when audit::kEnabled.
-  std::set<std::pair<u32, u32>> allocated_;
 };
 
 /// Hierarchical-bitmap implementation of PlacerBase. One free-port bitset
 /// (set bit = free) serves first-fit and random placement; buddy policy
-/// adds the per-order allocator above plus a flat base->order table that
-/// replaces PortPlacer's std::map block lookup. Only a buddy placer builds
-/// those two.
+/// adds the per-order allocator above and the region book. Only a buddy
+/// placer builds those two.
 class FastPortPlacer final : public PlacerBase {
  public:
   FastPortPlacer(u32 n, PlacementPolicy policy);
@@ -87,6 +89,16 @@ class FastPortPlacer final : public PlacerBase {
   [[nodiscard]] bool place_into(u32 size, util::Rng& rng,
                                 std::vector<u32>& ports) override;
 
+  [[nodiscard]] bool place_shared_into(u32 size,
+                                       std::vector<u32>& ports) override;
+
+  [[nodiscard]] Region region_of(u32 port) const override {
+    return book_.region_of(port);
+  }
+  [[nodiscard]] u32 cover(u32 port) const noexcept override {
+    return book_.cover(port);
+  }
+
   [[nodiscard]] std::optional<u32> expand(const std::vector<u32>& current,
                                           util::Rng& rng) override;
 
@@ -99,17 +111,11 @@ class FastPortPlacer final : public PlacerBase {
  private:
   friend void audit::check_placer(const ::confnet::conf::FastPortPlacer&);
 
-  /// Base and order of the live buddy block containing `port`. Blocks are
-  /// disjoint, so the first order whose aligned base is marked live is the
-  /// block — at most n_+1 probes of a flat array.
-  [[nodiscard]] std::pair<u32, u32> find_buddy_block(u32 port) const;
-
   u32 n_;
   PlacementPolicy policy_;
   BitmapBuddyAllocator buddy_;  // empty unless kBuddy
   util::HierBitset free_;  // set bit = port free
-  // Buddy block table (kBuddy only): order+1 at a live base, 0 elsewhere.
-  std::vector<std::uint8_t> block_order_;
+  RegionBook book_;        // empty unless kBuddy
 };
 
 }  // namespace confnet::conf

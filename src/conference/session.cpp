@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <span>
 
 #include "min/windows.hpp"
@@ -30,6 +31,7 @@ void fold_into_registry(const SessionStats& s) {
   reg.counter("conf", "open_attempts").add(s.attempts);
   reg.counter("conf", "open_accepted").add(s.accepted);
   reg.counter("conf", "open_repacked").add(s.repacked);
+  reg.counter("conf", "open_shared").add(s.shared);
   reg.counter("conf", "blocked_placement").add(s.blocked_placement);
   reg.counter("conf", "blocked_capacity").add(s.blocked_capacity);
   reg.counter("conf", "blocked_fault").add(s.blocked_fault);
@@ -47,6 +49,7 @@ SessionStats SessionStats::since(const SessionStats& earlier) const noexcept {
   return SessionStats{attempts - earlier.attempts,
                       accepted - earlier.accepted,
                       repacked - earlier.repacked,
+                      shared - earlier.shared,
                       blocked_placement - earlier.blocked_placement,
                       blocked_capacity - earlier.blocked_capacity,
                       blocked_fault - earlier.blocked_fault,
@@ -67,7 +70,7 @@ SessionManager::~SessionManager() { fold_into_registry(stats_); }
 std::pair<OpenResult, std::optional<u32>> SessionManager::open(
     u32 size, util::Rng& rng) {
   ++stats_.attempts;
-  if (!placer_->place_into(size, rng, ports_)) {
+  if (!place(size, rng)) {
     ++stats_.blocked_placement;
     obs::trace_emit("conf", "open_blocked_placement", size);
     CONFNET_AUDIT_HOOK(audit::check_session_manager(*this));
@@ -75,19 +78,30 @@ std::pair<OpenResult, std::optional<u32>> SessionManager::open(
   }
   auto handle = network_.setup(ports_);
   if (!handle) {
-    const bool fault = network_.last_error() == SetupError::kLinkFaulty;
+    // A refused shared window means the aligned step found no room.
+    const OpenResult cause =
+        shared_ ? OpenResult::kBlockedPlacement
+        : network_.last_error() == SetupError::kLinkFaulty
+            ? OpenResult::kBlockedFault
+            : OpenResult::kBlockedCapacity;
     handle = repack(size, rng);
     if (!handle) {
-      ++(fault ? stats_.blocked_fault : stats_.blocked_capacity);
+      const bool fault = cause == OpenResult::kBlockedFault;
+      const bool capacity = cause == OpenResult::kBlockedCapacity;
+      ++(fault      ? stats_.blocked_fault
+         : capacity ? stats_.blocked_capacity
+                    : stats_.blocked_placement);
       obs::trace_emit("conf",
-                      fault ? "open_blocked_fault" : "open_blocked_capacity",
+                      fault      ? "open_blocked_fault"
+                      : capacity ? "open_blocked_capacity"
+                                 : "open_blocked_placement",
                       size);
       CONFNET_AUDIT_HOOK(audit::check_session_manager(*this));
-      return {fault ? OpenResult::kBlockedFault : OpenResult::kBlockedCapacity,
-              std::nullopt};
+      return {cause, std::nullopt};
     }
     ++stats_.repacked;
   }
+  stats_.shared += shared_ ? 1 : 0;
   ++stats_.accepted;
   const u32 id = next_session_++;
   sessions_.push_back(Session{id, *handle});
@@ -96,13 +110,23 @@ std::pair<OpenResult, std::optional<u32>> SessionManager::open(
   return {OpenResult::kAccepted, id};
 }
 
+bool SessionManager::place(u32 size, util::Rng& rng) {
+  shared_ = !placer_->place_into(size, rng, ports_);
+  if (!shared_) return true;
+  if (!placer_->place_shared_into(size, ports_)) return false;
+  shared_tried_ = true;
+  return true;
+}
+
 // Whether a dilation-d fabric carries a conference depends on where its
 // members sit, so a refused window is not the last word. A deterministic
 // placer (buddy, first-fit) would hand the same window back forever, so
 // each refused window is stacked and stays placed while the placer probes
-// on; the stack is released when the loop ends, admitted or not.
-// placeable() is exact, so a probe is only made when it succeeds and
-// ports_ always holds a whole window to stack or to release through.
+// on: aligned blocks while any is free, then shared regions, each one
+// more covered than the last as the held windows cover them. The stack is
+// released when the loop ends, admitted or not. Each window is stacked
+// before the next is placed, and a failed place() places nothing (it
+// only empties ports_).
 CONFNET_HOT std::optional<u32> SessionManager::repack(u32 size,
                                                       util::Rng& rng) {
   std::array<u32, kFrameMembers * kRepackAttempts> frame{};
@@ -119,11 +143,12 @@ CONFNET_HOT std::optional<u32> SessionManager::repack(u32 size,
   while (!handle) {
     std::copy(ports_.begin(), ports_.end(),
               stack.begin() + std::size_t{held++} * size);
-    if (held == kRepackAttempts || !placer_->placeable(size)) break;
-    const bool placed = placer_->place_into(size, rng, ports_);
-    expects(placed, "placeable() promised a placement");
+    if (held == kRepackAttempts || !place(size, rng)) break;
     handle = network_.setup(ports_);
   }
+  // static_check: allow(hot-alloc) within capacity: a failed place() left
+  // ports_ empty, and it has held a window of this size
+  ports_.resize(size);
   for (u32 w = 0; w < held; ++w) {
     std::copy_n(stack.begin() + std::size_t{w} * size, size, ports_.begin());
     placer_->release(ports_);
@@ -245,6 +270,8 @@ void check_session_stats(const conf::SessionStats& stats,
           kSub, "attempts do not split into accepted + blocking causes");
   require(stats.repacked <= stats.accepted, kSub,
           "more repacked opens than accepted opens");
+  require(stats.shared <= stats.accepted, kSub,
+          "more shared opens than accepted opens");
   require(stats.interrupted <= stats.closes, kSub,
           "more fault interrupts than closes");
   require(stats.joins_blocked_fault <= stats.joins_blocked, kSub,
@@ -288,23 +315,67 @@ void check_session_manager(const conf::SessionManager& manager) {
       require(manager.placer_->occupied(port), kSub,
               "session port not marked occupied in the placer");
   check_placer(*manager.placer_);
-  // R2 on live state: buddy placement on a kind with orthogonal (block x
-  // stride) windows is conflict-free, so on a healthy direct (unrelayed)
-  // fabric no interstage link carries two conferences and capacity never
-  // refuses an open or a join.
+  if (manager.placer_->policy() != conf::PlacementPolicy::kBuddy) return;
+  // Every session lies in the region its placer recorded, and each port's
+  // cover is the number of live regions holding it.
+  std::vector<u32> cover(N, 0);
+  for (const auto& members : member_sets) {
+    const conf::Region region = manager.placer_->region_of(members.front());
+    for (u32 port : members)
+      require(region.contains(port) &&
+                  manager.placer_->region_of(port) == region,
+              kSub, "session member outside its recorded region");
+    for (u32 p = region.base; p < region.end(); ++p) ++cover[p];
+  }
+  // Windows a repack holds are released before this audit runs, so the
+  // sessions' regions are all the live ones.
+  for (u32 p = 0; p < N; ++p)
+    require(manager.placer_->cover(p) == cover[p], kSub,
+            "placer cover diverges from the sessions' regions");
+  // The cover bound (R2 generalized) on live state: on a kind with
+  // orthogonal (block x stride) windows, a link carries at most as many
+  // conferences as there are sessions whose enclosing block holds its
+  // crossing port (a relay tap only cuts links away), so on a healthy
+  // fabric an aligned window, on uncovered ports, never meets link
+  // capacity. Only a session that shared a region can be refused for
+  // capacity, open or join.
   const auto* direct =
       dynamic_cast<const conf::FabricConferenceNetwork*>(&manager.network_);
-  if (direct == nullptr || direct->relays() ||
-      manager.placer_->policy() != conf::PlacementPolicy::kBuddy ||
-      min::has_block_block_windows(direct->kind()) ||
+  if (direct == nullptr || min::has_block_block_windows(direct->kind()) ||
       direct->faults()->fault_count() != 0)
     return;
-  for (u32 level = 1; level < direct->n(); ++level)
-    require(direct->current_level_load(level) <= 1, kSub,
-            "R2: two buddy-placed conferences share an interstage link");
   require(manager.stats_.blocked_capacity == 0 &&
-              direct->last_error() != conf::SetupError::kLinkCapacity,
-          kSub, "R2: link capacity refused a buddy-placed conference");
+              (manager.shared_tried_ ||
+               direct->last_error() != conf::SetupError::kLinkCapacity),
+          kSub, "cover bound: link capacity refused an unshared conference");
+  const u32 n = direct->n();
+  std::fill(cover.begin(), cover.end(), 0);
+  for (const auto& members : member_sets) {
+    const u32 span = u32{1}
+                     << std::bit_width(members.front() ^ members.back());
+    const u32 first = members.front() & ~(span - 1);
+    for (u32 p = first; p < first + span; ++p) ++cover[p];
+  }
+  // Every group on the fabric loads its links, placed by this manager or
+  // not.
+  std::vector<u32> loads(std::size_t{n} * N, 0);
+  direct->fabric().for_each_group([&](u32 id) {
+    const sw::GroupRealization group = direct->fabric().realization(id);
+    for (u32 level = 1; level < n; ++level)
+      for (u32 row : group.links[level]) ++loads[std::size_t{level} * N + row];
+  });
+  for (u32 level = 1; level < n; ++level) {
+    for (u32 row = 0; row < N; ++row) {
+      const u32 load = loads[std::size_t{level} * N + row];
+      if (load == 0) continue;
+      const u32 port = min::crossing_port(
+          min::in_window(direct->kind(), n, level, row),
+          min::out_window(direct->kind(), n, level, row));
+      require(load <= cover[port], kSub,
+              "cover bound: more conferences share an interstage link than "
+              "sessions' blocks cover its crossing port");
+    }
+  }
 }
 
 }  // namespace confnet::audit

@@ -31,6 +31,9 @@ struct SessionStats {
   /// Opens admitted only after their first placement was refused and the
   /// manager re-placed them (subset of `accepted`); see open().
   u64 repacked = 0;
+  /// Opens admitted on a shared region, once no free aligned block was
+  /// left (subset of `accepted`; buddy only); see open().
+  u64 shared = 0;
   u64 blocked_placement = 0;
   u64 blocked_capacity = 0;
   u64 blocked_fault = 0;
@@ -57,8 +60,8 @@ struct SessionStats {
                      static_cast<double>(attempts);
   }
 };
-// since() names all 12 fields: a new field must be added there too.
-static_assert(sizeof(SessionStats) == 12 * sizeof(u64));
+// since() names all 13 fields: a new field must be added there too.
+static_assert(sizeof(SessionStats) == 13 * sizeof(u64));
 
 class SessionManager {
  public:
@@ -75,17 +78,22 @@ class SessionManager {
   SessionManager& operator=(const SessionManager&) = delete;
 
   /// Try to open a conference for `size` members. On success returns a
-  /// session id. A placement the fabric refuses (link capacity or a dead
-  /// link) is re-placed before the open blocks; a blocked open is counted
-  /// by its first refusal's cause.
+  /// session id. Under buddy placement an open that finds no free aligned
+  /// block takes the shared step (PlacerBase::place_shared_into), and the
+  /// fabric decides whether the shared region can carry one more. A
+  /// placement the fabric refuses (link capacity or a dead link) is
+  /// re-placed before the open blocks; a blocked open is counted by its
+  /// first refusal's cause, and one whose first window was shared as
+  /// kBlockedPlacement.
   [[nodiscard]] std::pair<OpenResult, std::optional<u32>> open(
       u32 size, util::Rng& rng);
 
   /// Whether an open(size) could currently succeed at the placement stage
   /// (ports available; under buddy policy, an aligned block exists). False
   /// guarantees open() would return kBlockedPlacement without consuming
-  /// any RNG draws — wait queues use this as a free-capacity watermark to
-  /// skip doomed retries.
+  /// any RNG draws, or find only a shared region — wait queues use this as
+  /// a free-capacity watermark to skip retries, so a queued ticket waits
+  /// for an aligned block.
   [[nodiscard]] bool placeable(u32 size) const noexcept {
     return placer_->placeable(size);
   }
@@ -94,7 +102,7 @@ class SessionManager {
   void close(u32 session_id);
 
   /// Dynamic join: add one member to an open session. Under buddy
-  /// placement the member is placed inside the session's block; other
+  /// placement the member is placed inside the session's region; other
   /// policies pick any free port. Returns the new member's port, or the
   /// blocking cause.
   [[nodiscard]] std::pair<OpenResult, std::optional<u32>> join(
@@ -139,6 +147,8 @@ class SessionManager {
     return network_.size() - placer_->free_ports();
   }
   [[nodiscard]] const SessionStats& stats() const noexcept { return stats_; }
+  /// The port placer (its regions and cover, for checks).
+  [[nodiscard]] const PlacerBase& placer() const noexcept { return *placer_; }
   [[nodiscard]] ConferenceNetworkBase& network() noexcept { return network_; }
   [[nodiscard]] const ConferenceNetworkBase& network() const noexcept {
     return network_;
@@ -155,6 +165,10 @@ class SessionManager {
   /// Live session `session_id`, or sessions_.end().
   [[nodiscard]] std::vector<Session>::const_iterator find(
       u32 session_id) const;
+  /// Place a window for an open into ports_: an aligned block while one
+  /// is free, else a shared region (shared_ tells which). False when
+  /// neither is left.
+  [[nodiscard]] bool place(u32 size, util::Rng& rng);
   /// Re-place the refused window in ports_ until the fabric admits one or
   /// the attempts run out; every refused window is released on return.
   /// It allocates nothing but what an admission stores, once held_ has
@@ -173,6 +187,8 @@ class SessionManager {
   std::vector<u32> held_;
   u32 next_session_ = 0;
   SessionStats stats_;
+  bool shared_ = false;        // the window in ports_ is on a shared region
+  bool shared_tried_ = false;  // some window ever was (for the R2 audit)
 };
 
 }  // namespace confnet::conf

@@ -67,6 +67,19 @@ struct WindowDesc {
   return std::min(u32{1} << level, u32{1} << (n - level));
 }
 
+/// The port where a link's two windows meet when one is an aligned block
+/// and the other a residue class modulo the block's size, as on every
+/// interstage link of a kind without block-block windows: the class's one
+/// port in the block. Each conference on the link has a member in both
+/// windows, so its smallest enclosing aligned block holds this port
+/// (DESIGN.md, the cover bound).
+[[nodiscard]] constexpr u32 crossing_port(const WindowDesc& in,
+                                          const WindowDesc& out) noexcept {
+  const WindowDesc& block = in.stride == 1 ? in : out;
+  const WindowDesc& residues = in.stride == 1 ? out : in;
+  return block.first + residues.first % block.size;
+}
+
 /// True iff both of the topology's window families are aligned blocks
 /// (baseline and flip). Such networks keep conference conflicts even under
 /// aligned-block placement (result R2).

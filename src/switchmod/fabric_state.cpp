@@ -20,17 +20,6 @@ bool holds(std::span<const u32> rows, u32 row) {
   return std::binary_search(rows.begin(), rows.end(), row);
 }
 
-/// The smallest aligned block enclosing sorted `members`: `size` ports
-/// from `first`.
-struct Block {
-  u32 first;
-  u32 size;
-};
-Block enclosing_block(std::span<const u32> members) {
-  const u32 size = u32{1}
-                   << std::bit_width(members.front() ^ members.back());
-  return {members.front() & ~(size - 1), size};
-}
 
 /// Invoke fn(level, row) for every link present in `a` but not in `b`.
 template <typename Fn>
@@ -53,12 +42,22 @@ FabricState::FabricState(min::Network net, std::span<const u32> capacity,
   expects(!relay || net_.kind() == min::Kind::kIndirectCube,
           "a relay tap needs the indirect cube");
   std::copy(capacity.begin(), capacity.end(), capacity_.begin());
+  for (u32 level = 1; level < net_.n(); ++level)
+    cover_limit_ = std::min(cover_limit_, capacity_[level]);
   if (r2_capable()) {
     r2_ = true;
-    claimed_ = util::DynBitset(net_.size());
+    cover_.assign(net_.size(), 0);
+    cover_kept_ = true;
   } else {
     leave_r2();
   }
+}
+
+FabricState::Block FabricState::enclosing_block(
+    std::span<const u32> members) {
+  const u32 size = u32{1}
+                   << std::bit_width(members.front() ^ members.back());
+  return {members.front() & ~(size - 1), size};
 }
 
 bool FabricState::r2_capable() const noexcept {
@@ -68,22 +67,61 @@ bool FabricState::r2_capable() const noexcept {
 bool FabricState::r2_claim(std::span<const u32> old,
                            std::span<const u32> members) {
   if (!r2_) return false;
-  if (!old.empty()) {
-    const Block held = enclosing_block(old);
-    claimed_.assign_range(held.first, held.size, false);
-  }
   const Block block = enclosing_block(members);
-  if (claimed_.any_in(block.first, block.size)) {
-    leave_r2();
-    return false;
+  const Block held = old.empty() ? Block{0, 0} : enclosing_block(old);
+  if (held.first == block.first && held.size == block.size) return true;
+  cover_block(held, false);
+  const auto first = cover_.begin() + block.first;
+  bool over = false;
+  for (auto it = first; it != first + block.size; ++it)
+    over |= ++*it > cover_limit_;
+  if (!over) return true;
+  for (auto it = first; it != first + block.size; ++it) --*it;
+  cover_block(held, true);
+  leave_r2();
+  return false;
+}
+
+void FabricState::move_cover(std::span<const u32> old,
+                             std::span<const u32> members) {
+  const Block held = old.empty() ? Block{0, 0} : enclosing_block(old);
+  const Block block = enclosing_block(members);
+  if (held.first == block.first && held.size == block.size) return;
+  cover_block(held, false);
+  cover_block(block, true);
+}
+
+void FabricState::cover_block(Block block, bool add) {
+  if (!cover_kept_) return;
+  const auto first = cover_.begin() + block.first;
+  const auto last = first + block.size;
+  if (r2_) {
+    // In the mode no port exceeds cover_limit_ (r2_claim checks it).
+    if (add)
+      for (auto it = first; it != last; ++it) ++*it;
+    else
+      for (auto it = first; it != last; ++it) --*it;
+    return;
   }
-  claimed_.assign_range(block.first, block.size, true);
-  return true;
+  if (!add) {
+    for (auto it = first; it != last; ++it)
+      if ((*it)-- == cover_limit_ + 1) --over_limit_;
+    return;
+  }
+  if (*std::max_element(first, last) == kMaxCover) {
+    // The one-byte counters are full: stop counting until the fabric
+    // empties (only out of R2 mode, where the counts only serve re-entry).
+    cover_kept_ = false;
+    std::fill(cover_.begin(), cover_.end(), 0);
+    over_limit_ = 0;
+    return;
+  }
+  for (auto it = first; it != last; ++it)
+    if (++*it == cover_limit_ + 1) ++over_limit_;
 }
 
 void FabricState::leave_r2() {
   r2_ = false;
-  claimed_.clear();
   if (load_.empty()) load_.assign(std::size_t{net_.n() + 1} * net_.size(), 0);
   for (const Entry& entry : entries_) {
     if (!live(entry)) continue;
@@ -93,10 +131,14 @@ void FabricState::leave_r2() {
 }
 
 void FabricState::maybe_enter_r2() {
-  // An empty fabric holds no load, so the table is already all zero.
-  if (!r2_ && group_count_ == 0 && faults_.fault_count() == 0 &&
-      r2_capable())
-    r2_ = true;
+  if (group_count_ == 0 && r2_capable()) cover_kept_ = true;  // all zero
+  if (r2_ || !cover_kept_ || over_limit_ != 0 || faults_.fault_count() != 0)
+    return;
+  // Every load is at most the cover of its crossing port, so none exceeds
+  // its capacity: the table drops to all zero (kept, for the next exit).
+  expects(overflowing_ == 0, "a healthy fabric within its cover overflows");
+  std::fill(load_.begin(), load_.end(), 0);
+  r2_ = true;
 }
 
 void FabricState::expect_members_free(std::span<const u32> old,
@@ -152,6 +194,7 @@ CONFNET_HOT Admission FabricState::try_add(u32 id,
         if (load_[link_index(level, row)] >= capacity_[level])
           return Admission::kLinkCapacity;
     apply_load(rows_, true);
+    move_cover({}, members);
   }
 
   for (u32 m : members) busy_.set(m);
@@ -189,6 +232,7 @@ CONFNET_HOT Admission FabricState::try_replace(u32 id,
   });
   if (!feasible) return Admission::kLinkCapacity;
 
+  move_cover(entry.members, members);
   swap_group(entry, members, 0);  // checked above
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
   return Admission::kAdmitted;
@@ -203,6 +247,7 @@ CONFNET_HOT void FabricState::replace(u32 id, std::span<const u32> members) {
     swap_group(entry, members, 0);
   } else {
     derive_swap(entry, members);
+    move_cover(entry.members, members);
     swap_group(entry, members, dead_links_in(rows_));
   }
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
@@ -236,10 +281,8 @@ CONFNET_HOT void FabricState::swap_group(Entry& entry,
 CONFNET_HOT void FabricState::remove(u32 id) {
   expects(contains(id), "remove of unknown group id");
   Entry& entry = entries_[id];
-  if (r2_) {
-    const Block block = enclosing_block(entry.members);
-    claimed_.assign_range(block.first, block.size, false);
-  } else {
+  cover_block(enclosing_block(entry.members), false);
+  if (!r2_) {
     derive(entry.members, rows_, parts_);
     apply_load(rows_, false);
   }
@@ -307,7 +350,7 @@ const std::vector<u32>& FabricState::repair_link(u32 level, u32 row) {
   }
   faults_.repair_link(level, row);
   const auto& touched = count_link_users(level, row, false);
-  maybe_enter_r2();
+  if (group_count_ == 0) maybe_enter_r2();
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
   return touched;
 }
@@ -385,7 +428,7 @@ void FabricState::cross_check() const {
   for_each_group([&](u32 id) { groups.push_back(realization(id)); });
   const std::vector<u32> expected_load = recount_loads();
   util::DynBitset expected_busy(N);
-  util::DynBitset expected_claimed(claimed_.size());
+  std::vector<u32> expected_cover(cover_.size(), 0);
   u32 expected_overflowing = 0;
   for (const GroupRealization& g : groups) {
     audit::require(std::adjacent_find(g.members.begin(), g.members.end(),
@@ -398,11 +441,10 @@ void FabricState::cross_check() const {
                      "admitted groups share a member port");
       expected_busy.set(m);
     }
-    if (r2_) {
+    if (cover_kept_) {
       const Block block = enclosing_block(g.members);
-      audit::require(!expected_claimed.any_in(block.first, block.size), kSub,
-                     "R2 mode holds two groups with overlapping blocks");
-      expected_claimed.assign_range(block.first, block.size, true);
+      for (u32 p = block.first; p < block.first + block.size; ++p)
+        ++expected_cover[p];
     }
   }
   audit::require(groups.size() == group_count_, kSub,
@@ -412,14 +454,25 @@ void FabricState::cross_check() const {
       if (expected_load[link_index(level, row)] > capacity_[level])
         ++expected_overflowing;
   if (r2_) {
-    // R2: disjoint blocks on an orthogonal kind share no link. The load
-    // table, if a past excursion allocated it, is untouched and all zero.
-    audit::require(r2_capable() && faults_.fault_count() == 0, kSub,
-                   "R2 mode on a fabric R2 does not cover");
-    for (u32 level = 1; level < n; ++level)
-      for (u32 row = 0; row < N; ++row)
-        audit::require(expected_load[link_index(level, row)] <= 1, kSub,
-                       "R2 mode: two groups share an interstage link");
+    // The cover bound: on an orthogonal kind a link carries at most as many
+    // groups as there are blocks holding its crossing port, and no port is
+    // covered beyond the narrowest interstage capacity. The load table, if
+    // a past excursion allocated it, is untouched and all zero.
+    audit::require(r2_capable() && faults_.fault_count() == 0 && cover_kept_,
+                   kSub, "R2 mode on a fabric R2 does not cover");
+    audit::require(over_limit_ == 0, kSub,
+                   "R2 mode: a port covered beyond the link capacity");
+    for (u32 level = 1; level < n; ++level) {
+      for (u32 row = 0; row < N; ++row) {
+        const u32 load = expected_load[link_index(level, row)];
+        if (load == 0) continue;
+        const u32 port = min::crossing_port(
+            min::in_window(net_.kind(), n, level, row),
+            min::out_window(net_.kind(), n, level, row));
+        audit::require(load <= expected_cover[port], kSub,
+                       "R2 mode: a link carries more groups than cover it");
+      }
+    }
     audit::require(std::all_of(load_.begin(), load_.end(),
                                [](std::uint16_t load) { return load == 0; }),
                    kSub, "R2 mode: the load table holds a load");
@@ -428,8 +481,14 @@ void FabricState::cross_check() const {
                               expected_load.begin(), expected_load.end()),
                    kSub, "incremental load matrix diverges from group recount");
   }
-  audit::require(claimed_ == expected_claimed, kSub,
-                 "claimed blocks diverge from the live groups' blocks");
+  audit::require(std::equal(cover_.begin(), cover_.end(),
+                            expected_cover.begin(), expected_cover.end()),
+                 kSub, "port cover diverges from the live groups' blocks");
+  audit::require(
+      over_limit_ == static_cast<u32>(std::count_if(
+                         expected_cover.begin(), expected_cover.end(),
+                         [&](u32 c) { return c > cover_limit_; })),
+      kSub, "over-covered port count diverges from the cover recount");
   audit::require(busy_ == expected_busy, kSub,
                  "busy-port set diverges from group membership");
   audit::require(overflowing_ == expected_overflowing, kSub,

@@ -38,26 +38,31 @@
 //     touched link with the O(members) window test (min::in_window /
 //     out_window) and update only their dead-link counts, and admission
 //     refuses groups over dead links.
-//   * R2 decides admission while it applies (DESIGN.md R2). A group's
-//     block is the smallest aligned block enclosing its members. On a kind
-//     with orthogonal windows, groups on disjoint blocks share no link: a
-//     level-l link's windows are an aligned block and a residue class that
-//     meet in one port per block of that size, so two users would share a
-//     port (a relay tap only cuts links away). So while the kind is
-//     orthogonal, no link is faulty and every
-//     group's block met no other group's (`claimed_`) when it was
-//     admitted, no load exceeds 1 and nothing can refuse. In this R2 mode
-//     a mutation checks ports, copies the member list and sets or clears
-//     busy and claimed bits: no rows are derived and no load table is
-//     kept. The first admission whose block meets a claimed bit, or the
-//     first fail_link, leaves the mode: the load table is allocated at
-//     that first use and filled from one derivation per live group. An
-//     empty fabric with no fault returns to R2 mode.
+//   * the cover bound decides admission while it applies (DESIGN.md R2′).
+//     A group's block is the smallest aligned block enclosing its members;
+//     a port's cover is the number of live groups whose block holds it. On
+//     a kind with orthogonal windows a level-l link's windows are an
+//     aligned block and a residue class that meet in one port, the
+//     crossing port (min::crossing_port), and every group on the link has
+//     a block holding it (a relay tap only cuts links away), so no link
+//     carries more groups than its crossing port's cover. So while the
+//     kind is orthogonal, no link is faulty and no port is covered beyond
+//     the narrowest interstage capacity (`cover_limit_`), nothing can
+//     refuse. In this R2 mode a mutation checks ports, copies the member
+//     list, sets busy bits and moves the group's block in the byte-wide
+//     cover count: no rows are derived and no load table is kept. At one
+//     channel that is R2 itself: groups on disjoint blocks. The first
+//     admission that would cover a port beyond the limit, or the first
+//     fail_link, leaves the mode: the load table is allocated at that first
+//     use and filled from one derivation per live group. The cover is kept
+//     outside the mode too; a departure that leaves the fabric healthy with
+//     no port over the limit returns to the mode (the table drops to all
+//     zero), and so does an empty fabric with no fault.
 //
 // The stateless engine stays the oracle: `cross_check()` materializes
-// every group's realization, recounts loads, busy ports, overflows and
-// dead links from them (in R2 mode it also requires load <= 1 on every
-// interstage link and recounts the claimed blocks), and pins every group's
+// every group's realization, recounts loads, busy ports, overflows, dead
+// links and the port cover from them (in R2 mode it also requires every
+// interstage load <= its crossing port's cover), and pins every group's
 // closed-form verdict against the set-based sweep `Fabric::propagate`,
 // throwing on any divergence. CONFNET_AUDIT builds run it periodically
 // from the mutation hooks (see audit::check_fabric_state).
@@ -202,8 +207,8 @@ class FabricState {
   /// Highest channel load currently on any link of the level; a recount
   /// in R2 mode, as load_at.
   [[nodiscard]] u32 level_peak_load(u32 level) const;
-  /// True while R2 decides admission (see the header comment): no load
-  /// table is kept and no rows are derived.
+  /// True while the cover bound decides admission (see the header
+  /// comment): no load table is kept and no rows are derived.
   [[nodiscard]] bool r2_mode() const noexcept { return r2_; }
   /// Links currently loaded beyond their capacity (0 when only try_
   /// mutations were used).
@@ -223,10 +228,10 @@ class FabricState {
   }
 
   /// Materialize every admitted group's realization, recount loads, busy
-  /// ports, overflows and per-group dead links from them and check the
-  /// entry table and, outside R2 mode, the load table. In R2 mode also
-  /// require load <= 1 on every interstage link, an empty fault mask and
-  /// the claimed bits equal to the live groups' disjoint blocks. Then pin
+  /// ports, overflows, per-group dead links and the port cover from them
+  /// and check the entry table and, outside R2 mode, the load table. In R2
+  /// mode also require an empty fault mask, no port covered beyond the
+  /// limit and every interstage load <= its crossing port's cover. Then pin
   /// every group's closed-form verdict against `Fabric::propagate`: exact
   /// delivery iff no dead link. Under CONFNET_AUDIT every group also runs
   /// audit::check_group_realization.
@@ -245,18 +250,40 @@ class FabricState {
     return !entry.members.empty();
   }
 
+  /// An aligned block of `size` ports from `first`.
+  struct Block {
+    u32 first;
+    u32 size;
+
+    [[nodiscard]] bool contains(u32 port) const noexcept {
+      return port - first < size;
+    }
+  };
+  /// Ceiling of the one-byte port cover counters.
+  static constexpr u32 kMaxCover = 0xff;
+  /// The smallest aligned block enclosing sorted `members`.
+  [[nodiscard]] static Block enclosing_block(std::span<const u32> members);
+
   /// True iff R2 can decide admission on this fabric at all: an
   /// orthogonal kind.
   [[nodiscard]] bool r2_capable() const noexcept;
-  /// In R2 mode, release the block of `old` (a group being replaced; empty
-  /// for an add) and claim the block of `members` if no other group's
-  /// claims it: true then. Otherwise leave R2 mode and return false; so
-  /// does a fabric already out of it.
+  /// In R2 mode, move the cover of a group from the block of `old` (empty
+  /// for an add) to the block of `members` if no port of it ends up
+  /// covered beyond cover_limit_: true then. Otherwise restore the cover,
+  /// leave R2 mode and return false; so does a fabric already out of it.
   bool r2_claim(std::span<const u32> old, std::span<const u32> members);
+  /// Outside the mode, the same move, unchecked (the load table decided).
+  void move_cover(std::span<const u32> old, std::span<const u32> members);
+  /// Count a group's block in (`add`) or out of the port cover, while the
+  /// cover is kept.
+  void cover_block(Block block, bool add);
   /// Allocate the load table at first use and fill it by deriving every
-  /// live group once; R2 mode ends.
+  /// live group once; R2 mode ends, the cover is still kept.
   void leave_r2();
-  /// Back to R2 mode when the fabric is empty, healthy and R2-capable.
+  /// Back to R2 mode when the fabric is healthy, R2-capable and its kept
+  /// cover nowhere exceeds cover_limit_ (as on an empty fabric): each load
+  /// is then within its capacity by the cover bound, and the table drops
+  /// to all zero.
   void maybe_enter_r2();
   /// Every link's load recounted from derived rows, by link_index().
   [[nodiscard]] std::vector<u32> recount_loads() const;
@@ -274,9 +301,9 @@ class FabricState {
   void apply_load(const min::LevelLinks& rows, bool add);
   /// Swap `entry` for `members`, whose realization is rows_ with
   /// `dead_links` links on the fault mask, from the one in old_rows_: busy
-  /// ports, link loads, the overflow counter and the entry; in R2 mode no
-  /// load moves and no rows are read. Checks nothing; both replace paths
-  /// check first.
+  /// ports, link loads, the overflow counter and the entry (the cover has
+  /// moved already); in R2 mode no load moves and no rows are read.
+  /// Checks nothing; both replace paths check first.
   void swap_group(Entry& entry, std::span<const u32> members, u32 dead_links);
   /// Links of `rows` (levels 0..n) on the fault mask; 0 without a look
   /// when the fabric is healthy.
@@ -315,11 +342,17 @@ class FabricState {
   // port as a member. Only "is this port free" is ever asked, so no group
   // id is stored.
   util::DynBitset busy_;
-  // R2 mode (see the header comment) and, while in it, the ports of every
-  // live group's block; all clear outside it. Empty on a fabric that is
-  // not r2_capable().
+  // R2 mode (see the header comment) and each port's cover: the live
+  // groups whose block holds it, kept in and out of the mode (all zero
+  // while not kept). Empty on a fabric that is not r2_capable(). A group is
+  // admitted in the mode while no port of its block is covered
+  // cover_limit_ times, the narrowest interstage capacity held below the
+  // counters' ceiling; over_limit_ counts the ports covered beyond it.
   bool r2_ = false;
-  util::DynBitset claimed_;
+  bool cover_kept_ = false;
+  std::vector<std::uint8_t> cover_;
+  u32 cover_limit_ = kMaxCover - 1;  // an increment in the mode never wraps
+  u32 over_limit_ = 0;
   u32 overflowing_ = 0;
   u32 mutations_ = 0;  // drives the periodic CONFNET_AUDIT cross-check
   // Reused id buffer for count_link_users (fail/repair hot path).

@@ -53,6 +53,7 @@ class PortPlacer;
 class FastPortPlacer;
 class BuddyAllocator;
 class BitmapBuddyAllocator;
+class RegionBook;
 class FabricConferenceNetwork;
 struct SessionStats;
 struct WaitStats;
@@ -167,14 +168,21 @@ void check_group_realization(const min::Network& net,
 /// (FabricState::cross_check).
 void check_fabric_state(const sw::FabricState& state);
 
+/// Buddy placement's region book against its allocator's free lists and
+/// the occupancy (`taken`): the free blocks and the covered ports tile the
+/// port space, every taken port records a region all of whose ports are
+/// covered, and no free port records one.
+void check_region_book(const conf::RegionBook& book,
+                       const std::vector<std::vector<u32>>& free_lists,
+                       u32 free_ports, const std::vector<bool>& taken);
+
 /// Placer bookkeeping: occupancy count matches the taken bitmap, and under
-/// buddy policy the allocator's free/allocated blocks tile the port space
-/// with every taken port inside a live block.
+/// buddy policy the region book checks out (check_region_book).
 void check_placer(const conf::PortPlacer& placer);
 
 /// Fast-path placer: the hierarchical bitmap answers find/select queries
 /// consistently with a bit-by-bit enumeration, and under buddy policy the
-/// per-order free bitmaps plus the live block table tile the port space.
+/// per-order free bitmaps and the region book check out.
 void check_placer(const conf::FastPortPlacer& placer);
 
 /// Dispatch to the backend-specific audit above.
@@ -182,8 +190,11 @@ void check_placer(const conf::PlacerBase& placer);
 
 /// Sessions hold sorted, pairwise-disjoint member sets of size >= 2 whose
 /// ports are all occupied in the placer; counters cohere. Under buddy
-/// placement on a healthy direct fabric whose kind has orthogonal windows,
-/// R2 holds: no interstage load above 1 and no capacity refusal.
+/// placement every session lies in its recorded region and the placer's
+/// cover counts the live regions; on a healthy direct fabric whose kind
+/// has orthogonal windows the cover bound holds: no interstage link
+/// carries more conferences than enclosing blocks hold its crossing port,
+/// and only a manager that tried a shared window meets a capacity refusal.
 void check_session_manager(const conf::SessionManager& manager);
 
 /// Queue shape and counters cohere with the inner session manager (every

@@ -564,20 +564,23 @@ TeletrafficConfig golden_config() {
 TEST(TeletrafficFaults, ZeroFaultRateIsByteIdenticalToPreFaultGolden) {
   // Pinned from the pre-fault-support build (same seed, same config): the
   // fault machinery must be invisible — not one extra event, not one extra
-  // RNG draw — when fault_rate == 0.
+  // RNG draw — when fault_rate == 0. Re-pinned since: the occupancy area
+  // advances before a churn step, and a buddy open that finds no free
+  // aligned block shares a region (the first run below refused two such
+  // opens in its warm-up and now shares them).
   {
     DirectConferenceNetwork net(Kind::kOmega, 6, DilationProfile::full(6));
     const TeletrafficResult r = run_teletraffic(net, golden_config());
-    EXPECT_EQ(r.stats.attempts, 1022u);
-    EXPECT_EQ(r.stats.accepted, 1022u);
+    EXPECT_EQ(r.stats.attempts, 974u);
+    EXPECT_EQ(r.stats.accepted, 974u);
     EXPECT_EQ(r.stats.blocked_placement, 0u);
     EXPECT_EQ(r.stats.blocked_capacity, 0u);
     EXPECT_EQ(r.stats.blocked_fault, 0u);
-    EXPECT_EQ(r.events, 2493u);
+    EXPECT_EQ(r.events, 2422u);
     EXPECT_EQ(r.joins, 0u);
     EXPECT_EQ(r.leaves, 0u);
-    EXPECT_DOUBLE_EQ(r.mean_active_sessions, 4.1712681986264526);
-    EXPECT_DOUBLE_EQ(r.mean_busy_ports, 16.361675557271493);
+    EXPECT_DOUBLE_EQ(r.mean_active_sessions, 3.9560533346242894);
+    EXPECT_DOUBLE_EQ(r.mean_busy_ports, 15.959521110656315);
     EXPECT_EQ(r.recovery, RecoveryStats{});
   }
   {
@@ -593,16 +596,16 @@ TEST(TeletrafficFaults, ZeroFaultRateIsByteIdenticalToPreFaultGolden) {
     c.talk_spurts = true;
     c.duration = 400.0;
     const TeletrafficResult r = run_teletraffic(net, c);
-    EXPECT_EQ(r.stats.attempts, 602u);
-    EXPECT_EQ(r.stats.accepted, 599u);
+    EXPECT_EQ(r.stats.attempts, 613u);
+    EXPECT_EQ(r.stats.accepted, 610u);
     EXPECT_EQ(r.stats.blocked_placement, 3u);
     EXPECT_EQ(r.stats.blocked_capacity, 0u);
-    EXPECT_EQ(r.events, 13179u);
-    EXPECT_EQ(r.joins, 1052u);
-    EXPECT_EQ(r.joins_blocked, 630u);
-    EXPECT_EQ(r.leaves, 1186u);
-    EXPECT_DOUBLE_EQ(r.mean_active_sessions, 4.0038270534646836);
-    EXPECT_DOUBLE_EQ(r.mean_busy_ports, 15.637230454213562);
+    EXPECT_EQ(r.events, 13520u);
+    EXPECT_EQ(r.joins, 1071u);
+    EXPECT_EQ(r.joins_blocked, 709u);
+    EXPECT_EQ(r.leaves, 1131u);
+    EXPECT_DOUBLE_EQ(r.mean_active_sessions, 4.1701749571572195);
+    EXPECT_DOUBLE_EQ(r.mean_busy_ports, 16.535165522099451);
     EXPECT_TRUE(r.functional_ok);
   }
 }
@@ -625,24 +628,26 @@ TEST(TeletrafficFaults, FaultedRunWithEveryProcessIsPinned) {
     std::size_t speakers_n;
     double speakers_mean;
   };
+  // Re-pinned when buddy opens began sharing regions: both runs admit
+  // opens on shared regions (`shared`).
   const Golden direct{
-      {.attempts = 696, .accepted = 685, .repacked = 152,
-       .blocked_placement = 0, .blocked_capacity = 0, .blocked_fault = 11,
-       .closes = 686, .joins = 681, .joins_blocked = 514,
-       .joins_blocked_fault = 22, .leaves = 798, .interrupted = 72},
-      13379,
-      RecoveryStats{412, 411, 96, 92, 3, 0, 0, 0, 1},
-      0.030159408240999327, 95, 0.0070659822224007776, 0.33220856019431722,
-      4.0045507588930684, 14.767106942297495, 615, 0.71020640734230744};
+      {.attempts = 711, .accepted = 709, .repacked = 178, .shared = 11,
+       .blocked_placement = 0, .blocked_capacity = 0, .blocked_fault = 2,
+       .closes = 712, .joins = 732, .joins_blocked = 485,
+       .joins_blocked_fault = 17, .leaves = 854, .interrupted = 70},
+      13892,
+      RecoveryStats{383, 383, 92, 91, 1, 0, 0, 0, 0},
+      0.028030438299159178, 92, 0.0016460942251982308, 0.15144066871823725,
+      4.1651395890154159, 15.228521822577511, 642, 0.68432461264454314};
   const Golden enhanced{
-      {.attempts = 684, .accepted = 677, .repacked = 110,
-       .blocked_placement = 0, .blocked_capacity = 0, .blocked_fault = 7,
-       .closes = 676, .joins = 709, .joins_blocked = 509,
-       .joins_blocked_fault = 1, .leaves = 848, .interrupted = 42},
-      13815,
-      RecoveryStats{406, 403, 55, 54, 1, 0, 0, 0, 0},
-      0.035605761796198176, 55, 0.0018918158545674984, 0.10404987200121241,
-      3.991234456154297, 15.559714730410709, 634, 0.69795150527893512};
+      {.attempts = 656, .accepted = 651, .repacked = 127, .shared = 6,
+       .blocked_placement = 1, .blocked_capacity = 0, .blocked_fault = 4,
+       .closes = 650, .joins = 739, .joins_blocked = 451,
+       .joins_blocked_fault = 8, .leaves = 864, .interrupted = 58},
+      13654,
+      RecoveryStats{414, 412, 71, 71, 0, 0, 0, 0, 0},
+      0.036005457828537139, 71, 0.0, 0.0,
+      3.9520080939253526, 15.693874000153146, 592, 0.73001178390622712};
 
   for (const bool is_enhanced : {false, true}) {
     std::unique_ptr<conf::ConferenceNetworkBase> net;

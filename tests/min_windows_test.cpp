@@ -120,6 +120,28 @@ TEST(WindowShapes, BlockBlockClassification) {
   EXPECT_FALSE(has_block_block_windows(Kind::kReverseOmega));
 }
 
+TEST(WindowShapes, OrthogonalWindowsMeetInTheCrossingPortAlone) {
+  // The cover bound's premise: on a kind without block-block windows, an
+  // interstage link's windows share exactly one port, crossing_port.
+  const u32 n = 5;
+  for (Kind kind : kAllKinds) {
+    if (has_block_block_windows(kind)) continue;
+    for (u32 level = 1; level < n; ++level) {
+      for (u32 row = 0; row < 32; ++row) {
+        const WindowDesc in = in_window(kind, n, level, row);
+        const WindowDesc out = out_window(kind, n, level, row);
+        u32 shared = 0;
+        for (u32 p = 0; p < 32; ++p)
+          shared += in.contains(p) && out.contains(p) ? 1u : 0u;
+        EXPECT_EQ(shared, 1u) << kind_name(kind) << " " << level << " " << row;
+        const u32 port = crossing_port(in, out);
+        EXPECT_TRUE(in.contains(port) && out.contains(port))
+            << kind_name(kind) << " " << level << " " << row;
+      }
+    }
+  }
+}
+
 TEST(WindowShapes, BoundaryLevels) {
   // Level 0: In is the single row; level n: Out is the single row.
   const u32 n = 4;

@@ -1181,6 +1181,7 @@ std::vector<Folded> folded_counts(const conf::ControlPlane& plane) {
       {"conf", "open_attempts", s.attempts},
       {"conf", "open_accepted", s.accepted},
       {"conf", "open_repacked", s.repacked},
+      {"conf", "open_shared", s.shared},
       {"conf", "blocked_placement", s.blocked_placement},
       {"conf", "blocked_capacity", s.blocked_capacity},
       {"conf", "blocked_fault", s.blocked_fault},
