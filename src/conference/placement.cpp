@@ -104,8 +104,10 @@ Region RegionBook::region_of(u32 port) const {
 }
 
 u32 RegionBook::max_cover(Region region) const {
-  return *std::max_element(cover_.begin() + region.base,
-                           cover_.begin() + region.end());
+  std::uint8_t peak = 0;  // a plain reduction, which the compiler vectorizes
+  for (u32 p = region.base; p < region.end(); ++p)
+    peak = std::max(peak, cover_[p]);
+  return peak;
 }
 
 void RegionBook::cover_region(Region region) {

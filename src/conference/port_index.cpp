@@ -1,7 +1,6 @@
 #include "conference/port_index.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "min/network.hpp"
 #include "util/bits.hpp"
@@ -162,44 +161,23 @@ bool FastPortPlacer::place_shared_into(u32 size, std::vector<u32>& ports) {
   if (order > n_) return false;
   expects(!buddy_.can_allocate(order),
           "the shared step follows a failed aligned one");
-  // One pass over the blocks of the least order folds each larger block
-  // from its two halves as its last half is read, on a stack of at most
-  // n+1 partial blocks. Blocks of one order complete in base order, so
-  // keeping only strictly smaller (cover, order) keys picks the least
-  // (cover, order, base). No candidate has cover 0 (its ports would all be
-  // free: an aligned block), so the first region of the least order with
-  // cover 1 ends the pass.
-  struct Fold {
-    u32 order;
-    u32 cover;
-    u32 room;
-  };
-  std::array<Fold, min::Network::kMaxStages + 1> stack{};
-  u32 depth = 0;
+  // Orders ascending, bases ascending, keeping only a strictly smaller
+  // cover: the least (cover, order, base). A region's room is a popcount of
+  // the free-port words and is read first, so the cover scan runs only on
+  // regions that could take the conference. No candidate has cover 0 (its
+  // ports would all be free: an aligned block), so cover 1 ends the search.
   std::optional<Region> best;
-  u32 best_cover = 0;
-  const auto consider = [&](const Fold& fold, u32 end) {
-    if (fold.room < size || fold.cover >= RegionBook::kMaxCover) return;
-    if (!best || fold.cover < best_cover ||
-        (fold.cover == best_cover && fold.order < best->order)) {
-      best = Region{end - (u32{1} << fold.order), fold.order};
-      best_cover = fold.cover;
+  u32 best_cover = RegionBook::kMaxCover;
+  for (u32 o = order; o <= n_ && best_cover > 1; ++o) {
+    const u32 span = u32{1} << o;
+    for (u32 base = 0; base < free_.size() && best_cover > 1; base += span) {
+      if (free_.count_in(base, span) < size) continue;
+      const u32 cover = book_.max_cover({base, o});
+      if (cover < best_cover) {
+        best = Region{base, o};
+        best_cover = cover;
+      }
     }
-  };
-  const u32 span = u32{1} << order;
-  for (u32 base = 0; base < free_.size(); base += span) {
-    const Region block{base, order};
-    Fold fold{order, book_.max_cover(block),
-              static_cast<u32>(free_.count_in(base, span))};
-    consider(fold, block.end());
-    while (depth > 0 && stack[depth - 1].order == fold.order) {
-      const Fold& low = stack[--depth];
-      fold = {fold.order + 1, std::max(low.cover, fold.cover),
-              low.room + fold.room};
-      consider(fold, block.end());
-    }
-    stack[depth++] = fold;
-    if (best && best_cover == 1 && best->order == order) break;
   }
   if (!best) return false;
   // The region's uncovered free ports first (space buddy fragmentation

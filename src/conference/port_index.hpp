@@ -11,8 +11,9 @@
 //                 identical RNG streams and return identical ports),
 //  * buddy      = per-order free-block bitmaps with O(1) coalesce tests
 //                 (`free_[ord].test(idx ^ 1)`) replacing the sorted-vector
-//                 lower_bound/erase bookkeeping; the shared step is one
-//                 pass over the ports that folds aligned blocks bottom-up.
+//                 lower_bound/erase bookkeeping; the shared step reads a
+//                 region's room as a popcount of free-port words before
+//                 it scans the region's cover.
 // Randomized equivalence tests (tests/placement_fastpath_test.cpp) pin this
 // backend to the reference on exact port sets under interleaved churn.
 #pragma once
