@@ -282,8 +282,8 @@ void PortPlacer::release(const std::vector<u32>& ports) {
   }
   taken_count_ -= static_cast<u32>(ports.size());
   if (buddy)
-    book_.uncover_region(region,
-                         [&](u32 base, u32 order) { buddy_.release(base, order); });
+    book_.uncover_region(
+        region, [&](u32 base, u32 order) { buddy_.release(base, order); });
 }
 
 bool PortPlacer::placeable(u32 size) const noexcept {

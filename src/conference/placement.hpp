@@ -10,9 +10,10 @@
 // When no free aligned block is left, SessionManager::open takes a second,
 // shared step (place_shared_into): it places the conference in an aligned
 // region that other conferences' regions already cover, the least covered
-// one with room, on the region's uncovered free ports first. Regions are aligned, so any two are nested or disjoint;
-// a port's *cover* is the number of live regions holding it, and the buddy
-// allocator's free space is exactly the ports of cover 0. DESIGN.md's
+// one with room, on the region's uncovered free ports first. Regions are
+// aligned, so any two are nested or disjoint; a port's *cover* is the
+// number of live regions holding it, and the buddy allocator's free space
+// is exactly the ports of cover 0. DESIGN.md's
 // cover bound (R2 generalized) says why sharing is safe: a link carries at
 // most as many conferences as cover its crossing port, so a fabric with d
 // channels per link admits every group whose region's cover stays <= d.

@@ -75,8 +75,9 @@ std::vector<WaitQueueManager::ServedTicket> WaitQueueManager::process_queue(
   // One forward pass, gated by the placer's free-capacity watermark:
   // placeable(size) == false means no aligned block (or no port) is free,
   // and open() could at most share a region; a queued ticket waits for an
-  // aligned block, so the pass skips it without consuming RNG draws. The old restart-from-the-front loop rescanned
-  // O(queue) tickets per admission; this pass visits each ticket once, and
+  // aligned block, so the pass skips it without consuming RNG draws. The
+  // old restart-from-the-front loop rescanned O(queue) tickets per
+  // admission; this pass visits each ticket once, and
   // an admission's freed capacity is visible to the very next ticket
   // because the watermark reads live placer state.
   std::vector<ServedTicket> served;

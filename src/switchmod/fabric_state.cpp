@@ -67,17 +67,13 @@ bool FabricState::r2_capable() const noexcept {
 bool FabricState::r2_claim(std::span<const u32> old,
                            std::span<const u32> members) {
   if (!r2_) return false;
+  move_cover(old, members);
   const Block block = enclosing_block(members);
-  const Block held = old.empty() ? Block{0, 0} : enclosing_block(old);
-  if (held.first == block.first && held.size == block.size) return true;
-  cover_block(held, false);
   const auto first = cover_.begin() + block.first;
-  bool over = false;
-  for (auto it = first; it != first + block.size; ++it)
-    over |= ++*it > cover_limit_;
-  if (!over) return true;
-  for (auto it = first; it != first + block.size; ++it) --*it;
-  cover_block(held, true);
+  if (*std::max_element(first, first + block.size) <= cover_limit_)
+    return true;
+  cover_block(block, false);
+  if (!old.empty()) cover_block(enclosing_block(old), true);
   leave_r2();
   return false;
 }

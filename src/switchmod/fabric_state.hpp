@@ -254,10 +254,6 @@ class FabricState {
   struct Block {
     u32 first;
     u32 size;
-
-    [[nodiscard]] bool contains(u32 port) const noexcept {
-      return port - first < size;
-    }
   };
   /// Ceiling of the one-byte port cover counters.
   static constexpr u32 kMaxCover = 0xff;
@@ -272,7 +268,8 @@ class FabricState {
   /// covered beyond cover_limit_: true then. Otherwise restore the cover,
   /// leave R2 mode and return false; so does a fabric already out of it.
   bool r2_claim(std::span<const u32> old, std::span<const u32> members);
-  /// Outside the mode, the same move, unchecked (the load table decided).
+  /// Move a group's block in the port cover from that of `old` (empty for
+  /// an add) to that of `members`, unchecked.
   void move_cover(std::span<const u32> old, std::span<const u32> members);
   /// Count a group's block in (`add`) or out of the port cover, while the
   /// cover is kept.
