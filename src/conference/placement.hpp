@@ -116,10 +116,6 @@ class RegionBook {
   /// Highest cover of any port of `region`.
   [[nodiscard]] u32 max_cover(Region region) const;
 
-  /// Whether occupied `port` was placed in `region`.
-  [[nodiscard]] bool holds(u32 port, Region region) const noexcept {
-    return region.contains(port) && order_[port] == region.order + 1;
-  }
   /// Record `port` as placed in `region`, or as free.
   void record(u32 port, Region region) {
     order_[port] = static_cast<std::uint8_t>(region.order + 1);
