@@ -1,6 +1,7 @@
 #include "conference/placement.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/bits.hpp"
 #include "util/error.hpp"
@@ -94,24 +95,14 @@ bool BuddyAllocator::can_allocate(u32 order) const {
 }
 
 RegionBook::RegionBook(u32 n)
-    : order_(std::size_t{1} << n, 0), cover_(std::size_t{1} << n, 0) {}
+    : order_(std::size_t{1} << n, 0),
+      cover_(std::size_t{1} << n, std::bit_width(kMaxCover)) {}
 
 Region RegionBook::region_of(u32 port) const {
   expects(port < order_.size() && order_[port] != 0,
           "region of a port no buddy placement holds");
   const u32 order = order_[port] - 1u;
   return {port & ~((u32{1} << order) - 1), order};
-}
-
-u32 RegionBook::max_cover(Region region) const {
-  std::uint8_t peak = 0;  // a plain reduction, which the compiler vectorizes
-  for (u32 p = region.base; p < region.end(); ++p)
-    peak = std::max(peak, cover_[p]);
-  return peak;
-}
-
-void RegionBook::cover_region(Region region) {
-  for (u32 p = region.base; p < region.end(); ++p) ++cover_[p];
 }
 
 PortPlacer::PortPlacer(u32 n, PlacementPolicy policy)
@@ -178,43 +169,51 @@ bool PortPlacer::place_into(u32 size, util::Rng& rng,
   return true;
 }
 
-bool PortPlacer::place_shared_into(u32 size, std::vector<u32>& ports) {
+std::optional<Region> PortPlacer::shared_region(u32 size) const {
   expects(size >= 2, "conferences need at least two members");
-  ports.clear();
-  if (policy_ != PlacementPolicy::kBuddy || size > free_ports()) return false;
+  if (policy_ != PlacementPolicy::kBuddy || size > free_ports()) return {};
   const u32 order = util::log2_ceil(size);
-  if (order > n_) return false;
-  expects(!buddy_.can_allocate(order),
-          "the shared step follows a failed aligned one");
-  // Every region of every order at least `order`, each scanned port by
-  // port; the best is the least (cover, order, base).
-  std::optional<Region> best;
-  u32 best_cover = 0;
+  if (order > n_ || buddy_.can_allocate(order)) return {};
+  // Every region of every order from `order` up, each scanned port by
+  // port; the first of the smallest order with the best (uncovered, room)
+  // pair wins.
   for (u32 o = order; o <= n_; ++o) {
+    std::optional<Region> best;
+    std::pair<u32, u32> best_rank{0, 0};
     for (u32 base = 0; base < taken_.size(); base += u32{1} << o) {
       const Region region{base, o};
       u32 room = 0;
-      for (u32 p = base; p < region.end(); ++p) room += taken_[p] ? 0u : 1u;
-      const u32 cover = book_.max_cover(region);
-      if (room < size || cover >= RegionBook::kMaxCover) continue;
-      if (!best || cover < best_cover) {
+      u32 uncovered = 0;
+      for (u32 p = base; p < region.end(); ++p) {
+        room += taken_[p] ? 0u : 1u;
+        uncovered += book_.cover(p) == 0 ? 1u : 0u;
+      }
+      if (room < size || !book_.shareable(region)) continue;
+      if (!best || std::pair{uncovered, room} > best_rank) {
         best = region;
-        best_cover = cover;
+        best_rank = {uncovered, room};
       }
     }
+    if (best) return best;
   }
-  if (!best) return false;
+  return {};
+}
+
+bool PortPlacer::place_shared_into(u32 size, std::vector<u32>& ports) {
+  ports.clear();
+  const std::optional<Region> region = shared_region(size);
+  if (!region) return false;
   for (const bool covered : {false, true})
-    for (u32 p = best->base; p < best->end() && ports.size() < size; ++p)
+    for (u32 p = region->base; p < region->end() && ports.size() < size; ++p)
       if (!taken_[p] && (book_.cover(p) != 0) == covered) ports.push_back(p);
   std::sort(ports.begin(), ports.end());
   for (u32 p : ports) {
     taken_[p] = true;
-    book_.record(p, *best);
+    book_.record(p, *region);
   }
   taken_count_ += size;
-  (void)buddy_.claim(*best);
-  book_.cover_region(*best);
+  (void)buddy_.claim(*region);
+  book_.cover_region(*region);
   return true;
 }
 
@@ -225,15 +224,13 @@ std::optional<u32> PortPlacer::expand(const std::vector<u32>& current,
   std::optional<u32> port;
   switch (policy_) {
     case PlacementPolicy::kBuddy: {
-      // The new member must live inside the conference's own region.
+      // The new member must live inside the conference's own region: its
+      // least-covered free port, lowest first.
       const Region region = book_.region_of(current.front());
-      for (u32 p = region.base; p < region.end(); ++p) {
-        if (!taken_[p]) {
+      for (u32 p = region.base; p < region.end(); ++p)
+        if (!taken_[p] && (!port || book_.cover(p) < book_.cover(*port)))
           port = p;
-          book_.record(p, region);
-          break;
-        }
-      }
+      if (port) book_.record(*port, region);
       break;
     }
     case PlacementPolicy::kFirstFit: {
@@ -314,8 +311,8 @@ void check_region_book(const conf::RegionBook& book,
                        u32 free_ports, const std::vector<bool>& taken) {
   constexpr std::string_view kSub = "placement";
   using conf::u32;
-  const auto size = static_cast<u32>(book.cover_.size());
-  require(book.order_.size() == size && taken.size() == size, kSub,
+  const auto size = static_cast<u32>(book.order_.size());
+  require(taken.size() == size, kSub,
           "region book and occupancy differ in size");
   std::vector<std::pair<u32, u32>> covered;
   book.for_each_block({0, static_cast<u32>(std::countr_zero(size))}, true,
@@ -325,13 +322,13 @@ void check_region_book(const conf::RegionBook& book,
   check_buddy_state(free_lists, covered,
                     static_cast<u32>(free_lists.size()) - 1, free_ports);
   for (u32 p = 0; p < size; ++p) {
+    require(book.cover(p) <= conf::RegionBook::kMaxCover, kSub,
+            "a port covered beyond the book's ceiling");
     require((book.order_[p] != 0) == taken[p], kSub,
             "a taken port records no region, or a free port records one");
     if (!taken[p]) continue;
     const conf::Region region = book.region_of(p);
-    require(std::all_of(book.cover_.begin() + region.base,
-                        book.cover_.begin() + region.end(),
-                        [](std::uint8_t c) { return c != 0; }),
+    require(book.uncovered_in(region) == 0,
             kSub, "a taken port's region is not wholly covered");
   }
 }

@@ -9,14 +9,16 @@
 // was placed in. An ordinary placement's region is its own buddy block.
 // When no free aligned block is left, SessionManager::open takes a second,
 // shared step (place_shared_into): it places the conference in an aligned
-// region that other conferences' regions already cover, the least covered
-// one with room, on the region's uncovered free ports first. Regions are
-// aligned, so any two are nested or disjoint; a port's *cover* is the
-// number of live regions holding it, and the buddy allocator's free space
-// is exactly the ports of cover 0. DESIGN.md's
+// region that other conferences' regions already cover, the smallest one
+// with room whose ports are covered at most once, on the region's
+// uncovered free ports first. Regions are aligned, so any two are nested
+// or disjoint; a port's *cover* is the number of live regions holding it,
+// and the buddy allocator's free space is exactly the ports of cover 0.
+// No port is covered more than twice (RegionBook::kMaxCover). DESIGN.md's
 // cover bound (R2 generalized) says why sharing is safe: a link carries at
 // most as many conferences as cover its crossing port, so a fabric with d
-// channels per link admits every group whose region's cover stays <= d.
+// channels per link admits every group whose region's cover stays <= d,
+// and a buddy-placed fabric with d >= 2 never looks at a link.
 //
 // Two interchangeable allocator backends sit behind `PlacerBase`:
 //  * `FastPortPlacer` (port_index.hpp) — the admission fast path, a
@@ -38,6 +40,7 @@
 #include "conference/conference.hpp"
 #include "util/audit.hpp"
 #include "util/rng.hpp"
+#include "util/sliced_counts.hpp"
 
 namespace confnet::conf {
 
@@ -97,24 +100,51 @@ class BuddyAllocator {
 };
 
 /// Buddy placement's per-port bookkeeping, shared by both backends: the
-/// order of the region each occupied port's conference was placed in, and
-/// each port's cover (the live regions holding it). Empty unless buddy.
+/// order of the region each occupied port's conference was placed in (a
+/// byte a port), and each port's cover, the live regions holding it (two
+/// bits a port). Empty unless buddy.
 class RegionBook {
  public:
-  /// Cover ceiling of the one-byte counters: the shared step never enters
-  /// a region where some port is already this covered.
-  static constexpr u32 kMaxCover = 0xff;
+  /// The most regions that ever hold one port. An aligned placement
+  /// covers only uncovered ports and the shared step enters only regions
+  /// no port of which is covered this often, so a shared conference
+  /// overlaps one layer of regions and no link carries more than two
+  /// buddy conferences (DESIGN.md R2′).
+  static constexpr u32 kMaxCover = 2;
+  static_assert(kMaxCover == 2, "full_bits() reads the high of two planes");
 
   RegionBook() = default;
   explicit RegionBook(u32 n);
 
   /// Region of occupied `port`'s conference.
   [[nodiscard]] Region region_of(u32 port) const;
-  [[nodiscard]] u32 cover(u32 port) const noexcept {
-    return port < cover_.size() ? cover_[port] : 0;
+  [[nodiscard]] u32 cover(u32 port) const {
+    return port < order_.size() ? cover_.at(port) : 0;
   }
-  /// Highest cover of any port of `region`.
-  [[nodiscard]] u32 max_cover(Region region) const;
+  /// Whether some region holds `port`.
+  [[nodiscard]] bool covered(u32 port) const {
+    return ((~uncovered_bits(port / 64) >> (port % 64)) & 1u) != 0;
+  }
+  /// Whether the shared step may enter `region`: none of its ports is
+  /// covered kMaxCover times.
+  [[nodiscard]] bool shareable(Region region) const {
+    return !cover_.any_equal(region.base, size_of(region), kMaxCover);
+  }
+  /// Ports of `region` no region covers (all of them free).
+  [[nodiscard]] u32 uncovered_in(Region region) const {
+    return static_cast<u32>(cover_.count_equal(region.base, size_of(region), 0));
+  }
+
+  /// Of ports 64·word .. 64·word + 63, those covered kMaxCover times, as
+  /// bits (a word-at-a-time shareable): the counts' high plane, as no
+  /// count exceeds kMaxCover = 2.
+  [[nodiscard]] std::uint64_t full_bits(std::size_t word) const {
+    return cover_.plane(word, 1);
+  }
+  /// Of ports 64·word .. 64·word + 63, those no region covers, as bits.
+  [[nodiscard]] std::uint64_t uncovered_bits(std::size_t word) const {
+    return ~(cover_.plane(word, 0) | cover_.plane(word, 1));
+  }
 
   /// Record `port` as placed in `region`, or as free.
   void record(u32 port, Region region) {
@@ -122,17 +152,16 @@ class RegionBook {
   }
   void clear(u32 port) { order_[port] = 0; }
 
-  /// One more live region: `region`, whose ports are all covered less
-  /// than kMaxCover times (free space, or a region the shared step chose).
-  void cover_region(Region region);
+  /// One more live region: `region`, free space or a shareable region.
+  void cover_region(Region region) {
+    cover_.step(region.base, size_of(region), true);
+  }
   /// One live region fewer; fn(base, order) for every maximal aligned
   /// block of `region` left uncovered, in ascending order.
   template <typename Fn>
   void uncover_region(Region region, Fn&& fn) {
-    std::uint8_t left = 0;
-    for (u32 p = region.base; p < region.end(); ++p)
-      left = std::max(left, --cover_[p]);
-    if (left == 0)
+    cover_.step(region.base, size_of(region), false);
+    if (!cover_.any_nonzero(region.base, size_of(region)))
       fn(region.base, region.order);  // no other region within or around
     else
       for_each_block(region, false, fn);
@@ -143,12 +172,12 @@ class RegionBook {
   void for_each_block(Region region, bool covered, Fn&& fn) const {
     u32 p = region.base;
     while (p < region.end()) {
-      if ((cover_[p] != 0) != covered) {
+      if (this->covered(p) != covered) {
         ++p;
         continue;
       }
       u32 stop = p + 1;
-      while (stop < region.end() && (cover_[stop] != 0) == covered) ++stop;
+      while (stop < region.end() && this->covered(stop) == covered) ++stop;
       while (p < stop) {  // split the run into aligned blocks
         const u32 fits = static_cast<u32>(std::bit_width(stop - p)) - 1;
         const u32 order = std::min(fits, static_cast<u32>(std::countr_zero(p)));
@@ -163,8 +192,12 @@ class RegionBook {
       const ::confnet::conf::RegionBook&,
       const std::vector<std::vector<u32>>&, u32, const std::vector<bool>&);
 
+  [[nodiscard]] static u32 size_of(Region region) noexcept {
+    return u32{1} << region.order;
+  }
+
   std::vector<std::uint8_t> order_;  // region order + 1; 0 = port free
-  std::vector<std::uint8_t> cover_;
+  util::SlicedCounts cover_;
 };
 
 enum class PlacementPolicy : std::uint8_t {
@@ -224,16 +257,20 @@ class PlacerBase {
     return ports;
   }
 
-  /// The shared step of a buddy open, for when place_into() found no free
-  /// aligned block of order log2_ceil(size): among the aligned regions of
-  /// at least that order with `size` free ports and a cover below
-  /// RegionBook::kMaxCover, choose the least covered (the highest cover of
-  /// its ports), then the smallest, then the lowest-based; take `size` of
-  /// its free ports into `ports` (cleared first; sorted), the uncovered
-  /// ones (space fragmentation left, which no conference grows into)
-  /// lowest first and then the lowest covered ones, and cover the region.
-  /// Draws nothing; false, changing nothing except emptying `ports`, when
-  /// no region has room or under the other policies.
+  /// The shared step of a buddy open, for when no free aligned block of
+  /// order log2_ceil(size) is left. Among the aligned regions of at least
+  /// that order with `size` free ports that are RegionBook::shareable,
+  /// choose the smallest; then the one with the most uncovered ports
+  /// (space fragmentation left, which no conference grows into), then the
+  /// most free ports (so the room it takes from the conferences already
+  /// there is the least needed), then the lowest-based. Every candidate is
+  /// covered exactly once somewhere (a wholly uncovered one would hold a
+  /// free aligned block) and nowhere twice, so all are equally covered.
+  /// Take `size` of its free ports into `ports` (cleared first; sorted),
+  /// the uncovered ones lowest first and then the lowest covered ones, and
+  /// cover the region. Draws nothing; false, changing nothing except
+  /// emptying `ports`, when an aligned block is free, when no region
+  /// qualifies, or under the other policies.
   [[nodiscard]] virtual bool place_shared_into(u32 size,
                                                std::vector<u32>& ports) = 0;
 
@@ -306,6 +343,10 @@ class PortPlacer final : public PlacerBase {
 
  private:
   friend void audit::check_placer(const ::confnet::conf::PortPlacer&);
+
+  /// The region place_shared_into() would enter (PlacerBase documents the
+  /// choice), or nullopt.
+  [[nodiscard]] std::optional<Region> shared_region(u32 size) const;
 
   u32 n_;
   PlacementPolicy policy_;

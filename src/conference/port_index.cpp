@@ -1,6 +1,9 @@
 #include "conference/port_index.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <utility>
 
 #include "min/network.hpp"
 #include "util/bits.hpp"
@@ -153,50 +156,125 @@ bool FastPortPlacer::place_into(u32 size, util::Rng& rng,
   return true;
 }
 
-bool FastPortPlacer::place_shared_into(u32 size, std::vector<u32>& ports) {
+namespace {
+
+/// Low halves of the 2^(k+1)-bit fields of a word, k = 0 .. 5.
+constexpr std::array<std::uint64_t, 6> kLowHalves = {
+    0x5555555555555555u, 0x3333333333333333u, 0x0f0f0f0f0f0f0f0fu,
+    0x00ff00ff00ff00ffu, 0x0000ffff0000ffffu, 0x00000000ffffffffu};
+
+/// Each 2^order-bit field of `x` replaced by its count of set bits
+/// (order <= 5, so every count fits its field).
+constexpr std::uint64_t field_counts(std::uint64_t x, u32 order) {
+  for (u32 k = 0; k < order; ++k)
+    x = (x & kLowHalves[k]) + ((x >> (u32{1} << k)) & kLowHalves[k]);
+  return x;
+}
+
+/// A region's ports within each 64-port word it touches.
+constexpr std::uint64_t word_mask(Region region) {
+  const u32 span = u32{1} << region.order;
+  return span < 64 ? ((std::uint64_t{1} << span) - 1) << (region.base % 64)
+                   : ~std::uint64_t{0};
+}
+
+}  // namespace
+
+std::optional<Region> FastPortPlacer::shared_region(u32 size) const {
   expects(size >= 2, "conferences need at least two members");
-  ports.clear();
-  if (policy_ != PlacementPolicy::kBuddy || size > free_ports()) return false;
+  if (policy_ != PlacementPolicy::kBuddy || size > free_ports()) return {};
   const u32 order = util::log2_ceil(size);
-  if (order > n_) return false;
-  expects(!buddy_.can_allocate(order),
-          "the shared step follows a failed aligned one");
-  // Orders ascending, bases ascending, keeping only a strictly smaller
-  // cover: the least (cover, order, base). A region's room is a popcount of
-  // the free-port words and is read first, so the cover scan runs only on
-  // regions that could take the conference. No candidate has cover 0 (its
-  // ports would all be free: an aligned block), so cover 1 ends the search.
-  std::optional<Region> best;
-  u32 best_cover = RegionBook::kMaxCover;
-  for (u32 o = order; o <= n_ && best_cover > 1; ++o) {
-    const u32 span = u32{1} << o;
-    for (u32 base = 0; base < free_.size() && best_cover > 1; base += span) {
-      if (free_.count_in(base, span) < size) continue;
-      const u32 cover = book_.max_cover({base, o});
-      if (cover < best_cover) {
+  if (order > n_ || buddy_.can_allocate(order)) return {};
+  // Orders ascending, bases ascending, keeping only a strictly better
+  // (uncovered, room) pair, all read a 64-port word at a time from the
+  // free-port words and the book's cover planes. A region below 64 ports
+  // is a field of its word: its room, its ports covered kMaxCover times
+  // and its uncovered ports are per-field counts, and one borrow-free
+  // subtraction per field marks the regions with room and none full (a
+  // count, at most the field's width w, never reaches its top bit 2^(w-1)
+  // once w >= 4; at w = 2 the size is 2, and room 2 is the top bit). A
+  // larger region covers whole words.
+  const auto words = static_cast<u32>((free_.size() + 63) / 64);
+  for (u32 o = order; o <= n_; ++o) {
+    std::optional<Region> best;
+    std::pair<u32, u32> best_rank{0, 0};
+    const auto consider = [&](u32 base, u32 uncovered, u32 room) {
+      if (!best || std::pair{uncovered, room} > best_rank) {
         best = Region{base, o};
-        best_cover = cover;
+        best_rank = {uncovered, room};
+      }
+    };
+    if (o < 6) {
+      const u32 width = u32{1} << o;
+      const std::uint64_t field = (std::uint64_t{1} << width) - 1;
+      const std::uint64_t low = ~std::uint64_t{0} / field;  // bit 0 of each
+      const std::uint64_t high = low << (width - 1);
+      for (u32 w = 0; w < words; ++w) {
+        if (util::popcount(free_.word(w)) < size) continue;
+        const std::uint64_t room = field_counts(free_.word(w), o);
+        const std::uint64_t full_ports =
+            book_.full_bits(w);
+        const std::uint64_t full =
+            full_ports == 0 ? 0 : field_counts(full_ports, o);
+        std::uint64_t fits =
+            o == 1 ? room & ~(full | full << 1) & high
+                   : ((room | high) - size * low) & ~((full | high) - low) &
+                         high;
+        if (fits == 0) continue;
+        const std::uint64_t uncovered =
+            field_counts(book_.uncovered_bits(w), o);
+        for (; fits != 0; fits &= fits - 1) {
+          const auto shift =
+              static_cast<u32>(std::countr_zero(fits)) & ~(width - 1);
+          consider(w * 64 + shift, static_cast<u32>((uncovered >> shift) & field),
+                   static_cast<u32>((room >> shift) & field));
+        }
+      }
+    } else {
+      const u32 span_words = u32{1} << (o - 6);
+      for (u32 first = 0; first < words; first += span_words) {
+        u32 room = 0;
+        u32 uncovered = 0;
+        bool full = false;
+        for (u32 w = first; w < first + span_words; ++w) {
+          room += util::popcount(free_.word(w));
+          full = full || book_.full_bits(w) != 0;
+          uncovered += util::popcount(book_.uncovered_bits(w));
+        }
+        if (room >= size && !full) consider(first * 64, uncovered, room);
       }
     }
+    if (best) return best;
   }
-  if (!best) return false;
-  // The region's uncovered free ports first (space buddy fragmentation
-  // left, which no conference grows into), then the lowest covered ones.
+  return {};
+}
+
+bool FastPortPlacer::place_shared_into(u32 size, std::vector<u32>& ports) {
+  ports.clear();
+  const std::optional<Region> region = shared_region(size);
+  if (!region) return false;
+  // The region's uncovered ports first (space buddy fragmentation left,
+  // which no conference grows into; all free), then the lowest covered
+  // free ones, a 64-port word at a time.
+  const std::uint64_t in_region = word_mask(*region);
   ports.reserve(size);
   for (const bool covered : {false, true}) {
-    for (std::size_t p = free_.find_first_at_least(best->base);
-         p < best->end() && ports.size() < size;
-         p = free_.find_first_at_least(p + 1))
-      if ((book_.cover(static_cast<u32>(p)) != 0) == covered)
-        ports.push_back(static_cast<u32>(p));
+    for (u32 w = region->base / 64;
+         w <= (region->end() - 1) / 64 && ports.size() < size; ++w) {
+      const std::uint64_t uncovered = book_.uncovered_bits(w);
+      for (std::uint64_t take = free_.word(w) & in_region &
+                                (covered ? ~uncovered : uncovered);
+           take != 0 && ports.size() < size; take &= take - 1)
+        ports.push_back(w * 64 + static_cast<u32>(std::countr_zero(take)));
+    }
   }
   std::sort(ports.begin(), ports.end());
   for (u32 p : ports) {
     free_.reset(p);
-    book_.record(p, *best);
+    book_.record(p, *region);
   }
-  (void)buddy_.claim(*best);
-  book_.cover_region(*best);
+  (void)buddy_.claim(*region);
+  book_.cover_region(*region);
   return true;
 }
 
@@ -207,13 +285,24 @@ CONFNET_HOT std::optional<u32> FastPortPlacer::expand(
   std::optional<u32> port;
   switch (policy_) {
     case PlacementPolicy::kBuddy: {
-      // The new member must live inside the conference's own region.
+      // The new member must live inside the conference's own region: its
+      // least-covered free port, lowest first. A port other regions nested
+      // in this one also cover is their conferences' room to grow; a free
+      // port of a live region is covered once or twice, so the search
+      // takes the lowest one not full, else the lowest full one.
       const Region region = book_.region_of(current.front());
-      const std::size_t p = free_.find_first_at_least(region.base);
-      if (p != util::HierBitset::npos && p < region.end()) {
-        port = static_cast<u32>(p);
-        book_.record(*port, region);
+      const std::uint64_t in_region = word_mask(region);
+      for (const bool full : {false, true}) {
+        for (u32 w = region.base / 64; !port && w <= (region.end() - 1) / 64;
+             ++w) {
+          const std::uint64_t fulls = book_.full_bits(w);
+          const std::uint64_t take =
+              free_.word(w) & in_region & (full ? fulls : ~fulls);
+          if (take != 0)
+            port = w * 64 + static_cast<u32>(std::countr_zero(take));
+        }
       }
+      if (port) book_.record(*port, region);
       break;
     }
     case PlacementPolicy::kFirstFit: {

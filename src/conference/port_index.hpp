@@ -112,6 +112,10 @@ class FastPortPlacer final : public PlacerBase {
  private:
   friend void audit::check_placer(const ::confnet::conf::FastPortPlacer&);
 
+  /// The region place_shared_into() would enter (PlacerBase documents the
+  /// choice), or nullopt.
+  [[nodiscard]] std::optional<Region> shared_region(u32 size) const;
+
   u32 n_;
   PlacementPolicy policy_;
   BitmapBuddyAllocator buddy_;  // empty unless kBuddy

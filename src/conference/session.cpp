@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <span>
 
 #include "min/windows.hpp"
@@ -332,11 +331,9 @@ void check_session_manager(const conf::SessionManager& manager) {
   for (u32 p = 0; p < N; ++p)
     require(manager.placer_->cover(p) == cover[p], kSub,
             "placer cover diverges from the sessions' regions");
-  // The cover bound (R2 generalized) on live state: on a kind with
-  // orthogonal (block x stride) windows, a link carries at most as many
-  // conferences as there are sessions whose enclosing block holds its
-  // crossing port (a relay tap only cuts links away), so on a healthy
-  // fabric an aligned window, on uncovered ports, never meets link
+  // The cover bound (R2 generalized; FabricState::cross_check checks it
+  // link by link): on a healthy fabric of a kind with orthogonal (block x
+  // stride) windows, an aligned window on uncovered ports never meets link
   // capacity. Only a session that shared a region can be refused for
   // capacity, open or join.
   const auto* direct =
@@ -348,34 +345,6 @@ void check_session_manager(const conf::SessionManager& manager) {
               (manager.shared_tried_ ||
                direct->last_error() != conf::SetupError::kLinkCapacity),
           kSub, "cover bound: link capacity refused an unshared conference");
-  const u32 n = direct->n();
-  std::fill(cover.begin(), cover.end(), 0);
-  for (const auto& members : member_sets) {
-    const u32 span = u32{1}
-                     << std::bit_width(members.front() ^ members.back());
-    const u32 first = members.front() & ~(span - 1);
-    for (u32 p = first; p < first + span; ++p) ++cover[p];
-  }
-  // Every group on the fabric loads its links, placed by this manager or
-  // not.
-  std::vector<u32> loads(std::size_t{n} * N, 0);
-  direct->fabric().for_each_group([&](u32 id) {
-    const sw::GroupRealization group = direct->fabric().realization(id);
-    for (u32 level = 1; level < n; ++level)
-      for (u32 row : group.links[level]) ++loads[std::size_t{level} * N + row];
-  });
-  for (u32 level = 1; level < n; ++level) {
-    for (u32 row = 0; row < N; ++row) {
-      const u32 load = loads[std::size_t{level} * N + row];
-      if (load == 0) continue;
-      const u32 port = min::crossing_port(
-          min::in_window(direct->kind(), n, level, row),
-          min::out_window(direct->kind(), n, level, row));
-      require(load <= cover[port], kSub,
-              "cover bound: more conferences share an interstage link than "
-              "sessions' blocks cover its crossing port");
-    }
-  }
 }
 
 }  // namespace confnet::audit

@@ -3,7 +3,11 @@
 // departures free ports or fabric links — the "please hold" front end of a
 // conference service. Queueing is work-conserving with optional head-of-
 // line bypass (a small later request may be admitted past a large stuck
-// head when bypass is enabled).
+// head when bypass is enabled). Under buddy placement only an arriving
+// request takes SessionManager::open's shared step; a queued ticket waits
+// for a free aligned block (SessionManager::placeable), so a later arrival
+// (with bypass, or to an empty queue) may be admitted on a shared region
+// while it waits.
 #pragma once
 
 #include <deque>
@@ -24,7 +28,7 @@ enum class RequestOutcome : std::uint8_t {
 /// (`conf/wait_*` counters); a live manager is asked through wait_stats().
 struct WaitStats {
   u64 served_immediately = 0;
-  u64 served_after_wait = 0;
+  u64 served_after_wait = 0;  // never on a shared region (see above)
   u64 rejected = 0;
   u64 abandoned = 0;
   /// Deepest the queue has ever been (including the enqueued request).

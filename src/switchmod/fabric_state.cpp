@@ -46,8 +46,8 @@ FabricState::FabricState(min::Network net, std::span<const u32> capacity,
     cover_limit_ = std::min(cover_limit_, capacity_[level]);
   if (r2_capable()) {
     r2_ = true;
-    cover_.assign(net_.size(), 0);
-    cover_kept_ = true;
+    cover_ = util::SlicedCounts(
+        net_.size(), static_cast<u32>(std::bit_width(cover_limit_)));
   } else {
     leave_r2();
   }
@@ -67,57 +67,23 @@ bool FabricState::r2_capable() const noexcept {
 bool FabricState::r2_claim(std::span<const u32> old,
                            std::span<const u32> members) {
   if (!r2_) return false;
-  move_cover(old, members);
   const Block block = enclosing_block(members);
-  const auto first = cover_.begin() + block.first;
-  if (*std::max_element(first, first + block.size) <= cover_limit_)
+  if (!old.empty()) {
+    const Block held = enclosing_block(old);
+    if (held == block) return true;
+    cover_.step(held.first, held.size, false);
+  }
+  if (!cover_.any_equal(block.first, block.size, cover_limit_)) {
+    cover_.step(block.first, block.size, true);
     return true;
-  cover_block(block, false);
-  if (!old.empty()) cover_block(enclosing_block(old), true);
+  }
   leave_r2();
   return false;
 }
 
-void FabricState::move_cover(std::span<const u32> old,
-                             std::span<const u32> members) {
-  const Block held = old.empty() ? Block{0, 0} : enclosing_block(old);
-  const Block block = enclosing_block(members);
-  if (held.first == block.first && held.size == block.size) return;
-  cover_block(held, false);
-  cover_block(block, true);
-}
-
-void FabricState::cover_block(Block block, bool add) {
-  if (!cover_kept_) return;
-  const auto first = cover_.begin() + block.first;
-  const auto last = first + block.size;
-  if (r2_) {
-    // In the mode no port exceeds cover_limit_ (r2_claim checks it).
-    if (add)
-      for (auto it = first; it != last; ++it) ++*it;
-    else
-      for (auto it = first; it != last; ++it) --*it;
-    return;
-  }
-  if (!add) {
-    for (auto it = first; it != last; ++it)
-      if ((*it)-- == cover_limit_ + 1) --over_limit_;
-    return;
-  }
-  if (*std::max_element(first, last) == kMaxCover) {
-    // The one-byte counters are full: stop counting until the fabric
-    // empties (only out of R2 mode, where the counts only serve re-entry).
-    cover_kept_ = false;
-    std::fill(cover_.begin(), cover_.end(), 0);
-    over_limit_ = 0;
-    return;
-  }
-  for (auto it = first; it != last; ++it)
-    if (++*it == cover_limit_ + 1) ++over_limit_;
-}
-
 void FabricState::leave_r2() {
   r2_ = false;
+  cover_.clear();
   if (load_.empty()) load_.assign(std::size_t{net_.n() + 1} * net_.size(), 0);
   for (const Entry& entry : entries_) {
     if (!live(entry)) continue;
@@ -127,14 +93,10 @@ void FabricState::leave_r2() {
 }
 
 void FabricState::maybe_enter_r2() {
-  if (group_count_ == 0 && r2_capable()) cover_kept_ = true;  // all zero
-  if (r2_ || !cover_kept_ || over_limit_ != 0 || faults_.fault_count() != 0)
-    return;
-  // Every load is at most the cover of its crossing port, so none exceeds
-  // its capacity: the table drops to all zero (kept, for the next exit).
-  expects(overflowing_ == 0, "a healthy fabric within its cover overflows");
-  std::fill(load_.begin(), load_.end(), 0);
-  r2_ = true;
+  // The load table, if a past excursion allocated it, is all zero now.
+  if (!r2_ && group_count_ == 0 && faults_.fault_count() == 0 &&
+      r2_capable())
+    r2_ = true;
 }
 
 void FabricState::expect_members_free(std::span<const u32> old,
@@ -190,7 +152,6 @@ CONFNET_HOT Admission FabricState::try_add(u32 id,
         if (load_[link_index(level, row)] >= capacity_[level])
           return Admission::kLinkCapacity;
     apply_load(rows_, true);
-    move_cover({}, members);
   }
 
   for (u32 m : members) busy_.set(m);
@@ -228,7 +189,6 @@ CONFNET_HOT Admission FabricState::try_replace(u32 id,
   });
   if (!feasible) return Admission::kLinkCapacity;
 
-  move_cover(entry.members, members);
   swap_group(entry, members, 0);  // checked above
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
   return Admission::kAdmitted;
@@ -243,7 +203,6 @@ CONFNET_HOT void FabricState::replace(u32 id, std::span<const u32> members) {
     swap_group(entry, members, 0);
   } else {
     derive_swap(entry, members);
-    move_cover(entry.members, members);
     swap_group(entry, members, dead_links_in(rows_));
   }
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
@@ -277,8 +236,10 @@ CONFNET_HOT void FabricState::swap_group(Entry& entry,
 CONFNET_HOT void FabricState::remove(u32 id) {
   expects(contains(id), "remove of unknown group id");
   Entry& entry = entries_[id];
-  cover_block(enclosing_block(entry.members), false);
-  if (!r2_) {
+  if (r2_) {
+    const Block block = enclosing_block(entry.members);
+    cover_.step(block.first, block.size, false);
+  } else {
     derive(entry.members, rows_, parts_);
     apply_load(rows_, false);
   }
@@ -424,7 +385,7 @@ void FabricState::cross_check() const {
   for_each_group([&](u32 id) { groups.push_back(realization(id)); });
   const std::vector<u32> expected_load = recount_loads();
   util::DynBitset expected_busy(N);
-  std::vector<u32> expected_cover(cover_.size(), 0);
+  std::vector<u32> expected_cover(N, 0);
   u32 expected_overflowing = 0;
   for (const GroupRealization& g : groups) {
     audit::require(std::adjacent_find(g.members.begin(), g.members.end(),
@@ -437,11 +398,9 @@ void FabricState::cross_check() const {
                      "admitted groups share a member port");
       expected_busy.set(m);
     }
-    if (cover_kept_) {
-      const Block block = enclosing_block(g.members);
-      for (u32 p = block.first; p < block.first + block.size; ++p)
-        ++expected_cover[p];
-    }
+    const Block block = enclosing_block(g.members);
+    for (u32 p = block.first; p < block.first + block.size; ++p)
+      ++expected_cover[p];
   }
   audit::require(groups.size() == group_count_, kSub,
                  "group count diverges from the live entries");
@@ -449,15 +408,10 @@ void FabricState::cross_check() const {
     for (u32 row = 0; row < N; ++row)
       if (expected_load[link_index(level, row)] > capacity_[level])
         ++expected_overflowing;
-  if (r2_) {
-    // The cover bound: on an orthogonal kind a link carries at most as many
-    // groups as there are blocks holding its crossing port, and no port is
-    // covered beyond the narrowest interstage capacity. The load table, if
-    // a past excursion allocated it, is untouched and all zero.
-    audit::require(r2_capable() && faults_.fault_count() == 0 && cover_kept_,
-                   kSub, "R2 mode on a fabric R2 does not cover");
-    audit::require(over_limit_ == 0, kSub,
-                   "R2 mode: a port covered beyond the link capacity");
+  if (r2_capable() && faults_.fault_count() == 0) {
+    // The cover bound, in or out of R2 mode: on an orthogonal kind a link
+    // carries at most as many groups as there are blocks holding its
+    // crossing port.
     for (u32 level = 1; level < n; ++level) {
       for (u32 row = 0; row < N; ++row) {
         const u32 load = expected_load[link_index(level, row)];
@@ -466,8 +420,22 @@ void FabricState::cross_check() const {
             min::in_window(net_.kind(), n, level, row),
             min::out_window(net_.kind(), n, level, row));
         audit::require(load <= expected_cover[port], kSub,
-                       "R2 mode: a link carries more groups than cover it");
+                       "cover bound: a link carries more groups than "
+                       "blocks cover its crossing port");
       }
+    }
+  }
+  if (r2_) {
+    // No port is covered beyond the narrowest interstage capacity, so by
+    // the cover bound no load exceeds its capacity. The load table, if a
+    // past excursion allocated it, is untouched and all zero.
+    audit::require(r2_capable() && faults_.fault_count() == 0, kSub,
+                   "R2 mode on a fabric R2 does not cover");
+    for (u32 p = 0; p < N; ++p) {
+      audit::require(cover_.at(p) == expected_cover[p], kSub,
+                     "port cover diverges from the live groups' blocks");
+      audit::require(expected_cover[p] <= cover_limit_, kSub,
+                     "R2 mode: a port covered beyond the link capacity");
     }
     audit::require(std::all_of(load_.begin(), load_.end(),
                                [](std::uint16_t load) { return load == 0; }),
@@ -476,15 +444,8 @@ void FabricState::cross_check() const {
     audit::require(std::equal(load_.begin(), load_.end(),
                               expected_load.begin(), expected_load.end()),
                    kSub, "incremental load matrix diverges from group recount");
+    audit::require(cover_.all_zero(), kSub, "a cover kept outside R2 mode");
   }
-  audit::require(std::equal(cover_.begin(), cover_.end(),
-                            expected_cover.begin(), expected_cover.end()),
-                 kSub, "port cover diverges from the live groups' blocks");
-  audit::require(
-      over_limit_ == static_cast<u32>(std::count_if(
-                         expected_cover.begin(), expected_cover.end(),
-                         [&](u32 c) { return c > cover_limit_; })),
-      kSub, "over-covered port count diverges from the cover recount");
   audit::require(busy_ == expected_busy, kSub,
                  "busy-port set diverges from group membership");
   audit::require(overflowing_ == expected_overflowing, kSub,

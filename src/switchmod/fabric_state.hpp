@@ -49,20 +49,20 @@
 //     kind is orthogonal, no link is faulty and no port is covered beyond
 //     the narrowest interstage capacity (`cover_limit_`), nothing can
 //     refuse. In this R2 mode a mutation checks ports, copies the member
-//     list, sets busy bits and moves the group's block in the byte-wide
-//     cover count: no rows are derived and no load table is kept. At one
-//     channel that is R2 itself: groups on disjoint blocks. The first
-//     admission that would cover a port beyond the limit, or the first
-//     fail_link, leaves the mode: the load table is allocated at that first
-//     use and filled from one derivation per live group. The cover is kept
-//     outside the mode too; a departure that leaves the fabric healthy with
-//     no port over the limit returns to the mode (the table drops to all
-//     zero), and so does an empty fabric with no fault.
+//     list, sets busy bits and moves the group's block in the port cover:
+//     no rows are derived and no load table is kept. At one channel that
+//     is R2 itself: groups on disjoint blocks, and the cover is one
+//     claimed bit per port. The first admission whose block holds a port
+//     already covered cover_limit_ times, or the first fail_link, leaves
+//     the mode: the cover is dropped, and the load table is allocated at
+//     that first use and filled from one derivation per live group. An
+//     empty fabric with no fault returns to R2 mode.
 //
 // The stateless engine stays the oracle: `cross_check()` materializes
 // every group's realization, recounts loads, busy ports, overflows, dead
-// links and the port cover from them (in R2 mode it also requires every
-// interstage load <= its crossing port's cover), and pins every group's
+// links and the port cover from them (on a healthy orthogonal fabric it
+// also requires every interstage load <= its crossing port's cover, in or
+// out of R2 mode), and pins every group's
 // closed-form verdict against the set-based sweep `Fabric::propagate`,
 // throwing on any divergence. CONFNET_AUDIT builds run it periodically
 // from the mutation hooks (see audit::check_fabric_state).
@@ -77,6 +77,7 @@
 #include "min/network.hpp"
 #include "switchmod/fabric.hpp"
 #include "util/bitset.hpp"
+#include "util/sliced_counts.hpp"
 #include "util/error.hpp"
 
 namespace confnet::sw {
@@ -229,9 +230,11 @@ class FabricState {
 
   /// Materialize every admitted group's realization, recount loads, busy
   /// ports, overflows, per-group dead links and the port cover from them
-  /// and check the entry table and, outside R2 mode, the load table. In R2
-  /// mode also require an empty fault mask, no port covered beyond the
-  /// limit and every interstage load <= its crossing port's cover. Then pin
+  /// and check the entry table and, outside R2 mode, the load table. On a
+  /// healthy fabric of an orthogonal kind require every interstage load <=
+  /// its crossing port's cover (the cover bound); in R2 mode also an empty
+  /// fault mask and a kept cover equal to the recount, nowhere beyond the
+  /// limit. Then pin
   /// every group's closed-form verdict against `Fabric::propagate`: exact
   /// delivery iff no dead link. Under CONFNET_AUDIT every group also runs
   /// audit::check_group_realization.
@@ -254,33 +257,25 @@ class FabricState {
   struct Block {
     u32 first;
     u32 size;
+    bool operator==(const Block&) const = default;
   };
-  /// Ceiling of the one-byte port cover counters.
-  static constexpr u32 kMaxCover = 0xff;
+  /// Ceiling of cover_limit_: at most eight cover planes.
+  static constexpr u32 kMaxCoverLimit = 0xff;
   /// The smallest aligned block enclosing sorted `members`.
   [[nodiscard]] static Block enclosing_block(std::span<const u32> members);
 
   /// True iff R2 can decide admission on this fabric at all: an
   /// orthogonal kind.
   [[nodiscard]] bool r2_capable() const noexcept;
-  /// In R2 mode, move the cover of a group from the block of `old` (empty
-  /// for an add) to the block of `members` if no port of it ends up
-  /// covered beyond cover_limit_: true then. Otherwise restore the cover,
-  /// leave R2 mode and return false; so does a fabric already out of it.
+  /// In R2 mode, move a group's block in the cover from that of `old`
+  /// (empty for an add) to that of `members` if no port of the new block
+  /// is already covered cover_limit_ times: true then. Otherwise leave R2
+  /// mode and return false; so does a fabric already out of it.
   bool r2_claim(std::span<const u32> old, std::span<const u32> members);
-  /// Move a group's block in the port cover from that of `old` (empty for
-  /// an add) to that of `members`, unchecked.
-  void move_cover(std::span<const u32> old, std::span<const u32> members);
-  /// Count a group's block in (`add`) or out of the port cover, while the
-  /// cover is kept.
-  void cover_block(Block block, bool add);
-  /// Allocate the load table at first use and fill it by deriving every
-  /// live group once; R2 mode ends, the cover is still kept.
+  /// Drop the cover, allocate the load table at first use and fill it by
+  /// deriving every live group once: R2 mode ends.
   void leave_r2();
-  /// Back to R2 mode when the fabric is healthy, R2-capable and its kept
-  /// cover nowhere exceeds cover_limit_ (as on an empty fabric): each load
-  /// is then within its capacity by the cover bound, and the table drops
-  /// to all zero.
+  /// Back to R2 mode when the fabric is empty, healthy and R2-capable.
   void maybe_enter_r2();
   /// Every link's load recounted from derived rows, by link_index().
   [[nodiscard]] std::vector<u32> recount_loads() const;
@@ -339,17 +334,14 @@ class FabricState {
   // port as a member. Only "is this port free" is ever asked, so no group
   // id is stored.
   util::DynBitset busy_;
-  // R2 mode (see the header comment) and each port's cover: the live
-  // groups whose block holds it, kept in and out of the mode (all zero
-  // while not kept). Empty on a fabric that is not r2_capable(). A group is
-  // admitted in the mode while no port of its block is covered
-  // cover_limit_ times, the narrowest interstage capacity held below the
-  // counters' ceiling; over_limit_ counts the ports covered beyond it.
+  // R2 mode (see the header comment) and, in it, each port's cover. No
+  // cover exceeds cover_limit_ (the narrowest interstage capacity, at most
+  // kMaxCoverLimit) in the mode, so bit_width(cover_limit_) planes hold
+  // it: one bit a port at one channel. All zero out of the mode; empty on
+  // a fabric that is not r2_capable().
   bool r2_ = false;
-  bool cover_kept_ = false;
-  std::vector<std::uint8_t> cover_;
-  u32 cover_limit_ = kMaxCover - 1;  // an increment in the mode never wraps
-  u32 over_limit_ = 0;
+  util::SlicedCounts cover_;
+  u32 cover_limit_ = kMaxCoverLimit;
   u32 overflowing_ = 0;
   u32 mutations_ = 0;  // drives the periodic CONFNET_AUDIT cross-check
   // Reused id buffer for count_link_users (fail/repair hot path).

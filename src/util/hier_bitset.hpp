@@ -54,23 +54,8 @@ class HierBitset {
     return (words_[i >> 6] >> (i & 63)) & 1u;
   }
 
-  /// Set bits in [first, first + len): a range inside one word, or whole
-  /// words (any aligned block of a power-of-two size is one or the other).
-  [[nodiscard]] std::size_t count_in(std::size_t first,
-                                     std::size_t len) const {
-    expects(first + len <= nbits_, "HierBitset::count_in out of range");
-    if (len < 64) {
-      expects((first & 63) + len <= 64, "HierBitset::count_in straddles");
-      return popcount((words_[first >> 6] >> (first & 63)) &
-                      ((u64{1} << len) - 1));
-    }
-    expects(first % 64 == 0 && len % 64 == 0,
-            "HierBitset::count_in needs whole words");
-    std::size_t n = 0;
-    for (std::size_t wi = first >> 6; wi < (first + len) >> 6; ++wi)
-      n += popcount(words_[wi]);
-    return n;
-  }
+  /// Bits 64·wi .. 64·wi + 63, bit i of the word for index 64·wi + i.
+  [[nodiscard]] u64 word(std::size_t wi) const { return words_[wi]; }
 
   /// Set bit `i` (must currently be clear — churn callers never re-set).
   CONFNET_HOT void set(std::size_t i) {

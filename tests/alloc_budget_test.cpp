@@ -293,15 +293,9 @@ TEST(SessionChurnBudget, BuddyAtTenStages) {
   EXPECT_LE(f.max_allocs_accepted, 1u);
   EXPECT_EQ(f.allocs_refused, 0u);
   EXPECT_EQ(f.allocs_close, 0u);
-  // 355.8 B measured (Release, glibc); the bound allows 5% more. This
-  // churn overloads the fabric (128 conferences of 9 ports on average), so
-  // its opens outgrow the aligned blocks, share regions beyond the cover
-  // the fabric's four channels admit in R2 mode, and the fabric leaves the
-  // mode and keeps its 22,528-byte load table (176 B a conference here).
-  // Without sharing it held 104.5 B, and 333.1 B while every fabric held a
-  // load table and a fault mask; BuddyChurnNeverAllocatesTheLoadTable pins
-  // a churn the cover bound keeps in the mode.
-  EXPECT_LE(f.heap_per_conference, 374.0);
+  // 104.5 B measured (Release, glibc; 333.1 B while every fabric held a
+  // load table and a fault mask); the bound allows 5% more.
+  EXPECT_LE(f.heap_per_conference, 110.0);
 }
 
 TEST(SessionChurnBudget, SharedOpensAllocateOnlyTheirMembers) {

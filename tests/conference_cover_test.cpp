@@ -1,18 +1,20 @@
 // The cover bound under buddy churn: R2 generalized from "disjoint aligned
 // blocks share no link" to "a link carries at most as many conferences as
 // there are enclosing blocks holding its crossing port". A buddy open that
-// finds no free aligned block shares the least-covered region with room
-// (SessionManager::open's shared step), so the churn here runs past its
-// aligned blocks on purpose. Two managers, one per placer backend, run the
+// finds no free aligned block shares the smallest region with room whose
+// ports are covered at most once (SessionManager::open's shared step), so
+// the churn here runs past its aligned blocks on purpose. Two managers, one per placer backend, run the
 // same script on twin fabrics; after every step the suite checks
 //  * every conference lies in the region its placer recorded, and both
 //    backends hold identical ports, regions and covers;
-//  * the placer's per-port cover equals a recount of the live regions;
+//  * the placer's per-port cover equals a recount of the live regions,
+//    and no port is covered more than RegionBook::kMaxCover times;
 //  * every interstage load, recounted from the realizations, is at most
 //    the cover of its link's crossing port;
 //  * a fabric in R2 mode stays in it through a step that starts with no
 //    port covered d times (d = the narrowest interstage capacity): the
-//    mode is left only for a conference the cover bound cannot vouch for.
+//    mode is left only for a conference the cover bound cannot vouch for,
+//    so a fabric of two or more channels never leaves it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,6 +36,8 @@ struct Design {
   std::string name;
   u32 dilation;  // channels on every link; the enhanced cube has one
   bool enhanced;
+  u32 n = 6;
+  u32 max_size = 12;  // opens draw 2 .. max_size members
 };
 
 std::unique_ptr<FabricConferenceNetwork> build(const Design& d, u32 n) {
@@ -75,8 +79,10 @@ void check_state(const SessionManager& m, const std::vector<u32>& live,
     const Region block = enclosing(members);
     for (u32 p = block.base; p < block.end(); ++p) ++block_cover[p];
   }
-  for (u32 p = 0; p < N; ++p)
+  for (u32 p = 0; p < N; ++p) {
     ASSERT_EQ(placer.cover(p), region_cover[p]) << where << " port " << p;
+    ASSERT_LE(region_cover[p], RegionBook::kMaxCover) << where << " port " << p;
+  }
   // The oracle: every group's realization, derived statelessly.
   std::vector<u32> load(std::size_t{N} * n, 0);
   for (u32 id : live) {
@@ -98,8 +104,8 @@ void check_state(const SessionManager& m, const std::vector<u32>& live,
 /// Seeded open/join/leave/close churn that outgrows its aligned blocks;
 /// adds the opens admitted on a shared region to `shared`.
 void churn(const Design& design, u64 seed, u64& shared) {
-  constexpr u32 n = 6;
-  constexpr u32 N = u32{1} << n;
+  const u32 n = design.n;
+  const u32 N = u32{1} << n;
   const auto fast_net = build(design, n);
   const auto ref_net = build(design, n);
   SessionManager fast(*fast_net, PlacementPolicy::kBuddy, PlacerBackend::kFast);
@@ -116,7 +122,8 @@ void churn(const Design& design, u64 seed, u64& shared) {
     const bool within = peak_cover(fast.placer(), N) < design.dilation;
     const u64 op = script.below(10);
     if (op < 4 || live.empty()) {
-      const auto size = static_cast<u32>(2 + script.below(11));
+      const auto size =
+          static_cast<u32>(2 + script.below(design.max_size - 1));
       const auto a = fast.open(size, rng_fast);
       const auto b = ref.open(size, rng_ref);
       ASSERT_EQ(a, b) << where;
@@ -136,7 +143,7 @@ void churn(const Design& design, u64 seed, u64& shared) {
         live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
       }
     }
-    if (in_mode && within) {
+    if ((in_mode && within) || design.dilation >= 2) {
       ASSERT_TRUE(fast_net->fabric().r2_mode()) << where;
     }
     ASSERT_EQ(fast.stats(), ref.stats()) << where;
@@ -155,7 +162,9 @@ TEST(CoverBound, BuddyChurnSharesWithinTheBoundOnEveryDesign) {
   const Design designs[] = {{"cube d=1", 1, false},
                             {"cube d=2", 2, false},
                             {"cube d=4", 4, false},
-                            {"enhanced", 1, true}};
+                            {"enhanced", 1, true},
+                            // regions of many 64-port words
+                            {"cube d=2 n=9", 2, false, 9, 150}};
   u64 seed = 3;
   for (const Design& d : designs) {
     u64 shared = 0;
@@ -168,8 +177,8 @@ TEST(CoverBound, BuddyChurnSharesWithinTheBoundOnEveryDesign) {
 
 TEST(CoverBound, SharedRegionsReturnToTheBuddyAllocatorWhenUncovered) {
   // n = 3: a size-5 conference takes the whole [0, 8), so a size-3 open
-  // finds no free block of four and shares the least-covered, smallest
-  // region with room: [4, 8), where ports 5-7 are free. Closing the first
+  // finds no free block of four and shares the smallest region with room:
+  // [4, 8), where ports 5-7 are free. Closing the first
   // conference returns [0, 4), which no region covers any more, to the
   // allocator; closing both returns everything.
   DirectConferenceNetwork net(Kind::kIndirectCube, 3,

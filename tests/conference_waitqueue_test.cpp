@@ -135,6 +135,32 @@ TEST(WaitQueue, AbandonRemovesTicket) {
   EXPECT_TRUE(wq.close(*big.session, rng).empty());
 }
 
+TEST(WaitQueue, QueuedTicketWaitsForAnAlignedBlockUnderBuddy) {
+  // n = 3, two channels: a conference of five takes [0, 8) and one of
+  // three, arriving to an empty queue, shares [4, 8). A pair then queues
+  // (no free port). Two members leave [2, 4): a shared region with room
+  // again, but no free aligned block, so the queue pass leaves the ticket
+  // waiting where an arriving open would share.
+  DirectConferenceNetwork net(Kind::kIndirectCube, 3,
+                              DilationProfile::uniform(3, 2));
+  WaitQueueManager wq(net, PlacementPolicy::kBuddy, 8);
+  util::Rng rng(7);
+  const auto five = wq.request(5, rng);
+  ASSERT_EQ(five.outcome, RequestOutcome::kServed);
+  ASSERT_EQ(wq.request(3, rng).outcome, RequestOutcome::kServed);
+  EXPECT_EQ(wq.sessions().stats().shared, 1u);
+  ASSERT_EQ(wq.request(2, rng).outcome, RequestOutcome::kQueued);
+  ASSERT_TRUE(wq.sessions().leave(*five.session, 2));
+  ASSERT_TRUE(wq.sessions().leave(*five.session, 3));
+  EXPECT_TRUE(wq.drain(rng).empty());
+  EXPECT_EQ(wq.queue_length(), 1u);
+  const auto shared = wq.sessions().open(2, rng);
+  ASSERT_EQ(shared.first, OpenResult::kAccepted);
+  EXPECT_EQ(wq.sessions().members_of(*shared.second),
+            (std::vector<u32>{2, 3}));
+  EXPECT_EQ(wq.sessions().stats().shared, 2u);
+}
+
 TEST(WaitQueue, CascadedAdmissionsOnOneDeparture) {
   // One departure can admit several waiters.
   DirectConferenceNetwork net(Kind::kIndirectCube, 3,

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/sliced_counts.hpp"
 
 namespace confnet::util {
 namespace {
@@ -167,6 +171,52 @@ TEST(DynBitset, Clear) {
   DynBitset b(100, true);
   b.clear();
   EXPECT_TRUE(b.none());
+}
+
+TEST(SlicedCounts, AlignedStepsMatchAPlainCountModel) {
+  // 256 counts in two planes (0..3), moved by random aligned blocks of 1
+  // to 256 that keep every count in range; every query is checked against
+  // a plain vector after each step.
+  constexpr std::size_t kSize = 256;
+  SlicedCounts counts(kSize, 2);
+  std::vector<u32> model(kSize, 0);
+  Rng rng(5);
+  for (int step = 0; step < 2000; ++step) {
+    const auto order = static_cast<u32>(rng.below(9));
+    const std::size_t len = std::size_t{1} << order;
+    const std::size_t first = rng.below(kSize >> order) << order;
+    const auto lo = model.begin() + static_cast<std::ptrdiff_t>(first);
+    const auto hi = lo + static_cast<std::ptrdiff_t>(len);
+    const bool add = *std::max_element(lo, hi) < 3 &&
+                     (*std::min_element(lo, hi) == 0 || rng.below(2) == 0);
+    if (!add && *std::min_element(lo, hi) == 0) continue;
+    counts.step(first, len, add);
+    for (auto it = lo; it != hi; ++it) *it += add ? 1 : -1;
+    for (u32 value = 0; value < 5; ++value) {
+      const auto expected = static_cast<std::size_t>(
+          std::count(lo, hi, value));
+      ASSERT_EQ(counts.count_equal(first, len, value), expected) << step;
+      ASSERT_EQ(counts.any_equal(first, len, value), expected != 0) << step;
+    }
+    ASSERT_EQ(counts.any_nonzero(first, len),
+              std::any_of(lo, hi, [](u32 c) { return c != 0; }))
+        << step;
+    for (std::size_t i = 0; i < kSize; ++i) ASSERT_EQ(counts.at(i), model[i]);
+    for (std::size_t w = 0; w < kSize / 64; ++w) {
+      for (u32 k = 0; k < 2; ++k) {
+        u64 bits = 0;
+        for (std::size_t i = 0; i < 64; ++i)
+          bits |= u64{(model[w * 64 + i] >> k) & 1u} << i;
+        ASSERT_EQ(counts.plane(w, k), bits) << step;
+      }
+    }
+  }
+  EXPECT_EQ(counts.all_zero(),
+            std::all_of(model.begin(), model.end(),
+                        [](u32 c) { return c == 0; }));
+  counts.clear();
+  EXPECT_TRUE(counts.all_zero());
+  EXPECT_EQ(counts.count_equal(0, kSize, 0), kSize);
 }
 
 }  // namespace
