@@ -142,7 +142,12 @@ CONFNET_HOT std::optional<u32> SessionManager::repack(u32 size,
   while (!handle) {
     std::copy(ports_.begin(), ports_.end(),
               stack.begin() + std::size_t{held++} * size);
-    if (held == kRepackAttempts || !place(size, rng)) break;
+    // A shared window the links refused ends the probe: every region the
+    // shared step offers next is covered once, by conferences whose links
+    // meet it in the same way.
+    const bool crowded =
+        shared_ && network_.last_error() == SetupError::kLinkCapacity;
+    if (held == kRepackAttempts || crowded || !place(size, rng)) break;
     handle = network_.setup(ports_);
   }
   // static_check: allow(hot-alloc) within capacity: a failed place() left

@@ -45,9 +45,12 @@ FabricState::FabricState(min::Network net, std::span<const u32> capacity,
   for (u32 level = 1; level < net_.n(); ++level)
     cover_limit_ = std::min(cover_limit_, capacity_[level]);
   if (r2_capable()) {
+    // In R2 mode no cover exceeds cover_limit_; leave_r2() widens the
+    // planes to hold any group count, at most N.
     r2_ = true;
     cover_ = util::SlicedCounts(
-        net_.size(), static_cast<u32>(std::bit_width(cover_limit_)));
+        net_.size(), static_cast<u32>(std::bit_width(
+                         std::min<std::size_t>(cover_limit_, net_.size()))));
   } else {
     leave_r2();
   }
@@ -68,22 +71,67 @@ bool FabricState::r2_claim(std::span<const u32> old,
                            std::span<const u32> members) {
   if (!r2_) return false;
   const Block block = enclosing_block(members);
-  if (!old.empty()) {
-    const Block held = enclosing_block(old);
-    if (held == block) return true;
-    cover_.step(held.first, held.size, false);
-  }
-  if (!cover_.any_equal(block.first, block.size, cover_limit_)) {
+  const Block held = old.empty() ? Block{0, 0} : enclosing_block(old);
+  if (held == block) return true;
+  if (held.size != 0) cover_.step(held.first, held.size, false);
+  const bool fits = !cover_.any_equal(block.first, block.size, cover_limit_);
+  if (fits)
     cover_.step(block.first, block.size, true);
-    return true;
+  else if (held.size != 0)
+    cover_.step(held.first, held.size, true);  // restore
+  return fits;
+}
+
+CONFNET_HOT bool FabricState::r2_refuses(u32 self,
+                                         std::span<const u32> members) {
+  derive(members, rows_, parts_);
+  const Block block = enclosing_block(members);
+  const std::size_t rows = rows_.base(rows_.levels());
+  if (row_users_.size() < rows) {
+    // static_check: allow(hot-alloc) grows in powers of two to the most
+    // rows a group has had here, O(log) times
+    row_users_.resize(std::bit_ceil(rows));
   }
-  leave_r2();
+  std::fill_n(row_users_.begin(), rows, 0u);
+  for (u32 id = 0; id < entries_.size(); ++id) {
+    const Entry& entry = entries_[id];
+    if (!live(entry) || id == self) continue;
+    const Block other = enclosing_block(entry.members);
+    if (other.first >= block.first + block.size ||
+        block.first >= other.first + other.size)
+      continue;  // disjoint blocks: by the cover bound, no shared link
+    derive(entry.members, old_rows_, parts_);
+    for (u32 level = 0; level < rows_.levels(); ++level) {
+      const std::span<const u32> mine = rows_[level];
+      const std::span<const u32> theirs = old_rows_[level];
+      for (std::size_t i = 0, j = 0; i < mine.size() && j < theirs.size();) {
+        if (mine[i] != theirs[j]) {
+          (mine[i] < theirs[j] ? i : j) += 1;
+          continue;
+        }
+        if (++row_users_[rows_.base(level) + i] >= capacity_[level])
+          return true;
+        ++i;
+        ++j;
+      }
+    }
+  }
   return false;
+}
+
+void FabricState::move_cover(std::span<const u32> old,
+                             std::span<const u32> members) {
+  if (!r2_capable()) return;
+  const Block held = old.empty() ? Block{0, 0} : enclosing_block(old);
+  const Block block = members.empty() ? Block{0, 0} : enclosing_block(members);
+  if (held == block) return;
+  if (held.size != 0) cover_.step(held.first, held.size, false);
+  if (block.size != 0) cover_.step(block.first, block.size, true);
 }
 
 void FabricState::leave_r2() {
   r2_ = false;
-  cover_.clear();
+  cover_.widen(static_cast<u32>(std::bit_width(net_.size())));
   if (load_.empty()) load_.assign(std::size_t{net_.n() + 1} * net_.size(), 0);
   for (const Entry& entry : entries_) {
     if (!live(entry)) continue;
@@ -93,10 +141,14 @@ void FabricState::leave_r2() {
 }
 
 void FabricState::maybe_enter_r2() {
-  // The load table, if a past excursion allocated it, is all zero now.
-  if (!r2_ && group_count_ == 0 && faults_.fault_count() == 0 &&
-      r2_capable())
-    r2_ = true;
+  if (r2_ || !r2_capable() || faults_.fault_count() != 0 ||
+      cover_.any_above(cover_limit_))
+    return;
+  // Every load is at most the cover of its crossing port, so none exceeds
+  // its capacity: the table drops to all zero (kept, for the next exit).
+  expects(overflowing_ == 0, "a healthy fabric within its cover overflows");
+  std::fill(load_.begin(), load_.end(), std::uint16_t{0});
+  r2_ = true;
 }
 
 void FabricState::expect_members_free(std::span<const u32> old,
@@ -145,6 +197,10 @@ CONFNET_HOT Admission FabricState::try_add(u32 id,
   expects(!contains(id), "group id already admitted");
   expect_members_free({}, members);
   if (!r2_claim({}, members)) {
+    if (r2_) {
+      if (r2_refuses(id, members)) return Admission::kLinkCapacity;
+      leave_r2();
+    }
     derive(members, rows_, parts_);
     if (dead_links_in(rows_) != 0) return Admission::kLinkFaulty;
     for (u32 level = 0; level < rows_.levels(); ++level)
@@ -152,6 +208,7 @@ CONFNET_HOT Admission FabricState::try_add(u32 id,
         if (load_[link_index(level, row)] >= capacity_[level])
           return Admission::kLinkCapacity;
     apply_load(rows_, true);
+    move_cover({}, members);
   }
 
   for (u32 m : members) busy_.set(m);
@@ -178,6 +235,10 @@ CONFNET_HOT Admission FabricState::try_replace(u32 id,
     CONFNET_AUDIT_HOOK(maybe_periodic_audit());
     return Admission::kAdmitted;
   }
+  if (r2_) {
+    if (r2_refuses(id, members)) return Admission::kLinkCapacity;
+    leave_r2();
+  }
   derive_swap(entry, members);
   // The whole replacement realization must avoid the fault mask (not just
   // the gained links): a successful try_ mutation never yields a degraded
@@ -189,6 +250,7 @@ CONFNET_HOT Admission FabricState::try_replace(u32 id,
   });
   if (!feasible) return Admission::kLinkCapacity;
 
+  move_cover(entry.members, members);
   swap_group(entry, members, 0);  // checked above
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
   return Admission::kAdmitted;
@@ -202,7 +264,9 @@ CONFNET_HOT void FabricState::replace(u32 id, std::span<const u32> members) {
   if (r2_claim(entry.members, members)) {
     swap_group(entry, members, 0);
   } else {
+    if (r2_) leave_r2();
     derive_swap(entry, members);
+    move_cover(entry.members, members);
     swap_group(entry, members, dead_links_in(rows_));
   }
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
@@ -236,13 +300,11 @@ CONFNET_HOT void FabricState::swap_group(Entry& entry,
 CONFNET_HOT void FabricState::remove(u32 id) {
   expects(contains(id), "remove of unknown group id");
   Entry& entry = entries_[id];
-  if (r2_) {
-    const Block block = enclosing_block(entry.members);
-    cover_.step(block.first, block.size, false);
-  } else {
+  if (!r2_) {
     derive(entry.members, rows_, parts_);
     apply_load(rows_, false);
   }
+  move_cover(entry.members, {});
   for (u32 m : entry.members) busy_.reset(m);
   entry = Entry{};  // a free entry owns no heap
   --group_count_;
@@ -307,7 +369,7 @@ const std::vector<u32>& FabricState::repair_link(u32 level, u32 row) {
   }
   faults_.repair_link(level, row);
   const auto& touched = count_link_users(level, row, false);
-  if (group_count_ == 0) maybe_enter_r2();
+  maybe_enter_r2();
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
   return touched;
 }
@@ -425,18 +487,19 @@ void FabricState::cross_check() const {
       }
     }
   }
+  if (r2_capable())
+    for (u32 p = 0; p < N; ++p)
+      audit::require(cover_.at(p) == expected_cover[p], kSub,
+                     "port cover diverges from the live groups' blocks");
   if (r2_) {
     // No port is covered beyond the narrowest interstage capacity, so by
     // the cover bound no load exceeds its capacity. The load table, if a
     // past excursion allocated it, is untouched and all zero.
     audit::require(r2_capable() && faults_.fault_count() == 0, kSub,
                    "R2 mode on a fabric R2 does not cover");
-    for (u32 p = 0; p < N; ++p) {
-      audit::require(cover_.at(p) == expected_cover[p], kSub,
-                     "port cover diverges from the live groups' blocks");
-      audit::require(expected_cover[p] <= cover_limit_, kSub,
-                     "R2 mode: a port covered beyond the link capacity");
-    }
+    audit::require(std::all_of(expected_cover.begin(), expected_cover.end(),
+                               [&](u32 c) { return c <= cover_limit_; }),
+                   kSub, "R2 mode: a port covered beyond the link capacity");
     audit::require(std::all_of(load_.begin(), load_.end(),
                                [](std::uint16_t load) { return load == 0; }),
                    kSub, "R2 mode: the load table holds a load");
@@ -444,7 +507,6 @@ void FabricState::cross_check() const {
     audit::require(std::equal(load_.begin(), load_.end(),
                               expected_load.begin(), expected_load.end()),
                    kSub, "incremental load matrix diverges from group recount");
-    audit::require(cover_.all_zero(), kSub, "a cover kept outside R2 mode");
   }
   audit::require(busy_ == expected_busy, kSub,
                  "busy-port set diverges from group membership");

@@ -51,12 +51,15 @@
 //     refuse. In this R2 mode a mutation checks ports, copies the member
 //     list, sets busy bits and moves the group's block in the port cover:
 //     no rows are derived and no load table is kept. At one channel that
-//     is R2 itself: groups on disjoint blocks, and the cover is one
-//     claimed bit per port. The first admission whose block holds a port
-//     already covered cover_limit_ times, or the first fail_link, leaves
-//     the mode: the cover is dropped, and the load table is allocated at
-//     that first use and filled from one derivation per live group. An
-//     empty fabric with no fault returns to R2 mode.
+//     is R2 itself: groups on disjoint blocks. A try_ admission whose block
+//     holds a port already covered cover_limit_ times is decided on its
+//     links: only the groups whose blocks meet its own can share them, so
+//     only those are derived (r2_refuses). A refusal stays in the mode; an
+//     admission, or the first fail_link, leaves it: the load table is
+//     allocated at that first use and filled from one derivation per live
+//     group. The cover is kept outside the mode too, and a departure or
+//     repair that leaves the fabric healthy with no port covered beyond
+//     the limit returns to the mode (the table drops to all zero).
 //
 // The stateless engine stays the oracle: `cross_check()` materializes
 // every group's realization, recounts loads, busy ports, overflows, dead
@@ -70,6 +73,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -259,8 +263,6 @@ class FabricState {
     u32 size;
     bool operator==(const Block&) const = default;
   };
-  /// Ceiling of cover_limit_: at most eight cover planes.
-  static constexpr u32 kMaxCoverLimit = 0xff;
   /// The smallest aligned block enclosing sorted `members`.
   [[nodiscard]] static Block enclosing_block(std::span<const u32> members);
 
@@ -269,13 +271,23 @@ class FabricState {
   [[nodiscard]] bool r2_capable() const noexcept;
   /// In R2 mode, move a group's block in the cover from that of `old`
   /// (empty for an add) to that of `members` if no port of the new block
-  /// is already covered cover_limit_ times: true then. Otherwise leave R2
-  /// mode and return false; so does a fabric already out of it.
+  /// is already covered cover_limit_ times: true then. False, moving
+  /// nothing, otherwise or out of the mode.
   bool r2_claim(std::span<const u32> old, std::span<const u32> members);
-  /// Drop the cover, allocate the load table at first use and fill it by
-  /// deriving every live group once: R2 mode ends.
+  /// In R2 mode, whether `members` (replacing group `self`'s, if live)
+  /// would carry a link beyond its capacity: derives its rows and those of
+  /// every other group whose block meets its block, the only groups that
+  /// can share its links (the cover bound).
+  bool r2_refuses(u32 self, std::span<const u32> members);
+  /// Move a group's block in the port cover from that of `old` (empty for
+  /// an add) to that of `members` (empty for a removal), unchecked.
+  void move_cover(std::span<const u32> old, std::span<const u32> members);
+  /// Allocate the load table at first use and fill it by deriving every
+  /// live group once: R2 mode ends.
   void leave_r2();
-  /// Back to R2 mode when the fabric is empty, healthy and R2-capable.
+  /// Back to R2 mode when the fabric is healthy and R2-capable and no
+  /// port is covered beyond cover_limit_: each load is then within its
+  /// capacity by the cover bound, and the table drops to all zero.
   void maybe_enter_r2();
   /// Every link's load recounted from derived rows, by link_index().
   [[nodiscard]] std::vector<u32> recount_loads() const;
@@ -334,18 +346,20 @@ class FabricState {
   // port as a member. Only "is this port free" is ever asked, so no group
   // id is stored.
   util::DynBitset busy_;
-  // R2 mode (see the header comment) and, in it, each port's cover. No
-  // cover exceeds cover_limit_ (the narrowest interstage capacity, at most
-  // kMaxCoverLimit) in the mode, so bit_width(cover_limit_) planes hold
-  // it: one bit a port at one channel. All zero out of the mode; empty on
-  // a fabric that is not r2_capable().
+  // R2 mode (see the header comment) and each port's cover, the live
+  // groups whose block holds it, kept in and out of the mode in
+  // bit_width(N) bit planes (no cover exceeds the group count); empty on a
+  // fabric that is not r2_capable(). cover_limit_ is the narrowest
+  // interstage capacity, which no cover exceeds in the mode.
   bool r2_ = false;
   util::SlicedCounts cover_;
-  u32 cover_limit_ = kMaxCoverLimit;
+  u32 cover_limit_ = std::numeric_limits<u32>::max();
   u32 overflowing_ = 0;
   u32 mutations_ = 0;  // drives the periodic CONFNET_AUDIT cross-check
   // Reused id buffer for count_link_users (fail/repair hot path).
   std::vector<u32> users_scratch_;
+  // Per row of rows_, the other groups r2_refuses() found on it.
+  std::vector<u32> row_users_;
   // Derivation scratch, reused across mutations: the new realization's
   // rows, the old one's (replace paths) and the path-union parts.
   min::LevelLinks rows_;

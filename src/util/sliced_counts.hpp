@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "util/bits.hpp"
@@ -61,6 +62,28 @@ class SlicedCounts {
     return any;
   }
 
+  /// Whether some count exceeds `value`.
+  [[nodiscard]] bool any_above(u32 value) const {
+    if (planes_ < 32 && value >> planes_ != 0) return false;
+    for (std::size_t w = 0; w < words_.size(); w += planes_) {
+      // Bit-sliced comparison from the top plane down: `above` collects
+      // the counts that exceed value, `equal` those equal to it so far.
+      u64 above = 0;
+      u64 equal = ~u64{0};
+      for (u32 k = planes_; k-- > 0;) {
+        const u64 plane = words_[w + k];
+        if (((value >> k) & 1u) != 0) {
+          equal &= plane;
+        } else {
+          above |= equal & plane;
+          equal &= ~plane;
+        }
+      }
+      if (above != 0) return true;
+    }
+    return false;
+  }
+
   /// Whether some count of the aligned block is not zero.
   [[nodiscard]] bool any_nonzero(std::size_t first, std::size_t len) const {
     bool any = false;
@@ -82,6 +105,18 @@ class SlicedCounts {
     for (u32 k = 0; k < planes_; ++k)
       count |= static_cast<u32>((plane[k] >> (i % 64)) & 1u) << k;
     return count;
+  }
+
+  /// Hold each count in `planes` bits from now on (no fewer than before),
+  /// keeping every count.
+  void widen(u32 planes) {
+    if (planes <= planes_) return;
+    std::vector<u64> wide(words_.size() / std::max(planes_, u32{1}) * planes, 0);
+    for (std::size_t w = 0; w * planes_ < words_.size(); ++w)
+      std::copy_n(words_.begin() + static_cast<std::ptrdiff_t>(w * planes_),
+                  planes_, wide.begin() + static_cast<std::ptrdiff_t>(w * planes));
+    words_ = std::move(wide);
+    planes_ = planes;
   }
 
   void clear() noexcept { std::fill(words_.begin(), words_.end(), 0); }

@@ -491,9 +491,14 @@ TEST(R2Mode, FaultMaterializesLoadsEqualToTheRecount) {
         ASSERT_EQ(state.load_at(level, r), load[level][r]);
     EXPECT_NO_THROW(state.cross_check());
 
-    // Repaired, the fabric keeps its loads until it empties.
+    // Repaired, the fabric returns to R2 mode (its blocks are disjoint):
+    // the loads are a recount again.
     ASSERT_EQ(state.repair_link(2, row), users_of(state, 2, row));
-    EXPECT_FALSE(state.r2_mode());
+    EXPECT_TRUE(state.r2_mode());
+    for (u32 level = 0; level <= n; ++level)
+      for (u32 r = 0; r < N; ++r)
+        ASSERT_EQ(state.load_at(level, r), load[level][r]);
+    EXPECT_NO_THROW(state.cross_check());
     for (u32 id = 0; id < N / 8; ++id) state.remove(id);
     EXPECT_TRUE(state.r2_mode());
     EXPECT_NO_THROW(state.cross_check());
@@ -502,8 +507,9 @@ TEST(R2Mode, FaultMaterializesLoadsEqualToTheRecount) {
 
 TEST(R2Mode, OverlappingBlockLeavesTheModeAndKeepsVerdicts) {
   // One channel a link on the omega: {0, 1}, {2, 3} and {4, 7} sit on
-  // disjoint blocks. {6, 8} has block [0, 16), which meets them all, so it
-  // leaves R2 mode and is refused exactly when its rows meet a loaded link.
+  // disjoint blocks. {6, 8} has block [0, 16), which meets them all, so
+  // its links decide: it is refused exactly when its rows meet a loaded
+  // link, and leaves R2 mode only if admitted.
   constexpr u32 n = 4;
   sw::FabricState state(min::Network(Kind::kOmega, n),
                         std::vector<u32>(n + 1, 1));
@@ -520,8 +526,14 @@ TEST(R2Mode, OverlappingBlockLeavesTheModeAndKeepsVerdicts) {
       expected_verdict(state, conf::all_pairs_links_generic(wt, straddle),
                        nullptr, recount(state));
   ASSERT_EQ(state.try_add(3, straddle), want);
-  EXPECT_FALSE(state.r2_mode());
+  EXPECT_EQ(state.r2_mode(), want != sw::Admission::kAdmitted);
   EXPECT_NO_THROW(state.cross_check());
+  // Admitted, its departure brings every port back within one cover.
+  if (want == sw::Admission::kAdmitted) {
+    state.remove(3);
+    EXPECT_TRUE(state.r2_mode());
+    EXPECT_NO_THROW(state.cross_check());
+  }
 }
 
 }  // namespace

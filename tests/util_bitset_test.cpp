@@ -202,6 +202,11 @@ TEST(SlicedCounts, AlignedStepsMatchAPlainCountModel) {
               std::any_of(lo, hi, [](u32 c) { return c != 0; }))
         << step;
     for (std::size_t i = 0; i < kSize; ++i) ASSERT_EQ(counts.at(i), model[i]);
+    for (u32 value = 0; value < 5; ++value)
+      ASSERT_EQ(counts.any_above(value),
+                std::any_of(model.begin(), model.end(),
+                            [&](u32 c) { return c > value; }))
+          << step;
     for (std::size_t w = 0; w < kSize / 64; ++w) {
       for (u32 k = 0; k < 2; ++k) {
         u64 bits = 0;
