@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
 
+#include "util/audit.hpp"
 #include "util/bits.hpp"
 #include "util/error.hpp"
 
@@ -187,6 +190,87 @@ TEST(Placement, SizeValidation) {
   PortPlacer placer(3, PlacementPolicy::kFirstFit);
   EXPECT_THROW((void)placer.place(1, rng), Error);
   EXPECT_THROW(placer.release({}), Error);
+}
+
+// Golden buddy churn: opens (with the shared step once no aligned block
+// is free), joins, leaves and closes at n = 6 and n = 10 on both backends.
+// The fingerprint folds in every returned port set and every member's
+// region, so it pins which block each buddy open takes.
+struct ChurnPrint {
+  u64 hash = 0xcbf29ce484222325ull;
+  u32 shared = 0;
+  void mix(u64 x) { hash = (hash ^ x) * 0x100000001b3ull; }
+};
+
+ChurnPrint buddy_churn(u32 n, PlacerBackend backend) {
+  const auto placer = make_placer(n, PlacementPolicy::kBuddy, backend);
+  util::Rng rng(n);
+  util::Rng script(0x60d + n);
+  ChurnPrint print;
+  std::vector<std::vector<u32>> live;
+  const auto mix_ports = [&](const std::vector<u32>& ports) {
+    print.mix(ports.size());
+    for (u32 p : ports) {
+      const Region region = placer->region_of(p);
+      print.mix((u64{p} << 32) | (u64{region.base} << 8) | region.order);
+    }
+  };
+  const u32 max_size = u32{1} << (n - 2);
+  std::vector<u32> ports;
+  for (int step = 0; step < 3000; ++step) {
+    const u64 action = script.below(8);
+    if (action < 4 || live.empty()) {
+      const u32 size = 2 + static_cast<u32>(script.below(max_size - 1));
+      if (placer->place_into(size, rng, ports)) {
+        print.mix(1);
+      } else if (placer->place_shared_into(size, ports)) {
+        print.mix(2);
+        ++print.shared;
+      } else {
+        print.mix(3);
+        continue;
+      }
+      mix_ports(ports);
+      live.push_back(ports);
+    } else if (action < 6) {
+      const auto idx = static_cast<std::size_t>(script.below(live.size()));
+      placer->release(live[idx]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
+      print.mix(4);
+    } else if (action == 6) {
+      const auto idx = static_cast<std::size_t>(script.below(live.size()));
+      const auto port = placer->expand(live[idx], rng);
+      print.mix(port ? 5 + (u64{*port} << 8) : 6);
+      if (!port) continue;
+      live[idx].insert(
+          std::lower_bound(live[idx].begin(), live[idx].end(), *port), *port);
+      mix_ports(live[idx]);
+    } else {
+      const auto idx = static_cast<std::size_t>(script.below(live.size()));
+      if (live[idx].size() <= 2) continue;
+      const auto at =
+          static_cast<std::ptrdiff_t>(script.below(live[idx].size()));
+      placer->release_one(live[idx][static_cast<std::size_t>(at)]);
+      live[idx].erase(live[idx].begin() + at);
+      print.mix(7);
+      mix_ports(live[idx]);
+    }
+    audit::check_placer(*placer);
+  }
+  for (u32 p = 0; p < (u32{1} << n); ++p) print.mix(placer->cover(p));
+  return print;
+}
+
+TEST(BuddyGolden, ChurnFingerprintIsPinned) {
+  for (const auto& [n, want] : {std::pair<u32, u64>{6, 0x43f0850c0d82b0c1ull},
+                                 {10, 0x1f39ed0962972ed3ull}}) {
+    for (const auto backend :
+         {PlacerBackend::kFast, PlacerBackend::kReference}) {
+      const ChurnPrint print = buddy_churn(n, backend);
+      EXPECT_GT(print.shared, 0u) << "n=" << n;
+      EXPECT_EQ(print.hash, want) << "n=" << n;
+    }
+  }
 }
 
 }  // namespace
