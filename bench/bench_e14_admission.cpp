@@ -2,7 +2,7 @@
 //
 // Twin benchmarks drive the identical high-churn admission workload through
 // the hierarchical-bitmap fast path (conf::FastPortPlacer) and the original
-// scan/sorted-vector oracle (conf::PortPlacer) selected via make_placer.
+// scan oracle (conf::PortPlacer) selected via make_placer.
 // Outcomes are byte-identical by contract (pinned by
 // tests/placement_fastpath_test.cpp); only the clock differs, so the
 // items_per_second ratio between the Arg(0)/Arg(1) rows of each pair IS the

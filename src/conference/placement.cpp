@@ -1,98 +1,13 @@
 #include "conference/placement.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "util/bits.hpp"
 #include "util/error.hpp"
 
 namespace confnet::conf {
-
-BuddyAllocator::BuddyAllocator(u32 n) : n_(n), free_ports_(u32{1} << n) {
-  expects(n >= 1 && n <= 20, "BuddyAllocator needs 1 <= n <= 20");
-  free_.resize(n + 1);
-  free_[n].push_back(0);  // one block covering everything
-}
-
-std::optional<u32> BuddyAllocator::allocate(u32 order) {
-  expects(order <= n_, "allocation order beyond network size");
-  u32 have = order;
-  while (have <= n_ && free_[have].empty()) ++have;
-  if (have > n_) return std::nullopt;
-  u32 base = free_[have].back();
-  free_[have].pop_back();
-  // Split down, keeping the upper halves free.
-  while (have > order) {
-    --have;
-    free_[have].push_back(base + (u32{1} << have));
-    std::sort(free_[have].begin(), free_[have].end());
-  }
-  free_ports_ -= u32{1} << order;
-  return base;
-}
-
-u32 BuddyAllocator::claim(Region region) {
-  expects(region.order <= n_, "claim order beyond network size");
-  u32 taken = 0;
-  for (u32 ord = 0; ord <= n_; ++ord) {
-    auto& list = free_[ord];
-    const auto first = std::lower_bound(list.begin(), list.end(), region.base);
-    if (ord >= region.order) {
-      const u32 holder = region.base & ~((u32{1} << ord) - 1);
-      expects(!std::binary_search(list.begin(), list.end(), holder),
-              "claim of a region inside a free block");
-      continue;
-    }
-    const auto last = std::lower_bound(first, list.end(), region.end());
-    taken += static_cast<u32>(last - first) << ord;
-    list.erase(first, last);
-  }
-  free_ports_ -= taken;
-  return taken;
-}
-
-bool BuddyAllocator::overlaps_free(Region block) const {
-  for (u32 ord = 0; ord <= n_; ++ord) {
-    const auto& list = free_[ord];
-    const u32 from = block.base & ~((u32{1} << ord) - 1);
-    const auto it = std::lower_bound(list.begin(), list.end(), from);
-    if (it != list.end() && *it < block.end()) return true;
-  }
-  return false;
-}
-
-void BuddyAllocator::release(u32 base, u32 order) {
-  expects(order <= n_, "release order beyond network size");
-  expects((base & ((u32{1} << order) - 1)) == 0, "release base misaligned");
-  if constexpr (audit::kEnabled)
-    expects(!overlaps_free({base, order}),
-            "release of a block that is not wholly allocated");
-  expects(free_ports_ + (u32{1} << order) <= size(),
-          "release frees more ports than exist (double free)");
-  free_ports_ += u32{1} << order;
-  u32 cur = base;
-  u32 ord = order;
-  while (ord < n_) {
-    const u32 buddy = cur ^ (u32{1} << ord);
-    auto& list = free_[ord];
-    const auto it = std::lower_bound(list.begin(), list.end(), buddy);
-    if (it == list.end() || *it != buddy) break;
-    list.erase(it);
-    cur = std::min(cur, buddy);
-    ++ord;
-  }
-  auto& list = free_[ord];
-  const auto it = std::lower_bound(list.begin(), list.end(), cur);
-  expects(it == list.end() || *it != cur, "double free in BuddyAllocator");
-  list.insert(it, cur);
-}
-
-bool BuddyAllocator::can_allocate(u32 order) const {
-  expects(order <= n_, "order beyond network size");
-  for (u32 o = order; o <= n_; ++o)
-    if (!free_[o].empty()) return true;
-  return false;
-}
 
 RegionBook::RegionBook(u32 n)
     : order_(std::size_t{1} << n, 0),
@@ -106,7 +21,9 @@ Region RegionBook::region_of(u32 port) const {
 }
 
 PortPlacer::PortPlacer(u32 n, PlacementPolicy policy)
-    : n_(n), policy_(policy), buddy_(n), taken_(u32{1} << n, false) {
+    : n_(n), policy_(policy) {
+  expects(n >= 1 && n <= 20, "PortPlacer needs 1 <= n <= 20");
+  taken_.assign(u32{1} << n, false);
   if (policy_ == PlacementPolicy::kBuddy) book_ = RegionBook(n);
 }
 
@@ -123,13 +40,14 @@ bool PortPlacer::place_into(u32 size, util::Rng& rng,
     case PlacementPolicy::kBuddy: {
       const u32 order = util::log2_ceil(size);
       if (order > n_) return false;
-      const auto base = buddy_.allocate(order);
-      if (!base) return false;
-      book_.cover_region({*base, order});
+      const std::optional<Region> block = free_block(order);
+      if (!block) return false;
+      const Region region{block->base, order};
+      book_.cover_region(region);
       ports.reserve(size);
       for (u32 i = 0; i < size; ++i) {
-        ports.push_back(*base + i);
-        book_.record(*base + i, {*base, order});
+        ports.push_back(region.base + i);
+        book_.record(region.base + i, region);
       }
       break;
     }
@@ -169,11 +87,28 @@ bool PortPlacer::place_into(u32 size, util::Rng& rng,
   return true;
 }
 
+std::optional<Region> PortPlacer::free_block(u32 order) const {
+  // Every aligned block of every order from `order` up, bases descending,
+  // each counted port by port: the first wholly uncovered one whose buddy
+  // is not wins.
+  const auto whole = [&](Region block) {
+    return book_.uncovered_in(block) == u32{1} << block.order;
+  };
+  for (u32 o = order; o <= n_; ++o)
+    for (u32 base = static_cast<u32>(taken_.size()); base != 0;) {
+      base -= u32{1} << o;
+      const Region block{base, o};
+      if (whole(block) && (o == n_ || !whole({base ^ (u32{1} << o), o})))
+        return block;
+    }
+  return {};
+}
+
 std::optional<Region> PortPlacer::shared_region(u32 size) const {
   expects(size >= 2, "conferences need at least two members");
   if (policy_ != PlacementPolicy::kBuddy || size > free_ports()) return {};
   const u32 order = util::log2_ceil(size);
-  if (order > n_ || buddy_.can_allocate(order)) return {};
+  if (order > n_ || free_block(order)) return {};
   // Every region of every order from `order` up, each scanned port by
   // port; the first of the smallest order with the best (uncovered, room)
   // pair wins.
@@ -212,7 +147,6 @@ bool PortPlacer::place_shared_into(u32 size, std::vector<u32>& ports) {
     book_.record(p, *region);
   }
   taken_count_ += size;
-  (void)buddy_.claim(*region);
   book_.cover_region(*region);
   return true;
 }
@@ -276,16 +210,14 @@ void PortPlacer::release(const std::vector<u32>& ports) {
     if (buddy) book_.clear(p);
   }
   taken_count_ -= static_cast<u32>(ports.size());
-  if (buddy)
-    book_.uncover_region(
-        region, [&](u32 base, u32 order) { buddy_.release(base, order); });
+  if (buddy) book_.uncover_region(region);
 }
 
 bool PortPlacer::placeable(u32 size) const noexcept {
   if (size > free_ports()) return false;
   if (policy_ != PlacementPolicy::kBuddy) return true;
   const u32 order = util::log2_ceil(size);
-  return order <= n_ && buddy_.can_allocate(order);
+  return order <= n_ && free_block(order).has_value();
 }
 
 }  // namespace confnet::conf
@@ -302,25 +234,16 @@ void check_placer(const conf::PortPlacer& placer) {
           "occupancy counter disagrees with the taken bitmap");
   if (placer.policy_ != conf::PlacementPolicy::kBuddy) return;
 
-  check_region_book(placer.book_, placer.buddy_.free_,
-                    placer.buddy_.free_ports_, placer.taken_);
+  check_region_book(placer.book_, placer.taken_);
 }
 
 void check_region_book(const conf::RegionBook& book,
-                       const std::vector<std::vector<u32>>& free_lists,
-                       u32 free_ports, const std::vector<bool>& taken) {
+                       const std::vector<bool>& taken) {
   constexpr std::string_view kSub = "placement";
   using conf::u32;
   const auto size = static_cast<u32>(book.order_.size());
   require(taken.size() == size, kSub,
           "region book and occupancy differ in size");
-  std::vector<std::pair<u32, u32>> covered;
-  book.for_each_block({0, static_cast<u32>(std::countr_zero(size))}, true,
-                      [&](u32 base, u32 order) {
-                        covered.emplace_back(base, order);
-                      });
-  check_buddy_state(free_lists, covered,
-                    static_cast<u32>(free_lists.size()) - 1, free_ports);
   for (u32 p = 0; p < size; ++p) {
     require(book.cover(p) <= conf::RegionBook::kMaxCover, kSub,
             "a port covered beyond the book's ceiling");

@@ -7,14 +7,16 @@
 //
 // A buddy placement records its *region* per port: the aligned block it
 // was placed in. An ordinary placement's region is its own buddy block.
-// When no free aligned block is left, SessionManager::open takes a second,
-// shared step (place_shared_into): it places the conference in an aligned
-// region that other conferences' regions already cover, the smallest one
-// with room whose ports are covered at most once, on the region's
-// uncovered free ports first. Regions are aligned, so any two are nested
-// or disjoint; a port's *cover* is the number of live regions holding it,
-// and the buddy allocator's free space is exactly the ports of cover 0.
-// No port is covered more than twice (RegionBook::kMaxCover). DESIGN.md's
+// Regions are aligned, so any two are nested or disjoint; a port's *cover*
+// is the number of live regions holding it, and the buddy free space is
+// defined as the ports of cover 0: a buddy open takes the smallest maximal
+// aligned block of them that is large enough (see place_into()), and a
+// release only steps its region's cover down. When no such block is left,
+// SessionManager::open takes a second, shared step (place_shared_into): it
+// places the conference in an aligned region that other conferences'
+// regions already cover, the smallest one with room whose ports are
+// covered at most once, on the region's uncovered free ports first. No
+// port is covered more than twice (RegionBook::kMaxCover). DESIGN.md's
 // cover bound (R2 generalized) says why sharing is safe: a link carries at
 // most as many conferences as cover its crossing port, so a fabric with d
 // channels per link admits every group whose region's cover stays <= d,
@@ -22,16 +24,16 @@
 //
 // Two interchangeable allocator backends sit behind `PlacerBase`:
 //  * `FastPortPlacer` (port_index.hpp) — the admission fast path, a
-//    hierarchical bitmap occupancy index;
+//    hierarchical bitmap occupancy index that reads the region book a
+//    64-port word at a time;
 //  * `PortPlacer` (below) — the original linear-scan implementation, kept
 //    as the reference oracle. Randomized equivalence tests pin the two to
 //    exact port-set equality under identical RNG streams, which requires
-//    both to implement the same draw sequence per policy (see place()) and
-//    the same shared-region choice (see place_shared_into()).
+//    both to implement the same draw sequence per policy and the same
+//    block choice (see place_into()) and the same shared-region choice
+//    (see place_shared_into()).
 #pragma once
 
-#include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -59,46 +61,6 @@ struct Region {
   bool operator==(const Region&) const = default;
 };
 
-/// Classic binary buddy allocator over 2^n ports.
-class BuddyAllocator {
- public:
-  explicit BuddyAllocator(u32 n);
-
-  [[nodiscard]] u32 n() const noexcept { return n_; }
-  [[nodiscard]] u32 size() const noexcept { return u32{1} << n_; }
-  [[nodiscard]] u32 free_ports() const noexcept { return free_ports_; }
-
-  /// Allocate an aligned block of 2^order ports; nullopt when fragmented
-  /// beyond repair or full. Returns the block base.
-  [[nodiscard]] std::optional<u32> allocate(u32 order);
-
-  /// Take every free block inside `region` out of the free lists (a shared
-  /// placement covers its whole region); returns the ports taken. No free
-  /// block may hold the whole region.
-  u32 claim(Region region);
-
-  /// Release an aligned block none of whose ports is free (one returned by
-  /// allocate(), or uncovered space of a claimed region). Buddies are
-  /// coalesced eagerly. Full double-free/foreign-free detection runs in
-  /// CONFNET_AUDIT builds; release builds keep two cheap guards (free-port
-  /// counter overflow and same-order duplicate insertion).
-  void release(u32 base, u32 order);
-
-  /// Whether a block of the given order could be allocated right now.
-  [[nodiscard]] bool can_allocate(u32 order) const;
-
- private:
-  friend void audit::check_placer(const ::confnet::conf::PortPlacer&);
-
-  /// Whether any port of the block is free.
-  [[nodiscard]] bool overlaps_free(Region block) const;
-
-  u32 n_;
-  u32 free_ports_;
-  // free_[order] = sorted bases of free blocks of that order.
-  std::vector<std::vector<u32>> free_;
-};
-
 /// Buddy placement's per-port bookkeeping, shared by both backends: the
 /// order of the region each occupied port's conference was placed in (a
 /// byte a port), and each port's cover, the live regions holding it (two
@@ -120,10 +82,6 @@ class RegionBook {
   [[nodiscard]] Region region_of(u32 port) const;
   [[nodiscard]] u32 cover(u32 port) const {
     return port < order_.size() ? cover_.at(port) : 0;
-  }
-  /// Whether some region holds `port`.
-  [[nodiscard]] bool covered(u32 port) const {
-    return ((~uncovered_bits(port / 64) >> (port % 64)) & 1u) != 0;
   }
   /// Whether the shared step may enter `region`: none of its ports is
   /// covered kMaxCover times.
@@ -152,45 +110,18 @@ class RegionBook {
   }
   void clear(u32 port) { order_[port] = 0; }
 
-  /// One more live region: `region`, free space or a shareable region.
+  /// One more live region: `region`, uncovered or a shareable region.
   void cover_region(Region region) {
     cover_.step(region.base, size_of(region), true);
   }
-  /// One live region fewer; fn(base, order) for every maximal aligned
-  /// block of `region` left uncovered, in ascending order.
-  template <typename Fn>
-  void uncover_region(Region region, Fn&& fn) {
+  /// One live region fewer.
+  void uncover_region(Region region) {
     cover_.step(region.base, size_of(region), false);
-    if (!cover_.any_nonzero(region.base, size_of(region)))
-      fn(region.base, region.order);  // no other region within or around
-    else
-      for_each_block(region, false, fn);
-  }
-  /// fn(base, order) for every maximal aligned block of `region` whose
-  /// ports are all covered (`covered`) or all uncovered, ascending.
-  template <typename Fn>
-  void for_each_block(Region region, bool covered, Fn&& fn) const {
-    u32 p = region.base;
-    while (p < region.end()) {
-      if (this->covered(p) != covered) {
-        ++p;
-        continue;
-      }
-      u32 stop = p + 1;
-      while (stop < region.end() && this->covered(stop) == covered) ++stop;
-      while (p < stop) {  // split the run into aligned blocks
-        const u32 fits = static_cast<u32>(std::bit_width(stop - p)) - 1;
-        const u32 order = std::min(fits, static_cast<u32>(std::countr_zero(p)));
-        fn(p, order);
-        p += u32{1} << order;
-      }
-    }
   }
 
  private:
-  friend void audit::check_region_book(
-      const ::confnet::conf::RegionBook&,
-      const std::vector<std::vector<u32>>&, u32, const std::vector<bool>&);
+  friend void audit::check_region_book(const ::confnet::conf::RegionBook&,
+                                       const std::vector<bool>&);
 
   [[nodiscard]] static u32 size_of(Region region) noexcept {
     return u32{1} << region.order;
@@ -246,6 +177,11 @@ class PlacerBase {
   /// Choose `size` ports for a new conference into `ports` (cleared first;
   /// sorted on success); false = placement blocked (no capacity or, for
   /// buddy, fragmentation). A caller that reuses `ports` allocates nothing.
+  /// Buddy takes the *free block*: of the maximal aligned blocks of
+  /// uncovered ports (those whose buddy is not wholly uncovered too) of
+  /// order at least log2_ceil(size), the smallest, highest-based at that
+  /// order; the conference's region is that block's lowest 2^order ports
+  /// and it uses their lowest `size`.
   [[nodiscard]] virtual bool place_into(u32 size, util::Rng& rng,
                                         std::vector<u32>& ports) = 0;
 
@@ -257,8 +193,8 @@ class PlacerBase {
     return ports;
   }
 
-  /// The shared step of a buddy open, for when no free aligned block of
-  /// order log2_ceil(size) is left. Among the aligned regions of at least
+  /// The shared step of a buddy open, for when no free block (see
+  /// place_into()) is left. Among the aligned regions of at least
   /// that order with `size` free ports that are RegionBook::shareable,
   /// choose the smallest; then the one with the most uncovered ports
   /// (space fragmentation left, which no conference grows into), then the
@@ -291,8 +227,7 @@ class PlacerBase {
 
   /// Return ports taken by a previous place() or place_shared_into() call
   /// (plus any expansions of that conference, minus single releases).
-  /// Under buddy the region's cover drops and what it leaves uncovered
-  /// returns to the buddy allocator.
+  /// Under buddy the region's cover drops by one.
   virtual void release(const std::vector<u32>& ports) = 0;
 
   /// Feasibility watermark, exact: false guarantees place(size) would
@@ -344,13 +279,15 @@ class PortPlacer final : public PlacerBase {
  private:
   friend void audit::check_placer(const ::confnet::conf::PortPlacer&);
 
+  /// The free block of at least `order` that place_into() takes
+  /// (PlacerBase documents the choice), or nullopt.
+  [[nodiscard]] std::optional<Region> free_block(u32 order) const;
   /// The region place_shared_into() would enter (PlacerBase documents the
   /// choice), or nullopt.
   [[nodiscard]] std::optional<Region> shared_region(u32 size) const;
 
   u32 n_;
   PlacementPolicy policy_;
-  BuddyAllocator buddy_;
   std::vector<bool> taken_;
   u32 taken_count_ = 0;
   RegionBook book_;  // empty unless kBuddy

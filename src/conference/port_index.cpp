@@ -12,100 +12,12 @@
 
 namespace confnet::conf {
 
-BitmapBuddyAllocator::BitmapBuddyAllocator(u32 n)
-    : n_(n), free_ports_(u32{1} << n) {
-  expects(n >= 1 && n <= 20, "BitmapBuddyAllocator needs 1 <= n <= 20");
-  free_.reserve(n + 1);
-  for (u32 order = 0; order <= n; ++order)
-    free_.emplace_back((u32{1} << n) >> order, false);
-  free_[n].set(0);  // one block covering everything
-}
-
-CONFNET_HOT std::optional<u32> BitmapBuddyAllocator::allocate(u32 order) {
-  expects(order <= n_, "allocation order beyond network size");
-  u32 have = order;
-  while (have <= n_ && free_[have].count() == 0) ++have;
-  if (have > n_) return std::nullopt;
-  // Highest-base block at the lowest sufficient order — the same choice as
-  // BuddyAllocator's free_[have].back(), so both backends split the same
-  // block and return the same base.
-  auto idx = static_cast<u32>(free_[have].find_last());
-  free_[have].reset(idx);
-  // Split down, keeping the upper halves free.
-  while (have > order) {
-    --have;
-    idx <<= 1;
-    free_[have].set(idx | 1u);
-  }
-  free_ports_ -= u32{1} << order;
-  return idx << order;
-}
-
-CONFNET_HOT u32 BitmapBuddyAllocator::claim(Region region) {
-  expects(region.order <= n_, "claim order beyond network size");
-  u32 taken = 0;
-  for (u32 ord = 0; ord <= n_; ++ord) {
-    if (ord >= region.order) {
-      expects(!free_[ord].test(region.base >> ord),
-              "claim of a region inside a free block");
-      continue;
-    }
-    const u32 end = region.end() >> ord;
-    for (std::size_t idx = free_[ord].find_first_at_least(region.base >> ord);
-         idx < end; idx = free_[ord].find_first_at_least(idx + 1)) {
-      free_[ord].reset(idx);
-      taken += u32{1} << ord;
-    }
-  }
-  free_ports_ -= taken;
-  return taken;
-}
-
-bool BitmapBuddyAllocator::overlaps_free(Region block) const {
-  for (u32 ord = 0; ord <= n_; ++ord) {
-    const std::size_t idx = free_[ord].find_first_at_least(block.base >> ord);
-    if (idx != util::HierBitset::npos && (idx << ord) < block.end())
-      return true;
-  }
-  return false;
-}
-
-CONFNET_HOT void BitmapBuddyAllocator::release(u32 base, u32 order) {
-  expects(order <= n_, "release order beyond network size");
-  expects((base & ((u32{1} << order) - 1)) == 0, "release base misaligned");
-  if constexpr (audit::kEnabled)
-    expects(!overlaps_free({base, order}),
-            "release of a block that is not wholly allocated");
-  expects(free_ports_ + (u32{1} << order) <= size(),
-          "release frees more ports than exist (double free)");
-  free_ports_ += u32{1} << order;
-  u32 idx = base >> order;
-  u32 ord = order;
-  while (ord < n_ && free_[ord].test(idx ^ 1u)) {
-    free_[ord].reset(idx ^ 1u);  // absorb the buddy...
-    idx >>= 1;                   // ...into the parent block
-    ++ord;
-  }
-  // HierBitset::set refuses a bit that is already set, which doubles as the
-  // same-order duplicate-free check BuddyAllocator keeps in release builds.
-  free_[ord].set(idx);
-}
-
-bool BitmapBuddyAllocator::can_allocate(u32 order) const {
-  expects(order <= n_, "order beyond network size");
-  for (u32 o = order; o <= n_; ++o)
-    if (free_[o].count() != 0) return true;
-  return false;
-}
-
 FastPortPlacer::FastPortPlacer(u32 n, PlacementPolicy policy)
     : n_(n), policy_(policy) {
   expects(n >= 1 && n <= min::Network::kMaxStages,
           "FastPortPlacer needs 1 <= n <= Network::kMaxStages");
   free_ = util::HierBitset(u32{1} << n, true);
-  if (policy_ != PlacementPolicy::kBuddy) return;
-  buddy_ = BitmapBuddyAllocator(n);
-  book_ = RegionBook(n);
+  if (policy_ == PlacementPolicy::kBuddy) book_ = RegionBook(n);
 }
 
 bool FastPortPlacer::place_into(u32 size, util::Rng& rng,
@@ -117,14 +29,15 @@ bool FastPortPlacer::place_into(u32 size, util::Rng& rng,
     case PlacementPolicy::kBuddy: {
       const u32 order = util::log2_ceil(size);
       if (order > n_) return false;
-      const auto base = buddy_.allocate(order);
-      if (!base) return false;
-      book_.cover_region({*base, order});
+      const std::optional<Region> block = free_block(order);
+      if (!block) return false;
+      const Region region{block->base, order};
+      book_.cover_region(region);
       ports.reserve(size);
       for (u32 i = 0; i < size; ++i) {
-        ports.push_back(*base + i);
-        free_.reset(*base + i);
-        book_.record(*base + i, {*base, order});
+        ports.push_back(region.base + i);
+        free_.reset(region.base + i);
+        book_.record(region.base + i, region);
       }
       break;
     }
@@ -171,6 +84,13 @@ constexpr std::uint64_t field_counts(std::uint64_t x, u32 order) {
   return x;
 }
 
+/// Bit 0 of each 2^order-bit field of a word, order <= 6.
+constexpr std::uint64_t field_bases(u32 order) {
+  return order == 6 ? 1
+                    : ~std::uint64_t{0} /
+                          ((std::uint64_t{1} << (u32{1} << order)) - 1);
+}
+
 /// A region's ports within each 64-port word it touches.
 constexpr std::uint64_t word_mask(Region region) {
   const u32 span = u32{1} << region.order;
@@ -180,11 +100,62 @@ constexpr std::uint64_t word_mask(Region region) {
 
 }  // namespace
 
+CONFNET_HOT std::optional<Region> FastPortPlacer::free_block(
+    u32 order) const {
+  // Orders ascending, each read from the book's uncovered bits a 64-port
+  // word at a time, words descending so that an order's first hit is its
+  // highest-based. A block below 64 ports is a field of its word: folding
+  // the word onto itself with ANDs leaves a field's bit 0 set when the
+  // whole field is uncovered, and the field is maximal when its buddy, the
+  // other half of the field one order up, is not. A larger block is a run
+  // of wholly uncovered words. An order with no wholly uncovered block has
+  // none above it either.
+  const auto words = static_cast<u32>((free_.size() + 63) / 64);
+  const std::uint64_t in_range = free_.size() < 64
+                                     ? (std::uint64_t{1} << free_.size()) - 1
+                                     : ~std::uint64_t{0};
+  for (u32 o = order; o <= n_; ++o) {
+    bool any = false;
+    if (o < 6) {
+      const u32 width = u32{1} << o;
+      const std::uint64_t pairs = field_bases(o + 1);
+      for (u32 w = words; w-- > 0;) {
+        std::uint64_t whole = book_.uncovered_bits(w) & in_range;
+        for (u32 k = 0; k < o; ++k) whole &= whole >> (u32{1} << k);
+        whole &= field_bases(o);
+        const std::uint64_t buddies =
+            ((whole >> width) & pairs) | ((whole & pairs) << width);
+        if (const std::uint64_t maximal = whole & ~buddies; maximal != 0)
+          return Region{
+              w * 64 + 63 - static_cast<u32>(std::countl_zero(maximal)), o};
+        any = any || whole != 0;
+      }
+    } else {
+      const u32 span = u32{1} << (o - 6);
+      const auto whole = [&](u32 first) {
+        for (u32 w = first; w < first + span; ++w)
+          if (book_.uncovered_bits(w) != ~std::uint64_t{0}) return false;
+        return true;
+      };
+      if (o == n_) return whole(0) ? std::optional{Region{0, o}} : std::nullopt;
+      for (u32 first = words; first != 0;) {
+        first -= 2 * span;
+        const bool low = whole(first);
+        const bool high = whole(first + span);
+        if (high != low) return Region{(high ? first + span : first) * 64, o};
+        any = any || low;
+      }
+    }
+    if (!any) return {};
+  }
+  return {};
+}
+
 std::optional<Region> FastPortPlacer::shared_region(u32 size) const {
   expects(size >= 2, "conferences need at least two members");
   if (policy_ != PlacementPolicy::kBuddy || size > free_ports()) return {};
   const u32 order = util::log2_ceil(size);
-  if (order > n_ || buddy_.can_allocate(order)) return {};
+  if (order > n_ || free_block(order)) return {};
   // Orders ascending, bases ascending, keeping only a strictly better
   // (uncovered, room) pair, all read a 64-port word at a time from the
   // free-port words and the book's cover planes. A region below 64 ports
@@ -207,7 +178,7 @@ std::optional<Region> FastPortPlacer::shared_region(u32 size) const {
     if (o < 6) {
       const u32 width = u32{1} << o;
       const std::uint64_t field = (std::uint64_t{1} << width) - 1;
-      const std::uint64_t low = ~std::uint64_t{0} / field;  // bit 0 of each
+      const std::uint64_t low = field_bases(o);
       const std::uint64_t high = low << (width - 1);
       for (u32 w = 0; w < words; ++w) {
         if (util::popcount(free_.word(w)) < size) continue;
@@ -273,7 +244,6 @@ bool FastPortPlacer::place_shared_into(u32 size, std::vector<u32>& ports) {
     free_.reset(p);
     book_.record(p, *region);
   }
-  (void)buddy_.claim(*region);
   book_.cover_region(*region);
   return true;
 }
@@ -337,16 +307,14 @@ CONFNET_HOT void FastPortPlacer::release(const std::vector<u32>& ports) {
     free_.set(p);
     if (buddy) book_.clear(p);
   }
-  if (buddy)
-    book_.uncover_region(
-        region, [&](u32 base, u32 order) { buddy_.release(base, order); });
+  if (buddy) book_.uncover_region(region);
 }
 
 CONFNET_HOT bool FastPortPlacer::placeable(u32 size) const noexcept {
   if (size > free_ports()) return false;
   if (policy_ != PlacementPolicy::kBuddy) return true;
   const u32 order = util::log2_ceil(size);
-  return order <= n_ && buddy_.can_allocate(order);
+  return order <= n_ && free_block(order).has_value();
 }
 
 std::unique_ptr<PlacerBase> make_placer(u32 n, PlacementPolicy policy,
@@ -362,7 +330,6 @@ namespace confnet::audit {
 
 void check_placer(const conf::FastPortPlacer& placer) {
   constexpr std::string_view kSub = "placement";
-  using conf::u32;
   constexpr std::size_t npos = util::HierBitset::npos;
 
   // Index self-check through the public query surface: the find_first /
@@ -387,17 +354,9 @@ void check_placer(const conf::FastPortPlacer& placer) {
 
   if (placer.policy_ != conf::PlacementPolicy::kBuddy) return;
 
-  // Rebuild plain free lists from the per-order bitmaps and the occupancy
-  // from the free-port bitmap, then check the region book against them.
-  const conf::BitmapBuddyAllocator& buddy = placer.buddy_;
-  std::vector<std::vector<u32>> free_lists(buddy.n_ + 1);
-  for (u32 order = 0; order <= buddy.n_; ++order)
-    for (std::size_t b = buddy.free_[order].find_first(); b != npos;
-         b = buddy.free_[order].find_first_at_least(b + 1))
-      free_lists[order].push_back(static_cast<u32>(b) << order);
   std::vector<bool> taken(free.size());
   for (std::size_t p = 0; p < free.size(); ++p) taken[p] = !free.test(p);
-  check_region_book(placer.book_, free_lists, buddy.free_ports_, taken);
+  check_region_book(placer.book_, taken);
 }
 
 void check_placer(const conf::PlacerBase& placer) {

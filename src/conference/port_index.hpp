@@ -1,19 +1,21 @@
 // Admission fast path: hierarchical-bitmap port allocation.
 //
 // `PortPlacer` (placement.hpp) answers every policy with O(N) scans over a
-// taken bitmap and keeps buddy blocks in sorted vectors plus a std::set —
-// fine as an oracle, quadratic for a control plane churning thousands of
-// sessions. The two classes here back the identical `PlacerBase` contract
-// with a util::HierBitset occupancy index instead:
+// taken bitmap and reads the region book port by port — fine as an
+// oracle, quadratic for a control plane churning thousands of sessions.
+// The class here backs the identical `PlacerBase` contract with a
+// util::HierBitset occupancy index instead:
 //  * first-fit  = find-first over the free bitmap,
 //  * random     = rank-select over the free count (same without-replacement
 //                 draw sequence as the reference, so both backends consume
 //                 identical RNG streams and return identical ports),
-//  * buddy      = per-order free-block bitmaps with O(1) coalesce tests
-//                 (`free_[ord].test(idx ^ 1)`) replacing the sorted-vector
-//                 lower_bound/erase bookkeeping; the shared step reads a
-//                 region's room as a popcount of free-port words before
-//                 it scans the region's cover.
+//  * buddy      = the region book's cover planes read a 64-port word at a
+//                 time: a free block below 64 ports is a field of its word
+//                 (AND-folds mark the wholly uncovered fields, a swap of
+//                 buddy fields keeps the maximal ones) and a larger one a
+//                 run of wholly uncovered words; the shared step reads a
+//                 region's room as a popcount of free-port words before it
+//                 scans the region's cover.
 // Randomized equivalence tests (tests/placement_fastpath_test.cpp) pin this
 // backend to the reference on exact port sets under interleaved churn.
 #pragma once
@@ -27,51 +29,9 @@
 
 namespace confnet::conf {
 
-/// Binary buddy allocator over 2^n ports with per-order free-block
-/// bitmaps: bit b of free_[order] set means the block [b<<order,
-/// (b+1)<<order) is free. Allocation picks the highest-base free block at
-/// the lowest sufficient order (matching BuddyAllocator's back()-of-sorted
-/// -vector choice), release coalesces eagerly with one bit test per level.
-class BitmapBuddyAllocator {
- public:
-  /// An empty allocator over no ports; it allocates nothing.
-  BitmapBuddyAllocator() = default;
-  explicit BitmapBuddyAllocator(u32 n);
-
-  [[nodiscard]] u32 n() const noexcept { return n_; }
-  [[nodiscard]] u32 size() const noexcept { return u32{1} << n_; }
-  [[nodiscard]] u32 free_ports() const noexcept { return free_ports_; }
-
-  /// Allocate an aligned block of 2^order ports; nullopt when fragmented
-  /// beyond repair or full. Returns the block base.
-  [[nodiscard]] std::optional<u32> allocate(u32 order);
-
-  /// BuddyAllocator::claim: take every free block inside `region` out.
-  u32 claim(Region region);
-
-  /// Release an aligned block none of whose ports is free. Same checking
-  /// split as BuddyAllocator::release: full double-free/foreign-free
-  /// detection in CONFNET_AUDIT builds, cheap guards otherwise.
-  void release(u32 base, u32 order);
-
-  /// Whether a block of the given order could be allocated right now.
-  [[nodiscard]] bool can_allocate(u32 order) const;
-
- private:
-  friend void audit::check_placer(const ::confnet::conf::FastPortPlacer&);
-
-  /// Whether any port of the block is free.
-  [[nodiscard]] bool overlaps_free(Region block) const;
-
-  u32 n_ = 0;
-  u32 free_ports_ = 0;
-  std::vector<util::HierBitset> free_;  // [order] -> free-block bitmap
-};
-
 /// Hierarchical-bitmap implementation of PlacerBase. One free-port bitset
-/// (set bit = free) serves first-fit and random placement; buddy policy
-/// adds the per-order allocator above and the region book. Only a buddy
-/// placer builds those two.
+/// (set bit = free) serves every policy; buddy policy adds the region
+/// book, which only a buddy placer builds.
 class FastPortPlacer final : public PlacerBase {
  public:
   FastPortPlacer(u32 n, PlacementPolicy policy);
@@ -112,13 +72,15 @@ class FastPortPlacer final : public PlacerBase {
  private:
   friend void audit::check_placer(const ::confnet::conf::FastPortPlacer&);
 
+  /// The free block of at least `order` that place_into() takes
+  /// (PlacerBase documents the choice), or nullopt.
+  [[nodiscard]] std::optional<Region> free_block(u32 order) const;
   /// The region place_shared_into() would enter (PlacerBase documents the
   /// choice), or nullopt.
   [[nodiscard]] std::optional<Region> shared_region(u32 size) const;
 
   u32 n_;
   PlacementPolicy policy_;
-  BitmapBuddyAllocator buddy_;  // empty unless kBuddy
   util::HierBitset free_;  // set bit = port free
   RegionBook book_;        // empty unless kBuddy
 };

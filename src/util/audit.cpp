@@ -1,7 +1,5 @@
 #include "util/audit.hpp"
 
-#include <algorithm>
-
 namespace confnet::audit {
 
 void fail(std::string_view subsystem, std::string_view what) {
@@ -80,43 +78,6 @@ void check_ticket_queue(const std::vector<u64>& ids,
       require(ids[i - 1] < ids[i], kSub,
               "queue not in FIFO ticket-issue order");
   }
-}
-
-void check_buddy_state(const std::vector<std::vector<u32>>& free_lists,
-                       const std::vector<std::pair<u32, u32>>& allocated,
-                       u32 n, u32 free_ports) {
-  constexpr std::string_view kSub = "placement";
-  require(n >= 1 && n <= 20, kSub, "buddy size out of range");
-  require(free_lists.size() == static_cast<std::size_t>(n) + 1, kSub,
-          "buddy free-list table has wrong order count");
-  const u32 size = u32{1} << n;
-  std::vector<bool> covered(size, false);
-  u64 free_total = 0;
-  auto cover = [&](u32 base, u32 order, const char* what) {
-    require(order <= n, kSub, "block order beyond network size");
-    const u32 span = u32{1} << order;
-    require(base % span == 0, kSub, "block base misaligned for its order");
-    require(base + span <= size, kSub, "block extends past the port space");
-    for (u32 p = base; p < base + span; ++p) {
-      require(!covered[p], kSub, what);
-      covered[p] = true;
-    }
-  };
-  for (u32 order = 0; order <= n; ++order) {
-    const auto& list = free_lists[order];
-    for (std::size_t i = 0; i < list.size(); ++i) {
-      if (i > 0)
-        require(list[i - 1] < list[i], kSub, "free list not sorted");
-      cover(list[i], order, "free blocks overlap");
-      free_total += u64{1} << order;
-    }
-  }
-  for (const auto& [base, order] : allocated)
-    cover(base, order, "allocated block overlaps another block");
-  require(std::all_of(covered.begin(), covered.end(), [](bool b) { return b; }),
-          kSub, "free + allocated blocks do not tile the port space");
-  require(free_total == free_ports, kSub,
-          "free-port counter disagrees with the free lists");
 }
 
 void check_trunk_accounts(const std::vector<u32>& used,

@@ -4,7 +4,7 @@
 // sites; the audits here verify whole-object invariants that no call site
 // can see — stage wiring really is a permutation, session/wait-queue
 // state machines only reach legal states, fabric realizations are
-// well-formed flow graphs, buddy free lists tile the port space, and the
+// well-formed flow graphs, buddy regions cover every taken port, and the
 // enhanced design's conferences stay mutually link-disjoint (the paper's
 // central claim, re-checked at runtime).
 //
@@ -51,8 +51,6 @@ class ControlPlane;
 class PlacerBase;
 class PortPlacer;
 class FastPortPlacer;
-class BuddyAllocator;
-class BitmapBuddyAllocator;
 class RegionBook;
 class FabricConferenceNetwork;
 struct SessionStats;
@@ -139,13 +137,6 @@ void check_trunk_accounts(const std::vector<u32>& used,
 void check_cluster_stats(const cluster::ClusterStats& stats, u64 live_intra,
                          u64 live_spans);
 
-/// Buddy allocator state: free lists sorted/aligned/in-range, and the free
-/// blocks plus `allocated` (base,order) blocks tile [0, 2^n) exactly once;
-/// `free_ports` equals the total size of the free blocks.
-void check_buddy_state(const std::vector<std::vector<u32>>& free_lists,
-                       const std::vector<std::pair<u32, u32>>& allocated,
-                       u32 n, u32 free_ports);
-
 // --- Per-subsystem wrappers (implemented beside each subsystem). ---
 
 /// Every stage's wiring, materialized inside the audit, is a permutation that
@@ -168,13 +159,13 @@ void check_group_realization(const min::Network& net,
 /// (FabricState::cross_check).
 void check_fabric_state(const sw::FabricState& state);
 
-/// Buddy placement's region book against its allocator's free lists and
-/// the occupancy (`taken`): the free blocks and the covered ports tile the
-/// port space, every taken port records a region all of whose ports are
-/// covered, and no free port records one.
+/// Buddy placement's region book against the occupancy (`taken`): no port
+/// is covered beyond RegionBook::kMaxCover, every taken port records a
+/// region all of whose ports are covered, and no free port records one.
+/// The book is the only record of buddy free space (the uncovered ports),
+/// so there is no second copy to check it against.
 void check_region_book(const conf::RegionBook& book,
-                       const std::vector<std::vector<u32>>& free_lists,
-                       u32 free_ports, const std::vector<bool>& taken);
+                       const std::vector<bool>& taken);
 
 /// Placer bookkeeping: occupancy count matches the taken bitmap, and under
 /// buddy policy the region book checks out (check_region_book).
@@ -182,7 +173,7 @@ void check_placer(const conf::PortPlacer& placer);
 
 /// Fast-path placer: the hierarchical bitmap answers find/select queries
 /// consistently with a bit-by-bit enumeration, and under buddy policy the
-/// per-order free bitmaps and the region book check out.
+/// region book checks out (check_region_book).
 void check_placer(const conf::FastPortPlacer& placer);
 
 /// Dispatch to the backend-specific audit above.

@@ -1,14 +1,14 @@
 // Hierarchical occupancy bitmap for high-churn allocators.
 //
-// The admission fast path (conf::FastPortPlacer, conf::BitmapBuddyAllocator)
-// keeps one bit per port/block and needs four queries orders of magnitude
-// more often than anything else: "lowest free", "highest free", "next free
-// at or after i", and "rank-th free". A flat bitset answers each in O(N/64)
-// word scans; this index layers summary bitmaps on top (bit w of level k+1
-// = "word w of level k is nonzero") plus per-4096-bit popcount blocks, so
-// every query touches a constant number of words for N <= 2^20 while
-// set/reset stay a handful of stores. Unlike DynBitset (windows algebra:
-// AND/OR over whole sets) this class is tuned for single-bit churn.
+// The admission fast path (conf::FastPortPlacer) keeps one bit per port
+// and needs three queries orders of magnitude more often than anything
+// else: "lowest free", "next free at or after i", and "rank-th free". A
+// flat bitset answers each in O(N/64) word scans; this index layers
+// summary bitmaps on top (bit w of level k+1 = "word w of level k is
+// nonzero") plus per-4096-bit popcount blocks, so every query touches a
+// constant number of words for N <= 2^20 while set/reset stay a handful
+// of stores. Unlike DynBitset (windows algebra: AND/OR over whole sets)
+// this class is tuned for single-bit churn.
 #pragma once
 
 #include <cstdint>
@@ -97,17 +97,6 @@ class HierBitset {
     return wi * 64 + static_cast<std::size_t>(std::countr_zero(words_[wi]));
   }
 
-  /// Index of the highest set bit, or npos when empty.
-  CONFNET_HOT [[nodiscard]] std::size_t find_last() const noexcept {
-    if (count_ == 0) return npos;
-    std::size_t wi = top_scan_last();
-    for (std::size_t k = sums_.size(); k-- > 1;)
-      wi = wi * 64 + 63 -
-           static_cast<std::size_t>(std::countl_zero(sums_[k - 1][wi]));
-    return wi * 64 + 63 -
-           static_cast<std::size_t>(std::countl_zero(words_[wi]));
-  }
-
   /// Lowest set bit with index >= i, or npos when none.
   CONFNET_HOT [[nodiscard]] std::size_t find_first_at_least(
       std::size_t i) const noexcept {
@@ -168,16 +157,6 @@ class HierBitset {
     while (top[wi] == 0) ++wi;
     if (sums_.empty()) return wi;
     return wi * 64 + static_cast<std::size_t>(std::countr_zero(top[wi]));
-  }
-
-  [[nodiscard]] std::size_t top_scan_last() const noexcept {
-    const std::vector<u64>& top = sums_.empty() ? words_ : sums_.back();
-    std::size_t wi = top.size();
-    while (top[--wi] == 0) {
-    }
-    if (sums_.empty()) return wi;
-    return wi * 64 + 63 -
-           static_cast<std::size_t>(std::countl_zero(top[wi]));
   }
 
   /// Smallest leaf-word index > wi whose word is nonzero, or npos. Ascends

@@ -18,7 +18,7 @@
 // its channel tables are inline, so a fabric on a kind with orthogonal
 // windows allocates only its busy-port bitset and port-cover table (its link
 // loads and fault mask wait for their first use, and buddy churn never
-// brings the loads), a first-fit placer builds no buddy allocator, and a
+// brings the loads), a first-fit placer builds no region book, and a
 // runtime's command rings and burst buffers start small and grow only
 // under load.
 #include <gtest/gtest.h>

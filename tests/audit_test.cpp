@@ -118,22 +118,6 @@ TEST(AuditPlacement, HealthyPlacerPasses) {
   }
 }
 
-TEST(AuditPlacement, CorruptedBuddyStateFires) {
-  // n=2 (4 ports). One free order-2 block covers everything; an allocated
-  // block on top of it overlaps.
-  audit_failure(
-      [] {
-        audit::check_buddy_state({{}, {}, {0}}, {{0, 1}}, 2, 4);
-      },
-      "placement");
-  // Free-port counter disagreeing with the free lists.
-  audit_failure(
-      [] { audit::check_buddy_state({{}, {}, {0}}, {}, 2, 3); }, "placement");
-  // A hole: blocks fail to tile the port space.
-  audit_failure(
-      [] { audit::check_buddy_state({{0}, {2}, {}}, {}, 2, 3); }, "placement");
-}
-
 // ----------------------------------------------------------------- session
 
 TEST(AuditSession, HealthySessionManagerPasses) {

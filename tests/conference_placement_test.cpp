@@ -1,9 +1,10 @@
-// Buddy allocator invariants and the three placement policies.
+// Buddy placement on both backends and the three placement policies.
 #include "conference/placement.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <utility>
 
@@ -14,78 +15,95 @@
 namespace confnet::conf {
 namespace {
 
-TEST(Buddy, AllocatesAligned) {
-  BuddyAllocator buddy(4);
-  for (u32 order : {0u, 1u, 2u, 3u}) {
-    const auto base = buddy.allocate(order);
-    ASSERT_TRUE(base.has_value());
-    EXPECT_EQ(*base % (u32{1} << order), 0u);
-    buddy.release(*base, order);
+// Buddy placement through both backends: the free space is the region
+// book's uncovered ports, so these cases cover what a separate buddy
+// allocator used to.
+class BuddyBackends : public ::testing::TestWithParam<PlacerBackend> {
+ protected:
+  [[nodiscard]] std::unique_ptr<PlacerBase> placer(u32 n) const {
+    return make_placer(n, PlacementPolicy::kBuddy, GetParam());
+  }
+  util::Rng rng_{8};
+};
+
+TEST_P(BuddyBackends, PlacesAlignedBlocks) {
+  const auto buddy = placer(4);
+  for (u32 size : {2u, 3u, 4u, 5u, 8u}) {
+    const auto ports = buddy->place(size, rng_);
+    ASSERT_TRUE(ports.has_value()) << size;
+    const u32 block = u32{1} << util::log2_ceil(size);
+    EXPECT_EQ(ports->front() % block, 0u) << size;
+    EXPECT_EQ(buddy->region_of(ports->front()),
+              (Region{ports->front(), util::log2_ceil(size)}));
+    buddy->release(*ports);
   }
 }
 
-TEST(Buddy, DisjointAllocations) {
-  BuddyAllocator buddy(4);
+TEST_P(BuddyBackends, FillsWithPairs) {
+  const auto buddy = placer(4);
   std::set<u32> taken;
-  std::vector<std::pair<u32, u32>> blocks;
-  while (true) {
-    const auto base = buddy.allocate(1);
-    if (!base) break;
-    for (u32 p = *base; p < *base + 2; ++p) {
-      EXPECT_FALSE(taken.count(p));
-      taken.insert(p);
-    }
-    blocks.emplace_back(*base, 1);
+  std::vector<std::vector<u32>> pairs;
+  while (auto ports = buddy->place(2, rng_)) {
+    for (u32 p : *ports) EXPECT_TRUE(taken.insert(p).second) << p;
+    EXPECT_EQ(ports->front() % 2, 0u);
+    pairs.push_back(std::move(*ports));
   }
   EXPECT_EQ(taken.size(), 16u);  // fully packed with pairs
-  for (auto [b, o] : blocks) buddy.release(b, o);
-  EXPECT_EQ(buddy.free_ports(), 16u);
+  EXPECT_FALSE(buddy->placeable(2));
+  for (const auto& ports : pairs) buddy->release(ports);
+  EXPECT_EQ(buddy->free_ports(), 16u);
 }
 
-TEST(Buddy, CoalescingRestoresBigBlocks) {
-  BuddyAllocator buddy(3);
-  const auto a = buddy.allocate(2);
-  const auto b = buddy.allocate(2);
+TEST_P(BuddyBackends, CoalescesBackToTheWholeNetwork) {
+  const auto buddy = placer(3);
+  const auto a = buddy->place(4, rng_);
+  const auto b = buddy->place(4, rng_);
   ASSERT_TRUE(a && b);
-  EXPECT_FALSE(buddy.allocate(2).has_value());
-  buddy.release(*a, 2);
-  buddy.release(*b, 2);
-  // After coalescing a full-size block must be allocatable again.
-  const auto whole = buddy.allocate(3);
+  EXPECT_FALSE(buddy->placeable(4));
+  buddy->release(*a);
+  buddy->release(*b);
+  // With both halves uncovered again, a whole-network open fits at base 0.
+  const auto whole = buddy->place(8, rng_);
   ASSERT_TRUE(whole.has_value());
-  EXPECT_EQ(*whole, 0u);
+  EXPECT_EQ(whole->front(), 0u);
 }
 
-TEST(Buddy, FragmentationBlocksLargeAllocations) {
-  BuddyAllocator buddy(3);
-  // Take all four pair blocks, free two non-buddy ones -> a 4-block is
-  // still impossible.
-  const auto b0 = buddy.allocate(1);
-  const auto b1 = buddy.allocate(1);
-  const auto b2 = buddy.allocate(1);
-  const auto b3 = buddy.allocate(1);
-  ASSERT_TRUE(b0 && b1 && b2 && b3);
-  // Free two blocks that are not buddies of each other.
-  std::vector<u32> bases{*b0, *b1, *b2, *b3};
-  std::sort(bases.begin(), bases.end());
-  buddy.release(bases[0], 1);
-  buddy.release(bases[2], 1);
-  EXPECT_EQ(buddy.free_ports(), 4u);
-  EXPECT_FALSE(buddy.can_allocate(2));
-  EXPECT_FALSE(buddy.allocate(2).has_value());
+TEST_P(BuddyBackends, FragmentationRefusesALargerBlock) {
+  const auto buddy = placer(3);
+  std::vector<std::vector<u32>> pairs;
+  for (int i = 0; i < 4; ++i) {
+    auto ports = buddy->place(2, rng_);
+    ASSERT_TRUE(ports.has_value());
+    pairs.push_back(std::move(*ports));
+  }
+  // Free two pair blocks that are not buddies of each other: four ports
+  // are free, but no aligned 4-block is.
+  std::sort(pairs.begin(), pairs.end());
+  buddy->release(pairs[0]);
+  buddy->release(pairs[2]);
+  EXPECT_EQ(buddy->free_ports(), 4u);
+  EXPECT_FALSE(buddy->placeable(4));
+  EXPECT_FALSE(buddy->place(4, rng_).has_value());
+  EXPECT_TRUE(buddy->placeable(2));
 }
 
-TEST(Buddy, DoubleFreeDetected) {
-  BuddyAllocator buddy(3);
-  const auto a = buddy.allocate(1);
-  buddy.release(*a, 1);
-  EXPECT_THROW(buddy.release(*a, 1), Error);
+TEST_P(BuddyBackends, DoubleReleaseThrows) {
+  const auto buddy = placer(3);
+  const auto ports = buddy->place(2, rng_);
+  ASSERT_TRUE(ports.has_value());
+  buddy->release(*ports);
+  EXPECT_THROW(buddy->release(*ports), Error);
+  EXPECT_EQ(buddy->free_ports(), 8u);
 }
 
-TEST(Buddy, MisalignedReleaseThrows) {
-  BuddyAllocator buddy(3);
-  EXPECT_THROW(buddy.release(1, 1), Error);
-}
+INSTANTIATE_TEST_SUITE_P(BothBackends, BuddyBackends,
+                         ::testing::Values(PlacerBackend::kFast,
+                                           PlacerBackend::kReference),
+                         [](const auto& info) {
+                           return std::string(info.param == PlacerBackend::kFast
+                                                  ? "fast"
+                                                  : "reference");
+                         });
 
 class PlacerSuite : public ::testing::TestWithParam<PlacementPolicy> {};
 

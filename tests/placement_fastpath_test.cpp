@@ -1,7 +1,6 @@
 // Fast-path admission equivalence: the hierarchical-bitmap placer against
 // the reference PortPlacer oracle (exact port sets under identical RNG
-// streams), the bitmap buddy allocator against the classic one, and the
-// hold-queue watermark's bounded work.
+// streams), and the hold-queue watermark's bounded work.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,47 +20,6 @@ using min::Kind;
 constexpr PlacementPolicy kPolicies[] = {
     PlacementPolicy::kBuddy, PlacementPolicy::kFirstFit,
     PlacementPolicy::kRandom};
-
-// --- Allocator twin: BitmapBuddyAllocator vs BuddyAllocator -------------
-
-TEST(BitmapBuddy, MatchesReferenceAllocatorUnderChurn) {
-  for (u64 seed = 1; seed <= 5; ++seed) {
-    const u32 n = 6;
-    BuddyAllocator ref(n);
-    BitmapBuddyAllocator fast(n);
-    util::Rng script(seed);
-    std::vector<std::pair<u32, u32>> live;  // (base, order)
-    for (int step = 0; step < 500; ++step) {
-      const bool alloc = live.empty() || script.below(2) == 0;
-      if (alloc) {
-        const auto order = static_cast<u32>(script.below(n + 1));
-        ASSERT_EQ(fast.can_allocate(order), ref.can_allocate(order));
-        const auto bf = fast.allocate(order);
-        const auto br = ref.allocate(order);
-        ASSERT_EQ(bf.has_value(), br.has_value());
-        if (bf) {
-          ASSERT_EQ(*bf, *br);
-          live.emplace_back(*bf, order);
-        }
-      } else {
-        const auto idx =
-            static_cast<std::size_t>(script.below(live.size()));
-        fast.release(live[idx].first, live[idx].second);
-        ref.release(live[idx].first, live[idx].second);
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
-      }
-      ASSERT_EQ(fast.free_ports(), ref.free_ports());
-    }
-  }
-}
-
-TEST(BitmapBuddy, DoubleFreeDetected) {
-  BitmapBuddyAllocator buddy(3);
-  const auto a = buddy.allocate(1);
-  ASSERT_TRUE(a.has_value());
-  buddy.release(*a, 1);
-  EXPECT_THROW(buddy.release(*a, 1), Error);
-}
 
 // --- Placer twin: FastPortPlacer vs PortPlacer --------------------------
 

@@ -20,7 +20,6 @@ TEST(HierBitset, EmptyAnswersNpos) {
   EXPECT_EQ(bits.size(), 100u);
   EXPECT_EQ(bits.count(), 0u);
   EXPECT_EQ(bits.find_first(), npos);
-  EXPECT_EQ(bits.find_last(), npos);
   EXPECT_EQ(bits.find_first_at_least(0), npos);
   EXPECT_FALSE(bits.test(99));
 }
@@ -32,7 +31,6 @@ TEST(HierBitset, AllSetConstructor) {
     HierBitset bits(n, /*all_set=*/true);
     ASSERT_EQ(bits.count(), n) << n;
     EXPECT_EQ(bits.find_first(), 0u) << n;
-    EXPECT_EQ(bits.find_last(), n - 1) << n;
     EXPECT_TRUE(bits.test(n - 1)) << n;
     EXPECT_EQ(bits.select(0), 0u) << n;
     EXPECT_EQ(bits.select(n - 1), n - 1) << n;
@@ -49,7 +47,6 @@ TEST(HierBitset, SparseBitsAcrossLevels) {
   for (std::size_t b : set_bits) bits.set(b);
   EXPECT_EQ(bits.count(), set_bits.size());
   EXPECT_EQ(bits.find_first(), 0u);
-  EXPECT_EQ(bits.find_last(), 299999u);
   // Walk forward through every set bit.
   std::size_t p = bits.find_first();
   for (std::size_t i = 0; i < set_bits.size(); ++i) {
@@ -58,12 +55,12 @@ TEST(HierBitset, SparseBitsAcrossLevels) {
     p = bits.find_first_at_least(p + 1);
   }
   EXPECT_EQ(p, npos);
-  // Clearing the extremes moves both ends across level boundaries.
+  // Clearing the extremes moves the lowest bit across level boundaries.
   bits.reset(0);
   bits.reset(299999);
   EXPECT_EQ(bits.find_first(), 63u);
-  EXPECT_EQ(bits.find_last(), 262143u);
   EXPECT_EQ(bits.find_first_at_least(4097), 65535u);
+  EXPECT_EQ(bits.find_first_at_least(262144), npos);
 }
 
 TEST(HierBitset, RandomizedChurnMatchesSetReference) {
@@ -82,7 +79,6 @@ TEST(HierBitset, RandomizedChurnMatchesSetReference) {
       }
       ASSERT_EQ(bits.count(), ref.size());
       ASSERT_EQ(bits.find_first(), ref.empty() ? npos : *ref.begin());
-      ASSERT_EQ(bits.find_last(), ref.empty() ? npos : *ref.rbegin());
       const auto probe = static_cast<std::size_t>(rng.below(n));
       const auto it = ref.lower_bound(probe);
       ASSERT_EQ(bits.find_first_at_least(probe),
