@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "analysis/util/thread_pool.hpp"
+#include "conference/port_index.hpp"
 #include "conference/subnetwork.hpp"
 #include "min/selfroute.hpp"
 #include "min/windows.hpp"
@@ -371,7 +372,7 @@ MonteCarloResult monte_carlo_multiplicity(Kind kind, u32 n,
     std::vector<u32> admitted;
     for (std::size_t t = begin; t < end; ++t) {
       util::Rng trial_rng = trial_rngs[t];
-      PortPlacer placer(n, policy);
+      FastPortPlacer placer(n, policy);
       ConferenceSet set(N);
       u32 id = 0;
       TrialOutcome& out = outcomes[t];

@@ -133,10 +133,11 @@ struct MonteCarloResult {
   /// ALL_PAIRS realization on a healthy fabric delivers the full set).
   u32 delivery_failures = 0;
 };
-/// Trials fan out over `pool` (util::global_pool() when null). Every trial
-/// stream is forked from the root RNG in serial order before any work is
-/// scheduled and results merge in trial order, so the outcome is
-/// byte-identical to the serial reference for any worker count.
+/// Trials place on the fast placer (FastPortPlacer) and fan out over
+/// `pool` (util::global_pool() when null). Every trial stream is forked
+/// from the root RNG in serial order before any work is scheduled and
+/// results merge in trial order, so the outcome is byte-identical to the
+/// serial reference for any worker count.
 /// With `verify_delivery`, every trial's conference set is additionally
 /// realized (ALL_PAIRS) in a per-worker FabricState and checked by its
 /// closed-form delivery_ok (exact iff no dead link); verification consumes
@@ -147,8 +148,9 @@ struct MonteCarloResult {
     util::ThreadPool* pool = nullptr, bool verify_delivery = false);
 
 /// Reference oracle: the original single-threaded loop on top of
-/// measure_multiplicity_reference. Its `verify_delivery` propagates signals
-/// through the stateless set-based `Fabric::evaluate` instead.
+/// measure_multiplicity_reference and the reference PortPlacer. Its
+/// `verify_delivery` propagates signals through the stateless set-based
+/// `Fabric::evaluate` instead.
 [[nodiscard]] MonteCarloResult monte_carlo_multiplicity_reference(
     min::Kind kind, u32 n, u32 conference_count, u32 min_size, u32 max_size,
     PlacementPolicy policy, u32 trials, u64 seed,
