@@ -194,19 +194,19 @@ class PlacerBase {
   }
 
   /// The shared step of a buddy open, for when no free block (see
-  /// place_into()) is left. Among the aligned regions of at least
-  /// that order with `size` free ports that are RegionBook::shareable,
-  /// choose the smallest; then the one with the most uncovered ports
-  /// (space fragmentation left, which no conference grows into), then the
-  /// most free ports (so the room it takes from the conferences already
-  /// there is the least needed), then the lowest-based. Every candidate is
-  /// covered exactly once somewhere (a wholly uncovered one would hold a
-  /// free aligned block) and nowhere twice, so all are equally covered.
-  /// Take `size` of its free ports into `ports` (cleared first; sorted),
-  /// the uncovered ones lowest first and then the lowest covered ones, and
-  /// cover the region. Draws nothing; false, changing nothing except
-  /// emptying `ports`, when an aligned block is free, when no region
-  /// qualifies, or under the other policies.
+  /// place_into()) of order log2_ceil(size) or above is left. Among the
+  /// aligned regions of at least that order with `size` free ports that
+  /// are RegionBook::shareable, choose the smallest; then the one with the
+  /// most uncovered ports (space fragmentation left, which no conference
+  /// grows into), then the most free ports (so the room it takes from the
+  /// conferences already there is the least needed), then the
+  /// lowest-based. Every candidate is covered exactly once somewhere (a
+  /// wholly uncovered one would hold a free block) and nowhere twice, so
+  /// all are equally covered. Take `size` of its free ports into `ports`
+  /// (cleared first; sorted), the uncovered ones lowest first and then the
+  /// lowest covered ones, and cover the region. Draws nothing; false,
+  /// changing nothing except emptying `ports`, when a free block is left,
+  /// when no region qualifies, or under the other policies.
   [[nodiscard]] virtual bool place_shared_into(u32 size,
                                                std::vector<u32>& ports) = 0;
 
