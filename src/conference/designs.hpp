@@ -19,6 +19,7 @@
 #pragma once
 
 #include <array>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
@@ -128,6 +129,16 @@ class ConferenceNetworkBase {
   /// min::connectivity on the design's live fault set).
   [[nodiscard]] virtual min::Kind kind() const noexcept = 0;
 
+  /// Channels of the design's narrowest interstage link. A buddy
+  /// SessionManager shares regions as deep as this (clamped to 2 ..
+  /// RegionBook::kMaxCover), as many as the cover bound lets such a link
+  /// carry. The default, u32 max, means the design does not say and the
+  /// fabric decides each shared window on its links: a decorator that
+  /// does not forward this shares to the deepest cover.
+  [[nodiscard]] virtual u32 narrowest_channels() const noexcept {
+    return std::numeric_limits<u32>::max();
+  }
+
   // --- Live-fault interface ----------------------------------------------
   // Designs that support runtime link faults override this whole group;
   // the defaults model a fault-free fabric (queries report healthy,
@@ -219,6 +230,9 @@ class FabricConferenceNetwork : public ConferenceNetworkBase {
   [[nodiscard]] const std::vector<u32>& members_for(u32 handle) const override;
   [[nodiscard]] min::Kind kind() const noexcept override {
     return state_.network().kind();
+  }
+  [[nodiscard]] u32 narrowest_channels() const noexcept override {
+    return state_.cover_limit();
   }
 
   /// True iff every conference is relayed out at its mux tap level (the

@@ -88,24 +88,59 @@ bool PortPlacer::place_into(u32 size, util::Rng& rng,
 }
 
 std::optional<Region> PortPlacer::free_block(u32 order) const {
-  // Every aligned block of every order from `order` up, bases descending,
-  // each counted port by port: the first wholly uncovered one whose buddy
-  // is not wins.
-  const auto whole = [&](Region block) {
-    return book_.uncovered_in(block) == u32{1} << block.order;
-  };
-  for (u32 o = order; o <= n_; ++o)
-    for (u32 base = static_cast<u32>(taken_.size()); base != 0;) {
-      base -= u32{1} << o;
-      const Region block{base, o};
-      if (whole(block) && (o == n_ || !whole({base ^ (u32{1} << o), o})))
-        return block;
+  // One pass per order, bases descending, over the book's uncovered ports
+  // counted a 64-port word at a time: a block below 64 ports is a field of
+  // its word, counted only when the word holds that many uncovered ports
+  // at all, and a larger block sums its words' counts. The first wholly
+  // uncovered block whose buddy is not wins; an order with no wholly
+  // uncovered block has none above it either.
+  const auto words = static_cast<u32>((taken_.size() + 63) / 64);
+  const std::uint64_t in_range = taken_.size() < 64
+                                     ? (std::uint64_t{1} << taken_.size()) - 1
+                                     : ~std::uint64_t{0};
+  const auto uncovered = [&](u32 w) { return book_.cover_bits(w, 0) & in_range; };
+  for (u32 o = order; o <= n_; ++o) {
+    const u32 width = u32{1} << o;
+    bool any = false;
+    if (o < 6) {
+      const std::uint64_t field = (std::uint64_t{1} << width) - 1;
+      const auto count = [&](std::uint64_t bits, u32 shift) {
+        return util::popcount((bits >> shift) & field);
+      };
+      for (u32 w = words; w-- > 0;) {
+        const std::uint64_t bits = uncovered(w);
+        if (util::popcount(bits) < width) continue;
+        for (u32 shift = 64; shift != 0;) {
+          shift -= width;
+          if (count(bits, shift) != width) continue;
+          any = true;
+          if (o == n_ || count(bits, shift ^ width) != width)
+            return Region{w * 64 + shift, o};
+        }
+      }
+    } else {
+      const u32 span = width / 64;
+      const auto whole = [&](u32 first) {
+        u32 n = 0;
+        for (u32 w = first; w < first + span; ++w) n += util::popcount(uncovered(w));
+        return n == width;
+      };
+      for (u32 first = words; first != 0;) {
+        first -= span;
+        if (!whole(first)) continue;
+        any = true;
+        if (o == n_ || !whole(first ^ span)) return Region{first * 64, o};
+      }
     }
+    if (!any) return {};
+  }
   return {};
 }
 
-std::optional<Region> PortPlacer::shared_region(u32 size) const {
+std::optional<Region> PortPlacer::shared_region(u32 size, u32 limit) const {
   expects(size >= 2, "conferences need at least two members");
+  expects(limit >= 1 && limit <= RegionBook::kMaxCover,
+          "a cover limit of 1 .. RegionBook::kMaxCover");
   if (policy_ != PlacementPolicy::kBuddy || size > free_ports()) return {};
   const u32 order = util::log2_ceil(size);
   if (order > n_ || free_block(order)) return {};
@@ -123,7 +158,7 @@ std::optional<Region> PortPlacer::shared_region(u32 size) const {
         room += taken_[p] ? 0u : 1u;
         uncovered += book_.cover(p) == 0 ? 1u : 0u;
       }
-      if (room < size || !book_.shareable(region)) continue;
+      if (room < size || !book_.shareable(region, limit)) continue;
       if (!best || std::pair{uncovered, room} > best_rank) {
         best = region;
         best_rank = {uncovered, room};
@@ -134,13 +169,14 @@ std::optional<Region> PortPlacer::shared_region(u32 size) const {
   return {};
 }
 
-bool PortPlacer::place_shared_into(u32 size, std::vector<u32>& ports) {
+bool PortPlacer::place_shared_into(u32 size, u32 limit,
+                                   std::vector<u32>& ports) {
   ports.clear();
-  const std::optional<Region> region = shared_region(size);
+  const std::optional<Region> region = shared_region(size, limit);
   if (!region) return false;
-  for (const bool covered : {false, true})
+  for (u32 cover = 0; cover < limit; ++cover)
     for (u32 p = region->base; p < region->end() && ports.size() < size; ++p)
-      if (!taken_[p] && (book_.cover(p) != 0) == covered) ports.push_back(p);
+      if (!taken_[p] && book_.cover(p) == cover) ports.push_back(p);
   std::sort(ports.begin(), ports.end());
   for (u32 p : ports) {
     taken_[p] = true;

@@ -14,13 +14,15 @@
 // release only steps its region's cover down. When no such block is left,
 // SessionManager::open takes a second, shared step (place_shared_into): it
 // places the conference in an aligned region that other conferences'
-// regions already cover, the smallest one with room whose ports are
-// covered at most once, on the region's uncovered free ports first. No
-// port is covered more than twice (RegionBook::kMaxCover). DESIGN.md's
-// cover bound (R2 generalized) says why sharing is safe: a link carries at
-// most as many conferences as cover its crossing port, so a fabric with d
-// channels per link admits every group whose region's cover stays <= d,
-// and a buddy-placed fabric with d >= 2 never looks at a link.
+// regions already cover, the smallest one with room none of whose ports is
+// covered L times, on the region's least-covered free ports first. L, the
+// cover limit, is the fabric's narrowest interstage channel count clamped
+// to 2 .. RegionBook::kMaxCover = 4, so no port is covered more than L
+// times. DESIGN.md's cover bound (R2 generalized) says why sharing is safe:
+// a link carries at most as many conferences as cover its crossing port,
+// so a fabric with d channels per link admits every group whose region's
+// cover stays <= d, and a buddy-placed fabric with d >= 2 never looks at a
+// link.
 //
 // Two interchangeable allocator backends sit behind `PlacerBase`:
 //  * `FastPortPlacer` (port_index.hpp) — the admission fast path, a
@@ -63,17 +65,16 @@ struct Region {
 
 /// Buddy placement's per-port bookkeeping, shared by both backends: the
 /// order of the region each occupied port's conference was placed in (a
-/// byte a port), and each port's cover, the live regions holding it (two
-/// bits a port). Empty unless buddy.
+/// byte a port), and each port's cover, the live regions holding it (three
+/// bit planes, a count up to kMaxCover). Empty unless buddy.
 class RegionBook {
  public:
   /// The most regions that ever hold one port. An aligned placement
   /// covers only uncovered ports and the shared step enters only regions
-  /// no port of which is covered this often, so a shared conference
-  /// overlaps one layer of regions and no link carries more than two
-  /// buddy conferences (DESIGN.md R2′).
-  static constexpr u32 kMaxCover = 2;
-  static_assert(kMaxCover == 2, "full_bits() reads the high of two planes");
+  /// no port of which is covered `limit` times (at most kMaxCover), so a
+  /// shared conference overlaps at most limit - 1 layers of regions and no
+  /// link carries more than `limit` buddy conferences (DESIGN.md R2′).
+  static constexpr u32 kMaxCover = 4;
 
   RegionBook() = default;
   explicit RegionBook(u32 n);
@@ -83,25 +84,21 @@ class RegionBook {
   [[nodiscard]] u32 cover(u32 port) const {
     return port < order_.size() ? cover_.at(port) : 0;
   }
-  /// Whether the shared step may enter `region`: none of its ports is
-  /// covered kMaxCover times.
-  [[nodiscard]] bool shareable(Region region) const {
-    return !cover_.any_equal(region.base, size_of(region), kMaxCover);
+  /// Whether the shared step may enter `region` under cover limit `limit`:
+  /// none of its ports is covered `limit` times.
+  [[nodiscard]] bool shareable(Region region, u32 limit) const {
+    return !cover_.any_equal(region.base, size_of(region), limit);
   }
   /// Ports of `region` no region covers (all of them free).
   [[nodiscard]] u32 uncovered_in(Region region) const {
     return static_cast<u32>(cover_.count_equal(region.base, size_of(region), 0));
   }
 
-  /// Of ports 64·word .. 64·word + 63, those covered kMaxCover times, as
-  /// bits (a word-at-a-time shareable): the counts' high plane, as no
-  /// count exceeds kMaxCover = 2.
-  [[nodiscard]] std::uint64_t full_bits(std::size_t word) const {
-    return cover_.plane(word, 1);
-  }
-  /// Of ports 64·word .. 64·word + 63, those no region covers, as bits.
-  [[nodiscard]] std::uint64_t uncovered_bits(std::size_t word) const {
-    return ~(cover_.plane(word, 0) | cover_.plane(word, 1));
+  /// Of ports 64·word .. 64·word + 63, those covered exactly `cover` times,
+  /// as bits: cover 0 is the buddy free space, cover `limit` the ports the
+  /// shared step keeps out of.
+  [[nodiscard]] std::uint64_t cover_bits(std::size_t word, u32 cover) const {
+    return cover_.equal_bits(word, cover);
   }
 
   /// Record `port` as placed in `region`, or as free.
@@ -194,20 +191,21 @@ class PlacerBase {
   }
 
   /// The shared step of a buddy open, for when no free block (see
-  /// place_into()) of order log2_ceil(size) or above is left. Among the
-  /// aligned regions of at least that order with `size` free ports that
-  /// are RegionBook::shareable, choose the smallest; then the one with the
-  /// most uncovered ports (space fragmentation left, which no conference
-  /// grows into), then the most free ports (so the room it takes from the
-  /// conferences already there is the least needed), then the
-  /// lowest-based. Every candidate is covered exactly once somewhere (a
-  /// wholly uncovered one would hold a free block) and nowhere twice, so
-  /// all are equally covered. Take `size` of its free ports into `ports`
-  /// (cleared first; sorted), the uncovered ones lowest first and then the
-  /// lowest covered ones, and cover the region. Draws nothing; false,
-  /// changing nothing except emptying `ports`, when a free block is left,
-  /// when no region qualifies, or under the other policies.
-  [[nodiscard]] virtual bool place_shared_into(u32 size,
+  /// place_into()) of order log2_ceil(size) or above is left. `limit`
+  /// (1 .. RegionBook::kMaxCover) is the cover limit: among the aligned
+  /// regions of at least that order with `size` free ports that are
+  /// RegionBook::shareable under it, choose the smallest; then the one
+  /// with the most uncovered ports (space fragmentation left, which no
+  /// conference grows into), then the most free ports (so the room it
+  /// takes from the conferences already there is the least needed), then
+  /// the lowest-based. Every candidate is covered somewhere (a wholly
+  /// uncovered one would hold a free block) and nowhere `limit` times.
+  /// Take `size` of its free ports into `ports` (cleared first; sorted),
+  /// the least covered first and the lowest first among equals, and cover
+  /// the region. Draws nothing; false, changing nothing except emptying
+  /// `ports`, when a free block is left, when no region qualifies, or
+  /// under the other policies.
+  [[nodiscard]] virtual bool place_shared_into(u32 size, u32 limit,
                                                std::vector<u32>& ports) = 0;
 
   /// Buddy only: the region occupied `port`'s conference was placed in.
@@ -217,7 +215,8 @@ class PlacerBase {
 
   /// Choose one additional port for an existing conference (dynamic join).
   /// Under buddy placement the new member must fit inside the conference's
-  /// region (no migration); nullopt = blocked.
+  /// region (no migration): its least-covered free port, the lowest among
+  /// equals; nullopt = blocked.
   [[nodiscard]] virtual std::optional<u32> expand(
       const std::vector<u32>& current, util::Rng& rng) = 0;
 
@@ -257,7 +256,7 @@ class PortPlacer final : public PlacerBase {
   [[nodiscard]] bool place_into(u32 size, util::Rng& rng,
                                 std::vector<u32>& ports) override;
 
-  [[nodiscard]] bool place_shared_into(u32 size,
+  [[nodiscard]] bool place_shared_into(u32 size, u32 limit,
                                        std::vector<u32>& ports) override;
 
   [[nodiscard]] Region region_of(u32 port) const override {
@@ -284,7 +283,8 @@ class PortPlacer final : public PlacerBase {
   [[nodiscard]] std::optional<Region> free_block(u32 order) const;
   /// The region place_shared_into() would enter (PlacerBase documents the
   /// choice), or nullopt.
-  [[nodiscard]] std::optional<Region> shared_region(u32 size) const;
+  [[nodiscard]] std::optional<Region> shared_region(u32 size,
+                                                    u32 limit) const;
 
   u32 n_;
   PlacementPolicy policy_;

@@ -120,7 +120,7 @@ CONFNET_HOT std::optional<Region> FastPortPlacer::free_block(
       const u32 width = u32{1} << o;
       const std::uint64_t pairs = field_bases(o + 1);
       for (u32 w = words; w-- > 0;) {
-        std::uint64_t whole = book_.uncovered_bits(w) & in_range;
+        std::uint64_t whole = book_.cover_bits(w, 0) & in_range;
         for (u32 k = 0; k < o; ++k) whole &= whole >> (u32{1} << k);
         whole &= field_bases(o);
         const std::uint64_t buddies =
@@ -134,7 +134,7 @@ CONFNET_HOT std::optional<Region> FastPortPlacer::free_block(
       const u32 span = u32{1} << (o - 6);
       const auto whole = [&](u32 first) {
         for (u32 w = first; w < first + span; ++w)
-          if (book_.uncovered_bits(w) != ~std::uint64_t{0}) return false;
+          if (book_.cover_bits(w, 0) != ~std::uint64_t{0}) return false;
         return true;
       };
       if (o == n_) return whole(0) ? std::optional{Region{0, o}} : std::nullopt;
@@ -151,15 +151,18 @@ CONFNET_HOT std::optional<Region> FastPortPlacer::free_block(
   return {};
 }
 
-std::optional<Region> FastPortPlacer::shared_region(u32 size) const {
+std::optional<Region> FastPortPlacer::shared_region(u32 size,
+                                                    u32 limit) const {
   expects(size >= 2, "conferences need at least two members");
+  expects(limit >= 1 && limit <= RegionBook::kMaxCover,
+          "a cover limit of 1 .. RegionBook::kMaxCover");
   if (policy_ != PlacementPolicy::kBuddy || size > free_ports()) return {};
   const u32 order = util::log2_ceil(size);
   if (order > n_ || free_block(order)) return {};
   // Orders ascending, bases ascending, keeping only a strictly better
   // (uncovered, room) pair, all read a 64-port word at a time from the
-  // free-port words and the book's cover planes. A region below 64 ports
-  // is a field of its word: its room, its ports covered kMaxCover times
+  // free-port words and the book's cover bits. A region below 64 ports
+  // is a field of its word: its room, its ports covered `limit` times
   // and its uncovered ports are per-field counts, and one borrow-free
   // subtraction per field marks the regions with room and none full (a
   // count, at most the field's width w, never reaches its top bit 2^(w-1)
@@ -183,8 +186,7 @@ std::optional<Region> FastPortPlacer::shared_region(u32 size) const {
       for (u32 w = 0; w < words; ++w) {
         if (util::popcount(free_.word(w)) < size) continue;
         const std::uint64_t room = field_counts(free_.word(w), o);
-        const std::uint64_t full_ports =
-            book_.full_bits(w);
+        const std::uint64_t full_ports = book_.cover_bits(w, limit);
         const std::uint64_t full =
             full_ports == 0 ? 0 : field_counts(full_ports, o);
         std::uint64_t fits =
@@ -193,7 +195,7 @@ std::optional<Region> FastPortPlacer::shared_region(u32 size) const {
                          high;
         if (fits == 0) continue;
         const std::uint64_t uncovered =
-            field_counts(book_.uncovered_bits(w), o);
+            field_counts(book_.cover_bits(w, 0), o);
         for (; fits != 0; fits &= fits - 1) {
           const auto shift =
               static_cast<u32>(std::countr_zero(fits)) & ~(width - 1);
@@ -209,8 +211,8 @@ std::optional<Region> FastPortPlacer::shared_region(u32 size) const {
         bool full = false;
         for (u32 w = first; w < first + span_words; ++w) {
           room += util::popcount(free_.word(w));
-          full = full || book_.full_bits(w) != 0;
-          uncovered += util::popcount(book_.uncovered_bits(w));
+          full = full || book_.cover_bits(w, limit) != 0;
+          uncovered += util::popcount(book_.cover_bits(w, 0));
         }
         if (room >= size && !full) consider(first * 64, uncovered, room);
       }
@@ -220,21 +222,21 @@ std::optional<Region> FastPortPlacer::shared_region(u32 size) const {
   return {};
 }
 
-bool FastPortPlacer::place_shared_into(u32 size, std::vector<u32>& ports) {
+bool FastPortPlacer::place_shared_into(u32 size, u32 limit,
+                                       std::vector<u32>& ports) {
   ports.clear();
-  const std::optional<Region> region = shared_region(size);
+  const std::optional<Region> region = shared_region(size, limit);
   if (!region) return false;
-  // The region's uncovered ports first (space buddy fragmentation left,
-  // which no conference grows into; all free), then the lowest covered
-  // free ones, a 64-port word at a time.
+  // The region's least-covered free ports first (the uncovered ones are
+  // space buddy fragmentation left, which no conference grows into), the
+  // lowest first among equals, a 64-port word at a time.
   const std::uint64_t in_region = word_mask(*region);
   ports.reserve(size);
-  for (const bool covered : {false, true}) {
+  for (u32 cover = 0; cover < limit; ++cover) {
     for (u32 w = region->base / 64;
          w <= (region->end() - 1) / 64 && ports.size() < size; ++w) {
-      const std::uint64_t uncovered = book_.uncovered_bits(w);
-      for (std::uint64_t take = free_.word(w) & in_region &
-                                (covered ? ~uncovered : uncovered);
+      for (std::uint64_t take =
+               free_.word(w) & in_region & book_.cover_bits(w, cover);
            take != 0 && ports.size() < size; take &= take - 1)
         ports.push_back(w * 64 + static_cast<u32>(std::countr_zero(take)));
     }
@@ -258,16 +260,15 @@ CONFNET_HOT std::optional<u32> FastPortPlacer::expand(
       // The new member must live inside the conference's own region: its
       // least-covered free port, lowest first. A port other regions nested
       // in this one also cover is their conferences' room to grow; a free
-      // port of a live region is covered once or twice, so the search
-      // takes the lowest one not full, else the lowest full one.
+      // port of a live region is covered at least once, so the search
+      // reads the region's free ports one cover at a time from 1 up.
       const Region region = book_.region_of(current.front());
       const std::uint64_t in_region = word_mask(region);
-      for (const bool full : {false, true}) {
+      for (u32 cover = 1; !port && cover <= RegionBook::kMaxCover; ++cover) {
         for (u32 w = region.base / 64; !port && w <= (region.end() - 1) / 64;
              ++w) {
-          const std::uint64_t fulls = book_.full_bits(w);
           const std::uint64_t take =
-              free_.word(w) & in_region & (full ? fulls : ~fulls);
+              free_.word(w) & in_region & book_.cover_bits(w, cover);
           if (take != 0)
             port = w * 64 + static_cast<u32>(std::countr_zero(take));
         }

@@ -50,7 +50,7 @@ class FastPortPlacer final : public PlacerBase {
   [[nodiscard]] bool place_into(u32 size, util::Rng& rng,
                                 std::vector<u32>& ports) override;
 
-  [[nodiscard]] bool place_shared_into(u32 size,
+  [[nodiscard]] bool place_shared_into(u32 size, u32 limit,
                                        std::vector<u32>& ports) override;
 
   [[nodiscard]] Region region_of(u32 port) const override {
@@ -77,7 +77,8 @@ class FastPortPlacer final : public PlacerBase {
   [[nodiscard]] std::optional<Region> free_block(u32 order) const;
   /// The region place_shared_into() would enter (PlacerBase documents the
   /// choice), or nullopt.
-  [[nodiscard]] std::optional<Region> shared_region(u32 size) const;
+  [[nodiscard]] std::optional<Region> shared_region(u32 size,
+                                                    u32 limit) const;
 
   u32 n_;
   PlacementPolicy policy_;

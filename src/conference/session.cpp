@@ -42,6 +42,17 @@ void fold_into_registry(const SessionStats& s) {
   reg.counter("conf", "leaves").add(s.leaves);
 }
 
+/// The shared step's cover limit on `network` (see SessionManager::open).
+/// The cover bound, by which a link carries no more conferences than
+/// regions cover its crossing port, holds only on orthogonal kinds; on the
+/// others (baseline, flip) a shared conference stays one layer deep, as
+/// deeper layers there only meet more capacity refusals.
+u32 cover_limit_of(const ConferenceNetworkBase& network) {
+  if (min::has_block_block_windows(network.kind())) return 2;
+  return std::clamp(network.narrowest_channels(), u32{2},
+                    RegionBook::kMaxCover);
+}
+
 }  // namespace
 
 SessionStats SessionStats::since(const SessionStats& earlier) const noexcept {
@@ -62,7 +73,9 @@ SessionStats SessionStats::since(const SessionStats& earlier) const noexcept {
 
 SessionManager::SessionManager(ConferenceNetworkBase& network,
                                PlacementPolicy policy, PlacerBackend backend)
-    : network_(network), placer_(make_placer(network.n(), policy, backend)) {}
+    : network_(network),
+      placer_(make_placer(network.n(), policy, backend)),
+      cover_limit_(cover_limit_of(network)) {}
 
 SessionManager::~SessionManager() { fold_into_registry(stats_); }
 
@@ -112,7 +125,7 @@ std::pair<OpenResult, std::optional<u32>> SessionManager::open(
 bool SessionManager::place(u32 size, util::Rng& rng) {
   shared_ = !placer_->place_into(size, rng, ports_);
   if (!shared_) return true;
-  if (!placer_->place_shared_into(size, ports_)) return false;
+  if (!placer_->place_shared_into(size, cover_limit_, ports_)) return false;
   shared_tried_ = true;
   return true;
 }
@@ -143,7 +156,7 @@ CONFNET_HOT std::optional<u32> SessionManager::repack(u32 size,
     std::copy(ports_.begin(), ports_.end(),
               stack.begin() + std::size_t{held++} * size);
     // A shared window the links refused ends the probe: every region the
-    // shared step offers next is covered once, by conferences whose links
+    // shared step offers next is covered too, by conferences whose links
     // meet it in the same way.
     const bool crowded =
         shared_ && network_.last_error() == SetupError::kLinkCapacity;
@@ -333,23 +346,33 @@ void check_session_manager(const conf::SessionManager& manager) {
   }
   // Windows a repack holds are released before this audit runs, so the
   // sessions' regions are all the live ones.
-  for (u32 p = 0; p < N; ++p)
+  for (u32 p = 0; p < N; ++p) {
     require(manager.placer_->cover(p) == cover[p], kSub,
             "placer cover diverges from the sessions' regions");
+    require(cover[p] <= manager.cover_limit_, kSub,
+            "a port covered beyond the manager's cover limit");
+  }
   // The cover bound (R2 generalized; FabricState::cross_check checks it
   // link by link): on a healthy fabric of a kind with orthogonal (block x
-  // stride) windows, an aligned window on uncovered ports never meets link
-  // capacity. Only a session that shared a region can be refused for
-  // capacity, open or join.
+  // stride) windows, no link carries more conferences than regions cover
+  // its crossing port. So an aligned window on uncovered ports never meets
+  // link capacity, and while the cover limit is within the narrowest
+  // capacity no window does: no open or join is refused for capacity,
+  // shared or not. Below it only a session that shared a region can be.
   const auto* direct =
       dynamic_cast<const conf::FabricConferenceNetwork*>(&manager.network_);
   if (direct == nullptr || min::has_block_block_windows(direct->kind()) ||
       direct->faults()->fault_count() != 0)
     return;
+  const bool within = manager.cover_limit_ <= direct->narrowest_channels();
   require(manager.stats_.blocked_capacity == 0 &&
-              (manager.shared_tried_ ||
+              ((manager.shared_tried_ && !within) ||
                direct->last_error() != conf::SetupError::kLinkCapacity),
-          kSub, "cover bound: link capacity refused an unshared conference");
+          kSub,
+          within ? "cover bound: link capacity refused a conference within "
+                   "the cover limit"
+                 : "cover bound: link capacity refused an unshared "
+                   "conference");
 }
 
 }  // namespace confnet::audit

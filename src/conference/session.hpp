@@ -79,8 +79,11 @@ class SessionManager {
 
   /// Try to open a conference for `size` members. On success returns a
   /// session id. Under buddy placement an open that finds no free aligned
-  /// block takes the shared step (PlacerBase::place_shared_into), and the
-  /// fabric decides whether the shared region can carry one more. A
+  /// block takes the shared step (PlacerBase::place_shared_into) under the
+  /// cover limit, read once at construction: the design's
+  /// narrowest_channels() clamped to 2 .. RegionBook::kMaxCover, or 2 on a
+  /// kind without orthogonal windows, where the cover bound does not hold.
+  /// The fabric decides whether the shared region can carry one more. A
   /// placement the fabric refuses (link capacity or a dead link) is
   /// re-placed before the open blocks; a blocked open is counted by its
   /// first refusal's cause, and one whose first window was shared as
@@ -186,6 +189,8 @@ class SessionManager {
   // probes on.
   std::vector<u32> held_;
   u32 next_session_ = 0;
+  // How deep the shared step may cover a port (see open()).
+  u32 cover_limit_;
   SessionStats stats_;
   bool shared_ = false;        // the window in ports_ is on a shared region
   bool shared_tried_ = false;  // some window ever was (for the R2 audit)

@@ -223,6 +223,10 @@ class FabricState {
   [[nodiscard]] std::span<const u32> capacity() const noexcept {
     return {capacity_.data(), net_.n() + 1};
   }
+  /// The narrowest interstage capacity (levels 1 .. n-1), the most any
+  /// port may be covered in R2 mode; u32 max when there is no interstage
+  /// level (n = 1).
+  [[nodiscard]] u32 cover_limit() const noexcept { return cover_limit_; }
   [[nodiscard]] const min::Network& network() const noexcept { return net_; }
 
   /// Visit every admitted group's id in ascending order.

@@ -3,11 +3,13 @@
 //
 // A port cover (how many aligned blocks hold each port) is read and moved
 // one aligned block at a time and stays small: the fabric keeps it at most
-// its narrowest link capacity, buddy placement at most two. So instead of a
-// byte or word per port, bit k of every count is kept in plane k: 64 ports
-// move by one with a ripple-carry of a few word operations per plane, a
-// block's "any count equal to c" or "how many equal c" is a handful of
-// masks and a popcount, and a count below 2^planes costs `planes` bits.
+// its narrowest link capacity, buddy placement at most that capacity and
+// never above four. So instead of a byte or word per port, bit k of every
+// count is kept in plane k: 64 ports move by one with a ripple-carry of a
+// few word operations per plane, a block's "any count equal to c" or "how
+// many equal c" is a handful of masks and a popcount, the counts of a word
+// equal to c are one such mask, and a count below 2^planes costs `planes`
+// bits.
 // An aligned block of a power-of-two size below 64 lies inside one word,
 // and a larger one covers whole words.
 #pragma once
@@ -84,19 +86,10 @@ class SlicedCounts {
     return false;
   }
 
-  /// Whether some count of the aligned block is not zero.
-  [[nodiscard]] bool any_nonzero(std::size_t first, std::size_t len) const {
-    bool any = false;
-    for_words(first, len, [&](std::size_t w, u64 mask) {
-      const u64* plane = words_.data() + w * planes_;
-      for (u32 k = 0; k < planes_; ++k) any = any || (plane[k] & mask) != 0;
-    });
-    return any;
-  }
-
-  /// Bit k of counts 64·w .. 64·w + 63, bit i for count 64·w + i.
-  [[nodiscard]] u64 plane(std::size_t w, u32 k) const {
-    return words_[w * planes_ + k];
+  /// Of counts 64·w .. 64·w + 63, those equal to `value`, as bits: bit i
+  /// for count 64·w + i.
+  [[nodiscard]] u64 equal_bits(std::size_t w, u32 value) const {
+    return equal_mask(w, ~u64{0}, value);
   }
 
   [[nodiscard]] u32 at(std::size_t i) const {

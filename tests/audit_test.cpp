@@ -236,7 +236,8 @@ TEST(AuditSession, BuddyChurnHoldsR2OnEveryKind) {
       EXPECT_EQ(unit.open_capacity_refusals, 0u) << min::kind_name(kind);
       EXPECT_EQ(full.open_capacity_refusals, 0u) << min::kind_name(kind);
       EXPECT_GT(full.shared, 0u) << min::kind_name(kind);
-      // A port is covered at most twice (RegionBook::kMaxCover).
+      // A port is covered at most twice: full dilation's narrowest
+      // interstage level has two channels, the manager's cover limit.
       EXPECT_LE(full.peak_load, 2u) << min::kind_name(kind);
       if (unit.shared == 0) {
         EXPECT_LE(unit.peak_load, 1u) << min::kind_name(kind);
@@ -281,6 +282,38 @@ TEST(AuditSession, R2ViolationsFire) {
   EXPECT_NO_THROW(audit::check_session_manager(first_fit));
   (void)wide.fail_link(1, 0);
   EXPECT_NO_THROW(audit::check_session_manager(shared));
+}
+
+TEST(AuditSession, CapacityRefusalWithinTheCoverLimitFires) {
+  // A cube of two channels a link: the manager's cover limit is 2, within
+  // the narrowest capacity, so the cover bound vouches for every window it
+  // places, shared or not. A first open takes [0, 64) with ports 0-32; a
+  // second finds no free block and shares [36, 40).
+  const u32 n = 6;
+  conf::DirectConferenceNetwork net(min::Kind::kIndirectCube, n,
+                                    conf::DilationProfile::uniform(n, 2));
+  conf::SessionManager mgr(net, conf::PlacementPolicy::kBuddy);
+  util::Rng rng(3);
+  ASSERT_EQ(mgr.open(33, rng).first, conf::OpenResult::kAccepted);
+  ASSERT_EQ(mgr.open(3, rng).first, conf::OpenResult::kAccepted);
+  ASSERT_EQ(mgr.stats().shared, 1u);
+  EXPECT_NO_THROW(audit::check_session_manager(mgr));
+
+  // Behind the manager's back, as a placement bug would, three conferences
+  // on free ports meet on one level-2 link: sources 48, 49 and 50 (one
+  // in-window, the block [48, 52)) each reach a port of residue 0 mod 4.
+  // The third is refused for link capacity, which under the limit no
+  // window may meet, though the manager did share a region.
+  for (u32 p : {44u, 48u, 49u, 50u, 56u, 60u})
+    ASSERT_FALSE(mgr.placer().occupied(p)) << p;
+  ASSERT_TRUE(net.setup({48, 56}));
+  ASSERT_TRUE(net.setup({49, 60}));
+  ASSERT_FALSE(net.setup({44, 50}));
+  ASSERT_EQ(net.last_error(), conf::SetupError::kLinkCapacity);
+  const std::string refused = audit_failure(
+      [&] { audit::check_session_manager(mgr); }, "session");
+  EXPECT_NE(refused.find("within the cover limit"), std::string::npos)
+      << refused;
 }
 
 // --------------------------------------------------------------- waitqueue

@@ -1,14 +1,16 @@
 // The cover bound under buddy churn: R2 generalized from "disjoint aligned
 // blocks share no link" to "a link carries at most as many conferences as
 // there are enclosing blocks holding its crossing port". A buddy open that
-// finds no free aligned block shares the smallest region with room whose
-// ports are covered at most once (SessionManager::open's shared step), so
-// the churn here runs past its aligned blocks on purpose. Two managers, one per placer backend, run the
-// same script on twin fabrics; after every step the suite checks
+// finds no free aligned block shares the smallest region with room none of
+// whose ports is covered L times, L = min(d, 4) but at least 2 on a fabric
+// of d channels a link (SessionManager::open's shared step), so the churn
+// here runs past its aligned blocks on purpose. Two managers, one per
+// placer backend, run the same script on twin fabrics; after every step
+// the suite checks
 //  * every conference lies in the region its placer recorded, and both
 //    backends hold identical ports, regions and covers;
 //  * the placer's per-port cover equals a recount of the live regions,
-//    and no port is covered more than RegionBook::kMaxCover times;
+//    and no port is covered more than L times;
 //  * every interstage load, recounted from the realizations, is at most
 //    the cover of its link's crossing port;
 //  * a fabric in R2 mode stays in it through a step that starts with no
@@ -79,9 +81,11 @@ void check_state(const SessionManager& m, const std::vector<u32>& live,
     const Region block = enclosing(members);
     for (u32 p = block.base; p < block.end(); ++p) ++block_cover[p];
   }
+  const u32 limit = std::clamp(net.narrowest_channels(), u32{2},
+                               RegionBook::kMaxCover);
   for (u32 p = 0; p < N; ++p) {
     ASSERT_EQ(placer.cover(p), region_cover[p]) << where << " port " << p;
-    ASSERT_LE(region_cover[p], RegionBook::kMaxCover) << where << " port " << p;
+    ASSERT_LE(region_cover[p], limit) << where << " port " << p;
   }
   // The oracle: every group's realization, derived statelessly.
   std::vector<u32> load(std::size_t{N} * n, 0);
@@ -101,9 +105,16 @@ void check_state(const SessionManager& m, const std::vector<u32>& live,
   }
 }
 
+/// What a churn reached: the opens admitted on a shared region and the
+/// highest port cover.
+struct Reached {
+  u64 shared = 0;
+  u32 peak_cover = 0;
+};
+
 /// Seeded open/join/leave/close churn that outgrows its aligned blocks;
-/// adds the opens admitted on a shared region to `shared`.
-void churn(const Design& design, u64 seed, u64& shared) {
+/// adds what it reached to `reached`.
+void churn(const Design& design, u64 seed, Reached& reached) {
   const u32 n = design.n;
   const u32 N = u32{1} << n;
   const auto fast_net = build(design, n);
@@ -154,8 +165,10 @@ void churn(const Design& design, u64 seed, u64& shared) {
     check_state(fast, live, where);
     check_state(ref, live, where);
     if (::testing::Test::HasFatalFailure()) return;
+    reached.peak_cover =
+        std::max(reached.peak_cover, peak_cover(fast.placer(), N));
   }
-  shared += fast.stats().shared;
+  reached.shared += fast.stats().shared;
 }
 
 TEST(CoverBound, BuddyChurnSharesWithinTheBoundOnEveryDesign) {
@@ -167,20 +180,38 @@ TEST(CoverBound, BuddyChurnSharesWithinTheBoundOnEveryDesign) {
                             {"cube d=2 n=9", 2, false, 9, 150}};
   u64 seed = 3;
   for (const Design& d : designs) {
-    u64 shared = 0;
-    for (int rep = 0; rep < 3; ++rep) churn(d, seed++, shared);
+    Reached reached;
+    for (int rep = 0; rep < 3; ++rep) churn(d, seed++, reached);
     // The churn reached the shared step, and the fabric admitted some of
     // it (at one channel only where the shared links happen to miss).
-    EXPECT_GT(shared, 0u) << d.name;
+    EXPECT_GT(reached.shared, 0u) << d.name;
   }
 }
 
-TEST(CoverBound, SharedRegionsReturnToTheBuddyAllocatorWhenUncovered) {
+TEST(CoverBound, SharedCoverReachesTheChannelCount) {
+  // With d channels a link the shared step covers a port up to min(d, 4)
+  // times, and the fabric, whose cover bound vouches for every such
+  // window, never leaves R2 mode (the churn asserts it at every step).
+  const Design designs[] = {{"cube d=3", 3, false},
+                            {"cube d=4", 4, false},
+                            {"cube d=8", 8, false},
+                            {"cube d=4 n=9", 4, false, 9, 150}};
+  u64 seed = 40;
+  for (const Design& d : designs) {
+    Reached reached;
+    for (int rep = 0; rep < 3; ++rep) churn(d, seed++, reached);
+    EXPECT_GT(reached.shared, 0u) << d.name;
+    EXPECT_EQ(reached.peak_cover, std::min(d.dilation, RegionBook::kMaxCover))
+        << d.name;
+  }
+}
+
+TEST(CoverBound, SharedRegionsReturnToTheFreeSpaceWhenUncovered) {
   // n = 3: a size-5 conference takes the whole [0, 8), so a size-3 open
   // finds no free block of four and shares the smallest region with room:
-  // [4, 8), where ports 5-7 are free. Closing the first
-  // conference returns [0, 4), which no region covers any more, to the
-  // allocator; closing both returns everything.
+  // [4, 8), where ports 5-7 are free. Closing the first conference returns
+  // [0, 4), which no region covers any more, to the buddy free space;
+  // closing both returns everything.
   DirectConferenceNetwork net(Kind::kIndirectCube, 3,
                               DilationProfile::uniform(3, 2));
   for (const PlacerBackend backend :

@@ -198,16 +198,18 @@ TEST(Placement, SizeValidation) {
 }
 
 // Golden buddy churn: opens (with the shared step once no aligned block
-// is free), joins, leaves and closes at n = 6 and n = 10 on both backends.
-// The fingerprint folds in every returned port set and every member's
-// region, so it pins which block each buddy open takes.
+// is free, under cover limit `limit`), joins, leaves and closes at n = 6
+// and n = 10 on both backends. The fingerprint folds in every returned
+// port set and every member's region, so it pins which block each buddy
+// open takes.
 struct ChurnPrint {
   u64 hash = 0xcbf29ce484222325ull;
   u32 shared = 0;
+  u32 peak_cover = 0;
   void mix(u64 x) { hash = (hash ^ x) * 0x100000001b3ull; }
 };
 
-ChurnPrint buddy_churn(u32 n, PlacerBackend backend) {
+ChurnPrint buddy_churn(u32 n, PlacerBackend backend, u32 limit) {
   const auto placer = make_placer(n, PlacementPolicy::kBuddy, backend);
   util::Rng rng(n);
   util::Rng script(0x60d + n);
@@ -228,9 +230,12 @@ ChurnPrint buddy_churn(u32 n, PlacerBackend backend) {
       const u32 size = 2 + static_cast<u32>(script.below(max_size - 1));
       if (placer->place_into(size, rng, ports)) {
         print.mix(1);
-      } else if (placer->place_shared_into(size, ports)) {
+      } else if (placer->place_shared_into(size, limit, ports)) {
         print.mix(2);
         ++print.shared;
+        const Region region = placer->region_of(ports.front());
+        for (u32 p = region.base; p < region.end(); ++p)
+          print.peak_cover = std::max(print.peak_cover, placer->cover(p));
       } else {
         print.mix(3);
         continue;
@@ -271,8 +276,22 @@ TEST(BuddyGolden, ChurnFingerprintIsPinned) {
                                  {10, 0x1f39ed0962972ed3ull}}) {
     for (const auto backend :
          {PlacerBackend::kFast, PlacerBackend::kReference}) {
-      const ChurnPrint print = buddy_churn(n, backend);
+      const ChurnPrint print = buddy_churn(n, backend, 2);
       EXPECT_GT(print.shared, 0u) << "n=" << n;
+      EXPECT_EQ(print.hash, want) << "n=" << n;
+    }
+  }
+}
+
+TEST(BuddyGolden, FourDeepChurnFingerprintIsPinned) {
+  // The same churn sharing up to four layers deep, as on a fabric of four
+  // channels a link.
+  for (const auto& [n, want] : {std::pair<u32, u64>{6, 0x28d35575d26f1da8ull},
+                                 {10, 0x3d1715cb9c9cf756ull}}) {
+    for (const auto backend :
+         {PlacerBackend::kFast, PlacerBackend::kReference}) {
+      const ChurnPrint print = buddy_churn(n, backend, 4);
+      EXPECT_EQ(print.peak_cover, 4u) << "n=" << n;
       EXPECT_EQ(print.hash, want) << "n=" << n;
     }
   }

@@ -196,6 +196,9 @@ class BothEnginesNetwork final : public conf::ConferenceNetworkBase {
     return inner_->members_for(handle);
   }
   Kind kind() const noexcept override { return inner_->kind(); }
+  u32 narrowest_channels() const noexcept override {
+    return inner_->narrowest_channels();
+  }
 
  private:
   std::unique_ptr<conf::ConferenceNetworkBase> inner_;

@@ -6,6 +6,10 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "analysis/sim/replication.hpp"
 #include "min/windows.hpp"
@@ -129,6 +133,110 @@ TEST(Teletraffic, BaselineAtUnitDilationDoesCapacityBlockEvenBuddy) {
     const TeletrafficResult r = run_teletraffic(net, c);
     EXPECT_GT(r.stats.blocked_capacity, 0u) << min::kind_name(kind);
   }
+}
+
+/// A decorator that forwards every virtual of the design interface except
+/// narrowest_channels(), as a timing or tracing wrapper written before
+/// that accessor would: the session layer then reads the base default.
+class ForwardingNetwork final : public conf::ConferenceNetworkBase {
+ public:
+  explicit ForwardingNetwork(conf::ConferenceNetworkBase& inner)
+      : inner_(inner) {}
+
+  u32 n() const noexcept override { return inner_.n(); }
+  std::string name() const override { return inner_.name(); }
+  std::optional<u32> setup(const std::vector<u32>& members) override {
+    return inner_.setup(members);
+  }
+  conf::SetupError last_error() const noexcept override {
+    return inner_.last_error();
+  }
+  void teardown(u32 handle) override { inner_.teardown(handle); }
+  u32 active_count() const noexcept override { return inner_.active_count(); }
+  bool verify_delivery() const override { return inner_.verify_delivery(); }
+  bool verify_delivery_reference() const override {
+    return inner_.verify_delivery_reference();
+  }
+  u32 stages_for(u32 handle) const override {
+    return inner_.stages_for(handle);
+  }
+  bool add_member(u32 handle, u32 port) override {
+    return inner_.add_member(handle, port);
+  }
+  bool remove_member(u32 handle, u32 port) override {
+    return inner_.remove_member(handle, port);
+  }
+  const std::vector<u32>& members_for(u32 handle) const override {
+    return inner_.members_for(handle);
+  }
+  Kind kind() const noexcept override { return inner_.kind(); }
+  bool supports_faults() const noexcept override {
+    return inner_.supports_faults();
+  }
+  std::vector<u32> fail_link(u32 level, u32 row) override {
+    return inner_.fail_link(level, row);
+  }
+  std::vector<u32> repair_link(u32 level, u32 row) override {
+    return inner_.repair_link(level, row);
+  }
+  bool link_faulty(u32 level, u32 row) const override {
+    return inner_.link_faulty(level, row);
+  }
+  const min::FaultSet* faults() const noexcept override {
+    return inner_.faults();
+  }
+  bool conference_survives(u32 handle) const override {
+    return inner_.conference_survives(handle);
+  }
+
+ private:
+  conf::ConferenceNetworkBase& inner_;
+};
+
+TEST(Teletraffic, ForwardingDecoratorSharesAsDeepAsTheBareFabric) {
+  // A buddy DES on a 1024-port cube of four channels a link, with joins,
+  // leaves and delivery checks. The decorator does not state its channels,
+  // so its session layer shares to the deepest cover, four; the bare
+  // fabric states four. The runs are identical, and share deeper, with
+  // less blocking, than a fabric of two channels.
+  TeletrafficConfig c;
+  c.traffic.arrival_rate = 40.0;
+  c.traffic.mean_holding = 2.0;
+  c.traffic.min_size = 2;
+  c.traffic.max_size = 16;
+  c.policy = PlacementPolicy::kBuddy;
+  c.duration = 100.0;
+  c.warmup = 20.0;
+  c.seed = 5;
+  c.verify_functional = true;
+  c.verify_interval = 0.5;
+  c.membership_churn = true;
+  const auto cube = [](u32 d) {
+    return DirectConferenceNetwork(Kind::kIndirectCube, 10,
+                                   DilationProfile::uniform(10, d));
+  };
+  DirectConferenceNetwork bare = cube(4);
+  DirectConferenceNetwork inner = cube(4);
+  ForwardingNetwork forwarded(inner);
+  DirectConferenceNetwork two = cube(2);
+  ASSERT_EQ(bare.narrowest_channels(), 4u);
+  ASSERT_EQ(forwarded.narrowest_channels(), std::numeric_limits<u32>::max());
+  const TeletrafficResult a = run_teletraffic(bare, c);
+  const TeletrafficResult b = run_teletraffic(forwarded, c);
+  const TeletrafficResult narrow = run_teletraffic(two, c);
+  EXPECT_EQ(a.stats, b.stats);
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.joins, b.joins);
+  EXPECT_EQ(a.joins_blocked, b.joins_blocked);
+  EXPECT_EQ(a.leaves, b.leaves);
+  EXPECT_EQ(a.functional_checks, b.functional_checks);
+  EXPECT_EQ(a.blocking_probability, b.blocking_probability);
+  EXPECT_EQ(a.mean_busy_ports, b.mean_busy_ports);
+  EXPECT_EQ(a.mean_active_sessions, b.mean_active_sessions);
+  EXPECT_TRUE(a.functional_ok && b.functional_ok);
+  EXPECT_TRUE(inner.fabric().r2_mode());
+  EXPECT_GT(a.stats.shared, narrow.stats.shared);
+  EXPECT_LT(a.blocking_probability, narrow.blocking_probability);
 }
 
 TEST(Teletraffic, FunctionalVerificationDuringChurn) {

@@ -173,55 +173,67 @@ TEST(DynBitset, Clear) {
   EXPECT_TRUE(b.none());
 }
 
-TEST(SlicedCounts, AlignedStepsMatchAPlainCountModel) {
-  // 256 counts in two planes (0..3), moved by random aligned blocks of 1
-  // to 256 that keep every count in range; every query is checked against
-  // a plain vector after each step.
+/// `planes`-bit counts (0 .. 2^planes - 1), 256 of them, moved by random
+/// aligned blocks of 1 to 256 that keep every count in range; every query
+/// is checked against a plain vector after each step.
+void check_against_count_model(u32 planes) {
   constexpr std::size_t kSize = 256;
-  SlicedCounts counts(kSize, 2);
+  const u32 top = (u32{1} << planes) - 1;
+  SlicedCounts counts(kSize, planes);
   std::vector<u32> model(kSize, 0);
   Rng rng(5);
+  u32 peak = 0;
   for (int step = 0; step < 2000; ++step) {
     const auto order = static_cast<u32>(rng.below(9));
     const std::size_t len = std::size_t{1} << order;
     const std::size_t first = rng.below(kSize >> order) << order;
     const auto lo = model.begin() + static_cast<std::ptrdiff_t>(first);
     const auto hi = lo + static_cast<std::ptrdiff_t>(len);
-    const bool add = *std::max_element(lo, hi) < 3 &&
+    const bool add = *std::max_element(lo, hi) < top &&
                      (*std::min_element(lo, hi) == 0 || rng.below(2) == 0);
     if (!add && *std::min_element(lo, hi) == 0) continue;
     counts.step(first, len, add);
     for (auto it = lo; it != hi; ++it) *it += add ? 1 : -1;
-    for (u32 value = 0; value < 5; ++value) {
+    peak = std::max(peak, *std::max_element(lo, hi));
+    for (u32 value = 0; value <= top + 1; ++value) {
       const auto expected = static_cast<std::size_t>(
           std::count(lo, hi, value));
       ASSERT_EQ(counts.count_equal(first, len, value), expected) << step;
       ASSERT_EQ(counts.any_equal(first, len, value), expected != 0) << step;
     }
-    ASSERT_EQ(counts.any_nonzero(first, len),
-              std::any_of(lo, hi, [](u32 c) { return c != 0; }))
-        << step;
     for (std::size_t i = 0; i < kSize; ++i) ASSERT_EQ(counts.at(i), model[i]);
-    for (u32 value = 0; value < 5; ++value)
+    for (u32 value = 0; value <= top + 1; ++value)
       ASSERT_EQ(counts.any_above(value),
                 std::any_of(model.begin(), model.end(),
                             [&](u32 c) { return c > value; }))
           << step;
     for (std::size_t w = 0; w < kSize / 64; ++w) {
-      for (u32 k = 0; k < 2; ++k) {
+      for (u32 value = 0; value <= top + 1; ++value) {
         u64 bits = 0;
         for (std::size_t i = 0; i < 64; ++i)
-          bits |= u64{(model[w * 64 + i] >> k) & 1u} << i;
-        ASSERT_EQ(counts.plane(w, k), bits) << step;
+          bits |= u64{model[w * 64 + i] == value} << i;
+        ASSERT_EQ(counts.equal_bits(w, value), bits) << step;
       }
     }
   }
+  EXPECT_EQ(peak, top);
   EXPECT_EQ(counts.all_zero(),
             std::all_of(model.begin(), model.end(),
                         [](u32 c) { return c == 0; }));
   counts.clear();
   EXPECT_TRUE(counts.all_zero());
   EXPECT_EQ(counts.count_equal(0, kSize, 0), kSize);
+  EXPECT_EQ(counts.equal_bits(0, 0), ~u64{0});
+}
+
+TEST(SlicedCounts, AlignedStepsMatchAPlainCountModel) {
+  check_against_count_model(2);
+}
+
+TEST(SlicedCounts, ThreePlanesHoldTheBuddyCoverUpToSeven) {
+  // The region book's planes: covers 0 .. 4 and beyond, each word's
+  // "equal to c" read at every c.
+  check_against_count_model(3);
 }
 
 }  // namespace
