@@ -90,7 +90,7 @@ void emit_tables() {
   bench::print_header(
       "E14", "admission fast path (hierarchical bitmap port index)",
       "Does the bitmap port index admit sessions faster than the "
-      "scan/sorted-vector placer while producing identical outcomes?");
+      "reference scan placer while producing identical outcomes?");
 
   util::Table t("steady-state admission churn, N=1024 "
                 "(fill to blocking with small conferences, then 4096 oldest-out/new-in cycles; "

@@ -110,8 +110,17 @@ std::optional<Region> PortPlacer::free_block(u32 order) const {
       for (u32 w = words; w-- > 0;) {
         const std::uint64_t bits = uncovered(w);
         if (util::popcount(bits) < width) continue;
-        for (u32 shift = 64; shift != 0;) {
-          shift -= width;
+        // A wholly uncovered word's fields are whole, and so are their
+        // buddies.
+        if (bits == ~std::uint64_t{0}) {
+          any = true;
+          continue;
+        }
+        // The fields holding an uncovered port, highest first.
+        for (std::uint64_t left = bits; left != 0;) {
+          const u32 shift = (63 - static_cast<u32>(std::countl_zero(left))) &
+                            ~(width - 1);
+          left &= (std::uint64_t{1} << shift) - 1;
           if (count(bits, shift) != width) continue;
           any = true;
           if (o == n_ || count(bits, shift ^ width) != width)
