@@ -98,7 +98,9 @@ std::optional<Region> PortPlacer::free_block(u32 order) const {
   const std::uint64_t in_range = taken_.size() < 64
                                      ? (std::uint64_t{1} << taken_.size()) - 1
                                      : ~std::uint64_t{0};
-  const auto uncovered = [&](u32 w) { return book_.cover_bits(w, 0) & in_range; };
+  const auto uncovered = [&](u32 w) {
+    return book_.cover_bits(w, 0) & in_range;
+  };
   for (u32 o = order; o <= n_; ++o) {
     const u32 width = u32{1} << o;
     bool any = false;
@@ -130,9 +132,10 @@ std::optional<Region> PortPlacer::free_block(u32 order) const {
     } else {
       const u32 span = width / 64;
       const auto whole = [&](u32 first) {
-        u32 n = 0;
-        for (u32 w = first; w < first + span; ++w) n += util::popcount(uncovered(w));
-        return n == width;
+        u32 count = 0;
+        for (u32 w = first; w < first + span; ++w)
+          count += util::popcount(uncovered(w));
+        return count == width;
       };
       for (u32 first = words; first != 0;) {
         first -= span;
