@@ -132,10 +132,7 @@ std::optional<Region> PortPlacer::free_block(u32 order) const {
     } else {
       const u32 span = width / 64;
       const auto whole = [&](u32 first) {
-        u32 count = 0;
-        for (u32 w = first; w < first + span; ++w)
-          count += util::popcount(uncovered(w));
-        return count == width;
+        return book_.uncovered_in({first * 64, o}) == width;
       };
       for (u32 first = words; first != 0;) {
         first -= span;
