@@ -17,8 +17,8 @@
 // regions already cover, the smallest one with room none of whose ports is
 // covered L times, on the region's least-covered free ports first. L, the
 // cover limit, is the fabric's narrowest interstage channel count clamped
-// to 2 .. RegionBook::kMaxCover = 4, so no port is covered more than L
-// times. DESIGN.md's cover bound (R2 generalized) says why sharing is safe:
+// to 2 .. RegionBook::kMaxCover = 4 (2 on a kind without orthogonal
+// windows), so no port is covered more than L times. DESIGN.md's cover bound (R2 generalized) says why sharing is safe:
 // a link carries at most as many conferences as cover its crossing port,
 // so a fabric with d channels per link admits every group whose region's
 // cover stays <= d, and a buddy-placed fabric with d >= 2 never looks at a
