@@ -3,7 +3,7 @@
 // Two questions the single-fabric experiments cannot answer:
 //  (1) What does cross-shard setup cost? Intra-shard admission is one
 //      command round-trip on one shard; a spanning conference is a
-//      single-round optimistic claim (trunk mesh up front, one staged
+//      single-round optimistic claim (trunk tree up front, one staged
 //      concurrent leg burst). BM_ClusterIntraChurn vs BM_ClusterSpanChurn
 //      at matched churn volume is that ratio, per worker count.
 //  (2) How do trunk capacity and lane multiplexing shape cross-shard

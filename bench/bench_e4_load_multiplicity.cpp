@@ -7,7 +7,7 @@
 #include "analysis/conference/multiplicity.hpp"
 #include "analysis/util/thread_pool.hpp"
 #include "bench_common.hpp"
-#include "util/chart.hpp"
+#include "chart.hpp"
 
 namespace confnet {
 namespace {
@@ -79,7 +79,7 @@ void emit_tables() {
                         buddy.peak.mean());
   }
   std::cout << "Figure 4 (cube, N=256): mean peak link multiplicity\n"
-            << util::bar_chart(series) << '\n';
+            << bench::bar_chart(series) << '\n';
   std::cout << "Shape: random/first-fit placement climbs with g toward the "
                "sqrt(N) ceiling for\nevery topology; buddy placement stays "
                "at 1 for omega/cube/butterfly and grows\nonly for "

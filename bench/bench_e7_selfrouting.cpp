@@ -10,8 +10,8 @@
 #include "min/network.hpp"
 #include "min/selfroute.hpp"
 #include "min/windows.hpp"
+#include "timer.hpp"
 #include "util/rng.hpp"
-#include "util/timer.hpp"
 
 namespace confnet {
 namespace {
@@ -41,7 +41,7 @@ void emit_tables() {
         p = {static_cast<u32>(rng.below(net.size())),
              static_cast<u32>(rng.below(net.size()))};
 
-      util::Stopwatch sw;
+      bench::Stopwatch sw;
       u32 sink = 0;
       for (const auto& [s, d] : pairs)
         for (u32 l = 0; l <= n; ++l) sink ^= min::path_row(kind, n, s, d, l);

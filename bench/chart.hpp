@@ -1,16 +1,24 @@
-#include "util/chart.hpp"
+// ASCII bar charts: the bench binaries print figure-style series as
+// horizontal bars so the "figures" of EXPERIMENTS.md are readable straight
+// from a terminal capture.
+#pragma once
 
 #include <algorithm>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/stats.hpp"
 
-namespace confnet::util {
+namespace confnet::bench {
 
-std::string bar_chart(
+/// Render label/value pairs as left-aligned bars scaled to `width` columns.
+/// Non-negative values only; the longest bar spans the full width.
+[[nodiscard]] inline std::string bar_chart(
     const std::vector<std::pair<std::string, double>>& series,
-    std::size_t width) {
+    std::size_t width = 48) {
   expects(width >= 1, "bar chart needs positive width");
   double peak = 0.0;
   std::size_t label_width = 0;
@@ -27,10 +35,10 @@ std::string bar_chart(
                                        static_cast<double>(width))
             : std::size_t{0};
     os << "  " << label << std::string(label_width - label.size(), ' ')
-       << " |" << std::string(bars, '#') << ' ' << format_double(value)
+       << " |" << std::string(bars, '#') << ' ' << util::format_double(value)
        << '\n';
   }
   return os.str();
 }
 
-}  // namespace confnet::util
+}  // namespace confnet::bench

@@ -1,10 +1,10 @@
-// Wall-clock timing helpers for benches and examples.
+// Wall-clock timing helpers for the bench binaries.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 
-namespace confnet::util {
+namespace confnet::bench {
 
 /// Monotonic timestamp in nanoseconds.
 [[nodiscard]] inline std::int64_t now_ns() noexcept {
@@ -29,4 +29,4 @@ class Stopwatch {
   std::int64_t start_;
 };
 
-}  // namespace confnet::util
+}  // namespace confnet::bench

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <ranges>
 #include <utility>
 
 #include "conference/subnetwork.hpp"
@@ -119,7 +120,7 @@ OpenReport Cluster::open_span(const std::vector<LegSpec>& legs) {
   shards.reserve(sorted.size());
   for (const LegSpec& leg : sorted) shards.push_back(leg.shard);
 
-  // Optimistic claim — the trunk mesh is provisionally acquired before any
+  // Optimistic claim — the trunk tree is provisionally acquired before any
   // shard sees a command. An exhausted or faulty pair refuses the open
   // with zero coordination rounds (and zero rollback work: no leg ever
   // opened). The claim counts as a lane acquire even when a later leg
@@ -165,7 +166,7 @@ OpenReport Cluster::open_span(const std::vector<LegSpec>& legs) {
   pending_.clear();
   if (!all_granted) {
     // Settle — a shard refused its leg: close every granted leg and hand
-    // the provisional mesh back. The cluster is back to its pre-attempt
+    // the provisional tree back. The cluster is back to its pre-attempt
     // state (audited below) — zero residue.
     close_legs(granted, config_.shards);
     stats_.legs_rolled_back += granted.size();
@@ -248,15 +249,13 @@ std::vector<u64> Cluster::fail_trunk(u32 a, u32 b) {
   std::vector<u64> interrupted;
   if (!trunks_.fail_pair(a, b)) return interrupted;  // idempotent
   ++stats_.trunk_failures;
+  const u32 failed = trunks_.pair_index(a, b);
   for (const auto& entry : live_) {
-    if (!entry.second.spanning) continue;
-    bool has_a = false;
-    bool has_b = false;
-    for (const Leg& leg : entry.second.legs) {
-      has_a = has_a || leg.shard == a;
-      has_b = has_b || leg.shard == b;
-    }
-    if (has_a && has_b) interrupted.push_back(entry.first);
+    bool holds = false;
+    trunks_.for_each_tree_pair(
+        std::views::transform(entry.second.legs, &Leg::shard),
+        [&](u32 p) { holds = holds || p == failed; });
+    if (holds) interrupted.push_back(entry.first);
   }
   for (const u64 id : interrupted) tear_down(id, config_.shards);
   obs::trace_emit("cluster", "trunk_failed",
@@ -477,10 +476,9 @@ void check_cluster(const cluster::Cluster& c) {
     }
     if (conf.spanning) {
       ++live_spans;
-      for (std::size_t i = 0; i < conf.legs.size(); ++i)
-        for (std::size_t j = i + 1; j < conf.legs.size(); ++j)
-          ++recount[c.trunks_.pair_index(conf.legs[i].shard,
-                                         conf.legs[j].shard)];
+      c.trunks_.for_each_tree_pair(
+          std::views::transform(conf.legs, &cluster::Cluster::Leg::shard),
+          [&](u32 p) { ++recount[p]; });
     } else {
       require(conf.legs.front().members >= 2, kSub,
               "intra conference below the minimum size");

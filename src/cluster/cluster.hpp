@@ -6,8 +6,9 @@
 // plane (the runtime command path — the admission fast path). A conference
 // spanning shards is admitted by a single-round optimistic claim:
 //
-//   claim    — the trunk mesh (one sharer slot per touched-shard pair, all
-//              lanes multiplexed up to conferences_per_lane ways) is
+//   claim    — the trunk tree (one sharer slot per root-leaf pair of the
+//              touched shards' star, TrunkBook::for_each_tree_pair; lanes
+//              multiplexed up to conferences_per_lane ways) is
 //              acquired up front in the TrunkBook, all-or-nothing. An
 //              exhausted or faulty pair refuses the open before any shard
 //              sees a command — kBlockedTrunk costs zero coordination
@@ -19,7 +20,7 @@
 //              concurrently on their shards.
 //   settle   — if every leg was granted the conference is live. Any
 //              refusal (placement/capacity/fault) rolls back: granted legs
-//              are closed and the provisional mesh released — audited zero
+//              are closed and the provisional tree released — audited zero
 //              residue.
 //
 // Because the claim comes first, a request that both a trunk pair and a
@@ -29,8 +30,9 @@
 // cluster ids and leg session ids match step for step.
 //
 // Delivery model: each leg's local fan-in combines its member signals; the
-// relay port exports the combined signal onto the trunk mesh and injects
-// the union of the remote legs' exports into the local fabric, so
+// relay port exports the combined signal onto the trunk tree and injects
+// the union of the remote legs' exports into the local fabric (the root's
+// relay forwards to each leaf the sum of everyone else), so
 // every member hears exactly the global member set. cross_check() proves
 // that against a flattened single-fabric oracle: the same conferences
 // realized on one 2^(stages + log2 K) network must deliver identical
@@ -84,7 +86,7 @@ struct ClusterConfig {
 enum class Admit : std::uint8_t {
   kAccepted,
   kBlockedLocal,  // a shard refused its leg (placement/capacity/fault)
-  kBlockedTrunk,  // trunk mesh exhausted or faulty at claim time
+  kBlockedTrunk,  // trunk tree exhausted or faulty at claim time
 };
 
 /// One leg of an open request: `members` conference members on `shard`.
@@ -125,14 +127,14 @@ class Cluster {
   /// optimistic claim.
   [[nodiscard]] OpenReport open(const std::vector<LegSpec>& legs);
 
-  /// Close a live conference: close every leg, release its trunk mesh.
+  /// Close a live conference: close every leg, release its trunk tree.
   /// False when `id` is not live (already closed or interrupted).
   bool close(u64 id);
 
   // --- fault process (coordinator thread) ---------------------------------
 
   /// Fail the trunk between shards a and b. Every spanning conference
-  /// whose mesh crosses the pair is torn down (all legs closed, lanes
+  /// whose trunk tree holds the pair is torn down (all legs closed, lanes
   /// released) and reported interrupted; returns their ids. Idempotent.
   std::vector<u64> fail_trunk(u32 a, u32 b);
 
@@ -221,7 +223,7 @@ class Cluster {
   void close_legs(const std::vector<Leg>& legs, u32 skip_shard);
 
   /// Tear down a live conference (faults): close surviving legs, release
-  /// the trunk mesh, erase it. `dead_shard` names the shard whose leg
+  /// the trunk tree, erase it. `dead_shard` names the shard whose leg
   /// session is already gone (its close is skipped); pass shard >= K for
   /// none.
   void tear_down(u64 id, u32 dead_shard);

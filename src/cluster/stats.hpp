@@ -27,7 +27,7 @@ struct ClusterStats {
   u64 span_opens = 0;
   u64 span_accepted = 0;
   u64 span_blocked_local = 0;  // a shard refused its leg reservation
-  u64 span_blocked_trunk = 0;  // trunk mesh exhausted/faulty at commit
+  u64 span_blocked_trunk = 0;  // trunk tree exhausted/faulty at commit
   u64 span_closes = 0;
   u64 span_interrupted = 0;    // torn by a trunk or shard link fault
 

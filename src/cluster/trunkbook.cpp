@@ -31,54 +31,41 @@ bool TrunkBook::faulty(u32 a, u32 b) const {
   return faulty_[pair_index(a, b)];
 }
 
-bool TrunkBook::can_reserve_mesh(const std::vector<u32>& touched) const {
-  const u64 cap = static_cast<u64>(lanes_) * cpl_;
-  for (std::size_t i = 0; i < touched.size(); ++i) {
-    for (std::size_t j = i + 1; j < touched.size(); ++j) {
-      const u32 p = pair_index(touched[i], touched[j]);
-      if (faulty_[p] || sharers_[p] >= cap) return false;
-    }
-  }
-  return true;
-}
-
 bool TrunkBook::reserve_mesh(const std::vector<u32>& touched) {
-  if (!can_reserve_mesh(touched)) return false;
-  for (std::size_t i = 0; i < touched.size(); ++i) {
-    for (std::size_t j = i + 1; j < touched.size(); ++j) {
-      const u32 p = pair_index(touched[i], touched[j]);
-      ++sharers_[p];
-      ++sharer_total_;
-      // A fresh lane lights up only when the sharer count crosses a
-      // conferences_per_lane boundary; joiners ride the existing lane.
-      const u32 lanes_now = (sharers_[p] + cpl_ - 1) / cpl_;
-      if (lanes_now > used_[p]) {
-        used_[p] = lanes_now;
-        ++reserved_;
-        ++acquires_;
-        peak_ = std::max(peak_, used_[p]);
-      }
+  const u64 cap = static_cast<u64>(lanes_) * cpl_;
+  bool fits = true;
+  for_each_tree_pair(touched, [&](u32 p) {
+    fits = fits && !faulty_[p] && sharers_[p] < cap;
+  });
+  if (!fits) return false;
+  for_each_tree_pair(touched, [&](u32 p) {
+    ++sharers_[p];
+    ++sharer_total_;
+    // A fresh lane lights up only when the sharer count crosses a
+    // conferences_per_lane boundary; joiners ride the existing lane.
+    const u32 lanes_now = (sharers_[p] + cpl_ - 1) / cpl_;
+    if (lanes_now > used_[p]) {
+      used_[p] = lanes_now;
+      ++reserved_;
+      ++acquires_;
+      peak_ = std::max(peak_, used_[p]);
     }
-  }
+  });
   return true;
 }
 
 void TrunkBook::release_mesh(const std::vector<u32>& touched) {
-  for (std::size_t i = 0; i < touched.size(); ++i) {
-    for (std::size_t j = i + 1; j < touched.size(); ++j) {
-      const u32 p = pair_index(touched[i], touched[j]);
-      expects(sharers_[p] > 0 && sharer_total_ > 0,
-              "trunk lane double release");
-      --sharers_[p];
-      --sharer_total_;
-      const u32 lanes_now = (sharers_[p] + cpl_ - 1) / cpl_;
-      if (lanes_now < used_[p]) {
-        expects(reserved_ > 0, "trunk lane double release");
-        used_[p] = lanes_now;
-        --reserved_;
-      }
+  for_each_tree_pair(touched, [&](u32 p) {
+    expects(sharers_[p] > 0 && sharer_total_ > 0, "trunk lane double release");
+    --sharers_[p];
+    --sharer_total_;
+    const u32 lanes_now = (sharers_[p] + cpl_ - 1) / cpl_;
+    if (lanes_now < used_[p]) {
+      expects(reserved_ > 0, "trunk lane double release");
+      used_[p] = lanes_now;
+      --reserved_;
     }
-  }
+  });
 }
 
 bool TrunkBook::fail_pair(u32 a, u32 b) {

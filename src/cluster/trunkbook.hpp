@@ -1,14 +1,19 @@
 // Per-shard-pair trunk capacity accounting for the multi-fabric cluster.
 //
-// A spanning conference relays its combined signal over trunk lanes
-// between every pair of shards it touches (a full mesh over the touched
-// set). Lanes are multiplexed: each lane carries up to
+// A spanning conference relays its combined signal over a star of trunk
+// pairs: the root is touched[(sum of touched) mod k] and the tree holds the
+// k-1 root-leaf pairs, so k legs cost k-1 sharer slots, not the k(k-1)/2 of
+// a full mesh. The root's relay termination forwards to each leaf the sum
+// of everyone else, as a cascaded conference bridge does, so every member
+// still hears every other member. The star depends only on the touched set,
+// and for_each_tree_pair is the one definition of the pairs a span holds.
+// Lanes are multiplexed: each lane carries up to
 // `conferences_per_lane` spanning conferences (mixer-multiplexing — the
 // relay mixers time-share the lane), so a pair with L lanes admits up to
 // L * conferences_per_lane sharers. The TrunkBook is the ledger for that
 // sharing: per-pair sharer refcounts, derived lanes-in-use
 // (ceil(sharers / conferences_per_lane)), fault state, and the
-// all-or-nothing mesh reserve/release the cluster's admission commits
+// all-or-nothing tree reserve/release the cluster's admission commits
 // against. It never touches the shard fabrics — lanes are pure
 // accounting, which is what lets trunk reservation be the atomic commit
 // point of cross-shard setup.
@@ -18,6 +23,7 @@
 // owner for the `cluster-owner` static check.
 #pragma once
 
+#include <ranges>
 #include <vector>
 
 #include "min/types.hpp"
@@ -49,25 +55,36 @@ class TrunkBook {
   [[nodiscard]] u32 sharers(u32 a, u32 b) const;
   [[nodiscard]] bool faulty(u32 a, u32 b) const;
 
-  /// Whether one sharer slot on every pair of `touched` (sorted, distinct
-  /// shard ids) could be reserved right now: headroom on every pair and no
-  /// live pair fault. False guarantees reserve_mesh would refuse.
-  [[nodiscard]] bool can_reserve_mesh(const std::vector<u32>& touched) const;
+  /// Call `fn(pair_index)` for each pair of the trunk star over `touched`
+  /// (any sized random-access range of sorted, distinct shard ids): one
+  /// root-leaf pair per leaf, rooted at touched[(sum of touched) mod k].
+  /// Allocation-free; reserve, release, the cluster's trunk-fault victim
+  /// test and its audit recount all walk the same pairs.
+  template <class Shards, class Fn>
+  void for_each_tree_pair(const Shards& touched, Fn&& fn) const {
+    const auto k = static_cast<u32>(std::ranges::size(touched));
+    if (k < 2) return;  // a single leg holds no trunk
+    u32 sum = 0;
+    for (const u32 s : touched) sum += s;
+    const u32 root = std::ranges::begin(touched)[sum % k];
+    for (const u32 s : touched)
+      if (s != root) fn(pair_index(root, s));
+  }
 
-  /// Reserve one sharer slot on every pair of `touched`, all-or-nothing:
-  /// on any exhausted or faulty pair nothing is reserved and false
-  /// returns. A fresh lane is charged only when the sharer count crosses a
-  /// conferences_per_lane boundary.
+  /// Reserve one sharer slot on every tree pair of `touched` (sorted,
+  /// distinct shard ids), all-or-nothing: on any exhausted or faulty pair
+  /// nothing is reserved and false returns. A fresh lane is charged only
+  /// when the sharer count crosses a conferences_per_lane boundary.
   [[nodiscard]] bool reserve_mesh(const std::vector<u32>& touched);
 
-  /// Release a mesh previously reserved for `touched`.
+  /// Release the tree previously reserved for `touched`.
   void release_mesh(const std::vector<u32>& touched);
 
   /// Fail / repair the trunk between shards a and b. Both are idempotent;
   /// the return reports whether the state changed. Failing a pair does not
-  /// release sharer slots — the cluster tears down *all* spanning
-  /// conferences multiplexed onto the pair's lanes and their releases
-  /// restore the count.
+  /// release sharer slots — the cluster tears down every spanning
+  /// conference whose tree holds the pair, and their releases restore the
+  /// count.
   bool fail_pair(u32 a, u32 b);
   bool repair_pair(u32 a, u32 b);
 

@@ -208,7 +208,7 @@ void check_fabric_network(const conf::FabricConferenceNetwork& net);
 
 /// Cluster conservation law: admission counters cohere with the live
 /// conference table (check_cluster_stats), the trunk ledger equals a
-/// recount of the live spanning meshes (check_trunk_accounts), and every
+/// recount of the live spanning trees (check_trunk_accounts), and every
 /// live conference is well-formed (legs on distinct in-range shards,
 /// ascending; spanning iff more than one leg). Reads only coordinator-owned
 /// state — safe to run inside any cluster mutation.

@@ -3,10 +3,12 @@
 // accounting, exhaustion at the conferences_per_lane boundary), intra- and
 // cross-shard admission through the single-round optimistic claim (trunk
 // exhaustion refuses before any shard command; a leg refusal rolls the
-// provisional mesh back with zero residue, audit-verified), randomized
+// provisional trunk tree back with zero residue, audit-verified), the
+// trunk star a span holds (k-1 root-leaf pairs), randomized
 // step-by-step equivalence of the span protocol against a serial model of
 // the cluster, fault interruption over trunks and shard
-// links (fail_pair tears down every lane sharer), worker-count determinism
+// links (fail_pair tears down every span whose tree holds the pair),
+// worker-count determinism
 // of the whole cluster, multi-seed delivery equivalence against the
 // flattened single-fabric oracle (cross_check), and the cluster
 // teletraffic driver's determinism and conservation accounting.
@@ -91,13 +93,13 @@ TEST(TrunkBook, MeshReserveIsAllOrNothing) {
   EXPECT_FALSE(book.reserve_mesh({0, 1, 2}));
   EXPECT_EQ(book.used(0, 2), 0u);
   EXPECT_EQ(book.used(1, 2), 0u);
-  // A mesh avoiding the busy pair still fits.
+  // A tree avoiding the busy pair still fits.
   ASSERT_TRUE(book.reserve_mesh({0, 2}));
   book.release_mesh({0, 1});
   book.release_mesh({0, 2});
   EXPECT_EQ(book.reserved_total(), 0u);
   EXPECT_EQ(book.lane_acquires(), 2u)
-      << "the refused mesh must not count acquisitions";
+      << "the refused tree must not count acquisitions";
 
   ASSERT_TRUE(book.fail_pair(1, 2));
   EXPECT_FALSE(book.fail_pair(1, 2)) << "fail_pair must be idempotent";
@@ -150,6 +152,63 @@ TEST(TrunkBook, ExhaustionAtTheConferencesPerLaneBoundary) {
       << "a released sharer slot must be reusable";
 }
 
+TEST(TrunkBook, TreesOmitDistinctPairs) {
+  // K = 4: each 3-shard set leaves exactly one of its three pairs out, and
+  // the sum rule picks a different omitted pair for each set.
+  {
+    const cl::TrunkBook book(4, 1);
+    const std::vector<std::vector<u32>> sets = {
+        {0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}};
+    std::vector<u32> omitted;
+    for (const auto& set : sets) {
+      std::vector<u32> held;
+      book.for_each_tree_pair(set, [&](u32 p) { held.push_back(p); });
+      ASSERT_EQ(held.size(), 2u);
+      for (std::size_t i = 0; i < set.size(); ++i)
+        for (std::size_t j = i + 1; j < set.size(); ++j) {
+          const u32 p = book.pair_index(set[i], set[j]);
+          if (std::find(held.begin(), held.end(), p) == held.end())
+            omitted.push_back(p);
+        }
+    }
+    ASSERT_EQ(omitted.size(), 4u);
+    std::sort(omitted.begin(), omitted.end());
+    EXPECT_EQ(std::adjacent_find(omitted.begin(), omitted.end()),
+              omitted.end())
+        << "two 3-shard trees leave out the same pair";
+  }
+  // K = 8: every subset of two or more shards holds exactly k-1 distinct
+  // pairs, each joining its root to one leaf, and the root is
+  // touched[(sum of touched) mod k].
+  const u32 kShards = 8;
+  const cl::TrunkBook book(kShards, 1);
+  std::vector<std::pair<u32, u32>> ends(book.pair_count());
+  for (u32 a = 0; a < kShards; ++a)
+    for (u32 b = a + 1; b < kShards; ++b) ends[book.pair_index(a, b)] = {a, b};
+  for (u32 mask = 0; mask < (1u << kShards); ++mask) {
+    std::vector<u32> touched;
+    u32 sum = 0;
+    for (u32 s = 0; s < kShards; ++s)
+      if (mask & (1u << s)) {
+        touched.push_back(s);
+        sum += s;
+      }
+    if (touched.size() < 2) continue;
+    SCOPED_TRACE(mask);
+    const u32 root = touched[sum % touched.size()];
+    std::vector<u32> leaves;
+    book.for_each_tree_pair(touched, [&](u32 p) {
+      const auto [a, b] = ends[p];
+      ASSERT_TRUE(a == root || b == root) << "pair misses the root";
+      leaves.push_back(a == root ? b : a);
+    });
+    std::vector<u32> want;
+    for (const u32 s : touched)
+      if (s != root) want.push_back(s);
+    EXPECT_EQ(leaves, want) << "tree must join the root to each leaf once";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Admission: intra, spanning, and the refusal/rollback paths of the
 // single-round claim/open/settle protocol.
@@ -172,16 +231,19 @@ TEST(Cluster, IntraOpenCloseRoundTrip) {
   c.stop();
 }
 
-TEST(Cluster, SpanningConferenceReservesItsTrunkMesh) {
+TEST(Cluster, SpanningConferenceReservesItsTrunkTree) {
   cl::Cluster c(small_config());
   c.start();
+  // Touched {0,1,3}: sum 4, k 3, so the star is rooted at touched[1] = 1.
   const auto r = c.open(span({{0, 2}, {1, 1}, {3, 2}}));
   ASSERT_EQ(r.result, cl::Admit::kAccepted);
   EXPECT_EQ(c.active_spans(), 1u);
   EXPECT_EQ(c.trunks().used(0, 1), 1u);
-  EXPECT_EQ(c.trunks().used(0, 3), 1u);
   EXPECT_EQ(c.trunks().used(1, 3), 1u);
+  EXPECT_EQ(c.trunks().used(0, 3), 0u)
+      << "k legs hold k-1 root-leaf pairs, not a full mesh";
   EXPECT_EQ(c.trunks().used(1, 2), 0u);
+  EXPECT_EQ(c.trunks().sharers_total(), 2u);
   EXPECT_EQ(c.stats().legs_reserved, 3u);
   EXPECT_NO_THROW(c.cross_check());
   EXPECT_TRUE(c.close(r.id));
@@ -215,7 +277,7 @@ TEST(Cluster, TrunkExhaustionRefusesBeforeAnyShardCommand) {
   EXPECT_NO_THROW(audit::check_cluster(c));
   EXPECT_NO_THROW(c.cross_check());
 
-  // A mesh over a free pair still commits.
+  // A tree over a free pair still commits.
   EXPECT_EQ(c.open(span({{2, 2}, {3, 2}})).result, cl::Admit::kAccepted);
   c.stop();
 }
@@ -298,11 +360,34 @@ TEST(Cluster, TrunkFaultTearsDownCrossingSpansOnly) {
   EXPECT_TRUE(c.fail_trunk(0, 1).empty()) << "failing twice must be a no-op";
   EXPECT_NO_THROW(c.cross_check());
 
-  // While faulty, a mesh over the pair is refused at commit time.
+  // While faulty, a tree over the pair is refused at commit time.
   EXPECT_EQ(c.open(span({{0, 2}, {1, 2}})).result, cl::Admit::kBlockedTrunk);
   ASSERT_TRUE(c.repair_trunk(0, 1));
   EXPECT_FALSE(c.repair_trunk(0, 1));
   EXPECT_EQ(c.open(span({{0, 2}, {1, 2}})).result, cl::Admit::kAccepted);
+  EXPECT_NO_THROW(c.cross_check());
+  c.stop();
+}
+
+TEST(Cluster, TrunkFaultSparesASpanWhoseTreeAvoidsThePair) {
+  cl::Cluster c(small_config());
+  c.start();
+  // Span {0,1,3} is rooted at shard 1: it holds (0,1) and (1,3), not (0,3).
+  const auto star = c.open(span({{0, 2}, {1, 1}, {3, 2}}));
+  ASSERT_EQ(star.result, cl::Admit::kAccepted);
+
+  EXPECT_TRUE(c.fail_trunk(0, 3).empty())
+      << "a fault on a pair outside the tree must spare the span";
+  EXPECT_EQ(c.active_spans(), 1u);
+  EXPECT_EQ(c.stats().span_interrupted, 0u);
+  EXPECT_NO_THROW(c.cross_check());
+
+  const auto torn = c.fail_trunk(1, 3);
+  ASSERT_EQ(torn.size(), 1u);
+  EXPECT_EQ(torn.front(), star.id);
+  EXPECT_EQ(c.active_spans(), 0u);
+  EXPECT_EQ(c.trunks().sharers_total(), 0u);
+  EXPECT_NO_THROW(audit::check_cluster(c));
   EXPECT_NO_THROW(c.cross_check());
   c.stop();
 }
@@ -519,7 +604,7 @@ TEST(ClusterAudit, TrunkAccountCheckerFiresOnEveryCorruption) {
 // The model runs the same claim/open/settle steps on one thread: shard i is
 // a loss-mode WaitQueueManager on the same fabric, seeded like the live
 // shard (seed + i), so it assigns the same session ids; a span claims its
-// TrunkBook mesh first, then opens every leg (members + 1 relay port), and
+// TrunkBook tree first, then opens every leg (members + 1 relay port), and
 // a refused leg rolls the granted ones back. The live cluster must match it
 // at every step: verdict, blocking cause, cluster id and leg sessions.
 // ---------------------------------------------------------------------------
@@ -840,10 +925,10 @@ TEST(ClusterTraffic, FaultedSpanningRunIsPinned) {
     u32 trunk_peak;
   };
   const Golden golden[] = {
-      {{326, 251, 75, 247, 1, 193, 120, 28, 45, 111, 7, 315, 32, 6, 6, 5, 5},
-       8, 0, 8, 904, 6.2233122735682898, 2},
-      {{326, 250, 76, 246, 1, 192, 121, 29, 42, 111, 8, 317, 32, 6, 6, 5, 5},
-       9, 5, 4, 904, 6.3192430389702876, 2},
+      {{326, 253, 73, 249, 1, 190, 129, 34, 27, 123, 4, 347, 41, 6, 6, 5, 5},
+       5, 0, 5, 915, 6.2553898467881401, 2},
+      {{326, 250, 76, 246, 1, 189, 130, 34, 25, 124, 4, 347, 40, 6, 6, 5, 5},
+       5, 3, 2, 913, 6.3118273347004594, 2},
   };
   for (const bool retry : {false, true}) {
     SCOPED_TRACE(retry ? "retry_on_repair" : "reoffer at once");

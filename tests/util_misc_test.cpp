@@ -1,16 +1,17 @@
-// Tests for Table, ThreadPool, Cli, logging and error plumbing.
+// Tests for Table, ThreadPool, Cli, logging and error plumbing, and the
+// bench binaries' bar chart and stopwatch (bench/chart.hpp, bench/timer.hpp).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <sstream>
 
 #include "analysis/util/thread_pool.hpp"
-#include "util/chart.hpp"
+#include "chart.hpp"
+#include "timer.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 
 namespace confnet::util {
 namespace {
@@ -170,7 +171,7 @@ TEST(Log, LevelFiltering) {
 
 TEST(BarChart, ScalesToWidth) {
   const std::string chart =
-      bar_chart({{"a", 1.0}, {"bb", 2.0}, {"ccc", 4.0}}, 8);
+      bench::bar_chart({{"a", 1.0}, {"bb", 2.0}, {"ccc", 4.0}}, 8);
   // Longest value spans the full width; half value spans half.
   EXPECT_NE(chart.find("ccc |########"), std::string::npos);
   EXPECT_NE(chart.find("bb  |####"), std::string::npos);
@@ -178,23 +179,23 @@ TEST(BarChart, ScalesToWidth) {
 }
 
 TEST(BarChart, HandlesZeroSeries) {
-  const std::string chart = bar_chart({{"x", 0.0}, {"y", 0.0}}, 10);
+  const std::string chart = bench::bar_chart({{"x", 0.0}, {"y", 0.0}}, 10);
   EXPECT_EQ(chart.find('#'), std::string::npos);
 }
 
 TEST(BarChart, RejectsNegative) {
-  EXPECT_THROW((void)bar_chart({{"x", -1.0}}, 10), Error);
-  EXPECT_THROW((void)bar_chart({{"x", 1.0}}, 0), Error);
+  EXPECT_THROW((void)bench::bar_chart({{"x", -1.0}}, 10), Error);
+  EXPECT_THROW((void)bench::bar_chart({{"x", 1.0}}, 0), Error);
 }
 
 TEST(Timer, MeasuresForwardTime) {
-  Stopwatch sw;
+  bench::Stopwatch sw;
   volatile double sink = 0;
   for (int i = 0; i < 100000; ++i) sink = sink + i * 0.5;
   EXPECT_GE(sw.elapsed_ns(), 0);
   EXPECT_GE(sw.elapsed_ms(), 0.0);
-  const auto a = now_ns();
-  const auto b = now_ns();
+  const auto a = bench::now_ns();
+  const auto b = bench::now_ns();
   EXPECT_GE(b, a);
 }
 

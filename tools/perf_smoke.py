@@ -2,7 +2,7 @@
 """Run the hot-path benchmark sections and merge them into one artifact.
 
 Usage:
-    python3 tools/perf_smoke.py [--build-dir DIR] [--out BENCH_pr36.json]
+    python3 tools/perf_smoke.py [--build-dir DIR] [--out BENCH_pr41.json]
         [--min-time SECONDS]
 
 Runs the BM_* timing sections of the benchmark binaries that cover the
@@ -39,7 +39,7 @@ binary-prefixed names ("bench_e2_multiplicity/BM_MeasureMultiplicity/6"),
 ready for tools/compare_bench.py's timing section:
 
     python3 tools/perf_smoke.py --out BENCH_new.json
-    python3 tools/compare_bench.py BENCH_pr36.json BENCH_new.json --warn-only
+    python3 tools/compare_bench.py BENCH_pr41.json BENCH_new.json --warn-only
 
 Worker-count invariance is checked here, not in compare_bench.py: rows of
 the same benchmark differing only in their /workers:N suffix must report
@@ -159,7 +159,7 @@ def main() -> int:
     parser.add_argument("--build-dir", type=Path, default=None,
                         help="build tree holding bench/ (default: search "
                              f"{', '.join(SEARCH_DIRS)})")
-    parser.add_argument("--out", type=Path, default=Path("BENCH_pr36.json"))
+    parser.add_argument("--out", type=Path, default=Path("BENCH_pr41.json"))
     parser.add_argument("--min-time", type=float, default=0.0,
                         help="--benchmark_min_time per benchmark (seconds); "
                              "0 keeps the google-benchmark default")
